@@ -85,3 +85,72 @@ func returned() (wire.Message, error) {
 	}
 	return resp, nil
 }
+
+// buildVectored stands in for a pipelineCalls build callback on the
+// copy-free write path: the message's Body is a small pooled buffer
+// holding the request's fixed fields, its BodyStream a vector over the
+// caller's arena — never pooled, never released.
+func buildVectored(arena []byte) (wire.Message, error) {
+	req := wire.WriteReq{Offset: 0}
+	return wire.Message{
+		Body:       req.AppendFixed(wire.GetBuf(wire.WriteReqFixedSize)[:0]),
+		BodyStream: &wire.Vec{N: len(arena), Pieces: [][]byte{arena}},
+	}, nil
+}
+
+// send stands in for CallAsync: it borrows both views of the request.
+func send(fixed []byte, payload wire.BodyStream) error {
+	_, _ = fixed, payload
+	return nil
+}
+
+// vectoredReleasedOnEveryPath gives the fixed-field buffer back exactly
+// once however the request ends: sent, replayed after a failure (the
+// same buffer and the same vector go out again), or abandoned unsent.
+func vectoredReleasedOnEveryPath(arena []byte, retry, abandon bool) error {
+	msg, err := buildVectored(arena)
+	if err != nil {
+		return err
+	}
+	if abandon {
+		wire.PutBuf(msg.Body)
+		return errors.New("abandoned")
+	}
+	err = send(msg.Body, msg.BodyStream)
+	if err != nil && retry {
+		err = send(msg.Body, msg.BodyStream)
+	}
+	wire.PutBuf(msg.Body)
+	return err
+}
+
+// vectoredLeakOnAbandon forgets the fixed-field buffer when it gives up
+// before sending; that the payload is caller-owned does not excuse it.
+func vectoredLeakOnAbandon(arena []byte, abandon bool) error {
+	msg, err := buildVectored(arena)
+	if err != nil {
+		return err
+	}
+	if abandon {
+		return errors.New("abandoned") // want `pooled message "msg" may leak at return`
+	}
+	err = send(msg.Body, msg.BodyStream)
+	wire.PutBuf(msg.Body)
+	return err
+}
+
+// vectoredLeakOnFailedRetry releases on success only: when the replay
+// fails too, the early return drops the buffer.
+func vectoredLeakOnFailedRetry(arena []byte) error {
+	msg, err := buildVectored(arena)
+	if err != nil {
+		return err
+	}
+	if err = send(msg.Body, msg.BodyStream); err != nil {
+		if err = send(msg.Body, msg.BodyStream); err != nil {
+			return err // want `pooled message "msg" may leak at return`
+		}
+	}
+	wire.PutBuf(msg.Body)
+	return nil
+}

@@ -769,20 +769,32 @@ func (f *File) Size() (int64, error) {
 
 func (f *File) size(ctx context.Context) (int64, error) {
 	phys := make([]int64, f.info.Striping.PCount)
-	for rel := range phys {
+	err := f.eachServer(func(rel int) error {
 		resp, err := f.call(ctx, rel, wire.Message{Header: wire.Header{Type: wire.TStat, Handle: f.info.Handle}})
 		if err != nil {
-			return 0, err
+			return err
 		}
 		var sr wire.SizeResp
 		uerr := sr.Unmarshal(resp.Body)
 		resp.Release()
-		if uerr != nil {
-			return 0, uerr
-		}
 		phys[rel] = sr.Size
+		return uerr
+	})
+	if err != nil {
+		return 0, err
 	}
 	return f.info.Striping.FileSizeFromStripes(phys), nil
+}
+
+// eachServer runs fn once per relative server of the file, all of them
+// in parallel (one round trip, not PCount sequential ones), and returns
+// the first error.
+func (f *File) eachServer(fn func(rel int) error) error {
+	rels := make([]int, f.info.Striping.PCount)
+	for i := range rels {
+		rels[i] = i
+	}
+	return parallel(rels, fn)
 }
 
 // Sync asks every I/O daemon serving the file to flush its cached
@@ -797,11 +809,7 @@ func (f *File) Sync() error {
 // SyncContext is Sync under a context; canceling it abandons the
 // outstanding flush round trips (daemons still complete them).
 func (f *File) SyncContext(ctx context.Context) error {
-	rels := make([]int, f.info.Striping.PCount)
-	for i := range rels {
-		rels[i] = i
-	}
-	return parallel(rels, func(rel int) error {
+	return f.eachServer(func(rel int) error {
 		resp, err := f.call(ctx, rel, wire.Message{
 			Header: wire.Header{Type: wire.TSync, Handle: f.info.Handle},
 		})
@@ -904,6 +912,21 @@ func parallel[T any](jobs []T, fn func(T) error) error {
 	return first
 }
 
+// The one pair of pipelining defaults every windowed datapath shares:
+// list requests, datatype windows and the chunks of a contiguous write.
+const (
+	// DefaultWindow is the number of requests kept in flight per server
+	// connection. Eight hide most of the per-round-trip latency while
+	// bounding client buffering to eight request bodies per server.
+	DefaultWindow = 8
+	// DefaultWindowBytes is the payload of one windowed request: large
+	// enough that a multi-MB share moves in a handful of requests,
+	// small enough that the daemon's receive body stays in a ≤ 1 MiB
+	// pool class and neither side buffers more than a few windows per
+	// connection.
+	DefaultWindowBytes = 512 << 10
+)
+
 // pipelineCalls issues n requests against the daemon at addr, keeping
 // up to window of them in flight on the pooled connection (the tagged
 // pipelining of pvfsnet.CallAsync). build constructs request i on
@@ -916,7 +939,10 @@ func parallel[T any](jobs []T, fn func(T) error) error {
 // Transport failures on the pipelined path are retried serially through
 // iodCall when the FS retry policy (SetRetries) allows; server-reported
 // errors always fail immediately. Request bodies are returned to the
-// wire buffer pool once the final attempt for them completes.
+// wire buffer pool once the final attempt for them completes; a
+// vectored request's Body is its pooled fixed-field buffer, and the
+// caller memory behind its BodyStream is read again on replay, never
+// released.
 //
 // Cancellation (ctx or the per-call deadline of withCallTimeout) fails
 // the operation without poisoning the connection: every in-flight tag
@@ -1086,37 +1112,79 @@ func (f *File) readContig(ctx context.Context, p []byte, off int64, path *PathCo
 	})
 }
 
-// writeContig writes one contiguous logical extent from p.
+// contigChunk is one TWrite request of a contiguous write: n bytes at
+// physical offset off, held in pieces[lo:hi] of its server's piece list.
+type contigChunk struct {
+	off    int64
+	n      int
+	lo, hi int
+}
+
+// cutChunks slices p into the job's payload pieces — the stripe units
+// of p that live on this server, which are physically adjacent there
+// and ascend with the stream — and cuts them into chunks of at most
+// win bytes; a piece straddling a chunk boundary is split. Nothing is
+// copied: every piece aliases p.
+func (j *serverJob) cutChunks(p []byte, win int) (pieces [][]byte, chunks []contigChunk) {
+	pieces = make([][]byte, 0, len(j.phys)+int(j.totalBytes/int64(win))+1)
+	cur := contigChunk{off: j.phys[0].Offset}
+	for i, ph := range j.phys {
+		b := p[j.streamPos[i] : j.streamPos[i]+ph.Length]
+		for len(b) > 0 {
+			take := min(len(b), win-cur.n)
+			pieces = append(pieces, b[:take])
+			b = b[take:]
+			cur.n += take
+			if cur.n == win {
+				cur.hi = len(pieces)
+				chunks = append(chunks, cur)
+				cur = contigChunk{off: cur.off + int64(win), lo: len(pieces)}
+			}
+		}
+	}
+	if cur.n > 0 {
+		cur.hi = len(pieces)
+		chunks = append(chunks, cur)
+	}
+	return pieces, chunks
+}
+
+// writeContig writes one contiguous logical extent from p. A server's
+// share of it is one physically contiguous extent; it travels as
+// DefaultWindowBytes-sized TWrite requests, DefaultWindow of them in
+// flight, whose payload is a wire.Vec over p's own stripe units.
+// Nothing is staged or marshalled on the way to the socket, the daemon
+// applies chunk k while chunk k+1 is still arriving, and a failed chunk
+// replays alone (per-tag re-drive, DESIGN.md §9).
 func (f *File) writeContig(ctx context.Context, p []byte, off int64, path *PathCounters) error {
 	if len(p) == 0 {
 		return nil
 	}
 	jobs := f.buildJobs(ioseg.List{{Offset: off, Length: int64(len(p))}})
 	err := parallel(jobs, func(j *serverJob) error {
-		span, _ := j.phys.Span()
-		data := make([]byte, span.Length)
-		for i, ph := range j.phys {
-			copy(data[ph.Offset-span.Offset:], p[j.streamPos[i]:j.streamPos[i]+ph.Length])
-		}
-		req := wire.WriteReq{Offset: span.Offset, Data: data}
-		f.fs.stats.Requests.Add(1)
-		f.fs.stats.BytesOut.Add(span.Length)
-		if path != nil {
-			path.Requests.Add(1)
-			path.Bytes.Add(span.Length)
-		}
-		resp, err := f.call(ctx, j.rel, wire.Message{
-			Header: wire.Header{Type: wire.TWrite, Handle: f.info.Handle},
-			Body:   req.Marshal(),
-		})
-		if err != nil {
-			return err
-		}
-		// The WrittenResp body rides a pooled buffer even though the
-		// payload is advisory; dropping it leaked one buffer per daemon
-		// per WriteAt until pvfs/bufown grew a discard check.
-		resp.Release()
-		return nil
+		pieces, chunks := j.cutChunks(p, DefaultWindowBytes)
+		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[j.rel], len(chunks), DefaultWindow,
+			func(i int) (wire.Message, error) {
+				c := chunks[i]
+				f.fs.stats.Requests.Add(1)
+				f.fs.stats.BytesOut.Add(int64(c.n))
+				if path != nil {
+					path.Requests.Add(1)
+					path.Bytes.Add(int64(c.n))
+				}
+				req := wire.WriteReq{Offset: c.off}
+				return wire.Message{
+					Header:     wire.Header{Type: wire.TWrite, Handle: f.info.Handle},
+					Body:       req.AppendFixed(wire.GetBuf(wire.WriteReqFixedSize)[:0]),
+					BodyStream: &wire.Vec{N: c.n, Pieces: pieces[c.lo:c.hi]},
+				}, nil
+			},
+			func(_ int, resp wire.Message) error {
+				// The WrittenResp body rides a pooled buffer even though
+				// the payload is advisory.
+				resp.Release()
+				return nil
+			})
 	})
 	if err == nil {
 		f.noteWritten(off + int64(len(p)))
@@ -1163,11 +1231,16 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 // Truncate sets the logical file size: each stripe file is cut to the
 // physical size implied by the logical size.
 func (f *File) Truncate(size int64) error {
-	ctx := context.Background()
+	return f.TruncateContext(context.Background(), size)
+}
+
+// TruncateContext is Truncate under a context. The daemons are cut in
+// parallel; a canceled or failed truncate may have cut any subset of
+// the stripe files (each cut is idempotent, so re-issuing it is safe).
+func (f *File) TruncateContext(ctx context.Context, size int64) error {
 	cfg := f.info.Striping
-	for rel := 0; rel < cfg.PCount; rel++ {
-		phys := cfg.PhysPrefix(rel, size)
-		req := wire.TruncateReq{Size: phys}
+	err := f.eachServer(func(rel int) error {
+		req := wire.TruncateReq{Size: cfg.PhysPrefix(rel, size)}
 		resp, err := f.call(ctx, rel, wire.Message{
 			Header: wire.Header{Type: wire.TTruncate, Handle: f.info.Handle},
 			Body:   req.Marshal(),
@@ -1176,6 +1249,10 @@ func (f *File) Truncate(size int64) error {
 			return err
 		}
 		resp.Release()
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	f.mu.Lock()
 	f.maxWritten = size

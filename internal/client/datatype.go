@@ -22,28 +22,22 @@ import (
 	"pvfs/internal/wire"
 )
 
-// DefaultDatatypeWindowBytes is the per-request payload window when
-// DatatypeOptions.WindowBytes is zero: large enough that a multi-MB
-// share moves in a handful of requests, small enough that neither side
-// buffers more than a few windows per connection.
-const DefaultDatatypeWindowBytes = 512 << 10
-
 // DatatypeOptions tunes datatype I/O.
 type DatatypeOptions struct {
 	// WindowBytes caps the payload of one request (a server's bytes in
-	// pattern-stream order). 0 selects DefaultDatatypeWindowBytes;
+	// pattern-stream order). 0 selects DefaultWindowBytes;
 	// values above wire.MaxBodyLen are clipped to it.
 	WindowBytes int64
 	// Window is the number of requests kept in flight per server
 	// connection (the tagged pipelining of DESIGN.md §2). 0 selects
-	// DefaultListWindow; 1 serializes round trips.
+	// DefaultWindow; 1 serializes round trips.
 	Window int
 }
 
 func (o DatatypeOptions) windowBytes() int64 {
 	w := o.WindowBytes
 	if w <= 0 {
-		w = DefaultDatatypeWindowBytes
+		w = DefaultWindowBytes
 	}
 	if w > wire.MaxBodyLen {
 		w = wire.MaxBodyLen
@@ -53,7 +47,7 @@ func (o DatatypeOptions) windowBytes() int64 {
 
 func (o DatatypeOptions) window() int {
 	if o.Window <= 0 {
-		return DefaultListWindow
+		return DefaultWindow
 	}
 	return o.Window
 }

@@ -8,7 +8,6 @@ package client_test
 
 import (
 	"testing"
-	"time"
 
 	"pvfs/internal/client"
 	"pvfs/internal/ioseg"
@@ -54,18 +53,5 @@ func TestClientOpsLeaveBufPoolBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Daemons recycle request bodies after responding; allow the tail
-	// to drain before asserting the balance.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		gets, puts := wire.BufStats()
-		if gets-gets0 == puts-puts0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pooled buffers leaked: %d gets vs %d puts since baseline",
-				gets-gets0, puts-puts0)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitBufBalance(t, gets0, puts0)
 }

@@ -39,13 +39,6 @@ func (g Granularity) String() string {
 	}
 }
 
-// DefaultListWindow is the number of list requests kept in flight per
-// server connection when ListOptions.Window is zero. Eight in-flight
-// requests hide most of the per-round-trip latency on the batched list
-// path while bounding client buffering to eight request bodies per
-// server.
-const DefaultListWindow = 8
-
 // ListOptions tunes list I/O.
 type ListOptions struct {
 	// Granularity of entry construction; default GranularityFileRegions.
@@ -55,7 +48,7 @@ type ListOptions struct {
 	MaxRegions int
 	// Window is the number of list requests kept in flight per server
 	// connection (the tagged pipelining of DESIGN.md §2). 0 selects
-	// DefaultListWindow; 1 restores the original serialized behaviour
+	// DefaultWindow; 1 restores the original serialized behaviour
 	// — one round trip at a time per server — which fault-injection
 	// setups that assume serialized calls should keep.
 	Window int
@@ -70,7 +63,7 @@ func (o ListOptions) maxRegions() int {
 
 func (o ListOptions) window() int {
 	if o.Window <= 0 {
-		return DefaultListWindow
+		return DefaultWindow
 	}
 	return o.Window
 }

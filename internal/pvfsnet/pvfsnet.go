@@ -363,8 +363,13 @@ type Pending struct {
 
 // CallAsync sends req and returns immediately with a Pending handle for
 // the response. The caller decides the in-flight window by how many
-// CallAsync results it holds before Waiting on them. req.Body is fully
-// consumed (copied into the wire frame) before CallAsync returns.
+// CallAsync results it holds before Waiting on them. Every byte of the
+// request — req.Body and, for a vectored request, each piece of the
+// caller's memory behind req.BodyStream — has been handed to the kernel
+// (or to the wrapped connection's Write) before CallAsync returns: the
+// transport keeps no reference to either, so the caller may reuse the
+// memory at once and abandoning the Pending leaves nothing pointing
+// into it.
 func (c *Conn) CallAsync(req wire.Message) (*Pending, error) {
 	c.mu.Lock()
 	if c.closed {

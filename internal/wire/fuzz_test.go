@@ -123,9 +123,10 @@ func FuzzStridedReq(f *testing.F) {
 // decoder that faces the network (faultnet produces exactly these
 // shapes). Invariants: no panic, declared and actual body lengths
 // agree on success, oversized frames are rejected before allocation,
-// and buffer-pool ownership stays sound (an error path must never
-// PutBuf a buffer it did not fully own — pool poisoning would hand
-// one backing array to two owners).
+// and buffer-pool ownership stays sound: a failed parse hands back the
+// one body buffer it took (it owns it outright — nothing else saw it),
+// a successful one hands back nothing, and the pool never gives one
+// backing array to two owners afterwards.
 func FuzzReadMessage(f *testing.F) {
 	var good bytes.Buffer
 	_ = WriteMessage(&good, Message{Header: Header{Type: TWriteList, Handle: 9, Tag: 7}, Body: []byte("payload")})
@@ -143,16 +144,16 @@ func FuzzReadMessage(f *testing.F) {
 		gets0, puts0 := BufStats()
 		m, err := ReadMessage(bytes.NewReader(data))
 		gets1, puts1 := BufStats()
-		if puts1 != puts0 {
-			t.Fatalf("ReadMessage returned %d buffers to the pool mid-parse", puts1-puts0)
-		}
 		if err != nil {
-			// Errors may have allocated (and dropped) at most the one
-			// body buffer; dropping is always pool-safe.
-			if gets1-gets0 > 1 {
-				t.Fatalf("failed parse took %d pool buffers", gets1-gets0)
+			// A torn body took at most the one body buffer and returned
+			// it, so faulty wires leave BufStats balanced.
+			if gets1-gets0 > 1 || gets1-gets0 != puts1-puts0 {
+				t.Fatalf("failed parse: %d gets, %d puts", gets1-gets0, puts1-puts0)
 			}
 			return
+		}
+		if puts1 != puts0 {
+			t.Fatalf("ReadMessage returned %d buffers to the pool mid-parse", puts1-puts0)
 		}
 		if int(m.BodyLen) != len(m.Body) {
 			t.Fatalf("declared body %d bytes, delivered %d", m.BodyLen, len(m.Body))

@@ -187,9 +187,20 @@ type WriteReq struct {
 	Data   []byte
 }
 
-func (m *WriteReq) Marshal() []byte {
-	e := encoder{}
+// WriteReqFixedSize is the encoded size of WriteReq's fixed fields,
+// which precede the data on the wire.
+const WriteReqFixedSize = 8
+
+// AppendFixed appends the fixed fields alone: the body of a vectored
+// request whose data follows from where it lies (Message.BodyStream).
+func (m *WriteReq) AppendFixed(dst []byte) []byte {
+	e := encoder{buf: dst}
 	e.i64(m.Offset)
+	return e.buf
+}
+
+func (m *WriteReq) Marshal() []byte {
+	e := encoder{buf: m.AppendFixed(nil)}
 	e.bytes(m.Data)
 	return e.buf
 }

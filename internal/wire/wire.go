@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"pvfs/internal/ioseg"
 )
@@ -110,29 +111,32 @@ func (t MsgType) IsResponse() bool { return t&responseBit != 0 }
 // Base strips the response bit.
 func (t MsgType) Base() MsgType { return t &^ responseBit }
 
+// msgTypeNames is indexed by base type; String runs on log and error
+// paths per message, so the table is built once.
+var msgTypeNames = [...]string{
+	TInvalid: "invalid", TCreate: "create", TOpen: "open", TStat: "stat",
+	TRemove: "remove", TListDir: "listdir", TSetSize: "setsize",
+	TRead: "read", TWrite: "write", TReadList: "readlist",
+	TWriteList: "writelist", TReadStrided: "readstrided",
+	TWriteStrided: "writestrided", TTruncate: "truncate",
+	TServerStats: "serverstats", TPing: "ping",
+	TListHandles: "listhandles", TReadDatatype: "readdatatype",
+	TWriteDatatype: "writedatatype", TSync: "sync",
+	TShardMap: "shardmap", TMetaForward: "metaforward",
+	TMetaVote: "metavote", TMetaAppend: "metaappend",
+	TMetaPropose: "metapropose", TMetaFetch: "metafetch",
+	TMetaProposeBatch: "metaproposebatch",
+}
+
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		TInvalid: "invalid", TCreate: "create", TOpen: "open", TStat: "stat",
-		TRemove: "remove", TListDir: "listdir", TSetSize: "setsize",
-		TRead: "read", TWrite: "write", TReadList: "readlist",
-		TWriteList: "writelist", TReadStrided: "readstrided",
-		TWriteStrided: "writestrided", TTruncate: "truncate",
-		TServerStats: "serverstats", TPing: "ping",
-		TListHandles: "listhandles", TReadDatatype: "readdatatype",
-		TWriteDatatype: "writedatatype", TSync: "sync",
-		TShardMap: "shardmap", TMetaForward: "metaforward",
-		TMetaVote: "metavote", TMetaAppend: "metaappend",
-		TMetaPropose: "metapropose", TMetaFetch: "metafetch",
-		TMetaProposeBatch: "metaproposebatch",
-	}
-	n, ok := names[t.Base()]
-	if !ok {
+	b := t.Base()
+	if int(b) >= len(msgTypeNames) {
 		return fmt.Sprintf("type(%d)", uint16(t))
 	}
 	if t.IsResponse() {
-		return n + "-resp"
+		return msgTypeNames[b] + "-resp"
 	}
-	return n
+	return msgTypeNames[b]
 }
 
 // Status codes carried in response headers.
@@ -273,12 +277,14 @@ func parseHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// BodyStream is a response body produced by streaming instead of a
-// materialized buffer: Len promises the exact byte count and WriteTo
-// delivers it. The storage layer implements it over a file descriptor
-// (sendfile zero-copy, DESIGN.md §11) without importing wire; the
-// transport writes the header and then lets the stream put the bytes
-// on the socket directly.
+// BodyStream is a message payload the transport puts on the socket
+// without first materializing it in a frame buffer: Len promises the
+// exact byte count and WriteTo delivers it. Two producers exist. The
+// storage layer implements it over a file descriptor (sendfile
+// zero-copy reads, DESIGN.md §11) without importing wire; the
+// transport writes the frame's prefix and then lets the stream put its
+// bytes on the socket directly. *Vec describes caller-owned memory;
+// WriteMessage folds its pieces into the frame's own write.
 //
 // WriteTo MUST deliver exactly Len bytes or fail: the frame header has
 // already promised the length, so a short stream is a broken
@@ -288,15 +294,39 @@ type BodyStream interface {
 	io.WriterTo
 }
 
+// Vec is the BodyStream of a copy-free write request: payload pieces
+// that stay in the caller's memory (the user arena's stripe-unit
+// slices) until the kernel takes them. N is the length the builder
+// promises; WriteMessage refuses a Vec whose pieces do not add up to it
+// before any byte reaches the socket. The pieces are only read, never
+// retained past the write and never consumed, so a request can be
+// replayed verbatim.
+type Vec struct {
+	N      int
+	Pieces [][]byte
+}
+
+// Len returns the promised payload length.
+func (v *Vec) Len() int { return v.N }
+
+// WriteTo writes the pieces in order (one writev on a TCP connection).
+// WriteMessage does not call it — it frames the pieces together with
+// the header — but a Vec is a complete BodyStream on its own.
+func (v *Vec) WriteTo(w io.Writer) (int64, error) {
+	bufs := append(make(net.Buffers, 0, len(v.Pieces)), v.Pieces...)
+	return bufs.WriteTo(w)
+}
+
 // Message is a complete protocol message: header plus raw body.
 type Message struct {
 	Header
 	Body []byte
 
-	// BodyStream, when non-nil, replaces Body as the message payload:
-	// the transport frames BodyStream.Len() bytes and streams them.
-	// Body must be nil. BodyStream never crosses the wire — receivers
-	// always see a materialized Body.
+	// BodyStream, when non-nil, carries the payload that follows Body
+	// on the wire: the transport frames len(Body)+BodyStream.Len()
+	// bytes, writes Body (a request's small fixed fields; nil on a
+	// streamed read response) and then the stream. BodyStream never
+	// crosses the wire — receivers always see one materialized Body.
 	BodyStream BodyStream
 
 	// Recycle marks Body as owned by the wire buffer pool: the
@@ -306,44 +336,93 @@ type Message struct {
 	Recycle bool
 }
 
-// WriteMessage frames and writes a message. The frame buffer comes from
-// the message pool, so steady-state writes do not allocate. A message
-// with a BodyStream writes its header and then streams the body
-// straight from the producer (the zero-copy read path); a short or
-// failed stream poisons the connection and surfaces as a write error.
+// coalesceMax is the largest frame WriteMessage still assembles in a
+// pooled buffer when it could writev instead: under a page, one copy
+// and one write beat setting up a vector.
+const coalesceMax = 4 << 10
+
+// WriteMessage frames and writes a message: header, Body, then the
+// BodyStream's bytes. On a *net.TCPConn a frame larger than
+// coalesceMax leaves in one writev of the header, Body and a Vec's
+// pieces as they lie in memory — no frame buffer, no copy. Any other
+// writer (a fault-injecting or tracing wrapper, a bytes.Buffer) and
+// every small frame gets the same bytes coalesced in a pooled buffer
+// and exactly one Write. A BodyStream other than *Vec (the sendfile
+// read path) is streamed after that prefix; a short or failed stream
+// poisons the connection and surfaces as a write error.
 func WriteMessage(w io.Writer, m Message) error {
+	var (
+		pieces [][]byte   // a Vec's payload: framed together with the header
+		tail   BodyStream // any other stream: follows the framed prefix
+		tailN  int
+	)
+	prefix := HeaderSize + len(m.Body)
 	if m.BodyStream != nil {
-		n := m.BodyStream.Len()
-		if n < 0 || n > MaxBodyLen {
+		sn := m.BodyStream.Len()
+		if sn < 0 || sn > MaxBodyLen {
 			return ErrBodyTooLarge
 		}
-		m.BodyLen = uint32(n)
-		hbuf := GetBuf(HeaderSize)
-		putHeader(hbuf, m.Header)
-		_, err := w.Write(hbuf)
-		PutBuf(hbuf)
-		if err != nil {
-			return err
+		if v, ok := m.BodyStream.(*Vec); ok {
+			held := 0
+			for _, p := range v.Pieces {
+				held += len(p)
+			}
+			if held != sn {
+				return fmt.Errorf("wire: vector promises %d bytes, pieces hold %d", sn, held)
+			}
+			pieces = v.Pieces
+			prefix += sn
+		} else {
+			tail, tailN = m.BodyStream, sn
 		}
-		written, err := m.BodyStream.WriteTo(w)
-		if err != nil {
-			return fmt.Errorf("wire: body stream after %d/%d bytes: %w", written, n, err)
-		}
-		if written != int64(n) {
-			return fmt.Errorf("wire: body stream wrote %d of %d promised bytes", written, n)
-		}
-		return nil
 	}
-	if len(m.Body) > MaxBodyLen {
+	bodyLen := prefix - HeaderSize + tailN
+	if bodyLen > MaxBodyLen {
 		return ErrBodyTooLarge
 	}
-	m.BodyLen = uint32(len(m.Body))
-	buf := GetBuf(HeaderSize + len(m.Body))
-	putHeader(buf, m.Header)
-	copy(buf[HeaderSize:], m.Body)
-	_, err := w.Write(buf)
-	PutBuf(buf)
-	return err
+	m.BodyLen = uint32(bodyLen)
+
+	var err error
+	tc, _ := w.(*net.TCPConn)
+	switch {
+	case tc != nil && prefix > coalesceMax:
+		hdr := make([]byte, HeaderSize)
+		putHeader(hdr, m.Header)
+		bufs := make(net.Buffers, 0, 2+len(pieces))
+		bufs = append(bufs, hdr)
+		if len(m.Body) > 0 {
+			bufs = append(bufs, m.Body)
+		}
+		bufs = append(bufs, pieces...)
+		_, err = bufs.WriteTo(tc)
+	case tc != nil && prefix == HeaderSize:
+		// The header in front of a sendfile body, or a bodiless
+		// message: called on the concrete type the array stays on the
+		// stack, so this takes nothing from the pool.
+		var hdr [HeaderSize]byte
+		putHeader(hdr[:], m.Header)
+		_, err = tc.Write(hdr[:])
+	default:
+		buf := GetBuf(prefix)
+		putHeader(buf, m.Header)
+		at := HeaderSize + copy(buf[HeaderSize:], m.Body)
+		for _, p := range pieces {
+			at += copy(buf[at:], p)
+		}
+		_, err = w.Write(buf)
+		PutBuf(buf)
+	}
+	if err != nil || tail == nil {
+		return err
+	}
+	written, err := tail.WriteTo(w)
+	if err != nil {
+		return fmt.Errorf("wire: body stream after %d/%d bytes: %w", written, tailN, err)
+	}
+	if written != int64(tailN) {
+		return fmt.Errorf("wire: body stream wrote %d of %d promised bytes", written, tailN)
+	}
+	return nil
 }
 
 // ReadMessage reads one framed message. The body buffer comes from the
@@ -361,6 +440,7 @@ func ReadMessage(r io.Reader) (Message, error) {
 	}
 	body := GetBuf(int(h.BodyLen))
 	if _, err := io.ReadFull(r, body); err != nil {
+		PutBuf(body) // a torn frame must not unbalance the pool
 		return Message{}, fmt.Errorf("wire: reading %d-byte body: %w", h.BodyLen, err)
 	}
 	return Message{Header: h, Body: body}, nil

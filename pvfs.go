@@ -149,12 +149,14 @@ const DefaultSieveBuffer = client.DefaultSieveBuffer
 // DefaultListWindow is the number of list requests kept in flight per
 // server connection when ListOptions.Window is zero (DESIGN.md §2).
 // Set ListOptions.Window to 1 for the original serialized PVFS
-// behaviour.
-const DefaultListWindow = client.DefaultListWindow
+// behaviour. Datatype windows and the chunks of a contiguous write
+// keep the same number in flight.
+const DefaultListWindow = client.DefaultWindow
 
 // DefaultDatatypeWindow is the per-request payload window of datatype
-// I/O when DatatypeOptions.WindowBytes is zero (DESIGN.md §6).
-const DefaultDatatypeWindow = client.DefaultDatatypeWindowBytes
+// I/O when DatatypeOptions.WindowBytes is zero (DESIGN.md §6), and the
+// chunk size of a contiguous write.
+const DefaultDatatypeWindow = client.DefaultWindowBytes
 
 // Connect opens a client session against a manager daemon address.
 func Connect(mgrAddr string) (*FS, error) { return client.Connect(mgrAddr) }
