@@ -2,12 +2,17 @@ package client_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pvfs/internal/client"
 	"pvfs/internal/cluster"
+	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/striping"
@@ -597,6 +602,67 @@ func TestListRejectsMismatchedLists(t *testing.T) {
 	file2 := ioseg.List{{Offset: 0, Length: 20}}
 	if err := f.ReadList(arena, mem2, file2, client.ListOptions{}); err == nil {
 		t.Fatal("out-of-arena memory accepted")
+	}
+}
+
+// TestMemoryListValidation pins what the single pass over the memory
+// list reports, on every path that takes one: the texts (offending
+// region index included) predate the stream map, and lengths that only
+// overflow in sum — each region valid, the wrapped total equal to the
+// file side's — must fail as a memory-list error instead of reaching
+// the planner.
+func TestMemoryListValidation(t *testing.T) {
+	_, fs := startCluster(t, 2)
+	f, err := fs.Create("memlist.dat", striping.Config{PCount: 2, StripeSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := make([]byte, 100)
+	file := ioseg.List{{Offset: 0, Length: 32}}
+	typ := datatype.Vector(4, 8, 16, datatype.Bytes(1)) // 32 bytes too
+	const quarter = 1 << 62
+	cases := []struct {
+		name string
+		mem  ioseg.List
+		want string
+		is   error
+	}{
+		{"sum wraps to the file total",
+			ioseg.List{{Length: quarter}, {Length: quarter}, {Length: quarter}, {Length: quarter}, {Length: 32}},
+			"pvfs: memory list: ioseg: total length overflows int64", ioseg.ErrLengthOverflow},
+		{"pair wraps negative",
+			ioseg.List{{Length: math.MaxInt64}, {Length: math.MaxInt64}},
+			"pvfs: memory list: ioseg: total length overflows int64", ioseg.ErrLengthOverflow},
+		{"negative offset",
+			ioseg.List{{Offset: 0, Length: 16}, {Offset: -8, Length: 16}},
+			"pvfs: memory list: segment 1: ioseg: negative offset -8", nil},
+		{"second region outside the arena",
+			ioseg.List{{Offset: 0, Length: 16}, {Offset: 90, Length: 16}, {Offset: 200, Length: 0}},
+			"pvfs: memory region 1 ([90,+16)) outside buffer of 100 bytes", nil},
+		{"totals differ",
+			ioseg.List{{Offset: 0, Length: 16}},
+			"pvfs: memory list covers 16 bytes, ", nil},
+	}
+	methods := []client.AccessMethod{client.AccessMultiple, client.AccessSieve, client.AccessList, client.AccessHybrid, client.AccessDatatype}
+	for _, c := range cases {
+		for _, method := range methods {
+			for _, write := range []bool{false, true} {
+				req := client.Request{Write: write, Arena: arena, Mem: c.mem, File: file, Method: method}
+				if method == client.AccessDatatype {
+					req.File, req.Type = nil, typ
+				}
+				_, err := f.Run(context.Background(), req)
+				if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+					t.Errorf("%s, %v write=%v: error %v, want %q", c.name, method, write, err, c.want)
+				}
+				if c.is != nil && !errors.Is(err, c.is) {
+					t.Errorf("%s, %v write=%v: error %v does not wrap %v", c.name, method, write, err, c.is)
+				}
+			}
+		}
+	}
+	if reqs := fs.Counters().Snapshot().Requests; reqs != 0 {
+		t.Fatalf("rejected requests sent %d wire requests", reqs)
 	}
 }
 

@@ -6,8 +6,12 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 
+	"pvfs/internal/datatype"
+	"pvfs/internal/ioseg"
+	"pvfs/internal/patterns"
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/striping"
 	"pvfs/internal/wire"
@@ -54,10 +58,9 @@ func startSinkIOD(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// A 16 MiB contiguous write allocates bookkeeping only: piece lists,
-// request descriptors and iovecs. Before the vectored path it staged and
-// marshalled every byte (≈ 2 × 16 MiB per call).
-func TestContigWriteAllocationBound(t *testing.T) {
+// sinkFile is a file striped 16 KiB-wise over four sink daemons.
+func sinkFile(t *testing.T) *File {
+	t.Helper()
 	const pcount = 4
 	addrs := make([]string, pcount)
 	for i := range addrs {
@@ -71,24 +74,44 @@ func TestContigWriteAllocationBound(t *testing.T) {
 			Striping: striping.Config{PCount: pcount, StripeSize: 16 << 10},
 		},
 	}
-	defer f.fs.pool.Close()
+	t.Cleanup(func() { f.fs.pool.Close() })
+	return f
+}
+
+// allocPerOp runs op once unmeasured (dial, fill the buffer pools) and
+// then runs times, and returns the bytes and objects the median run
+// allocated: the steady state, which a stray miss in the wire pool or a
+// cold scratch pool (under the race detector sync.Pool drops a quarter
+// of what is put back) must not read as.
+func allocPerOp(runs int, op func()) (bytes, objects uint64) {
+	op()
+	perBytes, perObjects := make([]uint64, runs), make([]uint64, runs)
+	var before, after runtime.MemStats
+	for i := range perBytes {
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		perBytes[i], perObjects[i] = after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	}
+	slices.Sort(perBytes)
+	slices.Sort(perObjects)
+	return perBytes[runs/2], perObjects[runs/2]
+}
+
+// A 16 MiB contiguous write allocates bookkeeping only: piece lists,
+// request descriptors and iovecs. Before the vectored path it staged and
+// marshalled every byte (≈ 2 × 16 MiB per call).
+func TestContigWriteAllocationBound(t *testing.T) {
+	f := sinkFile(t)
 	data := make([]byte, 16<<20)
 	write := func() {
 		if err := f.writeContig(context.Background(), data, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write() // dial, fill the small-buffer pool classes
-
 	const runs = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		write()
-	}
-	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d B and %d allocations per 16 MiB write", perOp, (after.Mallocs-before.Mallocs)/runs)
+	perOp, allocs := allocPerOp(runs, write)
+	t.Logf("%d B and %d allocations per 16 MiB write", perOp, allocs)
 	if perOp > 1_000_000 {
 		t.Fatalf("a 16 MiB contiguous write allocated %d B, want <= 1 MB", perOp)
 	}
@@ -105,5 +128,54 @@ func TestContigChunkReceiveClass(t *testing.T) {
 	defer wire.PutBuf(b)
 	if cap(b) > 1<<20 {
 		t.Fatalf("chunk body comes from the %d-byte class, want <= 1 MiB", cap(b))
+	}
+}
+
+// A FLASH-shaped datatype write (bench/workloads.go flashShape: 196 608
+// eight-byte memory pieces, 1.5 MiB of payload) allocates the stream
+// map's 3 072 strided runs plus bookkeeping. When the map was a prefix
+// sum it allocated an int64 per piece, 1.6 MB per op.
+func TestFlashDatatypeWriteAllocationBound(t *testing.T) {
+	f := sinkFile(t)
+	pat := &patterns.Flash{NumRanks: 2, Blocks: 16, Elems: 8, Guard: 1, Vars: 24}
+	const run = 16 * 4096 // one rank's blocks of one variable
+	req := Request{
+		Write: true, Arena: make([]byte, pat.ArenaBytes(0)), Mem: patterns.MemList(pat, 0),
+		Type:   datatype.Vector(int64(pat.Vars), run, int64(pat.NumRanks)*run, datatype.Bytes(1)),
+		Method: AccessDatatype,
+	}
+	write := func() {
+		res, err := f.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Bytes != pat.TotalBytes(0) {
+			t.Fatalf("wrote %d bytes, want %d", res.Bytes, pat.TotalBytes(0))
+		}
+	}
+	perOp, allocs := allocPerOp(32, write)
+	t.Logf("%d B and %d allocations per FLASH write of %d pieces", perOp, allocs, len(req.Mem))
+	if perOp > 256<<10 {
+		t.Fatalf("a FLASH datatype write allocated %d B, want <= 256 KiB", perOp)
+	}
+}
+
+// The methods that work from the flat lists (multiple, sieve, hybrid)
+// build no stream map, so checking a long memory list costs them no
+// allocation.
+func TestCheckListsDoesNotAllocate(t *testing.T) {
+	var mem ioseg.List
+	var off int64
+	for i := int64(0); i < 10_000; i++ {
+		mem = append(mem, ioseg.Segment{Offset: off, Length: 1 + i%13})
+		off += 20 + i%7
+	}
+	arena, file := make([]byte, off), ioseg.List{{Offset: 64, Length: mem.TotalLength()}}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := checkLists(arena, mem, file); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("checkLists allocated %v times", n)
 	}
 }

@@ -68,25 +68,25 @@ type dtPlan struct {
 	owned   []int64 // per relative server: bytes of the pattern it holds
 }
 
-// planDatatype validates the pattern against the memory list and
-// computes each server's share. The sizing walk is streaming: O(tree
-// depth) state, closed-form striping arithmetic per fragment — the
-// flattened region list is never materialized, even client-side.
-func (f *File) planDatatype(arena []byte, mem ioseg.List, t datatype.Type, base, count int64) (*dtPlan, error) {
+// planDatatype validates the pattern against the memory list — through
+// smap, the stream map of mem, whose build pass already holds every
+// answer (see checkMapped) — and computes each server's share. The
+// sizing walk is streaming: O(tree depth) state, closed-form striping
+// arithmetic per fragment — the flattened region list is never
+// materialized, even client-side.
+func (f *File) planDatatype(arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64) (*dtPlan, error) {
 	dataLen, _, err := datatype.CheckPattern(t, base, count)
 	if err != nil {
 		return nil, fmt.Errorf("pvfs: %w", err)
 	}
-	if err := mem.Validate(); err != nil {
+	if err := smap.Err(); err != nil {
 		return nil, fmt.Errorf("pvfs: memory list: %w", err)
 	}
-	if mem.TotalLength() != dataLen {
-		return nil, fmt.Errorf("pvfs: memory list covers %d bytes, pattern %d", mem.TotalLength(), dataLen)
+	if smap.Total() != dataLen {
+		return nil, fmt.Errorf("pvfs: memory list covers %d bytes, pattern %d", smap.Total(), dataLen)
 	}
-	for i, s := range mem {
-		if s.End() > int64(len(arena)) {
-			return nil, fmt.Errorf("pvfs: memory region %d (%v) outside buffer of %d bytes", i, s, len(arena))
-		}
+	if err := checkMappedArena(arena, smap, mem); err != nil {
+		return nil, err
 	}
 	enc, err := datatype.Encode(t)
 	if err != nil {
@@ -188,12 +188,11 @@ func (f *File) ReadDatatype(arena []byte, mem ioseg.List, t datatype.Type, base,
 	return err
 }
 
-func (f *File) readDatatype(ctx context.Context, arena []byte, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, path *PathCounters) error {
-	plan, err := f.planDatatype(arena, mem, t, base, count)
+func (f *File) readDatatype(ctx context.Context, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, path *PathCounters) error {
+	plan, err := f.planDatatype(arena, smap, mem, t, base, count)
 	if err != nil {
 		return err
 	}
-	smap := memio.NewStreamMap(mem)
 	winBytes := opts.windowBytes()
 	jobs := f.datatypeServers(plan, t, base, count, winBytes)
 	return parallel(jobs, func(w *dtWindows) error {
@@ -250,12 +249,11 @@ func (f *File) WriteDatatype(arena []byte, mem ioseg.List, t datatype.Type, base
 	return err
 }
 
-func (f *File) writeDatatype(ctx context.Context, arena []byte, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, path *PathCounters) error {
-	plan, err := f.planDatatype(arena, mem, t, base, count)
+func (f *File) writeDatatype(ctx context.Context, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, path *PathCounters) error {
+	plan, err := f.planDatatype(arena, smap, mem, t, base, count)
 	if err != nil {
 		return err
 	}
-	smap := memio.NewStreamMap(mem)
 	winBytes := opts.windowBytes()
 	jobs := f.datatypeServers(plan, t, base, count, winBytes)
 	err = parallel(jobs, func(w *dtWindows) error {

@@ -10,6 +10,8 @@ import (
 	"pvfs/internal/cluster"
 	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
+	"pvfs/internal/memio"
+	"pvfs/internal/patterns"
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/striping"
 )
@@ -38,13 +40,52 @@ func fragmentedMem(total, piece, gap int64) (ioseg.List, int64) {
 	return mem, off
 }
 
+// shapelessMem splits [0, total) into memory regions no two neighbours
+// of which share a length, at varying gaps: the list the stream map can
+// fold nothing of and keeps as listed regions.
+func shapelessMem(total int64) (ioseg.List, int64) {
+	var mem ioseg.List
+	var off int64
+	for i, covered := int64(0), int64(0); covered < total; i++ {
+		n := min(1+(i*5)%11+i%2, total-covered)
+		mem = append(mem, ioseg.Segment{Offset: off, Length: n})
+		off += n + i%4
+		covered += n
+	}
+	return mem, off
+}
+
+// datatypeCase is one row of the datatype/list equivalence matrix. A nil
+// mem selects fragmentedMem over the pattern's size.
+type datatypeCase struct {
+	typ      datatype.Type
+	base     int64
+	count    int64
+	mem      ioseg.List
+	arenaLen int64
+}
+
+// flashCase is one rank's FLASH checkpoint (paper §4.3) the way the
+// benchmark harness drives it: element-major memory with guard cells —
+// 8-byte pieces that the stream map folds into strided runs — onto a
+// variable-major file where the rank's blocks of a variable are one
+// dense run.
+func flashCase(pat *patterns.Flash, rank int) datatypeCase {
+	run := int64(pat.Blocks*pat.Elems*pat.Elems*pat.Elems) * 8
+	return datatypeCase{
+		typ:      datatype.Vector(int64(pat.Vars), run, int64(pat.NumRanks)*run, datatype.Bytes(1)),
+		base:     int64(rank) * run,
+		count:    1,
+		mem:      patterns.MemList(pat, rank),
+		arenaLen: pat.ArenaBytes(rank),
+	}
+}
+
 // datatypeCases are the pattern shapes the tentpole names: vector,
-// indexed, and 2-D subarray, plus a nested constructor for depth.
-func datatypeCases(t *testing.T) map[string]struct {
-	typ   datatype.Type
-	base  int64
-	count int64
-} {
+// indexed, and 2-D subarray, plus a nested constructor for depth, and
+// the FLASH shape at sizes that are no power of two, so that window
+// cuts fall inside rows and runs.
+func datatypeCases(t *testing.T) map[string]datatypeCase {
 	t.Helper()
 	idx, err := datatype.Indexed(
 		[]int64{3, 1, 5, 2, 4},
@@ -63,15 +104,17 @@ func datatypeCases(t *testing.T) map[string]struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]struct {
-		typ   datatype.Type
-		base  int64
-		count int64
-	}{
-		"vector":   {datatype.Vector(37, 24, 100, datatype.Bytes(1)), 40, 3},
-		"indexed":  {idx, 128, 5},
-		"subarray": {sub, 64, 2},
-		"nested":   {datatype.Contiguous(4, datatype.Vector(6, 2, 5, datatype.Bytes(9))), 10, 7},
+	vec := datatype.Vector(37, 24, 100, datatype.Bytes(1))
+	shapeless, shapelessLen := shapelessMem(3 * vec.Size()) // 400-odd regions: several listed runs
+	return map[string]datatypeCase{
+		"vector":      {typ: vec, base: 40, count: 3},
+		"shapeless":   {typ: vec, base: 40, count: 3, mem: shapeless, arenaLen: shapelessLen},
+		"indexed":     {typ: idx, base: 128, count: 5},
+		"subarray":    {typ: sub, base: 64, count: 2},
+		"nested":      {typ: datatype.Contiguous(4, datatype.Vector(6, 2, 5, datatype.Bytes(9))), base: 10, count: 7},
+		"flash-3-1-5": flashCase(&patterns.Flash{NumRanks: 2, Blocks: 3, Elems: 3, Guard: 1, Vars: 5}, 1),
+		"flash-5-2-7": flashCase(&patterns.Flash{NumRanks: 3, Blocks: 2, Elems: 5, Guard: 2, Vars: 7}, 2),
+		"flash-7-0-3": flashCase(&patterns.Flash{NumRanks: 1, Blocks: 1, Elems: 7, Guard: 0, Vars: 3}, 0),
 	}
 }
 
@@ -92,7 +135,10 @@ func TestDatatypeEquivalenceWithList(t *testing.T) {
 			}
 			file = file.Normalize()
 
-			mem, arenaLen := fragmentedMem(dataLen, 47, 9)
+			mem, arenaLen := tc.mem, tc.arenaLen
+			if mem == nil {
+				mem, arenaLen = fragmentedMem(dataLen, 47, 9)
+			}
 			arena := make([]byte, arenaLen)
 			rand.New(rand.NewSource(11)).Read(arena)
 
@@ -117,8 +163,21 @@ func TestDatatypeEquivalenceWithList(t *testing.T) {
 			}
 			fList.Close()
 
-			if a, b := fullImage(t, fs, "dt-"+name), fullImage(t, fs, "list-"+name); !bytes.Equal(a, b) {
+			img := fullImage(t, fs, "dt-"+name)
+			if !bytes.Equal(img, fullImage(t, fs, "list-"+name)) {
 				t.Fatal("datatype and list writes left different images")
+			}
+			// Both paths gather through the stream map; hold the image to
+			// the flat-list reference gather as well.
+			stream, err := memio.Gather(arena, mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range file {
+				if !bytes.Equal(img[s.Offset:s.End()], stream[:s.Length]) {
+					t.Fatalf("file region %v differs from the reference stream", s)
+				}
+				stream = stream[s.Length:]
 			}
 
 			// Read back through both paths from the list-written file.

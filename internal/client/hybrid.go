@@ -50,7 +50,7 @@ func (f *File) readHybrid(ctx context.Context, arena []byte, mem, file ioseg.Lis
 	coalesced := file.Normalize().Coalesce(gap)
 	tmp := make([]byte, coalesced.TotalLength())
 	tmpMem := ioseg.List{{Offset: 0, Length: coalesced.TotalLength()}}
-	if err := f.readList(ctx, tmp, tmpMem, coalesced, opts); err != nil {
+	if err := f.readList(ctx, tmp, memio.NewStreamMap(tmpMem), tmpMem, coalesced, opts); err != nil {
 		return st, err
 	}
 	// Extract the requested regions from each coalesced extent into
@@ -85,12 +85,13 @@ func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.Li
 	coalesced := file.Normalize().Coalesce(gap)
 	tmp := make([]byte, coalesced.TotalLength())
 	tmpMem := ioseg.List{{Offset: 0, Length: coalesced.TotalLength()}}
+	tmpMap := memio.NewStreamMap(tmpMem)
 
 	// Read-modify-write is only needed where coalescing swallowed
 	// gaps; with gap==0 the coalesced extents are exactly covered.
 	rmw := coalesced.TotalLength() != file.TotalLength()
 	if rmw {
-		if err := f.readList(ctx, tmp, tmpMem, coalesced, opts); err != nil {
+		if err := f.readList(ctx, tmp, tmpMap, tmpMem, coalesced, opts); err != nil {
 			return st, err
 		}
 		st.BytesAccessed += coalesced.TotalLength()
@@ -105,7 +106,7 @@ func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.Li
 		st.BytesUseful += useful
 		base += e.Length
 	}
-	if err := f.writeList(ctx, tmp, tmpMem, coalesced, opts); err != nil {
+	if err := f.writeList(ctx, tmp, tmpMap, tmpMem, coalesced, opts); err != nil {
 		return st, err
 	}
 	st.BytesAccessed += coalesced.TotalLength()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pvfs/internal/ioseg"
+	"pvfs/internal/memio"
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/striping"
 	"pvfs/internal/wire"
@@ -85,7 +86,7 @@ func TestReadListShortResponseReleasesBody(t *testing.T) {
 
 	arena := make([]byte, 64)
 	segs := ioseg.List{{Offset: 0, Length: 64}}
-	err := f.readList(context.Background(), arena, segs, segs, ListOptions{})
+	err := f.readList(context.Background(), arena, memio.NewStreamMap(segs), segs, segs, ListOptions{})
 	if err == nil || !strings.Contains(err.Error(), "list read returned") {
 		t.Fatalf("err = %v, want short list read", err)
 	}

@@ -68,22 +68,66 @@ func (o ListOptions) window() int {
 	return o.Window
 }
 
-// checkLists validates a mem/file pair. Cross-segment overlap is not
-// checked (it would cost a sort of the 983k-entry FLASH lists per
-// call): as with MPI receive buffers, memory regions that overlap one
-// another make read results undefined — responses scatter into the
-// arena concurrently, from one goroutine per server.
+// checkLists validates a mem/file pair for the methods that work from
+// the flat lists (multiple, sieving, hybrid). They build no stream map,
+// so the memory list is checked where it lies, without allocating.
 func checkLists(arena []byte, mem, file ioseg.List) error {
 	if err := mem.Validate(); err != nil {
 		return fmt.Errorf("pvfs: memory list: %w", err)
 	}
+	total, err := mem.TotalLengthChecked()
+	if err != nil {
+		return fmt.Errorf("pvfs: memory list: %w", err)
+	}
+	if err := checkFileList(total, file); err != nil {
+		return err
+	}
+	return checkArena(arena, mem)
+}
+
+// checkMapped validates a mem/file pair given smap, the stream map of
+// mem. Everything it needs of the memory list — per-region validity, an
+// overflow-checked total and the highest region end — comes from the
+// single pass that built smap, so the list is walked once per operation
+// however many checks there are. Cross-segment overlap is not checked
+// (it would cost a sort of the 983k-entry FLASH lists per call): as
+// with MPI receive buffers, memory regions that overlap one another
+// make read results undefined — responses scatter into the arena
+// concurrently, from one goroutine per server.
+func checkMapped(arena []byte, smap *memio.StreamMap, mem, file ioseg.List) error {
+	if err := smap.Err(); err != nil {
+		return fmt.Errorf("pvfs: memory list: %w", err)
+	}
+	if err := checkFileList(smap.Total(), file); err != nil {
+		return err
+	}
+	return checkMappedArena(arena, smap, mem)
+}
+
+// checkMappedArena reports a memory region that ends past the arena.
+// One compare against the map's highest region end decides; the list is
+// walked only to name the first offender in the error.
+func checkMappedArena(arena []byte, smap *memio.StreamMap, mem ioseg.List) error {
+	if smap.End() <= int64(len(arena)) {
+		return nil
+	}
+	return checkArena(arena, mem)
+}
+
+// checkFileList validates the file list against the memory list's byte
+// total.
+func checkFileList(memTotal int64, file ioseg.List) error {
 	if err := file.Validate(); err != nil {
 		return fmt.Errorf("pvfs: file list: %w", err)
 	}
-	if mem.TotalLength() != file.TotalLength() {
-		return fmt.Errorf("pvfs: memory list covers %d bytes, file list %d",
-			mem.TotalLength(), file.TotalLength())
+	if memTotal != file.TotalLength() {
+		return fmt.Errorf("pvfs: memory list covers %d bytes, file list %d", memTotal, file.TotalLength())
 	}
+	return nil
+}
+
+// checkArena reports the first memory region that ends past the arena.
+func checkArena(arena []byte, mem ioseg.List) error {
 	for i, s := range mem {
 		if s.End() > int64(len(arena)) {
 			return fmt.Errorf("pvfs: memory region %d (%v) outside buffer of %d bytes", i, s, len(arena))
@@ -267,16 +311,15 @@ func (f *File) ReadList(arena []byte, mem, file ioseg.List, opts ListOptions) er
 }
 
 // readList is the list-I/O datapath shared by Start and the legacy
-// wrappers (see ReadList for semantics).
-func (f *File) readList(ctx context.Context, arena []byte, mem, file ioseg.List, opts ListOptions) error {
-	if err := checkLists(arena, mem, file); err != nil {
+// wrappers (see ReadList for semantics). smap is the stream map of mem.
+func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap, mem, file ioseg.List, opts ListOptions) error {
+	if err := checkMapped(arena, smap, mem, file); err != nil {
 		return err
 	}
 	entries, err := listEntries(mem, file, opts.Granularity)
 	if err != nil {
 		return err
 	}
-	smap := memio.NewStreamMap(mem)
 	plans := f.planList(entries, opts.maxRegions())
 	return parallel(plans, func(p *planServer) error {
 		addr := f.info.IODAddrs[p.rel]
@@ -333,16 +376,16 @@ func (f *File) WriteList(arena []byte, mem, file ioseg.List, opts ListOptions) e
 }
 
 // writeList is the list-I/O write datapath shared by Start and the
-// legacy wrappers (see WriteList for semantics).
-func (f *File) writeList(ctx context.Context, arena []byte, mem, file ioseg.List, opts ListOptions) error {
-	if err := checkLists(arena, mem, file); err != nil {
+// legacy wrappers (see WriteList for semantics). smap is the stream map
+// of mem.
+func (f *File) writeList(ctx context.Context, arena []byte, smap *memio.StreamMap, mem, file ioseg.List, opts ListOptions) error {
+	if err := checkMapped(arena, smap, mem, file); err != nil {
 		return err
 	}
 	entries, err := listEntries(mem, file, opts.Granularity)
 	if err != nil {
 		return err
 	}
-	smap := memio.NewStreamMap(mem)
 	plans := f.planList(entries, opts.maxRegions())
 	err = parallel(plans, func(p *planServer) error {
 		addr := f.info.IODAddrs[p.rel]

@@ -19,6 +19,7 @@ import (
 
 	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
+	"pvfs/internal/memio"
 )
 
 // AccessMethod selects the datapath a Request travels. The zero value
@@ -152,8 +153,8 @@ type Result struct {
 	// Method is the datapath the operation actually took (never
 	// AccessAuto).
 	Method AccessMethod
-	// Bytes is the transfer's payload size: the bytes of the memory
-	// layout moved between arena and file.
+	// Bytes is the transfer's payload size: the bytes the file layout
+	// covers, which the memory layout must match for anything to move.
 	Bytes int64
 	// Sieve reports sieving data movement when Method is AccessSieve
 	// or AccessHybrid (zero otherwise). On error it holds the movement
@@ -227,7 +228,8 @@ type resolved struct {
 	t       datatype.Type // datatype layout (nil for region-list path)
 	base    int64
 	count   int64
-	strided bool // pattern came from the Strided shorthand (counter attribution)
+	strided bool  // pattern came from the Strided shorthand (counter attribution)
+	total   int64 // payload bytes the file layout covers
 }
 
 // resolve validates the descriptor and normalizes layout and method.
@@ -285,6 +287,7 @@ func (r Request) resolve() (resolved, error) {
 			return out, fmt.Errorf("pvfs: file list: %w", err)
 		}
 	}
+	out.total = total
 	out.mem = r.Mem
 	if out.mem == nil && total > 0 {
 		out.mem = ioseg.List{{Offset: 0, Length: total}}
@@ -351,7 +354,10 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 	}
 	ctx = withCallTimeout(ctx, req.CallTimeout)
 	ctx = withRetryPolicy(ctx, req.Retry)
-	res := Result{Method: rv.method, Bytes: rv.mem.TotalLength()}
+	// Every method holds the memory list to the file layout's byte total
+	// before it moves anything, so that total is the payload size and no
+	// walk of Mem is spent on it.
+	res := Result{Method: rv.method, Bytes: rv.total}
 
 	if err := ctx.Err(); err != nil {
 		return res, err // a canceled Start never touches the wire
@@ -399,20 +405,25 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 		return res, err
 
 	case AccessList:
+		// The list and datatype paths read the memory list exactly once,
+		// here: the stream map's build pass yields everything validation
+		// needs, and the map then stands in for the list all the way down.
+		smap := memio.NewStreamMap(rv.mem)
 		if req.Write {
-			return res, f.writeList(ctx, req.Arena, rv.mem, rv.file, req.List)
+			return res, f.writeList(ctx, req.Arena, smap, rv.mem, rv.file, req.List)
 		}
-		return res, f.readList(ctx, req.Arena, rv.mem, rv.file, req.List)
+		return res, f.readList(ctx, req.Arena, smap, rv.mem, rv.file, req.List)
 
 	case AccessDatatype:
 		path := &f.fs.stats.Datatype
 		if rv.strided {
 			path = &f.fs.stats.Strided
 		}
+		smap := memio.NewStreamMap(rv.mem) // the one pass over Mem, as for AccessList
 		if req.Write {
-			return res, f.writeDatatype(ctx, req.Arena, rv.mem, rv.t, rv.base, rv.count, req.Datatype, path)
+			return res, f.writeDatatype(ctx, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, path)
 		}
-		return res, f.readDatatype(ctx, req.Arena, rv.mem, rv.t, rv.base, rv.count, req.Datatype, path)
+		return res, f.readDatatype(ctx, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, path)
 
 	case AccessHybrid:
 		if req.Write {

@@ -13,6 +13,7 @@ import (
 	"pvfs/internal/cluster"
 	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
+	"pvfs/internal/patterns"
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/striping"
 )
@@ -99,11 +100,23 @@ func TestCancelMidTransfer(t *testing.T) {
 	// windows the whole op can finish inside the injected delay).
 	serial := client.ListOptions{Window: 2}
 	dtSerial := client.DatatypeOptions{WindowBytes: 2 << 10, Window: 2}
+	// The FLASH memory side (8-byte pieces between guard cells) keeps
+	// the stream map's strided kernels scattering 256-byte windows from
+	// several servers at once while the cancel lands; under -race that
+	// is the check that an abandoned window never touches the arena
+	// late.
+	flash := &patterns.Flash{NumRanks: 1, Blocks: 8, Elems: 4, Guard: 1, Vars: 12}
+	flashRun := int64(flash.Blocks*flash.Elems*flash.Elems*flash.Elems) * 8
 	reqs := map[string]client.Request{
 		"list-read":      {Arena: make([]byte, len(arena)), Mem: mem, File: file, Method: client.AccessList, List: serial},
 		"list-write":     {Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, List: serial},
 		"datatype-read":  {Arena: make([]byte, len(arena)), Mem: mem, Type: vec, Base: 0, Count: 1, Method: client.AccessDatatype, Datatype: dtSerial},
 		"datatype-write": {Write: true, Arena: arena, Mem: mem, Type: vec, Base: 0, Count: 1, Method: client.AccessDatatype, Datatype: dtSerial},
+		"flash-datatype-read": {
+			Arena: make([]byte, flash.ArenaBytes(0)), Mem: patterns.MemList(flash, 0),
+			Type:   datatype.Vector(int64(flash.Vars), flashRun, flashRun, datatype.Bytes(1)),
+			Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: 256, Window: 2},
+		},
 	}
 
 	base := runtime.NumGoroutine()

@@ -16,7 +16,9 @@ package memio
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"pvfs/internal/ioseg"
 )
@@ -156,91 +158,442 @@ func Scatter(arena []byte, mem ioseg.List, stream []byte) error {
 	return nil
 }
 
-// StreamMap indexes a region list by cumulative stream position, so
-// stream bytes can be copied to or from the arena regions directly —
-// without materializing the full packed stream — given only a stream
-// offset. It is the zero-copy engine of pipelined list I/O: each
-// response (or request payload) names a stream range, and the map
-// resolves that range to arena extents in O(log n) plus the extents
-// touched. A StreamMap is immutable after construction and safe for
+// StreamMap maps stream positions to arena extents, so stream bytes
+// can be copied to or from the arena directly — without materializing
+// the full packed stream — given only a stream offset. It is the
+// zero-copy engine of pipelined list and datatype I/O: each response
+// (or request payload) names a stream range, and the map resolves that
+// range to arena extents.
+//
+// The region list is read once, by NewStreamMap, and compressed into
+// runs (DESIGN.md §4); it is not retained, so callers may reuse or
+// mutate it afterwards. A copy costs one O(log runs) search plus the
+// runs it touches: a dense row is one copy, a row of 4-, 8- or 16-byte
+// elements a fixed-width load/store loop, anything else a copy per
+// element. Regions with no common shape are kept as a plain list, 16
+// bytes and one copy each, which is what a list with no regularity
+// costs. A StreamMap is immutable after construction and safe for
 // concurrent use.
 type StreamMap struct {
-	regions ioseg.List
-	prefix  []int64 // prefix[i] = stream position of regions[i]'s first byte
+	runs  []run           // in stream order
+	lits  []ioseg.Segment // the listed runs' regions, in stream order
+	total int64           // stream bytes covered
+	end   int64           // highest arena offset any region ends at
+	err   error           // what made the list unusable; there are no runs when set
 }
 
-// NewStreamMap builds the cumulative index over l. The list is aliased,
-// not copied; callers must not mutate it afterwards.
-func NewStreamMap(l ioseg.List) *StreamMap {
-	prefix := make([]int64, len(l)+1)
-	for i, s := range l {
-		prefix[i+1] = prefix[i] + s.Length
-	}
-	return &StreamMap{regions: l, prefix: prefix}
+// run describes consecutive stream bytes in one of two forms.
+//
+// A strided run (elem > 0) is a two-level block of equal-length arena
+// elements: n1 rows stride1 apart, each of n0 elements stride0 apart,
+// the first at arena offset off. Strides may be zero or negative.
+//
+// A listed run (elem == 0) is n0 regions that share no shape, kept as
+// they came: lits[off:off+n0] of the map.
+type run struct {
+	off     int64 // arena offset of the first element, or index of the first listed region
+	elem    int64 // bytes per element
+	n0      int64 // elements per row, or listed regions
+	stride0 int64 // arena delta between consecutive elements of a row
+	n1      int64 // rows
+	stride1 int64 // arena delta between consecutive rows' first elements
+	pos     int64 // stream position of the first byte
 }
+
+const (
+	// minStrided is the fewest regions kept as a strided run: below it
+	// the 56-byte run costs more than its regions listed at 16 bytes
+	// each.
+	minStrided = 4
+	// maxListed caps a listed run, which is searched by walking it.
+	maxListed = 64
+)
+
+// builder is NewStreamMap's scratch: runs and listed regions are
+// appended here, their counts unknown until the pass ends, and copied
+// out at their final size. Pooling it means a map in steady state
+// allocates exactly what it keeps, with no growth garbage.
+type builder struct {
+	runs []run
+	lits []ioseg.Segment
+}
+
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// emptyMap is every zero-region list's map.
+var emptyMap StreamMap
+
+// NewStreamMap builds the map in one pass over l. The same pass
+// validates every region, sums the lengths with overflow detection and
+// finds the highest region end (see Err, Total and End), so callers
+// need no walk of their own. Consecutive equal-length regions at a
+// constant offset delta fold into a row, and consecutive rows of one
+// shape at a constant start delta into a strided run; what folds into
+// fewer than minStrided regions is listed instead. Empty regions are
+// skipped.
+func NewStreamMap(l ioseg.List) *StreamMap {
+	if len(l) == 0 {
+		return &emptyMap
+	}
+	b := builders.Get().(*builder)
+	b.runs, b.lits = b.runs[:0], b.lits[:0]
+	var (
+		cur    run   // the run rows are being folded into; n0 == 0 before the first
+		curRow int64 // arena offset of cur's last row
+		// bad turns negative once any offset, length, region end or the
+		// running total does; the regions are only named if that happens.
+		total, end, bad int64
+	)
+	for i := 0; i < len(l); {
+		s := l[i]
+		i++
+		bad |= s.Offset | s.Length | s.End()
+		end = max(end, s.End())
+		if s.Length == 0 {
+			continue
+		}
+		pos := total
+		total += s.Length
+		bad |= total
+		lone := i == len(l) || l[i].Length != s.Length
+		if lone && s.Length != cur.elem {
+			// s shares a length with neither neighbour, so no row or run
+			// can hold it: list it without the detour through cur. This
+			// is all a list with no regularity costs per region.
+			if cur.n0 > 0 {
+				b.add(cur)
+				cur = run{}
+			}
+			b.list(s, pos)
+			continue
+		}
+		// s opens a row. A next region of its length fixes the row's
+		// stride, and the row runs on while regions keep both. The scan
+		// loop is the hot one (FLASH: 7 of every 8 regions), so it carries
+		// only what must be checked per region.
+		row := run{off: s.Offset, elem: s.Length, n0: 1, n1: 1, pos: pos}
+		if !lone {
+			stride, next, first := l[i].Offset-s.Offset, l[i].Offset, i
+			for i < len(l) && l[i].Length == s.Length && l[i].Offset == next {
+				total += s.Length
+				bad |= next | total
+				next += stride
+				i++
+			}
+			row.stride0, row.n0 = stride, row.n0+int64(i-first)
+			// Offsets along a row are linear, so the last region ends
+			// highest when the first does not.
+			rowEnd := next - stride + s.Length
+			bad |= rowEnd
+			end = max(end, rowEnd)
+		}
+		// The row becomes one more row of cur when it has cur's shape and
+		// starts one row stride past cur's last row (any start does for a
+		// second row, which fixes that stride); otherwise cur is complete.
+		if row.elem == cur.elem && row.n0 == cur.n0 && row.stride0 == cur.stride0 {
+			d := row.off - curRow
+			if cur.n1 == 1 {
+				cur.stride1 = d
+			}
+			if d == cur.stride1 {
+				cur.n1++
+				curRow = row.off
+				continue
+			}
+		}
+		b.add(cur)
+		cur, curRow = row, row.off
+	}
+	b.add(cur)
+	m := &StreamMap{total: total, end: end}
+	if bad < 0 {
+		// Cold path: re-walk for the error the reference check gives,
+		// region index included. Valid regions with a negative sum
+		// leave only overflow.
+		*m = StreamMap{err: l.Validate()}
+		if m.err == nil {
+			m.err = ioseg.ErrLengthOverflow
+		}
+	} else {
+		m.runs, m.lits = exact(b.runs), exact(b.lits)
+	}
+	builders.Put(b)
+	return m
+}
+
+// add appends a finished run in stream order: as it is, or region by
+// region when it is too short to pay as a strided run.
+func (b *builder) add(r run) {
+	if r.n0*r.n1 >= minStrided {
+		b.runs = append(b.runs, r)
+		return
+	}
+	pos := r.pos
+	for i1 := int64(0); i1 < r.n1; i1++ {
+		for i0 := int64(0); i0 < r.n0; i0++ {
+			b.list(ioseg.Segment{Offset: r.off + i1*r.stride1 + i0*r.stride0, Length: r.elem}, pos)
+			pos += r.elem
+		}
+	}
+}
+
+// list appends s, at stream position pos, to the open listed run, or
+// opens one.
+func (b *builder) list(s ioseg.Segment, pos int64) {
+	last := len(b.runs) - 1
+	if last < 0 || b.runs[last].elem != 0 || b.runs[last].n0 == maxListed {
+		b.runs = append(b.runs, run{off: int64(len(b.lits)), pos: pos})
+		last++
+	}
+	b.runs[last].n0++
+	b.lits = append(b.lits, s)
+}
+
+// exact returns a copy of s with no spare capacity.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// Err reports why the list cannot be mapped: the first region with a
+// negative or overflowing field (ioseg.List.Validate's error), or
+// ioseg.ErrLengthOverflow when the lengths sum past int64. Total and
+// End are zero and every copy fails with this error when it is set.
+func (m *StreamMap) Err() error { return m.err }
 
 // Total returns the stream length the map covers.
-func (m *StreamMap) Total() int64 { return m.prefix[len(m.prefix)-1] }
+func (m *StreamMap) Total() int64 { return m.total }
 
-// seek returns the index of the region containing stream position pos.
-func (m *StreamMap) seek(pos int64) int {
-	// Binary search for the last prefix entry <= pos, skipping any
-	// empty regions that share the position.
-	i := sort.Search(len(m.regions), func(i int) bool { return m.prefix[i+1] > pos })
-	return i
+// End returns the highest arena offset any region (empty ones
+// included) ends at: every region lies inside an arena at least that
+// long.
+func (m *StreamMap) End() int64 { return m.end }
+
+// checkRange rejects a stream range the map does not cover.
+func (m *StreamMap) checkRange(pos, n int64) error {
+	if m.err != nil {
+		return m.err
+	}
+	if pos < 0 || n < 0 || pos > m.total-n {
+		return fmt.Errorf("memio: stream range [%d,+%d) outside stream of %d bytes", pos, n, m.total)
+	}
+	return nil
 }
 
 // CopyIn copies src — stream bytes beginning at stream position pos —
 // into the arena extents those positions map to (the scatter direction
 // of a list read). Concurrent CopyIn calls are safe when their stream
 // ranges are disjoint and the regions do not overlap in arena space.
+//
+// Only the bytes moved must lie inside the arena. A range that maps
+// past it is an error naming the arena offset reached, not the region
+// (the map does not keep region indexes; check End against the arena
+// first to name one), and bytes before that point may have been copied.
 func (m *StreamMap) CopyIn(arena []byte, pos int64, src []byte) error {
-	if pos < 0 || pos+int64(len(src)) > m.Total() {
-		return fmt.Errorf("memio: stream range [%d,+%d) outside stream of %d bytes",
-			pos, len(src), m.Total())
+	if err := m.checkRange(pos, int64(len(src))); err != nil {
+		return err
 	}
-	for i := m.seek(pos); len(src) > 0; i++ {
-		s := m.regions[i]
-		off := pos - m.prefix[i] // consumed bytes within region i
-		n := s.Length - off
-		if r := int64(len(src)); r < n {
-			n = r
-		}
-		dst := s.Offset + off
-		if dst+n > int64(len(arena)) {
-			return fmt.Errorf("memio: region %d (%v) outside arena of %d bytes", i, s, len(arena))
-		}
-		copy(arena[dst:dst+n], src[:n])
-		src = src[n:]
-		pos += n
-	}
-	return nil
+	return m.move(arena, src, pos, true)
 }
 
 // AppendOut appends the n stream bytes beginning at stream position pos,
 // gathered from the arena extents they map to, onto dst (the gather
-// direction of a list write) and returns the extended slice.
+// direction of a list write) and returns the extended slice. Arena
+// bounds are treated as in CopyIn.
 func (m *StreamMap) AppendOut(dst []byte, arena []byte, pos, n int64) ([]byte, error) {
-	if pos < 0 || pos+n > m.Total() {
-		return dst, fmt.Errorf("memio: stream range [%d,+%d) outside stream of %d bytes",
-			pos, n, m.Total())
+	if err := m.checkRange(pos, n); err != nil {
+		return dst, err
 	}
-	for i := m.seek(pos); n > 0; i++ {
-		s := m.regions[i]
-		off := pos - m.prefix[i]
-		c := s.Length - off
-		if c > n {
-			c = n
-		}
-		src := s.Offset + off
-		if src+c > int64(len(arena)) {
-			return dst, fmt.Errorf("memio: region %d (%v) outside arena of %d bytes", i, s, len(arena))
-		}
-		dst = append(dst, arena[src:src+c]...)
-		n -= c
-		pos += c
+	dst = slices.Grow(dst, int(n))
+	end := len(dst) + int(n)
+	if err := m.move(arena, dst[len(dst):end], pos, false); err != nil {
+		return dst, err
 	}
-	return dst, nil
+	return dst[:end], nil
+}
+
+// move copies between buf, the stream bytes from position pos on, and
+// the arena extents they map to: into the arena when scatter is set,
+// out of it otherwise. The caller has checked the stream range.
+func (m *StreamMap) move(arena, buf []byte, pos int64, scatter bool) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	ri := sort.Search(len(m.runs), func(i int) bool { return m.runs[i].pos > pos }) - 1
+	// Only the first run is entered part way; later ones start at
+	// their first byte.
+	for skip := pos - m.runs[ri].pos; ; ri, skip = ri+1, 0 {
+		r := &m.runs[ri]
+		var err error
+		if r.elem == 0 {
+			buf, err = moveListed(arena, buf, m.lits[r.off:r.off+r.n0], skip, scatter)
+		} else {
+			buf, err = r.moveStrided(arena, buf, skip, scatter)
+		}
+		if err != nil || len(buf) == 0 {
+			return err
+		}
+	}
+}
+
+// arenaError reports stream bytes that map past the arena's end.
+func arenaError(hi int64, arena []byte) error {
+	return fmt.Errorf("memio: stream range maps up to arena offset %d, outside arena of %d bytes", hi, len(arena))
+}
+
+// moveListed moves buf, or as much of it as the regions hold from their
+// stream byte skip on, one copy per region, and returns what is left of
+// buf.
+func moveListed(arena, buf []byte, regions []ioseg.Segment, skip int64, scatter bool) ([]byte, error) {
+	k := 0
+	for skip >= regions[k].Length {
+		skip -= regions[k].Length
+		k++
+	}
+	for _, s := range regions[k:] {
+		a, n := s.Offset+skip, min(s.Length-skip, int64(len(buf)))
+		if a+n > int64(len(arena)) {
+			return buf, arenaError(a+n, arena)
+		}
+		xfer(arena[a:a+n], buf[:n], scatter)
+		if buf, skip = buf[n:], 0; len(buf) == 0 {
+			break
+		}
+	}
+	return buf, nil
+}
+
+// moveStrided moves buf, or as much of it as the run holds from its
+// stream byte skip on, and returns what is left of buf. Whole rows go
+// to the kernel in one block; a row the window cuts goes through
+// moveRow. The divisions that locate skip are paid only when there is
+// one.
+func (r *run) moveStrided(arena, buf []byte, skip int64, scatter bool) ([]byte, error) {
+	var i1 int64 // next row
+	if skip > 0 {
+		e, w := skip/r.elem, skip%r.elem // element in the run, byte in the element
+		var i0 int64
+		i1, i0 = e/r.n0, e%r.n0
+		if i0 > 0 || w > 0 { // finish the row skip lies in
+			n, err := r.moveRow(arena, buf, i1, i0, w, scatter)
+			if err != nil {
+				return buf, err
+			}
+			buf, i1 = buf[n:], i1+1
+		}
+	}
+	rowBytes := r.n0 * r.elem
+	if rows := min(r.n1-i1, int64(len(buf))/rowBytes); rows > 0 {
+		// A block of rows is linear along both axes, so its outermost
+		// element is at a corner.
+		a := r.off + i1*r.stride1
+		hi := a + max(0, (r.n0-1)*r.stride0) + max(0, (rows-1)*r.stride1) + r.elem
+		if hi > int64(len(arena)) {
+			return buf, arenaError(hi, arena)
+		}
+		moveRows(arena, buf, a, r, rows, scatter)
+		buf, i1 = buf[rows*rowBytes:], i1+rows
+	}
+	if len(buf) > 0 && i1 < r.n1 { // buf ends inside this row
+		n, err := r.moveRow(arena, buf, i1, 0, 0, scatter)
+		return buf[n:], err
+	}
+	return buf, nil
+}
+
+// moveRow moves the bytes of row i1 from byte w of element i0 on, or as
+// many as buf holds, and returns how many that was. An element the
+// window cuts is copied on its own, so only the bytes moved are held to
+// the arena's bounds; the whole elements between go to the kernel as a
+// one-row block.
+func (r *run) moveRow(arena, buf []byte, i1, i0, w int64, scatter bool) (int64, error) {
+	a := r.off + i1*r.stride1 + i0*r.stride0
+	take := min((r.n0-i0)*r.elem-w, int64(len(buf)))
+	buf = buf[:take]
+	if r.stride0 == r.elem { // one extent
+		return take, xferAt(arena, a+w, buf, scatter)
+	}
+	if w > 0 {
+		head := min(r.elem-w, take)
+		if err := xferAt(arena, a+w, buf[:head], scatter); err != nil {
+			return 0, err
+		}
+		buf, a = buf[head:], a+r.stride0
+	}
+	if k := int64(len(buf)) / r.elem; k > 0 {
+		// A row is linear, so its outermost element is an endpoint.
+		if hi := max(a, a+(k-1)*r.stride0) + r.elem; hi > int64(len(arena)) {
+			return 0, arenaError(hi, arena)
+		}
+		moveRows(arena, buf, a, &run{elem: r.elem, n0: k, stride0: r.stride0}, 1, scatter)
+		buf, a = buf[k*r.elem:], a+k*r.stride0
+	}
+	return take, xferAt(arena, a, buf, scatter)
+}
+
+// xferAt moves stream to or from the arena extent of its length at a;
+// an empty stream touches nothing, wherever a lies.
+func xferAt(arena []byte, a int64, stream []byte, scatter bool) error {
+	if len(stream) == 0 {
+		return nil
+	}
+	if hi := a + int64(len(stream)); hi > int64(len(arena)) {
+		return arenaError(hi, arena)
+	}
+	xfer(arena[a:a+int64(len(stream))], stream, scatter)
+	return nil
+}
+
+// xfer copies stream bytes into their arena extent or back.
+func xfer(extent, stream []byte, scatter bool) {
+	if scatter {
+		copy(extent, stream)
+	} else {
+		copy(stream, extent)
+	}
+}
+
+// moveRows is the kernel: it moves rows rows of r's shape, the first
+// element at arena offset a, between the arena and the packed stream.
+// What it does per element depends only on the element length and
+// stride: a dense row is one copy; the widths typed data comes in (4, 8
+// and 16 bytes) move as one load and one store; other widths pay a copy
+// call per element (BenchmarkStreamMap*/elem=N measures each).
+func moveRows(arena, stream []byte, a int64, r *run, rows int64, scatter bool) {
+	// dst/src advance by ds/ss per element and by dr/sr from one row's
+	// first element to the next's.
+	dst, d, ds, dr := stream, int64(0), r.elem, r.n0*r.elem
+	src, s, ss, sr := arena, a, r.stride0, r.stride1
+	if scatter {
+		dst, d, ds, dr, src, s, ss, sr = src, s, ss, sr, dst, d, ds, dr
+	}
+	for ; rows > 0; rows, d, s = rows-1, d+dr, s+sr {
+		d, s := d, s
+		switch {
+		case r.stride0 == r.elem:
+			copy(dst[d:d+r.n0*r.elem], src[s:s+r.n0*r.elem])
+		case r.elem == 4:
+			for n := r.n0; n > 0; n, d, s = n-1, d+ds, s+ss {
+				*(*[4]byte)(dst[d:]) = *(*[4]byte)(src[s:])
+			}
+		case r.elem == 8:
+			for n := r.n0; n > 0; n, d, s = n-1, d+ds, s+ss {
+				*(*[8]byte)(dst[d:]) = *(*[8]byte)(src[s:])
+			}
+		case r.elem == 16:
+			for n := r.n0; n > 0; n, d, s = n-1, d+ds, s+ss {
+				*(*[16]byte)(dst[d:]) = *(*[16]byte)(src[s:])
+			}
+		default:
+			for n := r.n0; n > 0; n, d, s = n-1, d+ds, s+ss {
+				copy(dst[d:d+r.elem], src[s:s+r.elem])
+			}
+		}
+	}
 }
 
 // StreamIndex locates the byte at stream position pos within the

@@ -1,0 +1,110 @@
+package memio
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pvfs/internal/ioseg"
+	"pvfs/internal/patterns"
+)
+
+// The benchmarks iterate on the map without the harness, over three
+// kinds of memory list, each moved in the datatype path's 512 KiB
+// windows like the harness's replayPlan:
+//
+//   - flash: what the flash_dtype workload hands the client
+//     (bench/workloads.go flashShape) — 196 608 eight-byte pieces 192
+//     bytes apart, eight to a row; 3 072 strided runs.
+//   - irregular: 200 000 regions of random length 1–64 at random gaps,
+//     the list no run can fold; it is listed, 64 regions to a run.
+//   - elem=N: one strided run of N-byte elements, eight to a row, three
+//     widths apart. 4, 8 and 16 take the fixed-width kernels; 12 takes
+//     the generic copy loop, whose ns/piece is what they must beat.
+
+const benchWindow = 512 << 10
+
+func flashMem() (ioseg.List, []byte) {
+	pat := &patterns.Flash{NumRanks: 4, Blocks: 16, Elems: 8, Guard: 1, Vars: 24}
+	return patterns.MemList(pat, 0), make([]byte, pat.ArenaBytes(0))
+}
+
+func irregularMem() (ioseg.List, []byte) {
+	rng := rand.New(rand.NewSource(1))
+	l := make(ioseg.List, 200_000)
+	var off int64
+	for i := range l {
+		off += rng.Int63n(64)
+		l[i] = ioseg.Segment{Offset: off, Length: 1 + rng.Int63n(64)}
+		off += l[i].Length
+	}
+	return l, make([]byte, off)
+}
+
+func stridedMem(elem int64) (ioseg.List, []byte) {
+	const perRow, rows = 8, 24576
+	return block(nil, 0, elem, perRow, 3*elem, rows, perRow*3*elem), make([]byte, rows*perRow*3*elem)
+}
+
+// benchShapes runs fn on each list; widths adds the one-run lists.
+func benchShapes(b *testing.B, widths bool, fn func(b *testing.B, mem ioseg.List, arena []byte)) {
+	run := func(name string, mem ioseg.List, arena []byte) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(mem.TotalLength())
+			b.ReportAllocs()
+			fn(b, mem, arena)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(mem)), "ns/piece")
+		})
+	}
+	mem, arena := flashMem()
+	run("flash", mem, arena)
+	mem, arena = irregularMem()
+	run("irregular", mem, arena)
+	if !widths {
+		return
+	}
+	for _, elem := range []int64{4, 8, 12, 16} {
+		mem, arena = stridedMem(elem)
+		run(fmt.Sprintf("elem=%d", elem), mem, arena)
+	}
+}
+
+var benchMap *StreamMap
+
+func BenchmarkStreamMapBuild(b *testing.B) {
+	benchShapes(b, false, func(b *testing.B, mem ioseg.List, _ []byte) {
+		for b.Loop() {
+			benchMap = NewStreamMap(mem)
+		}
+		b.ReportMetric(float64(len(benchMap.runs)), "runs")
+	})
+}
+
+func BenchmarkStreamMapGather(b *testing.B) {
+	benchShapes(b, true, func(b *testing.B, mem ioseg.List, arena []byte) {
+		m := NewStreamMap(mem)
+		buf := make([]byte, 0, benchWindow)
+		for b.Loop() {
+			for pos := int64(0); pos < m.Total(); pos += benchWindow {
+				var err error
+				if buf, err = m.AppendOut(buf[:0], arena, pos, min(benchWindow, m.Total()-pos)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+func BenchmarkStreamMapScatter(b *testing.B) {
+	benchShapes(b, true, func(b *testing.B, mem ioseg.List, arena []byte) {
+		m := NewStreamMap(mem)
+		buf := make([]byte, benchWindow)
+		for b.Loop() {
+			for pos := int64(0); pos < m.Total(); pos += benchWindow {
+				if err := m.CopyIn(arena, pos, buf[:min(benchWindow, m.Total()-pos)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
