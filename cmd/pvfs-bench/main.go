@@ -162,11 +162,12 @@ func main() {
 		}
 		// syscalls/op: store kernel crossings per I/O request window —
 		// the quantity the vectored datapath exists to shrink.
-		// subs/op: batched submissions per window — the quantity the
-		// ring datapath (§11) shrinks further: a whole gapped window
-		// becomes ONE submission instead of one per run. copied: bytes
-		// that crossed a user/kernel copy; zero-copy streamed reads
-		// are excluded, so ring runs report fewer copied bytes.
+		// subs/op: batched submissions per window — a whole gapped
+		// window is ONE BatchIO call (§11; for reads one ring enter
+		// where io_uring is available, for writes still one pwritev
+		// per run). copied: bytes that crossed a user/kernel copy;
+		// zero-copy streamed reads are excluded, so runs with
+		// FileStreamer visible report fewer copied bytes.
 		if row.Requests > 0 {
 			row.SyscallsPerOp = float64(row.StoreSyscalls) / float64(row.Requests)
 			row.SubsPerOp = float64(row.Submissions) / float64(row.Requests)

@@ -921,9 +921,10 @@ const (
 	DefaultWindow = 8
 	// DefaultWindowBytes is the payload of one windowed request: large
 	// enough that a multi-MB share moves in a handful of requests,
-	// small enough that the daemon's receive body stays in a ≤ 1 MiB
-	// pool class and neither side buffers more than a few windows per
-	// connection.
+	// small enough that the daemon's receive body stays in a pool class
+	// that parks 16 buffers (its own: wire's classes keep headroom for
+	// a request's fixed fields) and neither side buffers more than a
+	// few windows per connection.
 	DefaultWindowBytes = 512 << 10
 )
 

@@ -363,11 +363,13 @@ func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap
 
 // WriteList performs the noncontiguous write via list I/O, with the
 // same global 64-entry batching and per-server pipelining as ReadList.
-// Each request's payload is gathered directly from the caller's buffer
-// into the pooled request body — the serialized implementation's
-// full-size staging stream and per-request data copies are gone. File
-// regions must not overlap one another when Window > 1 (requests to one
-// server may be applied concurrently).
+// A request's payload goes to the socket from the caller's buffer where
+// each of its file regions is one extent of it, and is gathered into
+// the pooled request body otherwise (see listWriteRequest); no staging
+// copy of the transfer is built either way. File regions must not
+// overlap one another when Window > 1 (requests to one server may be
+// applied concurrently), and the buffer must not change until the write
+// returns.
 func (f *File) WriteList(arena []byte, mem, file ioseg.List, opts ListOptions) error {
 	_, err := f.Run(context.Background(), Request{
 		Write: true, Arena: arena, Mem: mem, File: file, Method: AccessList, List: opts,
@@ -391,30 +393,7 @@ func (f *File) writeList(ctx context.Context, arena []byte, smap *memio.StreamMa
 		addr := f.info.IODAddrs[p.rel]
 		return f.fs.pipelineCalls(ctx, addr, len(p.reqs), opts.window(),
 			func(i int) (wire.Message, error) {
-				r := &p.reqs[i]
-				regions := p.phys[r.lo:r.hi]
-				size := wire.TrailingDataSize(len(regions)) + int(r.bytes)
-				body, err := wire.AppendRegions(wire.GetBuf(size)[:0], regions)
-				if err != nil {
-					wire.PutBuf(body)
-					return wire.Message{}, err
-				}
-				for k := r.lo; k < r.hi; k++ {
-					body, err = smap.AppendOut(body, arena, p.streamPos[k], p.phys[k].Length)
-					if err != nil {
-						wire.PutBuf(body)
-						return wire.Message{}, err
-					}
-				}
-				f.fs.stats.Requests.Add(1)
-				f.fs.stats.ListRequests.Add(1)
-				f.fs.stats.List.Requests.Add(1)
-				f.fs.stats.List.Bytes.Add(r.bytes)
-				f.fs.stats.BytesOut.Add(r.bytes)
-				return wire.Message{
-					Header: wire.Header{Type: wire.TWriteList, Handle: f.info.Handle},
-					Body:   body,
-				}, nil
+				return f.listWriteRequest(p, &p.reqs[i], smap, arena)
 			},
 			func(i int, resp wire.Message) error {
 				resp.Release()
@@ -428,6 +407,57 @@ func (f *File) writeList(ctx context.Context, arena []byte, smap *memio.StreamMa
 		f.noteWritten(span.End())
 	}
 	return nil
+}
+
+// listWriteRequest builds request r of server plan p: the region
+// descriptors, then the regions' bytes in order. While every region is
+// one extent of the arena the bytes stay there and the payload is a
+// wire.Vec over them (one writev on a TCP connection, a coalesced copy
+// on a wrapped one, replayable verbatim on retry); the first region
+// that maps to more pieces than that sends the whole request down the
+// gather arm, its payload copied into the pooled body. The arm is
+// chosen per request from the pieces the stream map yields and the
+// wire bytes are the same either way.
+func (f *File) listWriteRequest(p *planServer, r *subReq, smap *memio.StreamMap, arena []byte) (wire.Message, error) {
+	regions := p.phys[r.lo:r.hi]
+	pieces := make([][]byte, 0, len(regions))
+	vec := true
+	for k := r.lo; k < r.hi && vec; k++ {
+		var err error
+		pieces, err = smap.AppendPieces(pieces, arena, p.streamPos[k], p.phys[k].Length)
+		if err != nil {
+			return wire.Message{}, err
+		}
+		vec = len(pieces) <= k-r.lo+1
+	}
+	size := wire.TrailingDataSize(len(regions))
+	if !vec {
+		size += int(r.bytes)
+	}
+	body, err := wire.AppendRegions(wire.GetBuf(size)[:0], regions)
+	if err != nil {
+		wire.PutBuf(body)
+		return wire.Message{}, err
+	}
+	msg := wire.Message{Header: wire.Header{Type: wire.TWriteList, Handle: f.info.Handle}}
+	if vec {
+		msg.BodyStream = &wire.Vec{N: int(r.bytes), Pieces: pieces}
+	} else {
+		for k := r.lo; k < r.hi; k++ {
+			body, err = smap.AppendOut(body, arena, p.streamPos[k], p.phys[k].Length)
+			if err != nil {
+				wire.PutBuf(body)
+				return wire.Message{}, err
+			}
+		}
+	}
+	msg.Body = body
+	f.fs.stats.Requests.Add(1)
+	f.fs.stats.ListRequests.Add(1)
+	f.fs.stats.List.Requests.Add(1)
+	f.fs.stats.List.Bytes.Add(r.bytes)
+	f.fs.stats.BytesOut.Add(r.bytes)
+	return msg, nil
 }
 
 // --- strided descriptors (§5 future work) ---

@@ -282,8 +282,9 @@ func (s *Server) applyRegions(handle uint64, regions ioseg.List, data []byte, is
 			return nil, wire.StatusInvalid
 		}
 		if spans, ok := s.batchSpans(regions, data); ok {
-			// Ring fast path: the whole gapped window — every
-			// coalesced run, gaps included — is ONE batch submission.
+			// Batch fast path: the whole gapped window — every
+			// coalesced run, gaps included — is ONE store call; Dir
+			// takes it as one pwritev per run.
 			b := s.st.(store.BatchIO)
 			if _, err := b.WriteBatch(handle, spans); err != nil {
 				return nil, wire.StatusIOError

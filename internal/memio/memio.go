@@ -416,6 +416,80 @@ func (m *StreamMap) AppendOut(dst []byte, arena []byte, pos, n int64) ([]byte, e
 	return dst[:end], nil
 }
 
+// AppendPieces appends the arena extents that the n stream bytes
+// beginning at stream position pos map to, in stream order, onto dst
+// and returns the extended slice: the payload of a copy-free write
+// (wire.Vec), which AppendOut would have gathered. The pieces alias the
+// arena and nothing is copied. Extents of this call that continue one
+// another in the arena come out as one piece, so a range inside one
+// region, one dense row or a block of abutting rows is a single piece,
+// while strided elements cost a piece each: the count tells the caller
+// whether a vector pays. Arena bounds are treated as in CopyIn; on
+// error dst comes back at its original length.
+func (m *StreamMap) AppendPieces(dst [][]byte, arena []byte, pos, n int64) ([][]byte, error) {
+	if err := m.checkRange(pos, n); err != nil {
+		return dst, err
+	}
+	if n == 0 {
+		return dst, nil
+	}
+	keep := len(dst)
+	lo, hi := int64(-1), int64(-1) // arena extent of the piece being grown; none yet
+	// add extends that piece by [a, a+k) when it starts where the piece
+	// ends, and opens a new one otherwise.
+	add := func(a, k int64) bool {
+		if a+k > int64(len(arena)) {
+			return false
+		}
+		if a == hi {
+			hi += k
+			dst[len(dst)-1] = arena[lo:hi]
+		} else {
+			lo, hi = a, a+k
+			dst = append(dst, arena[lo:hi])
+		}
+		n -= k
+		return true
+	}
+	ri := sort.Search(len(m.runs), func(i int) bool { return m.runs[i].pos > pos }) - 1
+	// Only the first run is entered part way, as in move.
+	for skip := pos - m.runs[ri].pos; n > 0; ri, skip = ri+1, 0 {
+		r := &m.runs[ri]
+		if r.elem == 0 {
+			for _, s := range m.lits[r.off : r.off+r.n0] {
+				if skip >= s.Length {
+					skip -= s.Length
+					continue
+				}
+				k := min(s.Length-skip, n)
+				if !add(s.Offset+skip, k) {
+					return dst[:keep], arenaError(s.Offset+skip+k, arena)
+				}
+				if skip = 0; n == 0 {
+					break
+				}
+			}
+			continue
+		}
+		e, w := skip/r.elem, skip%r.elem // element in the run, byte in the element
+		for i1, i0 := e/r.n0, e%r.n0; i1 < r.n1 && n > 0; i1, i0 = i1+1, 0 {
+			a := r.off + i1*r.stride1 + i0*r.stride0
+			// A dense row is one extent; any other row one per element.
+			elems, width := r.n0-i0, r.elem
+			if r.stride0 == r.elem {
+				elems, width = 1, elems*r.elem
+			}
+			for ; elems > 0 && n > 0; elems, a, w = elems-1, a+r.stride0, 0 {
+				k := min(width-w, n)
+				if !add(a+w, k) {
+					return dst[:keep], arenaError(a+w+k, arena)
+				}
+			}
+		}
+	}
+	return dst, nil
+}
+
 // move copies between buf, the stream bytes from position pos on, and
 // the arena extents they map to: into the arena when scatter is set,
 // out of it otherwise. The caller has checked the stream range.

@@ -15,9 +15,26 @@ import (
 
 // The StreamMap's contract is equivalence with the flat-list reference
 // implementations: AppendOut over any stream window equals Gather's
-// output sliced at that window, and CopyIn of a stream cut anywhere
-// leaves the arena image Scatter leaves. How the list compresses into
-// runs must never show.
+// output sliced at that window, AppendPieces' pieces concatenate to the
+// same bytes, and CopyIn of a stream cut anywhere leaves the arena
+// image Scatter leaves. How the list compresses into runs must never
+// show.
+
+// joinPieces concatenates what AppendPieces appended after the first
+// keep pieces, and reports whether those were left alone and no piece
+// is empty.
+func joinPieces(pieces [][]byte, keep [][]byte) ([]byte, bool) {
+	ok := len(pieces) >= len(keep)
+	for i := range keep {
+		ok = ok && i < len(pieces) && bytes.Equal(pieces[i], keep[i])
+	}
+	var out []byte
+	for _, p := range pieces[min(len(keep), len(pieces)):] {
+		ok = ok && len(p) > 0
+		out = append(out, p...)
+	}
+	return out, ok
+}
 
 // checkEquivalence drives the map over l with the stream cut at the
 // given positions (any order, duplicates and out-of-range values are
@@ -45,6 +62,9 @@ func checkEquivalence(t *testing.T, arenaLen int, l ioseg.List, cuts []int64) {
 		if _, err := m.AppendOut(nil, arena, 0, 1); err == nil {
 			t.Fatal("AppendOut on an invalid list succeeded")
 		}
+		if _, err := m.AppendPieces(nil, arena, 0, 1); err == nil {
+			t.Fatal("AppendPieces on an invalid list succeeded")
+		}
 		if err := m.CopyIn(arena, 0, []byte{1}); err == nil {
 			t.Fatal("CopyIn on an invalid list succeeded")
 		}
@@ -66,6 +86,9 @@ func checkEquivalence(t *testing.T, arenaLen int, l ioseg.List, cuts []int64) {
 		if _, err := m.AppendOut(nil, arena, r[0], r[1]); err == nil {
 			t.Fatalf("AppendOut accepted stream range [%d,+%d) of %d", r[0], r[1], total)
 		}
+		if got, err := m.AppendPieces(nil, arena, r[0], r[1]); err == nil || len(got) != 0 {
+			t.Fatalf("AppendPieces accepted stream range [%d,+%d) of %d", r[0], r[1], total)
+		}
 	}
 	if err := m.CopyIn(arena, total, []byte{1}); err == nil {
 		t.Fatal("CopyIn past the stream succeeded")
@@ -84,12 +107,17 @@ func checkEquivalence(t *testing.T, arenaLen int, l ioseg.List, cuts []int64) {
 		if _, err := m.AppendOut(nil, arena, 0, total); err == nil {
 			t.Fatalf("AppendOut past the arena succeeded (list %v, arena %d)", l, arenaLen)
 		}
+		held := [][]byte{{1}}
+		if got, err := m.AppendPieces(held, arena, 0, total); err == nil || len(got) != 1 {
+			t.Fatalf("AppendPieces past the arena: %d pieces, %v (list %v, arena %d)", len(got), err, l, arenaLen)
+		}
 		if err := m.CopyIn(arena, 0, make([]byte, total)); err == nil {
 			t.Fatalf("CopyIn past the arena succeeded (list %v, arena %d)", l, arenaLen)
 		}
 		for _, c := range cuts {
 			if c >= 0 && c <= total {
 				m.AppendOut(nil, arena, c, min(total-c, 16))
+				m.AppendPieces(nil, arena, c, min(total-c, 16))
 				m.CopyIn(arena, c, make([]byte, min(total-c, 16)))
 			}
 		}
@@ -123,6 +151,14 @@ func checkEquivalence(t *testing.T, arenaLen int, l ioseg.List, cuts []int64) {
 		}
 		if !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], want[pos:pos+n]) {
 			t.Fatalf("AppendOut [%d,+%d) = %v, want %v (list %v)", pos, n, got[3:], want[pos:pos+n], l)
+		}
+		held := [][]byte{prefix}
+		pieces, err := m.AppendPieces(held[:1:1], arena, pos, n)
+		if err != nil {
+			t.Fatalf("AppendPieces [%d,+%d): %v (list %v)", pos, n, err, l)
+		}
+		if joined, ok := joinPieces(pieces, held); !ok || !bytes.Equal(joined, want[pos:pos+n]) {
+			t.Fatalf("AppendPieces [%d,+%d) = %v, want %v (list %v)", pos, n, pieces, want[pos:pos+n], l)
 		}
 		if err := m.CopyIn(image, pos, stream[pos:pos+n]); err != nil {
 			t.Fatalf("CopyIn [%d,+%d): %v (list %v)", pos, n, err, l)
@@ -263,6 +299,9 @@ func TestStreamMapRuns(t *testing.T) {
 	if got, err := sink.AppendOut(nil, nil, 0, 0); err != nil || len(got) != 0 {
 		t.Fatalf("empty window of the empty map: %v, %v", got, err)
 	}
+	if got, err := sink.AppendPieces(nil, nil, 0, 0); err != nil || len(got) != 0 {
+		t.Fatalf("empty window of the empty map, as pieces: %v, %v", got, err)
+	}
 }
 
 // Only the bytes a window moves are held to the arena's bounds, as with
@@ -302,12 +341,68 @@ func TestStreamMapBoundsTouchedBytes(t *testing.T) {
 				if err := m.CopyIn(full[:need], pos, got); err != nil {
 					t.Fatalf("%s: CopyIn [%d,+%d) in an arena of %d: %v", name, pos, n, need, err)
 				}
+				pieces, err := m.AppendPieces(nil, full[:need], pos, n)
+				if joined, ok := joinPieces(pieces, nil); err != nil || !ok || !bytes.Equal(joined, want[pos:pos+n]) {
+					t.Fatalf("%s: pieces of [%d,+%d) in an arena of %d: %v, %v", name, pos, n, need, pieces, err)
+				}
+				if _, err := m.AppendPieces(nil, full[:need-1], pos, n); err == nil {
+					t.Fatalf("%s: pieces of [%d,+%d) in an arena of %d succeeded", name, pos, n, need-1)
+				}
 				if _, err := m.AppendOut(nil, full[:need-1], pos, n); err == nil {
 					t.Fatalf("%s: window [%d,+%d) in an arena of %d succeeded", name, pos, n, need-1)
 				}
 				if err := m.CopyIn(full[:need-1], pos, got); err == nil {
 					t.Fatalf("%s: CopyIn [%d,+%d) in an arena of %d succeeded", name, pos, n, need-1)
 				}
+			}
+		}
+	}
+}
+
+// AppendPieces aliases the arena, copies nothing, and its piece count
+// is what tells a writer whether a vector pays: one piece wherever the
+// range is one arena extent, one per element where the memory is
+// strided.
+func TestStreamMapPieces(t *testing.T) {
+	arena := make([]byte, 1<<16)
+	for i := range arena {
+		arena[i] = byte(i * 11)
+	}
+	for _, c := range []struct {
+		name   string
+		l      ioseg.List
+		pos, n int64
+		want   []ioseg.Segment // arena extents, in order
+	}{
+		{"inside one region", ioseg.List{seg(100, 4096)}, 10, 1000, []ioseg.Segment{seg(110, 1000)}},
+		{"regions one to one with the ranges asked for", ioseg.List{seg(0, 512), seg(8192, 512), seg(4096, 512)}, 512, 512,
+			[]ioseg.Segment{seg(8192, 512)}},
+		{"abutting listed regions join", ioseg.List{seg(0, 100), seg(100, 50), seg(400, 7)}, 20, 137,
+			[]ioseg.Segment{seg(20, 130), seg(400, 7)}},
+		{"a dense row, cut mid-element at both ends", block(nil, 64, 8, 16, 8, 1, 0), 3, 100, []ioseg.Segment{seg(67, 100)}},
+		{"abutting dense rows join", block(nil, 0, 8, 4, 8, 4, 32), 8, 100, []ioseg.Segment{seg(8, 100)}},
+		{"gapped dense rows", block(nil, 0, 8, 4, 8, 3, 64), 16, 64,
+			[]ioseg.Segment{seg(16, 16), seg(64, 32), seg(128, 16)}},
+		{"8-byte elements shatter", block(nil, 0, 8, 6, 24, 1, 0), 4, 24,
+			[]ioseg.Segment{seg(4, 4), seg(24, 8), seg(48, 8), seg(72, 4)}},
+		{"descending elements never join", block(nil, 64, 8, 4, -8, 1, 0), 0, 32,
+			[]ioseg.Segment{seg(64, 8), seg(56, 8), seg(48, 8), seg(40, 8)}},
+		{"into the next run", append(block(nil, 0, 16, 4, 32, 1, 0), seg(1000, 5), seg(2000, 9)), 56, 20,
+			[]ioseg.Segment{seg(104, 8), seg(1000, 5), seg(2000, 7)}},
+	} {
+		m := NewStreamMap(c.l)
+		held := make([][]byte, 1, 8)
+		got, err := m.AppendPieces(held, arena, c.pos, c.n)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got = got[1:]
+		if len(got) != len(c.want) {
+			t.Fatalf("%s: %d pieces, want %d", c.name, len(got), len(c.want))
+		}
+		for i, w := range c.want {
+			if int64(len(got[i])) != w.Length || &got[i][0] != &arena[w.Offset] {
+				t.Errorf("%s: piece %d is %d bytes and does not alias arena[%d:+%d]", c.name, i, len(got[i]), w.Offset, w.Length)
 			}
 		}
 	}

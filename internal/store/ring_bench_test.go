@@ -1,12 +1,13 @@
 package store
 
-// Benchmarks for the ring-submission datapath (DESIGN.md §11): one
+// Benchmarks for the batch-submission datapath (DESIGN.md §11): one
 // GAPPED N-fragment 4 KiB window — every fragment its own run, the
 // shape interleaved ranks leave on a daemon's stripe file — submitted
-// three ways: one syscall per fragment (perfrag), one preadv/pwritev
-// per run (vectored: gaps break the iovec chain, so N runs = N
-// syscalls), and one io_uring batch for the whole window (ring).
-// BENCH_7.json records the sweep.
+// one syscall per fragment (perfrag), one preadv/pwritev per run
+// (vectored: gaps break the iovec chain, so N runs = N syscalls; what
+// WriteBatch does) and, for reads, as one io_uring batch for the whole
+// window (ring). BENCH_7.json records the sweep as it stood when writes
+// still had a ring rung.
 
 import (
 	"fmt"
@@ -29,8 +30,9 @@ func benchGappedSpans(n int, width int64) ([]Span, int64) {
 	return spans, total
 }
 
-// BenchmarkDirGappedSubmission sweeps fragment count over the three
-// rungs of the §11 fallback ladder against store.Dir.
+// BenchmarkDirGappedSubmission sweeps fragment count over the rungs of
+// the §11 fallback ladder against store.Dir: two for writes, three for
+// reads.
 func BenchmarkDirGappedSubmission(b *testing.B) {
 	const width = 4096
 	for _, nfrag := range []int{16, 64, 256} {
@@ -88,7 +90,10 @@ func BenchmarkDirGappedSubmission(b *testing.B) {
 					}
 				}
 			})
-			b.Run(fmt.Sprintf("ring/%s/frags=%d", dir, nfrag), func(b *testing.B) {
+			if dir == "write" {
+				continue // writes never ride the ring
+			}
+			b.Run(fmt.Sprintf("ring/read/frags=%d", nfrag), func(b *testing.B) {
 				d := newDir(b)
 				if d.ringGet() == nil {
 					b.Skip("io_uring unavailable")
@@ -96,13 +101,7 @@ func BenchmarkDirGappedSubmission(b *testing.B) {
 				b.SetBytes(total)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					var err error
-					if dir == "write" {
-						_, err = d.WriteBatch(1, spans)
-					} else {
-						_, err = d.ReadBatch(1, spans)
-					}
-					if err != nil {
+					if _, err := d.ReadBatch(1, spans); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -111,49 +110,32 @@ func BenchmarkDirGappedSubmission(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheGappedFlush compares write-back flushing of 8 dirty
-// two-block runs separated by clean gaps: vectored submits one
-// pwritev per run, ring submits the whole gapped batch at once.
+// BenchmarkCacheGappedFlush measures write-back flushing of 8 dirty
+// two-block runs separated by clean gaps: one WriteBatch, which Dir
+// takes as one pwritev per run.
 func BenchmarkCacheGappedFlush(b *testing.B) {
 	const bs = 4096
 	block := make([]byte, 2*bs)
 	for i := range block {
 		block[i] = byte(i * 11)
 	}
-	run := func(b *testing.B, inner Store) {
-		c := Cached(inner, CacheOptions{BlockSize: bs, Readahead: -1, FlushInterval: -1})
-		defer c.Close()
-		b.SetBytes(int64(8 * len(block)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := int64(0); r < 8; r++ {
-				if _, err := c.WriteAt(1, block, r*4*bs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := c.Sync(1); err != nil {
+	d, err := NewDir(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	c := Cached(d, CacheOptions{BlockSize: bs, Readahead: -1, FlushInterval: -1})
+	defer c.Close()
+	b.SetBytes(int64(8 * len(block)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := int64(0); r < 8; r++ {
+			if _, err := c.WriteAt(1, block, r*4*bs); err != nil {
 				b.Fatal(err)
 			}
 		}
+		if err := c.Sync(1); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("vectored", func(b *testing.B) {
-		d, err := NewDir(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer d.Close()
-		b.Setenv("PVFS_NO_URING", "1")
-		run(b, d)
-	})
-	b.Run("ring", func(b *testing.B) {
-		d, err := NewDir(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer d.Close()
-		if d.ringGet() == nil {
-			b.Skip("io_uring unavailable")
-		}
-		run(b, d)
-	})
 }

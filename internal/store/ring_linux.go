@@ -1,13 +1,14 @@
 //go:build linux && (amd64 || arm64)
 
-// io_uring submission-queue backend for Dir's BatchIO (DESIGN.md §11).
-// The x/sys module is not a dependency of this repo, so the ring is
-// driven with raw syscalls against the stable io_uring ABI:
-// io_uring_setup (425) + three mmaps for the SQ ring, CQ ring, and SQE
-// array, then io_uring_enter (426) to submit batches of READV/WRITEV
-// SQEs and collect completions. One enter call submits a whole gapped
-// window — the kernel crossing the vectored path paid once per span is
-// paid once per batch.
+// io_uring submission-queue backend for Dir's ReadBatch (DESIGN.md
+// §11). Only reads ride the ring; WriteBatch is a pwritev loop. The
+// x/sys module is not a dependency of this repo, so the ring is driven
+// with raw syscalls against the stable io_uring ABI: io_uring_setup
+// (425) + three mmaps for the SQ ring, CQ ring, and SQE array, then
+// io_uring_enter (426) to submit batches of READV SQEs and collect
+// completions. One enter call submits a whole gapped window — the
+// kernel crossing the vectored path paid once per span is paid once per
+// batch.
 //
 // Design notes:
 //   - Submissions are synchronous and mutex-serialized: submit N SQEs,
@@ -21,9 +22,8 @@
 //     the kernel's work.
 //   - Short transfers and EINTR completions resubmit the op's
 //     remainder in the next round, continuing from the interrupted
-//     iovec cursor exactly like readvAt/writevAt. Reads that complete
-//     with res == 0 hit EOF: the span's tail zero-fills (sparse
-//     semantics).
+//     iovec cursor exactly like readvAt. A read that completes with
+//     res == 0 hit EOF: the span's tail zero-fills (sparse semantics).
 //   - The first refusal that means "this kernel/sandbox cannot do
 //     ring I/O" (ENOSYS, EPERM, EINVAL, EOPNOTSUPP from enter or a
 //     CQE) latches the ring dead; Dir then redoes the batch on the
@@ -58,8 +58,7 @@ const (
 
 	ioringEnterGetevents = 1 << 0
 
-	ioringOpReadv  = 1
-	ioringOpWritev = 2
+	ioringOpReadv = 1
 
 	ioringFeatSingleMmap = 1 << 0
 )
@@ -335,33 +334,21 @@ type ringOp struct {
 	done      bool
 }
 
-func (r *uring) readSpans(f *os.File, spans []Span) (int, int64, error) {
-	return r.submitSpans(f, spans, false)
-}
-
-func (r *uring) writeSpans(f *os.File, spans []Span) (int, int64, error) {
-	return r.submitSpans(f, spans, true)
-}
-
-// submitSpans drives a whole batch of disjoint spans through the ring:
-// one SQE per span per round, one io_uring_enter per round (submit-
-// and-wait), rounds repeating only for short transfers, EINTR
+// readSpans drives a whole batch of disjoint read spans through the
+// ring: one SQE per span per round, one io_uring_enter per round
+// (submit-and-wait), rounds repeating only for short transfers, EINTR
 // completions, or batches deeper than the ring. It returns the bytes
 // moved, the number of enter calls (the syscall count), and the first
 // error. All CQEs of a round are always reaped before returning, even
 // on error — the kernel holds iovec pointers into the caller's
 // buffers until then.
-func (r *uring) submitSpans(f *os.File, spans []Span, write bool) (int, int64, error) {
+func (r *uring) readSpans(f *os.File, spans []Span) (int, int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.dead {
 		return 0, 0, errRingClosed
 	}
 
-	opcode := uint8(ioringOpReadv)
-	if write {
-		opcode = ioringOpWritev
-	}
 	fd := int32(f.Fd())
 
 	ops := make([]*ringOp, 0, len(spans))
@@ -408,7 +395,7 @@ func (r *uring) submitSpans(f *os.File, spans []Span, write bool) (int, int64, e
 			idx := (tail + uint32(i)) & r.sqMask
 			sqe := &r.sqes[idx]
 			*sqe = ioURingSQE{
-				opcode:   opcode,
+				opcode:   ioringOpReadv,
 				fd:       fd,
 				off:      uint64(op.pos),
 				addr:     uint64(uintptr(unsafe.Pointer(&op.iovs[0]))),
@@ -464,23 +451,17 @@ func (r *uring) submitSpans(f *os.File, spans []Span, write bool) (int, int64, e
 					errno := syscall.Errno(-res)
 					op.done = true
 					if firstErr == nil {
-						firstErr = fmt.Errorf("store: ring %s: %w", opName(write), errno)
+						firstErr = fmt.Errorf("store: ring read: %w", errno)
 						if ringDegraded(firstErr) {
 							r.dead = true
 						}
 					}
 				case res == 0:
+					// EOF inside the span: sparse zero-fill.
 					op.done = true
-					if write {
-						if firstErr == nil {
-							firstErr = fmt.Errorf("store: ring write: short write")
-						}
-					} else {
-						// EOF inside the span: sparse zero-fill.
-						zeroFrom(op.bufs, op.bi, op.skip)
-						moved += op.remaining
-						op.remaining = 0
-					}
+					zeroFrom(op.bufs, op.bi, op.skip)
+					moved += op.remaining
+					op.remaining = 0
 				default:
 					got := int(res)
 					moved += got
@@ -510,11 +491,4 @@ func (r *uring) submitSpans(f *os.File, spans []Span, write bool) (int, int64, e
 		return moved, enters, firstErr
 	}
 	return moved, enters, nil
-}
-
-func opName(write bool) string {
-	if write {
-		return "write"
-	}
-	return "read"
 }

@@ -1,8 +1,8 @@
 //go:build !(linux && (amd64 || arm64))
 
 // Ring stub for platforms without the raw io_uring path: Dir.ringGet
-// always reports "no ring", so BatchIO batches take the vectored
-// ladder (one readvAt/writevAt per span) and behave byte-identically.
+// always reports "no ring", so ReadBatch takes the vectored ladder
+// (one readvAt per span) and behaves byte-identically.
 package store
 
 import (
@@ -17,10 +17,6 @@ type uring struct{}
 func (r *uring) close() {}
 
 func (r *uring) readSpans(f *os.File, spans []Span) (int, int64, error) {
-	return 0, 0, errRingUnavailable
-}
-
-func (r *uring) writeSpans(f *os.File, spans []Span) (int, int64, error) {
 	return 0, 0, errRingUnavailable
 }
 

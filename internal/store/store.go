@@ -84,26 +84,26 @@ type Span struct {
 // Len returns the span's total byte count.
 func (s Span) Len() int { return spanLen(s.Bufs) }
 
-// BatchIO is implemented by stores that can submit a whole window of
-// DISJOINT file spans — gaps included — as one batch and collect the
-// completions (DESIGN.md §11). It generalizes both prior optional
-// interfaces: a SpanIO call is a one-span batch, and a coalesced
-// VectorIO run is a span with a single buffer. Where SpanIO turned an
-// adjacent run into one syscall, BatchIO turns a *gapped* window into
-// one ring submission.
+// BatchIO is implemented by stores that can take a whole window of
+// DISJOINT file spans — gaps included — as one call (DESIGN.md §11). It
+// generalizes both prior optional interfaces: a SpanIO call is a
+// one-span batch, and a coalesced VectorIO run is a span with a single
+// buffer. Where SpanIO moves one adjacent run per call, BatchIO hands
+// the backend a *gapped* window whole, to submit however is cheapest.
 //
 // Spans must be non-overlapping; order is not significant and callers
-// must not rely on inter-span completion order (Dir's ring may
+// must not rely on inter-span completion order (Dir's read ring may
 // complete them in any order). Reads zero-fill past EOF per span
 // (sparse semantics). On error some spans may have fully or partially
 // landed and others not; callers needing all-or-nothing tracking (the
 // cache's flush contract) must treat the whole batch as failed.
 //
-// Dir backs this with an io_uring submission queue on Linux
-// (ring_linux.go) and falls back to one vectored syscall per span
-// elsewhere; Mem serves the whole batch under one lock round. Callers
+// Dir reads a batch through one io_uring submission on Linux
+// (ring_linux.go), one preadv per span elsewhere, and always writes it
+// as one pwritev per span: buffered writes gain nothing from the ring
+// (§11). Mem serves the whole batch under one lock round. Callers
 // feature-test with a type assertion, one rung above VectorIO/SpanIO
-// in the fallback ladder: ring → vectored → per-fragment.
+// in the fallback ladder: batch → vectored → per-fragment.
 type BatchIO interface {
 	ReadBatch(handle uint64, spans []Span) (int, error)
 	WriteBatch(handle uint64, spans []Span) (int, error)
@@ -118,10 +118,10 @@ type BatchIO interface {
 // (syscalls/op in BENCH_6).
 type IOStats struct {
 	SyscallsRead  int64 // read submissions (pread + preadv + ring enters)
-	SyscallsWrite int64 // write submissions (pwrite + pwritev + ring enters)
+	SyscallsWrite int64 // write submissions (pwrite + pwritev)
 	BytesRead     int64 // bytes moved by read submissions
 	BytesWritten  int64 // bytes moved by write submissions
-	Submissions   int64 // multi-span batches submitted through BatchIO
+	Submissions   int64 // ReadBatch/WriteBatch calls that moved data, however they went down
 	BytesCopied   int64 // bytes that crossed a user-space buffer copy
 }
 
@@ -163,8 +163,8 @@ func (c *ioCounters) IOStats() IOStats {
 
 // countRead/countWrite account a submission that moved bytes through a
 // user-space buffer — every pread/pwrite/preadv/pwritev and every ring
-// READV/WRITEV lands in (or leaves from) a caller buffer, so the bytes
-// count as copied. The zero-copy sendfile path (stream_linux.go) uses
+// READV lands in (or leaves from) a caller buffer, so the bytes count
+// as copied. The zero-copy sendfile path (stream_linux.go) uses
 // countReadZC instead: same syscall and byte accounting, no copy.
 func (c *ioCounters) countRead(nsys, bytes int64) {
 	c.sysRead.Add(nsys)
@@ -185,7 +185,8 @@ func (c *ioCounters) countReadZC(nsys, bytes int64) {
 	c.bytesRead.Add(bytes)
 }
 
-// countSub accounts multi-span batch submissions (BatchIO).
+// countSub accounts BatchIO submissions: one per batch, the same on
+// every backend and host.
 func (c *ioCounters) countSub(n int64) { c.submissions.Add(n) }
 
 // checkVector validates a vector request against a packed buffer:
@@ -602,7 +603,7 @@ type Dir struct {
 	open map[uint64]*os.File
 
 	// The io_uring submission ring, created lazily by the first batch
-	// (ring_linux.go). nil when unavailable: non-Linux build, old
+	// read (ring_linux.go). nil when unavailable: non-Linux build, old
 	// kernel, seccomp denial, or PVFS_NO_URING set. Ownership:
 	// ringGet() publishes it exactly once; Close tears it down.
 	ringOnce sync.Once
@@ -792,11 +793,11 @@ func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	d.countSub(1)
 	if r := d.ringGet(); r != nil {
 		n, enters, err := r.readSpans(f, spans)
 		d.countRead(enters, int64(n))
 		if err == nil || !ringDegraded(err) {
-			d.countSub(1)
 			return n, err
 		}
 		// The kernel refused the ring op (old kernel, seccomp); the
@@ -818,8 +819,12 @@ func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 	return n, nil
 }
 
-// WriteBatch implements BatchIO: one ring submission of WRITEV SQEs
-// for the whole gapped batch, one pwritev per span as fallback.
+// WriteBatch implements BatchIO: one pwritev per span, from the calling
+// goroutine. Writes do not ride the read ring: a buffered write
+// submitted through io_uring is, on most filesystems, handed to a
+// kernel worker thread, and the ring serializes every batch of a Dir
+// behind one mutex, where pwritevs from different requests run in
+// parallel (DESIGN.md §11).
 func (d *Dir) WriteBatch(handle uint64, spans []Span) (int, error) {
 	total, err := checkSpans(spans, MaxFileSize)
 	if err != nil {
@@ -832,14 +837,7 @@ func (d *Dir) WriteBatch(handle uint64, spans []Span) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if r := d.ringGet(); r != nil {
-		n, enters, err := r.writeSpans(f, spans)
-		d.countWrite(enters, int64(n))
-		if err == nil || !ringDegraded(err) {
-			d.countSub(1)
-			return n, err
-		}
-	}
+	d.countSub(1)
 	var n int
 	for _, sp := range spans {
 		if sp.Len() == 0 {

@@ -7,12 +7,21 @@ import "sync/atomic"
 // its body (and the write path a header+body frame), so steady-state
 // list I/O churns the garbage collector in proportion to throughput.
 //
-// Buffers are kept in power-of-two size classes backed by buffered
-// channels rather than sync.Pool: a channel free list never allocates
-// on Get/Put (sync.Pool boxes the slice header on every Put), gives a
-// hard bound on parked memory per class, and needs no GC integration.
-// Misses simply allocate and surplus Puts are dropped, so the pool is
-// always safe to bypass.
+// Buffers are kept in size classes backed by buffered channels rather
+// than sync.Pool: a channel free list never allocates on Get/Put
+// (sync.Pool boxes the slice header on every Put), gives a hard bound
+// on parked memory per class, and needs no GC integration. Misses
+// simply allocate and surplus Puts are dropped, so the pool is always
+// safe to bypass.
+//
+// A data-path class is a power of two plus headroom, because that is
+// where bodies fall: every data-path body is a power-of-two payload
+// behind a little framing (a list request's 64 KiB and 16 B per region, a contiguous
+// chunk's or a datatype window's 512 KiB and its fixed fields or
+// encoded type). Cut at the bare power of two, each of them would land
+// one class above its payload: twice the memory, half of it zeroed on
+// every miss, and, across a taper boundary, a quarter of the parked
+// buffers.
 //
 // Ownership contract: PutBuf may only be called by code that owns the
 // buffer outright — nothing else may retain a reference. Dropping a
@@ -21,11 +30,26 @@ import "sync/atomic"
 const (
 	minBufShift = 9  // 512 B: below this, pooling costs more than it saves
 	maxBufShift = 26 // 64 MiB == MaxBodyLen
+
+	// Classes from headroomShift (64 KiB) up hold headroom bytes beyond
+	// their power of two: a page, several times the framing of any
+	// data-path body. The classes below, where metadata messages live,
+	// are bare powers of two: a page would multiply the smallest ones.
+	headroomShift = 16
+	headroom      = 4 << 10
 )
 
-// bufClasses holds one free list per power-of-two size class. Class
-// capacities taper off so large classes cannot park unbounded memory:
-// ≤64 KiB classes keep up to 64 buffers, ≤1 MiB up to 16, above that 4.
+// classCap returns the capacity of a class's buffers.
+func classCap(shift int) int {
+	if shift < headroomShift {
+		return 1 << shift
+	}
+	return 1<<shift + headroom
+}
+
+// bufClasses holds one free list per size class. Free-list depths taper
+// off so large classes cannot park unbounded memory: ≤64 KiB classes
+// keep up to 64 buffers, ≤1 MiB up to 16, above that 4.
 var bufClasses [maxBufShift + 1]chan []byte
 
 func init() {
@@ -44,7 +68,7 @@ func init() {
 // shiftFor returns the smallest class whose buffers hold n bytes.
 func shiftFor(n int) int {
 	shift := minBufShift
-	for 1<<shift < n {
+	for classCap(shift) < n {
 		shift++
 	}
 	return shift
@@ -76,7 +100,7 @@ func GetBuf(n int) []byte {
 	case b := <-bufClasses[shift]:
 		return b[:n]
 	default:
-		return make([]byte, n, 1<<shift)
+		return make([]byte, n, classCap(shift))
 	}
 }
 
@@ -89,13 +113,13 @@ func PutBuf(b []byte) {
 		return
 	}
 	bufPuts.Add(1)
-	if c < 1<<minBufShift {
+	if c < classCap(minBufShift) {
 		return
 	}
 	// File the buffer under the largest class it can fully serve, so a
 	// foreign buffer with an off-class capacity is still reusable.
 	shift := minBufShift
-	for shift < maxBufShift && 1<<(shift+1) <= c {
+	for shift < maxBufShift && classCap(shift+1) <= c {
 		shift++
 	}
 	select {
