@@ -36,7 +36,6 @@ type benchRow struct {
 	Method        string  `json:"method"`
 	Direction     string  `json:"direction"`
 	Vectored      bool    `json:"vectored"`
-	Ring          bool    `json:"ring"`
 	Seconds       float64 `json:"seconds"`
 	Requests      int64   `json:"requests"`
 	Regions       int64   `json:"regions"`
@@ -64,7 +63,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos", 0, "run over a faulty wire: seed for a faultnet chaos script (0 = healthy); clients retry with backoff")
 	dataDir := flag.String("data", "", "back each daemon with a directory store under DIR (empty = in-memory); Dir stores bear real syscalls, so the store-syscall columns measure the vectored datapath")
 	novec := flag.Bool("novec", false, "hide VectorIO/SpanIO from the daemons: the pre-vectoring per-fragment baseline")
-	nouring := flag.Bool("nouring", false, "hide BatchIO/FileStreamer from the daemons: the vectored (pre-ring) baseline; the store-submission columns then count one submission per run instead of one per window")
 	jsonOut := flag.String("json", "", "append result rows as JSON to FILE")
 	metaMode := flag.Bool("meta", false, "benchmark the metadata plane (create/open/stat ops/s) instead of the datapath")
 	shards := flag.Int("shards", 2, "metadata shard count (-meta)")
@@ -112,7 +110,7 @@ func main() {
 		}
 	}
 
-	copts := cluster.Options{NumIOD: *iods, DataDir: *dataDir, PlainStore: *novec, NoURing: *nouring}
+	copts := cluster.Options{NumIOD: *iods, DataDir: *dataDir, PlainStore: *novec}
 	var script *faultnet.Script
 	var retry *client.RetryPolicy
 	if *chaosSeed != 0 {
@@ -130,8 +128,8 @@ func main() {
 	if *write {
 		dir = "write"
 	}
-	fmt.Printf("# pattern=%s clients=%d iods=%d ssize=%d direction=%s granularity=%v async=%d store=%s vectored=%v ring=%v\n",
-		pat.Name(), pat.Ranks(), *iods, *ssize, dir, g, *async, dataOrMem(*dataDir), !*novec, !*novec && !*nouring)
+	fmt.Printf("# pattern=%s clients=%d iods=%d ssize=%d direction=%s granularity=%v async=%d store=%s vectored=%v\n",
+		pat.Name(), pat.Ranks(), *iods, *ssize, dir, g, *async, dataOrMem(*dataDir), !*novec)
 	if script != nil {
 		fmt.Printf("# chaos seed=%d (scripted wire faults; clients retry with backoff)\n", *chaosSeed)
 	}
@@ -150,7 +148,6 @@ func main() {
 			Method:    m,
 			Direction: dir,
 			Vectored:  !*novec,
-			Ring:      !*novec && !*nouring,
 			Seconds:   secs,
 			Requests:  stats.Requests,
 			Regions:   stats.Regions,
@@ -163,9 +160,8 @@ func main() {
 		// syscalls/op: store kernel crossings per I/O request window —
 		// the quantity the vectored datapath exists to shrink.
 		// subs/op: batched submissions per window — a whole gapped
-		// window is ONE BatchIO call (§11; for reads one ring enter
-		// where io_uring is available, for writes still one pwritev
-		// per run). copied: bytes that crossed a user/kernel copy;
+		// window is ONE BatchIO call (§11; one preadv/pwritev per
+		// run inside it). copied: bytes that crossed a user/kernel copy;
 		// zero-copy streamed reads are excluded, so runs with
 		// FileStreamer visible report fewer copied bytes.
 		if row.Requests > 0 {

@@ -1,5 +1,5 @@
 // Command pvfs-iod runs a PVFS I/O daemon: the server that stores
-// stripe data and services contiguous, list, and strided I/O requests
+// stripe data and services contiguous, list, and datatype I/O requests
 // from clients.
 //
 // Usage:
@@ -33,13 +33,7 @@ func main() {
 	cache := flag.Bool("cache", false, "enable the write-back, readahead block cache")
 	cacheSize := flag.Int64("cache-size", 64<<20, "cache capacity in bytes (with -cache)")
 	cacheBlock := flag.Int64("cache-block", 64<<10, "cache block size in bytes (with -cache); pick a divisor of the stripe unit")
-	nouring := flag.Bool("nouring", false, "disable io_uring batched submission (DESIGN.md §11); the store falls back to vectored preadv/pwritev")
 	flag.Parse()
-
-	if *nouring {
-		// The Dir store reads this once, before creating its ring.
-		os.Setenv("PVFS_NO_URING", "1")
-	}
 
 	logger := log.New(os.Stderr, "pvfs-iod: ", log.LstdFlags)
 	if *quiet {
@@ -69,9 +63,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pvfs-iod: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("pvfs-iod serving on %s (data: %s, cache: %s, uring: %s)\n",
-		srv.Addr(), dataOrMem(*dataDir), cacheDesc(*cache, *cacheSize, *cacheBlock),
-		uringDesc(*nouring))
+	fmt.Printf("pvfs-iod serving on %s (data: %s, cache: %s)\n",
+		srv.Addr(), dataOrMem(*dataDir), cacheDesc(*cache, *cacheSize, *cacheBlock))
 
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
@@ -92,17 +85,6 @@ func main() {
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "pvfs-iod: close: %v\n", err)
 		os.Exit(1)
-	}
-}
-
-func uringDesc(disabled bool) string {
-	switch {
-	case disabled:
-		return "disabled"
-	case store.RingAvailable():
-		return "on"
-	default:
-		return "unavailable"
 	}
 }
 

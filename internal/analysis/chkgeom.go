@@ -42,14 +42,13 @@ var geomSanitizers = map[string]bool{
 // geomSanitizerNames matches in-package helpers by bare name, so the
 // rule covers helpers the analyzer's config cannot know by path
 // (checkExtent, checkGeometry, checkSpans, decodePattern,
-// stridedPattern, ownedBytes, checkVector ...).
+// checkVector ...).
 func isGeomSanitizerName(name string) bool {
 	short := name[strings.LastIndexByte(name, '.')+1:]
 	lower := strings.ToLower(short)
 	return strings.HasPrefix(lower, "check") ||
 		strings.Contains(lower, "checked") ||
-		lower == "decodepattern" || lower == "stridedpattern" || lower == "ownedbytes" ||
-		lower == "validate"
+		lower == "decodepattern" || lower == "validate"
 }
 
 func runChkGeom(pass *Pass) {

@@ -8,18 +8,18 @@ import (
 
 // EintrLoop checks that every raw syscall submission on an I/O path
 // sits inside an EINTR-aware retry loop. The kernel may interrupt
-// pread/pwrite/preadv/pwritev/io_uring_enter/sendfile at any signal;
-// Go's runtime retries its own wrappers, but the storage datapath
-// issues these through syscall.Syscall/Syscall6 directly
-// (vec_linux.go, ring_linux.go, stream_linux.go — DESIGN.md §10–§11),
-// where a missed EINTR turns a routine signal into a spurious I/O
-// error and a missed short-transfer continuation silently drops bytes.
+// pread/pwrite/preadv/pwritev/sendfile at any signal; Go's runtime
+// retries its own wrappers, but the storage datapath issues these
+// through syscall.Syscall/Syscall6 directly (vec_linux.go,
+// stream_linux.go — DESIGN.md §10–§11), where a missed EINTR turns a
+// routine signal into a spurious I/O error and a missed short-transfer
+// continuation silently drops bytes.
 //
 // Rule: a call to syscall.Syscall*/RawSyscall*, or to the syscall
 // package's own I/O wrappers (Pread, Pwrite, Sendfile), must be
 // lexically inside a for loop whose body mentions syscall.EINTR (the
-// retry decision). One-shot setup traps — io_uring_setup, mmap-class
-// calls — are exempt by trap-name pattern: they are not restartable
+// retry decision). One-shot setup traps — *_setup, mmap-class calls —
+// are exempt by trap-name pattern: they are not restartable
 // submissions. A function literal starts a fresh scope: a loop outside
 // the literal cannot be the retry loop for a syscall inside it.
 var EintrLoop = &Analyzer{

@@ -129,7 +129,8 @@ func TestChaosStartAsync(t *testing.T) {
 
 // TestChaosStreamedReads drives the zero-copy stream framing (§11):
 // per-region reads large enough to stream (≥64 KiB) over a chaotic
-// wire with kills, Dir-backed so the ring datapath serves the fills.
+// wire with kills, Dir-backed so the daemon answers them with
+// file-range streams (store.FileStreamer).
 // The faulty wire is not a *net.TCPConn, so the server exercises the
 // stream's buffered fallback — the framing and failure paths the
 // stream contract (exact promised length or broken connection) pins.
@@ -141,12 +142,12 @@ func TestChaosStreamedReads(t *testing.T) {
 	})
 }
 
-// TestChaosRingFallback forces PVFS_NO_URING so the same Dir-backed
-// list scenario runs on the vectored rung of the §11 fallback ladder.
-func TestChaosRingFallback(t *testing.T) {
-	t.Setenv("PVFS_NO_URING", "1")
+// TestChaosListDir runs the list scenario against Dir-backed daemons,
+// so gapped list windows reach real files through the batch rung of
+// the §11 fallback ladder (one preadv/pwritev per span).
+func TestChaosListDir(t *testing.T) {
 	runScenario(t, chaos.Scenario{
-		Name: "ring-fallback", Method: client.AccessList,
+		Name: "list-dir", Method: client.AccessList,
 		Ranks: 2, Blocks: 48, Kill: true,
 		DataDir: t.TempDir(),
 	})

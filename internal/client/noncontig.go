@@ -488,8 +488,7 @@ func (f *File) WriteStrided(arena []byte, mem ioseg.List, start, stride, blockLe
 }
 
 // stridedType builds the vector datatype equivalent of a strided
-// descriptor (wire.StridedReq.AsDatatype performs the same
-// reinterpretation server-side for the legacy request family).
+// descriptor; it crosses the wire as an ordinary datatype request.
 func stridedType(stride, blockLen, count int64) (datatype.Type, error) {
 	if blockLen < 0 || count < 0 || stride < 0 {
 		return nil, errors.New("pvfs: negative strided parameter")

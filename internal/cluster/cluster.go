@@ -18,7 +18,6 @@ import (
 	"pvfs/internal/client"
 	"pvfs/internal/faultnet"
 	"pvfs/internal/iod"
-	"pvfs/internal/ioseg"
 	"pvfs/internal/meta"
 	"pvfs/internal/mgr"
 	"pvfs/internal/store"
@@ -48,13 +47,6 @@ type Options struct {
 	// one binary. Store syscall accounting (store.IOStatsProvider)
 	// stays visible.
 	PlainStore bool
-	// NoURing hides only the batched-submission interfaces
-	// (store.BatchIO and store.FileStreamer) while keeping the
-	// vectored ones (store.VectorIO, store.SpanIO) visible, pinning
-	// the §11 fallback ladder to its vectored rung. Benchmarks use it
-	// to measure ring submission and zero-copy streaming against the
-	// vectored baseline in one binary.
-	NoURing bool
 	// Meta, when non-nil, replaces the single manager with the
 	// replicated, sharded metadata plane (see MetaOptions).
 	Meta *MetaOptions
@@ -109,98 +101,6 @@ func (p plainStore) IOStats() store.IOStats {
 	return store.IOStats{}
 }
 
-// noBatchStore hides a store's batched-submission interfaces
-// (store.BatchIO, store.FileStreamer) while re-exposing the vectored
-// ones, Sync, and syscall accounting — the §11 fallback ladder's
-// vectored rung, isolated as a benchmark baseline. The vectored
-// methods fall back to per-fragment calls if the wrapped store lacks
-// them, so the wrapper never advertises capability the store lacks
-// performance-wise beyond plain Store semantics.
-type noBatchStore struct{ store.Store }
-
-func (p noBatchStore) ReadAtv(handle uint64, segs ioseg.List, b []byte) (int, error) {
-	if v, ok := p.Store.(store.VectorIO); ok {
-		return v.ReadAtv(handle, segs, b)
-	}
-	pos := 0
-	for _, s := range segs {
-		n, err := p.Store.ReadAt(handle, b[pos:pos+int(s.Length)], s.Offset)
-		pos += n
-		if err != nil {
-			return pos, err
-		}
-	}
-	return pos, nil
-}
-
-func (p noBatchStore) WriteAtv(handle uint64, segs ioseg.List, b []byte) (int, error) {
-	if v, ok := p.Store.(store.VectorIO); ok {
-		return v.WriteAtv(handle, segs, b)
-	}
-	pos := 0
-	for _, s := range segs {
-		n, err := p.Store.WriteAt(handle, b[pos:pos+int(s.Length)], s.Offset)
-		pos += n
-		if err != nil {
-			return pos, err
-		}
-	}
-	return pos, nil
-}
-
-func (p noBatchStore) ReadSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
-	if v, ok := p.Store.(store.SpanIO); ok {
-		return v.ReadSpanv(handle, off, bufs)
-	}
-	total := 0
-	for _, b := range bufs {
-		n, err := p.Store.ReadAt(handle, b, off)
-		total += n
-		off += int64(len(b))
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func (p noBatchStore) WriteSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
-	if v, ok := p.Store.(store.SpanIO); ok {
-		return v.WriteSpanv(handle, off, bufs)
-	}
-	total := 0
-	for _, b := range bufs {
-		n, err := p.Store.WriteAt(handle, b, off)
-		total += n
-		off += int64(len(b))
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func (p noBatchStore) Sync(handle uint64) error {
-	if sy, ok := p.Store.(store.Syncer); ok {
-		return sy.Sync(handle)
-	}
-	return nil
-}
-
-func (p noBatchStore) SyncAll() error {
-	if sy, ok := p.Store.(store.Syncer); ok {
-		return sy.SyncAll()
-	}
-	return nil
-}
-
-func (p noBatchStore) IOStats() store.IOStats {
-	if ip, ok := p.Store.(store.IOStatsProvider); ok {
-		return ip.IOStats()
-	}
-	return store.IOStats{}
-}
-
 // iodStore builds (or rebuilds) daemon i's store: Dir-backed under
 // DataDir, else the daemon's persistent Mem store, optionally wrapped
 // in a write-back cache. Durable state lives below the cache, so a
@@ -208,11 +108,7 @@ func (p noBatchStore) IOStats() store.IOStats {
 // PlainStore the vectored interfaces are masked at every layer
 // boundary: below the cache (its span fill/flush falls back to
 // per-block calls) and at the top (the daemon falls back to
-// per-fragment submission). With NoURing only the batch/stream
-// interfaces are masked, and only below the cache — the cache itself
-// stays a *store.Cache (Kill's abandon depends on it) and its
-// in-memory BatchIO costs no syscalls; what matters is that its
-// backend fills and flushes take the vectored rung.
+// per-fragment submission).
 func (c *Cluster) iodStore(i int) (store.Store, error) {
 	var st store.Store
 	if c.opts.DataDir != "" {
@@ -223,9 +119,6 @@ func (c *Cluster) iodStore(i int) (store.Store, error) {
 		st = ds
 	} else {
 		st = c.mems[i]
-	}
-	if c.opts.NoURing {
-		st = noBatchStore{st}
 	}
 	if c.opts.PlainStore {
 		st = plainStore{st}

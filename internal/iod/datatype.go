@@ -8,17 +8,10 @@ package iod
 // is O(tree depth) regardless of how many contiguous fragments the
 // pattern describes, which is what removes list I/O's linear
 // region-to-request relationship (paper §5).
-//
-// The strided request family (wire.StridedReq, the degenerate vector
-// descriptor that predates the full codec) is serviced by the same
-// engine: the descriptor is reinterpreted as Vector(count, blockLen,
-// stride, bytes(1)) and evaluated with an unwindowed (whole-share)
-// window.
 
 import (
 	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
-	"pvfs/internal/store"
 	"pvfs/internal/striping"
 	"pvfs/internal/wire"
 )
@@ -106,26 +99,6 @@ func evalWindow(t datatype.Type, base, count int64, cfg striping.Config, rel int
 	return filled, pieces, st
 }
 
-// ownedBytes walks the whole pattern summing relative server rel's
-// share, in O(1) memory per fragment (striping.PhysRange is closed
-// form). It is the unwindowed sizing pass of the strided compatibility
-// path.
-func ownedBytes(t datatype.Type, base, count int64, cfg striping.Config, rel int) (int64, wire.Status) {
-	var total int64
-	budget := maxEvalSegments
-	st := wire.StatusOK
-	datatype.WalkRepeated(t, base, count, 0, func(seg ioseg.Segment) bool {
-		budget--
-		if budget < 0 {
-			st = wire.StatusInvalid
-			return false
-		}
-		total += cfg.PhysRange(rel, seg.Offset, seg.End())
-		return true
-	})
-	return total, st
-}
-
 // vecBatchSegs bounds the physical extents a pattern evaluation
 // batches before submitting to the store. Memory stays O(batch) — the
 // region list the pattern flattens to is still never materialized —
@@ -175,47 +148,6 @@ func (a *vecApplier) flush() bool {
 	a.segs = a.segs[:0]
 	a.pos = a.next
 	return ok
-}
-
-// applyVector runs one packed vector against the store, descending the
-// fallback ladder (DESIGN.md §11): one BatchIO submission for the
-// whole gapped window where the store batches, one VectorIO submission
-// otherwise, a per-run loop at the bottom (the caller has already
-// merged adjacent extents, so each entry is a maximal contiguous run).
-func (s *Server) applyVector(handle uint64, segs ioseg.List, data []byte, isWrite bool) bool {
-	if spans, ok := s.batchSpans(segs, data); ok {
-		b := s.st.(store.BatchIO)
-		var err error
-		if isWrite {
-			_, err = b.WriteBatch(handle, spans)
-		} else {
-			_, err = b.ReadBatch(handle, spans)
-		}
-		return err == nil
-	}
-	if v, ok := s.st.(store.VectorIO); ok {
-		var err error
-		if isWrite {
-			_, err = v.WriteAtv(handle, segs, data)
-		} else {
-			_, err = v.ReadAtv(handle, segs, data)
-		}
-		return err == nil
-	}
-	var pos int64
-	for _, r := range segs {
-		var err error
-		if isWrite {
-			_, err = s.st.WriteAt(handle, data[pos:pos+r.Length], r.Offset)
-		} else {
-			_, err = s.st.ReadAt(handle, data[pos:pos+r.Length], r.Offset)
-		}
-		if err != nil {
-			return false
-		}
-		pos += r.Length
-	}
-	return true
 }
 
 func (s *Server) readDatatype(req wire.Message) wire.Message {
@@ -277,90 +209,6 @@ func (s *Server) writeDatatype(req wire.Message) wire.Message {
 		stats.Regions += pieces
 		stats.BytesWritten += filled
 		stats.TypeBytes += int64(len(body.TypeEnc))
-	})
-	return ok(req.Handle, (&wire.WrittenResp{N: filled}).Marshal())
-}
-
-// maxStridedExpansion caps the block count a strided descriptor may
-// carry, bounding the unwindowed evaluation below.
-const maxStridedExpansion = 1 << 22
-
-// stridedPattern validates a strided descriptor and reinterprets it as
-// a datatype pattern (one repetition of a vector over bytes).
-func stridedPattern(body *wire.StridedReq) (datatype.Type, int64, wire.Status) {
-	if st := checkGeometry(body.Striping, body.RelIndex); st != wire.StatusOK {
-		return nil, 0, st
-	}
-	if body.Count > maxStridedExpansion {
-		return nil, 0, wire.StatusInvalid
-	}
-	t, base := body.AsDatatype()
-	if _, _, err := datatype.CheckPattern(t, base, 1); err != nil {
-		return nil, 0, wire.StatusInvalid
-	}
-	return t, base, wire.StatusOK
-}
-
-func (s *Server) readStrided(req wire.Message) wire.Message {
-	var body wire.StridedReq
-	if err := body.Unmarshal(req.Body); err != nil {
-		return fail(wire.StatusProtocol)
-	}
-	t, base, st := stridedPattern(&body)
-	if st != wire.StatusOK {
-		return fail(st)
-	}
-	owned, st := ownedBytes(t, base, 1, body.Striping, body.RelIndex)
-	if st != wire.StatusOK || owned > wire.MaxBodyLen {
-		return fail(wire.StatusInvalid)
-	}
-	out := wire.GetBuf(int(owned))
-	ap := &vecApplier{s: s, handle: req.Handle, data: out}
-	filled, pieces, st := evalWindow(t, base, 1, body.Striping, body.RelIndex, 0, owned, ap.add)
-	if st == wire.StatusOK && !ap.flush() {
-		st = wire.StatusIOError
-	}
-	if st != wire.StatusOK {
-		wire.PutBuf(out)
-		return fail(st)
-	}
-	s.account(func(stats *wire.ServerStats) {
-		stats.Requests++
-		stats.ListRequests++
-		stats.Regions += pieces
-		stats.BytesRead += filled
-	})
-	return okPooled(req.Handle, out[:filled])
-}
-
-func (s *Server) writeStrided(req wire.Message) wire.Message {
-	var body wire.StridedReq
-	if err := body.Unmarshal(req.Body); err != nil {
-		return fail(wire.StatusProtocol)
-	}
-	t, base, st := stridedPattern(&body)
-	if st != wire.StatusOK {
-		return fail(st)
-	}
-	// The strided request family is unwindowed: the payload must be
-	// exactly this server's share, checked before any byte is applied.
-	owned, st := ownedBytes(t, base, 1, body.Striping, body.RelIndex)
-	if st != wire.StatusOK || owned != int64(len(body.Data)) {
-		return fail(wire.StatusInvalid)
-	}
-	ap := &vecApplier{s: s, handle: req.Handle, data: body.Data, isWrite: true}
-	filled, pieces, st := evalWindow(t, base, 1, body.Striping, body.RelIndex, 0, owned, ap.add)
-	if st == wire.StatusOK && !ap.flush() {
-		st = wire.StatusIOError
-	}
-	if st != wire.StatusOK {
-		return fail(st)
-	}
-	s.account(func(stats *wire.ServerStats) {
-		stats.Requests++
-		stats.ListRequests++
-		stats.Regions += pieces
-		stats.BytesWritten += filled
 	})
 	return ok(req.Handle, (&wire.WrittenResp{N: filled}).Marshal())
 }

@@ -76,6 +76,26 @@ func TestEvalWindowAllocationBounded(t *testing.T) {
 	}
 }
 
+// ownedBytes walks the whole pattern summing relative server rel's
+// share, in O(1) memory per fragment (striping.PhysRange is closed
+// form): the size of a whole-share window, which the tests below use
+// to size their requests.
+func ownedBytes(t datatype.Type, base, count int64, cfg striping.Config, rel int) (int64, wire.Status) {
+	var total int64
+	budget := maxEvalSegments
+	st := wire.StatusOK
+	datatype.WalkRepeated(t, base, count, 0, func(seg ioseg.Segment) bool {
+		budget--
+		if budget < 0 {
+			st = wire.StatusInvalid
+			return false
+		}
+		total += cfg.PhysRange(rel, seg.Offset, seg.End())
+		return true
+	})
+	return total, st
+}
+
 // TestOwnedBytesMatchesFlatten cross-checks the closed-form sizing
 // pass against brute-force flattening and splitting.
 func TestOwnedBytesMatchesFlatten(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package iod implements the PVFS I/O daemon: the server that stores
-// stripe data and services contiguous, list, and strided I/O requests.
+// stripe data and services contiguous, list, and datatype I/O requests.
 //
 // The daemon mirrors the behaviour described in the paper:
 //
@@ -9,11 +9,10 @@
 //     file regions as trailing data; the daemon applies each region
 //     against its local stripe file and streams the data back (reads)
 //     or scatters the received stream (writes).
-//   - Strided and datatype requests are the §5 extension: the access
-//     pattern itself (a vector descriptor, or a full encoded datatype
-//     constructor tree) replaces the explicit region list, and the
-//     daemon evaluates it against its own stripe in bounded memory
-//     (see datatype.go and DESIGN.md §6).
+//   - Datatype requests are the §5 extension: the access pattern
+//     itself (an encoded datatype constructor tree) replaces the
+//     explicit region list, and the daemon evaluates it against its
+//     own stripe in bounded memory (see datatype.go and DESIGN.md §6).
 //
 // Clients address the daemon in physical stripe-file coordinates; the
 // striping math lives in the client library, as in PVFS.
@@ -147,10 +146,6 @@ func (s *Server) handle(req wire.Message) wire.Message {
 		return s.readList(req)
 	case wire.TWriteList:
 		return s.writeList(req)
-	case wire.TReadStrided:
-		return s.readStrided(req)
-	case wire.TWriteStrided:
-		return s.writeStrided(req)
 	case wire.TReadDatatype:
 		return s.readDatatype(req)
 	case wire.TWriteDatatype:
@@ -181,8 +176,8 @@ func (s *Server) handle(req wire.Message) wire.Message {
 // zeroCopyMinBytes gates the sendfile streaming path: below it the
 // fixed cost of the readiness loop and the lost pipelining (the stream
 // holds the connection's write lock for its whole transfer) outweigh
-// the avoided copy. 64 KiB is one cache block — the smallest read for
-// which BENCH_7 shows the copy dominating.
+// the avoided copy. The threshold is one 64 KiB cache block (DESIGN.md
+// §11).
 const zeroCopyMinBytes = 64 << 10
 
 // streamRead returns a zero-copy streamed response for a contiguous
@@ -281,70 +276,64 @@ func (s *Server) applyRegions(handle uint64, regions ioseg.List, data []byte, is
 		if int64(len(data)) != total {
 			return nil, wire.StatusInvalid
 		}
-		if spans, ok := s.batchSpans(regions, data); ok {
-			// Batch fast path: the whole gapped window — every
-			// coalesced run, gaps included — is ONE store call; Dir
-			// takes it as one pwritev per run.
-			b := s.st.(store.BatchIO)
-			if _, err := b.WriteBatch(handle, spans); err != nil {
-				return nil, wire.StatusIOError
-			}
-			return nil, wire.StatusOK
-		}
-		if v, ok := s.st.(store.VectorIO); ok {
-			// Vectored fast path: the whole window is one store
-			// submission; the store coalesces adjacent fragments.
-			if _, err := v.WriteAtv(handle, regions, data); err != nil {
-				return nil, wire.StatusIOError
-			}
-			return nil, wire.StatusOK
-		}
-		// Fallback: coalesce adjacent fragments of a sorted list so
-		// even a plain store sees one write per contiguous run; an
-		// unsorted or overlapping list must apply in order (later
-		// overlapping region wins).
-		runs, ok := regions.CoalescePacked()
-		if !ok {
-			runs = regions
-		}
-		var pos int64
-		for _, r := range runs {
-			if _, err := s.st.WriteAt(handle, data[pos:pos+r.Length], r.Offset); err != nil {
-				return nil, wire.StatusIOError
-			}
-			pos += r.Length
+		if !s.applyVector(handle, regions, data, true) {
+			return nil, wire.StatusIOError
 		}
 		return nil, wire.StatusOK
 	}
 	out := wire.GetBuf(int(total))
-	if spans, ok := s.batchSpans(regions, out); ok {
+	if !s.applyVector(handle, regions, out, false) {
+		wire.PutBuf(out)
+		return nil, wire.StatusIOError
+	}
+	return out, wire.StatusOK
+}
+
+// applyVector runs one packed vector against the store, descending the
+// fallback ladder (DESIGN.md §11) that list and datatype requests
+// share: one BatchIO submission for the whole gapped window where the
+// store batches, one VectorIO submission otherwise, and at the bottom
+// one scalar call per adjacent run (CoalescePacked) — or per segment,
+// in list order, when the list is unsorted or overlapping, so a later
+// overlapping write wins.
+func (s *Server) applyVector(handle uint64, segs ioseg.List, data []byte, isWrite bool) bool {
+	if spans, ok := s.batchSpans(segs, data); ok {
 		b := s.st.(store.BatchIO)
-		if _, err := b.ReadBatch(handle, spans); err != nil {
-			wire.PutBuf(out)
-			return nil, wire.StatusIOError
+		var err error
+		if isWrite {
+			_, err = b.WriteBatch(handle, spans)
+		} else {
+			_, err = b.ReadBatch(handle, spans)
 		}
-		return out, wire.StatusOK
+		return err == nil
 	}
 	if v, ok := s.st.(store.VectorIO); ok {
-		if _, err := v.ReadAtv(handle, regions, out); err != nil {
-			wire.PutBuf(out)
-			return nil, wire.StatusIOError
+		var err error
+		if isWrite {
+			_, err = v.WriteAtv(handle, segs, data)
+		} else {
+			_, err = v.ReadAtv(handle, segs, data)
 		}
-		return out, wire.StatusOK
+		return err == nil
 	}
-	runs, ok := regions.CoalescePacked()
+	runs, ok := segs.CoalescePacked()
 	if !ok {
-		runs = regions
+		runs = segs
 	}
 	var pos int64
 	for _, r := range runs {
-		if _, err := s.st.ReadAt(handle, out[pos:pos+r.Length], r.Offset); err != nil {
-			wire.PutBuf(out)
-			return nil, wire.StatusIOError
+		var err error
+		if isWrite {
+			_, err = s.st.WriteAt(handle, data[pos:pos+r.Length], r.Offset)
+		} else {
+			_, err = s.st.ReadAt(handle, data[pos:pos+r.Length], r.Offset)
+		}
+		if err != nil {
+			return false
 		}
 		pos += r.Length
 	}
-	return out, wire.StatusOK
+	return true
 }
 
 // batchSpans maps a region list and its packed data stream onto

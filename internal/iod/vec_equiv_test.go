@@ -1,11 +1,12 @@
 package iod
 
-// Wire-level equivalence of the vectored and fallback datapaths
-// (ISSUE 6 acceptance): the SAME request stream against a daemon
-// whose store implements VectorIO and one whose store hides it must
-// produce identical wire-visible responses and identical final file
-// images. Run under -race in CI, this also pins the concurrency
-// safety of the batched submission paths.
+// Wire-level equivalence of the vectored and fallback datapaths: the
+// SAME request stream against a daemon whose store implements VectorIO
+// and one whose store hides it must produce identical wire-visible
+// responses and identical final file images, and the plain daemon must
+// issue exactly one scalar store call per adjacent run of each window.
+// Run under -race in CI, this also pins the concurrency safety of the
+// batched submission paths.
 
 import (
 	"bytes"
@@ -46,7 +47,8 @@ func randRegions(r *rand.Rand) ioseg.List {
 }
 
 func TestVectoredFallbackWireEquivalence(t *testing.T) {
-	stores := []store.Store{store.NewMem(), plainStore{store.NewMem()}}
+	plain := store.NewMem()
+	stores := []store.Store{store.NewMem(), plainStore{plain}}
 	names := []string{"vectored", "fallback"}
 	conns := make([]*pvfsnet.Conn, len(stores))
 	for i, st := range stores {
@@ -89,6 +91,26 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	const handle = uint64(5)
 
+	// plainCalls checks the plain daemon's store calls since the last
+	// check: one scalar call per adjacent run, in the given direction.
+	var seen store.IOStats
+	plainCalls := func(what string, wantRead, wantWrite int64) {
+		t.Helper()
+		now := plain.IOStats()
+		d := now.Sub(seen)
+		seen = now
+		if d.SyscallsRead != wantRead || d.SyscallsWrite != wantWrite {
+			t.Fatalf("%s: plain store took %d reads, %d writes; want %d, %d",
+				what, d.SyscallsRead, d.SyscallsWrite, wantRead, wantWrite)
+		}
+	}
+	runCount := func(segs ioseg.List) int64 {
+		if runs, ok := segs.CoalescePacked(); ok {
+			return int64(len(runs))
+		}
+		return int64(len(segs))
+	}
+
 	// Randomized list I/O: writes and reads over every list shape.
 	for i := 0; i < 60; i++ {
 		segs := randRegions(r)
@@ -100,27 +122,19 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			both(wire.TWriteList, handle, body)
+			plainCalls("list write", 0, runCount(segs))
 		} else {
 			body, err := (&wire.ListReq{Regions: segs}).Marshal()
 			if err != nil {
 				t.Fatal(err)
 			}
 			both(wire.TReadList, handle, body)
+			plainCalls("list read", runCount(segs), 0)
 		}
 	}
 
-	// Strided round trip (the degenerate vector descriptor).
-	cfg := striping.Config{PCount: 2, StripeSize: 4096}
-	sdata := make([]byte, 16*64/2)
-	r.Read(sdata)
-	sw := wire.StridedReq{Start: 128, Stride: 512, BlockLen: 64, Count: 16,
-		Striping: cfg, RelIndex: 0, Data: sdata}
-	both(wire.TWriteStrided, handle, sw.Marshal())
-	sr := wire.StridedReq{Start: 128, Stride: 512, BlockLen: 64, Count: 16,
-		Striping: cfg, RelIndex: 0}
-	both(wire.TReadStrided, handle, sr.Marshal())
-
 	// Datatype round trip: a fragmented vector pattern, windowed.
+	cfg := striping.Config{PCount: 2, StripeSize: 4096}
 	typ := datatype.Vector(300, 24, 96, datatype.Bytes(1))
 	enc, err := datatype.Encode(typ)
 	if err != nil {
@@ -134,6 +148,17 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 	if st != wire.StatusOK || owned == 0 {
 		t.Fatalf("ownedBytes: %d bytes, status %v", owned, st)
 	}
+	// The window's physical pieces with adjacent ones merged, as the
+	// daemon batches them: the plain store's call count per direction.
+	var dtRuns int64
+	last := int64(-1)
+	evalWindow(dec, 0, 2, cfg, 0, 0, owned, func(p ioseg.Segment) bool {
+		if p.Offset != last {
+			dtRuns++
+		}
+		last = p.End()
+		return true
+	})
 	payload := make([]byte, owned)
 	r.Read(payload)
 	req := wire.WriteDatatypeReq{
@@ -146,6 +171,7 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 	if resp := both(wire.TWriteDatatype, handle, req.Marshal()); resp.Status != wire.StatusOK {
 		t.Fatalf("datatype write: status %v", resp.Status)
 	}
+	plainCalls("datatype write", 0, dtRuns)
 	rreq := wire.ReadDatatypeReq{
 		Base: 0, Count: 2, DataPos: 0, Want: owned,
 		Striping: cfg, RelIndex: 0, TypeEnc: enc,
@@ -154,6 +180,7 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 	if resp.Status != wire.StatusOK || !bytes.Equal(resp.Body, payload) {
 		t.Fatalf("datatype read-back diverges from payload (status %v)", resp.Status)
 	}
+	plainCalls("datatype read", dtRuns, 0)
 
 	// Final images must be byte-identical.
 	sizeResp := both(wire.TStat, handle, nil)

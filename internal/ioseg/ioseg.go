@@ -286,8 +286,9 @@ func (l List) CoalescePacked() (List, bool) {
 // with them, each run's starting position in the packed byte stream.
 // ok is false under the same conditions as CoalescePacked (unsorted or
 // overlapping list), in which case both returns are nil. A consumer
-// submitting the whole gapped window as one batch (store.BatchIO) maps
-// run i to the stream bytes [pos[i], pos[i]+runs[i].Length).
+// handing the whole gapped window to the store in one call
+// (store.BatchIO, one span per run) maps run i to the stream bytes
+// [pos[i], pos[i]+runs[i].Length).
 func (l List) CoalesceRuns() (runs List, pos []int64, ok bool) {
 	runs, ok = l.CoalescePacked()
 	if !ok {

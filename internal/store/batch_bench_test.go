@@ -3,11 +3,10 @@ package store
 // Benchmarks for the batch-submission datapath (DESIGN.md §11): one
 // GAPPED N-fragment 4 KiB window — every fragment its own run, the
 // shape interleaved ranks leave on a daemon's stripe file — submitted
-// one syscall per fragment (perfrag), one preadv/pwritev per run
-// (vectored: gaps break the iovec chain, so N runs = N syscalls; what
-// WriteBatch does) and, for reads, as one io_uring batch for the whole
-// window (ring). BENCH_7.json records the sweep as it stood when writes
-// still had a ring rung.
+// as one scalar pread/pwrite per fragment (perfrag) and as one
+// ReadBatch/WriteBatch (batch: one preadv/pwritev per run, since gaps
+// break the iovec chain, so N runs still cost N syscalls but one store
+// call).
 
 import (
 	"fmt"
@@ -30,9 +29,9 @@ func benchGappedSpans(n int, width int64) ([]Span, int64) {
 	return spans, total
 }
 
-// BenchmarkDirGappedSubmission sweeps fragment count over the rungs of
-// the §11 fallback ladder against store.Dir: two for writes, three for
-// reads.
+// BenchmarkDirGappedSubmission sweeps fragment count over the batch
+// and per-fragment rungs of the §11 fallback ladder against store.Dir,
+// in both directions.
 func BenchmarkDirGappedSubmission(b *testing.B) {
 	const width = 4096
 	for _, nfrag := range []int{16, 64, 256} {
@@ -67,41 +66,18 @@ func BenchmarkDirGappedSubmission(b *testing.B) {
 					}
 				}
 			})
-			b.Run(fmt.Sprintf("vectored/%s/frags=%d", dir, nfrag), func(b *testing.B) {
+			b.Run(fmt.Sprintf("batch/%s/frags=%d", dir, nfrag), func(b *testing.B) {
 				d := newDir(b)
 				b.SetBytes(total)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					// One pwritev/preadv per gapped run: the rung the
-					// ladder lands on when the ring is unavailable.
-					f, err := d.file(1)
+					var err error
+					if dir == "write" {
+						_, err = d.WriteBatch(1, spans)
+					} else {
+						_, err = d.ReadBatch(1, spans)
+					}
 					if err != nil {
-						b.Fatal(err)
-					}
-					for _, s := range spans {
-						if dir == "write" {
-							_, _, err = writevAt(f, s.Bufs, s.Off)
-						} else {
-							_, _, err = readvAt(f, s.Bufs, s.Off)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-			if dir == "write" {
-				continue // writes never ride the ring
-			}
-			b.Run(fmt.Sprintf("ring/read/frags=%d", nfrag), func(b *testing.B) {
-				d := newDir(b)
-				if d.ringGet() == nil {
-					b.Skip("io_uring unavailable")
-				}
-				b.SetBytes(total)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := d.ReadBatch(1, spans); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -43,10 +43,9 @@ func flattenSpans(spans []Span) []byte {
 }
 
 // TestDirBatchGappedSubmission pins how a gapped 64-fragment window
-// goes down on Dir. A write is one pwritev per fragment from the
-// calling goroutine, on every host; a read is one ring submission (one
-// io_uring_enter) where the ring is available. Either way the batch is
-// one submission and the bytes are identical.
+// goes down on Dir, on every host: one pwritev (write) or preadv (read)
+// per fragment from the calling goroutine, counted as one submission,
+// with the bytes read back identical to those written.
 func TestDirBatchGappedSubmission(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
@@ -91,18 +90,14 @@ func TestDirBatchGappedSubmission(t *testing.T) {
 			}
 		}
 	}
-	wantSys := int64(frags) // one preadv per fragment without the ring
-	if RingAvailable() {
-		wantSys = 1
-	}
 	before = d.IOStats()
 	if _, err := d.ReadBatch(1, rspans); err != nil {
 		t.Fatalf("ReadBatch: %v", err)
 	}
 	delta = d.IOStats().Sub(before)
-	if delta.Submissions != 1 || delta.SyscallsRead != wantSys {
-		t.Errorf("gapped read = %d submissions, %d syscalls; want 1, %d",
-			delta.Submissions, delta.SyscallsRead, wantSys)
+	if delta.Submissions != 1 || delta.SyscallsRead != frags {
+		t.Errorf("gapped read = %d submissions, %d syscalls; want 1, one preadv per fragment (%d)",
+			delta.Submissions, delta.SyscallsRead, frags)
 	}
 	if !bytes.Equal(flattenSpans(rspans), flattenSpans(spans)) {
 		t.Fatal("batch read-back differs from written image")
@@ -111,8 +106,8 @@ func TestDirBatchGappedSubmission(t *testing.T) {
 
 // TestDirWriteBatchConcurrent has 16 goroutines issue disjoint gapped
 // WriteBatches on one Dir and one handle at once — the daemon's shape
-// under a full request window, which the ring used to serialize — and
-// checks every byte and the counters. Run under -race.
+// under a full request window — and checks every byte and the
+// counters. Run under -race.
 func TestDirWriteBatchConcurrent(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
@@ -164,34 +159,12 @@ func TestDirWriteBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestRingFallbackEquivalence drives identical random gapped batches
-// through a Dir with the ring and one without (PVFS_NO_URING) and
-// requires both to match the per-fragment scalar reference: ReadBatch
-// is byte-identical through the ring and through preadv, and WriteBatch
-// stores the same image whatever the switch says (it never rides the
-// ring).
+// TestRingFallbackEquivalence drives random gapped batches through
+// Dir's batch path — one pwritev/preadv per span (DESIGN.md §11) — and
+// requires the stored image to match the per-fragment scalar reference
+// on Mem, and ReadBatch to return the bytes written.
 func TestRingFallbackEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-
-	type path struct {
-		name string
-		dir  func(t *testing.T) *Dir
-	}
-	newDir := func(t *testing.T) *Dir {
-		d, err := NewDir(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		return d
-	}
-	paths := []path{
-		{"ring", newDir},
-		{"vectored", func(t *testing.T) *Dir {
-			t.Setenv("PVFS_NO_URING", "1")
-			return newDir(t)
-		}},
-	}
 
 	for round := 0; round < 8; round++ {
 		// Random disjoint gapped batch.
@@ -230,46 +203,53 @@ func TestRingFallbackEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, p := range paths {
-			t.Run(fmt.Sprintf("round%d/%s", round, p.name), func(t *testing.T) {
-				d := p.dir(t)
-				if _, err := d.WriteBatch(42, spans); err != nil {
-					t.Fatalf("WriteBatch: %v", err)
+		t.Run(fmt.Sprintf("round%d/vectored", round), func(t *testing.T) {
+			d, err := NewDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if _, err := d.WriteBatch(42, spans); err != nil {
+				t.Fatalf("WriteBatch: %v", err)
+			}
+			got := make([]byte, size)
+			if _, err := d.ReadAt(42, got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("stored image differs from per-fragment reference")
+			}
+			if st := d.IOStats(); st.SyscallsWrite != int64(len(spans)) || st.Submissions != 1 {
+				t.Errorf("WriteBatch of %d spans = %d write syscalls, %d submissions; want one pwritev per span, 1 submission",
+					len(spans), st.SyscallsWrite, st.Submissions)
+			}
+			// Read the batch back through ReadBatch too.
+			rspans := make([]Span, len(spans))
+			for i, sp := range spans {
+				bufs := make([][]byte, len(sp.Bufs))
+				for j, b := range sp.Bufs {
+					bufs[j] = make([]byte, len(b))
 				}
-				got := make([]byte, size)
-				if _, err := d.ReadAt(42, got, 0); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("stored image differs from per-fragment reference")
-				}
-				if st := d.IOStats(); st.SyscallsWrite != int64(len(spans)) || st.Submissions != 1 {
-					t.Errorf("WriteBatch of %d spans = %d write syscalls, %d submissions; want one pwritev per span, 1 submission",
-						len(spans), st.SyscallsWrite, st.Submissions)
-				}
-				// Read the batch back through ReadBatch too.
-				rspans := make([]Span, len(spans))
-				for i, sp := range spans {
-					bufs := make([][]byte, len(sp.Bufs))
-					for j, b := range sp.Bufs {
-						bufs[j] = make([]byte, len(b))
-					}
-					rspans[i] = Span{Off: sp.Off, Bufs: bufs}
-				}
-				if _, err := d.ReadBatch(42, rspans); err != nil {
-					t.Fatalf("ReadBatch: %v", err)
-				}
-				if !bytes.Equal(flattenSpans(rspans), flattenSpans(spans)) {
-					t.Fatal("batch read-back differs from written data")
-				}
-			})
-		}
+				rspans[i] = Span{Off: sp.Off, Bufs: bufs}
+			}
+			before := d.IOStats()
+			if _, err := d.ReadBatch(42, rspans); err != nil {
+				t.Fatalf("ReadBatch: %v", err)
+			}
+			if st := d.IOStats().Sub(before); st.SyscallsRead != int64(len(spans)) || st.Submissions != 1 {
+				t.Errorf("ReadBatch of %d spans = %d read syscalls, %d submissions; want one preadv per span, 1 submission",
+					len(spans), st.SyscallsRead, st.Submissions)
+			}
+			if !bytes.Equal(flattenSpans(rspans), flattenSpans(spans)) {
+				t.Fatal("batch read-back differs from written data")
+			}
+		})
 	}
 }
 
-// TestRingBatchEOFZeroFill checks sparse semantics through the ring: a
+// TestBatchEOFZeroFill checks sparse semantics through ReadBatch: a
 // batch whose spans straddle and exceed EOF zero-fills the tails.
-func TestRingBatchEOFZeroFill(t *testing.T) {
+func TestBatchEOFZeroFill(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -64,8 +64,7 @@ func makeSegs(r *rand.Rand) ioseg.List {
 
 // makeBatchSegs builds a batch op's span list: several runs kept
 // sorted and DISJOINT by construction (gaps between runs), the shape
-// the BatchIO contract requires — and the shape the ring submits as
-// one batch.
+// the BatchIO contract requires.
 func makeBatchSegs(r *rand.Rand) ioseg.List {
 	n := 2 + r.Intn(6)
 	segs := make(ioseg.List, 0, n)

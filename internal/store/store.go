@@ -92,18 +92,16 @@ func (s Span) Len() int { return spanLen(s.Bufs) }
 // the backend a *gapped* window whole, to submit however is cheapest.
 //
 // Spans must be non-overlapping; order is not significant and callers
-// must not rely on inter-span completion order (Dir's read ring may
-// complete them in any order). Reads zero-fill past EOF per span
-// (sparse semantics). On error some spans may have fully or partially
-// landed and others not; callers needing all-or-nothing tracking (the
-// cache's flush contract) must treat the whole batch as failed.
+// must not rely on the order in which a backend applies them. Reads
+// zero-fill past EOF per span (sparse semantics). On error some spans
+// may have fully or partially landed and others not; callers needing
+// all-or-nothing tracking (the cache's flush contract) must treat the
+// whole batch as failed.
 //
-// Dir reads a batch through one io_uring submission on Linux
-// (ring_linux.go), one preadv per span elsewhere, and always writes it
-// as one pwritev per span: buffered writes gain nothing from the ring
-// (§11). Mem serves the whole batch under one lock round. Callers
-// feature-test with a type assertion, one rung above VectorIO/SpanIO
-// in the fallback ladder: batch → vectored → per-fragment.
+// Dir takes a batch as one preadv/pwritev per span from the calling
+// goroutine; Mem serves it under one lock round. Callers feature-test
+// with a type assertion, one rung above VectorIO/SpanIO in the
+// fallback ladder: batch → vectored → per-fragment.
 type BatchIO interface {
 	ReadBatch(handle uint64, spans []Span) (int, error)
 	WriteBatch(handle uint64, spans []Span) (int, error)
@@ -117,7 +115,7 @@ type BatchIO interface {
 // the syscall layer — the paper's "fewer, larger accesses" metric
 // (syscalls/op in BENCH_6).
 type IOStats struct {
-	SyscallsRead  int64 // read submissions (pread + preadv + ring enters)
+	SyscallsRead  int64 // read submissions (pread + preadv)
 	SyscallsWrite int64 // write submissions (pwrite + pwritev)
 	BytesRead     int64 // bytes moved by read submissions
 	BytesWritten  int64 // bytes moved by write submissions
@@ -162,10 +160,10 @@ func (c *ioCounters) IOStats() IOStats {
 }
 
 // countRead/countWrite account a submission that moved bytes through a
-// user-space buffer — every pread/pwrite/preadv/pwritev and every ring
-// READV lands in (or leaves from) a caller buffer, so the bytes count
-// as copied. The zero-copy sendfile path (stream_linux.go) uses
-// countReadZC instead: same syscall and byte accounting, no copy.
+// user-space buffer — every pread/pwrite/preadv/pwritev lands in (or
+// leaves from) a caller buffer, so the bytes count as copied. The
+// zero-copy sendfile path (stream_linux.go) uses countReadZC instead:
+// same syscall and byte accounting, no copy.
 func (c *ioCounters) countRead(nsys, bytes int64) {
 	c.sysRead.Add(nsys)
 	c.bytesRead.Add(bytes)
@@ -215,8 +213,10 @@ func checkVector(segs ioseg.List, p []byte, limit int64) error {
 
 // checkSpans validates a batch request: every span's extent within
 // [0, limit) with overflow-free arithmetic, and spans pairwise
-// disjoint (BatchIO's contract — a ring completes spans in any order,
-// so overlap would make the result submission-order-dependent). It
+// disjoint (BatchIO's contract — overlap would make the result depend
+// on the order a backend applies spans in, and the cache's flush
+// contract treats a batch as a set of runs that land or fail together
+// in any order). It
 // returns the batch's total byte count. Spans arrive sorted from every
 // internal caller (cache runs, coalesced packed runs), so disjointness
 // is a cheap adjacent check after a sortedness scan.
@@ -344,12 +344,10 @@ func (m *Mem) WriteAt(handle uint64, p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f := m.files[handle]
-	if need := off + int64(len(p)); need > int64(len(f)) {
-		nf := make([]byte, need)
-		copy(nf, f)
-		f = nf
+	if len(p) > 0 {
+		f = memGrow(f, off+int64(len(p)))
+		copy(f[off:], p)
 	}
-	copy(f[off:], p)
 	m.files[handle] = f
 	m.countWrite(1, int64(len(p)))
 	return len(p), nil
@@ -387,21 +385,18 @@ func (m *Mem) WriteAtv(handle uint64, segs ioseg.List, p []byte) (int, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := m.files[handle]
 	var need int64
 	for _, s := range segs {
-		if s.End() > need {
+		if s.Length > 0 && s.End() > need {
 			need = s.End()
 		}
 	}
-	if need > int64(len(f)) {
-		nf := make([]byte, need)
-		copy(nf, f)
-		f = nf
-	}
+	f := memGrow(m.files[handle], need)
 	pos := 0
 	for _, s := range segs {
-		copy(f[s.Offset:s.End()], p[pos:pos+int(s.Length)])
+		if s.Length > 0 {
+			copy(f[s.Offset:s.End()], p[pos:pos+int(s.Length)])
+		}
 		pos += int(s.Length)
 	}
 	m.files[handle] = f
@@ -444,14 +439,14 @@ func (m *Mem) WriteSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f := m.files[handle]
-	if need := off + int64(total); need > int64(len(f)) {
-		nf := make([]byte, need)
-		copy(nf, f)
-		f = nf
+	if total > 0 {
+		f = memGrow(f, off+int64(total))
 	}
 	pos := off
 	for _, b := range bufs {
-		copy(f[pos:], b)
+		if len(b) > 0 {
+			copy(f[pos:], b)
+		}
 		pos += int64(len(b))
 	}
 	m.files[handle] = f
@@ -495,22 +490,19 @@ func (m *Mem) WriteBatch(handle uint64, spans []Span) (int, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := m.files[handle]
 	var need int64
 	for _, sp := range spans {
-		if end := sp.Off + int64(sp.Len()); end > need {
-			need = end
+		if n := sp.Len(); n > 0 && sp.Off+int64(n) > need {
+			need = sp.Off + int64(n)
 		}
 	}
-	if need > int64(len(f)) {
-		nf := make([]byte, need)
-		copy(nf, f)
-		f = nf
-	}
+	f := memGrow(m.files[handle], need)
 	for _, sp := range spans {
 		pos := sp.Off
 		for _, b := range sp.Bufs {
-			copy(f[pos:], b)
+			if len(b) > 0 {
+				copy(f[pos:], b)
+			}
 			pos += int64(len(b))
 		}
 	}
@@ -518,6 +510,18 @@ func (m *Mem) WriteBatch(handle uint64, spans []Span) (int, error) {
 	m.countWrite(1, int64(total))
 	m.countSub(1)
 	return total, nil
+}
+
+// memGrow returns f zero-extended to need bytes when it is shorter.
+// Writers pass the end of their non-empty extents only: a zero-byte
+// write leaves the size alone, as a zero-byte pwrite does on Dir.
+func memGrow(f []byte, need int64) []byte {
+	if need <= int64(len(f)) {
+		return f
+	}
+	nf := make([]byte, need)
+	copy(nf, f)
+	return nf
 }
 
 // spanLen sums buffer lengths, the byte count of a span request.
@@ -601,14 +605,12 @@ type Dir struct {
 	mu   sync.Mutex // guards open; never held across data syscalls
 	root string
 	open map[uint64]*os.File
-
-	// The io_uring submission ring, created lazily by the first batch
-	// read (ring_linux.go). nil when unavailable: non-Linux build, old
-	// kernel, seccomp denial, or PVFS_NO_URING set. Ownership:
-	// ringGet() publishes it exactly once; Close tears it down.
-	ringOnce sync.Once
-	ring     *uring
 }
+
+// RingAvailable always reports false: the store no longer submits
+// through io_uring (DESIGN.md §11). It stays only because the bench/
+// harness records it in its machine fingerprint.
+func RingAvailable() bool { return false }
 
 // NewDir opens (creating if needed) a directory-backed store.
 func NewDir(root string) (*Dir, error) {
@@ -773,11 +775,10 @@ func (d *Dir) WriteSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
 	return n, err
 }
 
-// ReadBatch implements BatchIO: the whole window of disjoint spans —
-// gaps included — goes down as one io_uring submission of READV SQEs
-// where the ring is available, one preadv per span otherwise. Either
-// way the semantics are exactly per-span ReadSpanv: sparse zero-fill
-// past EOF, buffers filled in order within each span.
+// ReadBatch implements BatchIO: one preadv per span from the calling
+// goroutine, the mirror of WriteBatch. The semantics are exactly
+// per-span ReadSpanv: sparse zero-fill past EOF, buffers filled in
+// order within each span.
 func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 	total, err := checkSpans(spans, MaxFileSize)
 	if err != nil {
@@ -794,16 +795,6 @@ func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 		return 0, err
 	}
 	d.countSub(1)
-	if r := d.ringGet(); r != nil {
-		n, enters, err := r.readSpans(f, spans)
-		d.countRead(enters, int64(n))
-		if err == nil || !ringDegraded(err) {
-			return n, err
-		}
-		// The kernel refused the ring op (old kernel, seccomp); the
-		// ring has latched itself dead — redo the batch on the
-		// vectored ladder, which also serves all future batches.
-	}
 	var n int
 	for _, sp := range spans {
 		if sp.Len() == 0 {
@@ -820,11 +811,8 @@ func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 }
 
 // WriteBatch implements BatchIO: one pwritev per span, from the calling
-// goroutine. Writes do not ride the read ring: a buffered write
-// submitted through io_uring is, on most filesystems, handed to a
-// kernel worker thread, and the ring serializes every batch of a Dir
-// behind one mutex, where pwritevs from different requests run in
-// parallel (DESIGN.md §11).
+// goroutine, so batches from different requests run in parallel
+// (DESIGN.md §11).
 func (d *Dir) WriteBatch(handle uint64, spans []Span) (int, error) {
 	total, err := checkSpans(spans, MaxFileSize)
 	if err != nil {
@@ -951,14 +939,6 @@ func (d *Dir) Handles() ([]uint64, error) {
 
 // Close implements Store.
 func (d *Dir) Close() error {
-	// Ensure the ring can no longer be created after Close, then tear
-	// down the one that exists. close() latches the ring dead under
-	// its own mutex before unmapping, so a racing batch fails cleanly
-	// instead of touching freed ring memory.
-	d.ringOnce.Do(func() {})
-	if d.ring != nil {
-		d.ring.close()
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var first error

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"pvfs/internal/ioseg"
 )
 
 // backends returns both store implementations for shared tests.
@@ -105,6 +107,35 @@ func TestSizeAndTruncate(t *testing.T) {
 			}
 			if !bytes.Equal(p, make([]byte, 10)) {
 				t.Fatalf("extended region = %v", p)
+			}
+		})
+	}
+}
+
+// TestZeroLengthWritesKeepSize pins that an empty extent past EOF does
+// not grow a file on any write path, as a zero-byte pwrite does not.
+// Mem must agree with Dir here, or an equivalence run whose vector ends
+// in a zero-length segment past EOF diverges on the final size.
+func TestZeroLengthWritesKeepSize(t *testing.T) {
+	for name, s := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := s.WriteAt(4, make([]byte, 10), 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.WriteAt(4, nil, 500); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.(VectorIO).WriteAtv(4, ioseg.List{{Offset: 2, Length: 3}, {Offset: 600}}, make([]byte, 3)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.(SpanIO).WriteSpanv(4, 700, [][]byte{{}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.(BatchIO).WriteBatch(4, []Span{{Off: 5, Bufs: [][]byte{{1}}}, {Off: 800, Bufs: [][]byte{{}}}}); err != nil {
+				t.Fatal(err)
+			}
+			if sz, _ := s.Size(4); sz != 10 {
+				t.Fatalf("size after zero-length writes past EOF = %d, want 10", sz)
 			}
 		})
 	}

@@ -25,15 +25,6 @@ import (
 	"pvfs/internal/striping"
 )
 
-// AsDatatype reinterprets a strided descriptor as the equivalent
-// datatype pattern — count blocks of BlockLen bytes every Stride bytes
-// is Vector(count, blockLen, stride, bytes(1)) — making StridedReq a
-// thin compatibility layer over datatype evaluation: the I/O daemon
-// services both request families through one engine.
-func (m *StridedReq) AsDatatype() (t datatype.Type, base int64) {
-	return datatype.Vector(m.Count, m.BlockLen, m.Stride, datatype.Bytes(1)), m.Start
-}
-
 // MaxTypeEncLen caps the encoded-datatype field accepted in a request
 // body (the datatype codec's own limit).
 const MaxTypeEncLen = datatype.MaxEncodedType

@@ -103,21 +103,6 @@ func FuzzDatatypeReq(f *testing.F) {
 	})
 }
 
-func FuzzStridedReq(f *testing.F) {
-	seed := (&StridedReq{Start: 0, Stride: 64, BlockLen: 8, Count: 4}).Marshal()
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var m StridedReq
-		if err := m.Unmarshal(data); err != nil {
-			return
-		}
-		// Accepted descriptors must have sane shapes.
-		if m.Count < 0 || m.BlockLen < 0 {
-			t.Fatalf("accepted negative descriptor: %+v", m)
-		}
-	})
-}
-
 // FuzzReadMessage aims arbitrary bytes — truncated headers, torn
 // bodies, corrupt magic, oversized declared lengths — at the frame
 // decoder that faces the network (faultnet produces exactly these

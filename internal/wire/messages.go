@@ -244,69 +244,6 @@ func (m *ListReq) Unmarshal(b []byte) error {
 	return nil
 }
 
-// StridedReq is the datatype-extension request (paper §5 future work):
-// a vector descriptor (count × blocklen every stride from start, in
-// *logical* file coordinates) replaces the explicit region list,
-// removing the linear relationship between region count and request
-// count. The striping fields let the I/O daemon compute which pieces
-// of the pattern live on it (relative index RelIndex).
-type StridedReq struct {
-	Start    int64
-	Stride   int64
-	BlockLen int64
-	Count    int64
-	Striping striping.Config
-	RelIndex int    // which relative server the receiver is
-	Data     []byte // packed stream for writes (this server's bytes, logical order)
-}
-
-// ExpandRegions expands the descriptor into its explicit logical
-// region list.
-func (m *StridedReq) ExpandRegions() ioseg.List {
-	l := make(ioseg.List, 0, m.Count)
-	for i := int64(0); i < m.Count; i++ {
-		l = append(l, ioseg.Segment{Offset: m.Start + i*m.Stride, Length: m.BlockLen})
-	}
-	return l
-}
-
-// TotalLength is Count*BlockLen.
-func (m *StridedReq) TotalLength() int64 { return m.Count * m.BlockLen }
-
-func (m *StridedReq) Marshal() []byte {
-	e := encoder{}
-	e.i64(m.Start)
-	e.i64(m.Stride)
-	e.i64(m.BlockLen)
-	e.i64(m.Count)
-	e.u32(uint32(m.Striping.Base))
-	e.u32(uint32(m.Striping.PCount))
-	e.i64(m.Striping.StripeSize)
-	e.u32(uint32(m.RelIndex))
-	e.bytes(m.Data)
-	return e.buf
-}
-
-func (m *StridedReq) Unmarshal(b []byte) error {
-	d := decoder{buf: b}
-	m.Start = d.i64()
-	m.Stride = d.i64()
-	m.BlockLen = d.i64()
-	m.Count = d.i64()
-	m.Striping.Base = int(d.u32())
-	m.Striping.PCount = int(d.u32())
-	m.Striping.StripeSize = d.i64()
-	m.RelIndex = int(d.u32())
-	m.Data = d.rest()
-	if d.err != nil {
-		return d.err
-	}
-	if m.Count < 0 || m.BlockLen < 0 || m.Count > 1<<40 {
-		return fmt.Errorf("wire: invalid strided descriptor %+v", m)
-	}
-	return nil
-}
-
 // WrittenResp reports bytes applied by a write-family request.
 type WrittenResp struct{ N int64 }
 
@@ -376,7 +313,7 @@ type ServerStats struct {
 	StoreSyscallsWrite int64 // backend write submissions
 	StoreBytesRead     int64 // bytes moved by backend reads
 	StoreBytesWritten  int64 // bytes moved by backend writes
-	// Ring-submission and zero-copy accounting (DESIGN.md §11): batch
+	// Batch-submission and zero-copy accounting (DESIGN.md §11): batch
 	// submissions through store.BatchIO and the bytes that crossed a
 	// user-space buffer copy (sendfile-streamed bytes don't), the
 	// numerator of the copies/op metric.

@@ -245,6 +245,9 @@ func TestMsgTypeString(t *testing.T) {
 		TWrite.Response():                     "write-resp",
 		TMetaProposeBatch:                     "metaproposebatch",
 		TInvalid:                              "invalid",
+		MsgType(11):                           "type(11)",
+		MsgType(12).Response():                "type(32780)",
+		MsgType(13):                           "truncate",
 		TMetaProposeBatch + 1:                 "type(27)",
 		(TMetaProposeBatch + 1) | responseBit: "type(32795)",
 	} {

@@ -66,8 +66,8 @@ const (
 	TWrite
 	TReadList
 	TWriteList
-	TReadStrided  // datatype extension: strided (vector) descriptor
-	TWriteStrided // datatype extension
+	_ // 11, 12: retired strided family; reserved so later types keep their wire values
+	_
 	TTruncate
 	TServerStats
 	TPing
@@ -117,8 +117,7 @@ var msgTypeNames = [...]string{
 	TInvalid: "invalid", TCreate: "create", TOpen: "open", TStat: "stat",
 	TRemove: "remove", TListDir: "listdir", TSetSize: "setsize",
 	TRead: "read", TWrite: "write", TReadList: "readlist",
-	TWriteList: "writelist", TReadStrided: "readstrided",
-	TWriteStrided: "writestrided", TTruncate: "truncate",
+	TWriteList: "writelist", TTruncate: "truncate",
 	TServerStats: "serverstats", TPing: "ping",
 	TListHandles: "listhandles", TReadDatatype: "readdatatype",
 	TWriteDatatype: "writedatatype", TSync: "sync",
@@ -130,7 +129,7 @@ var msgTypeNames = [...]string{
 
 func (t MsgType) String() string {
 	b := t.Base()
-	if int(b) >= len(msgTypeNames) {
+	if int(b) >= len(msgTypeNames) || msgTypeNames[b] == "" {
 		return fmt.Sprintf("type(%d)", uint16(t))
 	}
 	if t.IsResponse() {

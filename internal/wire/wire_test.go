@@ -249,30 +249,6 @@ func TestListReqRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStridedReqRoundTripAndExpand(t *testing.T) {
-	m := StridedReq{Start: 1000, Stride: 64, BlockLen: 8, Count: 5}
-	var got StridedReq
-	if err := got.Unmarshal(m.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	l := got.ExpandRegions()
-	if len(l) != 5 || l[0] != (ioseg.Segment{Offset: 1000, Length: 8}) ||
-		l[4] != (ioseg.Segment{Offset: 1256, Length: 8}) {
-		t.Fatalf("expand = %v", l)
-	}
-	if got.TotalLength() != 40 {
-		t.Fatalf("TotalLength = %d", got.TotalLength())
-	}
-}
-
-func TestStridedReqRejectsNegative(t *testing.T) {
-	m := StridedReq{Start: 0, Stride: 8, BlockLen: -1, Count: 4}
-	var got StridedReq
-	if err := got.Unmarshal(m.Marshal()); err == nil {
-		t.Fatal("negative blocklen accepted")
-	}
-}
-
 func TestSmallBodiesRoundTrip(t *testing.T) {
 	var w WrittenResp
 	if err := w.Unmarshal((&WrittenResp{N: 77}).Marshal()); err != nil || w.N != 77 {
@@ -328,7 +304,6 @@ func TestUnmarshalShortBodies(t *testing.T) {
 	var (
 		cr CreateReq
 		fi FileInfo
-		sr StridedReq
 		st ServerStats
 	)
 	bodies := [][]byte{nil, {1}, {0, 0, 0}, bytes.Repeat([]byte{0xFF}, 7)}
@@ -337,7 +312,6 @@ func TestUnmarshalShortBodies(t *testing.T) {
 			t.Errorf("CreateReq accepted %d bytes", len(b))
 		}
 		_ = fi.Unmarshal(b)
-		_ = sr.Unmarshal(b)
 		_ = st.Unmarshal(b)
 	}
 }
@@ -378,8 +352,6 @@ func TestDecodeRandomBytesNoPanic(t *testing.T) {
 		_ = fi.Unmarshal(b)
 		var lr ListReq
 		_ = lr.Unmarshal(b)
-		var sr StridedReq
-		_ = sr.Unmarshal(b)
 	}
 }
 
