@@ -8,12 +8,13 @@ import (
 
 // EintrLoop checks that every raw syscall submission on an I/O path
 // sits inside an EINTR-aware retry loop. The kernel may interrupt
-// pread/pwrite/preadv/pwritev/sendfile at any signal; Go's runtime
-// retries its own wrappers, but the storage datapath issues these
-// through syscall.Syscall/Syscall6 directly (vec_linux.go,
-// stream_linux.go — DESIGN.md §10–§11), where a missed EINTR turns a
-// routine signal into a spurious I/O error and a missed short-transfer
-// continuation silently drops bytes.
+// pread/pwrite/preadv/pwritev/readv/sendfile at any signal; Go's runtime
+// retries its own wrappers, but the storage datapath and the client's
+// response receive issue these through syscall.Syscall/Syscall6
+// directly (internal/sysvec's preadv/pwritev/readv, store's
+// stream_linux.go — DESIGN.md §2, §10–§11), where a missed EINTR turns
+// a routine signal into a spurious I/O error and a missed
+// short-transfer continuation silently drops bytes.
 //
 // Rule: a call to syscall.Syscall*/RawSyscall*, or to the syscall
 // package's own I/O wrappers (Pread, Pwrite, Sendfile), must be

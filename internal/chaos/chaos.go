@@ -125,11 +125,15 @@ func (r Report) String() string {
 
 // Policy is the suite's retry policy: generous enough to ride out a
 // kill/restart cycle (restart latency is tens of milliseconds; this
-// backoff series spans well past a second) while still bounded — a
+// backoff series spans several seconds) while still bounded — a
 // daemon that never returns surfaces a typed *client.RetryError
-// instead of a hang.
+// instead of a hang. A pinned killer (Scenario.KillTarget) keeps its
+// daemon down about 70% of the time (up 1–16ms, down 5–35ms per
+// cycle), so each 250ms-spaced attempt is a fresh draw that finds it
+// down with that odds: the attempt count, not the span, sets how often
+// a call against it exhausts the policy (0.7^n for n such draws).
 func Policy() client.RetryPolicy {
-	return client.RetryPolicy{Max: 12, Backoff: 2 * time.Millisecond, MaxBackoff: 250 * time.Millisecond}
+	return client.RetryPolicy{Max: 24, Backoff: 2 * time.Millisecond, MaxBackoff: 250 * time.Millisecond}
 }
 
 // pattern returns rank's file regions: a block-cyclic interleave over

@@ -913,7 +913,8 @@ func parallel[T any](jobs []T, fn func(T) error) error {
 }
 
 // The one pair of pipelining defaults every windowed datapath shares:
-// list requests, datatype windows and the chunks of a contiguous write.
+// list requests, datatype windows and the chunks of a contiguous read
+// or write.
 const (
 	// DefaultWindow is the number of requests kept in flight per server
 	// connection. Eight hide most of the per-round-trip latency while
@@ -942,13 +943,16 @@ const (
 // errors always fail immediately. Request bodies are returned to the
 // wire buffer pool once the final attempt for them completes; a
 // vectored request's Body is its pooled fixed-field buffer, and the
-// caller memory behind its BodyStream is read again on replay, never
-// released.
+// caller memory behind its BodyStream or Dest is used again on replay,
+// never released.
 //
 // Cancellation (ctx or the per-call deadline of withCallTimeout) fails
 // the operation without poisoning the connection: every in-flight tag
 // is abandoned — the read loop discards and recycles its eventual
 // response — and the pooled connection stays usable for other tags.
+// Abandoning returns only once no response can still land in a
+// request's Dest, so when pipelineCalls returns, by any path, the
+// caller's memory is the caller's alone.
 func (fs *FS) pipelineCalls(ctx context.Context, addr string, n, window int, build func(int) (wire.Message, error), consume func(int, wire.Message) error) error {
 	if n == 0 {
 		return nil
@@ -1076,45 +1080,50 @@ func (fs *FS) pipelineCalls(ctx context.Context, addr string, n, window int, bui
 	return nil
 }
 
-// readContig reads one contiguous logical extent into p (a single PVFS
-// read: one request per touched server, issued in parallel). A non-nil
-// path attributes the wire traffic to a per-method counter.
+// readContig reads one contiguous logical extent into p, the mirror of
+// writeContig: a server's share of it is one physically contiguous
+// extent, read as DefaultWindowBytes-sized TRead requests, DefaultWindow
+// of them in flight, each response body landing by readv straight in
+// p's own stripe units (the request's Dest). Nothing is staged or
+// copied, no share is bounded by the frame limit, and a failed chunk
+// replays alone. A non-nil path attributes the wire traffic to a
+// per-method counter.
 func (f *File) readContig(ctx context.Context, p []byte, off int64, path *PathCounters) error {
 	if len(p) == 0 {
 		return nil
 	}
 	jobs := f.buildJobs(ioseg.List{{Offset: off, Length: int64(len(p))}})
 	return parallel(jobs, func(j *serverJob) error {
-		// A contiguous logical extent is a contiguous physical extent
-		// on each server; issue one read and scatter the pieces.
-		span, _ := j.phys.Span()
-		req := wire.ReadReq{Offset: span.Offset, Length: span.Length}
-		f.fs.stats.Requests.Add(1)
-		if path != nil {
-			path.Requests.Add(1)
-			path.Bytes.Add(span.Length)
-		}
-		resp, err := f.call(ctx, j.rel, wire.Message{
-			Header: wire.Header{Type: wire.TRead, Handle: f.info.Handle},
-			Body:   req.Marshal(),
-		})
-		if err != nil {
-			return err
-		}
-		defer resp.Release()
-		if int64(len(resp.Body)) != span.Length {
-			return fmt.Errorf("pvfs: short read from server %d: %d of %d", j.rel, len(resp.Body), span.Length)
-		}
-		f.fs.stats.BytesIn.Add(span.Length)
-		for i, ph := range j.phys {
-			copy(p[j.streamPos[i]:j.streamPos[i]+ph.Length], resp.Body[ph.Offset-span.Offset:])
-		}
-		return nil
+		pieces, chunks := j.cutChunks(p, DefaultWindowBytes)
+		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[j.rel], len(chunks), DefaultWindow,
+			func(i int) (wire.Message, error) {
+				c := chunks[i]
+				f.fs.stats.Requests.Add(1)
+				if path != nil {
+					path.Requests.Add(1)
+					path.Bytes.Add(int64(c.n))
+				}
+				req := wire.ReadReq{Offset: c.off, Length: int64(c.n)}
+				return wire.Message{
+					Header: wire.Header{Type: wire.TRead, Handle: f.info.Handle},
+					Body:   req.Append(wire.GetBuf(wire.ReadReqSize)[:0]),
+					Dest:   &wire.Vec{N: c.n, Pieces: pieces[c.lo:c.hi]},
+				}, nil
+			},
+			func(i int, resp wire.Message) error {
+				defer resp.Release()
+				if resp.Body != nil || int(resp.BodyLen) != chunks[i].n {
+					return fmt.Errorf("pvfs: short read from server %d: %d of %d", j.rel, resp.BodyLen, chunks[i].n)
+				}
+				f.fs.stats.BytesIn.Add(int64(chunks[i].n))
+				return nil
+			})
 	})
 }
 
-// contigChunk is one TWrite request of a contiguous write: n bytes at
-// physical offset off, held in pieces[lo:hi] of its server's piece list.
+// contigChunk is one TRead or TWrite request of a contiguous transfer:
+// n bytes at physical offset off, held in pieces[lo:hi] of its server's
+// piece list.
 type contigChunk struct {
 	off    int64
 	n      int

@@ -19,7 +19,8 @@ import (
 
 // startSinkIOD is a daemon that acknowledges every request and discards
 // its body without materializing it, so that what the process allocates
-// during a write is the client's doing.
+// during a write is the client's doing. It answers a TRead with as many
+// bytes as asked for, written from one shared buffer.
 func startSinkIOD(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -36,6 +37,7 @@ func startSinkIOD(t *testing.T) string {
 			go func() {
 				defer c.Close()
 				ack := (&wire.WrittenResp{}).Marshal()
+				zeros := make([]byte, DefaultWindowBytes)
 				var hdr [wire.HeaderSize]byte
 				// Bodies are discarded through the connection's own scratch:
 				// io.Discard's ReadFrom draws on a sync.Pool, which under
@@ -50,10 +52,24 @@ func startSinkIOD(t *testing.T) string {
 					typ := wire.MsgType(binary.BigEndian.Uint16(hdr[6:]))
 					bodyLen := binary.BigEndian.Uint32(hdr[20:])
 					tag := binary.BigEndian.Uint32(hdr[24:])
-					if n, err := io.CopyBuffer(discard, io.LimitReader(c, int64(bodyLen)), scratch); err != nil || n != int64(bodyLen) {
+					resp := wire.Message{Header: wire.Header{Type: typ.Response(), Tag: tag}, Body: ack}
+					if typ == wire.TRead {
+						var req [wire.ReadReqSize]byte
+						if bodyLen != wire.ReadReqSize {
+							return
+						}
+						if _, err := io.ReadFull(c, req[:]); err != nil {
+							return
+						}
+						n := binary.BigEndian.Uint64(req[8:])
+						if n > uint64(len(zeros)) {
+							return
+						}
+						resp.Body = nil
+						resp.BodyStream = &wire.Vec{N: int(n), Pieces: [][]byte{zeros[:n]}}
+					} else if n, err := io.CopyBuffer(discard, io.LimitReader(c, int64(bodyLen)), scratch); err != nil || n != int64(bodyLen) {
 						return
 					}
-					resp := wire.Message{Header: wire.Header{Type: typ.Response(), Tag: tag}, Body: ack}
 					if err := wire.WriteMessage(c, resp); err != nil {
 						return
 					}
@@ -123,6 +139,29 @@ func TestContigWriteAllocationBound(t *testing.T) {
 	}
 	if reqs := f.fs.stats.Requests.Load(); reqs != (1+runs)*32 {
 		t.Fatalf("%d requests for %d writes, want 32 each", reqs, 1+runs)
+	}
+}
+
+// A 16 MiB contiguous read allocates bookkeeping only: piece lists,
+// request descriptors, destinations and iovecs. Before the windowed
+// read it took each daemon's 4 MiB share in one pooled body — zeroed
+// whenever the pool missed — and copied it into the arena.
+func TestContigReadAllocationBound(t *testing.T) {
+	f := sinkFile(t)
+	data := make([]byte, 16<<20)
+	read := func() {
+		if err := f.readContig(context.Background(), data, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 8
+	perOp, allocs := allocPerOp(runs, read)
+	t.Logf("%d B and %d allocations per 16 MiB read", perOp, allocs)
+	if perOp > 1_000_000 {
+		t.Fatalf("a 16 MiB contiguous read allocated %d B, want <= 1 MB", perOp)
+	}
+	if reqs := f.fs.stats.Requests.Load(); reqs != (1+runs)*32 {
+		t.Fatalf("%d requests for %d reads, want 32 each", reqs, 1+runs)
 	}
 }
 

@@ -1,9 +1,11 @@
 package client_test
 
 // Contiguous writes travel as window-sized vectored TWrite requests cut
-// straight out of the user arena. These tests hold that path to the
-// image a single staged request per daemon produces — the request shape
-// it replaced, kept here as the reference — over odd geometry, and to
+// straight out of the user arena, and contiguous reads as window-sized
+// TRead requests whose bodies land in it. These tests hold the write
+// path to the image a single staged request per daemon produces — the
+// request shape it replaced, kept here as the reference — over odd
+// geometry, reads past the one-frame limit, and both directions to
 // per-tag replay under wire faults.
 
 import (
@@ -157,6 +159,48 @@ func TestChunkedContigWriteMatchesSingleRequest(t *testing.T) {
 	}
 }
 
+// A daemon's share of a contiguous read used to travel as one TRead, so
+// a share above wire.MaxBodyLen (64 MiB) was refused with
+// StatusInvalid while the same WriteAt succeeded. Windowed reads have
+// no such bound: 65 MiB on one daemon round-trips byte for byte.
+func TestContigReadLargerThanMaxBody(t *testing.T) {
+	c, err := cluster.Start(cluster.Options{NumIOD: 1, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fs, err := c.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	f, err := fs.Create("big.dat", striping.Config{PCount: 1, StripeSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A period that divides neither a stripe unit nor a window, so a
+	// misplaced chunk cannot match.
+	period := make([]byte, 1<<20+7)
+	rand.New(rand.NewSource(65)).Read(period)
+	data := make([]byte, wire.MaxBodyLen+1<<20)
+	for at := 0; at < len(data); at += len(period) {
+		copy(data[at:], period)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	clear(data)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		t.Fatalf("reading 65 MiB from one daemon: %v", err)
+	}
+	for at := 0; at < len(data); at += len(period) {
+		end := min(at+len(period), len(data))
+		if !bytes.Equal(data[at:end], period[:end-at]) {
+			t.Fatalf("read-back differs in the period at byte %d", at)
+		}
+	}
+}
+
 // awaitBufBalance polls until every pooled buffer taken since the
 // baseline has come back (daemons recycle request bodies after they
 // answer).
@@ -177,7 +221,10 @@ func awaitBufBalance(t *testing.T, gets0, puts0 int64) {
 
 // A chunk torn mid-body, a connection dropped mid-window and a daemon
 // answering StatusUnavailable each cost a re-drive of the unacked
-// chunks only; the image is byte-identical and the pool balanced.
+// chunks only, writing and then reading: the image and the bytes read
+// back are identical to what was written, and the pool is balanced.
+// On the read side the drop lands inside a response body that is being
+// read straight into the arena; the replayed chunk rewrites it whole.
 func TestContigChunkReplayUnderFaults(t *testing.T) {
 	const win = client.DefaultWindowBytes
 	for name, plan := range map[string]faultnet.Plan{
@@ -191,44 +238,55 @@ func TestContigChunkReplayUnderFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			fs, err := c.Connect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fs.Close()
 			gets0, puts0 := wire.BufStats()
-			f, err := fs.Create("replay.dat", striping.Config{PCount: 2, StripeSize: 16 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Only the first daemon connection dialed is faulty; redials
-			// are clean.
-			var fired atomic.Bool
-			fs.SetConnWrap(func(nc net.Conn) net.Conn {
-				if fired.CompareAndSwap(false, true) {
-					return faultnet.WrapConn(nc, plan)
+			// session opens the file in a new client whose first daemon
+			// connection dialed is faulty; redials are clean.
+			session := func(open func(*client.FS, string) (*client.File, error)) (*client.FS, *client.File) {
+				fs, err := c.Connect()
+				if err != nil {
+					t.Fatal(err)
 				}
-				return nc
-			})
-			if name == "unavailable" {
-				var faults pvfsnet.Faults
-				c.IODs[0].Net().SetFaults(&faults)
-				faults.UnavailableRequests(2)
+				t.Cleanup(func() { fs.Close() })
+				f, err := open(fs, "replay.dat")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fired atomic.Bool
+				fs.SetConnWrap(func(nc net.Conn) net.Conn {
+					if fired.CompareAndSwap(false, true) {
+						return faultnet.WrapConn(nc, plan)
+					}
+					return nc
+				})
+				if name == "unavailable" {
+					var faults pvfsnet.Faults
+					c.IODs[0].Net().SetFaults(&faults)
+					faults.UnavailableRequests(2)
+				}
+				fs.SetRetryPolicy(client.RetryPolicy{Max: 4, Backoff: time.Millisecond})
+				return fs, f
 			}
-			fs.SetRetryPolicy(client.RetryPolicy{Max: 4, Backoff: time.Millisecond})
+			// replayed checks that the fault fired and cost retries, not
+			// new requests.
+			replayed := func(fs *client.FS, dir string) {
+				t.Helper()
+				if r := fs.Counters().Retries.Load(); r == 0 {
+					t.Fatalf("%s: no retry recorded: the fault never fired", dir)
+				}
+				if reqs := fs.Counters().Requests.Load(); reqs != 8 {
+					t.Fatalf("%s: %d logical requests, want 8 (replays are not new requests)", dir, reqs)
+				}
+			}
 
+			wfs, f := session(func(fs *client.FS, name string) (*client.File, error) {
+				return fs.Create(name, striping.Config{PCount: 2, StripeSize: 16 << 10})
+			})
 			data := make([]byte, 7*win) // 3.5 windows, so four chunks, per daemon
 			rand.New(rand.NewSource(5)).Read(data)
 			if _, err := f.WriteAt(data, 11); err != nil {
 				t.Fatalf("write through %s fault: %v", name, err)
 			}
-			if r := fs.Counters().Retries.Load(); r == 0 {
-				t.Fatal("no retry recorded: the fault never fired")
-			}
-			if reqs := fs.Counters().Requests.Load(); reqs != 8 {
-				t.Fatalf("%d logical requests, want 8 (replays are not new requests)", reqs)
-			}
+			replayed(wfs, "write")
 			got := make([]byte, len(data))
 			if _, err := f.ReadAt(got, 11); err != nil {
 				t.Fatal(err)
@@ -238,6 +296,16 @@ func TestContigChunkReplayUnderFaults(t *testing.T) {
 			}
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
+			}
+
+			rfs, rf := session((*client.FS).Open)
+			clear(got)
+			if _, err := rf.ReadAt(got, 11); err != nil {
+				t.Fatalf("read through %s fault: %v", name, err)
+			}
+			replayed(rfs, "read")
+			if !bytes.Equal(got, data) {
+				t.Fatal("bytes read through the fault differ from the bytes written")
 			}
 			awaitBufBalance(t, gets0, puts0)
 		})

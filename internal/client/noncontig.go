@@ -296,13 +296,15 @@ func (f *File) planList(entries ioseg.List, maxRegions int) []*planServer {
 // list request fans out to the I/O servers holding its pieces in
 // parallel. Unlike the paper's client, successive requests to one
 // server are pipelined: up to ListOptions.Window requests ride the
-// connection concurrently, and each response scatters straight into the
-// caller's buffer by stream-position arithmetic — no staging copy of
-// the full transfer is ever built. Memory regions must not overlap one
-// another (as with MPI receive buffers): responses from different
-// servers — and, when Window > 1, from one server — scatter into the
-// arena concurrently, so overlapping destinations are undefined at any
-// window.
+// connection concurrently, and each response lands in the caller's
+// buffer — read from the socket straight into the arena where each of
+// its file regions is one extent of it, scattered from the pooled
+// response body by stream-position arithmetic otherwise; no staging
+// copy of the full transfer is ever built. Memory regions must not
+// overlap one another (as with MPI receive buffers): responses from
+// different servers — and, when Window > 1, from one server — land in
+// the arena concurrently, so overlapping destinations are undefined at
+// any window.
 func (f *File) ReadList(arena []byte, mem, file ioseg.List, opts ListOptions) error {
 	_, err := f.Run(context.Background(), Request{
 		Arena: arena, Mem: mem, File: file, Method: AccessList, List: opts,
@@ -326,6 +328,10 @@ func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap
 		return f.fs.pipelineCalls(ctx, addr, len(p.reqs), opts.window(),
 			func(i int) (wire.Message, error) {
 				r := &p.reqs[i]
+				pieces, err := p.arenaPieces(r, smap, arena)
+				if err != nil {
+					return wire.Message{}, err
+				}
 				regions := p.phys[r.lo:r.hi]
 				body, err := wire.AppendRegions(wire.GetBuf(wire.TrailingDataSize(len(regions)))[:0], regions)
 				if err != nil {
@@ -335,19 +341,26 @@ func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap
 				f.fs.stats.Requests.Add(1)
 				f.fs.stats.ListRequests.Add(1)
 				f.fs.stats.List.Requests.Add(1)
-				return wire.Message{
+				msg := wire.Message{
 					Header: wire.Header{Type: wire.TReadList, Handle: f.info.Handle},
 					Body:   body,
-				}, nil
+				}
+				if pieces != nil {
+					msg.Dest = &wire.Vec{N: int(r.bytes), Pieces: pieces}
+				}
+				return msg, nil
 			},
 			func(i int, resp wire.Message) error {
 				defer resp.Release()
 				r := &p.reqs[i]
-				if int64(len(resp.Body)) != r.bytes {
-					return fmt.Errorf("pvfs: list read returned %d bytes, want %d", len(resp.Body), r.bytes)
+				if int64(resp.BodyLen) != r.bytes {
+					return fmt.Errorf("pvfs: list read returned %d bytes, want %d", resp.BodyLen, r.bytes)
 				}
 				f.fs.stats.BytesIn.Add(r.bytes)
 				f.fs.stats.List.Bytes.Add(r.bytes)
+				if resp.Body == nil {
+					return nil // the body landed in the arena: the request's Dest
+				}
 				var rpos int64
 				for k := r.lo; k < r.hi; k++ {
 					n := p.phys[k].Length
@@ -409,27 +422,42 @@ func (f *File) writeList(ctx context.Context, arena []byte, smap *memio.StreamMa
 	return nil
 }
 
-// listWriteRequest builds request r of server plan p: the region
-// descriptors, then the regions' bytes in order. While every region is
-// one extent of the arena the bytes stay there and the payload is a
-// wire.Vec over them (one writev on a TCP connection, a coalesced copy
-// on a wrapped one, replayable verbatim on retry); the first region
-// that maps to more pieces than that sends the whole request down the
-// gather arm, its payload copied into the pooled body. The arm is
-// chosen per request from the pieces the stream map yields and the
-// wire bytes are the same either way.
-func (f *File) listWriteRequest(p *planServer, r *subReq, smap *memio.StreamMap, arena []byte) (wire.Message, error) {
-	regions := p.phys[r.lo:r.hi]
-	pieces := make([][]byte, 0, len(regions))
-	vec := true
-	for k := r.lo; k < r.hi && vec; k++ {
+// arenaPieces returns the arena extents request r's bytes live in,
+// one per region, when every region of the request is one extent of the
+// arena — nil or contiguous Mem, or Mem one to one with File: the Vec
+// arm of list I/O, whose payload (write) or response body (read) moves
+// between the socket and the arena with no copy. It returns nil at the
+// first region that maps to more pieces than that (FLASH-shaped
+// memory), whose bytes take the gather or scatter copy instead: the
+// arm is chosen per request, and the wire bytes are the same either way.
+func (p *planServer) arenaPieces(r *subReq, smap *memio.StreamMap, arena []byte) ([][]byte, error) {
+	pieces := make([][]byte, 0, r.hi-r.lo)
+	for k := r.lo; k < r.hi; k++ {
 		var err error
 		pieces, err = smap.AppendPieces(pieces, arena, p.streamPos[k], p.phys[k].Length)
 		if err != nil {
-			return wire.Message{}, err
+			return nil, err
 		}
-		vec = len(pieces) <= k-r.lo+1
+		if len(pieces) > k-r.lo+1 {
+			return nil, nil
+		}
 	}
+	return pieces, nil
+}
+
+// listWriteRequest builds request r of server plan p: the region
+// descriptors, then the regions' bytes in order. On the Vec arm
+// (arenaPieces) the bytes stay in the arena and the payload is a
+// wire.Vec over them (one writev on a TCP connection, a coalesced copy
+// on a wrapped one, replayable verbatim on retry); otherwise the
+// payload is gathered into the pooled body.
+func (f *File) listWriteRequest(p *planServer, r *subReq, smap *memio.StreamMap, arena []byte) (wire.Message, error) {
+	regions := p.phys[r.lo:r.hi]
+	pieces, err := p.arenaPieces(r, smap, arena)
+	if err != nil {
+		return wire.Message{}, err
+	}
+	vec := pieces != nil
 	size := wire.TrailingDataSize(len(regions))
 	if !vec {
 		size += int(r.bytes)

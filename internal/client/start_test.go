@@ -75,10 +75,14 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestCancelMidTransfer cancels in-flight operations on every pipelined
-// datapath (list and datatype, reads and writes) and verifies: the Op
-// fails with context.Canceled, no goroutines leak, and the same pooled
-// connections serve a subsequent full transfer correctly — the
-// acceptance criterion that a canceled Op leaves the pool reusable.
+// datapath (contiguous, list and datatype, reads and writes) and
+// verifies: the Op fails with context.Canceled, no goroutines leak, and
+// the same pooled connections serve a subsequent full transfer
+// correctly — the acceptance criterion that a canceled Op leaves the
+// pool reusable. A canceled read's arena is the caller's again the
+// moment Wait returns: it is poisoned then, and no late response — in
+// particular none of those the contiguous and list Vec-arm reads have
+// the transport read straight into the arena — may write into it.
 func TestCancelMidTransfer(t *testing.T) {
 	_, f, faults := startTestCluster(t, 4)
 	mem, file := fragPattern(2048) // 32 requests/server at 64 entries
@@ -107,7 +111,17 @@ func TestCancelMidTransfer(t *testing.T) {
 	// late.
 	flash := &patterns.Flash{NumRanks: 1, Blocks: 8, Elems: 4, Guard: 1, Vars: 12}
 	flashRun := int64(flash.Blocks*flash.Elems*flash.Elems*flash.Elems) * 8
+	// The contiguous read's windows cannot be narrowed, so it gets its
+	// span in whole 512 KiB chunks: four per daemon, all in flight at
+	// once. That whole read fits inside the 2ms delay, so its daemons
+	// hold every chunk for longer: the cancel lands with all of them in
+	// flight, and their bodies reach abandoned tags after Wait returned.
+	contig := make([]byte, 4*4*client.DefaultWindowBytes)
+	if _, err := f.WriteAt(contig, 1<<20); err != nil {
+		t.Fatal(err)
+	}
 	reqs := map[string]client.Request{
+		"contig-read":    {Arena: contig, File: ioseg.List{{Offset: 1 << 20, Length: int64(len(contig))}}},
 		"list-read":      {Arena: make([]byte, len(arena)), Mem: mem, File: file, Method: client.AccessList, List: serial},
 		"list-write":     {Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, List: serial},
 		"datatype-read":  {Arena: make([]byte, len(arena)), Mem: mem, Type: vec, Base: 0, Count: 1, Method: client.AccessDatatype, Datatype: dtSerial},
@@ -119,11 +133,17 @@ func TestCancelMidTransfer(t *testing.T) {
 		},
 	}
 
+	delays := map[string]time.Duration{"contig-read": 100 * time.Millisecond}
+
 	base := runtime.NumGoroutine()
 	for name, req := range reqs {
 		t.Run(name, func(t *testing.T) {
+			delay := 2 * time.Millisecond
+			if d, ok := delays[name]; ok {
+				delay = d
+			}
 			for _, fa := range faults {
-				fa.SetDelay(2 * time.Millisecond)
+				fa.SetDelay(delay)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			op := f.Start(ctx, req)
@@ -132,6 +152,11 @@ func TestCancelMidTransfer(t *testing.T) {
 			_, err := op.Wait()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("op error = %v, want context.Canceled", err)
+			}
+			if !req.Write {
+				for i := range req.Arena {
+					req.Arena[i] = 0xEE
+				}
 			}
 			for _, fa := range faults {
 				fa.SetDelay(0)
@@ -146,6 +171,12 @@ func TestCancelMidTransfer(t *testing.T) {
 			}
 			if !bytes.Equal(got, arena) {
 				t.Fatal("data mismatch after canceled op")
+			}
+			if !req.Write {
+				time.Sleep(delay + 10*time.Millisecond) // the late responses have drained
+				if n := bytes.Count(req.Arena, []byte{0xEE}); n != len(req.Arena) {
+					t.Fatalf("%d bytes of the canceled read's arena were written after Wait returned", len(req.Arena)-n)
+				}
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -185,6 +186,144 @@ func TestStallMidBodyFailsOnlyAffectedTags(t *testing.T) {
 	if err != nil || resp.Handle != 11 {
 		t.Fatalf("connection unusable after stall recovery: %v %+v", err, resp)
 	}
+}
+
+// TestStallMidBodyWithDestReleasesMemory is the destination case of the
+// stall above: the body is being read straight into the caller's memory
+// when the peer wedges. The call must fail by its own deadline — the
+// abandon wakes the blocked read instead of waiting on the peer — and
+// from then on the memory is the caller's: poisoned after the call
+// returns, it is never written again, even when the peer resumes and
+// the rest of the body arrives. The same *Conn serves the next call.
+// Both receive paths are held to it: readv on the TCP socket and
+// io.ReadFull per piece on a wrapped connection, and, on the wrapped
+// one, a read that lands a byte after its deadline woke it: the call
+// must not return before that byte has landed.
+func TestStallMidBodyWithDestReleasesMemory(t *testing.T) {
+	for name, wrap := range map[string]func(net.Conn) net.Conn{
+		"readv":        func(nc net.Conn) net.Conn { return nc },
+		"per-piece":    func(nc net.Conn) net.Conn { return hideTCP{nc} },
+		"late-landing": func(nc net.Conn) net.Conn { return &lateConn{Conn: nc} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			const n = 256 << 10
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			resume := make(chan struct{})
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				req, err := wire.ReadMessage(conn)
+				if err != nil {
+					return
+				}
+				var buf bytes.Buffer
+				wire.WriteMessage(&buf, wire.Message{
+					Header: wire.Header{Type: req.Type.Response(), Tag: req.Tag},
+					Body:   bytes.Repeat([]byte("y"), n),
+				})
+				frame := buf.Bytes()
+				cut := wire.HeaderSize + n/3
+				conn.Write(frame[:cut])
+				<-resume
+				conn.Write(frame[cut:])
+				for {
+					req, err := wire.ReadMessage(conn)
+					if err != nil {
+						return
+					}
+					var out bytes.Buffer
+					wire.WriteMessage(&out, wire.Message{
+						Header: wire.Header{Type: req.Type.Response(), Tag: req.Tag, Handle: req.Handle + 1},
+					})
+					conn.Write(out.Bytes())
+				}
+			}()
+
+			nc, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewConn(ln.Addr().String(), wrap(nc))
+			defer c.Close()
+
+			v, arena := destVec(n, 4096)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err = c.CallContext(ctx, wire.Message{Header: wire.Header{Type: wire.TRead, Handle: 1}, Dest: v})
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("stalled call: err = %v, want DeadlineExceeded", err)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("the stalled call returned after %v: its wait was held by the peer", took)
+			}
+			if bytes.Count(arena, []byte("y")) == 0 {
+				t.Fatal("the stall fired before any body byte reached the destination")
+			}
+			for i := range arena {
+				arena[i] = poison
+			}
+			close(resume)
+			resp, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TPing, Handle: 10}})
+			if err != nil || resp.Handle != 11 {
+				t.Fatalf("connection unusable after the stall: %v %+v", err, resp)
+			}
+			if !untouched(arena) {
+				t.Fatal("body bytes were written into the destination after the call gave up")
+			}
+			c.mu.Lock()
+			rerr := c.rerr
+			c.mu.Unlock()
+			if rerr != nil {
+				t.Fatalf("the stall marked the connection broken: %v", rerr)
+			}
+		})
+	}
+}
+
+// lateConn hides the TCP connection like hideTCP and lands one body
+// byte late: it holds back the last byte of every short body read (the
+// socket ran dry) and hands it over with the next read's bytes — or,
+// when a deadline wakes that read, 30 ms after the wake. That is a
+// readv completing as the deadline strikes: it writes the caller's
+// memory after the waker has moved on. Only the first frame is touched.
+type lateConn struct {
+	net.Conn
+	seen int    // bytes read from the socket so far
+	held []byte // the byte held back, if any
+	done bool   // the first frame is over: pass through
+}
+
+func (c *lateConn) Read(p []byte) (int, error) {
+	if c.done || len(p) < 2 {
+		return c.Conn.Read(p)
+	}
+	off := 0
+	if c.held != nil {
+		off = 1
+	}
+	n, err := c.Conn.Read(p[off:])
+	c.seen += n
+	if c.held != nil {
+		if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+			time.Sleep(30 * time.Millisecond)
+			err, c.done = nil, true
+		}
+		p[0], c.held = c.held[0], nil
+		n++
+	}
+	if !c.done && err == nil && n > 1 && n < len(p) && c.seen-n >= wire.HeaderSize {
+		c.held = []byte{p[n-1]}
+		n--
+	}
+	return n, err
 }
 
 // TestPoolConnReusedAfterCancel pins the acceptance criterion at the

@@ -16,9 +16,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pvfs/internal/wire"
@@ -260,10 +263,18 @@ type Conn struct {
 
 	mu        sync.Mutex
 	nextTag   uint32
-	pending   map[uint32]chan callResult
+	pending   map[uint32]*Pending
 	abandoned map[uint32]struct{} // canceled tags whose responses are discarded
 	rerr      error               // terminal receive error; nil while healthy
 	closed    bool
+
+	// scattering is the call whose response body the read loop is
+	// reading straight into the call's Dest; nil when there is none. An
+	// Abandon of that call sets abort, wakes the read with a past
+	// deadline and waits on released until the read loop lets go.
+	scattering *Pending
+	abort      bool
+	released   sync.Cond // L is &mu
 }
 
 // Dial connects to a PVFS daemon and starts the response demultiplexer.
@@ -292,45 +303,109 @@ func NewConn(addr string, c net.Conn) *Conn {
 	conn := &Conn{
 		addr:      addr,
 		c:         c,
-		pending:   make(map[uint32]chan callResult),
+		pending:   make(map[uint32]*Pending),
 		abandoned: make(map[uint32]struct{}),
 	}
+	conn.released.L = &conn.mu
 	go conn.readLoop()
 	return conn
 }
 
 // readLoop demultiplexes responses to pending calls by tag until the
-// connection dies, then fails every remaining and future call.
-// Responses for abandoned tags (canceled calls) are discarded and
-// their pooled bodies recycled; the connection stays healthy.
+// connection dies, then fails every remaining and future call. Each
+// frame's header decides, under one acquisition of c.mu, where its body
+// goes: a success response of the expected type and exactly the
+// registered length is read straight into its call's Dest (scatter);
+// any other response to a pending call is read into a pooled body and
+// delivered; a response for an abandoned tag (a canceled call) is
+// drained into a pooled body and recycled, and the connection stays
+// healthy.
 func (c *Conn) readLoop() {
 	for {
-		msg, err := wire.ReadMessage(c.c)
+		h, err := wire.ReadHeader(c.c)
 		if err != nil {
-			c.fail(fmt.Errorf("pvfsnet: receiving from %s: %w", c.addr, err))
+			c.fail(c.recvErr(err))
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[msg.Tag]
+		p, ok := c.pending[h.Tag]
+		scatter := false
 		if ok {
-			delete(c.pending, msg.Tag)
-		} else if _, ab := c.abandoned[msg.Tag]; ab {
-			delete(c.abandoned, msg.Tag)
-			c.mu.Unlock()
-			msg.Release()
-			continue
-		}
-		c.mu.Unlock()
-		if !ok {
+			delete(c.pending, h.Tag)
+			scatter = p.dest != nil && h.Status == wire.StatusOK &&
+				h.Type == p.typ.Response() && int(h.BodyLen) == p.dest.N
+			if scatter {
+				c.scattering = p
+			}
+		} else if _, ab := c.abandoned[h.Tag]; ab {
+			delete(c.abandoned, h.Tag)
+		} else {
 			// A response nothing waits for: the peer is confused, and
 			// the byte stream can no longer be trusted.
-			msg.Release()
+			c.mu.Unlock()
 			c.c.Close()
-			c.fail(fmt.Errorf("pvfsnet: unmatched response tag %d from %s", msg.Tag, c.addr))
+			c.fail(fmt.Errorf("pvfsnet: unmatched response tag %d from %s", h.Tag, c.addr))
 			return
 		}
-		ch <- callResult{msg: msg}
+		c.mu.Unlock()
+		if scatter {
+			if !c.scatter(p, h) {
+				return
+			}
+			continue
+		}
+		msg, err := wire.ReadBody(c.c, h)
+		if err != nil {
+			err = c.recvErr(err)
+			if ok {
+				p.deliver(callResult{err: err})
+			}
+			c.fail(err)
+			return
+		}
+		if ok {
+			p.deliver(callResult{msg: msg})
+		} else {
+			msg.Release()
+		}
 	}
+}
+
+// scatter reads the body of p's response, whose header is h, straight
+// into p's Dest and delivers it with a nil Body. If p is abandoned while
+// the bytes arrive, the read is cut short, the memory is handed back
+// before Abandon returns, and the rest of the body drains to scratch. It
+// reports whether the connection is still usable.
+func (c *Conn) scatter(p *Pending, h wire.Header) bool {
+	n, err := wire.ReadInto(c.c, p.dest.Pieces)
+	c.mu.Lock()
+	aborted := c.abort
+	c.scattering, c.abort = nil, false
+	if aborted {
+		c.c.SetReadDeadline(time.Time{})
+	}
+	c.released.Broadcast()
+	c.mu.Unlock()
+	if aborted && (err == nil || errors.Is(err, os.ErrDeadlineExceeded)) {
+		if _, err := io.CopyN(io.Discard, c.c, int64(h.BodyLen)-int64(n)); err != nil {
+			c.fail(c.recvErr(err))
+			return false
+		}
+		return true
+	}
+	if err != nil {
+		err = c.recvErr(err)
+		p.deliver(callResult{err: err})
+		c.fail(err)
+		return false
+	}
+	p.deliver(callResult{msg: wire.Message{Header: h}})
+	return true
+}
+
+// recvErr wraps a receive-side failure with the peer's address.
+func (c *Conn) recvErr(err error) error {
+	return fmt.Errorf("pvfsnet: receiving from %s: %w", c.addr, err)
 }
 
 // fail marks the connection broken and unblocks every pending call.
@@ -345,11 +420,11 @@ func (c *Conn) fail(err error) {
 		err = c.rerr
 	}
 	pending := c.pending
-	c.pending = make(map[uint32]chan callResult)
+	c.pending = make(map[uint32]*Pending)
 	c.abandoned = make(map[uint32]struct{})
 	c.mu.Unlock()
-	for _, ch := range pending {
-		ch <- callResult{err: err}
+	for _, p := range pending {
+		p.deliver(callResult{err: err})
 	}
 }
 
@@ -358,7 +433,25 @@ type Pending struct {
 	conn *Conn
 	typ  wire.MsgType
 	tag  uint32
+	dest *wire.Vec // the request's Dest: where a matching body lands
 	ch   chan callResult
+
+	// settled is set by whoever decides the call's outcome first: the
+	// read loop or fail delivering a result on ch, or Abandon giving the
+	// call up (a result that loses the race is recycled by deliver).
+	settled atomic.Bool
+}
+
+// deliver hands res to the waiter, unless Abandon already gave the call
+// up; then a response's pooled body goes back to the pool.
+func (p *Pending) deliver(res callResult) {
+	if p.settled.CompareAndSwap(false, true) {
+		p.ch <- res
+		return
+	}
+	if res.err == nil {
+		res.msg.Release()
+	}
 }
 
 // CallAsync sends req and returns immediately with a Pending handle for
@@ -368,9 +461,21 @@ type Pending struct {
 // caller's memory behind req.BodyStream — has been handed to the kernel
 // (or to the wrapped connection's Write) before CallAsync returns: the
 // transport keeps no reference to either, so the caller may reuse the
-// memory at once and abandoning the Pending leaves nothing pointing
-// into it.
+// memory at once.
+//
+// req.Dest is the exception, and registers with the tag before the
+// request is written: the caller's memory the response body may land in
+// (wire.Message.Dest). It stays lent to the connection until Wait or
+// WaitContext has returned, or Abandon has; from then on the transport
+// never writes into it. A retried request re-registers its Dest with
+// its new tag.
 func (c *Conn) CallAsync(req wire.Message) (*Pending, error) {
+	if req.Dest != nil {
+		if err := req.Dest.Check(); err != nil {
+			return nil, fmt.Errorf("pvfsnet: call %v to %s: %w", req.Type, c.addr, err)
+		}
+	}
+	p := &Pending{conn: c, typ: req.Type, dest: req.Dest, ch: make(chan callResult, 1)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -386,8 +491,8 @@ func (c *Conn) CallAsync(req wire.Message) (*Pending, error) {
 		c.nextTag = 1
 	}
 	tag := c.nextTag
-	ch := make(chan callResult, 1)
-	c.pending[tag] = ch
+	p.tag = tag
+	c.pending[tag] = p
 	c.mu.Unlock()
 
 	req.Tag = tag
@@ -400,7 +505,7 @@ func (c *Conn) CallAsync(req wire.Message) (*Pending, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("pvfsnet: call %v to %s: %w", req.Type, c.addr, err)
 	}
-	return &Pending{conn: c, typ: req.Type, tag: tag, ch: ch}, nil
+	return p, nil
 }
 
 // Wait blocks until the response for this call arrives. Non-OK response
@@ -442,16 +547,28 @@ func (p *Pending) WaitContext(ctx context.Context) (wire.Message, error) {
 // Abandon gives up on the call without waiting: the tag is marked
 // abandoned so its response (if it ever arrives) is discarded and its
 // pooled body recycled, and the connection stays usable. If the
-// response already arrived, it is released here.
+// response already arrived, it is released here. Once Abandon returns,
+// the call's Dest is the caller's again: nothing writes into it.
 func (p *Pending) Abandon() {
 	if res, ok := p.abandon(); ok && res.err == nil {
 		res.msg.Release()
 	}
 }
 
-// abandon moves the tag to the abandoned set. If the read loop already
-// claimed the tag, the in-flight result is received and returned
-// instead (ok=true).
+// aLongTimeAgo is the read deadline that wakes a blocked read at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// abandon gives the call up, by the state its response is in:
+//
+//   - not yet arrived: the tag moves to the abandoned set and the Dest
+//     is dropped with the pending entry; the late body drains into a
+//     pooled buffer;
+//   - being scattered into the Dest: the read is woken by a past
+//     deadline and abandon waits until the read loop has let go of the
+//     memory (a stalled peer cannot hold it: the deadline ends the wait);
+//   - being read into a pooled body: the call is settled here and the
+//     read loop recycles the body when it is complete;
+//   - already delivered (or failed): that result is returned (ok=true).
 func (p *Pending) abandon() (callResult, bool) {
 	c := p.conn
 	c.mu.Lock()
@@ -461,11 +578,21 @@ func (p *Pending) abandon() (callResult, bool) {
 		c.mu.Unlock()
 		return callResult{}, false
 	}
+	if c.scattering == p {
+		p.settled.Store(true)
+		c.abort = true
+		c.c.SetReadDeadline(aLongTimeAgo)
+		for c.scattering == p {
+			c.released.Wait()
+		}
+		c.mu.Unlock()
+		return callResult{}, false
+	}
 	c.mu.Unlock()
-	// The tag is no longer pending: either the read loop claimed it (a
-	// result is in flight to the buffered channel) or the connection
-	// failed (an error result was sent). Both deliver exactly one
-	// result, so this receive cannot block.
+	if p.settled.CompareAndSwap(false, true) {
+		return callResult{}, false
+	}
+	// A result was delivered, or is on its way, to the buffered channel.
 	return <-p.ch, true
 }
 

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"pvfs/internal/ioseg"
+	"pvfs/internal/sysvec"
 )
 
 // Store is the storage interface an I/O daemon requires. Reads past the
@@ -737,8 +738,8 @@ func (d *Dir) WriteAtv(handle uint64, segs ioseg.List, p []byte) (int, error) {
 }
 
 // ReadSpanv implements SpanIO: one file-contiguous span scattered into
-// bufs via preadv where available (vec_linux.go), a per-buffer loop
-// otherwise (vec_portable.go). Reads past EOF zero-fill.
+// bufs via preadv where available, a per-buffer loop otherwise
+// (sysvec.Preadv). Reads past EOF zero-fill.
 func (d *Dir) ReadSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
 	total := spanLen(bufs)
 	if err := checkExtent(off, total); err != nil {
@@ -751,7 +752,7 @@ func (d *Dir) ReadSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, nsys, err := readvAt(f, bufs, off)
+	n, nsys, err := sysvec.Preadv(f, bufs, off)
 	d.countRead(nsys, int64(n))
 	return n, err
 }
@@ -770,7 +771,7 @@ func (d *Dir) WriteSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, nsys, err := writevAt(f, bufs, off)
+	n, nsys, err := sysvec.Pwritev(f, bufs, off)
 	d.countWrite(nsys, int64(n))
 	return n, err
 }
@@ -800,7 +801,7 @@ func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 		if sp.Len() == 0 {
 			continue
 		}
-		m, nsys, err := readvAt(f, sp.Bufs, sp.Off)
+		m, nsys, err := sysvec.Preadv(f, sp.Bufs, sp.Off)
 		d.countRead(nsys, int64(m))
 		n += m
 		if err != nil {
@@ -831,7 +832,7 @@ func (d *Dir) WriteBatch(handle uint64, spans []Span) (int, error) {
 		if sp.Len() == 0 {
 			continue
 		}
-		m, nsys, err := writevAt(f, sp.Bufs, sp.Off)
+		m, nsys, err := sysvec.Pwritev(f, sp.Bufs, sp.Off)
 		d.countWrite(nsys, int64(m))
 		n += m
 		if err != nil {

@@ -4,116 +4,52 @@ package store
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
-	"unsafe"
 )
 
-// iovecsTotal sums the bytes the iovec suffix starting at start still
-// describes.
-func iovecsTotal(iovs []iovec, start int) int {
-	n := 0
-	for _, v := range iovs[start:] {
-		n += int(v.len)
-	}
-	return n
-}
+// iovMax is the kernel's IOV_MAX, the most buffers one preadv/pwritev
+// takes (sysvec chunks larger spans).
+const iovMax = 1024
 
-// TestConsumeIovecs pins the short-transfer continuation cursor: after
-// n bytes land, the remaining iovec chain must describe exactly the
-// untransferred suffix — including a partially-consumed iovec whose
-// base advances and len shrinks in place.
-func TestConsumeIovecs(t *testing.T) {
-	mk := func(sizes ...int) ([]iovec, [][]byte) {
-		bufs := make([][]byte, len(sizes))
-		iovs := make([]iovec, len(sizes))
-		for i, sz := range sizes {
-			bufs[i] = make([]byte, sz)
-			iovs[i] = iovec{base: &bufs[i][0], len: uint64(sz)}
-		}
-		return iovs, bufs
-	}
-
-	// Mid-iovec stop: 10 bytes into {8, 8, 8} consumes the first iovec
-	// and trims two bytes off the second.
-	iovs, bufs := mk(8, 8, 8)
-	start := consumeIovecs(iovs, 0, 10)
-	if start != 1 {
-		t.Fatalf("start = %d, want 1", start)
-	}
-	if got := iovecsTotal(iovs, start); got != 14 {
-		t.Fatalf("remaining bytes = %d, want 14", got)
-	}
-	if want := (*byte)(unsafe.Add(unsafe.Pointer(&bufs[1][0]), 2)); iovs[1].base != want {
-		t.Fatal("partial iovec base did not advance to the untransferred byte")
-	}
-
-	// Exact-boundary stop: the next iovec stays whole.
-	iovs, bufs = mk(8, 8, 8)
-	if start = consumeIovecs(iovs, 0, 16); start != 2 {
-		t.Fatalf("boundary start = %d, want 2", start)
-	}
-	if iovs[2].base != &bufs[2][0] || iovs[2].len != 8 {
-		t.Fatal("boundary stop must leave the next iovec untouched")
-	}
-
-	// Continuation of a continuation: consume from a nonzero start.
-	iovs, _ = mk(4, 4, 4, 4)
-	start = consumeIovecs(iovs, 1, 6)
-	if start != 2 {
-		t.Fatalf("nested start = %d, want 2", start)
-	}
-	if got := iovecsTotal(iovs, start); got != 6 {
-		t.Fatalf("nested remaining = %d, want 6", got)
-	}
-
-	// Everything consumed: start lands one past the end.
-	iovs, _ = mk(4, 4)
-	if start = consumeIovecs(iovs, 0, 8); start != 2 {
-		t.Fatalf("full-consume start = %d, want 2", start)
-	}
-}
-
-// TestVectorSpanAllocBound pins the satellite fix: one vectored span
-// call costs exactly one allocation (the iovec array), no matter how
-// the transfer is chunked or continued — continuation reuses the
-// array via consumeIovecs instead of rebuilding it.
+// TestVectorSpanAllocBound pins the span path's allocation: one
+// vectored span call costs exactly one allocation (the iovec array), no
+// matter how the transfer is chunked or continued — continuation reuses
+// the array instead of rebuilding it.
 func TestVectorSpanAllocBound(t *testing.T) {
-	dir := t.TempDir()
-	f, err := os.Create(filepath.Join(dir, "span.dat"))
+	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer d.Close()
+	const h = 1
 	bufs := make([][]byte, 64)
 	for i := range bufs {
 		bufs[i] = bytes.Repeat([]byte{byte(i + 1)}, 512)
 	}
 	span := spanLen(bufs)
-	if n, _, err := writevAt(f, bufs, 0); err != nil || n != span {
-		t.Fatalf("seed writevAt = %d, %v", n, err)
+	if n, err := d.WriteSpanv(h, 0, bufs); err != nil || n != span {
+		t.Fatalf("seed WriteSpanv = %d, %v", n, err)
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := writevAt(f, bufs, 0); err != nil {
+		if _, err := d.WriteSpanv(h, 0, bufs); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("writevAt costs %.1f allocs/run, want <= 1 (the iovec array)", allocs)
+		t.Fatalf("WriteSpanv costs %.1f allocs/run, want <= 1 (the iovec array)", allocs)
 	}
 	got := make([][]byte, len(bufs))
 	for i := range got {
 		got[i] = make([]byte, 512)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
-		if _, _, err := readvAt(f, got, 0); err != nil {
+		if _, err := d.ReadSpanv(h, 0, got); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("readvAt costs %.1f allocs/run, want <= 1 (the iovec array)", allocs)
+		t.Fatalf("ReadSpanv costs %.1f allocs/run, want <= 1 (the iovec array)", allocs)
 	}
 	for i := range got {
 		if !bytes.Equal(got[i], bufs[i]) {
@@ -126,30 +62,34 @@ func TestVectorSpanAllocBound(t *testing.T) {
 // IOV_MAX boundary: a span of more buffers than one preadv accepts
 // costs exactly ceil(bufs/IOV_MAX) syscalls.
 func TestVectorIOVMaxChunking(t *testing.T) {
-	dir := t.TempDir()
-	f, err := os.Create(filepath.Join(dir, "chunk.dat"))
+	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	const nbufs = 2*uioMaxIOV + 5
+	defer d.Close()
+	const h, nbufs = 1, 2*iovMax + 5
 	bufs := make([][]byte, nbufs)
 	for i := range bufs {
 		bufs[i] = []byte{byte(i), byte(i >> 8)}
 	}
-	n, nsys, err := writevAt(f, bufs, 0)
+	before := d.IOStats()
+	n, err := d.WriteSpanv(h, 0, bufs)
 	if err != nil || n != 2*nbufs {
-		t.Fatalf("writevAt = %d, %v", n, err)
+		t.Fatalf("WriteSpanv = %d, %v", n, err)
 	}
-	if nsys != 3 {
-		t.Fatalf("writevAt used %d syscalls for %d bufs, want 3", nsys, nbufs)
+	if nsys := d.IOStats().Sub(before).SyscallsWrite; nsys != 3 {
+		t.Fatalf("WriteSpanv used %d syscalls for %d bufs, want 3", nsys, nbufs)
 	}
 	got := make([][]byte, nbufs)
 	for i := range got {
 		got[i] = make([]byte, 2)
 	}
-	if _, nsys, err = readvAt(f, got, 0); err != nil || nsys != 3 {
-		t.Fatalf("readvAt nsys = %d (%v), want 3", nsys, err)
+	before = d.IOStats()
+	if _, err := d.ReadSpanv(h, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if nsys := d.IOStats().Sub(before).SyscallsRead; nsys != 3 {
+		t.Fatalf("ReadSpanv used %d syscalls for %d bufs, want 3", nsys, nbufs)
 	}
 	for i := range got {
 		if !bytes.Equal(got[i], bufs[i]) {

@@ -85,7 +85,7 @@ func TestSpanIOSparseSemantics(t *testing.T) {
 	defer m.Close()
 	const handle = uint64(9)
 
-	// 1500 buffers of 37 bytes: > uioMaxIOV, misaligned on purpose.
+	// 1500 buffers of 37 bytes: > IOV_MAX, misaligned on purpose.
 	mkBufs := func() [][]byte {
 		bufs := make([][]byte, 1500)
 		for i := range bufs {

@@ -1,23 +1,22 @@
 //go:build linux && (amd64 || arm64)
 
-// Vectored span I/O via preadv/pwritev. The x/sys module is not a
-// dependency of this repo, so the raw syscalls are issued directly;
-// the numbers are stable parts of the 64-bit Linux ABI on amd64 and
-// arm64, and other platforms take the portable loop in
-// vec_portable.go.
-package store
+// Vectored I/O through raw preadv/pwritev/readv. The syscall numbers
+// and struct iovec are stable parts of the 64-bit Linux ABI on amd64
+// and arm64.
+package sysvec
 
 import (
 	"io"
+	"net"
 	"os"
 	"runtime"
 	"syscall"
 	"unsafe"
 )
 
-// uioMaxIOV is the kernel's IOV_MAX: the most iovecs one
-// preadv/pwritev call accepts. Larger spans are issued in chunks.
-const uioMaxIOV = 1024
+// maxIOV is the kernel's IOV_MAX: the most iovecs one
+// preadv/pwritev/readv call accepts. Larger transfers go in chunks.
+const maxIOV = 1024
 
 // iovec mirrors struct iovec on linux/amd64 and linux/arm64.
 type iovec struct {
@@ -31,7 +30,7 @@ type iovec struct {
 func buildIovecs(iovs []iovec, bufs [][]byte, bi, skip int) ([]iovec, int64) {
 	iovs = iovs[:0]
 	var total int64
-	for i := bi; i < len(bufs) && len(iovs) < uioMaxIOV; i++ {
+	for i := bi; i < len(bufs) && len(iovs) < maxIOV; i++ {
 		b := bufs[i]
 		if i == bi {
 			b = b[skip:]
@@ -70,6 +69,24 @@ func zeroFrom(bufs [][]byte, bi, skip int) {
 	}
 }
 
+// consumeIovecs advances the iovec cursor start by n transferred bytes,
+// trimming the interrupted iovec in place. It returns the new start
+// index. This is what makes short-transfer continuation allocation-
+// free: the already-built iovec array is reused with the base/len of
+// the partial entry adjusted, instead of rebuilding the whole chain
+// from the buffer list.
+func consumeIovecs(iovs []iovec, start, n int) int {
+	for start < len(iovs) && uint64(n) >= iovs[start].len {
+		n -= int(iovs[start].len)
+		start++
+	}
+	if n > 0 && start < len(iovs) {
+		iovs[start].base = (*byte)(unsafe.Add(unsafe.Pointer(iovs[start].base), n))
+		iovs[start].len -= uint64(n)
+	}
+	return start
+}
+
 // vectorAt issues one preadv or pwritev (by trap number) over as many
 // of bufs as fit in one iovec array, at file offset off. It retries on
 // EINTR and returns the byte count moved.
@@ -95,35 +112,17 @@ func vectorAt(trap uintptr, f *os.File, iovs []iovec, off int64) (int, error) {
 	}
 }
 
-// consumeIovecs advances the iovec cursor start by n transferred bytes,
-// trimming the interrupted iovec in place. It returns the new start
-// index. This is what makes short-transfer continuation allocation-
-// free: the already-built iovec array is reused with the base/len of
-// the partial entry adjusted, instead of rebuilding the whole chain
-// from the buffer list.
-func consumeIovecs(iovs []iovec, start, n int) int {
-	for start < len(iovs) && uint64(n) >= iovs[start].len {
-		n -= int(iovs[start].len)
-		start++
-	}
-	if n > 0 && start < len(iovs) {
-		iovs[start].base = (*byte)(unsafe.Add(unsafe.Pointer(iovs[start].base), n))
-		iovs[start].len -= uint64(n)
-	}
-	return start
-}
-
-// readvAt scatters the file span starting at off into bufs with
+// Preadv scatters the file span starting at off into bufs with
 // preadv, zero-filling past EOF. It returns the bytes delivered
 // (always the full span on success) and the syscall count. The iovec
 // array is built once per IOV_MAX chunk; short transfers continue from
 // the interrupted iovec index without reallocating.
-func readvAt(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
+func Preadv(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 	total := spanLen(bufs)
 	bi, skip := 0, 0
 	pos := off
 	var nsys int64
-	iovs := make([]iovec, 0, min(len(bufs), uioMaxIOV))
+	iovs := make([]iovec, 0, min(len(bufs), maxIOV))
 	for bi < len(bufs) {
 		var want int64
 		iovs, want = buildIovecs(iovs, bufs, bi, skip)
@@ -153,14 +152,14 @@ func readvAt(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 	return total, nsys, nil
 }
 
-// writevAt gathers bufs into the file span starting at off with
+// Pwritev gathers bufs into the file span starting at off with
 // pwritev, continuing across short writes from the interrupted iovec
 // index (no per-continuation allocation).
-func writevAt(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
+func Pwritev(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 	bi, skip := 0, 0
 	pos := off
 	var nsys int64
-	iovs := make([]iovec, 0, min(len(bufs), uioMaxIOV))
+	iovs := make([]iovec, 0, min(len(bufs), maxIOV))
 	for bi < len(bufs) {
 		var want int64
 		iovs, want = buildIovecs(iovs, bufs, bi, skip)
@@ -186,4 +185,69 @@ func writevAt(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 		}
 	}
 	return int(pos - off), nsys, nil
+}
+
+// ReadFull fills every byte of bufs from r, in order, and returns the
+// bytes read: fewer than the total only with an error. On a
+// *net.TCPConn the bytes land by readv straight into bufs, IOV_MAX
+// buffers a call, continuing short reads from the interrupted iovec;
+// an empty socket parks the goroutine on the runtime poller, so a read
+// deadline set on the connection wakes it with os.ErrDeadlineExceeded.
+// Any other reader takes one io.ReadFull per buffer.
+func ReadFull(r io.Reader, bufs [][]byte) (int, error) {
+	tc, ok := r.(*net.TCPConn)
+	if !ok {
+		return readPieces(r, bufs)
+	}
+	rc, err := tc.SyscallConn()
+	if err != nil {
+		return 0, err
+	}
+	var (
+		iovs  = make([]iovec, 0, min(len(bufs), maxIOV))
+		start int
+		n     int
+		errno syscall.Errno
+	)
+	// RawConn.Read runs readv with the socket's descriptor; returning
+	// false parks the goroutine until the socket is readable again.
+	readv := func(fd uintptr) bool {
+		for {
+			m, _, e := syscall.Syscall(syscall.SYS_READV, fd,
+				uintptr(unsafe.Pointer(&iovs[start])), uintptr(len(iovs)-start))
+			switch e {
+			case syscall.EINTR:
+				continue
+			case syscall.EAGAIN:
+				return false
+			}
+			n, errno = int(m), e
+			return true
+		}
+	}
+	total := spanLen(bufs)
+	done, bi, skip := 0, 0, 0
+	for done < total {
+		var want int64
+		iovs, want = buildIovecs(iovs, bufs, bi, skip)
+		start = 0
+		for want > 0 {
+			if err := rc.Read(readv); err != nil {
+				return done, err
+			}
+			if errno != 0 {
+				return done, os.NewSyscallError("readv", errno)
+			}
+			if n == 0 {
+				return done, io.ErrUnexpectedEOF
+			}
+			done += n
+			want -= int64(n)
+			bi, skip = advance(bufs, bi, skip, n)
+			if want > 0 {
+				start = consumeIovecs(iovs, start, n)
+			}
+		}
+	}
+	return done, nil
 }

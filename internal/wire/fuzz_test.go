@@ -111,21 +111,25 @@ func FuzzDatatypeReq(f *testing.F) {
 // and buffer-pool ownership stays sound: a failed parse hands back the
 // one body buffer it took (it owns it outright — nothing else saw it),
 // a successful one hands back nothing, and the pool never gives one
-// backing array to two owners afterwards.
+// backing array to two owners afterwards. The receive-into-caller-
+// memory path is held to the same frames: ReadHeader and then ReadInto
+// over pieces cut at the sizes in cuts yield ReadMessage's body, or
+// both fail, and no byte lands outside a piece.
 func FuzzReadMessage(f *testing.F) {
 	var good bytes.Buffer
 	_ = WriteMessage(&good, Message{Header: Header{Type: TWriteList, Handle: 9, Tag: 7}, Body: []byte("payload")})
-	f.Add(good.Bytes())
-	f.Add(good.Bytes()[:HeaderSize-3]) // torn header
-	f.Add(good.Bytes()[:HeaderSize+2]) // torn body
-	f.Add([]byte{})
+	f.Add(good.Bytes(), []byte{3, 0, 2})
+	f.Add(good.Bytes()[:HeaderSize-3], []byte{})  // torn header
+	f.Add(good.Bytes()[:HeaderSize+2], []byte{1}) // torn body
+	f.Add([]byte{}, []byte{})
 	huge := append([]byte(nil), good.Bytes()...)
 	huge[20], huge[21], huge[22], huge[23] = 0xFF, 0xFF, 0xFF, 0xFF // BodyLen past MaxBodyLen
-	f.Add(huge)
+	f.Add(huge, []byte{7})
 	corrupt := append([]byte(nil), good.Bytes()...)
 	corrupt[0] ^= 0x40 // bad magic
-	f.Add(corrupt)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(corrupt, []byte{1, 1})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		checkReadInto(t, data, cuts)
 		gets0, puts0 := BufStats()
 		m, err := ReadMessage(bytes.NewReader(data))
 		gets1, puts1 := BufStats()
@@ -168,4 +172,63 @@ func FuzzReadMessage(f *testing.F) {
 			PutBuf(b2)
 		}
 	})
+}
+
+// guard fills the byte after every piece in checkReadInto.
+const guard = 0xA5
+
+// checkReadInto reads the frame in data with ReadHeader and ReadInto
+// over pieces cut at the sizes in cuts (the last piece takes the rest),
+// each followed by a guard byte in one backing array, and holds the
+// result to ReadMessage's.
+func checkReadInto(t *testing.T, data, cuts []byte) {
+	t.Helper()
+	want, merr := ReadMessage(bytes.NewReader(data))
+	defer want.Release()
+	r := bytes.NewReader(data)
+	h, err := ReadHeader(r)
+	if err != nil {
+		if merr == nil {
+			t.Fatalf("ReadHeader failed (%v) where ReadMessage parsed", err)
+		}
+		return
+	}
+	n := int(h.BodyLen)
+	if n > len(data) {
+		if merr == nil {
+			t.Fatalf("ReadMessage parsed a %d-byte body from %d bytes", n, len(data))
+		}
+		return // cannot succeed; not worth a body-sized allocation
+	}
+	backing := bytes.Repeat([]byte{guard}, n+len(cuts)+1)
+	var pieces [][]byte
+	at, left := 0, n
+	for i := 0; i <= len(cuts) && left > 0; i++ {
+		k := left
+		if i < len(cuts) {
+			k = min(int(cuts[i]), left)
+		}
+		pieces = append(pieces, backing[at:at+k:at+k])
+		at, left = at+k+1, left-k
+	}
+	got, err := ReadInto(r, pieces)
+	if (err == nil) != (merr == nil) {
+		t.Fatalf("ReadInto err = %v, ReadMessage err = %v", err, merr)
+	}
+	if err == nil && got != n {
+		t.Fatalf("ReadInto read %d of %d bytes without an error", got, n)
+	}
+	var body []byte
+	at = 0
+	for _, p := range pieces {
+		body = append(body, p...)
+		at += len(p)
+		if backing[at] != guard {
+			t.Fatalf("ReadInto wrote past a piece at backing byte %d", at)
+		}
+		at++
+	}
+	if err == nil && !bytes.Equal(body, want.Body) {
+		t.Fatal("ReadInto delivered other bytes than ReadMessage")
+	}
 }

@@ -167,8 +167,15 @@ type ReadReq struct {
 	Length int64
 }
 
-func (m *ReadReq) Marshal() []byte {
-	e := encoder{}
+// ReadReqSize is the encoded size of a ReadReq.
+const ReadReqSize = 16
+
+func (m *ReadReq) Marshal() []byte { return m.Append(nil) }
+
+// Append appends the encoding to dst, so a windowed reader can build
+// its request in a pooled buffer.
+func (m *ReadReq) Append(dst []byte) []byte {
+	e := encoder{buf: dst}
 	e.i64(m.Offset)
 	e.i64(m.Length)
 	return e.buf

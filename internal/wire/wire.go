@@ -17,6 +17,7 @@ import (
 	"net"
 
 	"pvfs/internal/ioseg"
+	"pvfs/internal/sysvec"
 )
 
 // Protocol constants.
@@ -293,13 +294,15 @@ type BodyStream interface {
 	io.WriterTo
 }
 
-// Vec is the BodyStream of a copy-free write request: payload pieces
-// that stay in the caller's memory (the user arena's stripe-unit
-// slices) until the kernel takes them. N is the length the builder
-// promises; WriteMessage refuses a Vec whose pieces do not add up to it
-// before any byte reaches the socket. The pieces are only read, never
-// retained past the write and never consumed, so a request can be
-// replayed verbatim.
+// Vec is caller memory named piece by piece: the user arena's
+// stripe-unit slices, or the arena extents of a list request's regions.
+// As a BodyStream it is the payload of a copy-free write request, which
+// stays where it lies until the kernel takes it; as a Message.Dest it
+// is where a read response's body lands. N is the length the builder
+// promises; WriteMessage and the transport refuse a Vec whose pieces do
+// not add up to it (Check) before any byte crosses the socket. The
+// pieces are never retained past the call and never consumed, so a
+// request can be replayed verbatim.
 type Vec struct {
 	N      int
 	Pieces [][]byte
@@ -307,6 +310,18 @@ type Vec struct {
 
 // Len returns the promised payload length.
 func (v *Vec) Len() int { return v.N }
+
+// Check reports a Vec whose pieces do not hold exactly N bytes.
+func (v *Vec) Check() error {
+	held := 0
+	for _, p := range v.Pieces {
+		held += len(p)
+	}
+	if held != v.N {
+		return fmt.Errorf("wire: vector promises %d bytes, pieces hold %d", v.N, held)
+	}
+	return nil
+}
 
 // WriteTo writes the pieces in order (one writev on a TCP connection).
 // WriteMessage does not call it — it frames the pieces together with
@@ -325,8 +340,17 @@ type Message struct {
 	// on the wire: the transport frames len(Body)+BodyStream.Len()
 	// bytes, writes Body (a request's small fixed fields; nil on a
 	// streamed read response) and then the stream. BodyStream never
-	// crosses the wire — receivers always see one materialized Body.
+	// crosses the wire: a receiver sees one Body, materialized in a
+	// pooled buffer unless the request named a Dest for it.
 	BodyStream BodyStream
+
+	// Dest, when set on a request, is caller memory the response body
+	// lands in — the receive-side twin of BodyStream. A success response
+	// whose body is exactly Dest.N bytes is read straight into the pieces
+	// (ReadInto) and delivered with a nil Body and BodyLen == Dest.N;
+	// any other response takes the pooled Body as usual. Dest never
+	// crosses the wire.
+	Dest *Vec
 
 	// Recycle marks Body as owned by the wire buffer pool: the
 	// transport returns it via PutBuf once the message is written.
@@ -362,12 +386,8 @@ func WriteMessage(w io.Writer, m Message) error {
 			return ErrBodyTooLarge
 		}
 		if v, ok := m.BodyStream.(*Vec); ok {
-			held := 0
-			for _, p := range v.Pieces {
-				held += len(p)
-			}
-			if held != sn {
-				return fmt.Errorf("wire: vector promises %d bytes, pieces hold %d", sn, held)
+			if err := v.Check(); err != nil {
+				return err
 			}
 			pieces = v.Pieces
 			prefix += sn
@@ -424,25 +444,51 @@ func WriteMessage(w io.Writer, m Message) error {
 	return nil
 }
 
-// ReadMessage reads one framed message. The body buffer comes from the
-// message pool: callers that fully consume it may hand it back with
-// Release/PutBuf; callers that retain it (or are unsure) simply keep
-// it and the GC reclaims it as usual.
+// ReadMessage reads one framed message: ReadHeader, then ReadBody.
+// The body buffer comes from the message pool: callers that fully
+// consume it may hand it back with Release/PutBuf; callers that retain
+// it (or are unsure) simply keep it and the GC reclaims it as usual.
 func ReadMessage(r io.Reader) (Message, error) {
-	var hbuf [HeaderSize]byte
-	if _, err := io.ReadFull(r, hbuf[:]); err != nil {
-		return Message{}, err
-	}
-	h, err := parseHeader(hbuf[:])
+	h, err := ReadHeader(r)
 	if err != nil {
 		return Message{}, err
 	}
+	return ReadBody(r, h)
+}
+
+// ReadHeader reads and validates one frame header; the h.BodyLen body
+// bytes that follow are the caller's to read (ReadBody or ReadInto).
+func ReadHeader(r io.Reader) (Header, error) {
+	var hbuf [HeaderSize]byte
+	if _, err := io.ReadFull(r, hbuf[:]); err != nil {
+		return Header{}, err
+	}
+	return parseHeader(hbuf[:])
+}
+
+// ReadBody reads the body of the frame whose header is h into a pooled
+// buffer (see ReadMessage for its ownership).
+func ReadBody(r io.Reader, h Header) (Message, error) {
 	body := GetBuf(int(h.BodyLen))
 	if _, err := io.ReadFull(r, body); err != nil {
 		PutBuf(body) // a torn frame must not unbalance the pool
 		return Message{}, fmt.Errorf("wire: reading %d-byte body: %w", h.BodyLen, err)
 	}
 	return Message{Header: h, Body: body}, nil
+}
+
+// ReadInto reads exactly as many body bytes as pieces hold, straight
+// into them in order, and returns the count read: short only with an
+// error. On a *net.TCPConn the bytes land by readv (IOV_MAX pieces a
+// call, short reads continued, an empty socket parked on the runtime
+// poller, so a read deadline wakes it); any other reader gets
+// io.ReadFull per piece. Nothing is written outside the pieces.
+func ReadInto(r io.Reader, pieces [][]byte) (int, error) {
+	n, err := sysvec.ReadFull(r, pieces)
+	if err != nil {
+		err = fmt.Errorf("wire: reading body into caller memory after %d bytes: %w", n, err)
+	}
+	return n, err
 }
 
 // --- body encoding helpers ---
