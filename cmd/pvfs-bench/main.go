@@ -35,7 +35,6 @@ type benchRow struct {
 	Pattern       string  `json:"pattern"`
 	Method        string  `json:"method"`
 	Direction     string  `json:"direction"`
-	Vectored      bool    `json:"vectored"`
 	Seconds       float64 `json:"seconds"`
 	Requests      int64   `json:"requests"`
 	Regions       int64   `json:"regions"`
@@ -62,7 +61,6 @@ func main() {
 	async := flag.Int("async", 1, "nonblocking ops in flight per rank (File.Start); applies to multiple/list, 1 = blocking calls")
 	chaosSeed := flag.Int64("chaos", 0, "run over a faulty wire: seed for a faultnet chaos script (0 = healthy); clients retry with backoff")
 	dataDir := flag.String("data", "", "back each daemon with a directory store under DIR (empty = in-memory); Dir stores bear real syscalls, so the store-syscall columns measure the vectored datapath")
-	novec := flag.Bool("novec", false, "hide VectorIO/SpanIO from the daemons: the pre-vectoring per-fragment baseline")
 	jsonOut := flag.String("json", "", "append result rows as JSON to FILE")
 	metaMode := flag.Bool("meta", false, "benchmark the metadata plane (create/open/stat ops/s) instead of the datapath")
 	shards := flag.Int("shards", 2, "metadata shard count (-meta)")
@@ -110,7 +108,7 @@ func main() {
 		}
 	}
 
-	copts := cluster.Options{NumIOD: *iods, DataDir: *dataDir, PlainStore: *novec}
+	copts := cluster.Options{NumIOD: *iods, DataDir: *dataDir}
 	var script *faultnet.Script
 	var retry *client.RetryPolicy
 	if *chaosSeed != 0 {
@@ -128,8 +126,8 @@ func main() {
 	if *write {
 		dir = "write"
 	}
-	fmt.Printf("# pattern=%s clients=%d iods=%d ssize=%d direction=%s granularity=%v async=%d store=%s vectored=%v\n",
-		pat.Name(), pat.Ranks(), *iods, *ssize, dir, g, *async, dataOrMem(*dataDir), !*novec)
+	fmt.Printf("# pattern=%s clients=%d iods=%d ssize=%d direction=%s granularity=%v async=%d store=%s\n",
+		pat.Name(), pat.Ranks(), *iods, *ssize, dir, g, *async, dataOrMem(*dataDir))
 	if script != nil {
 		fmt.Printf("# chaos seed=%d (scripted wire faults; clients retry with backoff)\n", *chaosSeed)
 	}
@@ -147,7 +145,6 @@ func main() {
 			Pattern:   pat.Name(),
 			Method:    m,
 			Direction: dir,
-			Vectored:  !*novec,
 			Seconds:   secs,
 			Requests:  stats.Requests,
 			Regions:   stats.Regions,

@@ -143,8 +143,8 @@ func TestChaosStreamedReads(t *testing.T) {
 }
 
 // TestChaosListDir runs the list scenario against Dir-backed daemons,
-// so gapped list windows reach real files through the batch rung of
-// the §11 fallback ladder (one preadv/pwritev per span).
+// so gapped list windows reach real files as §11 batches (one
+// preadv/pwritev per span).
 func TestChaosListDir(t *testing.T) {
 	runScenario(t, chaos.Scenario{
 		Name: "list-dir", Method: client.AccessList,

@@ -40,13 +40,6 @@ type Options struct {
 	// bench using the cluster then exercises the client's recovery
 	// path without further plumbing.
 	FaultScript *faultnet.Script
-	// PlainStore hides the optional store interfaces (store.VectorIO,
-	// store.SpanIO, store.BatchIO, store.FileStreamer) from the
-	// daemons, forcing the per-fragment fallback datapath. Benchmarks
-	// use it to measure the vectored path against its own baseline in
-	// one binary. Store syscall accounting (store.IOStatsProvider)
-	// stays visible.
-	PlainStore bool
 	// Meta, when non-nil, replaces the single manager with the
 	// replicated, sharded metadata plane (see MetaOptions).
 	Meta *MetaOptions
@@ -74,41 +67,10 @@ type Cluster struct {
 	metaTmpDir  string   // owned temp root for masterDirs; removed on Close
 }
 
-// plainStore hides a store's vectored and batched interfaces
-// (store.VectorIO, store.SpanIO, store.BatchIO, store.FileStreamer)
-// while passing Sync and syscall accounting through, so every layer
-// above it takes its per-fragment fallback path.
-type plainStore struct{ store.Store }
-
-func (p plainStore) Sync(handle uint64) error {
-	if sy, ok := p.Store.(store.Syncer); ok {
-		return sy.Sync(handle)
-	}
-	return nil
-}
-
-func (p plainStore) SyncAll() error {
-	if sy, ok := p.Store.(store.Syncer); ok {
-		return sy.SyncAll()
-	}
-	return nil
-}
-
-func (p plainStore) IOStats() store.IOStats {
-	if ip, ok := p.Store.(store.IOStatsProvider); ok {
-		return ip.IOStats()
-	}
-	return store.IOStats{}
-}
-
 // iodStore builds (or rebuilds) daemon i's store: Dir-backed under
 // DataDir, else the daemon's persistent Mem store, optionally wrapped
 // in a write-back cache. Durable state lives below the cache, so a
-// rebuilt store sees everything a killed daemon had flushed. With
-// PlainStore the vectored interfaces are masked at every layer
-// boundary: below the cache (its span fill/flush falls back to
-// per-block calls) and at the top (the daemon falls back to
-// per-fragment submission).
+// rebuilt store sees everything a killed daemon had flushed.
 func (c *Cluster) iodStore(i int) (store.Store, error) {
 	var st store.Store
 	if c.opts.DataDir != "" {
@@ -120,14 +82,8 @@ func (c *Cluster) iodStore(i int) (store.Store, error) {
 	} else {
 		st = c.mems[i]
 	}
-	if c.opts.PlainStore {
-		st = plainStore{st}
-	}
 	if c.opts.Cache != nil {
 		st = store.Cached(st, *c.opts.Cache)
-		if c.opts.PlainStore {
-			st = plainStore{st}
-		}
 	}
 	return st, nil
 }

@@ -12,6 +12,7 @@ package iod
 import (
 	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
+	"pvfs/internal/store"
 	"pvfs/internal/striping"
 	"pvfs/internal/wire"
 )
@@ -108,13 +109,13 @@ func evalWindow(t datatype.Type, base, count int64, cfg striping.Config, rel int
 const vecBatchSegs = 2048
 
 // vecApplier accumulates the physical extents a pattern walk emits in
-// logical order and applies them against the store in batched,
-// vectored submissions (DESIGN.md §10). data is the packed stream the
+// logical order and applies each batch with store.ApplyPacked, the path
+// list windows take too (DESIGN.md §11). data is the packed stream the
 // window moves (read target or write source); extents are applied in
 // arrival order across batches, so the exact per-fragment semantics —
 // including overlapping writes, later wins — are preserved.
 type vecApplier struct {
-	s       *Server
+	st      store.Store
 	handle  uint64
 	data    []byte
 	isWrite bool
@@ -144,10 +145,10 @@ func (a *vecApplier) flush() bool {
 	if len(a.segs) == 0 {
 		return true
 	}
-	ok := a.s.applyVector(a.handle, a.segs, a.data[a.pos:a.next], a.isWrite)
+	_, err := store.ApplyPacked(a.st, a.handle, a.segs, a.data[a.pos:a.next], a.isWrite)
 	a.segs = a.segs[:0]
 	a.pos = a.next
-	return ok
+	return err == nil
 }
 
 func (s *Server) readDatatype(req wire.Message) wire.Message {
@@ -160,7 +161,7 @@ func (s *Server) readDatatype(req wire.Message) wire.Message {
 		return fail(st)
 	}
 	out := wire.GetBuf(int(body.Want))
-	ap := &vecApplier{s: s, handle: req.Handle, data: out}
+	ap := &vecApplier{st: s.st, handle: req.Handle, data: out}
 	filled, pieces, st := evalWindow(t, body.Base, body.Count, body.Striping, body.RelIndex,
 		body.DataPos, body.Want, ap.add)
 	if st == wire.StatusOK && !ap.flush() {
@@ -189,7 +190,7 @@ func (s *Server) writeDatatype(req wire.Message) wire.Message {
 	if st != wire.StatusOK {
 		return fail(st)
 	}
-	ap := &vecApplier{s: s, handle: req.Handle, data: body.Data, isWrite: true}
+	ap := &vecApplier{st: s.st, handle: req.Handle, data: body.Data, isWrite: true}
 	filled, pieces, st := evalWindow(t, body.Base, body.Count, body.Striping, body.RelIndex,
 		body.DataPos, body.Want, ap.add)
 	if st == wire.StatusOK && !ap.flush() {

@@ -183,10 +183,12 @@ const zeroCopyMinBytes = 64 << 10
 // streamRead returns a zero-copy streamed response for a contiguous
 // read when the store can hand out a file-range stream (uncached Dir
 // only — a cache must never let the socket bypass dirty blocks) and
-// the transfer is large enough to profit. ok=false means the caller
-// takes the buffered path.
+// the transfer is large enough to profit yet fits one frame. ok=false
+// means the caller takes the buffered path, which answers an oversized
+// read StatusInvalid; a stream past wire.MaxBodyLen would instead fail
+// the frame write and close the connection under every request on it.
 func (s *Server) streamRead(handle uint64, off, length int64) (wire.Message, bool) {
-	if length < zeroCopyMinBytes {
+	if length < zeroCopyMinBytes || length > wire.MaxBodyLen {
 		return wire.Message{}, false
 	}
 	fsr, ok := s.st.(store.FileStreamer)
@@ -276,89 +278,17 @@ func (s *Server) applyRegions(handle uint64, regions ioseg.List, data []byte, is
 		if int64(len(data)) != total {
 			return nil, wire.StatusInvalid
 		}
-		if !s.applyVector(handle, regions, data, true) {
+		if _, err := store.ApplyPacked(s.st, handle, regions, data, true); err != nil {
 			return nil, wire.StatusIOError
 		}
 		return nil, wire.StatusOK
 	}
 	out := wire.GetBuf(int(total))
-	if !s.applyVector(handle, regions, out, false) {
+	if _, err := store.ApplyPacked(s.st, handle, regions, out, false); err != nil {
 		wire.PutBuf(out)
 		return nil, wire.StatusIOError
 	}
 	return out, wire.StatusOK
-}
-
-// applyVector runs one packed vector against the store, descending the
-// fallback ladder (DESIGN.md §11) that list and datatype requests
-// share: one BatchIO submission for the whole gapped window where the
-// store batches, one VectorIO submission otherwise, and at the bottom
-// one scalar call per adjacent run (CoalescePacked) — or per segment,
-// in list order, when the list is unsorted or overlapping, so a later
-// overlapping write wins.
-func (s *Server) applyVector(handle uint64, segs ioseg.List, data []byte, isWrite bool) bool {
-	if spans, ok := s.batchSpans(segs, data); ok {
-		b := s.st.(store.BatchIO)
-		var err error
-		if isWrite {
-			_, err = b.WriteBatch(handle, spans)
-		} else {
-			_, err = b.ReadBatch(handle, spans)
-		}
-		return err == nil
-	}
-	if v, ok := s.st.(store.VectorIO); ok {
-		var err error
-		if isWrite {
-			_, err = v.WriteAtv(handle, segs, data)
-		} else {
-			_, err = v.ReadAtv(handle, segs, data)
-		}
-		return err == nil
-	}
-	runs, ok := segs.CoalescePacked()
-	if !ok {
-		runs = segs
-	}
-	var pos int64
-	for _, r := range runs {
-		var err error
-		if isWrite {
-			_, err = s.st.WriteAt(handle, data[pos:pos+r.Length], r.Offset)
-		} else {
-			_, err = s.st.ReadAt(handle, data[pos:pos+r.Length], r.Offset)
-		}
-		if err != nil {
-			return false
-		}
-		pos += r.Length
-	}
-	return true
-}
-
-// batchSpans maps a region list and its packed data stream onto
-// store.Span values, one per coalesced run, when the batch path is
-// worth taking: the store implements BatchIO, the list is sorted and
-// overlap-free (CoalesceRuns ok), and there is more than one run —
-// a single run is already one syscall on the vectored path, and an
-// unsorted or overlapping list must apply sequentially for
-// later-wins semantics.
-func (s *Server) batchSpans(regions ioseg.List, data []byte) ([]store.Span, bool) {
-	if _, ok := s.st.(store.BatchIO); !ok {
-		return nil, false
-	}
-	runs, pos, ok := regions.CoalesceRuns()
-	if !ok || len(runs) < 2 {
-		return nil, false
-	}
-	spans := make([]store.Span, len(runs))
-	for i, r := range runs {
-		spans[i] = store.Span{
-			Off:  r.Offset,
-			Bufs: [][]byte{data[pos[i] : pos[i]+r.Length]},
-		}
-	}
-	return spans, true
 }
 
 func (s *Server) readList(req wire.Message) wire.Message {

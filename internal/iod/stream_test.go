@@ -112,3 +112,23 @@ func TestStreamedReadListSingleRun(t *testing.T) {
 		t.Fatalf("StoreBytesCopied delta = %d, want 0 (single-run list read must stream)", got)
 	}
 }
+
+// TestOversizedSingleRunListReadRejected: a TReadList whose regions
+// coalesce to one run larger than wire.MaxBodyLen must be answered
+// StatusInvalid, like a plain TRead of the same length, and leave the
+// connection serving. Streaming it would fail the frame write and
+// close the connection under every request in flight on it.
+func TestOversizedSingleRunListReadRejected(t *testing.T) {
+	_, c := startDirIOD(t)
+	const half = 40 << 20
+	regions := ioseg.List{{Offset: 0, Length: half}, {Offset: half, Length: half}}
+	body, err := (&wire.ListReq{Regions: regions}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TReadList, Handle: 13}, Body: body})
+	if err == nil || resp.Status != wire.StatusInvalid {
+		t.Fatalf("80 MiB single-run list read: status %v, err %v; want StatusInvalid", resp.Status, err)
+	}
+	call(t, c, wire.TPing, 0, nil)
+}

@@ -1,12 +1,13 @@
 package iod
 
-// Wire-level equivalence of the vectored and fallback datapaths: the
-// SAME request stream against a daemon whose store implements VectorIO
-// and one whose store hides it must produce identical wire-visible
-// responses and identical final file images, and the plain daemon must
-// issue exactly one scalar store call per adjacent run of each window.
-// Run under -race in CI, this also pins the concurrency safety of the
-// batched submission paths.
+// Wire-level equivalence of the storage path across backends: the SAME
+// request stream against daemons over Mem, Dir and a write-back cache
+// over Dir must produce identical wire-visible responses, every read
+// must match a per-fragment reference image, and the final images must
+// agree. The uncached daemons also pin how a window reaches the store:
+// one batch submission per sorted window, one scalar call per segment
+// for an unsorted list. Run under -race in CI, this also pins the
+// concurrency safety of the batched submission paths.
 
 import (
 	"bytes"
@@ -20,10 +21,6 @@ import (
 	"pvfs/internal/striping"
 	"pvfs/internal/wire"
 )
-
-// plainStore hides the optional vectored interfaces of a store, so a
-// daemon over it exercises the per-fragment/coalesced-loop fallbacks.
-type plainStore struct{ store.Store }
 
 // randRegions builds a region list spanning the coalescing envelope:
 // adjacent runs, gaps, and unsorted/overlapping jumps.
@@ -46,12 +43,49 @@ func randRegions(r *rand.Rand) ioseg.List {
 	return segs
 }
 
+// refImage is the per-fragment reference: a byte image every write
+// region lands in one at a time, in list order.
+type refImage []byte
+
+func (ref *refImage) write(segs ioseg.List, data []byte) {
+	var pos int64
+	for _, s := range segs {
+		if need := s.End(); need > int64(len(*ref)) {
+			*ref = append(*ref, make([]byte, need-int64(len(*ref)))...)
+		}
+		copy((*ref)[s.Offset:s.End()], data[pos:pos+s.Length])
+		pos += s.Length
+	}
+}
+
+func (ref refImage) read(segs ioseg.List) []byte {
+	out := make([]byte, 0, segs.TotalLength())
+	for _, s := range segs {
+		b := make([]byte, s.Length)
+		if s.Offset < int64(len(ref)) {
+			copy(b, ref[s.Offset:])
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
 func TestVectoredFallbackWireEquivalence(t *testing.T) {
-	plain := store.NewMem()
-	stores := []store.Store{store.NewMem(), plainStore{plain}}
-	names := []string{"vectored", "fallback"}
-	conns := make([]*pvfsnet.Conn, len(stores))
-	for i, st := range stores {
+	mem := store.NewMem()
+	dir, err := store.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedInner, err := store.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight 4 KiB blocks: far below the working set, so fills, flushes
+	// and evictions churn through the batch paths.
+	cached := store.Cached(cachedInner, store.CacheOptions{BlockSize: 4096, MaxBytes: 8 * 4096, Readahead: 2})
+	names := []string{"mem", "dir", "cached-dir"}
+	conns := make([]*pvfsnet.Conn, len(names))
+	for i, st := range []store.Store{mem, dir, cached} {
 		srv, err := Listen("127.0.0.1:0", st, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -64,9 +98,9 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		conns[i] = c
 	}
-	// both sends one request to both daemons and demands identical
+	// all sends one request to every daemon and demands identical
 	// wire-visible outcomes.
-	both := func(typ wire.MsgType, handle uint64, body []byte) wire.Message {
+	all := func(typ wire.MsgType, handle uint64, body []byte) wire.Message {
 		t.Helper()
 		var first wire.Message
 		for i, c := range conns {
@@ -79,10 +113,11 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 				continue
 			}
 			if resp.Status != first.Status {
-				t.Fatalf("%v: status diverges: %s=%v %s=%v", typ, names[0], first.Status, names[1], resp.Status)
+				t.Fatalf("%v: status diverges: %s=%v %s=%v", typ, names[0], first.Status, names[i], resp.Status)
 			}
 			if !bytes.Equal(resp.Body, first.Body) {
-				t.Fatalf("%v: response body diverges (%d vs %d bytes)", typ, len(first.Body), len(resp.Body))
+				t.Fatalf("%v: %s response body diverges from %s (%d vs %d bytes)",
+					typ, names[i], names[0], len(resp.Body), len(first.Body))
 			}
 		}
 		return first
@@ -90,25 +125,37 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 
 	r := rand.New(rand.NewSource(61))
 	const handle = uint64(5)
+	var ref refImage
 
-	// plainCalls checks the plain daemon's store calls since the last
-	// check: one scalar call per adjacent run, in the given direction.
-	var seen store.IOStats
-	plainCalls := func(what string, wantRead, wantWrite int64) {
+	// calls checks how the last window reached the uncached stores: a
+	// sorted window is one batch submission (one lock round on Mem), an
+	// unsorted one a scalar call per segment and no batch.
+	uncached := []struct {
+		name  string
+		stats func() store.IOStats
+		seen  store.IOStats
+	}{{name: "mem", stats: mem.IOStats}, {name: "dir", stats: dir.IOStats}}
+	calls := func(what string, segs ioseg.List, write bool) {
 		t.Helper()
-		now := plain.IOStats()
-		d := now.Sub(seen)
-		seen = now
-		if d.SyscallsRead != wantRead || d.SyscallsWrite != wantWrite {
-			t.Fatalf("%s: plain store took %d reads, %d writes; want %d, %d",
-				what, d.SyscallsRead, d.SyscallsWrite, wantRead, wantWrite)
+		_, sorted := segs.CoalescePacked()
+		for i := range uncached {
+			name, now := uncached[i].name, uncached[i].stats()
+			d := now.Sub(uncached[i].seen)
+			uncached[i].seen = now
+			n := d.SyscallsRead
+			if write {
+				n = d.SyscallsWrite
+			}
+			switch {
+			case !sorted && (d.Submissions != 0 || n != int64(len(segs))):
+				t.Fatalf("%s: %s took %d submissions, %d calls for %d unsorted segments; want 0, %d",
+					what, name, d.Submissions, n, len(segs), len(segs))
+			case sorted && d.Submissions != 1:
+				t.Fatalf("%s: %s took %d submissions for a sorted window, want 1", what, name, d.Submissions)
+			case sorted && name == "mem" && n != 1:
+				t.Fatalf("%s: mem took %d lock rounds for a sorted window, want 1", what, n)
+			}
 		}
-	}
-	runCount := func(segs ioseg.List) int64 {
-		if runs, ok := segs.CoalescePacked(); ok {
-			return int64(len(runs))
-		}
-		return int64(len(segs))
 	}
 
 	// Randomized list I/O: writes and reads over every list shape.
@@ -121,19 +168,26 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			both(wire.TWriteList, handle, body)
-			plainCalls("list write", 0, runCount(segs))
+			all(wire.TWriteList, handle, body)
+			ref.write(segs, data)
+			calls("list write", segs, true)
 		} else {
 			body, err := (&wire.ListReq{Regions: segs}).Marshal()
 			if err != nil {
 				t.Fatal(err)
 			}
-			both(wire.TReadList, handle, body)
-			plainCalls("list read", runCount(segs), 0)
+			resp := all(wire.TReadList, handle, body)
+			if !bytes.Equal(resp.Body, ref.read(segs)) {
+				t.Fatalf("list read %d diverges from the per-fragment reference", i)
+			}
+			if runs, ok := segs.CoalescePacked(); ok && len(runs) == 1 && runs[0].Length >= zeroCopyMinBytes {
+				t.Fatal("window streams past the store; pick a seed that keeps it on the batch path")
+			}
+			calls("list read", segs, false)
 		}
 	}
 
-	// Datatype round trip: a fragmented vector pattern, windowed.
+	// Datatype round trip: a fragmented vector pattern, one window.
 	cfg := striping.Config{PCount: 2, StripeSize: 4096}
 	typ := datatype.Vector(300, 24, 96, datatype.Bytes(1))
 	enc, err := datatype.Encode(typ)
@@ -148,15 +202,10 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 	if st != wire.StatusOK || owned == 0 {
 		t.Fatalf("ownedBytes: %d bytes, status %v", owned, st)
 	}
-	// The window's physical pieces with adjacent ones merged, as the
-	// daemon batches them: the plain store's call count per direction.
-	var dtRuns int64
-	last := int64(-1)
+	// The window's physical pieces, for the reference and the call count.
+	var pieces ioseg.List
 	evalWindow(dec, 0, 2, cfg, 0, 0, owned, func(p ioseg.Segment) bool {
-		if p.Offset != last {
-			dtRuns++
-		}
-		last = p.End()
+		pieces = append(pieces, p)
 		return true
 	})
 	payload := make([]byte, owned)
@@ -168,26 +217,31 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 		},
 		Data: payload,
 	}
-	if resp := both(wire.TWriteDatatype, handle, req.Marshal()); resp.Status != wire.StatusOK {
+	if resp := all(wire.TWriteDatatype, handle, req.Marshal()); resp.Status != wire.StatusOK {
 		t.Fatalf("datatype write: status %v", resp.Status)
 	}
-	plainCalls("datatype write", 0, dtRuns)
+	ref.write(pieces, payload)
+	calls("datatype write", pieces, true)
 	rreq := wire.ReadDatatypeReq{
 		Base: 0, Count: 2, DataPos: 0, Want: owned,
 		Striping: cfg, RelIndex: 0, TypeEnc: enc,
 	}
-	resp := both(wire.TReadDatatype, handle, rreq.Marshal())
+	resp := all(wire.TReadDatatype, handle, rreq.Marshal())
 	if resp.Status != wire.StatusOK || !bytes.Equal(resp.Body, payload) {
 		t.Fatalf("datatype read-back diverges from payload (status %v)", resp.Status)
 	}
-	plainCalls("datatype read", dtRuns, 0)
+	calls("datatype read", pieces, false)
 
-	// Final images must be byte-identical.
-	sizeResp := both(wire.TStat, handle, nil)
+	// Final images must be byte-identical to the reference.
 	var sz wire.SizeResp
-	if err := sz.Unmarshal(sizeResp.Body); err != nil {
+	if err := sz.Unmarshal(all(wire.TStat, handle, nil).Body); err != nil {
 		t.Fatal(err)
 	}
+	if sz.Size != int64(len(ref)) {
+		t.Fatalf("final size %d, reference %d", sz.Size, len(ref))
+	}
 	rd := wire.ReadReq{Offset: 0, Length: sz.Size}
-	both(wire.TRead, handle, rd.Marshal())
+	if img := all(wire.TRead, handle, rd.Marshal()); !bytes.Equal(img.Body, ref) {
+		t.Fatal("final image diverges from the per-fragment reference")
+	}
 }

@@ -3,10 +3,11 @@ package store
 // Benchmarks for the batch-submission datapath (DESIGN.md §11): one
 // GAPPED N-fragment 4 KiB window — every fragment its own run, the
 // shape interleaved ranks leave on a daemon's stripe file — submitted
-// as one scalar pread/pwrite per fragment (perfrag) and as one
-// ReadBatch/WriteBatch (batch: one preadv/pwritev per run, since gaps
-// break the iovec chain, so N runs still cost N syscalls but one store
-// call).
+// as one scalar pread/pwrite per fragment (perfrag, the path of an
+// unsorted list) and as one ReadBatch/WriteBatch (batch: one
+// preadv/pwritev per run, since gaps break the iovec chain, so N runs
+// still cost N syscalls but one store call); and the cache's
+// write-back flush of adjacent and of gapped dirty runs.
 
 import (
 	"fmt"
@@ -30,8 +31,7 @@ func benchGappedSpans(n int, width int64) ([]Span, int64) {
 }
 
 // BenchmarkDirGappedSubmission sweeps fragment count over the batch
-// and per-fragment rungs of the §11 fallback ladder against store.Dir,
-// in both directions.
+// and per-fragment paths against store.Dir, in both directions.
 func BenchmarkDirGappedSubmission(b *testing.B) {
 	const width = 4096
 	for _, nfrag := range []int{16, 64, 256} {
@@ -82,6 +82,34 @@ func BenchmarkDirGappedSubmission(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkCacheFlushSubmission measures write-back flushing of 16
+// adjacent dirty 4 KiB blocks: one WriteBatch of one span, which Dir
+// takes as one gathered pwritev.
+func BenchmarkCacheFlushSubmission(b *testing.B) {
+	const blocks = 16
+	data := make([]byte, blocks*4096)
+	for i := range data {
+		data[i] = byte(i * 11)
+	}
+	d, err := NewDir(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	c := Cached(d, CacheOptions{BlockSize: 4096, Readahead: -1, FlushInterval: -1})
+	defer c.Close()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.WriteAt(1, data, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Sync(1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -23,6 +23,11 @@ package store
 //     access triggers asynchronous readahead of the next blocks.
 //   - Eviction is LRU over all blocks; dirty victims are flushed
 //     before being dropped.
+//   - Data reaches the backend only as batches: fillRuns is the one
+//     fill path (misses, readahead, the pre-read of a partly written
+//     block) and issues one inner ReadBatch per fill; flushFileRuns
+//     is the one flush path (flusher, Sync, eviction) and issues one
+//     inner WriteBatch per file per pass.
 //
 // Concurrency: three lock levels, always acquired in this order —
 // per-handle file lock (read-held by block operations and flushes,
@@ -297,77 +302,46 @@ func (c *Cache) finishWrite(f *cacheFile, b *cacheBlock, end int64) {
 	c.mu.Unlock()
 }
 
-// fill loads the block's span from the backend. Callers hold b.bmu and
-// f.mu.R; on success b.loaded is set.
-func (c *Cache) fill(b *cacheBlock) error {
-	if _, err := c.inner.ReadAt(b.file.handle, b.data, b.idx*c.opt.BlockSize); err != nil {
+// blockSpans maps runs of consecutive blocks onto one batch: a span per
+// run, a buffer per block holding its first n(b) bytes. It also returns
+// the batch's byte count.
+func (c *Cache) blockSpans(runs [][]*cacheBlock, n func(*cacheBlock) int64) ([]Span, int64) {
+	nblocks := 0
+	for _, run := range runs {
+		nblocks += len(run)
+	}
+	spans := make([]Span, len(runs))
+	bufs := make([][]byte, 0, nblocks)
+	var total int64
+	for i, run := range runs {
+		start := len(bufs)
+		for _, b := range run {
+			buf := b.data[:n(b)]
+			bufs = append(bufs, buf)
+			total += int64(len(buf))
+		}
+		spans[i] = Span{Off: run[0].idx * c.opt.BlockSize, Bufs: bufs[start:len(bufs):len(bufs)]}
+	}
+	return spans, total
+}
+
+// fillRuns loads runs of consecutive uncached blocks — gaps between
+// runs allowed — with ONE inner ReadBatch. It is the cache's only fill
+// path: read misses, readahead and the pre-read of a partly written
+// block all come through here. Callers hold f.mu.R and every block's
+// bmu across all runs, taken in ascending index order (the deadlock
+// rule all multi-block paths share). On success every block is marked
+// loaded; on error none is (the blocks stay unloaded and the caller
+// fails).
+func (c *Cache) fillRuns(handle uint64, runs [][]*cacheBlock) error {
+	bs := c.opt.BlockSize
+	spans, _ := c.blockSpans(runs, func(*cacheBlock) int64 { return bs })
+	if _, err := c.inner.ReadBatch(handle, spans); err != nil {
 		return err
 	}
-	b.loaded = true
-	return nil
-}
-
-// fillRuns loads several GAPPED runs of consecutive uncached blocks in
-// one backend submission when the inner store batches (BatchIO), one
-// fillRun per run otherwise. Callers hold f.mu.R and every block's bmu
-// across all runs, taken in ascending index order (the deadlock rule
-// all multi-block paths share). On success every block is marked
-// loaded; on error none is (the blocks stay unloaded and the read
-// fails, matching fillRun).
-func (c *Cache) fillRuns(handle uint64, runs [][]*cacheBlock) error {
-	if len(runs) > 1 {
-		if bio, ok := c.inner.(BatchIO); ok {
-			spans := make([]Span, len(runs))
-			for i, run := range runs {
-				bufs := make([][]byte, len(run))
-				for j, b := range run {
-					bufs[j] = b.data
-				}
-				spans[i] = Span{Off: run[0].idx * c.opt.BlockSize, Bufs: bufs}
-			}
-			if _, err := bio.ReadBatch(handle, spans); err != nil {
-				return err
-			}
-			for _, run := range runs {
-				for _, b := range run {
-					b.loaded = true
-				}
-			}
-			return nil
-		}
-	}
 	for _, run := range runs {
-		if err := c.fillRun(handle, run); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fillRun loads a run of consecutive uncached blocks from the backend
-// — one vectored read when the inner store scatters (SpanIO), one
-// ReadAt per block otherwise. Callers hold f.mu.R and every run
-// block's bmu, taken in ascending index order (the deadlock rule all
-// multi-block paths share).
-func (c *Cache) fillRun(handle uint64, run []*cacheBlock) error {
-	if len(run) > 1 {
-		if sp, ok := c.inner.(SpanIO); ok {
-			bufs := make([][]byte, len(run))
-			for i, b := range run {
-				bufs[i] = b.data
-			}
-			if _, err := sp.ReadSpanv(handle, run[0].idx*c.opt.BlockSize, bufs); err != nil {
-				return err
-			}
-			for _, b := range run {
-				b.loaded = true
-			}
-			return nil
-		}
-	}
-	for _, b := range run {
-		if err := c.fill(b); err != nil {
-			return err
+		for _, b := range run {
+			b.loaded = true
 		}
 	}
 	return nil
@@ -387,41 +361,6 @@ func (c *Cache) markDirty(b *cacheBlock) {
 	if c.dirtyBytes.Load() > c.opt.DirtyHighWater {
 		c.wakeFlusher()
 	}
-}
-
-// flushBlock writes a dirty block back to the backend, clipped to the
-// tracked file size so write-back never extends a file past its
-// logical end. Callers hold f.mu.R (or f.mu.W); flushBlock takes b.bmu
-// itself. Blocks that vanished (gone) are skipped: their fate was
-// decided by Truncate/Remove.
-func (c *Cache) flushBlock(b *cacheBlock) error {
-	f := b.file
-	b.bmu.Lock()
-	defer b.bmu.Unlock()
-	c.mu.Lock()
-	gone, size := b.gone, f.size
-	c.mu.Unlock()
-	if gone || !b.dirty {
-		return nil
-	}
-	clip := size - b.idx*c.opt.BlockSize
-	if clip > c.opt.BlockSize {
-		clip = c.opt.BlockSize
-	}
-	if clip > 0 {
-		if _, err := c.inner.WriteAt(f.handle, b.data[:clip], b.idx*c.opt.BlockSize); err != nil {
-			return err
-		}
-		c.flushes.Add(1)
-		c.flushedBytes.Add(clip)
-	}
-	b.dirty = false
-	c.mu.Lock()
-	c.dirtyBytes.Add(-c.opt.BlockSize)
-	delete(c.dirtySet, b)
-	c.cleanCond.Broadcast()
-	c.mu.Unlock()
-	return nil
 }
 
 // wakeFlusher nudges the background flusher without blocking.
@@ -466,8 +405,8 @@ func (c *Cache) flusher() {
 	}
 }
 
-// flushDirty flushes a snapshot of the current dirty set, file by
-// file, with adjacent dirty blocks merged into vectored writes.
+// flushDirty flushes a snapshot of the current dirty set, one batch
+// per file.
 func (c *Cache) flushDirty() error {
 	c.mu.Lock()
 	byFile := make(map[*cacheFile][]*cacheBlock)
@@ -487,15 +426,18 @@ func (c *Cache) flushDirty() error {
 	return first
 }
 
-// flushFileRuns writes back one file's batch of dirty blocks, merging
-// adjacent block indexes into vectored writes — the coalesced
-// write-back of DESIGN.md §10 — and, when the inner store batches
-// (BatchIO), submitting ALL the file's gapped sub-runs as ONE backend
-// submission (§11). Callers hold f.mu (either mode). Block locks are
-// taken in ascending index order; blocks that meanwhile went clean or
-// gone are skipped, and only blocks whose write landed are marked
-// clean (failures stay dirty for a later retry) — exactly the
-// per-block flushBlock contract, minus the per-block syscalls.
+// flushFileRuns writes back one file's batch of dirty blocks: adjacent
+// block indexes merge into sub-runs, and ALL the file's gapped sub-runs
+// go down as ONE inner WriteBatch (DESIGN.md §11), each block clipped
+// to the tracked size so write-back never extends a file past its
+// logical end. It is the cache's only flush path — the flusher, Sync
+// and eviction (a batch of one victim) all come through here. Callers
+// hold f.mu (either mode); block locks are taken here, in ascending
+// index order. Blocks that meanwhile went clean or gone are skipped
+// (a gone block's fate was decided by Truncate/Remove). The batch is
+// all-or-nothing: on error every block in it stays dirty for a later
+// retry — the §7 crash contract is per run, and a batch is a set of
+// runs that land or fail together.
 func (c *Cache) flushFileRuns(f *cacheFile, batch []*cacheBlock) error {
 	sort.Slice(batch, func(i, j int) bool { return batch[i].idx < batch[j].idx })
 	for _, b := range batch {
@@ -514,17 +456,7 @@ func (c *Cache) flushFileRuns(f *cacheFile, batch []*cacheBlock) error {
 	}
 	c.mu.Unlock()
 	bs := c.opt.BlockSize
-	clipOf := func(b *cacheBlock) int64 {
-		clip := size - b.idx*bs
-		if clip > bs {
-			clip = bs
-		}
-		if clip < 0 {
-			clip = 0
-		}
-		return clip
-	}
-	var first error
+	clipOf := func(b *cacheBlock) int64 { return min(max(size-b.idx*bs, 0), bs) }
 	cleaned := make([]*cacheBlock, 0, len(batch))
 	var subs [][]*cacheBlock
 	for i := 0; i < len(batch); {
@@ -533,8 +465,8 @@ func (c *Cache) flushFileRuns(f *cacheFile, batch []*cacheBlock) error {
 		case gone[i] || !b.dirty:
 			i++
 		case clipOf(b) == 0:
-			// Nothing of this block is below the tracked size; the
-			// data is dropped, matching flushBlock.
+			// Nothing of this block is below the tracked size: the
+			// data is dropped without a write.
 			b.dirty = false
 			cleaned = append(cleaned, b)
 			i++
@@ -553,48 +485,17 @@ func (c *Cache) flushFileRuns(f *cacheFile, batch []*cacheBlock) error {
 			i = j
 		}
 	}
-	if len(subs) > 1 {
-		if bio, ok := c.inner.(BatchIO); ok {
-			// One submission for every gapped sub-run. All-or-nothing:
-			// on error every batched block stays dirty for retry — the
-			// §7 crash contract is per-run, and a batch is just a set
-			// of runs that fail or land together.
-			spans := make([]Span, len(subs))
-			var total int64
-			nblocks := 0
-			for si, sub := range subs {
-				bufs := make([][]byte, len(sub))
-				for bi, b := range sub {
-					bufs[bi] = b.data[:clipOf(b)]
-					total += int64(len(bufs[bi]))
+	var err error
+	if len(subs) > 0 {
+		spans, total := c.blockSpans(subs, clipOf)
+		if _, err = c.inner.WriteBatch(f.handle, spans); err == nil {
+			c.flushedBytes.Add(total)
+			for _, sub := range subs {
+				c.flushes.Add(int64(len(sub)))
+				for _, sb := range sub {
+					sb.dirty = false
+					cleaned = append(cleaned, sb)
 				}
-				spans[si] = Span{Off: sub[0].idx * bs, Bufs: bufs}
-				nblocks += len(sub)
-			}
-			if _, err := bio.WriteBatch(f.handle, spans); err != nil {
-				first = err
-			} else {
-				c.flushes.Add(int64(nblocks))
-				c.flushedBytes.Add(total)
-				for _, sub := range subs {
-					for _, sb := range sub {
-						sb.dirty = false
-						cleaned = append(cleaned, sb)
-					}
-				}
-			}
-			subs = nil
-		}
-	}
-	for _, sub := range subs {
-		if err := c.writeRun(f.handle, sub, clipOf); err != nil {
-			if first == nil {
-				first = err
-			}
-		} else {
-			for _, sb := range sub {
-				sb.dirty = false
-				cleaned = append(cleaned, sb)
 			}
 		}
 	}
@@ -607,39 +508,7 @@ func (c *Cache) flushFileRuns(f *cacheFile, batch []*cacheBlock) error {
 		c.cleanCond.Broadcast()
 		c.mu.Unlock()
 	}
-	return first
-}
-
-// writeRun issues the backend write for a sub-run of adjacent dirty
-// blocks: one vectored write when the inner store gathers (SpanIO),
-// one WriteAt per block otherwise. Callers hold the blocks' bmu.
-func (c *Cache) writeRun(handle uint64, sub []*cacheBlock, clipOf func(*cacheBlock) int64) error {
-	bs := c.opt.BlockSize
-	if len(sub) > 1 {
-		if sp, ok := c.inner.(SpanIO); ok {
-			bufs := make([][]byte, len(sub))
-			var total int64
-			for i, b := range sub {
-				bufs[i] = b.data[:clipOf(b)]
-				total += int64(len(bufs[i]))
-			}
-			if _, err := sp.WriteSpanv(handle, sub[0].idx*bs, bufs); err != nil {
-				return err
-			}
-			c.flushes.Add(int64(len(sub)))
-			c.flushedBytes.Add(total)
-			return nil
-		}
-	}
-	for _, b := range sub {
-		clip := clipOf(b)
-		if _, err := c.inner.WriteAt(handle, b.data[:clip], b.idx*bs); err != nil {
-			return err
-		}
-		c.flushes.Add(1)
-		c.flushedBytes.Add(clip)
-	}
-	return nil
+	return err
 }
 
 // waitDirtyRoom stalls until dirty bytes drop below the high-water
@@ -706,7 +575,7 @@ func (c *Cache) evictIfNeeded() {
 
 		f := victim.file
 		f.mu.RLock()
-		err := c.flushBlock(victim)
+		err := c.flushFileRuns(f, []*cacheBlock{victim})
 		f.mu.RUnlock()
 
 		victim.bmu.Lock()
@@ -899,7 +768,7 @@ func (c *Cache) writeBlocks(f *cacheFile, p []byte, off int64) error {
 				b.loaded = true
 				c.hits.Add(1)
 			default:
-				if err := c.fill(b); err != nil {
+				if err := c.fillRuns(f.handle, [][]*cacheBlock{{b}}); err != nil {
 					b.bmu.Unlock()
 					c.put(b)
 					return err
@@ -917,82 +786,18 @@ func (c *Cache) writeBlocks(f *cacheFile, p []byte, off int64) error {
 	return nil
 }
 
-// ReadAtv implements VectorIO over the cache: the packed vector is
-// served run by run through the block machinery, so the adjacent
-// fragments of a sorted list cost one pass over their blocks — and at
-// most one backend fill per uncached run — instead of one block walk
-// per fragment.
+// ReadAtv implements VectorIO over ApplyPacked. It is kept only for the
+// bench/ harness's traced wrappers; see VectorIO.
 func (c *Cache) ReadAtv(handle uint64, segs ioseg.List, p []byte) (int, error) {
-	if c.abandoned.Load() {
-		return 0, ErrAbandoned
-	}
-	if err := checkVector(segs, p, MaxFileSize); err != nil {
-		return 0, err
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	runs, ok := segs.CoalescePacked()
-	if !ok {
-		runs = segs
-	}
-	f := c.file(handle)
-	pos := 0
-	for _, s := range runs {
-		if s.Length == 0 {
-			continue
-		}
-		first, last, err := c.readBlocks(f, p[pos:pos+int(s.Length)], s.Offset)
-		if err != nil {
-			return pos, err
-		}
-		c.noteSequential(f, first, last)
-		pos += int(s.Length)
-	}
-	c.evictIfNeeded()
-	return len(p), nil
+	return ApplyPacked(c, handle, segs, p, false)
 }
 
-// WriteAtv implements VectorIO over the cache; segments land in
-// cached blocks in list order, so overlapping segments of an unsorted
-// list keep later-wins semantics.
+// WriteAtv implements VectorIO over ApplyPacked, kept for bench/ only.
 func (c *Cache) WriteAtv(handle uint64, segs ioseg.List, p []byte) (int, error) {
-	if c.abandoned.Load() {
-		return 0, ErrAbandoned
-	}
-	if err := checkVector(segs, p, c.limit); err != nil {
-		return 0, err
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	c.waitDirtyRoom()
-	c.mu.Lock()
-	ferr := c.flushErr
-	c.mu.Unlock()
-	if ferr != nil {
-		return 0, fmt.Errorf("store: cache write-back degraded: %w", ferr)
-	}
-	runs, ok := segs.CoalescePacked()
-	if !ok {
-		runs = segs
-	}
-	f := c.file(handle)
-	pos := 0
-	for _, s := range runs {
-		if s.Length == 0 {
-			continue
-		}
-		if err := c.writeBlocks(f, p[pos:pos+int(s.Length)], s.Offset); err != nil {
-			return pos, err
-		}
-		pos += int(s.Length)
-	}
-	c.evictIfNeeded()
-	return len(p), nil
+	return ApplyPacked(c, handle, segs, p, true)
 }
 
-// ReadBatch implements BatchIO over the cache: each span is served
+// ReadBatch implements Store over the cache: each span is served
 // through the block machinery (hits stay in memory; misses coalesce
 // into batched backend fills via readBlocks), so callers that batch
 // gapped runs keep one code path whether or not a cache interposes.
@@ -1028,9 +833,8 @@ func (c *Cache) ReadBatch(handle uint64, spans []Span) (int, error) {
 	return moved, nil
 }
 
-// WriteBatch implements BatchIO over the cache; the data lands in
-// cached blocks and is flushed later — batched back out through
-// flushFileRuns when the backend batches.
+// WriteBatch implements Store over the cache; the data lands in cached
+// blocks and is flushed later, batched back out through flushFileRuns.
 func (c *Cache) WriteBatch(handle uint64, spans []Span) (int, error) {
 	if c.abandoned.Load() {
 		return 0, ErrAbandoned
@@ -1108,8 +912,7 @@ func (c *Cache) noteSequential(f *cacheFile, first, last int64) {
 // prefetch asynchronously fills up to n blocks of f starting at idx.
 // The whole prefetch span is read as one backend submission: the run
 // of uncached in-file blocks is collected (block locks ascending) and
-// filled by fillRun, instead of the one inner read per block this
-// path used to cost.
+// filled by fillRuns.
 func (c *Cache) prefetch(f *cacheFile, idx int64, n int) {
 	defer func() {
 		c.mu.Lock()
@@ -1143,7 +946,10 @@ func (c *Cache) prefetch(f *cacheFile, idx int64, n int) {
 		}
 		run = append(run, b)
 	}
-	err := c.fillRun(f.handle, run)
+	var err error
+	if len(run) > 0 {
+		err = c.fillRuns(f.handle, [][]*cacheBlock{run})
+	}
 	for _, b := range run {
 		if err == nil {
 			c.readaheads.Add(1)

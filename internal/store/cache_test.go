@@ -358,17 +358,144 @@ func TestCacheOverflowRejected(t *testing.T) {
 	}
 }
 
-// faultStore fails WriteAt while tripped, for degraded-mode tests.
+// faultStore fails WriteBatch — the cache's only write path into its
+// backend — while tripped, for degraded-mode tests.
 type faultStore struct {
 	Store
 	tripped atomic.Bool
 }
 
-func (s *faultStore) WriteAt(h uint64, p []byte, off int64) (int, error) {
+func (s *faultStore) WriteBatch(h uint64, spans []Span) (int, error) {
 	if s.tripped.Load() {
 		return 0, errors.New("injected backend write failure")
 	}
+	return s.Store.WriteBatch(h, spans)
+}
+
+// countingStore counts the data calls a cache makes into its backend.
+type countingStore struct {
+	Store
+	readAt, writeAt, readBatch, writeBatch atomic.Int64
+}
+
+func (s *countingStore) ReadAt(h uint64, p []byte, off int64) (int, error) {
+	s.readAt.Add(1)
+	return s.Store.ReadAt(h, p, off)
+}
+
+func (s *countingStore) WriteAt(h uint64, p []byte, off int64) (int, error) {
+	s.writeAt.Add(1)
 	return s.Store.WriteAt(h, p, off)
+}
+
+func (s *countingStore) ReadBatch(h uint64, spans []Span) (int, error) {
+	s.readBatch.Add(1)
+	return s.Store.ReadBatch(h, spans)
+}
+
+func (s *countingStore) WriteBatch(h uint64, spans []Span) (int, error) {
+	s.writeBatch.Add(1)
+	return s.Store.WriteBatch(h, spans)
+}
+
+// calls returns the counters as one comparable value.
+func (s *countingStore) calls() [4]int64 {
+	return [4]int64{s.readAt.Load(), s.writeAt.Load(), s.readBatch.Load(), s.writeBatch.Load()}
+}
+
+// TestCacheBackendSeesOnlyBatches pins the cache's one fill path and
+// one flush path: no data reaches the backend through ReadAt/WriteAt;
+// every fill — a gapped miss set, a readahead span, the pre-read of a
+// partly written block — is exactly one ReadBatch; every flush pass is
+// exactly one WriteBatch per file, a flush forced by eviction included.
+func TestCacheBackendSeesOnlyBatches(t *testing.T) {
+	const bs = 512
+	inner := &countingStore{Store: NewMem()}
+	img := make([]byte, 64*bs)
+	for i := range img {
+		img[i] = byte(i*7 + 1)
+	}
+	for _, h := range []uint64{1, 2} {
+		if _, err := inner.Store.WriteAt(h, img, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The flusher never wakes on its own: only Sync and eviction flush.
+	c := Cached(inner, CacheOptions{BlockSize: bs, MaxBytes: 16 * bs, DirtyHighWater: 1 << 30,
+		Readahead: 4, FlushInterval: -1})
+	defer c.Close()
+	step := func(what string, want [4]int64, f func()) {
+		t.Helper()
+		before := inner.calls()
+		f()
+		got := inner.calls()
+		for i := range got {
+			got[i] -= before[i]
+		}
+		if got != want {
+			t.Fatalf("%s: backend saw ReadAt/WriteAt/ReadBatch/WriteBatch = %v, want %v", what, got, want)
+		}
+	}
+	read := func(off, n int64) {
+		t.Helper()
+		p := make([]byte, n)
+		if _, err := c.ReadAt(1, p, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p, img[off:off+n]) {
+			t.Fatalf("read [%d,+%d) diverges from the backend image", off, n)
+		}
+	}
+
+	step("warm block 1", [4]int64{0, 0, 1, 0}, func() { read(bs, bs) })
+	// Blocks 0, 2 and 3 miss: two gapped runs, one fill.
+	step("gapped miss set", [4]int64{0, 0, 1, 0}, func() { read(0, 4*bs) })
+	// Three sequential misses arm the detector; the third triggers a
+	// four-block readahead, filled as one more batch.
+	step("sequential reads + readahead", [4]int64{0, 0, 4, 0}, func() {
+		for blk := int64(10); blk < 13; blk++ {
+			read(blk*bs, bs)
+		}
+		c.prefetchWG.Wait()
+	})
+	if ra := c.CacheStats().Readaheads; ra != 4 {
+		t.Fatalf("readahead filled %d blocks, want 4", ra)
+	}
+	step("partial-write pre-read", [4]int64{0, 0, 1, 0}, func() {
+		if _, err := c.WriteAt(1, []byte("partial"), 20*bs+100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Dirty runs in two files, gapped within file 1: one batch per file.
+	step("flush pass", [4]int64{0, 0, 0, 2}, func() {
+		for _, off := range []int64{21 * bs, 24 * bs} {
+			if _, err := c.WriteAt(1, img[off:off+bs], off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.WriteAt(2, img[:2*bs], 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// Whole-block writes far past the budget: the 16 clean blocks are
+	// dropped first, then every eviction flushes its dirty victim as
+	// one batch of one block, and nothing else reaches the backend.
+	before := c.CacheStats()
+	step("eviction", [4]int64{0, 0, 0, 14}, func() {
+		for blk := int64(30); blk < 60; blk++ {
+			if _, err := c.WriteAt(1, img[blk*bs:(blk+1)*bs], blk*bs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	st := c.CacheStats()
+	if evicted, flushed := st.Evictions-before.Evictions, st.Flushes-before.Flushes; evicted != 30 || flushed != 14 {
+		t.Fatalf("eviction: %d evictions flushed %d blocks, want 30 and 14", evicted, flushed)
+	}
 }
 
 // TestCacheDegradesOnFlushFailure pins the bounded-memory contract

@@ -19,12 +19,6 @@ import (
 	"pvfs/internal/ioseg"
 )
 
-// noVec hides every optional interface of an inner store — VectorIO,
-// SpanIO, BatchIO, FileStreamer, IOStatsProvider — by embedding it as
-// a bare Store, pinning the callers' per-fragment fallback paths to
-// the same semantics as the vectored and batched ones.
-type noVec struct{ Store }
-
 // equivOp is one step of a worker's deterministic script.
 type equivOp struct {
 	kind int // 0 write, 1 read, 2 truncate, 3 sync, 4 vector write, 5 vector read, 6 batch write, 7 batch read
@@ -37,8 +31,7 @@ type equivOp struct {
 // makeSegs builds a vector op's segment list: runs of adjacent,
 // gapped, and randomly placed (possibly unsorted or overlapping)
 // segments, with occasional zero-length entries — the full envelope
-// the VectorIO contract must keep byte-identical to per-segment
-// application.
+// ApplyPacked must keep byte-identical to per-segment application.
 func makeSegs(r *rand.Rand) ioseg.List {
 	n := 1 + r.Intn(6)
 	segs := make(ioseg.List, 0, n)
@@ -64,7 +57,7 @@ func makeSegs(r *rand.Rand) ioseg.List {
 
 // makeBatchSegs builds a batch op's span list: several runs kept
 // sorted and DISJOINT by construction (gaps between runs), the shape
-// the BatchIO contract requires.
+// the batch contract requires.
 func makeBatchSegs(r *rand.Rand) ioseg.List {
 	n := 2 + r.Intn(6)
 	segs := make(ioseg.List, 0, n)
@@ -194,21 +187,11 @@ func runScript(s Store, handle uint64, script []equivOp) error {
 			total := op.segs.TotalLength()
 			p := make([]byte, total)
 			fillPattern(p, op.seed)
-			if v, ok := s.(VectorIO); ok {
-				if _, err := v.WriteAtv(handle, op.segs, p); err != nil {
-					return fmt.Errorf("op %d vwrite: %w", i, err)
-				}
-			} else {
-				var pos int64
-				for _, sg := range op.segs {
-					if _, err := s.WriteAt(handle, p[pos:pos+sg.Length], sg.Offset); err != nil {
-						return fmt.Errorf("op %d vwrite(fallback): %w", i, err)
-					}
-					pos += sg.Length
-				}
+			if _, err := ApplyPacked(s, handle, op.segs, p, true); err != nil {
+				return fmt.Errorf("op %d vwrite: %w", i, err)
 			}
 			// Shadow update in list order: later overlapping wins, the
-			// contract WriteAtv must preserve.
+			// contract ApplyPacked must preserve.
 			var pos int64
 			for _, sg := range op.segs {
 				if need := sg.End(); need > int64(len(shadow)) {
@@ -220,18 +203,8 @@ func runScript(s Store, handle uint64, script []equivOp) error {
 		case 5:
 			total := op.segs.TotalLength()
 			p := make([]byte, total)
-			if v, ok := s.(VectorIO); ok {
-				if _, err := v.ReadAtv(handle, op.segs, p); err != nil {
-					return fmt.Errorf("op %d vread: %w", i, err)
-				}
-			} else {
-				var pos int64
-				for _, sg := range op.segs {
-					if _, err := s.ReadAt(handle, p[pos:pos+sg.Length], sg.Offset); err != nil {
-						return fmt.Errorf("op %d vread(fallback): %w", i, err)
-					}
-					pos += sg.Length
-				}
+			if _, err := ApplyPacked(s, handle, op.segs, p, false); err != nil {
+				return fmt.Errorf("op %d vread: %w", i, err)
 			}
 			want := make([]byte, total)
 			var pos int64
@@ -248,18 +221,8 @@ func runScript(s Store, handle uint64, script []equivOp) error {
 			total := op.segs.TotalLength()
 			p := make([]byte, total)
 			fillPattern(p, op.seed)
-			if b, ok := s.(BatchIO); ok {
-				if _, err := b.WriteBatch(handle, batchSpansOf(op, p)); err != nil {
-					return fmt.Errorf("op %d bwrite: %w", i, err)
-				}
-			} else {
-				var pos int64
-				for _, sg := range op.segs {
-					if _, err := s.WriteAt(handle, p[pos:pos+sg.Length], sg.Offset); err != nil {
-						return fmt.Errorf("op %d bwrite(fallback): %w", i, err)
-					}
-					pos += sg.Length
-				}
+			if _, err := s.WriteBatch(handle, batchSpansOf(op, p)); err != nil {
+				return fmt.Errorf("op %d bwrite: %w", i, err)
 			}
 			var pos int64
 			for _, sg := range op.segs {
@@ -272,18 +235,8 @@ func runScript(s Store, handle uint64, script []equivOp) error {
 		case 7:
 			total := op.segs.TotalLength()
 			p := make([]byte, total)
-			if b, ok := s.(BatchIO); ok {
-				if _, err := b.ReadBatch(handle, batchSpansOf(op, p)); err != nil {
-					return fmt.Errorf("op %d bread: %w", i, err)
-				}
-			} else {
-				var pos int64
-				for _, sg := range op.segs {
-					if _, err := s.ReadAt(handle, p[pos:pos+sg.Length], sg.Offset); err != nil {
-						return fmt.Errorf("op %d bread(fallback): %w", i, err)
-					}
-					pos += sg.Length
-				}
+			if _, err := s.ReadBatch(handle, batchSpansOf(op, p)); err != nil {
+				return fmt.Errorf("op %d bread: %w", i, err)
 			}
 			want := make([]byte, total)
 			var pos int64
@@ -342,14 +295,6 @@ func TestCachedStoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	novecDir, err := NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedNovecDir, err := NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 6 blocks of 4 KiB: far smaller than the working set, so every
 	// script evicts (and write-back-flushes) constantly.
 	tiny := CacheOptions{BlockSize: 4096, MaxBytes: 6 * 4096, DirtyHighWater: 2 * 4096,
@@ -359,11 +304,6 @@ func TestCachedStoreEquivalence(t *testing.T) {
 		"dir":        dir,
 		"cached-mem": Cached(NewMem(), tiny),
 		"cached-dir": Cached(cachedDirInner, tiny),
-		// Fallback-path pins: a store with the vectored interfaces
-		// hidden, bare and under the cache (whose span fill/flush then
-		// take the per-block path), must match byte for byte.
-		"novec-dir":        noVec{novecDir},
-		"cached-novec-dir": Cached(noVec{cachedNovecDir}, tiny),
 	}
 
 	for name, s := range backends {
@@ -424,8 +364,6 @@ func TestCachedStoreEquivalence(t *testing.T) {
 	}
 
 	backends["cached-mem"].(*Cache).Close()
-	backends["cached-novec-dir"].(*Cache).Close()
 	backends["mem"].Close()
 	dir.Close()
-	novecDir.Close()
 }

@@ -29,6 +29,9 @@ type Store interface {
 	ReadAt(handle uint64, p []byte, off int64) (int, error)
 	// WriteAt stores p at off, extending the file as needed.
 	WriteAt(handle uint64, p []byte, off int64) (int, error)
+	// ReadBatch and WriteBatch move a whole window of disjoint spans,
+	// gaps included, in one call (see BatchIO).
+	BatchIO
 	// Size reports the stored physical size (0 for unknown handles).
 	Size(handle uint64) (int64, error)
 	// Truncate sets the physical size, zero-filling on extension.
@@ -41,42 +44,8 @@ type Store interface {
 	Close() error
 }
 
-// VectorIO is implemented by stores that can service a whole region
-// list as one batched submission (DESIGN.md §10). segs describe file
-// extents and p is the packed data stream in segment order: the i-th
-// segment's bytes occupy p at the stream position where the lengths of
-// segments 0..i-1 end, exactly as the list I/O wire format packs
-// trailing data. len(p) must equal the list's total length.
-//
-// Semantics are EXACTLY those of applying ReadAt/WriteAt per segment
-// in list order: reads observe sparse (zero-fill) semantics per
-// extent, and overlapping write segments land later-segment-wins. The
-// value of the interface is purely in submission count — a backend
-// coalesces adjacent extents and issues few large accesses (one
-// pread/pwrite per coalesced run on Dir, one lock round on Mem)
-// instead of one per fragment. Callers feature-test with a type
-// assertion and keep a per-segment loop as fallback.
-type VectorIO interface {
-	ReadAtv(handle uint64, segs ioseg.List, p []byte) (int, error)
-	WriteAtv(handle uint64, segs ioseg.List, p []byte) (int, error)
-}
-
-// SpanIO is implemented by stores that can move one file-contiguous
-// span to or from scattered memory buffers in a single submission —
-// the preadv/pwritev shape, dual to VectorIO (scattered file extents,
-// contiguous memory). The block cache uses it to flush runs of
-// adjacent dirty blocks as one vectored write and to fill multi-block
-// read misses and readahead spans as one vectored read. Reads
-// zero-fill past EOF (sparse semantics); bufs are filled/consumed in
-// order starting at off.
-type SpanIO interface {
-	ReadSpanv(handle uint64, off int64, bufs [][]byte) (int, error)
-	WriteSpanv(handle uint64, off int64, bufs [][]byte) (int, error)
-}
-
 // Span is one file-contiguous extent of a batch: scattered memory
-// buffers applied in order starting at Off, exactly the shape SpanIO
-// moves — but as one element of a larger submission.
+// buffers applied in order starting at Off.
 type Span struct {
 	Off  int64
 	Bufs [][]byte
@@ -85,12 +54,10 @@ type Span struct {
 // Len returns the span's total byte count.
 func (s Span) Len() int { return spanLen(s.Bufs) }
 
-// BatchIO is implemented by stores that can take a whole window of
-// DISJOINT file spans — gaps included — as one call (DESIGN.md §11). It
-// generalizes both prior optional interfaces: a SpanIO call is a
-// one-span batch, and a coalesced VectorIO run is a span with a single
-// buffer. Where SpanIO moves one adjacent run per call, BatchIO hands
-// the backend a *gapped* window whole, to submit however is cheapest.
+// BatchIO is the batch half of Store: a whole window of DISJOINT file
+// spans — gaps included — taken as one call (DESIGN.md §11). Every
+// backend implements it; a one-span batch is a scatter/gather of one
+// adjacent run.
 //
 // Spans must be non-overlapping; order is not significant and callers
 // must not rely on the order in which a backend applies them. Reads
@@ -100,21 +67,88 @@ func (s Span) Len() int { return spanLen(s.Bufs) }
 // whole batch as failed.
 //
 // Dir takes a batch as one preadv/pwritev per span from the calling
-// goroutine; Mem serves it under one lock round. Callers feature-test
-// with a type assertion, one rung above VectorIO/SpanIO in the
-// fallback ladder: batch → vectored → per-fragment.
+// goroutine; Mem serves it under one lock round; Cache routes it
+// through its blocks.
 type BatchIO interface {
 	ReadBatch(handle uint64, spans []Span) (int, error)
 	WriteBatch(handle uint64, spans []Span) (int, error)
 }
 
+// VectorIO is the packed-vector shape of ApplyPacked as a method. Dir
+// and Cache keep it as one-line adapters only because the bench/
+// harness's traced store wrappers compile against it (as it does
+// against RingAvailable); nothing in this module asserts it.
+type VectorIO interface {
+	ReadAtv(handle uint64, segs ioseg.List, p []byte) (int, error)
+	WriteAtv(handle uint64, segs ioseg.List, p []byte) (int, error)
+}
+
+// SpanIO is the one-span batch as a method. Dir keeps it only for the
+// bench/ harness, like VectorIO.
+type SpanIO interface {
+	ReadSpanv(handle uint64, off int64, bufs [][]byte) (int, error)
+	WriteSpanv(handle uint64, off int64, bufs [][]byte) (int, error)
+}
+
+// ApplyPacked runs one packed vector against st: the one storage path
+// of list and datatype windows (DESIGN.md §11). segs describe file
+// extents and p is the packed data stream in segment order — the i-th
+// segment's bytes start where the lengths of segments 0..i-1 end, as
+// the list I/O wire format packs trailing data — so len(p) must equal
+// the list's total length. write selects the direction.
+//
+// The input picks the path. A sorted, overlap-free list goes down as
+// one ReadBatch/WriteBatch of its coalesced runs (ioseg.CoalesceRuns),
+// a single run included. An unsorted or overlapping list is applied one
+// scalar ReadAt/WriteAt per non-empty segment, in list order, so a
+// later overlapping write wins. Either way the result is exactly that
+// of per-segment application.
+func ApplyPacked(st Store, handle uint64, segs ioseg.List, p []byte, write bool) (int, error) {
+	if err := checkVector(segs, p); err != nil {
+		return 0, err
+	}
+	runs, pos, ok := segs.CoalesceRuns()
+	if !ok {
+		var at int64
+		for _, s := range segs {
+			if s.Length == 0 {
+				continue
+			}
+			var err error
+			if write {
+				_, err = st.WriteAt(handle, p[at:at+s.Length], s.Offset)
+			} else {
+				_, err = st.ReadAt(handle, p[at:at+s.Length], s.Offset)
+			}
+			if err != nil {
+				return int(at), err
+			}
+			at += s.Length
+		}
+		return len(p), nil
+	}
+	if len(runs) == 0 {
+		return 0, nil
+	}
+	spans := make([]Span, len(runs))
+	bufs := make([][]byte, len(runs))
+	for i, r := range runs {
+		bufs[i] = p[pos[i] : pos[i]+r.Length]
+		spans[i] = Span{Off: r.Offset, Bufs: bufs[i : i+1 : i+1]}
+	}
+	if write {
+		return st.WriteBatch(handle, spans)
+	}
+	return st.ReadBatch(handle, spans)
+}
+
 // IOStats counts a store's backend I/O submissions and bytes. For Dir
-// a submission is a real data syscall (pread/pwrite/preadv/pwritev);
-// for Mem it is one locked copy round (the cost analogue of a
-// syscall). Layered stores (Cache) report the submissions of the
-// backend below them, so the counters always describe what reached
-// the syscall layer — the paper's "fewer, larger accesses" metric
-// (syscalls/op in BENCH_6).
+// a syscall is a real data syscall (pread/pwrite/preadv/pwritev); for
+// Mem it is one locked copy round (the cost analogue of a syscall).
+// Layered stores (Cache) report the counters of the backend below them,
+// so they always describe what reached the syscall layer — the paper's
+// "fewer, larger accesses" metric (the harness's store.syscalls_per_req
+// and store.submissions_per_req).
 type IOStats struct {
 	SyscallsRead  int64 // read submissions (pread + preadv)
 	SyscallsWrite int64 // write submissions (pwrite + pwritev)
@@ -188,17 +222,17 @@ func (c *ioCounters) countReadZC(nsys, bytes int64) {
 // every backend and host.
 func (c *ioCounters) countSub(n int64) { c.submissions.Add(n) }
 
-// checkVector validates a vector request against a packed buffer:
-// every segment valid, every extent within the limit, and the total
-// exactly len(p). It returns the shared prefix of checks both
-// directions need; callers add direction-specific limits.
-func checkVector(segs ioseg.List, p []byte, limit int64) error {
+// checkVector validates a packed vector against its buffer: every
+// segment valid, every extent within MaxFileSize, and the total
+// exactly len(p). The store a vector lands on applies its own, possibly
+// tighter, limit.
+func checkVector(segs ioseg.List, p []byte) error {
 	var total int64
 	for i, s := range segs {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("store: segment %d: %w", i, err)
 		}
-		if s.End() > limit {
+		if s.End() > MaxFileSize {
 			return fmt.Errorf("store: segment %d [%d,+%d) exceeds file limit", i, s.Offset, s.Length)
 		}
 		if total > math.MaxInt64-s.Length {
@@ -354,108 +388,7 @@ func (m *Mem) WriteAt(handle uint64, p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// ReadAtv implements VectorIO: the whole vector is served under one
-// read lock — one submission regardless of fragment count.
-func (m *Mem) ReadAtv(handle uint64, segs ioseg.List, p []byte) (int, error) {
-	if err := checkVector(segs, p, MaxFileSize); err != nil {
-		return 0, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	f := m.files[handle]
-	pos := 0
-	for _, s := range segs {
-		dst := p[pos : pos+int(s.Length)]
-		for i := range dst {
-			dst[i] = 0
-		}
-		if s.Offset < int64(len(f)) {
-			copy(dst, f[s.Offset:])
-		}
-		pos += int(s.Length)
-	}
-	m.countRead(1, int64(len(p)))
-	return len(p), nil
-}
-
-// WriteAtv implements VectorIO: the whole vector lands under one write
-// lock, segments applied in list order (later overlapping wins).
-func (m *Mem) WriteAtv(handle uint64, segs ioseg.List, p []byte) (int, error) {
-	if err := checkVector(segs, p, MemMaxFileSize); err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var need int64
-	for _, s := range segs {
-		if s.Length > 0 && s.End() > need {
-			need = s.End()
-		}
-	}
-	f := memGrow(m.files[handle], need)
-	pos := 0
-	for _, s := range segs {
-		if s.Length > 0 {
-			copy(f[s.Offset:s.End()], p[pos:pos+int(s.Length)])
-		}
-		pos += int(s.Length)
-	}
-	m.files[handle] = f
-	m.countWrite(1, int64(len(p)))
-	return len(p), nil
-}
-
-// ReadSpanv implements SpanIO.
-func (m *Mem) ReadSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
-	total := spanLen(bufs)
-	if err := checkExtent(off, total); err != nil {
-		return 0, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	f := m.files[handle]
-	pos := off
-	for _, b := range bufs {
-		for i := range b {
-			b[i] = 0
-		}
-		if pos < int64(len(f)) {
-			copy(b, f[pos:])
-		}
-		pos += int64(len(b))
-	}
-	m.countRead(1, int64(total))
-	return total, nil
-}
-
-// WriteSpanv implements SpanIO.
-func (m *Mem) WriteSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
-	total := spanLen(bufs)
-	if err := checkExtent(off, total); err != nil {
-		return 0, err
-	}
-	if off+int64(total) > MemMaxFileSize {
-		return 0, fmt.Errorf("store: extent [%d,+%d) exceeds in-memory file limit", off, total)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := m.files[handle]
-	if total > 0 {
-		f = memGrow(f, off+int64(total))
-	}
-	pos := off
-	for _, b := range bufs {
-		if len(b) > 0 {
-			copy(f[pos:], b)
-		}
-		pos += int64(len(b))
-	}
-	m.files[handle] = f
-	m.countWrite(1, int64(total))
-	return total, nil
-}
-
-// ReadBatch implements BatchIO: the whole gapped batch is served under
+// ReadBatch implements Store: the whole gapped batch is served under
 // one read lock — one submission regardless of span count.
 func (m *Mem) ReadBatch(handle uint64, spans []Span) (int, error) {
 	total, err := checkSpans(spans, MaxFileSize)
@@ -482,7 +415,7 @@ func (m *Mem) ReadBatch(handle uint64, spans []Span) (int, error) {
 	return total, nil
 }
 
-// WriteBatch implements BatchIO: the whole gapped batch lands under one
+// WriteBatch implements Store: the whole gapped batch lands under one
 // write lock.
 func (m *Mem) WriteBatch(handle uint64, spans []Span) (int, error) {
 	total, err := checkSpans(spans, MemMaxFileSize)
@@ -663,123 +596,31 @@ func (d *Dir) ReadAt(handle uint64, p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// readFull is ReadAt's body against an already-open file: one pread
-// (possibly continued by the runtime on short reads) with sparse
-// zero-fill past EOF.
-func (d *Dir) readFull(f *os.File, p []byte, off int64) error {
-	if len(p) == 0 {
-		return nil
-	}
-	d.countRead(1, int64(len(p)))
-	n, err := f.ReadAt(p, off)
-	if err == io.EOF {
-		for i := n; i < len(p); i++ {
-			p[i] = 0
-		}
-		return nil
-	}
-	return err
-}
-
-// ReadAtv implements VectorIO. A sorted, overlap-free list coalesces
-// into runs of adjacent extents, each served by a single pread (the
-// packed buffer is contiguous, so a coalesced run needs no iovec);
-// otherwise segments are served sequentially in list order, which is
-// the exact per-fragment semantics.
+// ReadAtv implements VectorIO over ApplyPacked. It is kept only for the
+// bench/ harness's traced wrappers; see VectorIO.
 func (d *Dir) ReadAtv(handle uint64, segs ioseg.List, p []byte) (int, error) {
-	if err := checkVector(segs, p, MaxFileSize); err != nil {
-		return 0, err
-	}
-	f, err := d.file(handle)
-	if err != nil {
-		return 0, err
-	}
-	runs, ok := segs.CoalescePacked()
-	if !ok {
-		runs = segs
-	}
-	pos := 0
-	for _, s := range runs {
-		if err := d.readFull(f, p[pos:pos+int(s.Length)], s.Offset); err != nil {
-			return pos, err
-		}
-		pos += int(s.Length)
-	}
-	return len(p), nil
+	return ApplyPacked(d, handle, segs, p, false)
 }
 
-// WriteAtv implements VectorIO: one pwrite per coalesced adjacent run
-// when the list is sorted and overlap-free, sequential list-order
-// writes (later overlapping segment wins) otherwise.
+// WriteAtv implements VectorIO over ApplyPacked, kept for bench/ only.
 func (d *Dir) WriteAtv(handle uint64, segs ioseg.List, p []byte) (int, error) {
-	if err := checkVector(segs, p, MaxFileSize); err != nil {
-		return 0, err
-	}
-	f, err := d.file(handle)
-	if err != nil {
-		return 0, err
-	}
-	runs, ok := segs.CoalescePacked()
-	if !ok {
-		runs = segs
-	}
-	pos := 0
-	for _, s := range runs {
-		if s.Length == 0 {
-			continue
-		}
-		d.countWrite(1, s.Length)
-		if _, err := f.WriteAt(p[pos:pos+int(s.Length)], s.Offset); err != nil {
-			return pos, err
-		}
-		pos += int(s.Length)
-	}
-	return len(p), nil
+	return ApplyPacked(d, handle, segs, p, true)
 }
 
-// ReadSpanv implements SpanIO: one file-contiguous span scattered into
-// bufs via preadv where available, a per-buffer loop otherwise
-// (sysvec.Preadv). Reads past EOF zero-fill.
+// ReadSpanv implements SpanIO as a one-span batch, kept for bench/ only.
 func (d *Dir) ReadSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
-	total := spanLen(bufs)
-	if err := checkExtent(off, total); err != nil {
-		return 0, err
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	f, err := d.file(handle)
-	if err != nil {
-		return 0, err
-	}
-	n, nsys, err := sysvec.Preadv(f, bufs, off)
-	d.countRead(nsys, int64(n))
-	return n, err
+	return d.ReadBatch(handle, []Span{{Off: off, Bufs: bufs}})
 }
 
-// WriteSpanv implements SpanIO: gathers bufs into one file-contiguous
-// span at off via pwritev where available.
+// WriteSpanv implements SpanIO as a one-span batch, kept for bench/ only.
 func (d *Dir) WriteSpanv(handle uint64, off int64, bufs [][]byte) (int, error) {
-	total := spanLen(bufs)
-	if err := checkExtent(off, total); err != nil {
-		return 0, err
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	f, err := d.file(handle)
-	if err != nil {
-		return 0, err
-	}
-	n, nsys, err := sysvec.Pwritev(f, bufs, off)
-	d.countWrite(nsys, int64(n))
-	return n, err
+	return d.WriteBatch(handle, []Span{{Off: off, Bufs: bufs}})
 }
 
-// ReadBatch implements BatchIO: one preadv per span from the calling
-// goroutine, the mirror of WriteBatch. The semantics are exactly
-// per-span ReadSpanv: sparse zero-fill past EOF, buffers filled in
-// order within each span.
+// ReadBatch implements Store: one preadv per span from the calling
+// goroutine, the mirror of WriteBatch (sysvec.Preadv, a per-buffer
+// loop where preadv is unavailable). Reads past EOF zero-fill; buffers
+// fill in order within each span.
 func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 	total, err := checkSpans(spans, MaxFileSize)
 	if err != nil {
@@ -811,7 +652,7 @@ func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 	return n, nil
 }
 
-// WriteBatch implements BatchIO: one pwritev per span, from the calling
+// WriteBatch implements Store: one pwritev per span, from the calling
 // goroutine, so batches from different requests run in parallel
 // (DESIGN.md §11).
 func (d *Dir) WriteBatch(handle uint64, spans []Span) (int, error) {

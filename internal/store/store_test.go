@@ -113,9 +113,12 @@ func TestSizeAndTruncate(t *testing.T) {
 }
 
 // TestZeroLengthWritesKeepSize pins that an empty extent past EOF does
-// not grow a file on any write path, as a zero-byte pwrite does not.
-// Mem must agree with Dir here, or an equivalence run whose vector ends
-// in a zero-length segment past EOF diverges on the final size.
+// not grow a file on any write path, as a zero-byte pwrite does not:
+// a scalar write, a packed vector ending in an empty segment (sorted,
+// so one batch, and unsorted, so scalar calls), a one-span batch of an
+// empty buffer and a gapped batch ending in one. Mem must agree with
+// Dir here, or an equivalence run whose vector ends in a zero-length
+// segment past EOF diverges on the final size.
 func TestZeroLengthWritesKeepSize(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -125,13 +128,18 @@ func TestZeroLengthWritesKeepSize(t *testing.T) {
 			if _, err := s.WriteAt(4, nil, 500); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.(VectorIO).WriteAtv(4, ioseg.List{{Offset: 2, Length: 3}, {Offset: 600}}, make([]byte, 3)); err != nil {
+			for _, segs := range []ioseg.List{
+				{{Offset: 2, Length: 3}, {Offset: 600}},
+				{{Offset: 6, Length: 2}, {Offset: 1, Length: 1}, {Offset: 650}},
+			} {
+				if _, err := ApplyPacked(s, 4, segs, make([]byte, 3), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.WriteBatch(4, []Span{{Off: 700, Bufs: [][]byte{{}}}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.(SpanIO).WriteSpanv(4, 700, [][]byte{{}}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.(BatchIO).WriteBatch(4, []Span{{Off: 5, Bufs: [][]byte{{1}}}, {Off: 800, Bufs: [][]byte{{}}}}); err != nil {
+			if _, err := s.WriteBatch(4, []Span{{Off: 5, Bufs: [][]byte{{1}}}, {Off: 800, Bufs: [][]byte{{}}}}); err != nil {
 				t.Fatal(err)
 			}
 			if sz, _ := s.Size(4); sz != 10 {

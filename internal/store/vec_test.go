@@ -1,8 +1,8 @@
 package store
 
-// Tests for the vectored storage datapath (DESIGN.md §10): the
-// syscall-count contract of the coalescing backends, the sparse
-// semantics of span I/O, and the cache's batched fill/flush paths.
+// Tests for the packed-vector storage path (DESIGN.md §10, §11): the
+// syscall-count contract of ApplyPacked over Dir, the sparse semantics
+// of one-span batches, and the cache's batched fill/flush paths.
 
 import (
 	"bytes"
@@ -32,12 +32,13 @@ func TestDirVectorSyscallCount(t *testing.T) {
 	}
 
 	before := d.IOStats()
-	if _, err := d.WriteAtv(handle, segs, p); err != nil {
+	if _, err := ApplyPacked(d, handle, segs, p, true); err != nil {
 		t.Fatal(err)
 	}
 	delta := d.IOStats().Sub(before)
-	if delta.SyscallsWrite != 1 {
-		t.Fatalf("64 adjacent fragments cost %d write syscalls, want 1", delta.SyscallsWrite)
+	if delta.SyscallsWrite != 1 || delta.Submissions != 1 {
+		t.Fatalf("64 adjacent fragments cost %d write syscalls in %d submissions, want 1 in 1",
+			delta.SyscallsWrite, delta.Submissions)
 	}
 	if delta.BytesWritten != n*frag {
 		t.Fatalf("wrote %d bytes, want %d", delta.BytesWritten, n*frag)
@@ -45,36 +46,54 @@ func TestDirVectorSyscallCount(t *testing.T) {
 
 	got := make([]byte, n*frag)
 	before = d.IOStats()
-	if _, err := d.ReadAtv(handle, segs, got); err != nil {
+	if _, err := ApplyPacked(d, handle, segs, got, false); err != nil {
 		t.Fatal(err)
 	}
 	delta = d.IOStats().Sub(before)
-	if delta.SyscallsRead != 1 {
-		t.Fatalf("64 adjacent fragments cost %d read syscalls, want 1", delta.SyscallsRead)
+	if delta.SyscallsRead != 1 || delta.Submissions != 1 {
+		t.Fatalf("64 adjacent fragments cost %d read syscalls in %d submissions, want 1 in 1",
+			delta.SyscallsRead, delta.Submissions)
 	}
 	if !bytes.Equal(got, p) {
 		t.Fatal("vector read diverges from vector write")
 	}
 
 	// Gapped fragments cannot coalesce: one syscall per fragment is
-	// the honest count, and the counters must say so.
+	// the honest count, still in one submission.
 	gapped := make(ioseg.List, n)
 	for i := range gapped {
 		gapped[i] = ioseg.Segment{Offset: int64(i) * 2 * frag, Length: frag}
 	}
 	before = d.IOStats()
-	if _, err := d.WriteAtv(handle, gapped, p); err != nil {
+	if _, err := ApplyPacked(d, handle, gapped, p, true); err != nil {
 		t.Fatal(err)
 	}
-	if delta := d.IOStats().Sub(before); delta.SyscallsWrite != n {
-		t.Fatalf("64 gapped fragments cost %d write syscalls, want %d", delta.SyscallsWrite, n)
+	if delta := d.IOStats().Sub(before); delta.SyscallsWrite != n || delta.Submissions != 1 {
+		t.Fatalf("64 gapped fragments cost %d write syscalls in %d submissions, want %d in 1",
+			delta.SyscallsWrite, delta.Submissions, n)
+	}
+
+	// An unsorted list is applied one scalar call per segment, in list
+	// order, and no batch.
+	reversed := make(ioseg.List, n)
+	for i := range reversed {
+		reversed[i] = gapped[n-1-i]
+	}
+	before = d.IOStats()
+	if _, err := ApplyPacked(d, handle, reversed, p, true); err != nil {
+		t.Fatal(err)
+	}
+	if delta := d.IOStats().Sub(before); delta.SyscallsWrite != n || delta.Submissions != 0 {
+		t.Fatalf("64 unsorted fragments cost %d write syscalls in %d submissions, want %d in 0",
+			delta.SyscallsWrite, delta.Submissions, n)
 	}
 }
 
-// TestSpanIOSparseSemantics drives ReadSpanv/WriteSpanv on Mem and
-// Dir over the same image — including a span crossing EOF, which must
-// zero-fill — and demands byte-identical results. The buffer count
-// exceeds the preadv iovec limit so the chunking loop is exercised.
+// TestSpanIOSparseSemantics drives one-span ReadBatch/WriteBatch calls
+// on Mem and Dir over the same image — including a span crossing EOF,
+// which must zero-fill — and demands byte-identical results. The
+// buffer count exceeds the preadv iovec limit so the chunking loop is
+// exercised.
 func TestSpanIOSparseSemantics(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
@@ -99,8 +118,8 @@ func TestSpanIOSparseSemantics(t *testing.T) {
 			b[j] = byte(i*37 + j + 1)
 		}
 	}
-	for _, s := range []SpanIO{d, m} {
-		if _, err := s.WriteSpanv(handle, 11, src); err != nil {
+	for _, s := range []Store{d, m} {
+		if _, err := s.WriteBatch(handle, []Span{{Off: 11, Bufs: src}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,15 +128,15 @@ func TestSpanIOSparseSemantics(t *testing.T) {
 	// tail must come back zero on both backends.
 	total := int64(len(src)) * 37
 	readAt := total/2 + 11
-	for name, s := range map[string]SpanIO{"dir": d, "mem": m} {
+	for name, s := range map[string]Store{"dir": d, "mem": m} {
 		bufs := mkBufs()
-		if _, err := s.ReadSpanv(handle, readAt, bufs); err != nil {
+		if _, err := s.ReadBatch(handle, []Span{{Off: readAt, Bufs: bufs}}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		flat := bytes.Join(bufs, nil)
 		// Reference: the same span via the scalar ReadAt path.
 		want := make([]byte, len(flat))
-		if _, err := s.(Store).ReadAt(handle, want, readAt); err != nil {
+		if _, err := s.ReadAt(handle, want, readAt); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Equal(flat, want) {
@@ -284,11 +303,12 @@ func TestCacheVectorReadBatchesFills(t *testing.T) {
 	}
 	p := make([]byte, 32*1024)
 	before := inner.IOStats()
-	if _, err := c.ReadAtv(handle, segs, p); err != nil {
+	if _, err := ApplyPacked(c, handle, segs, p, false); err != nil {
 		t.Fatal(err)
 	}
-	if delta := inner.IOStats().Sub(before); delta.SyscallsRead != 1 {
-		t.Fatalf("cold 8-block vector read cost %d backend submissions, want 1", delta.SyscallsRead)
+	if delta := inner.IOStats().Sub(before); delta.SyscallsRead != 1 || delta.Submissions != 1 {
+		t.Fatalf("cold 8-block vector read cost %d backend reads in %d submissions, want 1 in 1",
+			delta.SyscallsRead, delta.Submissions)
 	}
 	if !bytes.Equal(p, img[:len(p)]) {
 		t.Fatal("vector read through cache diverges")

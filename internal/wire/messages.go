@@ -320,11 +320,11 @@ type ServerStats struct {
 	StoreSyscallsWrite int64 // backend write submissions
 	StoreBytesRead     int64 // bytes moved by backend reads
 	StoreBytesWritten  int64 // bytes moved by backend writes
-	// Batch-submission and zero-copy accounting (DESIGN.md §11): batch
-	// submissions through store.BatchIO and the bytes that crossed a
-	// user-space buffer copy (sendfile-streamed bytes don't), the
-	// numerator of the copies/op metric.
-	StoreSubmissions int64 // multi-span batches submitted (BatchIO)
+	// Batch-submission and zero-copy accounting (DESIGN.md §11): store
+	// ReadBatch/WriteBatch calls that moved data, and the bytes that
+	// crossed a user-space buffer copy (sendfile-streamed bytes don't),
+	// the numerator of the copies/op metric.
+	StoreSubmissions int64 // batches submitted (ReadBatch/WriteBatch)
 	StoreBytesCopied int64 // bytes moved through user-space copies
 	// Metadata-plane accounting (DESIGN.md §13), populated by the
 	// metadata shards and master replicas.
