@@ -18,7 +18,6 @@ import (
 
 	"pvfs/internal/client"
 	"pvfs/internal/cluster"
-	"pvfs/internal/meta"
 	"pvfs/internal/striping"
 	"pvfs/internal/wire"
 )
@@ -55,10 +54,8 @@ type metaRow struct {
 	Elections    int64   `json:"elections"`
 
 	// Group-commit accounting (ISSUE 10). ProposalsPerAppend > 1 and
-	// WALSyncsPerEntry < 1 (normalized per replica; the solo baseline
-	// is ~1.0) are the coalescing acceptance gates; NoBatch marks the
-	// PVFS_NO_META_BATCH fallback rows.
-	NoBatch            bool    `json:"no_batch"`
+	// WALSyncsPerEntry < 1 (normalized per replica; a lone proposer's
+	// batches of one sit at ~1.0) are the coalescing acceptance gates.
 	Proposals          int64   `json:"meta_proposals"`
 	Batches            int64   `json:"meta_batches"`
 	AppendRounds       int64   `json:"meta_append_rounds"`
@@ -233,7 +230,6 @@ func runMetaBench(o metaBenchOpts) error {
 	row := metaRow{
 		Mode: "meta", Shards: o.Shards, Masters: o.Masters,
 		Clients: o.Clients, Files: o.Files, Failover: o.Failover,
-		NoBatch: os.Getenv(meta.NoBatchEnv) != "",
 	}
 	t0 := time.Now()
 	if row.CreateOpsS, err = phase("create", func(fs *client.FS, rank, i int) error {
@@ -301,16 +297,16 @@ func runMetaBench(o metaBenchOpts) error {
 	}
 	if row.Proposals > 0 {
 		// WALSyncs sums every replica's fsyncs, and each committed entry
-		// must reach every replica's WAL, so normalize per replica: the
-		// solo (no-batch) baseline is ~1.0 — one fsync per entry at the
-		// leader plus one single-entry append round at each follower.
+		// must reach every replica's WAL, so normalize per replica: a
+		// batch of one sits at ~1.0 — one fsync per entry at the leader
+		// plus one single-entry append round at each follower.
 		row.WALSyncsPerEntry = float64(row.WALSyncs) / float64(row.Proposals*int64(o.Masters))
 	}
 	fmt.Printf("# meta counters: %d creates, %d opens/stats, %d forwards, %d elections, kills=%d\n",
 		row.MetaCreates, row.MetaOpens, row.MetaForwards, row.Elections, kills)
-	fmt.Printf("# group commit: %d proposals / %d batches / %d append rounds / %d WAL syncs (%.2f proposals/append, %.2f syncs/entry, nobatch=%v)\n",
+	fmt.Printf("# group commit: %d proposals / %d batches / %d append rounds / %d WAL syncs (%.2f proposals/append, %.2f syncs/entry)\n",
 		row.Proposals, row.Batches, row.AppendRounds, row.WALSyncs,
-		row.ProposalsPerAppend, row.WALSyncsPerEntry, row.NoBatch)
+		row.ProposalsPerAppend, row.WALSyncsPerEntry)
 
 	if o.JSONOut != "" {
 		return appendJSON(o.JSONOut, []metaRow{row})

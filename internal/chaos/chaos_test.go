@@ -225,28 +225,6 @@ func TestChaosMetaKillAtBatchBoundary(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
-// TestChaosMetaFailoverNoBatch reruns the leader-failover storm with
-// group commit forced off via the PVFS_NO_META_BATCH knob (read by
-// both the master nodes and the shard proposers): the solo fallback
-// must give the same zero-loss guarantee. CI also runs the whole
-// chaos suite under this knob as a matrix leg.
-func TestChaosMetaFailoverNoBatch(t *testing.T) {
-	t.Setenv("PVFS_NO_META_BATCH", "1")
-	seed := suiteSeed(t)
-	before := runtime.NumGoroutine()
-	s := chaos.MetaScenario{Name: "meta-failover-solo", Shards: chaosShards(t), Files: 24, Kill: true}
-	rep, err := chaos.RunMeta(seed, s)
-	t.Logf("%s: %v (replay: PVFS_CHAOS_SEED=%d go test -race ./internal/chaos -run %s)",
-		s.Name, rep, seed, t.Name())
-	if err != nil {
-		t.Fatalf("scenario %s failed under seed %d: %v", s.Name, seed, err)
-	}
-	if rep.Acked == 0 {
-		t.Error("no creates acked")
-	}
-	settleGoroutines(t, before)
-}
-
 // TestRetryExhaustionIsTypedNotAHang is the negative half of the
 // acceptance criteria: when a daemon dies and never comes back, a
 // bounded retry policy must surface *client.RetryError promptly —

@@ -50,11 +50,6 @@ type MetaScenario struct {
 	// the window where a batch is acked but its replication wave may
 	// still be in flight to some follower. Requires Kill.
 	BatchBoundary bool
-
-	// NoBatch forces group commit off on both planes (the
-	// PVFS_NO_META_BATCH fallback): every propose takes its own WAL
-	// fsync and replication round.
-	NoBatch bool
 }
 
 func (s *MetaScenario) normalize() {
@@ -292,7 +287,7 @@ func RunMeta(seed int64, s MetaScenario) (MetaReport, error) {
 	rep := MetaReport{Seed: seed}
 
 	mo := func() *cluster.MetaOptions {
-		return &cluster.MetaOptions{Masters: s.Masters, Shards: s.Shards, NoBatch: s.NoBatch}
+		return &cluster.MetaOptions{Masters: s.Masters, Shards: s.Shards}
 	}
 	chaotic, err := cluster.Start(cluster.Options{NumIOD: s.NumIOD, Meta: mo()})
 	if err != nil {

@@ -62,7 +62,6 @@ type Cluster struct {
 	masters     []*masterProc // nil slots are killed replicas
 	shards      []*shardProc
 	metaTiming  meta.Timing
-	metaNoBatch bool     // group commit forced off (PVFS_NO_META_BATCH)
 	masterDirs  []string // per-replica durable state dirs
 	metaTmpDir  string   // owned temp root for masterDirs; removed on Close
 }

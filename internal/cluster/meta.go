@@ -26,9 +26,6 @@ type MetaOptions struct {
 	Shards int
 	// Timing overrides protocol clocks (zero fields take defaults).
 	Timing meta.Timing
-	// NoBatch forces group commit off: every propose takes its own WAL
-	// fsync and replication round (the PVFS_NO_META_BATCH fallback).
-	NoBatch bool
 }
 
 // masterProc is one running master replica.
@@ -77,7 +74,6 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 		IODs:    append([]string(nil), iodAddrs...),
 	}
 	c.metaTiming = mo.Timing
-	c.metaNoBatch = mo.NoBatch
 	// Every replica gets a durable state dir so kill/restart cycles
 	// recover the persisted term, vote, and log (Raft's safety argument
 	// requires it — an amnesiac replica can vote away acked entries).
@@ -97,7 +93,7 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 	for i, ln := range mlns {
 		node, err := meta.NewNode(meta.NodeOptions{
 			ID: i, Peers: c.masterAddrs, Bootstrap: boot, Dir: c.masterDirs[i],
-			Timing: mo.Timing, Logger: c.opts.Logger, NoBatch: mo.NoBatch,
+			Timing: mo.Timing, Logger: c.opts.Logger,
 		})
 		if err != nil {
 			ln.Close()
@@ -111,7 +107,7 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 	for i, ln := range slns {
 		sh := meta.NewShard(meta.ShardOptions{
 			Index: i, Masters: c.masterAddrs,
-			Timing: mo.Timing, Logger: c.opts.Logger, NoBatch: mo.NoBatch,
+			Timing: mo.Timing, Logger: c.opts.Logger,
 		})
 		c.shards = append(c.shards, &shardProc{
 			shard: sh,
@@ -224,7 +220,7 @@ func (c *Cluster) RestartMaster(i int) error {
 	}
 	node, err := meta.NewNode(meta.NodeOptions{
 		ID: i, Peers: c.masterAddrs, Dir: c.masterDirs[i],
-		Timing: c.metaTiming, Logger: c.opts.Logger, NoBatch: c.metaNoBatch,
+		Timing: c.metaTiming, Logger: c.opts.Logger,
 	})
 	if err != nil {
 		ln.Close()

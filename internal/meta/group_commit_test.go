@@ -2,12 +2,12 @@ package meta
 
 // Group commit (ISSUE 10): concurrent proposals at the leader
 // coalesce into one multi-entry WAL append with a single fsync and
-// one replication wave; the forced-solo fallback (PVFS_NO_META_BATCH)
-// must produce a byte-identical namespace; a WAL sync failure
-// mid-batch wounds the node without acking any batch entry. Plus the
-// GroupProposer failover fixes: fresh leader hints retry without
-// backoff, rotation resumes after the failed replica, and FetchMap
-// honors Close.
+// one replication wave, and a lone proposal is a batch of one; the
+// batched namespace must equal the state machine applied record by
+// record; a WAL sync failure mid-batch wounds the node without acking
+// any batch entry. Plus the GroupProposer failover fixes: fresh leader
+// hints retry without backoff, rotation resumes after the failed
+// replica, and FetchMap honors Close.
 
 import (
 	"bytes"
@@ -19,19 +19,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/wire"
 )
-
-// skipIfEnvNoBatch skips tests that pin batching behavior when the
-// whole run is forced solo (the CI fallback leg).
-func skipIfEnvNoBatch(t *testing.T) {
-	t.Helper()
-	if envNoBatch() {
-		t.Skipf("%s forces solo proposals; batching assertions do not apply", NoBatchEnv)
-	}
-}
 
 // soloDirNode boots a one-replica group over a durable state dir.
 func soloDirNode(t *testing.T, opts NodeOptions) *Node {
@@ -57,7 +49,6 @@ func soloDirNode(t *testing.T, opts NodeOptions) *Node {
 // TestProposeBatchSingleSync pins the group-commit headline: one
 // batch of N records costs exactly one WAL fsync and one flush.
 func TestProposeBatchSingleSync(t *testing.T) {
-	skipIfEnvNoBatch(t)
 	n := soloDirNode(t, NodeOptions{})
 	base := n.Stats()
 	recs := make([]wire.MetaRecord, 16)
@@ -95,7 +86,6 @@ func TestProposeBatchSingleSync(t *testing.T) {
 // a GroupProposer against a replicated group: every create is acked,
 // and the leader coalesced them — fewer flushes than proposals.
 func TestConcurrentProposalsGroupCommit(t *testing.T) {
-	skipIfEnvNoBatch(t)
 	g := startGroup(t, 3, singleShardBoot)
 	lead := g.waitLeader()
 	p := NewGroupProposer(g.addrs, g.timing)
@@ -145,17 +135,12 @@ func TestConcurrentProposalsGroupCommit(t *testing.T) {
 	}
 }
 
-// canonicalImage is a node's namespace in a deterministic byte form:
-// the shard states with files sorted by name (namespace iteration
-// order is map order, so raw snapshots of identical namespaces can
-// differ byte-wise) and the log position zeroed.
-func canonicalImage(t *testing.T, n *Node) []byte {
-	t.Helper()
-	snap, err := n.FetchShard(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.LastIndex, snap.LastTerm = 0, 0
+// canonicalImage is a snapshot's namespace in a deterministic byte
+// form: the shard states with files sorted by name (namespace
+// iteration order is map order, so raw snapshots of identical
+// namespaces can differ byte-wise), the map and log position zeroed.
+func canonicalImage(snap *wire.MetaSnapshot) []byte {
+	snap.LastIndex, snap.LastTerm, snap.Map = 0, 0, wire.ShardMap{}
 	for i := range snap.Shards {
 		files := snap.Shards[i].Files
 		sort.Slice(files, func(a, b int) bool { return files[a].Name < files[b].Name })
@@ -164,14 +149,12 @@ func canonicalImage(t *testing.T, n *Node) []byte {
 }
 
 // TestBatchedAndSoloNamespacesIdentical applies the same record set
-// to a batching node (concurrently, so records really coalesce) and a
-// forced-solo node (sequentially): the resulting namespaces must be
-// byte-identical — group commit changes durability costs, never
-// state.
+// to a batching node (concurrently, so records really coalesce) and,
+// solo — one record at a time, in order — to a bare state machine:
+// the namespaces must be byte-identical. Group commit changes
+// durability costs, never state.
 func TestBatchedAndSoloNamespacesIdentical(t *testing.T) {
-	skipIfEnvNoBatch(t)
 	batched := soloDirNode(t, NodeOptions{})
-	solo := soloDirNode(t, NodeOptions{NoBatch: true})
 
 	const ranks, files = 4, 8
 	recs := make([]wire.MetaRecord, ranks*files)
@@ -199,25 +182,57 @@ func TestBatchedAndSoloNamespacesIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ns := newNamespace()
 	for i := range recs {
-		st, _, _, _, err := solo.Propose(context.Background(), recs[i])
-		if err != nil || st != wire.StatusOK {
-			t.Fatalf("solo propose %d: %v %v", i, st, err)
+		if st, _ := ns.apply(&recs[i], 1); st != wire.StatusOK {
+			t.Fatalf("solo apply %d: %v", i, st)
 		}
 	}
-	bi, si := canonicalImage(t, batched), canonicalImage(t, solo)
+	var solo snapRefs
+	solo.addShardLocked(0, ns)
+
+	snap, err := batched.FetchShard(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi, si := canonicalImage(snap), canonicalImage(solo.snapshot())
 	if !bytes.Equal(bi, si) {
 		t.Fatalf("namespaces diverged: batched %d bytes, solo %d bytes", len(bi), len(si))
 	}
 	// The batched node must not have paid per-record durability.
-	bst, sst := batched.Stats(), solo.Stats()
-	if bst.MetaBatches >= bst.MetaProposals {
+	if bst := batched.Stats(); bst.MetaBatches >= bst.MetaProposals {
 		t.Errorf("batched node never coalesced: %d batches / %d proposals",
 			bst.MetaBatches, bst.MetaProposals)
 	}
-	if sst.MetaBatches != sst.MetaProposals {
-		t.Errorf("solo node batched: %d batches / %d proposals",
-			sst.MetaBatches, sst.MetaProposals)
+}
+
+// TestLoneProposalIsBatchOfOne pins the other end of group commit: N
+// sequential proposals on a durable solo node cost exactly N flushes
+// and N WAL fsyncs — the committer neither merges a lone proposal
+// with a later one nor splits it.
+func TestLoneProposalIsBatchOfOne(t *testing.T) {
+	n := soloDirNode(t, NodeOptions{})
+	base := n.Stats()
+	const count = 8
+	for i := 0; i < count; i++ {
+		rec := createRec(fmt.Sprintf("lone-%d", i), uint64(i), 0, 1, testIODs())
+		st, _, idx, _, err := n.Propose(context.Background(), rec)
+		if err != nil || st != wire.StatusOK || idx == 0 {
+			t.Fatalf("propose %d: %v index %d err %v", i, st, idx, err)
+		}
+	}
+	st := n.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"proposals", st.MetaProposals - base.MetaProposals, count},
+		{"batches", st.MetaBatches - base.MetaBatches, count},
+		{"WAL syncs", st.MetaWALSyncs - base.MetaWALSyncs, count},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s advanced by %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -291,9 +306,39 @@ func startFakeReplica(t *testing.T, handler func(wire.Message) wire.Message) *fa
 	return f
 }
 
-func okVerdict(wire.Message) wire.Message {
-	pr := wire.MetaProposeResp{Index: 1}
-	return wire.Message{Header: wire.Header{Status: wire.StatusOK}, Body: pr.Marshal()}
+// okBatch answers a batch propose the way a leader does: one OK
+// verdict per record, in order.
+func okBatch(req wire.Message) wire.Message {
+	var br wire.MetaProposeBatchReq
+	if req.Type != wire.TMetaProposeBatch || br.Unmarshal(req.Body) != nil {
+		return wire.Message{Header: wire.Header{Status: wire.StatusInvalid}}
+	}
+	resp := wire.MetaProposeBatchResp{Verdicts: make([]wire.MetaProposeVerdict, len(br.Recs))}
+	for i := range resp.Verdicts {
+		resp.Verdicts[i] = wire.MetaProposeVerdict{Status: wire.StatusOK, Index: uint64(i + 1)}
+	}
+	return wire.Message{Body: resp.Marshal()}
+}
+
+// followerOf boots a real master replica that follows leaderAddr (one
+// heartbeat taken, elections parked), so its NotLeader answers carry
+// exactly the hint a live group sends.
+func followerOf(t *testing.T, leaderAddr string) *Node {
+	t.Helper()
+	tm := testTiming()
+	tm.ElectionLo, tm.ElectionHi = time.Hour, 2*time.Hour
+	n, err := NewNode(NodeOptions{ID: 0, Peers: []string{"follower", leaderAddr}, Timing: tm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	hb := wire.MetaAppendReq{Term: 1, Leader: 1}
+	resp := n.Handle(wire.Message{Header: wire.Header{Type: wire.TMetaAppend}, Body: hb.Marshal()})
+	var ar wire.MetaAppendResp
+	if err := ar.Unmarshal(resp.Body); err != nil || !ar.Success {
+		t.Fatalf("heartbeat: %+v err %v", ar, err)
+	}
+	return n
 }
 
 // deadAddr returns an address that refuses connections.
@@ -313,14 +358,13 @@ func deadAddr(t *testing.T) string {
 // AFTER the failed address — not start over at masters[0], which
 // doubles failover latency whenever the dead leader sorts first.
 func TestRotationResumesAfterFailedLeader(t *testing.T) {
-	first := startFakeReplica(t, okVerdict)
-	next := startFakeReplica(t, okVerdict)
+	first := startFakeReplica(t, okBatch)
+	next := startFakeReplica(t, okBatch)
 	dead := deadAddr(t)
 	// Group order: [healthy, dead, healthy]; the cached leader is the
 	// dead middle replica.
 	g := NewGroupProposer([]string{first.addr, dead, next.addr}, testTiming())
 	defer g.Close()
-	g.DisableBatching()
 	g.storeLeader(dead)
 
 	st, _, _, err := g.Propose(context.Background(), createRec("r", 0, 0, 1, testIODs()))
@@ -335,28 +379,68 @@ func TestRotationResumesAfterFailedLeader(t *testing.T) {
 	}
 }
 
-// TestNoBackoffAfterFreshLeaderHint pins satellite 1: a NotLeader
-// verdict that names another replica is actionable immediately — the
-// proposer must follow the hint without sleeping out a backoff round.
+// TestNoBackoffAfterFreshLeaderHint pins hint following on the batch
+// path: a real follower's NotLeader answer to a batch propose names
+// the leader, and that is actionable immediately — the proposer must
+// follow the hint without sleeping out a backoff round.
 func TestNoBackoffAfterFreshLeaderHint(t *testing.T) {
-	leader := startFakeReplica(t, okVerdict)
-	follower := startFakeReplica(t, func(wire.Message) wire.Message {
-		hint := wire.MetaProposeResp{LeaderAddr: leader.addr}
-		return wire.Message{Header: wire.Header{Status: wire.StatusNotLeader}, Body: hint.Marshal()}
-	})
+	leader := startFakeReplica(t, okBatch)
+	follower := startFakeReplica(t, followerOf(t, leader.addr).Handle)
 	g := NewGroupProposer([]string{follower.addr, leader.addr}, testTiming())
 	defer g.Close()
-	g.DisableBatching()
 
 	st, _, _, err := g.Propose(context.Background(), createRec("h", 0, 0, 1, testIODs()))
 	if err != nil || st != wire.StatusOK {
 		t.Fatalf("propose: %v %v", st, err)
+	}
+	if got := follower.calls.Load(); got != 1 {
+		t.Errorf("follower saw %d calls, want 1", got)
 	}
 	if got := leader.calls.Load(); got != 1 {
 		t.Errorf("leader saw %d calls, want 1", got)
 	}
 	if got := g.backoffs.Load(); got != 0 {
 		t.Errorf("proposer slept %d backoff rounds after a fresh leader hint, want 0", got)
+	}
+}
+
+// TestRetiredProposeTypeRejected pins wire value 24, once the
+// one-record propose: a master replica answers it StatusInvalid from
+// the default case — here with a body of the old request's shape, a
+// marshaled create record — commits nothing, keeps serving, and hands
+// every request body back to the pool.
+func TestRetiredProposeTypeRejected(t *testing.T) {
+	n := soloDirNode(t, NodeOptions{})
+	base := n.Stats()
+	r := startFakeReplica(t, n.Handle)
+	c, err := pvfsnet.Dial(r.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	gets0, puts0 := wire.BufStats()
+	rec := createRec("retired", 0, 0, 1, testIODs())
+	resp, err := c.Call(wire.Message{Header: wire.Header{Type: 24}, Body: rec.Marshal()})
+	if err == nil || resp.Status != wire.StatusInvalid {
+		t.Fatalf("retired type 24: status %v err %v, want invalid", resp.Status, err)
+	}
+	resp.Release()
+	if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TPing}}); err != nil {
+		t.Fatalf("ping after retired type: %v", err)
+	}
+	if got := n.Stats().MetaProposals - base.MetaProposals; got != 0 {
+		t.Errorf("retired type committed %d proposals", got)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		gets, puts := wire.BufStats()
+		if gets-gets0 == puts-puts0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pooled buffers leaked: %d gets vs %d puts", gets-gets0, puts-puts0)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

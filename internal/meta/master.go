@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -14,15 +13,6 @@ import (
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/wire"
 )
-
-// NoBatchEnv, when set non-empty in the environment, forces the
-// metadata plane back to solo proposals: every mutation pays its own
-// WAL fsync and replication round, exactly the pre-group-commit
-// behavior. The fallback is byte-compatible on the wire and kept
-// alive by a dedicated chaos leg in CI.
-const NoBatchEnv = "PVFS_NO_META_BATCH"
-
-func envNoBatch() bool { return os.Getenv(NoBatchEnv) != "" }
 
 // role is a replica's place in the current term.
 type role int
@@ -53,10 +43,6 @@ type NodeOptions struct {
 	// caught up by snapshot install instead of entry replay. 0 selects
 	// a default; negative disables compaction.
 	MaxLog int
-	// NoBatch disables group commit: every proposal is appended,
-	// fsynced, and replicated on its own, the pre-batching behavior.
-	// The PVFS_NO_META_BATCH environment variable forces it globally.
-	NoBatch bool
 	// Dir, when non-empty, persists the replica's Raft state — term,
 	// vote, log, snapshot — under it, fsynced before the replica
 	// answers a vote, acks an append, or acks a proposal, and recovers
@@ -123,7 +109,6 @@ type Node struct {
 	logger      *log.Logger
 	pool        *pvfsnet.Pool
 	stable      *stable // durable Raft state; nil keeps state in memory
-	noBatch     bool    // solo proposals: one fsync + one round per entry
 
 	// walMu serializes writes to stable so the WAL's record order
 	// always matches the in-memory log's mutation order (recovery's
@@ -189,7 +174,6 @@ func NewNode(o NodeOptions) (*Node, error) {
 		adaptiveLog: o.MaxLog == 0,
 		logger:      o.Logger,
 		pool:        pvfsnet.NewPool(),
-		noBatch:     o.NoBatch || envNoBatch(),
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano() + int64(o.ID)<<32)),
 		votedFor:    -1,
 		leaderID:    -1,
@@ -1081,54 +1065,51 @@ func (n *Node) installSnapshotLocked(snap *wire.MetaSnapshot) {
 // the caller should retry against hint (the leader's address, when
 // known).
 //
-// Concurrent proposals group-commit: the committer folds everything
-// queued into one batch — one multi-entry WAL append with a single
-// fsync (performed off the mu critical section) and one replication
-// wave — and every waiter is answered from the same advanceCommit
-// pass. With NoBatch set the entry is appended, fsynced, and
-// replicated synchronously, the pre-batching behavior.
+// Every proposal goes through the group committer, which folds
+// everything queued into one batch — one multi-entry WAL append with a
+// single fsync (performed off the mu critical section) and one
+// replication wave — and answers every waiter from the same
+// advanceCommit pass. A lone proposal is a batch of one.
 func (n *Node) Propose(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, string, error) {
+	ps, hint, err := n.enqueue([]wire.MetaRecord{rec})
+	if errors.Is(err, ErrNotLeader) {
+		return wire.StatusNotLeader, nil, 0, hint, nil
+	}
+	if err != nil {
+		return 0, nil, 0, "", err
+	}
+	return n.waitProposal(ctx, ps[0])
+}
+
+// enqueue queues recs, in order, for the committer's next batch and
+// wakes it. On a non-leader it queues nothing and returns the leader
+// hint with ErrNotLeader.
+func (n *Node) enqueue(recs []wire.MetaRecord) ([]*pendingProposal, string, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return 0, nil, 0, "", errClosed
+		return nil, "", errClosed
 	}
 	if n.wounded {
 		n.mu.Unlock()
-		return 0, nil, 0, "", errPersist
+		return nil, "", errPersist
 	}
 	if n.role != leader {
 		hint := n.leaderHintLocked()
 		n.mu.Unlock()
-		return wire.StatusNotLeader, nil, 0, hint, nil
+		return nil, hint, ErrNotLeader
 	}
-	p := &pendingProposal{rec: rec, ch: make(chan applyResult, 1)}
-	if n.noBatch {
-		idx := n.lastIndexLocked() + 1
-		entry := wire.MetaEntry{Index: idx, Term: n.term, Rec: rec}
-		n.log = append(n.log, entry)
-		n.persistLogLocked(idx, n.log[len(n.log)-1:])
-		if n.wounded {
-			n.log = n.log[:len(n.log)-1]
-			n.mu.Unlock()
-			return 0, nil, 0, "", errPersist
-		}
-		p.idx = idx
-		n.waiters[idx] = p.ch
-		n.proposals++
-		n.batches++
-		n.advanceCommitLocked() // a solo group commits synchronously
-		n.kickAllLocked()
-		n.mu.Unlock()
-	} else {
-		n.pending = append(n.pending, p)
-		n.mu.Unlock()
-		select {
-		case n.propC <- struct{}{}:
-		default:
-		}
+	ps := make([]*pendingProposal, len(recs))
+	for i := range recs {
+		ps[i] = &pendingProposal{rec: recs[i], ch: make(chan applyResult, 1)}
 	}
-	return n.waitProposal(ctx, p)
+	n.pending = append(n.pending, ps...)
+	n.mu.Unlock()
+	select {
+	case n.propC <- struct{}{}:
+	default:
+	}
+	return ps, "", nil
 }
 
 // waitProposal blocks until p's verdict, the context's end, or
@@ -1322,53 +1303,11 @@ func (n *Node) flushBatches() {
 // whole call (records are idempotent, so the caller retries the whole
 // batch).
 func (n *Node) ProposeBatch(ctx context.Context, recs []wire.MetaRecord) ([]wire.MetaProposeVerdict, string, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, "", errClosed
-	}
-	if n.wounded {
-		n.mu.Unlock()
-		return nil, "", errPersist
-	}
-	if n.role != leader {
-		hint := n.leaderHintLocked()
-		n.mu.Unlock()
-		return nil, hint, ErrNotLeader
-	}
-	if n.noBatch {
-		// Forced-solo fallback: each record takes its own synchronous
-		// propose round, preserving pre-batching behavior end to end.
-		n.mu.Unlock()
-		verdicts := make([]wire.MetaProposeVerdict, 0, len(recs))
-		for _, rec := range recs {
-			st, info, idx, hint, err := n.Propose(ctx, rec)
-			if err != nil {
-				return nil, "", err
-			}
-			if st == wire.StatusNotLeader {
-				return nil, hint, ErrNotLeader
-			}
-			v := wire.MetaProposeVerdict{Status: st, Index: idx}
-			if info != nil {
-				v.Info = info.Marshal()
-			}
-			verdicts = append(verdicts, v)
-		}
-		return verdicts, "", nil
-	}
-	ps := make([]*pendingProposal, len(recs))
-	for i := range recs {
-		ps[i] = &pendingProposal{rec: recs[i], ch: make(chan applyResult, 1)}
-		n.pending = append(n.pending, ps[i])
-	}
-	n.mu.Unlock()
-	select {
-	case n.propC <- struct{}{}:
-	default:
+	ps, hint, err := n.enqueue(recs)
+	if err != nil {
+		return nil, hint, err
 	}
 	verdicts := make([]wire.MetaProposeVerdict, len(recs))
-	var hint string
 	var firstErr error
 	notLeader := false
 	for i, p := range ps {
@@ -1529,8 +1468,6 @@ func (n *Node) Handle(req wire.Message) wire.Message {
 		return n.handleVote(req)
 	case wire.TMetaAppend:
 		return n.handleAppend(req)
-	case wire.TMetaPropose:
-		return n.handlePropose(req)
 	case wire.TMetaProposeBatch:
 		return n.handleProposeBatch(req)
 	case wire.TMetaFetch:
@@ -1695,32 +1632,11 @@ func (n *Node) handleAppend(req wire.Message) wire.Message {
 	return wire.Message{Body: resp.Marshal()}
 }
 
-func (n *Node) handlePropose(req wire.Message) wire.Message {
-	var pr wire.MetaProposeReq
-	if err := pr.Unmarshal(req.Body); err != nil {
-		return wire.Message{Header: wire.Header{Status: wire.StatusProtocol}}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.timing.ProposeWait)
-	defer cancel()
-	st, info, idx, hint, err := n.Propose(ctx, pr.Rec)
-	if err != nil {
-		// Commit did not resolve within the window (no majority, lost
-		// leadership mid-entry, shutdown): the outcome is unknown to
-		// us, and retry-after-rediscovery is the caller's move.
-		return wire.Message{Header: wire.Header{Status: wire.StatusUnavailable}}
-	}
-	if st == wire.StatusNotLeader {
-		hr := wire.MetaProposeResp{LeaderAddr: hint}
-		return wire.Message{Header: wire.Header{Status: wire.StatusNotLeader}, Body: hr.Marshal()}
-	}
-	hr := wire.MetaProposeResp{Index: idx}
-	resp := wire.Message{Header: wire.Header{Status: st}}
-	if info != nil {
-		resp.Handle = info.Handle
-		hr.Info = info.Marshal()
-	}
-	resp.Body = hr.Marshal()
-	return resp
+// notLeaderResp is every NotLeader answer a replica sends: the status
+// plus the leader hint GroupProposer.call follows.
+func notLeaderResp(hint string) wire.Message {
+	hr := wire.MetaProposeResp{LeaderAddr: hint}
+	return wire.Message{Header: wire.Header{Status: wire.StatusNotLeader}, Body: hr.Marshal()}
 }
 
 func (n *Node) handleProposeBatch(req wire.Message) wire.Message {
@@ -1735,8 +1651,7 @@ func (n *Node) handleProposeBatch(req wire.Message) wire.Message {
 	defer cancel()
 	verdicts, hint, err := n.ProposeBatch(ctx, br.Recs)
 	if errors.Is(err, ErrNotLeader) {
-		hr := wire.MetaProposeBatchResp{LeaderAddr: hint}
-		return wire.Message{Header: wire.Header{Status: wire.StatusNotLeader}, Body: hr.Marshal()}
+		return notLeaderResp(hint)
 	}
 	if err != nil {
 		// Some record's outcome is unknown (no majority within the
@@ -1755,9 +1670,9 @@ func (n *Node) handleFetch(req wire.Message) wire.Message {
 	}
 	n.mu.Lock()
 	if n.role != leader {
-		hint := wire.MetaProposeResp{LeaderAddr: n.leaderHintLocked()}
+		hint := n.leaderHintLocked()
 		n.mu.Unlock()
-		return wire.Message{Header: wire.Header{Status: wire.StatusNotLeader}, Body: hint.Marshal()}
+		return notLeaderResp(hint)
 	}
 	n.mu.Unlock()
 	// Read barrier: a deposed leader partitioned from the majority
@@ -1769,9 +1684,9 @@ func (n *Node) handleFetch(req wire.Message) wire.Message {
 	cancel()
 	if errors.Is(err, ErrNotLeader) {
 		n.mu.Lock()
-		hint := wire.MetaProposeResp{LeaderAddr: n.leaderHintLocked()}
+		hint := n.leaderHintLocked()
 		n.mu.Unlock()
-		return wire.Message{Header: wire.Header{Status: wire.StatusNotLeader}, Body: hint.Marshal()}
+		return notLeaderResp(hint)
 	}
 	if err != nil {
 		return wire.Message{Header: wire.Header{Status: wire.StatusUnavailable}}

@@ -64,11 +64,12 @@ func (l LocalProposer) Close() error { return nil }
 // round with no fresh leader hint backs off briefly so a mid-election
 // group isn't hammered.
 //
-// Concurrent Propose calls group-commit: a dispatcher coalesces
-// queued records into one TMetaProposeBatch round (up to
-// groupMaxBatch entries), and keeps up to groupMaxInflight batches
-// pipelined over the tagged transport — proposals queued while a
-// batch is on the wire form the next, larger batch.
+// Every Propose call group-commits: a dispatcher coalesces queued
+// records into one TMetaProposeBatch round (up to groupMaxBatch
+// entries; a lone proposal is a batch of one), and keeps up to
+// groupMaxInflight batches pipelined over the tagged transport —
+// proposals queued while a batch is on the wire form the next, larger
+// batch.
 type GroupProposer struct {
 	masters []string
 	timing  Timing
@@ -76,10 +77,8 @@ type GroupProposer struct {
 	stopC   chan struct{} // closed by Close; aborts in-flight retry loops
 	stopO   sync.Once
 
-	noBatch  bool          // solo proposes, pre-batching wire behavior
-	flushC   chan struct{} // cap 1: wakes the dispatcher
-	dispOnce sync.Once     // dispatcher starts on first batched Propose
-	wg       sync.WaitGroup
+	flushC chan struct{} // cap 1: wakes the dispatcher
+	wg     sync.WaitGroup
 
 	backoffs atomic.Int64 // retry sleeps taken (white-box: a fresh
 	// leader hint must retry immediately, not sleep out the backoff)
@@ -121,22 +120,20 @@ func (g *GroupProposer) storeLeader(addr string) {
 	g.mu.Unlock()
 }
 
-// NewGroupProposer builds a proposer for the given master addresses.
-// Batching honors the PVFS_NO_META_BATCH environment knob.
+// NewGroupProposer builds a proposer for the given master addresses
+// and starts its dispatcher; Close stops it.
 func NewGroupProposer(masters []string, t Timing) *GroupProposer {
-	return &GroupProposer{
+	g := &GroupProposer{
 		masters: append([]string(nil), masters...),
 		timing:  t.withDefaults(),
 		pool:    pvfsnet.NewPool(),
 		stopC:   make(chan struct{}),
-		noBatch: envNoBatch(),
 		flushC:  make(chan struct{}, 1),
 	}
+	g.wg.Add(1)
+	go g.dispatchLoop()
+	return g
 }
-
-// DisableBatching forces the solo propose path (one TMetaPropose
-// round per record). Call before the first Propose.
-func (g *GroupProposer) DisableBatching() { g.noBatch = true }
 
 func (g *GroupProposer) Close() error {
 	g.stopO.Do(func() { close(g.stopC) })
@@ -269,13 +266,6 @@ func (g *GroupProposer) attempt(ctx context.Context, addr string, req wire.Messa
 }
 
 func (g *GroupProposer) Propose(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, error) {
-	if g.noBatch {
-		return g.proposeSolo(ctx, rec)
-	}
-	g.dispOnce.Do(func() {
-		g.wg.Add(1)
-		go g.dispatchLoop()
-	})
 	p := &groupPending{rec: rec, ch: make(chan groupVerdict, 1)}
 	g.qmu.Lock()
 	g.queue = append(g.queue, p)
@@ -305,35 +295,6 @@ func (g *GroupProposer) Propose(ctx context.Context, rec wire.MetaRecord) (wire.
 	case <-g.stopC:
 		return 0, nil, 0, errProposerClosed
 	}
-}
-
-// proposeSolo is the pre-batching wire path: one TMetaPropose round
-// per record.
-func (g *GroupProposer) proposeSolo(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, error) {
-	preq := wire.MetaProposeReq{Rec: rec}
-	wctx, cancel := context.WithTimeout(ctx, g.timing.RetryWindow)
-	defer cancel()
-	resp, err := g.call(wctx, wire.Message{
-		Header: wire.Header{Type: wire.TMetaPropose}, Body: preq.Marshal(),
-	}, g.timing.CallTimeout)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	defer resp.Release()
-	var pr wire.MetaProposeResp
-	if len(resp.Body) > 0 {
-		if uerr := pr.Unmarshal(resp.Body); uerr != nil {
-			return 0, nil, 0, uerr
-		}
-	}
-	var info *wire.FileInfo
-	if len(pr.Info) > 0 {
-		info = new(wire.FileInfo)
-		if uerr := info.Unmarshal(pr.Info); uerr != nil {
-			return 0, nil, 0, uerr
-		}
-	}
-	return resp.Status, info, pr.Index, nil
 }
 
 // dispatchLoop drains the proposal queue into batch rounds, keeping

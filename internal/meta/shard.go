@@ -22,9 +22,6 @@ type ShardOptions struct {
 	// Proposer overrides the path to the master group (the mgr wrapper
 	// injects the in-process node). The Shard owns it and closes it.
 	Proposer Proposer
-	// NoBatch forces solo proposes on the built-in GroupProposer (the
-	// PVFS_NO_META_BATCH fallback); ignored when Proposer is set.
-	NoBatch bool
 	// Timing overrides protocol clocks (zero fields take defaults).
 	Timing Timing
 	// Logger receives shard events; nil silences them.
@@ -70,11 +67,7 @@ type Shard struct {
 func NewShard(o ShardOptions) *Shard {
 	prop := o.Proposer
 	if prop == nil {
-		gp := NewGroupProposer(o.Masters, o.Timing)
-		if o.NoBatch {
-			gp.DisableBatching()
-		}
-		prop = gp
+		prop = NewGroupProposer(o.Masters, o.Timing)
 	}
 	s := &Shard{
 		idx:    o.Index,

@@ -109,7 +109,7 @@ func (s *Server) Close() error {
 // plus the TMetaForward envelope) to the shard.
 func (s *Server) handle(req wire.Message) wire.Message {
 	switch req.Type {
-	case wire.TMetaVote, wire.TMetaAppend, wire.TMetaPropose, wire.TMetaFetch:
+	case wire.TMetaVote, wire.TMetaAppend, wire.TMetaFetch:
 		return s.node.Handle(req)
 	case wire.TShardMap:
 		// The node's copy is authoritative (committed); serve queries

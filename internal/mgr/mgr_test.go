@@ -2,6 +2,7 @@ package mgr_test
 
 import (
 	"testing"
+	"time"
 
 	"pvfs/internal/mgr"
 	"pvfs/internal/pvfsnet"
@@ -199,6 +200,47 @@ func TestUniqueHandles(t *testing.T) {
 			t.Fatalf("handle %d reused", info.Handle)
 		}
 		seen[info.Handle] = true
+	}
+}
+
+// TestRetiredProposeTypeRejected pins wire value 24, once the
+// one-record propose the classic listener handed to its master: it is
+// answered StatusInvalid — here with a body of the old request's
+// shape, a marshaled create record — creates nothing, the listener
+// keeps serving, and every request body goes back to the pool.
+func TestRetiredProposeTypeRejected(t *testing.T) {
+	_, c := startMgr(t, fourIODs())
+	gets0, puts0 := wire.BufStats()
+	cr := wire.MetaCreateRec{Name: "retired", Info: wire.FileInfo{
+		Handle:   1,
+		Striping: striping.Config{PCount: 1, StripeSize: striping.DefaultStripeSize},
+		IODAddrs: fourIODs()[:1],
+	}}
+	rec := wire.MetaRecord{Op: wire.TCreate, Body: cr.Marshal()}
+	resp, err := c.Call(wire.Message{Header: wire.Header{Type: 24}, Body: rec.Marshal()})
+	if err == nil || resp.Status != wire.StatusInvalid {
+		t.Fatalf("retired type 24: status %v err %v, want invalid", resp.Status, err)
+	}
+	resp.Release()
+	resp, err = c.Call(wire.Message{Header: wire.Header{Type: wire.TListDir}})
+	if err != nil {
+		t.Fatalf("listdir after retired type: %v", err)
+	}
+	var ld wire.ListDirResp
+	if err := ld.Unmarshal(resp.Body); err != nil || len(ld.Names) != 0 {
+		t.Fatalf("namespace after retired type: %v (err %v), want empty", ld.Names, err)
+	}
+	resp.Release()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		gets, puts := wire.BufStats()
+		if gets-gets0 == puts-puts0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pooled buffers leaked: %d gets vs %d puts", gets-gets0, puts-puts0)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

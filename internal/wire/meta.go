@@ -438,60 +438,31 @@ func (m *MetaAppendResp) Unmarshal(b []byte) error {
 	return d.err
 }
 
-// MetaProposeReq submits one mutation record for replication. The
-// leader appends it, replicates to a majority, applies it, and only
-// then answers with the applied outcome — so an OK (or Exists, or
-// NotFound) propose response is a durable verdict that survives
-// leader failure.
-type MetaProposeReq struct {
-	Rec MetaRecord
-}
-
-func (m *MetaProposeReq) Marshal() []byte { return m.Rec.Marshal() }
-
-func (m *MetaProposeReq) Unmarshal(b []byte) error { return m.Rec.Unmarshal(b) }
-
-// MetaProposeResp answers a propose. For committed proposals the
-// verdict rides the response header status, Index is the committed
-// entry's log index (shards order snapshot installs against it so a
-// stale snapshot can never overwrite a newer committed write-back),
-// and Info holds the applied FileInfo for creates. A StatusNotLeader
-// response instead carries the leader hint in LeaderAddr.
+// MetaProposeResp is the body of every StatusNotLeader answer a master
+// replica sends, to a batch propose and to a fetch alike: the address
+// of the replica it believes leads, empty when it knows none.
 type MetaProposeResp struct {
 	LeaderAddr string
-	Index      uint64
-	Info       []byte // marshaled FileInfo; empty when none applies
 }
 
 func (m *MetaProposeResp) Marshal() []byte {
 	e := encoder{}
 	e.str(m.LeaderAddr)
-	e.u64(m.Index)
-	e.u32(uint32(len(m.Info)))
-	e.bytes(m.Info)
 	return e.buf
 }
 
 func (m *MetaProposeResp) Unmarshal(b []byte) error {
 	d := decoder{buf: b}
 	m.LeaderAddr = d.str()
-	m.Index = d.u64()
-	n := d.u32()
-	if d.err != nil {
-		return d.err
-	}
-	if uint32(len(d.buf)) < n {
-		return ErrShortBody
-	}
-	m.Info = d.buf[:n] // aliases the frame; decoded before release
-	return nil
+	return d.err
 }
 
-// MetaProposeBatchReq submits several mutation records in one round
-// trip. The leader appends them as one group-commit batch — a single
-// WAL fsync and one replication wave cover every record — and answers
-// only after all of them resolve, so batching never weakens the
-// durability contract of the solo propose path.
+// MetaProposeBatchReq submits one or more mutation records in one
+// round trip. The leader appends them as one group-commit batch — a
+// single WAL fsync and one replication wave cover every record — and
+// answers only after all of them resolve: replicated to a majority and
+// applied, so an OK (or Exists, or NotFound) verdict is durable and
+// survives leader failure.
 type MetaProposeBatchReq struct {
 	Recs []MetaRecord
 }
@@ -522,8 +493,10 @@ func (m *MetaProposeBatchReq) Unmarshal(b []byte) error {
 }
 
 // MetaProposeVerdict is one record's committed outcome inside a batch
-// response: the applied status, the committed entry's log index, and
-// (for creates) the applied FileInfo.
+// response: the applied status, the committed entry's log index
+// (shards order snapshot installs against it so a stale snapshot can
+// never overwrite a newer committed write-back), and (for creates) the
+// applied FileInfo.
 type MetaProposeVerdict struct {
 	Status Status
 	Index  uint64
@@ -532,18 +505,16 @@ type MetaProposeVerdict struct {
 
 // MetaProposeBatchResp answers a batch. A StatusOK header carries one
 // verdict per request record, in order. A StatusNotLeader header
-// instead carries the leader hint in LeaderAddr; StatusUnavailable
-// means at least one record's outcome is unknown and the caller must
-// retry the whole batch (records are idempotent, so replaying the
-// committed prefix is safe).
+// instead carries a MetaProposeResp hint; StatusUnavailable means at
+// least one record's outcome is unknown and the caller must retry the
+// whole batch (records are idempotent, so replaying the committed
+// prefix is safe).
 type MetaProposeBatchResp struct {
-	LeaderAddr string
-	Verdicts   []MetaProposeVerdict
+	Verdicts []MetaProposeVerdict
 }
 
 func (m *MetaProposeBatchResp) Marshal() []byte {
 	e := encoder{}
-	e.str(m.LeaderAddr)
 	e.u32(uint32(len(m.Verdicts)))
 	for i := range m.Verdicts {
 		v := &m.Verdicts[i]
@@ -557,7 +528,6 @@ func (m *MetaProposeBatchResp) Marshal() []byte {
 
 func (m *MetaProposeBatchResp) Unmarshal(b []byte) error {
 	d := decoder{buf: b}
-	m.LeaderAddr = d.str()
 	n := d.u32()
 	if d.err != nil {
 		return d.err

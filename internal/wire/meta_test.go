@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -135,17 +136,40 @@ func TestMetaVoteAndProposeRoundTrip(t *testing.T) {
 		t.Fatalf("vote resp: %+v err %v", vrg, err)
 	}
 	cr := MetaCreateRec{Name: "f", Info: FileInfo{Handle: 3, Striping: striping.Config{PCount: 2, StripeSize: 4096}, IODAddrs: []string{"a", "b"}}}
-	p := MetaProposeReq{Rec: MetaRecord{Shard: 1, Seq: 7, Op: TCreate, Body: cr.Marshal()}}
-	var pg MetaProposeReq
-	if err := pg.Unmarshal(p.Marshal()); err != nil {
-		t.Fatalf("propose req: %v", err)
+	p := MetaProposeBatchReq{Recs: []MetaRecord{{Shard: 1, Seq: 7, Op: TCreate, Body: cr.Marshal()}}}
+	var pg MetaProposeBatchReq
+	if err := pg.Unmarshal(p.Marshal()); err != nil || len(pg.Recs) != 1 {
+		t.Fatalf("propose batch req: %d records, err %v", len(pg.Recs), err)
 	}
 	var crg MetaCreateRec
-	if err := crg.Unmarshal(pg.Rec.Body); err != nil {
+	if err := crg.Unmarshal(pg.Recs[0].Body); err != nil {
 		t.Fatalf("create rec: %v", err)
 	}
 	if !reflect.DeepEqual(cr, crg) {
 		t.Fatalf("create rec round trip: got %+v want %+v", crg, cr)
+	}
+
+	info := cr.Info.Marshal()
+	br := MetaProposeBatchResp{Verdicts: []MetaProposeVerdict{
+		{Status: StatusOK, Index: 9, Info: info},
+		{Status: StatusExists, Index: 10},
+	}}
+	var brg MetaProposeBatchResp
+	if err := brg.Unmarshal(br.Marshal()); err != nil || len(brg.Verdicts) != len(br.Verdicts) {
+		t.Fatalf("propose batch resp: got %+v err %v, want %+v", brg, err, br)
+	}
+	for i, v := range br.Verdicts {
+		g := brg.Verdicts[i]
+		if g.Status != v.Status || g.Index != v.Index || !bytes.Equal(g.Info, v.Info) {
+			t.Fatalf("verdict %d: got %+v want %+v", i, g, v)
+		}
+	}
+
+	// The NotLeader hint is its own, fixed shape for every master answer.
+	h := MetaProposeResp{LeaderAddr: "m1:7200"}
+	var hg MetaProposeResp
+	if err := hg.Unmarshal(h.Marshal()); err != nil || hg != h {
+		t.Fatalf("leader hint: %+v err %v", hg, err)
 	}
 }
 

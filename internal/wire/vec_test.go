@@ -239,15 +239,22 @@ func TestReadMessageTornBodyReleasesBuffer(t *testing.T) {
 	}
 }
 
+// TestMsgTypeString also pins the reserved blanks: 11 and 12 (the
+// retired strided family) and 24 (the retired one-record propose)
+// print as bare numbers, and their neighbours keep their wire values.
 func TestMsgTypeString(t *testing.T) {
 	for typ, want := range map[MsgType]string{
 		TWrite:                                "write",
 		TWrite.Response():                     "write-resp",
-		TMetaProposeBatch:                     "metaproposebatch",
 		TInvalid:                              "invalid",
 		MsgType(11):                           "type(11)",
 		MsgType(12).Response():                "type(32780)",
 		MsgType(13):                           "truncate",
+		MsgType(23):                           "metaappend",
+		MsgType(24):                           "type(24)",
+		MsgType(24).Response():                "type(32792)",
+		MsgType(25):                           "metafetch",
+		MsgType(26):                           "metaproposebatch",
 		TMetaProposeBatch + 1:                 "type(27)",
 		(TMetaProposeBatch + 1) | responseBit: "type(32795)",
 	} {

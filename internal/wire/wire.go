@@ -85,19 +85,20 @@ const (
 	// body) or installs (ShardMap body) the epoch-stamped shard map.
 	// TMetaForward wraps a manager-grammar request in a MetaEnvelope so a
 	// shard can check the client's epoch and proxy to the owning shard.
-	// The remaining four are master-replica internal: leader election
+	// The rest are master-replica internal: leader election
 	// (TMetaVote), log replication and snapshot install (TMetaAppend),
-	// shard-originated mutation proposals (TMetaPropose), and shard
-	// state/snapshot fetch (TMetaFetch).
+	// shard state/snapshot fetch (TMetaFetch), and shard-originated
+	// mutation proposals (TMetaProposeBatch).
 	TShardMap
 	TMetaForward
 	TMetaVote
 	TMetaAppend
-	TMetaPropose
+	_ // 24: retired one-record propose; reserved so later types keep their wire values
 	TMetaFetch
-	// TMetaProposeBatch submits several mutation records in one round
-	// trip; the leader coalesces them into one group-commit batch (one
-	// WAL fsync, one replication wave) and answers per-record verdicts.
+	// TMetaProposeBatch submits one or more mutation records in one
+	// round trip; the leader coalesces them into one group-commit batch
+	// (one WAL fsync, one replication wave) and answers per-record
+	// verdicts. A lone proposal is a batch of one.
 	TMetaProposeBatch
 
 	responseBit MsgType = 0x8000
@@ -124,8 +125,7 @@ var msgTypeNames = [...]string{
 	TWriteDatatype: "writedatatype", TSync: "sync",
 	TShardMap: "shardmap", TMetaForward: "metaforward",
 	TMetaVote: "metavote", TMetaAppend: "metaappend",
-	TMetaPropose: "metapropose", TMetaFetch: "metafetch",
-	TMetaProposeBatch: "metaproposebatch",
+	TMetaFetch: "metafetch", TMetaProposeBatch: "metaproposebatch",
 }
 
 func (t MsgType) String() string {
