@@ -13,6 +13,7 @@
 package pvfs_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -264,24 +265,25 @@ func BenchmarkRealCluster(b *testing.B) {
 		file = append(file, pvfs.Segment{Offset: i * 1024, Length: 64})
 	}
 	arena := make([]byte, mem.TotalLength())
-	if err := f.WriteList(arena, mem, file, pvfs.ListOptions{}); err != nil {
+	ctx := context.Background()
+	if _, err := f.Run(ctx, pvfs.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: pvfs.AccessList}); err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range []pvfs.Method{pvfs.MethodMultiple, pvfs.MethodSieve, pvfs.MethodList} {
+	for _, m := range []pvfs.AccessMethod{pvfs.AccessMultiple, pvfs.AccessSieve, pvfs.AccessList} {
 		b.Run("read/"+m.String(), func(b *testing.B) {
 			b.SetBytes(mem.TotalLength())
 			for i := 0; i < b.N; i++ {
-				if err := f.ReadNoncontig(m, arena, mem, file, pvfs.Options{}); err != nil {
+				if _, err := f.Run(ctx, pvfs.Request{Arena: arena, Mem: mem, File: file, Method: m}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	for _, m := range []pvfs.Method{pvfs.MethodMultiple, pvfs.MethodList} {
+	for _, m := range []pvfs.AccessMethod{pvfs.AccessMultiple, pvfs.AccessList} {
 		b.Run("write/"+m.String(), func(b *testing.B) {
 			b.SetBytes(mem.TotalLength())
 			for i := 0; i < b.N; i++ {
-				if err := f.WriteNoncontig(m, arena, mem, file, pvfs.Options{}); err != nil {
+				if _, err := f.Run(ctx, pvfs.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: m}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -57,8 +57,8 @@ func main() {
 	ssize := flag.Int64("ssize", striping.DefaultStripeSize, "stripe size")
 	write := flag.Bool("write", false, "benchmark writes instead of reads")
 	gran := flag.String("granularity", "file", "list entry granularity: file | intersect")
-	methodsFlag := flag.String("methods", "", "comma list of multiple,datasieve,list (default: paper's set)")
-	async := flag.Int("async", 1, "nonblocking ops in flight per rank (File.Start); applies to multiple/list, 1 = blocking calls")
+	methodsFlag := flag.String("methods", "", "comma list of multiple,datasieve,list,datatype,hybrid (default: paper's set)")
+	async := flag.Int("async", 1, "nonblocking ops in flight per rank (File.Start); applies to the region-list methods except datasieve")
 	chaosSeed := flag.Int64("chaos", 0, "run over a faulty wire: seed for a faultnet chaos script (0 = healthy); clients retry with backoff")
 	dataDir := flag.String("data", "", "back each daemon with a directory store under DIR (empty = in-memory); Dir stores bear real syscalls, so the store-syscall columns measure the vectored datapath")
 	jsonOut := flag.String("json", "", "append result rows as JSON to FILE")
@@ -102,9 +102,13 @@ func main() {
 
 	methods := defaultMethods(*write)
 	if *methodsFlag != "" {
-		methods, err = parseMethods(*methodsFlag)
-		if err != nil {
-			fatal(err)
+		methods = nil
+		for _, name := range splitComma(*methodsFlag) {
+			m, err := client.ParseAccessMethod(name)
+			if err != nil {
+				fatal(err)
+			}
+			methods = append(methods, m)
 		}
 	}
 
@@ -143,7 +147,7 @@ func main() {
 		}
 		row := benchRow{
 			Pattern:   pat.Name(),
-			Method:    m,
+			Method:    m.String(),
 			Direction: dir,
 			Seconds:   secs,
 			Requests:  stats.Requests,
@@ -226,41 +230,13 @@ func buildPattern(name string, clients, accesses int, total int64, blocks int) (
 	}
 }
 
-func defaultMethods(write bool) []string {
+func defaultMethods(write bool) []client.AccessMethod {
 	if write {
 		// The paper omits data sieving from the artificial parallel
 		// writes (it needs serialization); include it only for reads.
-		return []string{"multiple", "list"}
+		return []client.AccessMethod{client.AccessMultiple, client.AccessList}
 	}
-	return []string{"multiple", "datasieve", "list"}
-}
-
-// parseMethods validates a comma list of method names. Besides the
-// paper's matrix (multiple, datasieve, list) it accepts "datatype":
-// the same access expressed as a vector datatype (one descriptor per
-// window on the wire), valid for regularly strided patterns.
-func parseMethods(s string) ([]string, error) {
-	var out []string
-	for _, name := range splitComma(s) {
-		switch name {
-		case "multiple", "datasieve", "list", "datatype":
-			out = append(out, name)
-		default:
-			return nil, fmt.Errorf("unknown method %q", name)
-		}
-	}
-	return out, nil
-}
-
-func clientMethod(name string) client.Method {
-	switch name {
-	case "multiple":
-		return client.MethodMultiple
-	case "datasieve":
-		return client.MethodSieve
-	default:
-		return client.MethodList
-	}
+	return []client.AccessMethod{client.AccessMultiple, client.AccessSieve, client.AccessList}
 }
 
 // patternVector derives the vector-datatype description of one rank's
@@ -355,12 +331,12 @@ func splitWork(mem, file ioseg.List, n int) []workChunk {
 
 // runMethod executes one method across all ranks (own connection per
 // rank, as in MPI) against a fresh file, returning wall seconds and
-// the server-side accounting delta. async > 1 splits each rank's
-// pattern into async chunks started as concurrent nonblocking Ops
-// (File.Start); data sieving keeps blocking calls (its
-// read-modify-write needs serialization), and the datatype method
-// ships one descriptor per window instead of a region list.
-func runMethod(c *cluster.Cluster, pat patterns.Pattern, method string, write bool, ssize int64, g client.Granularity, async int, retry *client.RetryPolicy) (float64, statsDelta, error) {
+// the server-side accounting delta. Each rank starts its pattern as
+// async chunks, concurrent nonblocking Ops (File.Start), and waits for
+// them; data sieving takes one Op (its read-modify-write writers are
+// serialized across ranks, §4.2.1), and the datatype method ships the
+// pattern as one vector type instead of a region list.
+func runMethod(c *cluster.Cluster, pat patterns.Pattern, method client.AccessMethod, write bool, ssize int64, g client.Granularity, async int, retry *client.RetryPolicy) (float64, statsDelta, error) {
 	fs0, err := c.Connect()
 	if err != nil {
 		return 0, statsDelta{}, err
@@ -423,43 +399,26 @@ func runMethod(c *cluster.Cluster, pat patterns.Pattern, method string, write bo
 		for i := range arena {
 			arena[i] = byte(rank)
 		}
-		opts := client.Options{List: client.ListOptions{Granularity: g}}
-		if method == "datatype" {
+		var reqs []client.Request
+		switch method {
+		case client.AccessDatatype:
 			base, count, blockLen, stride, err := patternVector(file)
 			if err != nil {
 				return fmt.Errorf("datatype method: %w", err)
 			}
-			typ := datatype.Vector(count, blockLen, stride, datatype.Bytes(1))
-			if write {
-				return f.WriteDatatype(arena, mem, typ, base, 1, client.DatatypeOptions{})
-			}
-			return f.ReadDatatype(arena, mem, typ, base, 1, client.DatatypeOptions{})
-		}
-		m := clientMethod(method)
-		if write && m == client.MethodSieve {
-			// Serialized as in §4.2.1: one writer at a time.
-			for k := 0; k < pat.Ranks(); k++ {
-				if k == rank {
-					if _, err := f.WriteSieve(arena, mem, file, opts.Sieve); err != nil {
-						return err
-					}
-				}
-				barrier.Wait()
-			}
-			return nil
-		}
-		if async > 1 && m != client.MethodSieve {
-			am := client.AccessMultiple
-			if m == client.MethodList {
-				am = client.AccessList
-			}
-			ctx := context.Background()
-			ops := make([]*client.Op, 0, async)
+			reqs = []client.Request{{Mem: mem, Type: datatype.Vector(count, blockLen, stride, datatype.Bytes(1)), Base: base}}
+		case client.AccessSieve:
+			reqs = []client.Request{{Mem: mem, File: file}}
+		default:
 			for _, w := range splitWork(mem, file, async) {
-				ops = append(ops, f.Start(ctx, client.Request{
-					Write: write, Arena: arena, Mem: w.mem, File: w.file,
-					Method: am, List: client.ListOptions{Granularity: g},
-				}))
+				reqs = append(reqs, client.Request{Mem: w.mem, File: w.file, List: client.ListOptions{Granularity: g}})
+			}
+		}
+		run := func() error {
+			ops := make([]*client.Op, len(reqs))
+			for i, req := range reqs {
+				req.Write, req.Arena, req.Method = write, arena, method
+				ops[i] = f.Start(context.Background(), req)
 			}
 			var first error
 			for _, op := range ops {
@@ -469,10 +428,19 @@ func runMethod(c *cluster.Cluster, pat patterns.Pattern, method string, write bo
 			}
 			return first
 		}
-		if write {
-			return f.WriteNoncontig(m, arena, mem, file, opts)
+		if write && method == client.AccessSieve {
+			// Serialized as in §4.2.1: one writer at a time.
+			for k := 0; k < pat.Ranks(); k++ {
+				if k == rank {
+					if err := run(); err != nil {
+						return err
+					}
+				}
+				barrier.Wait()
+			}
+			return nil
 		}
-		return f.ReadNoncontig(m, arena, mem, file, opts)
+		return run()
 	})
 	secs := time.Since(start).Seconds()
 	if err != nil {

@@ -57,7 +57,7 @@ func usage() {
   gen     -pattern cyclic|blockblock|flash|tiled -ranks N [-accesses N] [-total BYTES] [-write] [-chunk N] -o FILE
   summary FILE
   cat     [-n MAX] FILE
-  replay  (-inproc [-iods N] [-data DIR] | -mgr ADDR) [-method multiple|datasieve|list] [-granularity file|intersect]
+  replay  (-inproc [-iods N] [-data DIR] | -mgr ADDR) [-method multiple|datasieve|list|hybrid|auto] [-granularity file|intersect]
           [-file NAME] [-seed N] [-verify] [-no-create] FILE`)
 }
 
@@ -207,25 +207,12 @@ func pathLine(name string, v client.PathValues) string {
 	return fmt.Sprintf(" %s %d req / %d B", name, v.Requests, v.Bytes)
 }
 
-func parseMethod(s string) (client.Method, error) {
-	switch s {
-	case "multiple":
-		return client.MethodMultiple, nil
-	case "datasieve", "sieve":
-		return client.MethodSieve, nil
-	case "list":
-		return client.MethodList, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
-	}
-}
-
 func replayCmd(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	inproc := fs.Bool("inproc", false, "start an in-process cluster for the replay")
 	iods := fs.Int("iods", 8, "I/O daemons for -inproc")
 	mgr := fs.String("mgr", "", "manager address of a running deployment")
-	method := fs.String("method", "list", "multiple, datasieve, or list")
+	method := fs.String("method", "list", "multiple, datasieve, list, hybrid or auto (datasieve and hybrid writes are serialized across ranks)")
 	gran := fs.String("granularity", "file", "list entry granularity: file or intersect")
 	fileName := fs.String("file", "replay.bin", "PVFS file name to replay against")
 	seed := fs.Uint64("seed", 1, "payload synthesis seed")
@@ -239,16 +226,16 @@ func replayCmd(args []string) error {
 	if (*inproc && *mgr != "") || (!*inproc && *mgr == "") {
 		return fmt.Errorf("replay: exactly one of -inproc or -mgr is required")
 	}
-	m, err := parseMethod(*method)
+	m, err := client.ParseAccessMethod(*method)
 	if err != nil {
 		return err
 	}
-	var opts client.Options
+	var list client.ListOptions
 	switch *gran {
 	case "file":
-		opts.List.Granularity = client.GranularityFileRegions
+		list.Granularity = client.GranularityFileRegions
 	case "intersect":
-		opts.List.Granularity = client.GranularityIntersect
+		list.Granularity = client.GranularityIntersect
 	default:
 		return fmt.Errorf("unknown granularity %q", *gran)
 	}
@@ -280,11 +267,11 @@ func replayCmd(args []string) error {
 	defer cfs.Close()
 
 	res, err := trace.Replay(cfs, *fileName, ops, trace.ReplayOptions{
-		Method:  m,
-		Options: opts,
-		Create:  !*noCreate,
-		Seed:    *seed,
-		Verify:  *verify,
+		Method: m,
+		List:   list,
+		Create: !*noCreate,
+		Seed:   *seed,
+		Verify: *verify,
 	})
 	if err != nil {
 		return err
@@ -293,11 +280,10 @@ func replayCmd(args []string) error {
 	fmt.Printf("requests: %d I/O (%d list), %d manager; %d bytes out, %d bytes in\n",
 		res.Requests.Requests, res.Requests.ListRequests, res.Requests.MgrRequests,
 		res.Requests.BytesOut, res.Requests.BytesIn)
-	fmt.Printf("per path:%s%s%s%s%s\n",
+	fmt.Printf("per path:%s%s%s%s\n",
 		pathLine("multiple", res.Requests.Multiple),
 		pathLine("sieve", res.Requests.Sieve),
 		pathLine("list", res.Requests.List),
-		pathLine("strided", res.Requests.Strided),
 		pathLine("datatype", res.Requests.Datatype))
 	if clu != nil {
 		// Daemon-side store accounting (DESIGN.md §10): how many

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -152,9 +153,8 @@ func main() {
 			fatal(err)
 		}
 		arena := make([]byte, file.TotalLength())
-		mem := ioseg.List{{Offset: 0, Length: file.TotalLength()}}
 		before := fs.Counters().Snapshot()
-		if err := f.ReadList(arena, mem, file, client.ListOptions{}); err != nil {
+		if _, err := f.Run(context.Background(), client.Request{Arena: arena, File: file, Method: client.AccessList}); err != nil {
 			fatal(err)
 		}
 		after := fs.Counters().Snapshot()

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -53,11 +54,12 @@ func main() {
 
 	buf := make([]byte, column.Size())
 	before := fs.Counters().Snapshot()
-	if err := f.ReadType(buf, column, base, pvfs.ListOptions{}); err != nil {
+	ctx := context.Background()
+	if _, err := f.Run(ctx, pvfs.Request{Arena: buf, Type: column, Base: base}); err != nil {
 		log.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
-	fmt.Printf("  read with %d requests (vector ships as one strided descriptor per server)\n",
+	fmt.Printf("  read with %d requests (the vector ships as one datatype descriptor per server)\n",
 		after.Requests-before.Requests)
 	fmt.Printf("  list I/O would need %d requests; multiple I/O %d\n\n",
 		(column.Blocks()+63)/64, column.Blocks())
@@ -82,7 +84,7 @@ func main() {
 	fmt.Printf("tile datatype: %v\n", tile)
 	tbuf := make([]byte, tile.Size())
 	before = fs.Counters().Snapshot()
-	if err := f.ReadType(tbuf, tile, 0, pvfs.ListOptions{}); err != nil {
+	if _, err := f.Run(ctx, pvfs.Request{Arena: tbuf, Type: tile}); err != nil {
 		log.Fatal(err)
 	}
 	after = fs.Counters().Snapshot()
@@ -101,7 +103,7 @@ func main() {
 	for i := range buf {
 		buf[i] ^= 0xFF
 	}
-	if err := f.WriteType(buf, column, base, pvfs.ListOptions{}); err != nil {
+	if _, err := f.Run(ctx, pvfs.Request{Write: true, Arena: buf, Type: column, Base: base}); err != nil {
 		log.Fatal(err)
 	}
 	one := make([]byte, 8)

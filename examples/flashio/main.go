@@ -8,12 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"pvfs"
-	"pvfs/internal/client"
 	"pvfs/internal/patterns"
 )
 
@@ -38,13 +38,13 @@ func main() {
 	fmt.Printf("%-22s %10s %12s %10s\n", "method", "seconds", "requests", "regions")
 	for _, run := range []struct {
 		label string
-		m     pvfs.Method
+		m     pvfs.AccessMethod
 		gran  pvfs.Granularity
 	}{
-		{"multiple", pvfs.MethodMultiple, pvfs.GranularityFileRegions},
-		{"datasieve(serial)", pvfs.MethodSieve, pvfs.GranularityFileRegions},
-		{"list(intersect)", pvfs.MethodList, pvfs.GranularityIntersect},
-		{"list(file-regions)", pvfs.MethodList, pvfs.GranularityFileRegions},
+		{"multiple", pvfs.AccessMultiple, pvfs.GranularityFileRegions},
+		{"datasieve(serial)", pvfs.AccessSieve, pvfs.GranularityFileRegions},
+		{"list(intersect)", pvfs.AccessList, pvfs.GranularityIntersect},
+		{"list(file-regions)", pvfs.AccessList, pvfs.GranularityFileRegions},
 	} {
 		secs, req, regions, err := checkpoint(c, flash, run.m, run.gran)
 		if err != nil {
@@ -65,7 +65,7 @@ func main() {
 // checkpoint writes the FLASH pattern with one goroutine per rank.
 // Data sieving writes are serialized with a barrier, as the paper
 // does with MPI_Barrier (§4.3.1).
-func checkpoint(c *pvfs.Cluster, flash *patterns.Flash, m pvfs.Method, g pvfs.Granularity) (float64, int64, int64, error) {
+func checkpoint(c *pvfs.Cluster, flash *patterns.Flash, m pvfs.AccessMethod, g pvfs.Granularity) (float64, int64, int64, error) {
 	fs0, err := c.Connect()
 	if err != nil {
 		return 0, 0, 0, err
@@ -95,11 +95,14 @@ func checkpoint(c *pvfs.Cluster, flash *patterns.Flash, m pvfs.Method, g pvfs.Gr
 		for i := range arena {
 			arena[i] = byte(rank + 1)
 		}
-		opts := pvfs.Options{List: client.ListOptions{Granularity: g}}
-		if m == pvfs.MethodSieve {
+		req := pvfs.Request{
+			Write: true, Arena: arena, Mem: mem, File: file,
+			Method: m, List: pvfs.ListOptions{Granularity: g},
+		}
+		if m == pvfs.AccessSieve {
 			for k := 0; k < flash.Ranks(); k++ {
 				if k == rank {
-					if _, err := f.WriteSieve(arena, mem, file, opts.Sieve); err != nil {
+					if _, err := f.Run(context.Background(), req); err != nil {
 						return err
 					}
 				}
@@ -107,7 +110,8 @@ func checkpoint(c *pvfs.Cluster, flash *patterns.Flash, m pvfs.Method, g pvfs.Gr
 			}
 			return nil
 		}
-		return f.WriteNoncontig(m, arena, mem, file, opts)
+		_, err = f.Run(context.Background(), req)
+		return err
 	})
 	secs := time.Since(start).Seconds()
 	if err != nil {

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -48,7 +49,8 @@ func main() {
 	}
 	arena := make([]byte, memPos)
 	rand.New(rand.NewSource(1)).Read(arena)
-	if err := f.WriteList(arena, mem, file, pvfs.ListOptions{}); err != nil {
+	ctx := context.Background()
+	if _, err := f.Run(ctx, pvfs.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: pvfs.AccessList}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("pattern: %d regions of 64 B in 128 clusters (gap 128 B inside, 62 KiB between)\n\n", len(file))
@@ -66,7 +68,7 @@ func main() {
 	got := make([]byte, memPos)
 	before := fs.Counters().Snapshot()
 	t0 := time.Now()
-	if err := f.ReadList(got, mem, file, pvfs.ListOptions{}); err != nil {
+	if _, err := f.Run(ctx, pvfs.Request{Arena: got, Mem: mem, File: file, Method: pvfs.AccessList}); err != nil {
 		log.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
@@ -78,10 +80,11 @@ func main() {
 	got = make([]byte, memPos)
 	before = fs.Counters().Snapshot()
 	t0 = time.Now()
-	st, err := f.ReadSieve(got, mem, file, pvfs.SieveOptions{})
+	res, err := f.Run(ctx, pvfs.Request{Arena: got, Mem: mem, File: file, Method: pvfs.AccessSieve})
 	if err != nil {
 		log.Fatal(err)
 	}
+	st := res.Sieve
 	after = fs.Counters().Snapshot()
 	check(got, arena)
 	report("datasieve", time.Since(t0).Seconds(), after.Requests-before.Requests,
@@ -92,10 +95,13 @@ func main() {
 		got = make([]byte, memPos)
 		before = fs.Counters().Snapshot()
 		t0 = time.Now()
-		st, err := f.ReadHybrid(got, mem, file, gap, pvfs.ListOptions{})
+		res, err := f.Run(ctx, pvfs.Request{
+			Arena: got, Mem: mem, File: file, Method: pvfs.AccessHybrid, CoalesceGap: gap,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := res.Sieve
 		after = fs.Counters().Snapshot()
 		check(got, arena)
 		report(fmt.Sprintf("hybrid(gap=%d)", gap),

@@ -77,7 +77,7 @@ func main() {
 	}
 
 	fmt.Printf("%-12s %10s %12s %12s\n", "method", "requests", "bytes", "wall")
-	for _, m := range []pvfs.Method{pvfs.MethodMultiple, pvfs.MethodList} {
+	for _, m := range []pvfs.AccessMethod{pvfs.AccessMultiple, pvfs.AccessList} {
 		res, err := trace.Replay(fs, fmt.Sprintf("trace-%v.bin", m), ops, trace.ReplayOptions{
 			Method: m,
 			Create: true,

@@ -3,9 +3,10 @@
 // access patterns but is limited ... if support for noncontiguous
 // access is not present at the file system level"). Four "ranks"
 // write a 1-D cyclic interleave through file views, then the same
-// access is read back under each ROMIO-style hint setting — list I/O,
-// data sieving, multiple I/O, and two-phase collective I/O — with
-// request counts side by side.
+// access is read back under each ROMIO-style hint setting — the
+// default (the view type as a datatype), list I/O, data sieving,
+// multiple I/O, hybrid — and written with two-phase collective I/O,
+// with request counts side by side.
 //
 //	go run ./examples/mpiio
 package main
@@ -42,7 +43,8 @@ func main() {
 	fmt.Printf("4 ranks write a cyclic interleave through MPI-IO views\n")
 	fmt.Printf("(vector filetype: %d blocks of %d bytes every %d)\n\n", blocks, blockLen, ranks*blockLen)
 
-	// Phase 1: each rank writes through its view with list I/O.
+	// Phase 1: each rank writes through its view under the default
+	// hints: the view type ships as a datatype (DESIGN.md §6).
 	err = pvfs.RunRanks(ranks, func(rank int) error {
 		fsr, err := c.Connect()
 		if err != nil {
@@ -53,7 +55,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		v := pvfs.OpenView(f, pvfs.ViewHints{Method: pvfs.MethodList})
+		v := pvfs.OpenView(f, pvfs.ViewHints{})
 		ftype := pvfs.Vector(blocks, blockLen, ranks*blockLen, pvfs.Bytes(1))
 		if err := v.SetView(int64(rank*blockLen), pvfs.Bytes(1), ftype); err != nil {
 			return err
@@ -72,10 +74,11 @@ func main() {
 		name  string
 		hints pvfs.ViewHints
 	}{
-		{"list (default)", pvfs.ViewHints{Method: pvfs.MethodList}},
-		{"romio_ds (sieving)", pvfs.ViewHints{Method: pvfs.MethodSieve}},
-		{"no optimization", pvfs.ViewHints{Method: pvfs.MethodMultiple}},
-		{"hybrid gap=1KiB", pvfs.ViewHints{CoalesceGapBytes: 1024}},
+		{"auto (default)", pvfs.ViewHints{}},
+		{"list", pvfs.ViewHints{Method: pvfs.AccessList}},
+		{"romio_ds (sieving)", pvfs.ViewHints{Method: pvfs.AccessSieve}},
+		{"no optimization", pvfs.ViewHints{Method: pvfs.AccessMultiple}},
+		{"hybrid gap=1KiB", pvfs.ViewHints{Method: pvfs.AccessHybrid, CoalesceGapBytes: 1024}},
 	}
 	ftype := pvfs.Vector(blocks, blockLen, ranks*blockLen, pvfs.Bytes(1))
 	for _, tc := range cases {

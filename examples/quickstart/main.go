@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -64,10 +65,11 @@ func main() {
 
 	fmt.Printf("\nnoncontiguous read of %d regions x %d bytes:\n", len(file), file[0].Length)
 	fmt.Printf("%-14s %10s %10s\n", "method", "requests", "correct")
-	for _, m := range []pvfs.Method{pvfs.MethodMultiple, pvfs.MethodSieve, pvfs.MethodList} {
+	for _, m := range []pvfs.AccessMethod{pvfs.AccessMultiple, pvfs.AccessSieve, pvfs.AccessList} {
 		got := make([]byte, file.TotalLength())
 		before := fs.Counters().Snapshot()
-		if err := f.ReadNoncontig(m, got, mem, file, pvfs.Options{}); err != nil {
+		req := pvfs.Request{Arena: got, Mem: mem, File: file, Method: m}
+		if _, err := f.Run(context.Background(), req); err != nil {
 			log.Fatal(err)
 		}
 		after := fs.Counters().Snapshot()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -52,7 +53,7 @@ func main() {
 
 	fmt.Printf("%-14s %10s %10s %10s %12s %14s\n",
 		"method", "open(s)", "read(s)", "close(s)", "requests", "useless bytes")
-	for _, m := range []pvfs.Method{pvfs.MethodMultiple, pvfs.MethodSieve, pvfs.MethodList} {
+	for _, m := range []pvfs.AccessMethod{pvfs.AccessMultiple, pvfs.AccessSieve, pvfs.AccessList} {
 		if err := display(c, tiled, m); err != nil {
 			log.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func main() {
 		tiled.TilesX, (tiled.FileRegions(0)+63)/64)
 }
 
-func display(c *pvfs.Cluster, tiled *patterns.Tiled, m pvfs.Method) error {
+func display(c *pvfs.Cluster, tiled *patterns.Tiled, m pvfs.AccessMethod) error {
 	var openT, readT, closeT time.Duration
 	var useless int64
 	before := c.TotalStats()
@@ -84,19 +85,11 @@ func display(c *pvfs.Cluster, tiled *patterns.Tiled, m pvfs.Method) error {
 		file := patterns.FileList(tiled, rank)
 		tile := make([]byte, patterns.ArenaSize(tiled, rank))
 		t1 := time.Now()
-		var uselessRank int64
-		switch m {
-		case pvfs.MethodSieve:
-			st, err := f.ReadSieve(tile, mem, file, pvfs.SieveOptions{})
-			if err != nil {
-				return err
-			}
-			uselessRank = st.BytesAccessed - st.BytesUseful
-		default:
-			if err := f.ReadNoncontig(m, tile, mem, file, pvfs.Options{}); err != nil {
-				return err
-			}
+		res, err := f.Run(context.Background(), pvfs.Request{Arena: tile, Mem: mem, File: file, Method: m})
+		if err != nil {
+			return err
 		}
+		uselessRank := res.Sieve.BytesAccessed - res.Sieve.BytesUseful
 		read := time.Since(t1)
 
 		t2 := time.Now()

@@ -25,6 +25,7 @@ import (
 
 	"pvfs/internal/client"
 	"pvfs/internal/cluster"
+	"pvfs/internal/datatype"
 	"pvfs/internal/faultnet"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/striping"
@@ -37,12 +38,9 @@ type Scenario struct {
 
 	// Method is the datapath under test. AccessSieve and AccessHybrid
 	// perform read-modify-write and need Ranks=1 (callers must
-	// serialize sieving writers; §4.2.1).
+	// serialize sieving writers; §4.2.1). AccessDatatype ships each
+	// rank's pattern as one vector type instead of a region list.
 	Method client.AccessMethod
-
-	// Strided routes the pattern through the Strided shorthand (the
-	// datatype wire path) instead of an explicit region list.
-	Strided bool
 
 	// Ranks is the number of concurrent client processes (default 1).
 	Ranks int
@@ -80,7 +78,7 @@ type Scenario struct {
 	// NumIOD is the daemon count (default 4).
 	NumIOD int
 
-	// Window, when non-zero, overrides the list pipelining window.
+	// Window, when non-zero, overrides the pipelining window.
 	Window int
 
 	// CoalesceGap is the hybrid coalescing gap (default BlockLen×2 for
@@ -185,16 +183,12 @@ func (s Scenario) request(write bool, arena []byte, rank int) client.Request {
 		Arena:       arena,
 		Method:      s.Method,
 		Retry:       &pol,
-		List:        client.ListOptions{Window: s.Window},
+		Window:      s.Window,
 		CoalesceGap: s.CoalesceGap,
 	}
-	if s.Strided {
-		req.Strided = &client.Strided{
-			Start:    int64(rank) * s.BlockLen,
-			Stride:   int64(s.Spread) * s.BlockLen,
-			BlockLen: s.BlockLen,
-			Count:    int64(s.Blocks),
-		}
+	if s.Method == client.AccessDatatype {
+		req.Type = datatype.Vector(int64(s.Blocks), s.BlockLen, int64(s.Spread)*s.BlockLen, datatype.Bytes(1))
+		req.Base = int64(rank) * s.BlockLen
 	} else {
 		req.File = s.pattern(rank)
 	}
@@ -375,7 +369,7 @@ func runTransfer(ctx context.Context, f *client.File, s Scenario, write bool, ar
 		part := full[lo:hi]
 		n := part.TotalLength()
 		req := s.request(write, arena, rank)
-		req.Strided = nil
+		req.Type = nil
 		req.File = part
 		req.Mem = ioseg.List{{Offset: stream, Length: n}}
 		ops = append(ops, f.Start(ctx, req))

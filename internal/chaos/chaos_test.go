@@ -94,7 +94,7 @@ func TestChaosListSerializedWindow(t *testing.T) {
 
 func TestChaosDatatype(t *testing.T) {
 	runScenario(t, chaos.Scenario{
-		Name: "datatype", Method: client.AccessDatatype, Strided: true,
+		Name: "datatype", Method: client.AccessDatatype,
 		Ranks: 2, Blocks: 48, Kill: true,
 	})
 }

@@ -2,21 +2,24 @@
 // application links against to open files and perform contiguous and
 // noncontiguous I/O against the manager and I/O daemons.
 //
-// Three noncontiguous access methods are provided, matching §3 of the
-// paper:
+// Every noncontiguous access is one Request — memory layout, file
+// layout (a region list or a datatype), method and tuning — run by
+// File.Start (nonblocking) or File.Run (blocking). Request.Method
+// selects among the three methods of §3 of the paper:
 //
-//   - Multiple I/O (§3.1): one contiguous PVFS request per file region.
-//   - Data sieving I/O (§3.2): a client-side buffer covers many regions
-//     per contiguous request; writes are read-modify-write.
-//   - List I/O (§3.3): up to 64 file regions per request in trailing
-//     data (ReadList/WriteList, the pvfs_read_list interface).
+//   - AccessMultiple (§3.1): one contiguous PVFS request per piece.
+//   - AccessSieve (§3.2): a client-side buffer covers many regions per
+//     contiguous request; writes are read-modify-write.
+//   - AccessList (§3.3): up to 64 file regions per request in trailing
+//     data (the pvfs_read_list interface).
 //
-// A fourth, datatype I/O (ReadDatatype/WriteDatatype, with
-// ReadStrided/WriteStrided as its uniform-vector special case),
-// implements the paper's §5 future work: the access pattern itself
-// crosses the wire as an encoded datatype and each I/O daemon
-// evaluates its own share, removing the linear region-to-request
-// relationship (DESIGN.md §6).
+// and the §5 future work: AccessDatatype ships the access pattern
+// itself as an encoded datatype and each I/O daemon evaluates its own
+// share, removing the linear region-to-request relationship
+// (DESIGN.md §6); AccessHybrid coalesces nearby regions before list
+// I/O. The zero method, AccessAuto, picks from the layout.
+// File.ReadAt/WriteAt/Read/Write/Seek are the io interfaces over the
+// contiguous path.
 package client
 
 import (
@@ -72,12 +75,10 @@ type Counters struct {
 	Retries      atomic.Int64 // transport-level retries (SetRetries)
 
 	// Per-path accounting (DESIGN.md §6): multiple I/O (§3.1), data
-	// sieving (§3.2), list I/O (§3.3), strided descriptors and full
-	// datatype I/O (§5).
+	// sieving (§3.2), list I/O (§3.3) and datatype I/O (§5).
 	Multiple PathCounters
 	Sieve    PathCounters
 	List     PathCounters
-	Strided  PathCounters
 	Datatype PathCounters
 }
 
@@ -93,7 +94,6 @@ func (c *Counters) Snapshot() CounterValues {
 		Multiple:     c.Multiple.snapshot(),
 		Sieve:        c.Sieve.snapshot(),
 		List:         c.List.snapshot(),
-		Strided:      c.Strided.snapshot(),
 		Datatype:     c.Datatype.snapshot(),
 	}
 }
@@ -110,7 +110,6 @@ type CounterValues struct {
 	Multiple PathValues
 	Sieve    PathValues
 	List     PathValues
-	Strided  PathValues
 	Datatype PathValues
 }
 
@@ -127,7 +126,6 @@ func (v CounterValues) Sub(o CounterValues) CounterValues {
 		Multiple:     v.Multiple.Sub(o.Multiple),
 		Sieve:        v.Sieve.Sub(o.Sieve),
 		List:         v.List.Sub(o.List),
-		Strided:      v.Strided.Sub(o.Strided),
 		Datatype:     v.Datatype.Sub(o.Datatype),
 	}
 }

@@ -35,6 +35,13 @@ func startCluster(t *testing.T, numIOD int) (*cluster.Cluster, *client.FS) {
 	return c, fs
 }
 
+// run is f.Run under a background context, for callers that need only
+// the error.
+func run(f *client.File, req client.Request) error {
+	_, err := f.Run(context.Background(), req)
+	return err
+}
+
 func TestCreateOpenRemove(t *testing.T) {
 	_, fs := startCluster(t, 4)
 	f, err := fs.Create("a.dat", striping.Config{})
@@ -222,14 +229,14 @@ func randomRegions(r *rand.Rand, arenaSize int) (mem, file ioseg.List) {
 }
 
 func TestNoncontiguousMethodsAgainstReference(t *testing.T) {
-	methods := []client.Method{client.MethodMultiple, client.MethodSieve, client.MethodList}
+	methods := []client.AccessMethod{client.AccessMultiple, client.AccessSieve, client.AccessList}
 	granularities := []client.Granularity{client.GranularityFileRegions, client.GranularityIntersect}
 	_, fs := startCluster(t, 4)
 	r := rand.New(rand.NewSource(99))
 
 	for _, m := range methods {
 		for _, g := range granularities {
-			if m != client.MethodList && g != client.GranularityFileRegions {
+			if m != client.AccessList && g != client.GranularityFileRegions {
 				continue // granularity only affects list I/O
 			}
 			name := fmt.Sprintf("%v-%v", m, g)
@@ -239,15 +246,17 @@ func TestNoncontiguousMethodsAgainstReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				ref := &refFile{}
-				opts := client.Options{
-					List:  client.ListOptions{Granularity: g},
-					Sieve: client.SieveOptions{BufferSize: 256}, // tiny buffer: many windows
+				req := client.Request{
+					Method: m,
+					List:   client.ListOptions{Granularity: g},
+					Sieve:  client.SieveOptions{BufferSize: 256}, // tiny buffer: many windows
 				}
 				for round := 0; round < 5; round++ {
 					arena := make([]byte, 4096)
 					r.Read(arena)
 					mem, file := randomRegions(r, len(arena))
-					if err := f.WriteNoncontig(m, arena, mem, file, opts); err != nil {
+					req.Write, req.Arena, req.Mem, req.File = true, arena, mem, file
+					if err := run(f, req); err != nil {
 						t.Fatalf("write round %d: %v", round, err)
 					}
 					ref.writeList(arena, mem, file)
@@ -256,7 +265,8 @@ func TestNoncontiguousMethodsAgainstReference(t *testing.T) {
 					// with plain contiguous reads.
 					got := make([]byte, len(arena))
 					want := make([]byte, len(arena))
-					if err := f.ReadNoncontig(m, got, mem, file, opts); err != nil {
+					req.Write, req.Arena = false, got
+					if err := run(f, req); err != nil {
 						t.Fatalf("read round %d: %v", round, err)
 					}
 					ref.readList(want, mem, file)
@@ -294,12 +304,13 @@ func TestMethodsProduceIdenticalFiles(t *testing.T) {
 	mem, file := randomRegions(r, len(arena))
 
 	images := map[string][]byte{}
-	for _, m := range []client.Method{client.MethodMultiple, client.MethodSieve, client.MethodList} {
+	for _, m := range []client.AccessMethod{client.AccessMultiple, client.AccessSieve, client.AccessList} {
 		f, err := fs.Create("eq-"+m.String(), striping.Config{PCount: 4, StripeSize: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.WriteNoncontig(m, arena, mem, file, client.Options{
+		if err := run(f, client.Request{
+			Write: true, Arena: arena, Mem: mem, File: file, Method: m,
 			Sieve: client.SieveOptions{BufferSize: 512},
 		}); err != nil {
 			t.Fatal(err)
@@ -337,7 +348,7 @@ func TestListRequestBatching(t *testing.T) {
 		file = append(file, ioseg.Segment{Offset: i * 10, Length: 1})
 	}
 	before := fs.Counters().Snapshot()
-	if err := f.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
@@ -369,14 +380,14 @@ func TestListGranularityChangesRequestCount(t *testing.T) {
 	}
 
 	before := fs.Counters().Snapshot()
-	if err := f.WriteList(arena, mem, file, client.ListOptions{Granularity: client.GranularityFileRegions}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, List: client.ListOptions{Granularity: client.GranularityFileRegions}}); err != nil {
 		t.Fatal(err)
 	}
 	mid := fs.Counters().Snapshot()
 	if got := mid.ListRequests - before.ListRequests; got != 1 {
 		t.Fatalf("file-granularity requests = %d, want 1", got)
 	}
-	if err := f.WriteList(arena, mem, file, client.ListOptions{Granularity: client.GranularityIntersect}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, List: client.ListOptions{Granularity: client.GranularityIntersect}}); err != nil {
 		t.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
@@ -400,9 +411,10 @@ func TestStridedMatchesList(t *testing.T) {
 	arena := make([]byte, blockLen*count)
 	rand.New(rand.NewSource(3)).Read(arena)
 	mem := ioseg.List{{Offset: 0, Length: int64(len(arena))}}
+	vec := datatype.Vector(count, blockLen, stride, datatype.Bytes(1))
 
 	before := fs.Counters().Snapshot()
-	if err := f.WriteStrided(arena, mem, start, stride, blockLen, count); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, Type: vec, Base: start}); err != nil {
 		t.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
@@ -417,16 +429,16 @@ func TestStridedMatchesList(t *testing.T) {
 		file = append(file, ioseg.Segment{Offset: start + i*stride, Length: blockLen})
 	}
 	got := make([]byte, len(arena))
-	if err := f.ReadList(got, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Arena: got, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, arena) {
 		t.Fatal("strided write / list read mismatch")
 	}
 
-	// And read back via strided descriptor.
+	// And read back through the vector type.
 	got2 := make([]byte, len(arena))
-	if err := f.ReadStrided(got2, mem, start, stride, blockLen, count); err != nil {
+	if err := run(f, client.Request{Arena: got2, Mem: mem, Type: vec, Base: start}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got2, arena) {
@@ -447,10 +459,14 @@ func TestSieveStatsAccounting(t *testing.T) {
 		file = append(file, ioseg.Segment{Offset: i * 100, Length: 10})
 	}
 	arena := make([]byte, 100)
-	st, err := f.ReadSieve(arena, mem, file, client.SieveOptions{BufferSize: 1 << 20})
+	res, err := f.Run(context.Background(), client.Request{
+		Arena: arena, Mem: mem, File: file,
+		Method: client.AccessSieve, Sieve: client.SieveOptions{BufferSize: 1 << 20},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := res.Sieve
 	if st.Windows != 1 {
 		t.Fatalf("windows = %d, want 1", st.Windows)
 	}
@@ -483,7 +499,10 @@ func TestSieveWriteReadModifyWrite(t *testing.T) {
 		file = append(file, ioseg.Segment{Offset: 100 + i*150, Length: 10})
 	}
 	arena := bytes.Repeat([]byte{0xEE}, 50)
-	if _, err := f.WriteSieve(arena, mem, file, client.SieveOptions{BufferSize: 300}); err != nil {
+	if err := run(f, client.Request{
+		Write: true, Arena: arena, Mem: mem, File: file,
+		Method: client.AccessSieve, Sieve: client.SieveOptions{BufferSize: 300},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 1000)
@@ -537,7 +556,7 @@ func TestParallelClientsDisjointWrites(t *testing.T) {
 			mem = append(mem, ioseg.Segment{Offset: b * blockSize, Length: blockSize})
 			file = append(file, ioseg.Segment{Offset: (b*ranks + int64(rank)) * blockSize, Length: blockSize})
 		}
-		return f.WriteList(arena, mem, file, client.ListOptions{})
+		return run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -594,13 +613,13 @@ func TestListRejectsMismatchedLists(t *testing.T) {
 	arena := make([]byte, 100)
 	mem := ioseg.List{{Offset: 0, Length: 10}}
 	file := ioseg.List{{Offset: 0, Length: 20}}
-	if err := f.ReadList(arena, mem, file, client.ListOptions{}); err == nil {
+	if err := run(f, client.Request{Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err == nil {
 		t.Fatal("mismatched lists accepted")
 	}
 	// Memory region outside the arena.
 	mem2 := ioseg.List{{Offset: 90, Length: 20}}
 	file2 := ioseg.List{{Offset: 0, Length: 20}}
-	if err := f.ReadList(arena, mem2, file2, client.ListOptions{}); err == nil {
+	if err := run(f, client.Request{Arena: arena, Mem: mem2, File: file2, Method: client.AccessList}); err == nil {
 		t.Fatal("out-of-arena memory accepted")
 	}
 }

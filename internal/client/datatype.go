@@ -28,10 +28,6 @@ type DatatypeOptions struct {
 	// pattern-stream order). 0 selects DefaultWindowBytes;
 	// values above wire.MaxBodyLen are clipped to it.
 	WindowBytes int64
-	// Window is the number of requests kept in flight per server
-	// connection (the tagged pipelining of DESIGN.md §2). 0 selects
-	// DefaultWindow; 1 serializes round trips.
-	Window int
 }
 
 func (o DatatypeOptions) windowBytes() int64 {
@@ -43,13 +39,6 @@ func (o DatatypeOptions) windowBytes() int64 {
 		w = wire.MaxBodyLen
 	}
 	return w
-}
-
-func (o DatatypeOptions) window() int {
-	if o.Window <= 0 {
-		return DefaultWindow
-	}
-	return o.Window
 }
 
 // dtPiece is one run of a server's bytes in the pattern-data stream:
@@ -171,35 +160,26 @@ func (f *File) datatypeServers(p *dtPlan, t datatype.Type, base, count, winBytes
 	return jobs
 }
 
-// ReadDatatype reads count repetitions of datatype t at base into the
+// readDatatype reads count repetitions of datatype t at base into the
 // arena regions of mem (pattern-stream order: the i-th data byte of
 // the pattern lands at the i-th byte of the concatenated memory
 // regions). One request per server per WindowBytes of that server's
 // share travels the wire — fragment count does not appear in the
-// request arithmetic — and responses scatter straight from pooled
-// bodies into the arena. Memory regions must not overlap one another:
-// responses scatter concurrently, across servers and (when Window > 1)
-// within one.
-func (f *File) ReadDatatype(arena []byte, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions) error {
-	_, err := f.Run(context.Background(), Request{
-		Arena: arena, Mem: mem, Type: t, Base: base, Count: count,
-		Method: AccessDatatype, Datatype: opts,
-	})
-	return err
-}
-
-func (f *File) readDatatype(ctx context.Context, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, path *PathCounters) error {
+// request arithmetic — window of them in flight, and responses scatter
+// straight from pooled bodies into the arena.
+func (f *File) readDatatype(ctx context.Context, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, window int) error {
 	plan, err := f.planDatatype(arena, smap, mem, t, base, count)
 	if err != nil {
 		return err
 	}
+	path := &f.fs.stats.Datatype
 	winBytes := opts.windowBytes()
 	jobs := f.datatypeServers(plan, t, base, count, winBytes)
 	return parallel(jobs, func(w *dtWindows) error {
 		n := int((w.remaining + winBytes - 1) / winBytes)
 		wins := make([][]dtPiece, n)
 		wants := make([]int64, n)
-		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[w.rel], n, opts.window(),
+		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[w.rel], n, window,
 			func(i int) (wire.Message, error) {
 				dataPos, want, pieces := w.next()
 				wins[i], wants[i] = pieces, want
@@ -235,30 +215,22 @@ func (f *File) readDatatype(ctx context.Context, arena []byte, smap *memio.Strea
 	})
 }
 
-// WriteDatatype writes count repetitions of datatype t at base from
+// writeDatatype writes count repetitions of datatype t at base from
 // the arena regions of mem, with the same windowed, pipelined request
-// discipline as ReadDatatype. Each window's payload is gathered
+// discipline as readDatatype. Each window's payload is gathered
 // directly from the arena into the pooled request body behind the
-// encoded type. The pattern's file regions must not overlap one
-// another when Window > 1 (windows may be applied concurrently).
-func (f *File) WriteDatatype(arena []byte, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions) error {
-	_, err := f.Run(context.Background(), Request{
-		Write: true, Arena: arena, Mem: mem, Type: t, Base: base, Count: count,
-		Method: AccessDatatype, Datatype: opts,
-	})
-	return err
-}
-
-func (f *File) writeDatatype(ctx context.Context, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, path *PathCounters) error {
+// encoded type.
+func (f *File) writeDatatype(ctx context.Context, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, window int) error {
 	plan, err := f.planDatatype(arena, smap, mem, t, base, count)
 	if err != nil {
 		return err
 	}
+	path := &f.fs.stats.Datatype
 	winBytes := opts.windowBytes()
 	jobs := f.datatypeServers(plan, t, base, count, winBytes)
 	err = parallel(jobs, func(w *dtWindows) error {
 		n := int((w.remaining + winBytes - 1) / winBytes)
-		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[w.rel], n, opts.window(),
+		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[w.rel], n, window,
 			func(i int) (wire.Message, error) {
 				dataPos, want, pieces := w.next()
 				req := wire.ReadDatatypeReq{

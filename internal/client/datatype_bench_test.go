@@ -70,13 +70,13 @@ func flashType() (datatype.Type, ioseg.List, int64) {
 func BenchmarkFlashLatencyDatatypeVsList(b *testing.B) {
 	typ, mem, dataLen := flashType()
 	for _, dir := range []string{"read", "write"} {
-		run := func(name string, op func(f *client.File, arena []byte) error) {
+		bench := func(name string, op func(f *client.File, arena []byte) error) {
 			b.Run(fmt.Sprintf("%s/%s", dir, name), func(b *testing.B) {
 				f, cleanup := startFlashBench(b, 200*time.Microsecond)
 				defer cleanup()
 				arena := make([]byte, dataLen)
 				// Seed the file so reads have data.
-				if err := f.WriteDatatype(arena, mem, typ, 0, 1, client.DatatypeOptions{}); err != nil {
+				if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, Type: typ, Method: client.AccessDatatype}); err != nil {
 					b.Fatal(err)
 				}
 				b.SetBytes(dataLen)
@@ -90,24 +90,24 @@ func BenchmarkFlashLatencyDatatypeVsList(b *testing.B) {
 		}
 		flat := datatype.Flatten(typ, 0)
 		if dir == "read" {
-			run("list", func(f *client.File, arena []byte) error {
-				return f.ReadList(arena, mem, flat, client.ListOptions{})
+			bench("list", func(f *client.File, arena []byte) error {
+				return run(f, client.Request{Arena: arena, Mem: mem, File: flat, Method: client.AccessList})
 			})
 			for _, win := range []int64{64 << 10, 512 << 10} {
 				win := win
-				run(fmt.Sprintf("datatype-win%dk", win>>10), func(f *client.File, arena []byte) error {
-					return f.ReadDatatype(arena, mem, typ, 0, 1, client.DatatypeOptions{WindowBytes: win})
+				bench(fmt.Sprintf("datatype-win%dk", win>>10), func(f *client.File, arena []byte) error {
+					return run(f, client.Request{Arena: arena, Mem: mem, Type: typ, Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: win}})
 				})
 			}
 			continue
 		}
-		run("list", func(f *client.File, arena []byte) error {
-			return f.WriteList(arena, mem, flat, client.ListOptions{})
+		bench("list", func(f *client.File, arena []byte) error {
+			return run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: flat, Method: client.AccessList})
 		})
 		for _, win := range []int64{64 << 10, 512 << 10} {
 			win := win
-			run(fmt.Sprintf("datatype-win%dk", win>>10), func(f *client.File, arena []byte) error {
-				return f.WriteDatatype(arena, mem, typ, 0, 1, client.DatatypeOptions{WindowBytes: win})
+			bench(fmt.Sprintf("datatype-win%dk", win>>10), func(f *client.File, arena []byte) error {
+				return run(f, client.Request{Write: true, Arena: arena, Mem: mem, Type: typ, Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: win}})
 			})
 		}
 	}
@@ -123,7 +123,7 @@ func BenchmarkFlashDatatypeAllocs(b *testing.B) {
 			f, cleanup := startFlashBench(b, 0)
 			defer cleanup()
 			arena := make([]byte, dataLen)
-			if err := f.WriteDatatype(arena, mem, typ, 0, 1, client.DatatypeOptions{}); err != nil {
+			if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, Type: typ, Method: client.AccessDatatype}); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(dataLen)
@@ -132,9 +132,9 @@ func BenchmarkFlashDatatypeAllocs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if dir == "write" {
-					err = f.WriteDatatype(arena, mem, typ, 0, 1, client.DatatypeOptions{})
+					err = run(f, client.Request{Write: true, Arena: arena, Mem: mem, Type: typ, Method: client.AccessDatatype})
 				} else {
-					err = f.ReadDatatype(arena, mem, typ, 0, 1, client.DatatypeOptions{})
+					err = run(f, client.Request{Arena: arena, Mem: mem, Type: typ, Method: client.AccessDatatype})
 				}
 				if err != nil {
 					b.Fatal(err)

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,8 +21,8 @@ import (
 // crosses the wire as an encoded constructor tree, the daemons
 // evaluate their own shares, and the client windows + pipelines the
 // transfer. The equivalence contract is the acceptance bar: datatype
-// read/write of any pattern must be byte-identical to ReadList/
-// WriteList of the flattened pattern.
+// read/write of any pattern must be byte-identical to list I/O of the
+// flattened pattern.
 
 // fragmentedMem splits [0, total) into memory regions of the given
 // size with gaps, exercising the StreamMap scatter/gather (the arena
@@ -144,13 +145,13 @@ func TestDatatypeEquivalenceWithList(t *testing.T) {
 
 			// Small windows + pipelining so one transfer exercises many
 			// concurrent in-flight requests (meaningful under -race).
-			opts := client.DatatypeOptions{WindowBytes: 96, Window: 4}
+			opts := client.DatatypeOptions{WindowBytes: 96}
 
 			fDT, err := fs.Create("dt-"+name, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fDT.WriteDatatype(arena, mem, tc.typ, tc.base, tc.count, opts); err != nil {
+			if err := run(fDT, client.Request{Write: true, Arena: arena, Mem: mem, Type: tc.typ, Base: tc.base, Count: tc.count, Method: client.AccessDatatype, Datatype: opts, Window: 4}); err != nil {
 				t.Fatal(err)
 			}
 			fDT.Close()
@@ -158,7 +159,7 @@ func TestDatatypeEquivalenceWithList(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fList.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+			if err := run(fList, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 				t.Fatal(err)
 			}
 			fList.Close()
@@ -187,11 +188,11 @@ func TestDatatypeEquivalenceWithList(t *testing.T) {
 			}
 			defer fr.Close()
 			gotDT := make([]byte, arenaLen)
-			if err := fr.ReadDatatype(gotDT, mem, tc.typ, tc.base, tc.count, opts); err != nil {
+			if err := run(fr, client.Request{Arena: gotDT, Mem: mem, Type: tc.typ, Base: tc.base, Count: tc.count, Method: client.AccessDatatype, Datatype: opts, Window: 4}); err != nil {
 				t.Fatal(err)
 			}
 			gotList := make([]byte, arenaLen)
-			if err := fr.ReadList(gotList, mem, file, client.ListOptions{}); err != nil {
+			if err := run(fr, client.Request{Arena: gotList, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotDT, gotList) {
@@ -220,21 +221,29 @@ func TestDatatypeWindowSerializedEquivalence(t *testing.T) {
 	arena := make([]byte, dataLen)
 	rand.New(rand.NewSource(5)).Read(arena)
 	mem := ioseg.List{{Offset: 0, Length: dataLen}}
-	for _, opts := range []client.DatatypeOptions{
-		{WindowBytes: 64, Window: 1},
-		{WindowBytes: 64, Window: 8},
-		{},
+	for _, tc := range []struct {
+		winBytes int64
+		window   int
+	}{
+		{64, 1},
+		{64, 8},
+		{0, 0},
 	} {
-		name := fmt.Sprintf("win%d-depth%d", opts.WindowBytes, opts.Window)
+		name := fmt.Sprintf("win%d-depth%d", tc.winBytes, tc.window)
 		f, err := fs.Create(name, striping.Config{PCount: 3, StripeSize: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.WriteDatatype(arena, mem, typ, base, 1, opts); err != nil {
+		req := client.Request{
+			Write: true, Arena: arena, Mem: mem, Type: typ, Base: base,
+			Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: tc.winBytes}, Window: tc.window,
+		}
+		if err := run(f, req); err != nil {
 			t.Fatalf("%s write: %v", name, err)
 		}
 		got := make([]byte, dataLen)
-		if err := f.ReadDatatype(got, mem, typ, base, 1, opts); err != nil {
+		req.Write, req.Arena = false, got
+		if err := run(f, req); err != nil {
 			t.Fatalf("%s read: %v", name, err)
 		}
 		if !bytes.Equal(got, arena) {
@@ -280,12 +289,12 @@ func TestDatatypeRequestCountIndependentOfFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := fs.Counters().Snapshot()
-	if err := f.WriteDatatype(arena, mem, typ, 0, 1, opts); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, Type: typ, Method: client.AccessDatatype, Datatype: opts}); err != nil {
 		t.Fatal(err)
 	}
 	mid := fs.Counters().Snapshot()
 	got := make([]byte, dataLen)
-	if err := f.ReadDatatype(got, mem, typ, 0, 1, opts); err != nil {
+	if err := run(f, client.Request{Arena: got, Mem: mem, Type: typ, Method: client.AccessDatatype, Datatype: opts}); err != nil {
 		t.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
@@ -312,7 +321,7 @@ func TestDatatypeRequestCountIndependentOfFragments(t *testing.T) {
 	// Byte-identical to list I/O of the flattened pattern.
 	flat := datatype.Flatten(typ, 0)
 	gotList := make([]byte, dataLen)
-	if err := f.ReadList(gotList, mem, flat, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Arena: gotList, Mem: mem, File: flat, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotList, arena) {
@@ -344,7 +353,7 @@ func TestDatatypeFaultInjectionRetries(t *testing.T) {
 	arena := make([]byte, dataLen)
 	rand.New(rand.NewSource(77)).Read(arena)
 	mem := ioseg.List{{Offset: 0, Length: dataLen}}
-	opts := client.DatatypeOptions{WindowBytes: 256, Window: 4}
+	opts := client.DatatypeOptions{WindowBytes: 256}
 
 	f, err := fs.Create("faulty.dat", striping.Config{PCount: 3, StripeSize: 128})
 	if err != nil {
@@ -354,12 +363,12 @@ func TestDatatypeFaultInjectionRetries(t *testing.T) {
 	c.IODs[1].Net().SetFaults(&faults)
 
 	faults.DropConnections(2)
-	if err := f.WriteDatatype(arena, mem, typ, 0, 2, opts); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, Type: typ, Count: 2, Method: client.AccessDatatype, Datatype: opts, Window: 4}); err != nil {
 		t.Fatalf("write under drops: %v", err)
 	}
 	faults.DropConnections(2)
 	got := make([]byte, dataLen)
-	if err := f.ReadDatatype(got, mem, typ, 0, 2, opts); err != nil {
+	if err := run(f, client.Request{Arena: got, Mem: mem, Type: typ, Count: 2, Method: client.AccessDatatype, Datatype: opts, Window: 4}); err != nil {
 		t.Fatalf("read under drops: %v", err)
 	}
 	if !bytes.Equal(got, arena) {
@@ -379,7 +388,7 @@ func TestDatatypeFaultInjectionRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fRef.WriteList(arena, mem, file.Normalize(), client.ListOptions{}); err != nil {
+	if err := run(fRef, client.Request{Write: true, Arena: arena, Mem: mem, File: file.Normalize(), Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	fRef.Close()
@@ -388,9 +397,9 @@ func TestDatatypeFaultInjectionRetries(t *testing.T) {
 	}
 }
 
-// TestDatatypePathCounters checks the per-path accounting satellite:
-// datatype traffic lands on the Datatype counters, strided wrappers on
-// Strided, and neither pollutes the list path.
+// TestDatatypePathCounters checks the per-path accounting: datatype
+// traffic — explicit or auto-routed, a strided vector included — lands
+// on the Datatype counters and does not pollute the list path.
 func TestDatatypePathCounters(t *testing.T) {
 	_, fs := startCluster(t, 2)
 	f, err := fs.Create("ctr.dat", striping.Config{PCount: 2, StripeSize: 64})
@@ -402,27 +411,28 @@ func TestDatatypePathCounters(t *testing.T) {
 	mem := ioseg.List{{Offset: 0, Length: 128}}
 
 	before := fs.Counters().Snapshot()
-	if err := f.WriteDatatype(arena, mem, typ, 0, 1, client.DatatypeOptions{}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, Type: typ, Method: client.AccessDatatype}); err != nil {
 		t.Fatal(err)
 	}
 	d := fs.Counters().Snapshot().Sub(before)
 	if d.Datatype.Requests == 0 || d.Datatype.Bytes != 128 {
 		t.Fatalf("datatype path counters: %+v", d.Datatype)
 	}
-	if d.Strided.Requests != 0 || d.List.Requests != 0 {
-		t.Fatalf("cross-path pollution: strided %+v list %+v", d.Strided, d.List)
+	if d.List.Requests != 0 {
+		t.Fatalf("cross-path pollution: list %+v", d.List)
 	}
 
 	before = fs.Counters().Snapshot()
-	if err := f.WriteStrided(arena, mem, 0, 24, 8, 16); err != nil {
+	res, err := f.Run(context.Background(), client.Request{Write: true, Arena: arena, Type: typ, Base: 16})
+	if err != nil {
 		t.Fatal(err)
 	}
 	d = fs.Counters().Snapshot().Sub(before)
-	if d.Strided.Requests == 0 || d.Strided.Bytes != 128 {
-		t.Fatalf("strided path counters: %+v", d.Strided)
+	if res.Method != client.AccessDatatype || d.Datatype.Requests == 0 || d.Datatype.Bytes != 128 {
+		t.Fatalf("auto-routed vector: method %v, datatype path counters %+v", res.Method, d.Datatype)
 	}
-	if d.Datatype.Requests != 0 {
-		t.Fatalf("strided polluted datatype path: %+v", d.Datatype)
+	if d.List.Requests != 0 || d.Multiple.Requests != 0 {
+		t.Fatalf("auto-routed vector polluted list %+v / multiple %+v", d.List, d.Multiple)
 	}
 }
 
@@ -435,16 +445,16 @@ func TestDatatypeRejectsBadArguments(t *testing.T) {
 	}
 	typ := datatype.Vector(4, 8, 16, datatype.Bytes(1))
 	arena := make([]byte, 32)
-	if err := f.ReadDatatype(arena, ioseg.List{{Offset: 0, Length: 16}}, typ, 0, 1, client.DatatypeOptions{}); err == nil {
+	if err := run(f, client.Request{Arena: arena, Mem: ioseg.List{{Offset: 0, Length: 16}}, Type: typ, Method: client.AccessDatatype}); err == nil {
 		t.Fatal("memory/pattern length mismatch accepted")
 	}
-	if err := f.ReadDatatype(arena, ioseg.List{{Offset: 0, Length: 32}}, typ, -8, 1, client.DatatypeOptions{}); err == nil {
+	if err := run(f, client.Request{Arena: arena, Mem: ioseg.List{{Offset: 0, Length: 32}}, Type: typ, Base: -8, Method: client.AccessDatatype}); err == nil {
 		t.Fatal("negative base accepted")
 	}
-	if err := f.ReadDatatype(arena[:16], ioseg.List{{Offset: 0, Length: 32}}, typ, 0, 1, client.DatatypeOptions{}); err == nil {
+	if err := run(f, client.Request{Arena: arena[:16], Mem: ioseg.List{{Offset: 0, Length: 32}}, Type: typ, Method: client.AccessDatatype}); err == nil {
 		t.Fatal("memory region outside arena accepted")
 	}
-	if err := f.ReadDatatype(arena, ioseg.List{{Offset: 0, Length: 32}}, typ, 0, -1, client.DatatypeOptions{}); err == nil {
+	if err := run(f, client.Request{Arena: arena, Mem: ioseg.List{{Offset: 0, Length: 32}}, Type: typ, Count: -1, Method: client.AccessDatatype}); err == nil {
 		t.Fatal("negative count accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"pvfs/internal/client"
 	"pvfs/internal/cluster"
+	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/patterns"
 	"pvfs/internal/striping"
@@ -81,7 +82,12 @@ func TestCrossMethodEquivalenceRandom(t *testing.T) {
 			// Write the same data under each method into its own file.
 			// Ranks run sequentially so data sieving's read-modify-write
 			// is safe (the paper serializes sieving writes, §4.2.1).
-			methods := []client.Method{client.MethodMultiple, client.MethodSieve, client.MethodList}
+			// Hybrid coalesces across gaps up to 256 bytes, so its writes
+			// take the read-modify-write arm.
+			methods := []client.AccessMethod{
+				client.AccessMultiple, client.AccessSieve, client.AccessList,
+				client.AccessHybrid, client.AccessAuto,
+			}
 			for _, m := range methods {
 				name := "equiv-" + m.String()
 				f, err := fs.Create(name, cfg)
@@ -91,7 +97,9 @@ func TestCrossMethodEquivalenceRandom(t *testing.T) {
 				for r := 0; r < pat.Ranks(); r++ {
 					mem := patterns.MemList(pat, r)
 					file := patterns.FileList(pat, r)
-					if err := f.WriteNoncontig(m, arenas[r], mem, file, client.Options{}); err != nil {
+					if err := run(f, client.Request{
+						Write: true, Arena: arenas[r], Mem: mem, File: file, Method: m, CoalesceGap: 256,
+					}); err != nil {
 						t.Fatalf("%v write rank %d: %v", m, r, err)
 					}
 				}
@@ -118,7 +126,9 @@ func TestCrossMethodEquivalenceRandom(t *testing.T) {
 					mem := patterns.MemList(pat, r)
 					file := patterns.FileList(pat, r)
 					got := make([]byte, pat.TotalBytes(r))
-					if err := f.ReadNoncontig(m, got, mem, file, client.Options{}); err != nil {
+					if err := run(f, client.Request{
+						Arena: got, Mem: mem, File: file, Method: m, CoalesceGap: 256,
+					}); err != nil {
 						t.Fatalf("%v read rank %d: %v", m, r, err)
 					}
 					if !bytes.Equal(got, arenas[r]) {
@@ -155,6 +165,7 @@ func TestStridedEquivalenceOnVector(t *testing.T) {
 		arena[i] = byte(i * 3)
 	}
 	mem := ioseg.List{{Offset: 0, Length: int64(len(arena))}}
+	vec := datatype.Vector(count, blockLen, stride, datatype.Bytes(1))
 	flist := make(ioseg.List, count)
 	for i := int64(0); i < count; i++ {
 		flist[i] = ioseg.Segment{Offset: i * stride, Length: blockLen}
@@ -164,7 +175,7 @@ func TestStridedEquivalenceOnVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fList.WriteList(arena, mem, flist, client.ListOptions{}); err != nil {
+	if err := run(fList, client.Request{Write: true, Arena: arena, Mem: mem, File: flist, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	fList.Close()
@@ -173,7 +184,7 @@ func TestStridedEquivalenceOnVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fStr.WriteStrided(arena, mem, 0, stride, blockLen, count); err != nil {
+	if err := run(fStr, client.Request{Write: true, Arena: arena, Mem: mem, Type: vec}); err != nil {
 		t.Fatal(err)
 	}
 	fStr.Close()
@@ -191,7 +202,7 @@ func TestStridedEquivalenceOnVector(t *testing.T) {
 	}
 	defer fr.Close()
 	got := make([]byte, len(arena))
-	if err := fr.ReadStrided(got, mem, 0, stride, blockLen, count); err != nil {
+	if err := run(fr, client.Request{Arena: got, Mem: mem, Type: vec}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, arena) {
@@ -199,8 +210,8 @@ func TestStridedEquivalenceOnVector(t *testing.T) {
 	}
 }
 
-// TestListWindowEquivalence pins the pipelining contract: ReadList and
-// WriteList must produce byte-identical results whether requests are
+// TestListWindowEquivalence pins the pipelining contract: list reads
+// and writes must produce byte-identical results whether requests are
 // serialized (Window=1, the original PVFS discipline) or pipelined
 // (Window=8), across granularities and an unstructured random pattern.
 func TestListWindowEquivalence(t *testing.T) {
@@ -239,8 +250,8 @@ func TestListWindowEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := client.ListOptions{Granularity: g, Window: window}
-				if err := f.WriteList(arena, mem, file, opts); err != nil {
+				opts := client.ListOptions{Granularity: g}
+				if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, List: opts, Window: window}); err != nil {
 					t.Fatalf("write window=%d: %v", window, err)
 				}
 				if err := f.Close(); err != nil {
@@ -260,8 +271,8 @@ func TestListWindowEquivalence(t *testing.T) {
 			}
 			for _, window := range []int{1, 8} {
 				got := make([]byte, pat.TotalBytes(r))
-				opts := client.ListOptions{Granularity: g, Window: window}
-				if err := f.ReadList(got, mem, file, opts); err != nil {
+				opts := client.ListOptions{Granularity: g}
+				if err := run(f, client.Request{Arena: got, Mem: mem, File: file, Method: client.AccessList, List: opts, Window: window}); err != nil {
 					t.Fatalf("read window=%d: %v", window, err)
 				}
 				if !bytes.Equal(got, arena) {

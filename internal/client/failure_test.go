@@ -46,10 +46,10 @@ func TestIODFailureSurfacesAsError(t *testing.T) {
 		file = append(file, ioseg.Segment{Offset: i * 64, Length: 8})
 	}
 	arena := make([]byte, 128)
-	if err := f.ReadList(arena, mem, file, client.ListOptions{}); err == nil {
+	if err := run(f, client.Request{Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err == nil {
 		t.Fatal("list read touching a dead iod succeeded")
 	}
-	if err := f.WriteMultiple(arena, mem, file); err == nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessMultiple}); err == nil {
 		t.Fatal("multiple write touching a dead iod succeeded")
 	}
 	// Operations confined to live servers still work: stripe 0 lives

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 
-	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/memio"
 )
@@ -14,35 +13,8 @@ import (
 // file regions are coalesced (gap bytes travel as extra payload) and
 // the coalesced extents are fetched with list I/O.
 
-// ReadHybrid reads the noncontiguous pattern by coalescing file
-// regions whose gaps are at most gap bytes and issuing list I/O on the
-// coalesced extents, sieving the wanted bytes out client-side. It is a
-// synchronous wrapper over Start.
-func (f *File) ReadHybrid(arena []byte, mem, file ioseg.List, gap int64, opts ListOptions) (SieveStats, error) {
-	res, err := f.Run(context.Background(), Request{
-		Arena: arena, Mem: mem, File: file,
-		Method: AccessHybrid, CoalesceGap: gap, List: opts,
-	})
-	return res.Sieve, err
-}
-
-// WriteHybrid writes the pattern through coalesced extents: each
-// extent is read (list I/O), updated in memory, and written back (list
-// I/O) — read-modify-write at extent rather than buffer granularity.
-// Like data sieving writes, concurrent writers to overlapping extents
-// must be serialized by the caller (PVFS has no locks, §4.2.1); gap=0
-// coalesces only adjacent regions and performs no read-modify-write.
-func (f *File) WriteHybrid(arena []byte, mem, file ioseg.List, gap int64, opts ListOptions) (SieveStats, error) {
-	res, err := f.Run(context.Background(), Request{
-		Write: true, Arena: arena, Mem: mem, File: file,
-		Method: AccessHybrid, CoalesceGap: gap, List: opts,
-	})
-	return res.Sieve, err
-}
-
-// readHybrid is the hybrid datapath shared by Start and the legacy
-// wrappers.
-func (f *File) readHybrid(ctx context.Context, arena []byte, mem, file ioseg.List, gap int64, opts ListOptions) (SieveStats, error) {
+// readHybrid is the hybrid read datapath (see AccessHybrid).
+func (f *File) readHybrid(ctx context.Context, arena []byte, mem, file ioseg.List, gap int64, opts ListOptions, window int) (SieveStats, error) {
 	var st SieveStats
 	if err := checkLists(arena, mem, file); err != nil {
 		return st, err
@@ -50,7 +22,7 @@ func (f *File) readHybrid(ctx context.Context, arena []byte, mem, file ioseg.Lis
 	coalesced := file.Normalize().Coalesce(gap)
 	tmp := make([]byte, coalesced.TotalLength())
 	tmpMem := ioseg.List{{Offset: 0, Length: coalesced.TotalLength()}}
-	if err := f.readList(ctx, tmp, memio.NewStreamMap(tmpMem), tmpMem, coalesced, opts); err != nil {
+	if err := f.readList(ctx, tmp, memio.NewStreamMap(tmpMem), tmpMem, coalesced, opts, window); err != nil {
 		return st, err
 	}
 	// Extract the requested regions from each coalesced extent into
@@ -73,7 +45,10 @@ func (f *File) readHybrid(ctx context.Context, arena []byte, mem, file ioseg.Lis
 	return st, nil
 }
 
-func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.List, gap int64, opts ListOptions) (SieveStats, error) {
+// writeHybrid writes through coalesced extents: each extent is read
+// (list I/O), updated in memory, and written back (list I/O) —
+// read-modify-write at extent rather than buffer granularity.
+func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.List, gap int64, opts ListOptions, window int) (SieveStats, error) {
 	var st SieveStats
 	if err := checkLists(arena, mem, file); err != nil {
 		return st, err
@@ -91,7 +66,7 @@ func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.Li
 	// gaps; with gap==0 the coalesced extents are exactly covered.
 	rmw := coalesced.TotalLength() != file.TotalLength()
 	if rmw {
-		if err := f.readList(ctx, tmp, tmpMap, tmpMem, coalesced, opts); err != nil {
+		if err := f.readList(ctx, tmp, tmpMap, tmpMem, coalesced, opts, window); err != nil {
 			return st, err
 		}
 		st.BytesAccessed += coalesced.TotalLength()
@@ -106,33 +81,9 @@ func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.Li
 		st.BytesUseful += useful
 		base += e.Length
 	}
-	if err := f.writeList(ctx, tmp, tmpMap, tmpMem, coalesced, opts); err != nil {
+	if err := f.writeList(ctx, tmp, tmpMap, tmpMem, coalesced, opts, window); err != nil {
 		return st, err
 	}
 	st.BytesAccessed += coalesced.TotalLength()
 	return st, nil
-}
-
-// ReadType reads the file regions described by an MPI-style datatype
-// at a base offset into a contiguous buffer — the descriptive request
-// language of §5. It is a wrapper over Start with a datatype-layout
-// Request left on auto method selection: types the wire codec can
-// carry ship un-flattened down the datatype path (DESIGN.md §6);
-// anything past the codec's limits flattens to list I/O.
-func (f *File) ReadType(arena []byte, t datatype.Type, base int64, opts ListOptions) error {
-	_, err := f.Run(context.Background(), Request{
-		Arena: arena, Type: t, Base: base, Count: 1,
-		List: opts, Datatype: DatatypeOptions{Window: opts.Window},
-	})
-	return err
-}
-
-// WriteType writes a contiguous buffer into the file regions described
-// by a datatype at a base offset (see ReadType for routing).
-func (f *File) WriteType(arena []byte, t datatype.Type, base int64, opts ListOptions) error {
-	_, err := f.Run(context.Background(), Request{
-		Write: true, Arena: arena, Type: t, Base: base, Count: 1,
-		List: opts, Datatype: DatatypeOptions{Window: opts.Window},
-	})
-	return err
 }

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -29,16 +30,19 @@ func TestHybridReadMatchesList(t *testing.T) {
 	}
 	arena := make([]byte, memPos)
 	rand.New(rand.NewSource(8)).Read(arena)
-	if err := f.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 
 	got := make([]byte, memPos)
 	before := fs.Counters().Snapshot()
-	st, err := f.ReadHybrid(got, mem, file, 100, client.ListOptions{})
+	res, err := f.Run(context.Background(), client.Request{
+		Arena: got, Mem: mem, File: file, Method: client.AccessHybrid, CoalesceGap: 100,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := res.Sieve
 	after := fs.Counters().Snapshot()
 	if !bytes.Equal(got, arena) {
 		t.Fatal("hybrid read data mismatch")
@@ -77,10 +81,13 @@ func TestHybridWritePreservesGaps(t *testing.T) {
 		memPos += 10
 	}
 	arena := bytes.Repeat([]byte{0xAA}, int(memPos))
-	st, err := f.WriteHybrid(arena, mem, file, 64, client.ListOptions{})
+	res, err := f.Run(context.Background(), client.Request{
+		Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessHybrid, CoalesceGap: 64,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := res.Sieve
 	if st.Windows != 1 { // all gaps are 40 <= 64: one extent
 		t.Fatalf("windows = %d, want 1", st.Windows)
 	}
@@ -112,10 +119,13 @@ func TestHybridZeroGapSkipsRMW(t *testing.T) {
 	mem := ioseg.List{{Offset: 0, Length: 100}}
 	arena := bytes.Repeat([]byte{7}, 100)
 	before := fs.Counters().Snapshot()
-	st, err := f.WriteHybrid(arena, mem, file, 0, client.ListOptions{})
+	res, err := f.Run(context.Background(), client.Request{
+		Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessHybrid,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := res.Sieve
 	after := fs.Counters().Snapshot()
 	if st.BytesAccessed != 100 {
 		t.Fatalf("accessed = %d, want 100 (write only)", st.BytesAccessed)
@@ -136,17 +146,17 @@ func TestReadWriteTypeVector(t *testing.T) {
 	arena := make([]byte, v.Size())
 	rand.New(rand.NewSource(4)).Read(arena)
 	before := fs.Counters().Snapshot()
-	if err := f.WriteType(arena, v, 40, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Type: v, Base: 40}); err != nil {
 		t.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
-	// Uniform vectors ship as strided descriptors: <= one request per
+	// Uniform vectors ship as datatype descriptors: <= one request per
 	// server instead of per 64-region batch.
 	if got := after.Requests - before.Requests; got > 4 {
 		t.Fatalf("vector write used %d requests", got)
 	}
 	got := make([]byte, v.Size())
-	if err := f.ReadType(got, v, 40, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Arena: got, Type: v, Base: 40}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, arena) {
@@ -157,7 +167,7 @@ func TestReadWriteTypeVector(t *testing.T) {
 	file := datatype.Flatten(v, 40)
 	mem := ioseg.List{{Offset: 0, Length: v.Size()}}
 	got2 := make([]byte, v.Size())
-	if err := f.ReadList(got2, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Arena: got2, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got2, arena) {
@@ -178,11 +188,11 @@ func TestReadWriteTypeSubarray(t *testing.T) {
 	}
 	arena := make([]byte, sub.Size())
 	rand.New(rand.NewSource(5)).Read(arena)
-	if err := f.WriteType(arena, sub, 0, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Type: sub}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, sub.Size())
-	if err := f.ReadType(got, sub, 0, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Arena: got, Type: sub}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, arena) {

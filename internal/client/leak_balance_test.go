@@ -34,7 +34,7 @@ func TestClientOpsLeaveBufPoolBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := ioseg.List{{Offset: 0, Length: 512}}
-	if err := f.ReadList(make([]byte, 512), segs, segs, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Arena: make([]byte, 512), Mem: segs, File: segs, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Size(); err != nil {

@@ -86,7 +86,7 @@ func TestReadListShortResponseReleasesBody(t *testing.T) {
 
 	arena := make([]byte, 64)
 	segs := ioseg.List{{Offset: 0, Length: 64}}
-	err := f.readList(context.Background(), arena, memio.NewStreamMap(segs), segs, segs, ListOptions{})
+	err := f.readList(context.Background(), arena, memio.NewStreamMap(segs), segs, segs, ListOptions{}, DefaultWindow)
 	if err == nil || !strings.Contains(err.Error(), "list read returned") {
 		t.Fatalf("err = %v, want short list read", err)
 	}

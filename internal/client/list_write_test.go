@@ -115,7 +115,7 @@ func TestListWriteVecMatchesGather(t *testing.T) {
 								if arm == "gather" {
 									arena, mem = shatter(t, stream)
 								}
-								if err := f.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+								if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 									t.Fatalf("%s rank %d: %v", fname, r, err)
 								}
 							}
@@ -184,7 +184,7 @@ func TestListWriteVecReplayUnderFaults(t *testing.T) {
 			for i := range data {
 				data[i] = byte(i*13 + i>>10)
 			}
-			if err := f.WriteList(data, nil, file, client.ListOptions{}); err != nil {
+			if err := run(f, client.Request{Write: true, Arena: data, File: file, Method: client.AccessList}); err != nil {
 				t.Fatalf("list write through %s fault: %v", name, err)
 			}
 			if r := fs.Counters().Retries.Load(); r == 0 {
@@ -194,7 +194,7 @@ func TestListWriteVecReplayUnderFaults(t *testing.T) {
 				t.Fatalf("%d list requests, want %d (replays are not new requests)", reqs, regions/64*2)
 			}
 			got := make([]byte, len(data))
-			if err := f.ReadList(got, nil, file, client.ListOptions{}); err != nil {
+			if err := run(f, client.Request{Arena: got, File: file, Method: client.AccessList}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, data) {

@@ -2,11 +2,9 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
-	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/memio"
 	"pvfs/internal/striping"
@@ -46,12 +44,6 @@ type ListOptions struct {
 	// MaxRegions per request; 0 selects wire.MaxRegionsPerRequest (64).
 	// Values above the wire limit are rejected by the protocol layer.
 	MaxRegions int
-	// Window is the number of list requests kept in flight per server
-	// connection (the tagged pipelining of DESIGN.md §2). 0 selects
-	// DefaultWindow; 1 restores the original serialized behaviour
-	// — one round trip at a time per server — which fault-injection
-	// setups that assume serialized calls should keep.
-	Window int
 }
 
 func (o ListOptions) maxRegions() int {
@@ -59,13 +51,6 @@ func (o ListOptions) maxRegions() int {
 		return wire.MaxRegionsPerRequest
 	}
 	return o.MaxRegions
-}
-
-func (o ListOptions) window() int {
-	if o.Window <= 0 {
-		return DefaultWindow
-	}
-	return o.Window
 }
 
 // checkLists validates a mem/file pair for the methods that work from
@@ -155,30 +140,7 @@ func listEntries(mem, file ioseg.List, g Granularity) (ioseg.List, error) {
 
 // --- multiple I/O (§3.1) ---
 
-// ReadMultiple performs the noncontiguous read the traditional way:
-// one contiguous PVFS request per piece that is contiguous in both
-// memory and file, since the classic read interface takes one buffer
-// pointer and one file offset per call. For FLASH-like patterns with
-// 8-byte memory pieces this is the paper's 983,040 requests per
-// process (§4.3.1). It is a synchronous wrapper over Start.
-func (f *File) ReadMultiple(arena []byte, mem, file ioseg.List) error {
-	_, err := f.Run(context.Background(), Request{
-		Arena: arena, Mem: mem, File: file, Method: AccessMultiple,
-	})
-	return err
-}
-
-// WriteMultiple performs the noncontiguous write with one contiguous
-// PVFS request per doubly-contiguous piece (a wrapper over Start).
-func (f *File) WriteMultiple(arena []byte, mem, file ioseg.List) error {
-	_, err := f.Run(context.Background(), Request{
-		Write: true, Arena: arena, Mem: mem, File: file, Method: AccessMultiple,
-	})
-	return err
-}
-
-// readMultiple is the multiple-I/O datapath shared by Start and the
-// legacy wrappers.
+// readMultiple is the multiple-I/O datapath (see AccessMultiple).
 func (f *File) readMultiple(ctx context.Context, arena []byte, mem, file ioseg.List) error {
 	if err := checkLists(arena, mem, file); err != nil {
 		return err
@@ -290,31 +252,17 @@ func (f *File) planList(entries ioseg.List, maxRegions int) []*planServer {
 	return plans
 }
 
-// ReadList performs the noncontiguous read via list I/O. As in the
-// paper (§3.3), a logical request describing more than 64 file regions
-// is broken into several list requests of at most 64 entries and each
-// list request fans out to the I/O servers holding its pieces in
-// parallel. Unlike the paper's client, successive requests to one
-// server are pipelined: up to ListOptions.Window requests ride the
-// connection concurrently, and each response lands in the caller's
-// buffer — read from the socket straight into the arena where each of
-// its file regions is one extent of it, scattered from the pooled
-// response body by stream-position arithmetic otherwise; no staging
-// copy of the full transfer is ever built. Memory regions must not
-// overlap one another (as with MPI receive buffers): responses from
-// different servers — and, when Window > 1, from one server — land in
-// the arena concurrently, so overlapping destinations are undefined at
-// any window.
-func (f *File) ReadList(arena []byte, mem, file ioseg.List, opts ListOptions) error {
-	_, err := f.Run(context.Background(), Request{
-		Arena: arena, Mem: mem, File: file, Method: AccessList, List: opts,
-	})
-	return err
-}
-
-// readList is the list-I/O datapath shared by Start and the legacy
-// wrappers (see ReadList for semantics). smap is the stream map of mem.
-func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap, mem, file ioseg.List, opts ListOptions) error {
+// readList is the list-I/O read datapath; smap is the stream map of
+// mem. As in the paper (§3.3), a logical request describing more than
+// 64 file regions is broken into several list requests of at most 64
+// entries and each list request fans out to the I/O servers holding
+// its pieces in parallel. Unlike the paper's client, successive
+// requests to one server are pipelined, window of them at a time, and
+// each response lands in the caller's buffer — read from the socket
+// straight into the arena where each of its file regions is one extent
+// of it, scattered from the pooled response body by stream-position
+// arithmetic otherwise; no staging copy of the full transfer is built.
+func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap, mem, file ioseg.List, opts ListOptions, window int) error {
 	if err := checkMapped(arena, smap, mem, file); err != nil {
 		return err
 	}
@@ -325,7 +273,7 @@ func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap
 	plans := f.planList(entries, opts.maxRegions())
 	return parallel(plans, func(p *planServer) error {
 		addr := f.info.IODAddrs[p.rel]
-		return f.fs.pipelineCalls(ctx, addr, len(p.reqs), opts.window(),
+		return f.fs.pipelineCalls(ctx, addr, len(p.reqs), window,
 			func(i int) (wire.Message, error) {
 				r := &p.reqs[i]
 				pieces, err := p.arenaPieces(r, smap, arena)
@@ -374,26 +322,14 @@ func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap
 	})
 }
 
-// WriteList performs the noncontiguous write via list I/O, with the
-// same global 64-entry batching and per-server pipelining as ReadList.
-// A request's payload goes to the socket from the caller's buffer where
-// each of its file regions is one extent of it, and is gathered into
-// the pooled request body otherwise (see listWriteRequest); no staging
-// copy of the transfer is built either way. File regions must not
-// overlap one another when Window > 1 (requests to one server may be
-// applied concurrently), and the buffer must not change until the write
-// returns.
-func (f *File) WriteList(arena []byte, mem, file ioseg.List, opts ListOptions) error {
-	_, err := f.Run(context.Background(), Request{
-		Write: true, Arena: arena, Mem: mem, File: file, Method: AccessList, List: opts,
-	})
-	return err
-}
-
-// writeList is the list-I/O write datapath shared by Start and the
-// legacy wrappers (see WriteList for semantics). smap is the stream map
-// of mem.
-func (f *File) writeList(ctx context.Context, arena []byte, smap *memio.StreamMap, mem, file ioseg.List, opts ListOptions) error {
+// writeList is the list-I/O write datapath, with the same global
+// 64-entry batching and per-server pipelining as readList; smap is the
+// stream map of mem. A request's payload goes to the socket from the
+// caller's buffer where each of its file regions is one extent of it,
+// and is gathered into the pooled request body otherwise (see
+// listWriteRequest); no staging copy of the transfer is built either
+// way.
+func (f *File) writeList(ctx context.Context, arena []byte, smap *memio.StreamMap, mem, file ioseg.List, opts ListOptions, window int) error {
 	if err := checkMapped(arena, smap, mem, file); err != nil {
 		return err
 	}
@@ -404,7 +340,7 @@ func (f *File) writeList(ctx context.Context, arena []byte, smap *memio.StreamMa
 	plans := f.planList(entries, opts.maxRegions())
 	err = parallel(plans, func(p *planServer) error {
 		addr := f.info.IODAddrs[p.rel]
-		return f.fs.pipelineCalls(ctx, addr, len(p.reqs), opts.window(),
+		return f.fs.pipelineCalls(ctx, addr, len(p.reqs), window,
 			func(i int) (wire.Message, error) {
 				return f.listWriteRequest(p, &p.reqs[i], smap, arena)
 			},
@@ -486,40 +422,4 @@ func (f *File) listWriteRequest(p *planServer, r *subReq, smap *memio.StreamMap,
 	f.fs.stats.List.Bytes.Add(r.bytes)
 	f.fs.stats.BytesOut.Add(r.bytes)
 	return msg, nil
-}
-
-// --- strided descriptors (§5 future work) ---
-
-// ReadStrided reads a vector pattern (count blocks of blockLen every
-// stride bytes from start). It is a thin layer over the datatype
-// datapath — the pattern ships as Vector(count, blockLen, stride,
-// bytes(1)) and each I/O daemon evaluates its own share — so requests
-// per server scale with transfer size over the response window, never
-// with count. Memory regions must not overlap one another: responses
-// scatter into the arena concurrently.
-func (f *File) ReadStrided(arena []byte, mem ioseg.List, start, stride, blockLen, count int64) error {
-	_, err := f.Run(context.Background(), Request{
-		Arena: arena, Mem: mem,
-		Strided: &Strided{Start: start, Stride: stride, BlockLen: blockLen, Count: count},
-	})
-	return err
-}
-
-// WriteStrided writes a vector pattern through the datatype datapath
-// (see ReadStrided).
-func (f *File) WriteStrided(arena []byte, mem ioseg.List, start, stride, blockLen, count int64) error {
-	_, err := f.Run(context.Background(), Request{
-		Write: true, Arena: arena, Mem: mem,
-		Strided: &Strided{Start: start, Stride: stride, BlockLen: blockLen, Count: count},
-	})
-	return err
-}
-
-// stridedType builds the vector datatype equivalent of a strided
-// descriptor; it crosses the wire as an ordinary datatype request.
-func stridedType(stride, blockLen, count int64) (datatype.Type, error) {
-	if blockLen < 0 || count < 0 || stride < 0 {
-		return nil, errors.New("pvfs: negative strided parameter")
-	}
-	return datatype.Vector(count, blockLen, stride, datatype.Bytes(1)), nil
 }

@@ -75,24 +75,23 @@ func BenchmarkListLatencyWindow(b *testing.B) {
 				f, mem, file, cleanup := startListBench(b, 200*time.Microsecond)
 				defer cleanup()
 				arena := make([]byte, mem.TotalLength())
-				opts := client.ListOptions{Window: window}
 				if dir == "write" {
 					b.SetBytes(mem.TotalLength())
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := f.WriteList(arena, mem, file, opts); err != nil {
+						if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, Window: window}); err != nil {
 							b.Fatal(err)
 						}
 					}
 					return
 				}
-				if err := f.WriteList(arena, mem, file, opts); err != nil {
+				if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, Window: window}); err != nil {
 					b.Fatal(err)
 				}
 				b.SetBytes(mem.TotalLength())
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := f.ReadList(arena, mem, file, opts); err != nil {
+					if err := run(f, client.Request{Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -111,8 +110,7 @@ func BenchmarkListAllocs(b *testing.B) {
 			f, mem, file, cleanup := startListBench(b, 0)
 			defer cleanup()
 			arena := make([]byte, mem.TotalLength())
-			opts := client.ListOptions{}
-			if err := f.WriteList(arena, mem, file, opts); err != nil {
+			if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(mem.TotalLength())
@@ -121,9 +119,9 @@ func BenchmarkListAllocs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if dir == "write" {
-					err = f.WriteList(arena, mem, file, opts)
+					err = run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList})
 				} else {
-					err = f.ReadList(arena, mem, file, opts)
+					err = run(f, client.Request{Arena: arena, Mem: mem, File: file, Method: client.AccessList})
 				}
 				if err != nil {
 					b.Fatal(err)

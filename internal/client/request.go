@@ -1,15 +1,12 @@
 package client
 
-// The unified nonblocking I/O API. Every data operation — contiguous
+// The one noncontiguous I/O verb. Every data operation — contiguous
 // or noncontiguous, read or write, list or datatype or sieving — is
 // one Request descriptor handed to File.Start, which returns an Op:
-// a started, cancelable operation. The legacy Read*/Write* method
-// matrix survives as thin synchronous wrappers over Start (request
-// formation and counter accounting are unchanged), so the descriptor
-// is the single point where memory layout, file layout, method
-// selection and per-op tuning meet. MPI-IO's nonblocking operations
-// (MPI_File_iread/iwrite) are the model: Start is the i-variant of
-// the whole matrix at once.
+// a started, cancelable operation; File.Run is Start plus Wait. The
+// descriptor is the single point where memory layout, file layout,
+// method selection and per-op tuning meet. MPI-IO's nonblocking
+// operations (MPI_File_iread/iwrite) are the model.
 
 import (
 	"context"
@@ -35,22 +32,51 @@ const (
 	// AccessContig is one contiguous request per touched server; the
 	// layout must be a single memory region and a single file region.
 	AccessContig
-	// AccessMultiple is one contiguous request per doubly-contiguous
-	// piece (§3.1).
+	// AccessMultiple is one contiguous request per piece that is
+	// contiguous in both memory and file (§3.1) — the classic
+	// one-buffer, one-offset read/write call per piece; for FLASH-like
+	// 8-byte memory pieces that is the paper's 983,040 requests per
+	// process (§4.3.1).
 	AccessMultiple
-	// AccessSieve is data sieving I/O (§3.2); Result.Sieve reports the
-	// data movement.
+	// AccessSieve is data sieving I/O (§3.2): large contiguous reads
+	// into a client buffer (Sieve.BufferSize), the wanted regions
+	// picked out in memory; writes are read-modify-write of each
+	// window. PVFS has no file locks, so concurrent sieving writers to
+	// overlapping extents race: the caller serializes them, as the
+	// paper does with a barrier (§4.2.1; see cluster.Barrier).
+	// Result.Sieve reports the data movement.
 	AccessSieve
-	// AccessList is list I/O (§3.3), the paper's contribution.
+	// AccessList is list I/O (§3.3), the paper's contribution: the file
+	// regions travel in batches of at most List.MaxRegions (64) per
+	// request, each batch fanning out to the servers holding its pieces.
 	AccessList
 	// AccessDatatype ships the access pattern itself to the I/O
-	// daemons (§5, DESIGN.md §6); the layout must be a datatype or
-	// strided one.
+	// daemons (§5, DESIGN.md §6): one request per server per
+	// Datatype.WindowBytes of its share, however many fragments the
+	// pattern flattens to. The layout must be a Type one — a strided
+	// pattern is Type: datatype.Vector(count, blockLen, stride,
+	// datatype.Bytes(1)), Base: start.
 	AccessDatatype
-	// AccessHybrid coalesces nearby file regions (CoalesceGap) and
-	// moves the coalesced extents with list I/O (§5).
+	// AccessHybrid coalesces file regions whose gaps are at most
+	// CoalesceGap bytes and moves the coalesced extents with list I/O
+	// (§5), sieving the wanted bytes out client-side. A write with
+	// CoalesceGap > 0 is read-modify-write at extent granularity, so
+	// concurrent writers must be serialized as for AccessSieve; gap 0
+	// coalesces only adjacent regions and reads nothing back.
 	AccessHybrid
 )
+
+// ParseAccessMethod is the inverse of AccessMethod.String: it maps
+// "auto", "contig", "multiple", "datasieve", "list", "datatype" or
+// "hybrid" to its method.
+func ParseAccessMethod(name string) (AccessMethod, error) {
+	for m := AccessAuto; m <= AccessHybrid; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return AccessAuto, fmt.Errorf("pvfs: unknown access method %q", name)
+}
 
 func (m AccessMethod) String() string {
 	switch m {
@@ -73,28 +99,22 @@ func (m AccessMethod) String() string {
 	}
 }
 
-// Strided is the vector-pattern shorthand layout: Count blocks of
-// BlockLen bytes every Stride bytes, starting at file offset Start.
-type Strided struct {
-	Start    int64
-	Stride   int64
-	BlockLen int64
-	Count    int64
-}
-
-// Request is the unified access descriptor: one value bundles the
-// memory layout, the file layout, the method selection and the per-op
-// tuning that used to be spread across the Read*/Write* method matrix.
+// Request is the access descriptor: one value bundles the memory
+// layout, the file layout, the method selection and the per-op tuning.
 //
 // Memory layout: Arena is the user buffer; Mem lists the arena
 // regions holding the transfer's bytes in stream order. A nil Mem
 // means one region covering the transfer's size from arena offset 0.
+// Memory regions must not overlap one another (as with MPI receive
+// buffers): read responses land in the arena concurrently — across
+// servers, and within one server when Window > 1 — so overlapping
+// destinations are undefined. The arena must not change until a write
+// completes.
 //
 // File layout — exactly one of:
 //   - File: an explicit region list (the pvfs_read_list vocabulary);
 //   - Type/Base/Count: Count repetitions of an MPI-style datatype at
-//     byte offset Base (Count 0 means 1);
-//   - Strided: the uniform-vector shorthand.
+//     byte offset Base (Count 0 means 1).
 //
 // The zero method (AccessAuto) routes encodable datatype layouts down
 // the datatype path, single-region pairs down the contiguous path, and
@@ -120,11 +140,19 @@ type Request struct {
 	Type  datatype.Type
 	Base  int64
 	Count int64
-	// Strided is the vector shorthand file layout.
-	Strided *Strided
 
 	// Method picks the datapath; the zero value auto-picks.
 	Method AccessMethod
+
+	// Window is the number of list or datatype requests kept in flight
+	// per server connection (the tagged pipelining of DESIGN.md §2).
+	// 0 selects DefaultWindow; 1 restores the original serialized
+	// behaviour — one round trip at a time per server — which
+	// fault-injection setups that assume serialized calls should keep.
+	// With Window > 1 requests to one server may be applied
+	// concurrently, so a write's file regions must not overlap one
+	// another.
+	Window int
 
 	// Per-method tuning (each applies only when its path is taken).
 	List        ListOptions
@@ -222,55 +250,36 @@ func (f *File) Run(ctx context.Context, req Request) (Result, error) {
 // resolved is the normalized form of a Request: one concrete layout
 // and one concrete method.
 type resolved struct {
-	method  AccessMethod
-	mem     ioseg.List
-	file    ioseg.List    // region-list layout (nil for datatype path)
-	t       datatype.Type // datatype layout (nil for region-list path)
-	base    int64
-	count   int64
-	strided bool  // pattern came from the Strided shorthand (counter attribution)
-	total   int64 // payload bytes the file layout covers
+	method AccessMethod
+	mem    ioseg.List
+	file   ioseg.List    // region-list layout (nil for datatype path)
+	t      datatype.Type // datatype layout (nil for region-list path)
+	base   int64
+	count  int64
+	total  int64 // payload bytes the file layout covers
+	window int   // requests in flight per server (Request.Window, defaulted)
 }
 
 // resolve validates the descriptor and normalizes layout and method.
 func (r Request) resolve() (resolved, error) {
 	var out resolved
 
-	// Exactly one file layout.
-	layouts := 0
-	if r.File != nil {
-		layouts++
+	// One file layout. No layout at all is the empty region list: a
+	// zero-byte transfer.
+	if r.File != nil && r.Type != nil {
+		return out, errors.New("pvfs: request has both a File and a Type layout")
 	}
 	if r.Type != nil {
-		layouts++
-	}
-	if r.Strided != nil {
-		layouts++
-	}
-	if layouts > 1 {
-		return out, fmt.Errorf("pvfs: request needs exactly one file layout (File, Type or Strided), got %d", layouts)
-	}
-	// No layout at all is the empty region list: a zero-byte transfer
-	// (the legacy methods accepted nil lists as no-ops).
-
-	switch {
-	case r.Strided != nil:
-		s := r.Strided
-		t, err := stridedType(s.Stride, s.BlockLen, s.Count)
-		if err != nil {
-			return out, err
-		}
-		if s.Start < 0 {
-			return out, errors.New("pvfs: negative strided start")
-		}
-		out.t, out.base, out.count, out.strided = t, s.Start, 1, true
-	case r.Type != nil:
 		out.t, out.base, out.count = r.Type, r.Base, r.Count
 		if out.count == 0 {
 			out.count = 1
 		}
-	default:
+	} else {
 		out.file = r.File
+	}
+	out.window = r.Window
+	if out.window <= 0 {
+		out.window = DefaultWindow
 	}
 
 	// Transfer size, for defaulting Mem.
@@ -313,7 +322,7 @@ func (r Request) resolve() (resolved, error) {
 	switch out.method {
 	case AccessDatatype:
 		if out.t == nil {
-			return out, errors.New("pvfs: AccessDatatype requires a Type or Strided layout")
+			return out, errors.New("pvfs: AccessDatatype requires a Type layout")
 		}
 		if err := datatype.CanEncode(out.t); err != nil {
 			return out, fmt.Errorf("pvfs: datatype not encodable: %w", err)
@@ -410,26 +419,22 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 		// needs, and the map then stands in for the list all the way down.
 		smap := memio.NewStreamMap(rv.mem)
 		if req.Write {
-			return res, f.writeList(ctx, req.Arena, smap, rv.mem, rv.file, req.List)
+			return res, f.writeList(ctx, req.Arena, smap, rv.mem, rv.file, req.List, rv.window)
 		}
-		return res, f.readList(ctx, req.Arena, smap, rv.mem, rv.file, req.List)
+		return res, f.readList(ctx, req.Arena, smap, rv.mem, rv.file, req.List, rv.window)
 
 	case AccessDatatype:
-		path := &f.fs.stats.Datatype
-		if rv.strided {
-			path = &f.fs.stats.Strided
-		}
 		smap := memio.NewStreamMap(rv.mem) // the one pass over Mem, as for AccessList
 		if req.Write {
-			return res, f.writeDatatype(ctx, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, path)
+			return res, f.writeDatatype(ctx, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, rv.window)
 		}
-		return res, f.readDatatype(ctx, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, path)
+		return res, f.readDatatype(ctx, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, rv.window)
 
 	case AccessHybrid:
 		if req.Write {
-			res.Sieve, err = f.writeHybrid(ctx, req.Arena, rv.mem, rv.file, req.CoalesceGap, req.List)
+			res.Sieve, err = f.writeHybrid(ctx, req.Arena, rv.mem, rv.file, req.CoalesceGap, req.List, rv.window)
 		} else {
-			res.Sieve, err = f.readHybrid(ctx, req.Arena, rv.mem, rv.file, req.CoalesceGap, req.List)
+			res.Sieve, err = f.readHybrid(ctx, req.Arena, rv.mem, rv.file, req.CoalesceGap, req.List, rv.window)
 		}
 		return res, err
 	}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 
 	"pvfs/internal/ioseg"
 	"pvfs/internal/memio"
@@ -89,30 +88,7 @@ func SieveWindows(file ioseg.List, bufSize int64) []ioseg.Segment {
 	return windows
 }
 
-// ReadSieve performs the noncontiguous read via data sieving: large
-// contiguous reads into a client buffer, extracting the wanted regions
-// in memory (§3.2). It is a synchronous wrapper over Start.
-func (f *File) ReadSieve(arena []byte, mem, file ioseg.List, opts SieveOptions) (SieveStats, error) {
-	res, err := f.Run(context.Background(), Request{
-		Arena: arena, Mem: mem, File: file, Method: AccessSieve, Sieve: opts,
-	})
-	return res.Sieve, err
-}
-
-// WriteSieve performs the noncontiguous write via data sieving:
-// read-modify-write of each window (§3.2). PVFS has no file locking,
-// so concurrent WriteSieve calls to overlapping extents race; the
-// paper serializes writers with a barrier (§4.2.1), which callers of
-// this method must arrange themselves (see cluster.Barrier).
-func (f *File) WriteSieve(arena []byte, mem, file ioseg.List, opts SieveOptions) (SieveStats, error) {
-	res, err := f.Run(context.Background(), Request{
-		Write: true, Arena: arena, Mem: mem, File: file, Method: AccessSieve, Sieve: opts,
-	})
-	return res.Sieve, err
-}
-
-// readSieve is the sieving datapath shared by Start and the legacy
-// wrappers.
+// readSieve is the data sieving read datapath (see AccessSieve).
 func (f *File) readSieve(ctx context.Context, arena []byte, mem, file ioseg.List, opts SieveOptions) (SieveStats, error) {
 	var st SieveStats
 	if err := checkLists(arena, mem, file); err != nil {
@@ -142,6 +118,8 @@ func (f *File) readSieve(ctx context.Context, arena []byte, mem, file ioseg.List
 	return st, nil
 }
 
+// writeSieve is the data sieving write: read-modify-write of each
+// window.
 func (f *File) writeSieve(ctx context.Context, arena []byte, mem, file ioseg.List, opts SieveOptions) (SieveStats, error) {
 	var st SieveStats
 	if err := checkLists(arena, mem, file); err != nil {
@@ -174,77 +152,4 @@ func (f *File) writeSieve(ctx context.Context, arena []byte, mem, file ioseg.Lis
 		st.BytesUseful += useful
 	}
 	return st, nil
-}
-
-// Method names a noncontiguous access strategy.
-type Method int
-
-const (
-	// MethodMultiple is one contiguous request per region (§3.1).
-	MethodMultiple Method = iota
-	// MethodSieve is data sieving I/O (§3.2).
-	MethodSieve
-	// MethodList is list I/O (§3.3), the paper's contribution.
-	MethodList
-)
-
-func (m Method) String() string {
-	switch m {
-	case MethodMultiple:
-		return "multiple"
-	case MethodSieve:
-		return "datasieve"
-	case MethodList:
-		return "list"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
-
-// Options bundles per-method tuning for the unified entry points.
-type Options struct {
-	List  ListOptions
-	Sieve SieveOptions
-}
-
-// accessFor maps the legacy Method enum to the Request vocabulary.
-func accessFor(m Method) (AccessMethod, error) {
-	switch m {
-	case MethodMultiple:
-		return AccessMultiple, nil
-	case MethodSieve:
-		return AccessSieve, nil
-	case MethodList:
-		return AccessList, nil
-	default:
-		return AccessAuto, fmt.Errorf("pvfs: unknown method %v", m)
-	}
-}
-
-// ReadNoncontig dispatches a noncontiguous read to the chosen method
-// (a wrapper over Start).
-func (f *File) ReadNoncontig(m Method, arena []byte, mem, file ioseg.List, opts Options) error {
-	am, err := accessFor(m)
-	if err != nil {
-		return err
-	}
-	_, err = f.Run(context.Background(), Request{
-		Arena: arena, Mem: mem, File: file, Method: am,
-		List: opts.List, Sieve: opts.Sieve,
-	})
-	return err
-}
-
-// WriteNoncontig dispatches a noncontiguous write to the chosen method
-// (a wrapper over Start).
-func (f *File) WriteNoncontig(m Method, arena []byte, mem, file ioseg.List, opts Options) error {
-	am, err := accessFor(m)
-	if err != nil {
-		return err
-	}
-	_, err = f.Run(context.Background(), Request{
-		Write: true, Arena: arena, Mem: mem, File: file, Method: am,
-		List: opts.List, Sieve: opts.Sieve,
-	})
-	return err
 }

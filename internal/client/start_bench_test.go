@@ -27,7 +27,7 @@ func BenchmarkStartAsyncOverlap(b *testing.B) {
 				arena := make([]byte, mem.TotalLength())
 				write := dir == "write"
 				if !write {
-					if err := f.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+					if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -40,7 +40,7 @@ func BenchmarkStartAsyncOverlap(b *testing.B) {
 					for _, ch := range chunks {
 						ops = append(ops, f.Start(ctx, client.Request{
 							Write: write, Arena: arena, Mem: ch.mem, File: ch.file,
-							Method: client.AccessList, List: client.ListOptions{Window: 1},
+							Method: client.AccessList, Window: 1,
 						}))
 					}
 					for _, op := range ops {

@@ -93,7 +93,7 @@ func TestCancelMidTransfer(t *testing.T) {
 	vec := datatype.Vector(2048, 64, 256, datatype.Bytes(1))
 
 	// Seed the file so canceled reads have data under them.
-	if err := f.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,8 +102,7 @@ func TestCancelMidTransfer(t *testing.T) {
 	// injected delay every op takes tens of milliseconds, so the 5ms
 	// cancel below lands deterministically mid-transfer (at default
 	// windows the whole op can finish inside the injected delay).
-	serial := client.ListOptions{Window: 2}
-	dtSerial := client.DatatypeOptions{WindowBytes: 2 << 10, Window: 2}
+	dtSerial := client.DatatypeOptions{WindowBytes: 2 << 10}
 	// The FLASH memory side (8-byte pieces between guard cells) keeps
 	// the stream map's strided kernels scattering 256-byte windows from
 	// several servers at once while the cancel lands; under -race that
@@ -122,14 +121,14 @@ func TestCancelMidTransfer(t *testing.T) {
 	}
 	reqs := map[string]client.Request{
 		"contig-read":    {Arena: contig, File: ioseg.List{{Offset: 1 << 20, Length: int64(len(contig))}}},
-		"list-read":      {Arena: make([]byte, len(arena)), Mem: mem, File: file, Method: client.AccessList, List: serial},
-		"list-write":     {Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, List: serial},
-		"datatype-read":  {Arena: make([]byte, len(arena)), Mem: mem, Type: vec, Base: 0, Count: 1, Method: client.AccessDatatype, Datatype: dtSerial},
-		"datatype-write": {Write: true, Arena: arena, Mem: mem, Type: vec, Base: 0, Count: 1, Method: client.AccessDatatype, Datatype: dtSerial},
+		"list-read":      {Arena: make([]byte, len(arena)), Mem: mem, File: file, Method: client.AccessList, Window: 2},
+		"list-write":     {Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, Window: 2},
+		"datatype-read":  {Arena: make([]byte, len(arena)), Mem: mem, Type: vec, Base: 0, Count: 1, Method: client.AccessDatatype, Datatype: dtSerial, Window: 2},
+		"datatype-write": {Write: true, Arena: arena, Mem: mem, Type: vec, Base: 0, Count: 1, Method: client.AccessDatatype, Datatype: dtSerial, Window: 2},
 		"flash-datatype-read": {
 			Arena: make([]byte, flash.ArenaBytes(0)), Mem: patterns.MemList(flash, 0),
 			Type:   datatype.Vector(int64(flash.Vars), flashRun, flashRun, datatype.Bytes(1)),
-			Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: 256, Window: 2},
+			Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: 256}, Window: 2,
 		},
 	}
 
@@ -162,11 +161,11 @@ func TestCancelMidTransfer(t *testing.T) {
 				fa.SetDelay(0)
 			}
 			// The pool must still carry the transfer end to end.
-			if err := f.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+			if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 				t.Fatalf("write after cancel: %v", err)
 			}
 			got := make([]byte, len(arena))
-			if err := f.ReadList(got, mem, file, client.ListOptions{}); err != nil {
+			if err := run(f, client.Request{Arena: got, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 				t.Fatalf("read after cancel: %v", err)
 			}
 			if !bytes.Equal(got, arena) {
@@ -216,11 +215,11 @@ func TestCallTimeoutFailsStalledCall(t *testing.T) {
 	// The stalled requests are still queued behind the injected delay
 	// only until it elapses for them; new calls on the same pooled
 	// connections must succeed.
-	if err := f.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatalf("write after stall: %v", err)
 	}
 	got := make([]byte, len(arena))
-	if err := f.ReadList(got, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Arena: got, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatalf("read after stall: %v", err)
 	}
 	if !bytes.Equal(got, arena) {
@@ -251,7 +250,7 @@ func TestStartOverlapOutOfOrder(t *testing.T) {
 	ctx := context.Background()
 	reqA := client.Request{
 		Write: true, Arena: arenaA, Mem: memA, File: fileA,
-		Method: client.AccessList, List: client.ListOptions{Window: 1},
+		Method: client.AccessList, Window: 1,
 	}
 	reqB := client.Request{
 		Write: true, Arena: arenaB,
@@ -352,24 +351,25 @@ func TestRequestAutoRouting(t *testing.T) {
 		t.Fatalf("result bytes = %d, want %d", res.Bytes, mem.TotalLength())
 	}
 
-	// Strided shorthand routes down the datatype path and records on
-	// the strided counter.
-	before = fs.Counters().Snapshot()
-	res, err = f.Run(ctx, client.Request{Write: true, Arena: arena,
-		Strided: &client.Strided{Start: 0, Stride: 256, BlockLen: 64, Count: 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != client.AccessDatatype {
-		t.Fatalf("strided auto method = %v, want datatype", res.Method)
-	}
-	if d := fs.Counters().Snapshot().Sub(before); d.Strided.Requests == 0 {
-		t.Fatalf("strided path counter did not move: %+v", d)
-	}
-
 	// A request with two layouts is rejected.
 	if _, err := f.Run(ctx, client.Request{Arena: arena, Type: vec, File: file}); err == nil {
 		t.Fatal("request with two file layouts accepted")
 	}
 	_ = fmt.Sprintf("%v", res.Method) // AccessMethod implements Stringer
+}
+
+// TestParseAccessMethod pins ParseAccessMethod as the inverse of
+// AccessMethod.String, the one name table the commands share.
+func TestParseAccessMethod(t *testing.T) {
+	for m := client.AccessAuto; m <= client.AccessHybrid; m++ {
+		got, err := client.ParseAccessMethod(m.String())
+		if err != nil || got != m {
+			t.Fatalf("ParseAccessMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "sieve", "List", "access(9)"} {
+		if _, err := client.ParseAccessMethod(bad); err == nil {
+			t.Fatalf("ParseAccessMethod(%q) accepted", bad)
+		}
+	}
 }

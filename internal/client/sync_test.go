@@ -12,6 +12,7 @@ import (
 
 	"pvfs/internal/client"
 	"pvfs/internal/cluster"
+	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/store"
 	"pvfs/internal/striping"
@@ -65,25 +66,25 @@ func TestCachedClusterDatapaths(t *testing.T) {
 		file = append(file, ioseg.Segment{Offset: 40000 + i*256, Length: 64})
 	}
 	arena := bytes.Repeat([]byte{0xA5}, int(mem.TotalLength()))
-	if err := f.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	back := make([]byte, len(arena))
-	if err := f.ReadList(back, mem, file, client.ListOptions{}); err != nil {
+	if err := run(f, client.Request{Arena: back, Mem: mem, File: file, Method: client.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, arena) {
 		t.Fatal("list read diverges through cache")
 	}
 
-	// Datatype/strided path.
+	// Datatype path (a strided vector).
 	sw := bytes.Repeat([]byte{0x5A}, 64*8)
-	smem := ioseg.List{{Offset: 0, Length: int64(len(sw))}}
-	if err := f.WriteStrided(sw, smem, 200000, 512, 8, 64); err != nil {
+	vec := datatype.Vector(64, 8, 512, datatype.Bytes(1))
+	if err := run(f, client.Request{Write: true, Arena: sw, Type: vec, Base: 200000}); err != nil {
 		t.Fatal(err)
 	}
 	sr := make([]byte, len(sw))
-	if err := f.ReadStrided(sr, smem, 200000, 512, 8, 64); err != nil {
+	if err := run(f, client.Request{Arena: sr, Type: vec, Base: 200000}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sr, sw) {

@@ -8,9 +8,10 @@
 // noncontiguous access is not present at the file system level." This
 // package is that upper layer: applications set a view (displacement,
 // etype, filetype) and read/write linear buffers; the layer converts
-// view offsets into file region lists and dispatches them via list
-// I/O, data sieving, or one-request-per-piece multiple I/O according
-// to hints — the ROMIO knobs the paper's evaluation compares.
+// view accesses into one client.Request each — the view type itself
+// when it can travel as a datatype, a file region list otherwise — and
+// runs it with the method the hints select: the ROMIO knobs the
+// paper's evaluation compares.
 package mpiio
 
 import (
@@ -25,22 +26,20 @@ import (
 
 // Hints mirrors the ROMIO info keys relevant to the paper.
 type Hints struct {
-	// Method selects the noncontiguous strategy: list I/O (default),
-	// data sieving (romio_ds_read/write enable), or multiple I/O
-	// (both disabled).
-	Method client.Method
+	// Method selects the noncontiguous strategy. The zero value,
+	// client.AccessAuto, ships the view type itself to the I/O daemons
+	// (DESIGN.md §6) when the access covers whole filetype tiles the
+	// wire codec can carry, and uses list I/O otherwise; AccessDatatype
+	// behaves the same. AccessList forces list I/O, AccessSieve data
+	// sieving (romio_ds_read/write enable), AccessMultiple one request
+	// per piece (both disabled), AccessHybrid the list+sieve coalescing
+	// of §5.
+	Method client.AccessMethod
 	// SieveBufferBytes is ROMIO's ind_rd_buffer_size analog
 	// (0 = the paper's 32 MB).
 	SieveBufferBytes int64
-	// CoalesceGapBytes, when positive, applies the hybrid list+sieve
-	// coalescing before dispatch (§5 future work).
+	// CoalesceGapBytes is the hybrid method's coalescing gap.
 	CoalesceGapBytes int64
-	// NoDatatype disables the datatype fast path: accesses that cover
-	// whole filetype tiles normally ship the view type itself to the
-	// I/O daemons (DESIGN.md §6) instead of flattening to region
-	// lists. Set it to force the flattened methods, e.g. to compare
-	// paths.
-	NoDatatype bool
 	// DatatypeOptions tunes the datatype path when it is taken.
 	DatatypeOptions client.DatatypeOptions
 }
@@ -180,13 +179,7 @@ func (m *File) datatypePattern(dataOff, n int64) (t datatype.Type, base, count i
 }
 
 // dispatchView runs one view transfer of [dataOff, dataOff+n) bytes
-// of view data space by building the unified client.Request for it and
-// running it through File.Start. Expressible accesses take the
-// datatype path — the view type crosses the wire un-flattened, so
-// neither the client nor the request stream ever holds the region list
-// — when the hints select plain list I/O; otherwise (or on fallback)
-// the access is flattened through regionsFor and dispatched to the
-// hinted method.
+// of view data space as one client.Request (see viewRequest).
 func (m *File) dispatchView(buf []byte, dataOff, n int64, write bool) error {
 	req, err := m.viewRequest(buf, dataOff, n, write)
 	if err != nil {
@@ -196,20 +189,29 @@ func (m *File) dispatchView(buf []byte, dataOff, n int64, write bool) error {
 	return err
 }
 
-// viewRequest translates a view access into the unified descriptor.
+// viewRequest translates a view access into its client.Request. Under
+// the auto and datatype methods an expressible access takes the
+// datatype path — the view type crosses the wire un-flattened, so
+// neither the client nor the request stream ever holds the region list
+// — and anything else is flattened through regionsFor and goes to list
+// I/O; the other methods always take the flattened regions.
 func (m *File) viewRequest(buf []byte, dataOff, n int64, write bool) (client.Request, error) {
 	req := client.Request{
-		Write: write,
-		Arena: buf,
-		Mem:   ioseg.List{{Offset: 0, Length: n}},
+		Write:       write,
+		Arena:       buf,
+		Mem:         ioseg.List{{Offset: 0, Length: n}},
+		Method:      m.hints.Method,
+		Sieve:       client.SieveOptions{BufferSize: m.hints.SieveBufferBytes},
+		Datatype:    m.hints.DatatypeOptions,
+		CoalesceGap: m.hints.CoalesceGapBytes,
 	}
-	if !m.hints.NoDatatype && m.hints.Method == client.MethodList && m.hints.CoalesceGapBytes == 0 {
+	if req.Method == client.AccessAuto || req.Method == client.AccessDatatype {
 		if t, base, count, ok := m.datatypePattern(dataOff, n); ok {
 			req.Type, req.Base, req.Count = t, base, count
 			req.Method = client.AccessDatatype
-			req.Datatype = m.hints.DatatypeOptions
 			return req, nil
 		}
+		req.Method = client.AccessList
 	}
 	file, err := m.regionsFor(dataOff, n)
 	if err != nil {
@@ -220,22 +222,6 @@ func (m *File) viewRequest(buf []byte, dataOff, n int64, write bool) (client.Req
 	}
 	req.File = file
 	req.Mem = ioseg.List{{Offset: 0, Length: int64(len(buf))}}
-	if m.hints.CoalesceGapBytes > 0 {
-		req.Method = client.AccessHybrid
-		req.CoalesceGap = m.hints.CoalesceGapBytes
-		return req, nil
-	}
-	switch m.hints.Method {
-	case client.MethodMultiple:
-		req.Method = client.AccessMultiple
-	case client.MethodSieve:
-		req.Method = client.AccessSieve
-		req.Sieve = client.SieveOptions{BufferSize: m.hints.SieveBufferBytes}
-	case client.MethodList:
-		req.Method = client.AccessList
-	default:
-		return client.Request{}, fmt.Errorf("mpiio: unknown method %v", m.hints.Method)
-	}
 	return req, nil
 }
 

@@ -32,7 +32,7 @@ func newFile(t *testing.T, hints mpiio.Hints) (*cluster.Cluster, *client.FS, *mp
 }
 
 func TestDefaultViewIsLinear(t *testing.T) {
-	_, _, m := newFile(t, mpiio.Hints{Method: client.MethodList})
+	_, _, m := newFile(t, mpiio.Hints{})
 	data := []byte("linear bytes through the default view")
 	if err := m.WriteAtEtype(data, 0); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestVectorViewInterleavesRanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := mpiio.Open(f, mpiio.Hints{Method: client.MethodList})
+		m := mpiio.Open(f, mpiio.Hints{})
 		ftype := datatype.Vector(blocks, blockLen, ranks*blockLen, datatype.Bytes(1))
 		if err := m.SetView(int64(r*blockLen), datatype.Bytes(1), ftype); err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestViewOffsetsCrossTiles(t *testing.T) {
 	if _, err := f.WriteAt(raw, 0); err != nil {
 		t.Fatal(err)
 	}
-	m := mpiio.Open(f, mpiio.Hints{Method: client.MethodList})
+	m := mpiio.Open(f, mpiio.Hints{})
 	// View: 16-byte doubles... etype 8, filetype = vector of 2 blocks
 	// of 1 etype every 4 etypes (data 16 B per 32 B extent).
 	ft := datatype.Vector(2, 1, 4, datatype.Bytes(8))
@@ -148,9 +148,9 @@ func TestViewOffsetsCrossTiles(t *testing.T) {
 }
 
 func TestHintsSelectMethod(t *testing.T) {
-	// The same access via the three hint settings must produce
+	// The same access via every hint setting must produce
 	// identical data but different request profiles.
-	_, fs, m := newFile(t, mpiio.Hints{Method: client.MethodList})
+	_, fs, m := newFile(t, mpiio.Hints{})
 	ft := datatype.Vector(128, 16, 64, datatype.Bytes(1))
 	if err := m.SetView(0, datatype.Bytes(1), ft); err != nil {
 		t.Fatal(err)
@@ -167,10 +167,11 @@ func TestHintsSelectMethod(t *testing.T) {
 		// maxRequests bounds the expected request count.
 		maxRequests int64
 	}{
-		{"list", mpiio.Hints{Method: client.MethodList}, 16},
-		{"sieve", mpiio.Hints{Method: client.MethodSieve, SieveBufferBytes: 1 << 20}, 8},
-		{"multiple", mpiio.Hints{Method: client.MethodMultiple}, 256},
-		{"hybrid", mpiio.Hints{CoalesceGapBytes: 64}, 8},
+		{"auto", mpiio.Hints{}, 16},
+		{"list", mpiio.Hints{Method: client.AccessList}, 16},
+		{"sieve", mpiio.Hints{Method: client.AccessSieve, SieveBufferBytes: 1 << 20}, 8},
+		{"multiple", mpiio.Hints{Method: client.AccessMultiple}, 256},
+		{"hybrid", mpiio.Hints{Method: client.AccessHybrid, CoalesceGapBytes: 64}, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,7 +200,7 @@ func TestHintsSelectMethod(t *testing.T) {
 }
 
 func TestSequentialViewIO(t *testing.T) {
-	_, _, m := newFile(t, mpiio.Hints{Method: client.MethodList})
+	_, _, m := newFile(t, mpiio.Hints{})
 	ft := datatype.Vector(4, 8, 16, datatype.Bytes(1)) // 32 data bytes per 56-byte extent
 	if err := m.SetView(8, datatype.Bytes(8), ft); err != nil {
 		t.Fatal(err)
@@ -260,7 +261,7 @@ func TestFlashAsView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := mpiio.Open(f, mpiio.Hints{Method: client.MethodList})
+		m := mpiio.Open(f, mpiio.Hints{})
 		ft := datatype.HVector(6, chunk, ranks*chunk, datatype.Bytes(1))
 		if err := m.SetView(int64(r)*chunk, datatype.Bytes(1), ft); err != nil {
 			t.Fatal(err)
@@ -287,12 +288,12 @@ func TestFlashAsView(t *testing.T) {
 }
 
 // TestDatatypeRouting pins the selection function of the datatype
-// path (DESIGN.md §6): whole-tile accesses under plain list hints
-// ship the view type itself (Datatype path counters move, List stays
-// flat); unaligned accesses and NoDatatype fall back to list I/O; and
-// both routes produce identical bytes.
+// path (DESIGN.md §6): whole-tile accesses under the default (auto)
+// hints ship the view type itself (Datatype path counters move, List
+// stays flat); unaligned accesses fall back to list I/O, an AccessList
+// hint forces it; and both routes produce identical bytes.
 func TestDatatypeRouting(t *testing.T) {
-	_, fs, m := newFile(t, mpiio.Hints{Method: client.MethodList})
+	_, fs, m := newFile(t, mpiio.Hints{})
 	// Rank-0 view of a 4-rank cyclic pattern: eight 64-byte blocks,
 	// one per 256-byte stripe cycle, as a single filetype tile.
 	filetype := datatype.Vector(8, 64, 256, datatype.Bytes(1))
@@ -338,13 +339,13 @@ func TestDatatypeRouting(t *testing.T) {
 		t.Fatal("fallback read-back differs")
 	}
 
-	// NoDatatype forces the flattened path even for whole tiles, and
-	// the results stay identical.
+	// An AccessList hint forces the flattened path even for whole
+	// tiles, and the results stay identical.
 	f2, err := fs.Create("view-nodt.dat", striping.Config{PCount: 4, StripeSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := mpiio.Open(f2, mpiio.Hints{Method: client.MethodList, NoDatatype: true})
+	m2 := mpiio.Open(f2, mpiio.Hints{Method: client.AccessList})
 	if err := m2.SetView(0, datatype.Bytes(1), filetype); err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +355,41 @@ func TestDatatypeRouting(t *testing.T) {
 	}
 	d = fs.Counters().Snapshot().Sub(before)
 	if d.Datatype.Requests != 0 || d.List.Requests == 0 {
-		t.Fatalf("NoDatatype routing: %+v", d)
+		t.Fatalf("AccessList routing: %+v", d)
 	}
 	got2 := make([]byte, len(data))
 	if err := m2.ReadAtEtype(got2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got2, data) {
-		t.Fatal("NoDatatype read-back differs")
+		t.Fatal("AccessList read-back differs")
+	}
+}
+
+// TestDefaultHintsShipDatatype pins the zero Hints to their documented
+// default: a whole-tile access through mpiio.Open(f, mpiio.Hints{})
+// ships the view type as a datatype, never one request per piece.
+func TestDefaultHintsShipDatatype(t *testing.T) {
+	_, fs, m := newFile(t, mpiio.Hints{})
+	filetype := datatype.Vector(16, 32, 128, datatype.Bytes(1))
+	if err := m.SetView(0, datatype.Bytes(1), filetype); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 2*filetype.Size()) // two whole tiles
+	rand.New(rand.NewSource(3)).Read(data)
+	before := fs.Counters().Snapshot()
+	if err := m.WriteAtEtype(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	d := fs.Counters().Snapshot().Sub(before)
+	if d.Datatype.Requests == 0 || d.Multiple.Requests != 0 {
+		t.Fatalf("default hints: datatype %+v, multiple %+v; want datatype requests and no multiple I/O", d.Datatype, d.Multiple)
+	}
+	got := make([]byte, len(data))
+	if err := m.ReadAtEtype(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("default-hint read-back differs")
 	}
 }

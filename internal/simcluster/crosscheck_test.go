@@ -1,6 +1,7 @@
 package simcluster_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 // method, and striping — the property that makes the performance
 // model's request accounting trustworthy (DESIGN.md §5).
 
-func realRequests(t *testing.T, pat patterns.Pattern, write bool, m client.Method, cfg striping.Config, opts client.Options) int64 {
+func realRequests(t *testing.T, pat patterns.Pattern, write bool, m client.AccessMethod, cfg striping.Config, list client.ListOptions) int64 {
 	t.Helper()
 	c, err := cluster.Start(cluster.Options{NumIOD: cfg.PCount})
 	if err != nil {
@@ -54,13 +55,9 @@ func realRequests(t *testing.T, pat patterns.Pattern, write bool, m client.Metho
 		mem := patterns.MemList(pat, r)
 		file := patterns.FileList(pat, r)
 		arena := make([]byte, patterns.ArenaSize(pat, r))
-		var err error
-		if write {
-			err = f.WriteNoncontig(m, arena, mem, file, opts)
-		} else {
-			err = f.ReadNoncontig(m, arena, mem, file, opts)
-		}
-		if err != nil {
+		if _, err := f.Run(context.Background(), client.Request{
+			Write: write, Arena: arena, Mem: mem, File: file, Method: m, List: list,
+		}); err != nil {
 			t.Fatalf("%v rank %d: %v", m, r, err)
 		}
 	}
@@ -95,25 +92,25 @@ func TestSimulatorMatchesRealClientRequestCounts(t *testing.T) {
 		name    string
 		pat     patterns.Pattern
 		write   bool
-		realM   client.Method
+		realM   client.AccessMethod
 		simM    simcluster.Method
-		realOpt client.Options
+		realOpt client.ListOptions
 		simOpt  simcluster.MethodOptions
 	}{
-		{"cyclic/list/read", cyc, false, client.MethodList, simcluster.MethodList, client.Options{}, simcluster.MethodOptions{}},
-		{"cyclic/list/write", cyc, true, client.MethodList, simcluster.MethodList, client.Options{}, simcluster.MethodOptions{}},
-		{"cyclic/multiple/write", cyc, true, client.MethodMultiple, simcluster.MethodMultiple, client.Options{}, simcluster.MethodOptions{}},
-		{"random/list/write", rnd, true, client.MethodList, simcluster.MethodList, client.Options{}, simcluster.MethodOptions{}},
-		{"random/multiple/write", rnd, true, client.MethodMultiple, simcluster.MethodMultiple, client.Options{}, simcluster.MethodOptions{}},
+		{"cyclic/list/read", cyc, false, client.AccessList, simcluster.MethodList, client.ListOptions{}, simcluster.MethodOptions{}},
+		{"cyclic/list/write", cyc, true, client.AccessList, simcluster.MethodList, client.ListOptions{}, simcluster.MethodOptions{}},
+		{"cyclic/multiple/write", cyc, true, client.AccessMultiple, simcluster.MethodMultiple, client.ListOptions{}, simcluster.MethodOptions{}},
+		{"random/list/write", rnd, true, client.AccessList, simcluster.MethodList, client.ListOptions{}, simcluster.MethodOptions{}},
+		{"random/multiple/write", rnd, true, client.AccessMultiple, simcluster.MethodMultiple, client.ListOptions{}, simcluster.MethodOptions{}},
 		{"flash/list-intersect/write", flash, true,
-			client.MethodList, simcluster.MethodList,
-			client.Options{List: client.ListOptions{Granularity: client.GranularityIntersect}},
+			client.AccessList, simcluster.MethodList,
+			client.ListOptions{Granularity: client.GranularityIntersect},
 			simcluster.MethodOptions{Granularity: simcluster.GranIntersect}},
 		{"flash/list-fileregions/write", flash, true,
-			client.MethodList, simcluster.MethodList,
-			client.Options{List: client.ListOptions{Granularity: client.GranularityFileRegions}},
+			client.AccessList, simcluster.MethodList,
+			client.ListOptions{Granularity: client.GranularityFileRegions},
 			simcluster.MethodOptions{Granularity: simcluster.GranFileRegions}},
-		{"flash/multiple/write", flash, true, client.MethodMultiple, simcluster.MethodMultiple, client.Options{}, simcluster.MethodOptions{}},
+		{"flash/multiple/write", flash, true, client.AccessMultiple, simcluster.MethodMultiple, client.ListOptions{}, simcluster.MethodOptions{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,8 +136,8 @@ func TestSimulatorMatchesRealClientAcrossLimits(t *testing.T) {
 	}
 	for _, limit := range []int{16, 64} {
 		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
-			real := realRequests(t, pat, true, client.MethodList, cfg,
-				client.Options{List: client.ListOptions{MaxRegions: limit}})
+			real := realRequests(t, pat, true, client.AccessList, cfg,
+				client.ListOptions{MaxRegions: limit})
 			sim := simRequests(t, pat, true, simcluster.MethodList, cfg,
 				simcluster.MethodOptions{MaxRegions: limit})
 			if real != sim {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -14,12 +15,15 @@ import (
 // ReplayOptions tunes Replay.
 type ReplayOptions struct {
 	// Method selects the noncontiguous access strategy; the zero value
-	// is MethodMultiple (the traditional default the paper argues
-	// against), so benchmarks should set it explicitly.
-	Method client.Method
-	// Options carries per-method tuning (list granularity and batch
-	// size, sieve buffer).
-	Options client.Options
+	// auto-picks (list I/O for a noncontiguous op). Under AccessSieve
+	// and AccessHybrid, whose writes are read-modify-write, write ops
+	// are serialized across ranks: PVFS has no locks, and the paper
+	// serializes such writers too (§4.2.1).
+	Method client.AccessMethod
+	// List tunes list I/O (granularity, batch size).
+	List client.ListOptions
+	// Sieve tunes data sieving (buffer size).
+	Sieve client.SieveOptions
 	// Striping configures the file when Create is set; zero values
 	// select manager defaults.
 	Striping striping.Config
@@ -134,6 +138,10 @@ func Replay(fs *client.FS, fileName string, ops []Op, opts ReplayOptions) (*Resu
 	}
 	before := fs.Counters().Snapshot()
 	res := &Result{PerRank: make([]RankResult, 0, len(byRank))}
+	var writers *sync.Mutex // serializes read-modify-write writers across ranks
+	if opts.Method == client.AccessSieve || opts.Method == client.AccessHybrid {
+		writers = new(sync.Mutex)
+	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	errs := make(chan error, len(byRank))
@@ -142,7 +150,7 @@ func Replay(fs *client.FS, fileName string, ops []Op, opts ReplayOptions) (*Resu
 		wg.Add(1)
 		go func(rank int, rops []Op) {
 			defer wg.Done()
-			rr, err := replayRank(fs, fileName, rank, rops, opts)
+			rr, err := replayRank(fs, fileName, rank, rops, opts, writers)
 			if err != nil {
 				errs <- fmt.Errorf("trace: rank %d: %w", rank, err)
 				return
@@ -169,7 +177,9 @@ func Replay(fs *client.FS, fileName string, ops []Op, opts ReplayOptions) (*Resu
 	return res, nil
 }
 
-func replayRank(fs *client.FS, fileName string, rank int, rops []Op, opts ReplayOptions) (RankResult, error) {
+// replayRank runs one rank's ops in order. A non-nil writers is held
+// around each write op.
+func replayRank(fs *client.FS, fileName string, rank int, rops []Op, opts ReplayOptions, writers *sync.Mutex) (RankResult, error) {
 	f, err := fs.Open(fileName)
 	if err != nil {
 		return RankResult{}, err
@@ -183,17 +193,24 @@ func replayRank(fs *client.FS, fileName string, rank int, rops []Op, opts Replay
 			if err := fillArena(arena, op.Mem, op.File, opts.Seed); err != nil {
 				return rr, err
 			}
-			if err := f.WriteNoncontig(opts.Method, arena, op.Mem, op.File, opts.Options); err != nil {
+		}
+		serialize := op.Write && writers != nil
+		if serialize {
+			writers.Lock()
+		}
+		_, err := f.Run(context.Background(), client.Request{
+			Write: op.Write, Arena: arena, Mem: op.Mem, File: op.File,
+			Method: opts.Method, List: opts.List, Sieve: opts.Sieve,
+		})
+		if serialize {
+			writers.Unlock()
+		}
+		if err != nil {
+			return rr, err
+		}
+		if !op.Write && opts.Verify {
+			if err := verifyArena(arena, op.Mem, op.File, opts.Seed); err != nil {
 				return rr, err
-			}
-		} else {
-			if err := f.ReadNoncontig(opts.Method, arena, op.Mem, op.File, opts.Options); err != nil {
-				return rr, err
-			}
-			if opts.Verify {
-				if err := verifyArena(arena, op.Mem, op.File, opts.Seed); err != nil {
-					return rr, err
-				}
 			}
 		}
 		rr.Ops++

@@ -47,7 +47,7 @@ func TestReplayWriteThenReadVerify(t *testing.T) {
 	const seed = 42
 	writeOps := cyclicOps(t, 4, 16, 64<<10, true, 0)
 	res, err := trace.Replay(fs, "replay.bin", writeOps, trace.ReplayOptions{
-		Method: client.MethodList,
+		Method: client.AccessList,
 		Create: true,
 		Seed:   seed,
 		Verify: true,
@@ -66,7 +66,9 @@ func TestReplayWriteThenReadVerify(t *testing.T) {
 	}
 
 	readOps := cyclicOps(t, 4, 16, 64<<10, false, 0)
-	for _, m := range []client.Method{client.MethodMultiple, client.MethodSieve, client.MethodList} {
+	for _, m := range []client.AccessMethod{
+		client.AccessMultiple, client.AccessSieve, client.AccessList, client.AccessHybrid, client.AccessAuto,
+	} {
 		res, err := trace.Replay(fs, "replay.bin", readOps, trace.ReplayOptions{
 			Method: m,
 			Seed:   seed,
@@ -81,6 +83,23 @@ func TestReplayWriteThenReadVerify(t *testing.T) {
 	}
 }
 
+// TestReplaySieveWritesSerializeRanks replays a 2-rank cyclic write
+// trace under data sieving. Each rank's sieve window spans the other
+// rank's blocks, so unserialized read-modify-write writers overwrite
+// each other's data; Replay must serialize them.
+func TestReplaySieveWritesSerializeRanks(t *testing.T) {
+	_, fs := startCluster(t)
+	ops := cyclicOps(t, 2, 256, 4<<20, true, 0)
+	if _, err := trace.Replay(fs, "sieve.bin", ops, trace.ReplayOptions{
+		Method: client.AccessSieve,
+		Create: true,
+		Seed:   3,
+		Verify: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplayMethodsProduceIdenticalFiles writes the same trace under
 // multiple I/O and list I/O into two files and compares the images.
 func TestReplayMethodsProduceIdenticalFiles(t *testing.T) {
@@ -88,10 +107,10 @@ func TestReplayMethodsProduceIdenticalFiles(t *testing.T) {
 	ops := cyclicOps(t, 3, 9, 27<<10, true, 4)
 	for _, tc := range []struct {
 		name   string
-		method client.Method
+		method client.AccessMethod
 	}{
-		{"via-multiple.bin", client.MethodMultiple},
-		{"via-list.bin", client.MethodList},
+		{"via-multiple.bin", client.AccessMultiple},
+		{"via-list.bin", client.AccessList},
 	} {
 		if _, err := trace.Replay(fs, tc.name, ops, trace.ReplayOptions{
 			Method: tc.method,
@@ -136,11 +155,11 @@ func TestReplayIntersectGranularity(t *testing.T) {
 	for _, g := range []client.Granularity{client.GranularityFileRegions, client.GranularityIntersect} {
 		name := "flash-" + g.String() + ".bin"
 		if _, err := trace.Replay(fs, name, ops, trace.ReplayOptions{
-			Method:  client.MethodList,
-			Options: client.Options{List: client.ListOptions{Granularity: g}},
-			Create:  true,
-			Seed:    11,
-			Verify:  true,
+			Method: client.AccessList,
+			List:   client.ListOptions{Granularity: g},
+			Create: true,
+			Seed:   11,
+			Verify: true,
 		}); err != nil {
 			t.Fatalf("granularity %v: %v", g, err)
 		}
@@ -156,7 +175,7 @@ func TestReplayReadMissingFileFails(t *testing.T) {
 		File: ioseg.List{{Offset: 0, Length: 8}},
 	}}
 	if _, err := trace.Replay(fs, "no-such-file.bin", ops, trace.ReplayOptions{
-		Method: client.MethodList,
+		Method: client.AccessList,
 	}); err == nil {
 		t.Fatal("replay against missing file succeeded")
 	}

@@ -27,7 +27,8 @@
 //	fs, _ := c.Connect()
 //	defer fs.Close()
 //	f, _ := fs.Create("data.bin", pvfs.StripeConfig{})
-//	f.WriteList(buf, memRegions, fileRegions, pvfs.ListOptions{})
+//	f.Run(ctx, pvfs.Request{Write: true, Arena: buf, Mem: memRegions,
+//		File: fileRegions, Method: pvfs.AccessList})
 package pvfs
 
 import (
@@ -69,30 +70,25 @@ func Regions(offsets, lengths []int64) (List, error) {
 type (
 	// FS is a client session against a PVFS deployment.
 	FS = client.FS
-	// File is an open PVFS file with contiguous and noncontiguous
-	// I/O methods.
+	// File is an open PVFS file: File.Start/Run take a Request, the
+	// one noncontiguous I/O verb; ReadAt/WriteAt are the io interfaces.
 	File = client.File
-	// Method selects a noncontiguous access strategy.
-	Method = client.Method
 	// ListOptions tunes list I/O (entry granularity, batch size).
 	ListOptions = client.ListOptions
 	// SieveOptions tunes data sieving (buffer size; default 32 MB).
 	SieveOptions = client.SieveOptions
 	// SieveStats reports sieving/hybrid data movement.
 	SieveStats = client.SieveStats
-	// Options bundles method options for the unified entry points.
-	Options = client.Options
 	// Granularity selects list-entry construction.
 	Granularity = client.Granularity
 	// DatatypeOptions tunes datatype I/O (per-request payload window,
-	// pipeline depth) for File.ReadDatatype/WriteDatatype (DESIGN.md §6).
+	// DESIGN.md §6).
 	DatatypeOptions = client.DatatypeOptions
 
-	// Request is the unified access descriptor of the nonblocking API:
-	// one value bundles memory layout, file layout (region list,
-	// datatype, or strided shorthand), method selection and per-op
-	// tuning. File.Start(ctx, Request) runs it without blocking
-	// (DESIGN.md §8).
+	// Request is the access descriptor: one value bundles memory
+	// layout, file layout (region list or datatype), method selection
+	// and per-op tuning. File.Start(ctx, Request) runs it without
+	// blocking, File.Run with (DESIGN.md §8).
 	Request = client.Request
 	// Op is a started nonblocking operation (Wait / Done / Err).
 	Op = client.Op
@@ -102,9 +98,6 @@ type (
 	// AccessMethod selects a Request's datapath; the zero value
 	// auto-picks.
 	AccessMethod = client.AccessMethod
-	// StridedSpec is the vector-pattern shorthand file layout of a
-	// Request.
-	StridedSpec = client.Strided
 
 	// RetryPolicy bounds transparent retry of retry-safe daemon-call
 	// failures (transport errors, StatusUnavailable): Max attempts
@@ -130,13 +123,6 @@ const (
 	AccessHybrid   = client.AccessHybrid
 )
 
-// Noncontiguous access methods (§3).
-const (
-	MethodMultiple = client.MethodMultiple
-	MethodSieve    = client.MethodSieve
-	MethodList     = client.MethodList
-)
-
 // List-entry granularities (DESIGN.md §3).
 const (
 	GranularityFileRegions = client.GranularityFileRegions
@@ -146,11 +132,11 @@ const (
 // DefaultSieveBuffer is the paper's 32 MB sieve buffer (§3.2).
 const DefaultSieveBuffer = client.DefaultSieveBuffer
 
-// DefaultListWindow is the number of list requests kept in flight per
-// server connection when ListOptions.Window is zero (DESIGN.md §2).
-// Set ListOptions.Window to 1 for the original serialized PVFS
-// behaviour. Datatype windows and the chunks of a contiguous write
-// keep the same number in flight.
+// DefaultListWindow is the number of list or datatype requests kept
+// in flight per server connection when Request.Window is zero
+// (DESIGN.md §2). Set Request.Window to 1 for the original serialized
+// PVFS behaviour. The chunks of a contiguous transfer keep the same
+// number in flight.
 const DefaultListWindow = client.DefaultWindow
 
 // DefaultDatatypeWindow is the per-request payload window of datatype
@@ -226,7 +212,7 @@ func RunRanks(n int, fn func(rank int) error) error { return cluster.RunRanks(n,
 // MPI-style datatypes (§5 future work).
 type (
 	// Datatype is an MPI-style derived datatype; Flatten turns it
-	// into region lists, File.ReadType/WriteType consume it directly.
+	// into region lists, Request.Type consumes it directly.
 	Datatype = datatype.Type
 	// Field is one member of a Struct datatype.
 	Field = datatype.Field

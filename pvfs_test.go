@@ -2,6 +2,7 @@ package pvfs_test
 
 import (
 	"bytes"
+	"context"
 	"io/fs"
 	"testing"
 
@@ -40,14 +41,15 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 	mem := pvfs.List{{Offset: 0, Length: file.TotalLength()}}
 	arena := bytes.Repeat([]byte{0xC3}, int(file.TotalLength()))
+	ctx := context.Background()
 
-	if err := f.WriteList(arena, mem, file, pvfs.ListOptions{}); err != nil {
+	if _, err := f.Run(ctx, pvfs.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: pvfs.AccessList}); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, m := range []pvfs.Method{pvfs.MethodMultiple, pvfs.MethodSieve, pvfs.MethodList} {
+	for _, m := range []pvfs.AccessMethod{pvfs.AccessMultiple, pvfs.AccessSieve, pvfs.AccessList} {
 		got := make([]byte, file.TotalLength())
-		if err := f.ReadNoncontig(m, got, mem, file, pvfs.Options{}); err != nil {
+		if _, err := f.Run(ctx, pvfs.Request{Arena: got, Mem: mem, File: file, Method: m}); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		if !bytes.Equal(got, arena) {
@@ -58,7 +60,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	// Datatype route: the same pattern as a vector.
 	v := pvfs.Vector(32, 40, 100, pvfs.Bytes(1))
 	got := make([]byte, v.Size())
-	if err := f.ReadType(got, v, 0, pvfs.ListOptions{}); err != nil {
+	if _, err := f.Run(ctx, pvfs.Request{Arena: got, Type: v}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, arena) {
