@@ -26,18 +26,19 @@ import (
 // figure benches (the paper sweeps up to 1,000,000).
 const benchAccesses = 50000
 
-// simulate runs one configuration and reports simulated seconds.
-func simulate(b *testing.B, pat patterns.Pattern, write bool, m simcluster.Method, opts simcluster.MethodOptions) {
+// simulate runs every rank of pat issuing req and reports simulated
+// seconds.
+func simulate(b *testing.B, pat patterns.Pattern, req pvfs.Request) {
 	b.Helper()
-	simulateOn(b, simcluster.ChibaCity(), pat, write, m, opts)
+	simulateOn(b, simcluster.ChibaCity(), pat, req)
 }
 
 // simulateOn is simulate with an explicit cluster calibration.
-func simulateOn(b *testing.B, p simcluster.Params, pat patterns.Pattern, write bool, m simcluster.Method, opts simcluster.MethodOptions) {
+func simulateOn(b *testing.B, p simcluster.Params, pat patterns.Pattern, req pvfs.Request) {
 	b.Helper()
 	var res simcluster.Result
 	for i := 0; i < b.N; i++ {
-		res = simcluster.Run(simcluster.BuildWorkload(p, pat, write, m, opts))
+		res = simcluster.Run(simcluster.BuildWorkload(p, pat, req))
 	}
 	b.ReportMetric(res.Duration.Seconds(), "sim_sec")
 	b.ReportMetric(float64(res.Requests), "requests")
@@ -61,13 +62,9 @@ func blockPattern(b *testing.B, clients, accesses int) *patterns.BlockBlock {
 	return p
 }
 
-var readMethods = []simcluster.Method{
-	simcluster.MethodMultiple, simcluster.MethodSieve, simcluster.MethodList,
-}
+var readMethods = []pvfs.AccessMethod{pvfs.AccessMultiple, pvfs.AccessSieve, pvfs.AccessList}
 
-var writeMethods = []simcluster.Method{
-	simcluster.MethodMultiple, simcluster.MethodList,
-}
+var writeMethods = []pvfs.AccessMethod{pvfs.AccessMultiple, pvfs.AccessList}
 
 // BenchmarkFig09CyclicRead regenerates Figure 9: one-dimensional
 // cyclic reads for 8/16/32 clients.
@@ -75,7 +72,7 @@ func BenchmarkFig09CyclicRead(b *testing.B) {
 	for _, clients := range []int{8, 16, 32} {
 		for _, m := range readMethods {
 			b.Run(fmt.Sprintf("%dclients/%v", clients, m), func(b *testing.B) {
-				simulate(b, cyclicPattern(b, clients, benchAccesses), false, m, simcluster.MethodOptions{})
+				simulate(b, cyclicPattern(b, clients, benchAccesses), pvfs.Request{Method: m})
 			})
 		}
 	}
@@ -87,7 +84,7 @@ func BenchmarkFig10CyclicWrite(b *testing.B) {
 	for _, clients := range []int{8, 16, 32} {
 		for _, m := range writeMethods {
 			b.Run(fmt.Sprintf("%dclients/%v", clients, m), func(b *testing.B) {
-				simulate(b, cyclicPattern(b, clients, benchAccesses), true, m, simcluster.MethodOptions{})
+				simulate(b, cyclicPattern(b, clients, benchAccesses), pvfs.Request{Write: true, Method: m})
 			})
 		}
 	}
@@ -99,7 +96,7 @@ func BenchmarkFig11BlockBlockRead(b *testing.B) {
 	for _, clients := range []int{4, 9, 16} {
 		for _, m := range readMethods {
 			b.Run(fmt.Sprintf("%dclients/%v", clients, m), func(b *testing.B) {
-				simulate(b, blockPattern(b, clients, benchAccesses), false, m, simcluster.MethodOptions{})
+				simulate(b, blockPattern(b, clients, benchAccesses), pvfs.Request{Method: m})
 			})
 		}
 	}
@@ -111,7 +108,7 @@ func BenchmarkFig12BlockBlockWrite(b *testing.B) {
 	for _, clients := range []int{4, 9, 16} {
 		for _, m := range writeMethods {
 			b.Run(fmt.Sprintf("%dclients/%v", clients, m), func(b *testing.B) {
-				simulate(b, blockPattern(b, clients, benchAccesses), true, m, simcluster.MethodOptions{})
+				simulate(b, blockPattern(b, clients, benchAccesses), pvfs.Request{Write: true, Method: m})
 			})
 		}
 	}
@@ -125,11 +122,9 @@ func BenchmarkFig15Flash(b *testing.B) {
 	for _, clients := range []int{2, 4, 8} {
 		for _, m := range readMethods { // all three methods, write direction
 			b.Run(fmt.Sprintf("%dclients/%v", clients, m), func(b *testing.B) {
-				opts := simcluster.MethodOptions{}
-				if m == simcluster.MethodList {
-					opts.Granularity = simcluster.GranIntersect
-				}
-				simulate(b, patterns.DefaultFlash(clients), true, m, opts)
+				simulate(b, patterns.DefaultFlash(clients), pvfs.Request{
+					Write: true, Method: m, List: pvfs.ListOptions{Granularity: pvfs.GranularityIntersect},
+				})
 			})
 		}
 	}
@@ -140,7 +135,7 @@ func BenchmarkFig15Flash(b *testing.B) {
 func BenchmarkFig17Tiled(b *testing.B) {
 	for _, m := range readMethods {
 		b.Run(m.String(), func(b *testing.B) {
-			simulate(b, patterns.DefaultTiled(), false, m, simcluster.MethodOptions{})
+			simulate(b, patterns.DefaultTiled(), pvfs.Request{Method: m})
 		})
 	}
 }
@@ -151,7 +146,7 @@ func BenchmarkAblationMaxRegions(b *testing.B) {
 	pat := cyclicPattern(b, 8, benchAccesses)
 	for _, maxR := range []int{16, 32, 64, 128, 256, 1024} {
 		b.Run(fmt.Sprintf("limit%d", maxR), func(b *testing.B) {
-			simulate(b, pat, false, simcluster.MethodList, simcluster.MethodOptions{MaxRegions: maxR})
+			simulate(b, pat, pvfs.Request{Method: pvfs.AccessList, List: pvfs.ListOptions{MaxRegions: maxR}})
 		})
 	}
 }
@@ -164,10 +159,10 @@ func BenchmarkAblationFlashGranularity(b *testing.B) {
 	flash := patterns.DefaultFlash(4)
 	for _, g := range []struct {
 		name string
-		g    simcluster.Granularity
-	}{{"intersect", simcluster.GranIntersect}, {"file-regions", simcluster.GranFileRegions}} {
+		g    pvfs.Granularity
+	}{{"intersect", pvfs.GranularityIntersect}, {"file-regions", pvfs.GranularityFileRegions}} {
 		b.Run(g.name, func(b *testing.B) {
-			simulate(b, flash, true, simcluster.MethodList, simcluster.MethodOptions{Granularity: g.g})
+			simulate(b, flash, pvfs.Request{Write: true, Method: pvfs.AccessList, List: pvfs.ListOptions{Granularity: g.g}})
 		})
 	}
 }
@@ -178,33 +173,18 @@ func BenchmarkAblationHybridGap(b *testing.B) {
 	pat := cyclicPattern(b, 8, 200000) // 671-byte blocks, ~4.7 KiB gaps
 	for _, gap := range []int64{0, 1 << 10, 8 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("gap%d", gap), func(b *testing.B) {
-			simulate(b, pat, false, simcluster.MethodList, simcluster.MethodOptions{CoalesceGapBytes: gap})
+			simulate(b, pat, pvfs.Request{Method: pvfs.AccessHybrid, CoalesceGap: gap})
 		})
 	}
 }
 
-// BenchmarkAblationStridedDescriptor compares list I/O against the
-// datatype-descriptor extension on a highly fragmented vector (§5).
+// BenchmarkAblationStridedDescriptor compares list I/O against datatype
+// I/O on a highly fragmented vector (§5).
 func BenchmarkAblationStridedDescriptor(b *testing.B) {
 	pat := cyclicPattern(b, 8, 500000)
-	for _, m := range []simcluster.Method{simcluster.MethodList, simcluster.MethodStrided} {
+	for _, m := range []pvfs.AccessMethod{pvfs.AccessList, pvfs.AccessDatatype} {
 		b.Run(m.String(), func(b *testing.B) {
-			simulate(b, pat, false, m, simcluster.MethodOptions{})
-		})
-	}
-}
-
-// BenchmarkAblationSerializedSieve quantifies the cost of the barrier
-// serialization around sieving writes (§4.2.1) on FLASH.
-func BenchmarkAblationSerializedSieve(b *testing.B) {
-	flash := patterns.DefaultFlash(8)
-	for _, ser := range []struct {
-		name string
-		no   bool
-	}{{"serialized", false}, {"concurrent-unsafe", true}} {
-		b.Run(ser.name, func(b *testing.B) {
-			simulate(b, flash, true, simcluster.MethodSieve,
-				simcluster.MethodOptions{NoSerializeSieveWrites: ser.no})
+			simulate(b, pat, pvfs.Request{Method: m})
 		})
 	}
 }
@@ -220,9 +200,9 @@ func BenchmarkAblationNetwork(b *testing.B) {
 		p    simcluster.Params
 	}{{"fast-ethernet", simcluster.ChibaCity()}, {"myrinet", simcluster.Myrinet()}}
 	for _, net := range nets {
-		for _, m := range []simcluster.Method{simcluster.MethodMultiple, simcluster.MethodList} {
+		for _, m := range writeMethods {
 			b.Run(net.name+"/"+m.String(), func(b *testing.B) {
-				simulateOn(b, net.p, pat, true, m, simcluster.MethodOptions{})
+				simulateOn(b, net.p, pat, pvfs.Request{Write: true, Method: m})
 			})
 		}
 	}
@@ -236,7 +216,7 @@ func BenchmarkAblationStripeSize(b *testing.B) {
 		b.Run(fmt.Sprintf("stripe%d", ss), func(b *testing.B) {
 			p := simcluster.ChibaCity()
 			p.Striping.StripeSize = ss
-			simulateOn(b, p, pat, false, simcluster.MethodList, simcluster.MethodOptions{})
+			simulateOn(b, p, pat, pvfs.Request{Method: pvfs.AccessList})
 		})
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"pvfs/internal/bench"
-	"pvfs/internal/simcluster"
 )
 
 func main() {
@@ -28,18 +27,12 @@ func main() {
 	scale := flag.String("scale", "paper", "paper | quick")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	out := flag.String("out", "", "directory for per-figure files (default: stdout)")
-	granularity := flag.String("flash-granularity", "intersect", "FLASH list I/O entries: intersect | file")
 	flag.Parse()
 
 	cfg := bench.Config{}
 	if *scale == "quick" {
 		cfg.Accesses = []int{25000, 50000, 100000}
 		cfg.FlashClients = []int{2, 4, 8}
-	}
-	if *granularity == "intersect" {
-		cfg.FlashGranularity = simcluster.GranIntersect
-	} else {
-		cfg.FlashGranularity = simcluster.GranFileRegions
 	}
 
 	want := func(id string) bool { return *fig == "all" || *fig == id }

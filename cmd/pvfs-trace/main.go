@@ -25,6 +25,7 @@ import (
 	"pvfs/internal/core"
 	"pvfs/internal/patterns"
 	"pvfs/internal/trace"
+	"pvfs/internal/wire"
 )
 
 func main() {
@@ -147,8 +148,8 @@ func summaryCmd(args []string) error {
 		model := core.DefaultCostModel()
 		fmt.Printf("  §3.4 request arithmetic: multiple=%d  list=%d  sieve=%d\n",
 			core.MultipleRequests(a),
-			core.ListRequests(a.Pieces, core.FrameLimit()),
-			core.SieveRequests(a, 32<<20, write))
+			core.ListRequests(a.Pieces, wire.MaxRegionsPerRequest),
+			core.SieveRequests(a, client.DefaultSieveBuffer, write))
 		fmt.Printf("  recommended method: %v\n", core.Recommend(a, write, model))
 	}
 	return nil
@@ -278,7 +279,7 @@ func replayCmd(args []string) error {
 	}
 	fmt.Printf("replayed %d ops, %d bytes in %v via %v\n", res.Ops, res.Bytes, res.Elapsed, m)
 	fmt.Printf("requests: %d I/O (%d list), %d manager; %d bytes out, %d bytes in\n",
-		res.Requests.Requests, res.Requests.ListRequests, res.Requests.MgrRequests,
+		res.Requests.Requests, res.Requests.List.Requests, res.Requests.MgrRequests,
 		res.Requests.BytesOut, res.Requests.BytesIn)
 	fmt.Printf("per path:%s%s%s%s\n",
 		pathLine("multiple", res.Requests.Multiple),

@@ -159,7 +159,7 @@ func main() {
 		}
 		after := fs.Counters().Snapshot()
 		fmt.Printf("read %d bytes from %d regions in %d list requests\n",
-			len(arena), len(file), after.ListRequests-before.ListRequests)
+			len(arena), len(file), after.List.Requests-before.List.Requests)
 		os.Stdout.Write(arena)
 	case "serverstats":
 		if len(args) != 2 {

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"pvfs/internal/client"
 	"pvfs/internal/patterns"
 	"pvfs/internal/simcluster"
 	"pvfs/internal/striping"
@@ -35,8 +36,9 @@ func AblationMaxRegions(c Config) (Figure, error) {
 			if err != nil {
 				return fig, err
 			}
-			y := runPattern(p, pat, write, simcluster.MethodList,
-				simcluster.MethodOptions{MaxRegions: limit})
+			y := runPattern(p, pat, client.Request{
+				Write: write, Method: client.AccessList, List: client.ListOptions{MaxRegions: limit},
+			})
 			s.Points = append(s.Points, Point{X: float64(limit), Y: y})
 		}
 		fig.Series = append(fig.Series, s)
@@ -61,16 +63,17 @@ func AblationGranularity(c Config) (Figure, error) {
 	}
 	modes := []struct {
 		label string
-		g     simcluster.Granularity
+		g     client.Granularity
 	}{
-		{"List I/O (intersect)", simcluster.GranIntersect},
-		{"List I/O (file regions)", simcluster.GranFileRegions},
+		{"List I/O (intersect)", client.GranularityIntersect},
+		{"List I/O (file regions)", client.GranularityFileRegions},
 	}
 	for _, mode := range modes {
 		s := Series{Label: mode.label}
 		for _, nc := range c.flashClients() {
-			y := runPattern(p, patterns.DefaultFlash(nc), true, simcluster.MethodList,
-				simcluster.MethodOptions{Granularity: mode.g})
+			y := runPattern(p, patterns.DefaultFlash(nc), client.Request{
+				Write: true, Method: client.AccessList, List: client.ListOptions{Granularity: mode.g},
+			})
 			s.Points = append(s.Points, Point{X: float64(nc), Y: y})
 		}
 		fig.Series = append(fig.Series, s)
@@ -99,34 +102,33 @@ func AblationHybridGap(c Config) (Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		y := runPattern(p, pat, false, simcluster.MethodList,
-			simcluster.MethodOptions{CoalesceGapBytes: gap})
+		y := runPattern(p, pat, client.Request{Method: client.AccessHybrid, CoalesceGap: gap})
 		s.Points = append(s.Points, Point{X: float64(gap), Y: y})
 	}
 	fig.Series = append(fig.Series, s)
 	return fig, nil
 }
 
-// AblationStrided compares list I/O against the datatype-descriptor
-// extension as fragmentation grows (§5: descriptors eliminate "the
-// linear relationship between the number of contiguous regions and
-// the number of I/O requests").
-func AblationStrided(c Config) (Figure, error) {
+// AblationDatatype compares list I/O against datatype I/O as
+// fragmentation grows (§5: descriptors eliminate "the linear
+// relationship between the number of contiguous regions and the number
+// of I/O requests").
+func AblationDatatype(c Config) (Figure, error) {
 	p := c.params()
 	fig := Figure{
-		ID:     "ablation-strided",
+		ID:     "ablation-datatype",
 		Title:  "List I/O vs strided descriptors (1-D cyclic read, 8 clients)",
 		XLabel: "Number of Accesses (per client)",
 		YLabel: "Time (seconds)",
 	}
-	for _, m := range []simcluster.Method{simcluster.MethodList, simcluster.MethodStrided} {
+	for _, m := range []client.AccessMethod{client.AccessList, client.AccessDatatype} {
 		s := Series{Label: methodLabel(m)}
 		for _, a := range c.accesses() {
 			pat, err := patterns.NewCyclic1D(8, a, c.totalBytes())
 			if err != nil {
 				return fig, err
 			}
-			y := runPattern(p, pat, false, m, simcluster.MethodOptions{})
+			y := runPattern(p, pat, client.Request{Method: m})
 			s.Points = append(s.Points, Point{X: float64(a), Y: y})
 		}
 		fig.Series = append(fig.Series, s)
@@ -145,7 +147,7 @@ func AblationServers(c Config) (Figure, error) {
 		XLabel: "I/O daemons",
 		YLabel: "Time (seconds)",
 	}
-	for _, m := range []simcluster.Method{simcluster.MethodMultiple, simcluster.MethodSieve, simcluster.MethodList} {
+	for _, m := range paperMethods {
 		s := Series{Label: methodLabel(m)}
 		for _, servers := range []int{2, 4, 8, 16} {
 			p := base
@@ -155,7 +157,7 @@ func AblationServers(c Config) (Figure, error) {
 			if err != nil {
 				return fig, err
 			}
-			y := runPattern(p, pat, false, m, simcluster.MethodOptions{})
+			y := runPattern(p, pat, client.Request{Method: m})
 			s.Points = append(s.Points, Point{X: float64(servers), Y: y})
 		}
 		fig.Series = append(fig.Series, s)
@@ -192,13 +194,13 @@ func AblationNetwork(c Config) (Figure, error) {
 	for _, net := range nets {
 		s := Series{Label: net.label}
 		x := 0.0
-		for _, m := range []simcluster.Method{simcluster.MethodMultiple, simcluster.MethodList} {
+		for _, m := range []client.AccessMethod{client.AccessMultiple, client.AccessList} {
 			for _, write := range []bool{false, true} {
 				pat, err := patterns.NewCyclic1D(8, accesses, c.totalBytes())
 				if err != nil {
 					return fig, err
 				}
-				y := runPattern(net.p, pat, write, m, simcluster.MethodOptions{})
+				y := runPattern(net.p, pat, client.Request{Write: write, Method: m})
 				s.Points = append(s.Points, Point{X: x, Y: y})
 				x++
 			}
@@ -231,7 +233,7 @@ func AblationStripeSize(c Config) (Figure, error) {
 		YLabel: "Time (seconds)",
 		Notes:  []string{"the paper uses the 16 KiB default stripe"},
 	}
-	for _, m := range []simcluster.Method{simcluster.MethodMultiple, simcluster.MethodSieve, simcluster.MethodList} {
+	for _, m := range paperMethods {
 		s := Series{Label: methodLabel(m)}
 		for _, ss := range []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10} {
 			p := base
@@ -240,7 +242,7 @@ func AblationStripeSize(c Config) (Figure, error) {
 			if err != nil {
 				return fig, err
 			}
-			y := runPattern(p, pat, false, m, simcluster.MethodOptions{})
+			y := runPattern(p, pat, client.Request{Method: m})
 			s.Points = append(s.Points, Point{X: float64(ss), Y: y})
 		}
 		fig.Series = append(fig.Series, s)
@@ -253,7 +255,7 @@ func Ablations(c Config) ([]Figure, error) {
 	var out []Figure
 	for _, gen := range []func(Config) (Figure, error){
 		AblationMaxRegions, AblationGranularity, AblationHybridGap,
-		AblationStrided, AblationServers, AblationNetwork, AblationStripeSize,
+		AblationDatatype, AblationServers, AblationNetwork, AblationStripeSize,
 	} {
 		f, err := gen(c)
 		if err != nil {

@@ -1,25 +1,39 @@
 package bench
 
 import (
+	"sync"
 	"testing"
-
-	"pvfs/internal/simcluster"
 )
 
 func ablationConfig() Config {
 	return Config{
-		TotalBytes:       128 << 20,
-		Accesses:         []int{25000, 100000},
-		FlashClients:     []int{2, 4},
-		FlashGranularity: simcluster.GranIntersect,
+		TotalBytes:   128 << 20,
+		Accesses:     []int{25000, 100000},
+		FlashClients: []int{2, 4},
 	}
 }
 
-func TestAblationMaxRegionsMonotoneReads(t *testing.T) {
-	fig, err := AblationMaxRegions(ablationConfig())
+// ablations runs the suite once per test binary; each ablation test
+// asserts over its own figure of it.
+var ablations = sync.OnceValues(func() ([]Figure, error) { return Ablations(ablationConfig()) })
+
+func ablation(t *testing.T, id string) Figure {
+	t.Helper()
+	figs, err := ablations()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range figs {
+		if f.ID == id {
+			return f
+		}
+	}
+	t.Fatalf("no ablation %q", id)
+	return Figure{}
+}
+
+func TestAblationMaxRegionsMonotoneReads(t *testing.T) {
+	fig := ablation(t, "ablation-maxregions")
 	read, ok := fig.SeriesByLabel("Read")
 	if !ok {
 		t.Fatal("no Read series")
@@ -43,10 +57,7 @@ func TestAblationMaxRegionsMonotoneReads(t *testing.T) {
 }
 
 func TestAblationGranularityGap(t *testing.T) {
-	fig, err := AblationGranularity(ablationConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := ablation(t, "ablation-granularity")
 	inter, ok1 := fig.SeriesByLabel("List I/O (intersect)")
 	file, ok2 := fig.SeriesByLabel("List I/O (file regions)")
 	if !ok1 || !ok2 {
@@ -62,10 +73,7 @@ func TestAblationGranularityGap(t *testing.T) {
 }
 
 func TestAblationServersSieveScales(t *testing.T) {
-	fig, err := AblationServers(ablationConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := ablation(t, "ablation-servers")
 	sieve, ok := fig.SeriesByLabel("Data Sieving I/O")
 	if !ok {
 		t.Fatal("missing sieve series")
@@ -81,13 +89,10 @@ func TestAblationServersSieveScales(t *testing.T) {
 }
 
 func TestAblationStridedFlatInAccesses(t *testing.T) {
-	fig, err := AblationStrided(ablationConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, ok := fig.SeriesByLabel("Strided (datatype) I/O")
+	fig := ablation(t, "ablation-datatype")
+	str, ok := fig.SeriesByLabel("Datatype I/O")
 	if !ok {
-		t.Fatal("missing strided series")
+		t.Fatal("missing datatype series")
 	}
 	lo, hi := str.Points[0].Y, str.Points[0].Y
 	for _, p := range str.Points {
@@ -101,12 +106,12 @@ func TestAblationStridedFlatInAccesses(t *testing.T) {
 	// Descriptor requests are access-count independent; only the
 	// per-region server cost grows slightly.
 	if hi > 1.5*lo {
-		t.Fatalf("strided time not ~flat in accesses: [%f, %f]", lo, hi)
+		t.Fatalf("datatype time not ~flat in accesses: [%f, %f]", lo, hi)
 	}
 }
 
 func TestAblationsSuiteRuns(t *testing.T) {
-	figs, err := Ablations(ablationConfig())
+	figs, err := ablations()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +130,7 @@ func TestAblationsSuiteRuns(t *testing.T) {
 // below their Fast Ethernet time — the pathology of Figs. 10/12 is a
 // network-stack artifact on top of the request-count problem.
 func TestAblationNetworkCollapsesWriteGap(t *testing.T) {
-	fig, err := AblationNetwork(ablationConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := ablation(t, "ablation-network")
 	eth, ok1 := fig.SeriesByLabel("Fast Ethernet")
 	myr, ok2 := fig.SeriesByLabel("Myrinet")
 	if !ok1 || !ok2 {
@@ -152,10 +154,7 @@ func TestAblationNetworkCollapsesWriteGap(t *testing.T) {
 }
 
 func TestAblationStripeSizeShape(t *testing.T) {
-	fig, err := AblationStripeSize(ablationConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := ablation(t, "ablation-stripesize")
 	if len(fig.Series) != 3 {
 		t.Fatalf("series = %d, want 3 methods", len(fig.Series))
 	}

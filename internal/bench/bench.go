@@ -1,4 +1,4 @@
-// Package bench defines the paper's experiments (DESIGN.md §4): for
+// Package bench defines the paper's experiments (DESIGN.md §14): for
 // every figure in the evaluation it builds the workload, runs the
 // cluster model, and emits the series the figure plots. The real-mode
 // (TCP) counterpart for small scales lives in cmd/pvfs-bench.
@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"pvfs/internal/client"
 	"pvfs/internal/patterns"
 	"pvfs/internal/simcluster"
 )
@@ -47,9 +48,6 @@ type Config struct {
 	TotalBytes int64
 	// FlashClients are the FLASH client counts; zero selects 2..32.
 	FlashClients []int
-	// Granularity used for FLASH list I/O; the paper's measured
-	// behaviour corresponds to GranIntersect (DESIGN.md §3).
-	FlashGranularity simcluster.Granularity
 }
 
 func (c Config) params() simcluster.Params {
@@ -80,15 +78,14 @@ func (c Config) flashClients() []int {
 	return c.FlashClients
 }
 
-// runPattern simulates one (pattern, method, direction) and returns
+// runPattern simulates every rank of pat issuing req and returns
 // seconds.
-func runPattern(p simcluster.Params, pat patterns.Pattern, write bool, m simcluster.Method, opts simcluster.MethodOptions) float64 {
-	res := simcluster.Run(simcluster.BuildWorkload(p, pat, write, m, opts))
-	return res.Duration.Seconds()
+func runPattern(p simcluster.Params, pat patterns.Pattern, req client.Request) float64 {
+	return simcluster.Run(simcluster.BuildWorkload(p, pat, req)).Duration.Seconds()
 }
 
 // artificialSeries sweeps accesses for one client count and method set.
-func (c Config) artificialSeries(mkPattern func(accesses int) (patterns.Pattern, error), write bool, methods []simcluster.Method) ([]Series, error) {
+func (c Config) artificialSeries(mkPattern func(accesses int) (patterns.Pattern, error), write bool, methods []client.AccessMethod) ([]Series, error) {
 	p := c.params()
 	series := make([]Series, len(methods))
 	for i, m := range methods {
@@ -100,44 +97,47 @@ func (c Config) artificialSeries(mkPattern func(accesses int) (patterns.Pattern,
 			return nil, err
 		}
 		for i, m := range methods {
-			y := runPattern(p, pat, write, m, simcluster.MethodOptions{})
+			y := runPattern(p, pat, client.Request{Write: write, Method: m})
 			series[i].Points = append(series[i].Points, Point{X: float64(a), Y: y})
 		}
 	}
 	return series, nil
 }
 
-func methodLabel(m simcluster.Method) string {
+func methodLabel(m client.AccessMethod) string {
 	switch m {
-	case simcluster.MethodMultiple:
+	case client.AccessMultiple:
 		return "Multiple I/O"
-	case simcluster.MethodSieve:
+	case client.AccessSieve:
 		return "Data Sieving I/O"
-	case simcluster.MethodList:
+	case client.AccessList:
 		return "List I/O"
-	case simcluster.MethodStrided:
-		return "Strided (datatype) I/O"
+	case client.AccessDatatype:
+		return "Datatype I/O"
 	}
 	return m.String()
 }
 
+// paperMethods are the three methods the paper measures (§3).
+var paperMethods = []client.AccessMethod{client.AccessMultiple, client.AccessSieve, client.AccessList}
+
+// writeMethods are the methods the paper plots for parallel writes: it
+// omits data sieving, whose writers must serialize (§4.2.1).
+var writeMethods = []client.AccessMethod{client.AccessMultiple, client.AccessList}
+
 // Figure9 regenerates the one-dimensional cyclic read plots for
 // 8/16/32 clients.
 func Figure9(c Config) ([]Figure, error) {
-	return c.cyclicFigures("fig9", "One-Dimensional Cyclic Read", false,
-		[]simcluster.Method{simcluster.MethodMultiple, simcluster.MethodSieve, simcluster.MethodList},
-		[]int{8, 16, 32})
+	return c.cyclicFigures("fig9", "One-Dimensional Cyclic Read", false, paperMethods, []int{8, 16, 32})
 }
 
 // Figure10 regenerates the one-dimensional cyclic write plots (the
 // paper omits data sieving for parallel writes, §4.2.1).
 func Figure10(c Config) ([]Figure, error) {
-	return c.cyclicFigures("fig10", "One-Dimensional Cyclic Write", true,
-		[]simcluster.Method{simcluster.MethodMultiple, simcluster.MethodList},
-		[]int{8, 16, 32})
+	return c.cyclicFigures("fig10", "One-Dimensional Cyclic Write", true, writeMethods, []int{8, 16, 32})
 }
 
-func (c Config) cyclicFigures(id, title string, write bool, methods []simcluster.Method, clients []int) ([]Figure, error) {
+func (c Config) cyclicFigures(id, title string, write bool, methods []client.AccessMethod, clients []int) ([]Figure, error) {
 	var out []Figure
 	for _, nc := range clients {
 		nc := nc
@@ -160,17 +160,15 @@ func (c Config) cyclicFigures(id, title string, write bool, methods []simcluster
 
 // Figure11 regenerates the block-block read plots for 4/9/16 clients.
 func Figure11(c Config) ([]Figure, error) {
-	return c.blockFigures("fig11", "Block-Block Read", false,
-		[]simcluster.Method{simcluster.MethodMultiple, simcluster.MethodSieve, simcluster.MethodList})
+	return c.blockFigures("fig11", "Block-Block Read", false, paperMethods)
 }
 
 // Figure12 regenerates the block-block write plots for 4/9/16 clients.
 func Figure12(c Config) ([]Figure, error) {
-	return c.blockFigures("fig12", "Block-Block Write", true,
-		[]simcluster.Method{simcluster.MethodMultiple, simcluster.MethodList})
+	return c.blockFigures("fig12", "Block-Block Write", true, writeMethods)
 }
 
-func (c Config) blockFigures(id, title string, write bool, methods []simcluster.Method) ([]Figure, error) {
+func (c Config) blockFigures(id, title string, write bool, methods []client.AccessMethod) ([]Figure, error) {
 	var out []Figure
 	for _, nc := range []int{4, 9, 16} {
 		nc := nc
@@ -192,29 +190,26 @@ func (c Config) blockFigures(id, title string, write bool, methods []simcluster.
 }
 
 // Figure15 regenerates the FLASH I/O bar chart: checkpoint write time
-// per method and client count.
+// per method and client count. List I/O builds intersect entries, the
+// paper's measured behaviour (DESIGN.md §3); AblationGranularity plots
+// file-region entries beside them.
 func Figure15(c Config) (Figure, error) {
 	p := c.params()
-	methods := []simcluster.Method{simcluster.MethodMultiple, simcluster.MethodSieve, simcluster.MethodList}
 	fig := Figure{
 		ID:     "fig15",
 		Title:  "FLASH I/O Benchmark (checkpoint write)",
 		XLabel: "Clients",
 		YLabel: "Time (seconds)",
 		Notes: []string{
-			"list I/O uses " + granName(c.FlashGranularity) + " entries (see DESIGN.md §3 and EXPERIMENTS.md)",
+			"list I/O uses intersect-granularity entries (see DESIGN.md §3 and EXPERIMENTS.md)",
 			"data sieving writes serialized by barrier as in §4.3.1",
 		},
 	}
-	for _, m := range methods {
+	for _, m := range paperMethods {
 		s := Series{Label: methodLabel(m)}
+		req := client.Request{Write: true, Method: m, List: client.ListOptions{Granularity: client.GranularityIntersect}}
 		for _, nc := range c.flashClients() {
-			flash := patterns.DefaultFlash(nc)
-			opts := simcluster.MethodOptions{}
-			if m == simcluster.MethodList {
-				opts.Granularity = c.FlashGranularity
-			}
-			y := runPattern(p, flash, true, m, opts)
+			y := runPattern(p, patterns.DefaultFlash(nc), req)
 			s.Points = append(s.Points, Point{X: float64(nc), Y: y})
 		}
 		fig.Series = append(fig.Series, s)
@@ -222,19 +217,11 @@ func Figure15(c Config) (Figure, error) {
 	return fig, nil
 }
 
-func granName(g simcluster.Granularity) string {
-	if g == simcluster.GranIntersect {
-		return "intersect-granularity"
-	}
-	return "file-region-granularity"
-}
-
 // Figure17 regenerates the tiled visualization bar chart: open, read,
 // and close time per method for 6 clients.
 func Figure17(c Config) (Figure, error) {
 	p := c.params()
 	tiled := patterns.DefaultTiled()
-	methods := []simcluster.Method{simcluster.MethodMultiple, simcluster.MethodSieve, simcluster.MethodList}
 	fig := Figure{
 		ID:     "fig17",
 		Title:  "Tiled Visualization I/O - 6 clients",
@@ -252,8 +239,8 @@ func Figure17(c Config) (Figure, error) {
 		return simcluster.Run(w).Duration.Seconds() / 2
 	}
 	oc := mgrOnly()
-	for _, m := range methods {
-		read := runPattern(p, tiled, false, m, simcluster.MethodOptions{})
+	for _, m := range paperMethods {
+		read := runPattern(p, tiled, client.Request{Method: m})
 		fig.Series = append(fig.Series, Series{
 			Label: methodLabel(m),
 			Points: []Point{
@@ -274,35 +261,30 @@ type RequestCountRow struct {
 	PerProc  int64
 }
 
-// RequestCounts reproduces the paper's request arithmetic exactly.
+// RequestCounts reproduces the paper's request arithmetic exactly: the
+// logical calls per process the model issues for each method.
 func RequestCounts() []RequestCountRow {
 	p := simcluster.ChibaCity()
 	flash := patterns.DefaultFlash(4)
 	tiled := patterns.DefaultTiled()
+	intersect := client.ListOptions{Granularity: client.GranularityIntersect}
 	rows := []RequestCountRow{}
-	add := func(workload string, pat patterns.Pattern, m simcluster.Method, opts simcluster.MethodOptions, ranks int) {
-		c := simcluster.CountWorkload(simcluster.BuildWorkload(p, pat, workload == "flash", m, opts))
-		rows = append(rows, RequestCountRow{
-			Workload: workload,
-			Method:   m.String() + optsSuffix(opts),
-			PerProc:  c.Batches / int64(ranks),
-		})
+	add := func(workload string, pat patterns.Pattern, req client.Request) {
+		c := simcluster.CountWorkload(simcluster.BuildWorkload(p, pat, req))
+		method := req.Method.String()
+		if req.List.Granularity == client.GranularityIntersect {
+			method += "(intersect)"
+		}
+		rows = append(rows, RequestCountRow{Workload: workload, Method: method, PerProc: c.Batches / int64(pat.Ranks())})
 	}
-	add("flash", flash, simcluster.MethodMultiple, simcluster.MethodOptions{}, 4)
-	add("flash", flash, simcluster.MethodList, simcluster.MethodOptions{Granularity: simcluster.GranFileRegions}, 4)
-	add("flash", flash, simcluster.MethodList, simcluster.MethodOptions{Granularity: simcluster.GranIntersect}, 4)
-	add("flash", flash, simcluster.MethodSieve, simcluster.MethodOptions{}, 4)
-	add("tiled", tiled, simcluster.MethodMultiple, simcluster.MethodOptions{}, 6)
-	add("tiled", tiled, simcluster.MethodList, simcluster.MethodOptions{}, 6)
-	add("tiled", tiled, simcluster.MethodSieve, simcluster.MethodOptions{}, 6)
+	add("flash", flash, client.Request{Write: true, Method: client.AccessMultiple})
+	add("flash", flash, client.Request{Write: true, Method: client.AccessList})
+	add("flash", flash, client.Request{Write: true, Method: client.AccessList, List: intersect})
+	add("flash", flash, client.Request{Write: true, Method: client.AccessSieve})
+	add("tiled", tiled, client.Request{Method: client.AccessMultiple})
+	add("tiled", tiled, client.Request{Method: client.AccessList})
+	add("tiled", tiled, client.Request{Method: client.AccessSieve})
 	return rows
-}
-
-func optsSuffix(opts simcluster.MethodOptions) string {
-	if opts.Granularity == simcluster.GranIntersect {
-		return "(intersect)"
-	}
-	return ""
 }
 
 // Table renders a figure as an aligned text table: one row per x

@@ -2,9 +2,8 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
-
-	"pvfs/internal/simcluster"
 )
 
 // quick returns a reduced-scale configuration that still exhibits
@@ -14,12 +13,15 @@ import (
 // (sub-MSS blocks in the swept range).
 func quick() Config {
 	return Config{
-		TotalBytes:       256 << 20,
-		Accesses:         []int{25000, 50000, 100000},
-		FlashClients:     []int{2, 4, 8},
-		FlashGranularity: simcluster.GranIntersect,
+		TotalBytes:   256 << 20,
+		Accesses:     []int{25000, 50000, 100000},
+		FlashClients: []int{2, 4, 8},
 	}
 }
+
+// quickFigure9 computes Figure 9 once per test binary: its own test
+// and Figure 11's both read it.
+var quickFigure9 = sync.OnceValues(func() ([]Figure, error) { return Figure9(quick()) })
 
 func seriesY(t *testing.T, f Figure, label string) []float64 {
 	t.Helper()
@@ -44,7 +46,7 @@ func increasing(ys []float64) bool {
 }
 
 func TestFigure9Shapes(t *testing.T) {
-	figs, err := Figure9(quick())
+	figs, err := quickFigure9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestFigure11BlockShapes(t *testing.T) {
 	}
 	// §4.2.2: block-block sieving accesses less impertinent data than
 	// 1-D cyclic at the same client count (16 clients).
-	cyc, err := Figure9(quick())
+	cyc, err := quickFigure9()
 	if err != nil {
 		t.Fatal(err)
 	}

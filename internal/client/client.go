@@ -67,12 +67,11 @@ func (p PathValues) Sub(o PathValues) PathValues {
 // break the totals down by access method, so a trace replay or
 // benchmark can show which datapath its requests took.
 type Counters struct {
-	Requests     atomic.Int64 // I/O requests sent to I/O daemons
-	ListRequests atomic.Int64 // list I/O requests among Requests
-	MgrRequests  atomic.Int64 // metadata requests to the manager
-	BytesOut     atomic.Int64 // payload bytes sent (writes)
-	BytesIn      atomic.Int64 // payload bytes received (reads)
-	Retries      atomic.Int64 // transport-level retries (SetRetries)
+	Requests    atomic.Int64 // I/O requests sent to I/O daemons
+	MgrRequests atomic.Int64 // metadata requests to the manager
+	BytesOut    atomic.Int64 // payload bytes sent (writes)
+	BytesIn     atomic.Int64 // payload bytes received (reads)
+	Retries     atomic.Int64 // transport-level retries (SetRetries)
 
 	// Per-path accounting (DESIGN.md §6): multiple I/O (§3.1), data
 	// sieving (§3.2), list I/O (§3.3) and datatype I/O (§5).
@@ -85,27 +84,25 @@ type Counters struct {
 // Snapshot returns a plain-value copy of the counters.
 func (c *Counters) Snapshot() CounterValues {
 	return CounterValues{
-		Requests:     c.Requests.Load(),
-		ListRequests: c.ListRequests.Load(),
-		MgrRequests:  c.MgrRequests.Load(),
-		BytesOut:     c.BytesOut.Load(),
-		BytesIn:      c.BytesIn.Load(),
-		Retries:      c.Retries.Load(),
-		Multiple:     c.Multiple.snapshot(),
-		Sieve:        c.Sieve.snapshot(),
-		List:         c.List.snapshot(),
-		Datatype:     c.Datatype.snapshot(),
+		Requests:    c.Requests.Load(),
+		MgrRequests: c.MgrRequests.Load(),
+		BytesOut:    c.BytesOut.Load(),
+		BytesIn:     c.BytesIn.Load(),
+		Retries:     c.Retries.Load(),
+		Multiple:    c.Multiple.snapshot(),
+		Sieve:       c.Sieve.snapshot(),
+		List:        c.List.snapshot(),
+		Datatype:    c.Datatype.snapshot(),
 	}
 }
 
 // CounterValues is a point-in-time copy of Counters.
 type CounterValues struct {
-	Requests     int64
-	ListRequests int64
-	MgrRequests  int64
-	BytesOut     int64
-	BytesIn      int64
-	Retries      int64
+	Requests    int64
+	MgrRequests int64
+	BytesOut    int64
+	BytesIn     int64
+	Retries     int64
 
 	Multiple PathValues
 	Sieve    PathValues
@@ -117,16 +114,15 @@ type CounterValues struct {
 // between two snapshots.
 func (v CounterValues) Sub(o CounterValues) CounterValues {
 	return CounterValues{
-		Requests:     v.Requests - o.Requests,
-		ListRequests: v.ListRequests - o.ListRequests,
-		MgrRequests:  v.MgrRequests - o.MgrRequests,
-		BytesOut:     v.BytesOut - o.BytesOut,
-		BytesIn:      v.BytesIn - o.BytesIn,
-		Retries:      v.Retries - o.Retries,
-		Multiple:     v.Multiple.Sub(o.Multiple),
-		Sieve:        v.Sieve.Sub(o.Sieve),
-		List:         v.List.Sub(o.List),
-		Datatype:     v.Datatype.Sub(o.Datatype),
+		Requests:    v.Requests - o.Requests,
+		MgrRequests: v.MgrRequests - o.MgrRequests,
+		BytesOut:    v.BytesOut - o.BytesOut,
+		BytesIn:     v.BytesIn - o.BytesIn,
+		Retries:     v.Retries - o.Retries,
+		Multiple:    v.Multiple.Sub(o.Multiple),
+		Sieve:       v.Sieve.Sub(o.Sieve),
+		List:        v.List.Sub(o.List),
+		Datatype:    v.Datatype.Sub(o.Datatype),
 	}
 }
 

@@ -352,7 +352,7 @@ func TestListRequestBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
-	if got := after.ListRequests - before.ListRequests; got != 3 {
+	if got := after.List.Requests - before.List.Requests; got != 3 {
 		t.Fatalf("list requests = %d, want 3", got)
 	}
 	stats := c.TotalStats()
@@ -384,14 +384,14 @@ func TestListGranularityChangesRequestCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := fs.Counters().Snapshot()
-	if got := mid.ListRequests - before.ListRequests; got != 1 {
+	if got := mid.List.Requests - before.List.Requests; got != 1 {
 		t.Fatalf("file-granularity requests = %d, want 1", got)
 	}
 	if err := run(f, client.Request{Write: true, Arena: arena, Mem: mem, File: file, Method: client.AccessList, List: client.ListOptions{Granularity: client.GranularityIntersect}}); err != nil {
 		t.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
-	if got := after.ListRequests - mid.ListRequests; got != 4 {
+	if got := after.List.Requests - mid.List.Requests; got != 4 {
 		t.Fatalf("intersect-granularity requests = %d, want 4", got)
 	}
 }

@@ -57,7 +57,7 @@ func TestHybridReadMatchesList(t *testing.T) {
 	if st.BytesAccessed != 6*110 { // 4 regions of 20 + 3 gaps of 10
 		t.Fatalf("accessed = %d, want 660", st.BytesAccessed)
 	}
-	if got := after.ListRequests - before.ListRequests; got < 1 || got > 6 {
+	if got := after.List.Requests - before.List.Requests; got < 1 || got > 6 {
 		t.Fatalf("hybrid issued %d list requests", got)
 	}
 }

@@ -146,7 +146,7 @@ func TestCyclicListWriteAllocationBound(t *testing.T) {
 	if perOp > 256<<10 {
 		t.Fatalf("a 4 MiB cyclic list write allocated %d B, want < 256 KiB", perOp)
 	}
-	if reqs := f.fs.stats.ListRequests.Load(); reqs != (1+runs)*64 {
+	if reqs := f.fs.stats.List.Requests.Load(); reqs != (1+runs)*64 {
 		t.Fatalf("%d list requests for %d writes, want 64 each", reqs, 1+runs)
 	}
 	// Per request the client takes a descriptor body from the pool and

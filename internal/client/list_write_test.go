@@ -190,7 +190,7 @@ func TestListWriteVecReplayUnderFaults(t *testing.T) {
 			if r := fs.Counters().Retries.Load(); r == 0 {
 				t.Fatal("no retry recorded: the fault never fired")
 			}
-			if reqs := fs.Counters().ListRequests.Load(); reqs != regions/64*2 {
+			if reqs := fs.Counters().List.Requests.Load(); reqs != regions/64*2 {
 				t.Fatalf("%d list requests, want %d (replays are not new requests)", reqs, regions/64*2)
 			}
 			got := make([]byte, len(data))

@@ -287,7 +287,6 @@ func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap
 					return wire.Message{}, err
 				}
 				f.fs.stats.Requests.Add(1)
-				f.fs.stats.ListRequests.Add(1)
 				f.fs.stats.List.Requests.Add(1)
 				msg := wire.Message{
 					Header: wire.Header{Type: wire.TReadList, Handle: f.info.Handle},
@@ -417,7 +416,6 @@ func (f *File) listWriteRequest(p *planServer, r *subReq, smap *memio.StreamMap,
 	}
 	msg.Body = body
 	f.fs.stats.Requests.Add(1)
-	f.fs.stats.ListRequests.Add(1)
 	f.fs.stats.List.Requests.Add(1)
 	f.fs.stats.List.Bytes.Add(r.bytes)
 	f.fs.stats.BytesOut.Add(r.bytes)

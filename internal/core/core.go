@@ -1,17 +1,19 @@
-// Package core is the analytical heart of the reproduction: the
-// paper's request arithmetic (§3.4, §4.3.1, §4.4.1) as first-class,
-// closed-form functions, and the method-selection analysis of §3.4 as
-// an executable heuristic.
+// Package core is the paper's analysis in closed form: the request
+// arithmetic of §3.4 over an Access (a rank's region, piece and byte
+// counts) and the method selection §3.4 walks through in prose, as an
+// executable heuristic over the client's own method vocabulary
+// (client.AccessMethod).
 //
-// Everything here is pure arithmetic — the exact per-request counting
+// Everything here is pure arithmetic. The exact per-request counting
 // lives in internal/simcluster (CountWorkload) and the real execution
 // in internal/client; tests assert the three agree on the paper's
-// workloads.
+// workloads, whose per-process numbers bench.RequestCounts tabulates.
 package core
 
 import (
 	"fmt"
 
+	"pvfs/internal/client"
 	"pvfs/internal/wire"
 )
 
@@ -84,7 +86,7 @@ func ListRequests(entries int64, maxPerRequest int) int64 {
 // for writes: read-modify-write).
 func SieveRequests(a Access, bufferBytes int64, write bool) int64 {
 	if bufferBytes <= 0 {
-		bufferBytes = 32 << 20
+		bufferBytes = client.DefaultSieveBuffer
 	}
 	n := ceilDiv(a.SpanBytes, bufferBytes)
 	if write {
@@ -108,36 +110,6 @@ func UselessBytes(a Access, write bool) int64 {
 	return SieveBytesMoved(a, write) - a.Bytes
 }
 
-// FrameLimit re-exports the paper's trailing-data limit derivation:
-// 64 regions fit one Ethernet frame (§3.3).
-func FrameLimit() int { return wire.FrameBudget() }
-
-// Method mirrors the client's strategy enum for recommendations.
-type Method int
-
-// Methods orderable by the recommendation analysis.
-const (
-	Multiple Method = iota
-	Sieve
-	List
-	Hybrid
-)
-
-func (m Method) String() string {
-	switch m {
-	case Multiple:
-		return "multiple"
-	case Sieve:
-		return "datasieve"
-	case List:
-		return "list"
-	case Hybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
-
 // CostModel carries the two constants §3.4's comparison needs: what a
 // request costs relative to moving a byte.
 type CostModel struct {
@@ -145,8 +117,8 @@ type CostModel struct {
 	// equivalents (network + processing amortization). On the paper's
 	// fast Ethernet an ~0.8 ms request equals ~10 KB of transfer.
 	RequestCost float64
-	// WriteSerialization reflects that sieving writes serialize
-	// across ranks (multiplies sieve write cost by the rank count).
+	// Ranks reflects that sieving writes serialize across ranks
+	// (multiplies sieve write cost by the rank count).
 	Ranks int
 }
 
@@ -155,21 +127,21 @@ func DefaultCostModel() CostModel { return CostModel{RequestCost: 10000, Ranks: 
 
 // EstimateCost scores a method for an access in byte-equivalents,
 // implementing §3.4's qualitative comparison quantitatively.
-func EstimateCost(a Access, m Method, write bool, c CostModel) float64 {
+func EstimateCost(a Access, m client.AccessMethod, write bool, c CostModel) float64 {
 	switch m {
-	case Multiple:
+	case client.AccessMultiple:
 		return float64(MultipleRequests(a))*c.RequestCost + float64(a.Bytes)
-	case List:
+	case client.AccessList:
 		reqs := ListRequests(a.Pieces, 0)
 		return float64(reqs)*c.RequestCost + float64(a.Bytes)
-	case Sieve:
+	case client.AccessSieve:
 		reqs := SieveRequests(a, 0, write)
 		cost := float64(reqs)*c.RequestCost + float64(SieveBytesMoved(a, write))
 		if write && c.Ranks > 1 {
 			cost *= float64(c.Ranks)
 		}
 		return cost
-	case Hybrid:
+	case client.AccessHybrid:
 		// Coalescing at the mean gap folds each cluster of nearby
 		// regions into one entry: approximate as list I/O over file
 		// regions plus the gap bytes as payload.
@@ -184,61 +156,14 @@ func EstimateCost(a Access, m Method, write bool, c CostModel) float64 {
 // §3.4 walks through in prose ("The ideal I/O pattern for showcasing
 // data sieving I/O is one where there are many noncontiguous file
 // regions and the gap between two successive regions is small").
-func Recommend(a Access, write bool, c CostModel) Method {
-	best, bestCost := Multiple, EstimateCost(a, Multiple, write, c)
-	for _, m := range []Method{Sieve, List} {
+func Recommend(a Access, write bool, c CostModel) client.AccessMethod {
+	best, bestCost := client.AccessMultiple, EstimateCost(a, client.AccessMultiple, write, c)
+	for _, m := range []client.AccessMethod{client.AccessSieve, client.AccessList} {
 		if cost := EstimateCost(a, m, write, c); cost < bestCost {
 			best, bestCost = m, cost
 		}
 	}
 	return best
-}
-
-// FlashArithmetic reproduces §4.3.1's request derivation for the
-// FLASH I/O benchmark.
-type FlashArithmetic struct {
-	MultiplePerProc      int64 // 983,040
-	ListFilePerProc      int64 // 30
-	ListIntersectPerProc int64 // 15,360
-	BytesPerProc         int64 // 7,864,320
-	FileRegionsPerProc   int64 // 1,920
-}
-
-// Flash computes the arithmetic for the paper's FLASH configuration
-// (80 blocks, 8³ elements, 24 variables).
-func Flash() FlashArithmetic {
-	const (
-		blocks = 80
-		elems  = 8
-		vars   = 24
-	)
-	perElem := int64(blocks * elems * elems * elems * vars)
-	fileRegions := int64(blocks * vars)
-	return FlashArithmetic{
-		MultiplePerProc:      perElem,
-		ListFilePerProc:      ListRequests(fileRegions, 0),
-		ListIntersectPerProc: ListRequests(perElem, 0),
-		BytesPerProc:         perElem * 8,
-		FileRegionsPerProc:   fileRegions,
-	}
-}
-
-// TiledArithmetic reproduces §4.4.1's request derivation for the
-// tiled visualization benchmark.
-type TiledArithmetic struct {
-	MultiplePerProc int64 // 768
-	ListPerProc     int64 // 12
-	UsefulFraction  float64
-}
-
-// Tiled computes the arithmetic for the paper's 3×2 tile wall.
-func Tiled() TiledArithmetic {
-	const rows = 768
-	return TiledArithmetic{
-		MultiplePerProc: rows,
-		ListPerProc:     ListRequests(rows, 0),
-		UsefulFraction:  1.0 / 3,
-	}
 }
 
 func ceilDiv(a, b int64) int64 {

@@ -1,46 +1,68 @@
 package core_test
 
 import (
+	"sync"
 	"testing"
 
+	"pvfs/internal/bench"
+	"pvfs/internal/client"
 	"pvfs/internal/core"
 	"pvfs/internal/patterns"
 	"pvfs/internal/simcluster"
 	"pvfs/internal/striping"
+	"pvfs/internal/wire"
 )
 
+// paperCounts is bench.RequestCounts keyed "workload/method": the one
+// table of the paper's per-process request numbers (§4.3.1, §4.4.1).
+var paperCounts = sync.OnceValue(func() map[string]int64 {
+	m := map[string]int64{}
+	for _, r := range bench.RequestCounts() {
+		m[r.Workload+"/"+r.Method] = r.PerProc
+	}
+	return m
+})
+
+// checkPaperCounts compares closed forms, keyed as in paperCounts,
+// against the table.
+func checkPaperCounts(t *testing.T, got map[string]int64) {
+	t.Helper()
+	want := paperCounts()
+	for k, v := range got {
+		if w, ok := want[k]; !ok || v != w {
+			t.Errorf("%s: closed form %d, request table %d", k, v, w)
+		}
+	}
+}
+
+// TestFlashArithmeticMatchesPaper: the closed forms over one FLASH
+// rank's access reproduce §4.3.1's request table.
 func TestFlashArithmeticMatchesPaper(t *testing.T) {
-	fa := core.Flash()
-	if fa.MultiplePerProc != 983040 {
-		t.Errorf("multiple = %d, want 983,040", fa.MultiplePerProc)
-	}
-	if fa.ListFilePerProc != 30 {
-		t.Errorf("list(file) = %d, want 30", fa.ListFilePerProc)
-	}
-	if fa.ListIntersectPerProc != 15360 {
-		t.Errorf("list(intersect) = %d, want 15,360", fa.ListIntersectPerProc)
-	}
-	if fa.BytesPerProc != 7864320 {
-		t.Errorf("bytes = %d, want 7,864,320", fa.BytesPerProc)
-	}
-	if fa.FileRegionsPerProc != 1920 {
-		t.Errorf("file regions = %d, want 1,920", fa.FileRegionsPerProc)
-	}
+	a := accessFromPattern(t, patterns.DefaultFlash(4), 0)
+	checkPaperCounts(t, map[string]int64{
+		"flash/multiple":        core.MultipleRequests(a),
+		"flash/list":            core.ListRequests(a.FileRegions, 0),
+		"flash/list(intersect)": core.ListRequests(a.Pieces, 0),
+		"flash/datasieve":       core.SieveRequests(a, 0, true),
+	})
 }
 
+// TestTiledArithmeticMatchesPaper: the same for §4.4.1's tiled
+// visualization.
 func TestTiledArithmeticMatchesPaper(t *testing.T) {
-	ta := core.Tiled()
-	if ta.MultiplePerProc != 768 {
-		t.Errorf("multiple = %d, want 768", ta.MultiplePerProc)
-	}
-	if ta.ListPerProc != 12 {
-		t.Errorf("list = %d, want 12 (768/64)", ta.ListPerProc)
-	}
+	a := accessFromPattern(t, patterns.DefaultTiled(), 0)
+	checkPaperCounts(t, map[string]int64{
+		"tiled/multiple":  core.MultipleRequests(a),
+		"tiled/list":      core.ListRequests(a.FileRegions, 0),
+		"tiled/datasieve": core.SieveRequests(a, 0, false),
+	})
 }
 
+// TestFrameLimitIs64: the paper's single-Ethernet-frame derivation
+// (§3.3) gives the wire's trailing-data limit.
 func TestFrameLimitIs64(t *testing.T) {
-	if core.FrameLimit() != 64 {
-		t.Fatalf("frame limit = %d", core.FrameLimit())
+	if wire.FrameBudget() != 64 || wire.MaxRegionsPerRequest != 64 {
+		t.Fatalf("frame budget = %d, wire limit = %d, want 64", wire.FrameBudget(), wire.MaxRegionsPerRequest)
 	}
 }
 
@@ -121,17 +143,19 @@ func TestAnalyticAgreesWithExactCounts(t *testing.T) {
 	a := accessFromPattern(t, flash, 0)
 
 	// Multiple I/O: analytic pieces == exact message count per proc.
-	exact := simcluster.CountWorkload(simcluster.BuildWorkload(p, flash, true, simcluster.MethodMultiple, simcluster.MethodOptions{}))
+	exact := simcluster.CountWorkload(simcluster.BuildWorkload(p, flash, client.Request{Write: true, Method: client.AccessMultiple}))
 	if got, want := core.MultipleRequests(a), exact.Requests/4; got != want {
 		t.Errorf("flash multiple: analytic %d, exact %d", got, want)
 	}
 
 	// List I/O batches at both granularities.
-	exact = simcluster.CountWorkload(simcluster.BuildWorkload(p, flash, true, simcluster.MethodList, simcluster.MethodOptions{Granularity: simcluster.GranFileRegions}))
+	exact = simcluster.CountWorkload(simcluster.BuildWorkload(p, flash, client.Request{Write: true, Method: client.AccessList}))
 	if got, want := core.ListRequests(a.FileRegions, 0), exact.Batches/4; got != want {
 		t.Errorf("flash list(file): analytic %d, exact %d", got, want)
 	}
-	exact = simcluster.CountWorkload(simcluster.BuildWorkload(p, flash, true, simcluster.MethodList, simcluster.MethodOptions{Granularity: simcluster.GranIntersect}))
+	exact = simcluster.CountWorkload(simcluster.BuildWorkload(p, flash, client.Request{
+		Write: true, Method: client.AccessList, List: client.ListOptions{Granularity: client.GranularityIntersect},
+	}))
 	if got, want := core.ListRequests(a.Pieces, 0), exact.Batches/4; got != want {
 		t.Errorf("flash list(intersect): analytic %d, exact %d", got, want)
 	}
@@ -139,11 +163,11 @@ func TestAnalyticAgreesWithExactCounts(t *testing.T) {
 	// Tiled multiple/list.
 	tiled := patterns.DefaultTiled()
 	ta := accessFromPattern(t, tiled, 0)
-	exact = simcluster.CountWorkload(simcluster.BuildWorkload(p, tiled, false, simcluster.MethodMultiple, simcluster.MethodOptions{}))
+	exact = simcluster.CountWorkload(simcluster.BuildWorkload(p, tiled, client.Request{Method: client.AccessMultiple}))
 	if got, want := core.MultipleRequests(ta), exact.Batches/6; got != want {
 		t.Errorf("tiled multiple: analytic %d, exact %d", got, want)
 	}
-	exact = simcluster.CountWorkload(simcluster.BuildWorkload(p, tiled, false, simcluster.MethodList, simcluster.MethodOptions{}))
+	exact = simcluster.CountWorkload(simcluster.BuildWorkload(p, tiled, client.Request{Method: client.AccessList}))
 	if got, want := core.ListRequests(ta.FileRegions, 0), exact.Batches/6; got != want {
 		t.Errorf("tiled list: analytic %d, exact %d", got, want)
 	}
@@ -157,14 +181,14 @@ func TestRecommendMatchesPaperConclusions(t *testing.T) {
 	// Dense nearby regions (FLASH-like at low rank counts): sieving.
 	flashLike := core.Access{FileRegions: 1920, MemPieces: 983040, Pieces: 983040,
 		Bytes: 7864320, SpanBytes: 15 << 20}
-	if got := core.Recommend(flashLike, false, model); got != core.Sieve {
+	if got := core.Recommend(flashLike, false, model); got != client.AccessSieve {
 		t.Errorf("dense pattern -> %v, want datasieve", got)
 	}
 
 	// Sparse scattered regions (1-D cyclic with many clients): list.
 	cyclic := core.Access{FileRegions: 800000, MemPieces: 1, Pieces: 800000,
 		Bytes: 128 << 20, SpanBytes: 1 << 30}
-	if got := core.Recommend(cyclic, false, model); got != core.List {
+	if got := core.Recommend(cyclic, false, model); got != client.AccessList {
 		t.Errorf("sparse pattern -> %v, want list", got)
 	}
 
@@ -172,13 +196,13 @@ func TestRecommendMatchesPaperConclusions(t *testing.T) {
 	// §3.4: "only a few contiguous regions of data").
 	fewBig := core.Access{FileRegions: 2, MemPieces: 1, Pieces: 2,
 		Bytes: 64 << 20, SpanBytes: 1 << 30}
-	if got := core.Recommend(fewBig, false, model); got == core.Sieve {
+	if got := core.Recommend(fewBig, false, model); got == client.AccessSieve {
 		t.Errorf("two big regions -> %v; sieving would move 16x the data", got)
 	}
 
 	// Serialized sieve writes with many ranks push writes to list.
 	model.Ranks = 32
-	if got := core.Recommend(flashLike, true, model); got == core.Sieve {
+	if got := core.Recommend(flashLike, true, model); got == client.AccessSieve {
 		t.Errorf("32-rank serialized sieve write recommended")
 	}
 }

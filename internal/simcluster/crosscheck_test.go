@@ -7,17 +7,35 @@ import (
 
 	"pvfs/internal/client"
 	"pvfs/internal/cluster"
+	"pvfs/internal/datatype"
 	"pvfs/internal/patterns"
 	"pvfs/internal/simcluster"
 	"pvfs/internal/striping"
 )
 
-// Cross-check: the simulator's workload builder must issue exactly the
-// request counts the real TCP client issues for the same pattern,
-// method, and striping — the property that makes the performance
-// model's request accounting trustworthy (DESIGN.md §5).
+// Cross-check: handed the same client.Request, the simulator's workload
+// builder must issue exactly the request counts the real TCP client
+// issues for the same pattern and striping — the property that makes
+// the performance model's request accounting trustworthy (DESIGN.md
+// §14).
 
-func realRequests(t *testing.T, pat patterns.Pattern, write bool, m client.AccessMethod, cfg striping.Config, list client.ListOptions) int64 {
+// withLayout lays rank r's share of pat out in req: a region-list
+// layout, or for AccessDatatype the rank's cyclic blocks as one
+// datatype.Vector.
+func withLayout(req client.Request, pat patterns.Pattern, r int) client.Request {
+	req.Arena = make([]byte, patterns.ArenaSize(pat, r))
+	if req.Method == client.AccessDatatype {
+		cyc := pat.(*patterns.Cyclic1D)
+		bs := cyc.BlockSize()
+		req.Type = datatype.Vector(int64(cyc.Accesses), bs, int64(cyc.NumRanks)*bs, datatype.Bytes(1))
+		req.Base = int64(r) * bs
+		return req
+	}
+	req.Mem, req.File = patterns.MemList(pat, r), patterns.FileList(pat, r)
+	return req
+}
+
+func realRequests(t *testing.T, pat patterns.Pattern, cfg striping.Config, req client.Request) int64 {
 	t.Helper()
 	c, err := cluster.Start(cluster.Options{NumIOD: cfg.PCount})
 	if err != nil {
@@ -34,7 +52,7 @@ func realRequests(t *testing.T, pat patterns.Pattern, write bool, m client.Acces
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if !write {
+	if !req.Write {
 		// Populate so reads see a full file.
 		span := int64(0)
 		for r := 0; r < pat.Ranks(); r++ {
@@ -52,29 +70,23 @@ func realRequests(t *testing.T, pat patterns.Pattern, write bool, m client.Acces
 	}
 	before := fs.Counters().Snapshot().Requests
 	for r := 0; r < pat.Ranks(); r++ {
-		mem := patterns.MemList(pat, r)
-		file := patterns.FileList(pat, r)
-		arena := make([]byte, patterns.ArenaSize(pat, r))
-		if _, err := f.Run(context.Background(), client.Request{
-			Write: write, Arena: arena, Mem: mem, File: file, Method: m, List: list,
-		}); err != nil {
-			t.Fatalf("%v rank %d: %v", m, r, err)
+		if _, err := f.Run(context.Background(), withLayout(req, pat, r)); err != nil {
+			t.Fatalf("%v rank %d: %v", req.Method, r, err)
 		}
 	}
 	return fs.Counters().Snapshot().Requests - before
 }
 
-func simRequests(t *testing.T, pat patterns.Pattern, write bool, m simcluster.Method, cfg striping.Config, opts simcluster.MethodOptions) int64 {
-	t.Helper()
+func simRequests(pat patterns.Pattern, cfg striping.Config, req client.Request) int64 {
 	p := simcluster.ChibaCity()
 	p.Servers = cfg.PCount
 	p.Striping = cfg
-	return simcluster.CountWorkload(simcluster.BuildWorkload(p, pat, write, m, opts)).Requests
+	return simcluster.CountWorkload(simcluster.BuildWorkload(p, pat, req)).Requests
 }
 
 func TestSimulatorMatchesRealClientRequestCounts(t *testing.T) {
 	cfg := striping.Config{PCount: 4, StripeSize: 512}
-	cyc, err := patterns.NewCyclic1D(3, 40, 3*40*384)
+	cyc, err := patterns.NewCyclic1D(3, 40, 3*40*384) // 384 B blocks, 768 B gaps
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,35 +99,29 @@ func TestSimulatorMatchesRealClientRequestCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	intersect := client.ListOptions{Granularity: client.GranularityIntersect}
 
 	cases := []struct {
-		name    string
-		pat     patterns.Pattern
-		write   bool
-		realM   client.AccessMethod
-		simM    simcluster.Method
-		realOpt client.ListOptions
-		simOpt  simcluster.MethodOptions
+		name string
+		pat  patterns.Pattern
+		req  client.Request
 	}{
-		{"cyclic/list/read", cyc, false, client.AccessList, simcluster.MethodList, client.ListOptions{}, simcluster.MethodOptions{}},
-		{"cyclic/list/write", cyc, true, client.AccessList, simcluster.MethodList, client.ListOptions{}, simcluster.MethodOptions{}},
-		{"cyclic/multiple/write", cyc, true, client.AccessMultiple, simcluster.MethodMultiple, client.ListOptions{}, simcluster.MethodOptions{}},
-		{"random/list/write", rnd, true, client.AccessList, simcluster.MethodList, client.ListOptions{}, simcluster.MethodOptions{}},
-		{"random/multiple/write", rnd, true, client.AccessMultiple, simcluster.MethodMultiple, client.ListOptions{}, simcluster.MethodOptions{}},
-		{"flash/list-intersect/write", flash, true,
-			client.AccessList, simcluster.MethodList,
-			client.ListOptions{Granularity: client.GranularityIntersect},
-			simcluster.MethodOptions{Granularity: simcluster.GranIntersect}},
-		{"flash/list-fileregions/write", flash, true,
-			client.AccessList, simcluster.MethodList,
-			client.ListOptions{Granularity: client.GranularityFileRegions},
-			simcluster.MethodOptions{Granularity: simcluster.GranFileRegions}},
-		{"flash/multiple/write", flash, true, client.AccessMultiple, simcluster.MethodMultiple, client.ListOptions{}, simcluster.MethodOptions{}},
+		{"cyclic/list/read", cyc, client.Request{Method: client.AccessList}},
+		{"cyclic/list/write", cyc, client.Request{Write: true, Method: client.AccessList}},
+		{"cyclic/multiple/write", cyc, client.Request{Write: true, Method: client.AccessMultiple}},
+		{"cyclic/hybrid/read", cyc, client.Request{Method: client.AccessHybrid, CoalesceGap: 1024}},
+		{"cyclic/hybrid/write", cyc, client.Request{Write: true, Method: client.AccessHybrid, CoalesceGap: 1024}},
+		{"cyclic/datatype/read", cyc, client.Request{Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: 1024}}},
+		{"random/list/write", rnd, client.Request{Write: true, Method: client.AccessList}},
+		{"random/multiple/write", rnd, client.Request{Write: true, Method: client.AccessMultiple}},
+		{"flash/list-intersect/write", flash, client.Request{Write: true, Method: client.AccessList, List: intersect}},
+		{"flash/list-fileregions/write", flash, client.Request{Write: true, Method: client.AccessList}},
+		{"flash/multiple/write", flash, client.Request{Write: true, Method: client.AccessMultiple}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			real := realRequests(t, tc.pat, tc.write, tc.realM, cfg, tc.realOpt)
-			sim := simRequests(t, tc.pat, tc.write, tc.simM, cfg, tc.simOpt)
+			real := realRequests(t, tc.pat, cfg, tc.req)
+			sim := simRequests(tc.pat, cfg, tc.req)
 			if real != sim {
 				t.Fatalf("real client issued %d requests, simulator models %d", real, sim)
 			}
@@ -136,10 +142,9 @@ func TestSimulatorMatchesRealClientAcrossLimits(t *testing.T) {
 	}
 	for _, limit := range []int{16, 64} {
 		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
-			real := realRequests(t, pat, true, client.AccessList, cfg,
-				client.ListOptions{MaxRegions: limit})
-			sim := simRequests(t, pat, true, simcluster.MethodList, cfg,
-				simcluster.MethodOptions{MaxRegions: limit})
+			req := client.Request{Write: true, Method: client.AccessList, List: client.ListOptions{MaxRegions: limit}}
+			real := realRequests(t, pat, cfg, req)
+			sim := simRequests(pat, cfg, req)
 			if real != sim {
 				t.Fatalf("limit %d: real %d requests, simulator %d", limit, real, sim)
 			}

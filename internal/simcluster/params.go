@@ -4,12 +4,14 @@
 // Ethernet to I/O daemons, with per-request software costs and
 // per-region storage costs.
 //
-// The model executes the same request streams the real client library
-// produces (same batching, same striping, same trailing-data limits)
-// against FCFS resources: per-node CPU and per-direction NIC queues.
-// It regenerates the shape of every figure in the paper at full scale;
-// calibration constants and their provenance are documented on Params
-// and discussed in EXPERIMENTS.md.
+// A workload is a client.Request's method and tuning over a pattern's
+// layout (BuildWorkload). The model issues the request streams the
+// client library forms for it (same batching, same striping, same
+// trailing-data limits) with the paper's blocking discipline, against
+// FCFS resources: per-node CPU and per-direction NIC queues. It
+// regenerates the shape of every figure in the paper at full scale;
+// calibration constants and their provenance are documented on Params,
+// and DESIGN.md §14 lists where the model departs from the client.
 package simcluster
 
 import (

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"pvfs/internal/client"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/patterns"
 	"pvfs/internal/striping"
@@ -22,14 +23,14 @@ func TestFlashRequestArithmetic(t *testing.T) {
 	flash := patterns.DefaultFlash(4)
 
 	// Multiple I/O: 80*8*8*8*24 = 983,040 requests per process.
-	c := CountWorkload(BuildWorkload(p, flash, true, MethodMultiple, MethodOptions{}))
+	c := CountWorkload(BuildWorkload(p, flash, client.Request{Write: true, Method: client.AccessMultiple}))
 	if perProc := c.Requests / 4; perProc != 983040 {
 		t.Fatalf("multiple I/O = %d req/proc, want 983,040", perProc)
 	}
 
 	// List I/O at file granularity: (80 blocks * 24 vars)/64 = 30
 	// list requests per process.
-	c = CountWorkload(BuildWorkload(p, flash, true, MethodList, MethodOptions{Granularity: GranFileRegions}))
+	c = CountWorkload(BuildWorkload(p, flash, client.Request{Write: true, Method: client.AccessList, List: client.ListOptions{Granularity: client.GranularityFileRegions}}))
 	if perProc := c.Batches / 4; perProc != 30 {
 		t.Fatalf("list I/O = %d batches/proc, want 30", perProc)
 	}
@@ -41,14 +42,14 @@ func TestFlashRequestArithmetic(t *testing.T) {
 	}
 
 	// List I/O at intersect granularity: 983,040/64 = 15,360 per proc.
-	c = CountWorkload(BuildWorkload(p, flash, true, MethodList, MethodOptions{Granularity: GranIntersect}))
+	c = CountWorkload(BuildWorkload(p, flash, client.Request{Write: true, Method: client.AccessList, List: client.ListOptions{Granularity: client.GranularityIntersect}}))
 	if perProc := c.Batches / 4; perProc != 15360 {
 		t.Fatalf("intersect list I/O = %d batches/proc, want 15,360", perProc)
 	}
 
 	// Data sieving: with a 32 MB buffer and a 4-rank file (30 MB), one
 	// window per process: read+write = one batch each.
-	c = CountWorkload(BuildWorkload(p, flash, true, MethodSieve, MethodOptions{}))
+	c = CountWorkload(BuildWorkload(p, flash, client.Request{Write: true, Method: client.AccessSieve}))
 	if perProc := c.Batches / 4; perProc != 2 {
 		t.Fatalf("sieve = %d batches/proc, want 2 (read + write-back)", perProc)
 	}
@@ -59,12 +60,12 @@ func TestTiledRequestArithmetic(t *testing.T) {
 	p := testParams(8)
 	tiled := patterns.DefaultTiled()
 
-	c := CountWorkload(BuildWorkload(p, tiled, false, MethodMultiple, MethodOptions{}))
+	c := CountWorkload(BuildWorkload(p, tiled, client.Request{Method: client.AccessMultiple}))
 	if perRank := c.Batches / int64(tiled.Ranks()); perRank != 768 {
 		t.Fatalf("multiple I/O = %d calls/rank, want 768", perRank)
 	}
 
-	c = CountWorkload(BuildWorkload(p, tiled, false, MethodList, MethodOptions{}))
+	c = CountWorkload(BuildWorkload(p, tiled, client.Request{Method: client.AccessList}))
 	if perRank := c.Batches / int64(tiled.Ranks()); perRank != 12 {
 		t.Fatalf("list I/O = %d calls/rank, want 12", perRank)
 	}
@@ -85,7 +86,7 @@ func TestCyclicListBatchingMath(t *testing.T) {
 	if cyc.BlockSize() != 16384 {
 		t.Fatalf("block size = %d", cyc.BlockSize())
 	}
-	c := CountWorkload(BuildWorkload(p, cyc, false, MethodList, MethodOptions{}))
+	c := CountWorkload(BuildWorkload(p, cyc, client.Request{Method: client.AccessList}))
 	if got, want := c.Regions, int64(8*8192); got != want {
 		t.Fatalf("regions = %d, want %d", got, want)
 	}
@@ -110,8 +111,10 @@ func TestRunSmallCyclicCompletes(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		want += cyc.TotalBytes(r)
 	}
-	for _, m := range []Method{MethodMultiple, MethodSieve, MethodList, MethodStrided} {
-		res := Run(BuildWorkload(p, cyc, false, m, MethodOptions{}))
+	for _, m := range []client.AccessMethod{
+		client.AccessMultiple, client.AccessSieve, client.AccessList, client.AccessDatatype, client.AccessHybrid,
+	} {
+		res := Run(BuildWorkload(p, cyc, client.Request{Method: m}))
 		if res.Duration <= 0 {
 			t.Fatalf("%v: duration = %v", m, res.Duration)
 		}
@@ -127,8 +130,8 @@ func TestRunSmallCyclicCompletes(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	p := testParams(8)
 	cyc, _ := patterns.NewCyclic1D(4, 2000, 64<<20)
-	a := Run(BuildWorkload(p, cyc, true, MethodList, MethodOptions{}))
-	b := Run(BuildWorkload(p, cyc, true, MethodList, MethodOptions{}))
+	a := Run(BuildWorkload(p, cyc, client.Request{Write: true, Method: client.AccessList}))
+	b := Run(BuildWorkload(p, cyc, client.Request{Write: true, Method: client.AccessList}))
 	if a.Duration != b.Duration || a.Requests != b.Requests || a.Events != b.Events {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
@@ -138,9 +141,9 @@ func TestMoreAccessesTakeLonger(t *testing.T) {
 	// Monotonicity once request overhead dominates: fragmenting the
 	// same bytes further slows multiple and list I/O (Figs. 9-10).
 	p := testParams(8)
-	cases := map[Method][]int{
-		MethodMultiple: {2000, 8000, 32000},
-		MethodList:     {8000, 32000, 128000},
+	cases := map[client.AccessMethod][]int{
+		client.AccessMultiple: {2000, 8000, 32000},
+		client.AccessList:     {8000, 32000, 128000},
 	}
 	for m, accessSteps := range cases {
 		var prev time.Duration
@@ -149,7 +152,7 @@ func TestMoreAccessesTakeLonger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := Run(BuildWorkload(p, cyc, false, m, MethodOptions{}))
+			res := Run(BuildWorkload(p, cyc, client.Request{Method: m}))
 			if res.Duration <= prev {
 				t.Fatalf("%v: %d accesses took %v, not more than %v", m, accesses, res.Duration, prev)
 			}
@@ -168,7 +171,7 @@ func TestSieveFlatInAccesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Run(BuildWorkload(p, cyc, false, MethodSieve, MethodOptions{}))
+		res := Run(BuildWorkload(p, cyc, client.Request{Method: client.AccessSieve}))
 		times = append(times, res.Duration)
 	}
 	lo, hi := times[0], times[0]
@@ -194,7 +197,7 @@ func TestSieveDoublesWithClients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Run(BuildWorkload(p, cyc, false, MethodSieve, MethodOptions{})).Duration
+		return Run(BuildWorkload(p, cyc, client.Request{Method: client.AccessSieve})).Duration
 	}
 	t8, t16 := run(8), run(16)
 	ratio := float64(t16) / float64(t8)
@@ -211,8 +214,8 @@ func TestListBeatsMultipleRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi := Run(BuildWorkload(p, cyc, false, MethodMultiple, MethodOptions{}))
-	list := Run(BuildWorkload(p, cyc, false, MethodList, MethodOptions{}))
+	multi := Run(BuildWorkload(p, cyc, client.Request{Method: client.AccessMultiple}))
+	list := Run(BuildWorkload(p, cyc, client.Request{Method: client.AccessList}))
 	if ratio := float64(multi.Duration) / float64(list.Duration); ratio < 5 {
 		t.Fatalf("multiple/list = %.1f, want >= 5 (multi=%v list=%v)", ratio, multi.Duration, list.Duration)
 	}
@@ -227,8 +230,8 @@ func TestWriteGapTwoOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi := Run(BuildWorkload(p, cyc, true, MethodMultiple, MethodOptions{}))
-	list := Run(BuildWorkload(p, cyc, true, MethodList, MethodOptions{}))
+	multi := Run(BuildWorkload(p, cyc, client.Request{Write: true, Method: client.AccessMultiple}))
+	list := Run(BuildWorkload(p, cyc, client.Request{Write: true, Method: client.AccessList}))
 	ratio := float64(multi.Duration) / float64(list.Duration)
 	if ratio < 30 || ratio > 300 {
 		t.Fatalf("multiple/list write gap = %.0f, want ~10^2 (multi=%v list=%v)",
@@ -242,7 +245,7 @@ func TestSerializedSieveWritesScaleQuadratically(t *testing.T) {
 	p := testParams(8)
 	run := func(ranks int) time.Duration {
 		flash := patterns.DefaultFlash(ranks)
-		return Run(BuildWorkload(p, flash, true, MethodSieve, MethodOptions{})).Duration
+		return Run(BuildWorkload(p, flash, client.Request{Write: true, Method: client.AccessSieve})).Duration
 	}
 	t2, t4 := run(2), run(4)
 	ratio := float64(t4) / float64(t2)
@@ -253,20 +256,20 @@ func TestSerializedSieveWritesScaleQuadratically(t *testing.T) {
 
 func TestStridedBeatsListWhenOverheadBound(t *testing.T) {
 	// The §5 extension: descriptor requests remove the linear request
-	// scaling, so strided wins once request overhead (not bandwidth)
+	// scaling, so datatype I/O wins once request overhead (not bandwidth)
 	// dominates: 200k accesses of ~80 bytes.
 	p := testParams(8)
 	cyc, err := patterns.NewCyclic1D(4, 200000, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := Run(BuildWorkload(p, cyc, false, MethodList, MethodOptions{}))
-	str := Run(BuildWorkload(p, cyc, false, MethodStrided, MethodOptions{}))
+	list := Run(BuildWorkload(p, cyc, client.Request{Method: client.AccessList}))
+	str := Run(BuildWorkload(p, cyc, client.Request{Method: client.AccessDatatype}))
 	if float64(str.Duration) > 0.5*float64(list.Duration) {
-		t.Fatalf("strided (%v) not clearly faster than list (%v)", str.Duration, list.Duration)
+		t.Fatalf("datatype (%v) not clearly faster than list (%v)", str.Duration, list.Duration)
 	}
 	if str.Requests*100 > list.Requests {
-		t.Fatalf("strided requests = %d, list = %d", str.Requests, list.Requests)
+		t.Fatalf("datatype requests = %d, list = %d", str.Requests, list.Requests)
 	}
 }
 
@@ -278,8 +281,8 @@ func TestCoalesceGapReducesRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := CountWorkload(BuildWorkload(p, cyc, false, MethodList, MethodOptions{}))
-	hybrid := CountWorkload(BuildWorkload(p, cyc, false, MethodList, MethodOptions{CoalesceGapBytes: 4096}))
+	plain := CountWorkload(BuildWorkload(p, cyc, client.Request{Method: client.AccessList}))
+	hybrid := CountWorkload(BuildWorkload(p, cyc, client.Request{Method: client.AccessHybrid, CoalesceGap: 4096}))
 	if hybrid.Requests >= plain.Requests {
 		t.Fatalf("coalescing did not reduce requests: %d vs %d", hybrid.Requests, plain.Requests)
 	}
@@ -291,8 +294,8 @@ func TestCoalesceGapReducesRequests(t *testing.T) {
 func TestWithOpenClose(t *testing.T) {
 	p := testParams(8)
 	tiled := patterns.DefaultTiled()
-	plain := Run(BuildWorkload(p, tiled, false, MethodList, MethodOptions{}))
-	wrapped := Run(WithOpenClose(BuildWorkload(p, tiled, false, MethodList, MethodOptions{})))
+	plain := Run(BuildWorkload(p, tiled, client.Request{Method: client.AccessList}))
+	wrapped := Run(WithOpenClose(BuildWorkload(p, tiled, client.Request{Method: client.AccessList})))
 	if wrapped.Duration <= plain.Duration {
 		t.Fatalf("open/close added no time: %v vs %v", wrapped.Duration, plain.Duration)
 	}
@@ -306,7 +309,7 @@ func TestServerBusyConservation(t *testing.T) {
 	// accounting; busy time can never exceed servers * duration.
 	p := testParams(4)
 	cyc, _ := patterns.NewCyclic1D(4, 1000, 16<<20)
-	res := Run(BuildWorkload(p, cyc, false, MethodList, MethodOptions{}))
+	res := Run(BuildWorkload(p, cyc, client.Request{Method: client.AccessList}))
 	var busy time.Duration
 	for _, b := range res.ServerBusy {
 		busy += b

@@ -3,82 +3,11 @@ package simcluster
 import (
 	"fmt"
 
+	"pvfs/internal/client"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/patterns"
 	"pvfs/internal/wire"
 )
-
-// Method names a noncontiguous access strategy in the model.
-type Method int
-
-const (
-	// MethodMultiple: one contiguous request per region (§3.1).
-	MethodMultiple Method = iota
-	// MethodSieve: data sieving through a client buffer (§3.2).
-	MethodSieve
-	// MethodList: list I/O, ≤64 regions per request (§3.3).
-	MethodList
-	// MethodStrided: the datatype-descriptor extension (§5).
-	MethodStrided
-)
-
-func (m Method) String() string {
-	switch m {
-	case MethodMultiple:
-		return "multiple"
-	case MethodSieve:
-		return "datasieve"
-	case MethodList:
-		return "list"
-	case MethodStrided:
-		return "strided"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
-
-// Granularity mirrors the client library's list-entry construction
-// modes (see internal/client and DESIGN.md §3).
-type Granularity int
-
-const (
-	// GranFileRegions: one list entry per contiguous file region.
-	GranFileRegions Granularity = iota
-	// GranIntersect: one entry per (memory ∩ file) piece.
-	GranIntersect
-)
-
-// MethodOptions tunes workload construction.
-type MethodOptions struct {
-	Granularity Granularity
-	// MaxRegions per list request; 0 = wire.MaxRegionsPerRequest.
-	// The simulator permits values beyond the wire limit for the
-	// frame-budget ablation.
-	MaxRegions int
-	// SieveBufferBytes; 0 = the paper's 32 MB.
-	SieveBufferBytes int64
-	// NoSerializeSieveWrites disables the barrier serialization of
-	// sieving writes (on by default, as in §4.2.1).
-	NoSerializeSieveWrites bool
-	// CoalesceGapBytes, when positive, merges list entries whose file
-	// gap is at most this many bytes before dispatch — the hybrid
-	// list+sieve of §5 (extra gap bytes travel as payload).
-	CoalesceGapBytes int64
-}
-
-func (o MethodOptions) maxRegions() int {
-	if o.MaxRegions <= 0 {
-		return wire.MaxRegionsPerRequest
-	}
-	return o.MaxRegions
-}
-
-func (o MethodOptions) sieveBuffer() int64 {
-	if o.SieveBufferBytes <= 0 {
-		return 32 << 20
-	}
-	return o.SieveBufferBytes
-}
 
 // --- lazy entry iterators ---
 
@@ -144,7 +73,8 @@ func intersectIter(pat patterns.Pattern, rank int) segIter {
 
 // coalesceIter merges consecutive entries whose gap is at most gap
 // bytes (entries must arrive in nondecreasing offset order, which all
-// patterns provide). It implements the hybrid list+sieve rule.
+// patterns provide): ioseg.List.Coalesce, lazily. It implements the
+// hybrid list+sieve rule.
 func coalesceIter(inner segIter, gap int64) segIter {
 	var pending ioseg.Segment
 	havePending := false
@@ -175,19 +105,6 @@ func coalesceIter(inner segIter, gap int64) segIter {
 	}
 }
 
-func entryIter(pat patterns.Pattern, rank int, opts MethodOptions) segIter {
-	var it segIter
-	if opts.Granularity == GranIntersect {
-		it = intersectIter(pat, rank)
-	} else {
-		it = fileRegionIter(pat, rank)
-	}
-	if opts.CoalesceGapBytes > 0 {
-		it = coalesceIter(it, opts.CoalesceGapBytes)
-	}
-	return it
-}
-
 // --- method chains ---
 
 // multipleChain yields one step per doubly-contiguous piece: the
@@ -210,16 +127,14 @@ func multipleChain(p Params, pat patterns.Pattern, rank int, write bool) StepIte
 	}
 }
 
-// listChain yields one list request at a time: up to maxRegions
-// entries in stream order (§3.3: "I/O requests that contain more file
-// regions than the trailing data limit are broken up into several list
-// I/O requests"), fanned out in parallel to the servers holding the
-// batch's pieces. This is exactly the real client's batching: the
-// FLASH arithmetic (80·24)/64 = 30 requests per process emerges from
-// it (asserted in tests).
-func listChain(p Params, pat patterns.Pattern, rank int, write bool, opts MethodOptions) StepIter {
-	entries := entryIter(pat, rank, opts)
-	maxR := opts.maxRegions()
+// listChain yields one list request at a time: up to maxR entries in
+// stream order (§3.3: "I/O requests that contain more file regions
+// than the trailing data limit are broken up into several list I/O
+// requests"), fanned out in parallel to the servers holding the
+// batch's pieces. This is the client's planList batching: the FLASH
+// arithmetic (80·24)/64 = 30 requests per process emerges from it
+// (asserted in tests).
+func listChain(p Params, entries segIter, write bool, maxR int) StepIter {
 	nSrv := p.Striping.PCount
 	counts := make([]int, nSrv)
 	bytes := make([]int64, nSrv)
@@ -292,12 +207,11 @@ func windowStep(p Params, w ioseg.Segment, write bool) Step {
 	return step
 }
 
-// sieveChain yields the window steps of a data-sieving operation:
-// reads are one step per window; writes are read-modify-write, two
-// steps per window (§3.2).
-func sieveChain(p Params, pat patterns.Pattern, rank int, write bool, opts MethodOptions) StepIter {
+// sieveChain yields the window steps of a data-sieving operation with
+// a buf-byte buffer: reads are one step per window; writes are
+// read-modify-write, two steps per window (§3.2).
+func sieveChain(p Params, pat patterns.Pattern, rank int, write bool, buf int64) StepIter {
 	span := sieveSpan(pat, rank)
-	buf := opts.sieveBuffer()
 	var pos int64 // consumed bytes of span
 	pendingWrite := false
 	var window ioseg.Segment
@@ -324,84 +238,143 @@ func sieveChain(p Params, pat patterns.Pattern, rank int, write bool, opts Metho
 	}
 }
 
-// stridedChain yields a single step: one descriptor request per
-// touched server carrying that server's share of the whole pattern.
-func stridedChain(p Params, pat patterns.Pattern, rank int, write bool) StepIter {
-	done := false
+// datatypeChain is the AccessDatatype chain. Each server's share of the
+// pattern is cut into windows of win bytes, as the client's dtWindows
+// cuts it: a region straddling a window boundary counts in both. Round
+// k — every server's k-th window — is one step. A request carries a
+// fixed-size descriptor however many regions its window holds (§5).
+func datatypeChain(p Params, pat patterns.Pattern, rank int, write bool, win int64) StepIter {
+	wins := make([][]Op, p.Striping.PCount) // per server, in window order
+	open := make([]Op, p.Striping.PCount)
+	for s := range open {
+		open[s] = Op{Server: s, TrailerBytes: 40, Write: write} // fixed vector descriptor
+	}
+	for i, n := 0, pat.FileRegions(rank); i < n; i++ {
+		for _, pc := range p.Striping.Split(pat.FileRegion(rank, i)) {
+			o := &open[pc.Server]
+			for left := pc.Phys.Length; left > 0; {
+				take := min(left, win-o.Payload)
+				o.Payload += take
+				o.Regions++
+				left -= take
+				if o.Payload == win {
+					wins[o.Server] = append(wins[o.Server], *o)
+					o.Payload, o.Regions = 0, 0
+				}
+			}
+		}
+	}
+	for _, o := range open {
+		if o.Payload > 0 {
+			wins[o.Server] = append(wins[o.Server], o)
+		}
+	}
+	round := 0
 	return func() (Step, bool) {
-		if done {
-			return nil, false
-		}
-		done = true
-		nSrv := p.Striping.PCount
-		bytes := make([]int64, nSrv)
-		regions := make([]int, nSrv)
-		n := pat.FileRegions(rank)
-		for i := 0; i < n; i++ {
-			for _, pc := range p.Striping.Split(pat.FileRegion(rank, i)) {
-				bytes[pc.Server] += pc.Phys.Length
-				regions[pc.Server]++
-			}
-		}
 		var step Step
-		for s := 0; s < nSrv; s++ {
-			if regions[s] == 0 {
-				continue
+		for _, w := range wins {
+			if round < len(w) {
+				step = append(step, w[round])
 			}
-			step = append(step, Op{
-				Server:       s,
-				Payload:      bytes[s],
-				Regions:      regions[s],
-				TrailerBytes: 40, // fixed vector descriptor
-				Write:        write,
-			})
 		}
-		return step, true
+		round++
+		return step, len(step) > 0
 	}
 }
 
-// chainsFor builds a rank's chains for one method.
-func chainsFor(p Params, pat patterns.Pattern, rank int, write bool, m Method, opts MethodOptions) []StepIter {
-	switch m {
-	case MethodMultiple:
-		return []StepIter{multipleChain(p, pat, rank, write)}
-	case MethodSieve:
-		return []StepIter{sieveChain(p, pat, rank, write, opts)}
-	case MethodList:
-		return []StepIter{listChain(p, pat, rank, write, opts)}
-	case MethodStrided:
-		return []StepIter{stridedChain(p, pat, rank, write)}
-	default:
-		panic("simcluster: unknown method " + m.String())
+// hybridChain is the AccessHybrid chain, as the client's readHybrid and
+// writeHybrid issue it: the rank's file regions, coalesced across gaps
+// of at most gap bytes, travel as list I/O. Granularity does not apply
+// (the list pass sees one contiguous temp buffer). A write whose
+// coalescing swallowed a gap byte reads the coalesced extents back
+// first, so it sends every list request twice.
+func hybridChain(p Params, pat patterns.Pattern, rank int, write bool, gap int64, maxR int) StepIter {
+	extents := func() segIter { return coalesceIter(fileRegionIter(pat, rank), max(gap, 0)) }
+	if !write {
+		return listChain(p, extents(), false, maxR)
+	}
+	var covered int64
+	for it := extents(); ; {
+		s, ok := it()
+		if !ok {
+			break
+		}
+		covered += s.Length
+	}
+	writeBack := listChain(p, extents(), true, maxR)
+	if covered == pat.TotalBytes(rank) {
+		return writeBack
+	}
+	readBack := listChain(p, extents(), false, maxR)
+	return func() (Step, bool) {
+		if step, ok := readBack(); ok {
+			return step, true
+		}
+		return writeBack()
 	}
 }
 
-// BuildWorkload assembles the full experiment: every rank runs the
-// method concurrently; sieving writes are serialized rank by rank with
-// barriers unless disabled, matching §4.2.1 ("only one processor can
-// write at a time").
-func BuildWorkload(p Params, pat patterns.Pattern, write bool, m Method, opts MethodOptions) Workload {
+// orDefault is the client's defaulting rule for a per-method size: a
+// value that is not positive selects def.
+func orDefault(v, def int64) int64 {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// chainFor builds rank's chain for req's method and tuning, with the
+// client's defaults.
+func chainFor(p Params, pat patterns.Pattern, rank int, req client.Request) StepIter {
+	maxR := int(orDefault(int64(req.List.MaxRegions), wire.MaxRegionsPerRequest))
+	switch req.Method {
+	case client.AccessMultiple:
+		return multipleChain(p, pat, rank, req.Write)
+	case client.AccessSieve:
+		return sieveChain(p, pat, rank, req.Write, orDefault(req.Sieve.BufferSize, client.DefaultSieveBuffer))
+	case client.AccessList:
+		entries := fileRegionIter(pat, rank)
+		if req.List.Granularity == client.GranularityIntersect {
+			entries = intersectIter(pat, rank)
+		}
+		return listChain(p, entries, req.Write, maxR)
+	case client.AccessDatatype:
+		win := min(orDefault(req.Datatype.WindowBytes, client.DefaultWindowBytes), wire.MaxBodyLen)
+		return datatypeChain(p, pat, rank, req.Write, win)
+	case client.AccessHybrid:
+		return hybridChain(p, pat, rank, req.Write, req.CoalesceGap, maxR)
+	}
+	panic("simcluster: unsupported method " + req.Method.String())
+}
+
+// BuildWorkload assembles the full experiment: every rank issues req
+// concurrently. req supplies the direction, the method (multiple,
+// sieve, list, datatype or hybrid; any other panics) and its tuning;
+// pat supplies the layout. Read-modify-write writers — AccessSieve and AccessHybrid
+// writes, the ones trace.Replay serializes — run rank by rank between
+// barriers, matching §4.2.1 ("only one processor can write at a time").
+func BuildWorkload(p Params, pat patterns.Pattern, req client.Request) Workload {
 	ranks := pat.Ranks()
 	rankStages := make([][]Stage, ranks)
-	name := fmt.Sprintf("%s-%s-%dranks", pat.Name(), m, ranks)
-
-	serialize := m == MethodSieve && write && !opts.NoSerializeSieveWrites
+	serialize := req.Write && (req.Method == client.AccessSieve || req.Method == client.AccessHybrid)
 	for r := 0; r < ranks; r++ {
-		if serialize {
-			var prog []Stage
-			for k := 0; k < ranks; k++ {
-				if k == r {
-					prog = append(prog, Stage{Chains: chainsFor(p, pat, r, write, m, opts)})
-				} else {
-					prog = append(prog, Stage{})
-				}
-				prog = append(prog, Stage{Barrier: true})
-			}
-			rankStages[r] = prog
-		} else {
-			rankStages[r] = []Stage{{Chains: chainsFor(p, pat, r, write, m, opts)}}
+		io := Stage{Chains: []StepIter{chainFor(p, pat, r, req)}}
+		if !serialize {
+			rankStages[r] = []Stage{io}
+			continue
 		}
+		var prog []Stage
+		for k := 0; k < ranks; k++ {
+			if k == r {
+				prog = append(prog, io)
+			} else {
+				prog = append(prog, Stage{})
+			}
+			prog = append(prog, Stage{Barrier: true})
+		}
+		rankStages[r] = prog
 	}
+	name := fmt.Sprintf("%s-%v-%dranks", pat.Name(), req.Method, ranks)
 	return Workload{Name: name, Params: p, RankStages: rankStages}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pvfs/internal/client"
 	"pvfs/internal/core"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/patterns"
@@ -183,12 +184,12 @@ func TestSummaryAccessFlash(t *testing.T) {
 	if got := core.ListRequests(a.FileRegions, 64); got != 30 {
 		t.Errorf("list requests (file regions) = %d, want 30 (§4.3.1)", got)
 	}
-	if got := core.SieveRequests(a, 32<<20, true); got != 2 {
+	if got := core.SieveRequests(a, client.DefaultSieveBuffer, true); got != 2 {
 		// One RMW window: a read request and a write-back request.
 		t.Errorf("sieve requests = %d, want 2 (read+write of one window)", got)
 	}
 	// The paper's FLASH verdict: data sieving wins for this pattern.
-	if m := core.Recommend(a, true, core.DefaultCostModel()); m.String() != "datasieve" {
+	if m := core.Recommend(a, true, core.DefaultCostModel()); m != client.AccessSieve {
 		t.Errorf("recommended method = %v, want datasieve (§4.3.2)", m)
 	}
 }
