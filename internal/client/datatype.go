@@ -41,14 +41,6 @@ func (o DatatypeOptions) windowBytes() int64 {
 	return w
 }
 
-// dtPiece is one run of a server's bytes in the pattern-data stream:
-// the window planner emits these and the scatter/gather loops resolve
-// them to arena extents through the StreamMap.
-type dtPiece struct {
-	stream int64 // position in the pattern's data stream
-	n      int64
-}
-
 // dtPlan is the validated, encoded form of one datatype operation.
 type dtPlan struct {
 	enc     []byte  // wire encoding of the type
@@ -113,10 +105,11 @@ type dtWindows struct {
 }
 
 // next cuts the next window: the data position the server's evaluation
-// should seek to, the owned bytes it should transfer, and the stream
-// pieces those bytes occupy (for arena scatter/gather). It must not be
-// called once remaining is zero.
-func (w *dtWindows) next() (dataPos, want int64, pieces []dtPiece) {
+// should seek to, the owned bytes it should transfer, and the runs of
+// the pattern-data stream those bytes occupy, in the order the window's
+// body holds them (for arena scatter/gather). It must not be called
+// once remaining is zero.
+func (w *dtWindows) next() (dataPos, want int64, pieces []memio.Piece) {
 	want = w.winBytes
 	if want > w.remaining {
 		want = w.remaining
@@ -134,7 +127,7 @@ func (w *dtWindows) next() (dataPos, want int64, pieces []dtPiece) {
 				take = rem
 				w.nextPos = pos + take
 			}
-			pieces = append(pieces, dtPiece{stream: pos, n: take})
+			pieces = append(pieces, memio.Piece{Pos: pos, Len: take})
 			got += take
 			return got < want
 		})
@@ -177,7 +170,7 @@ func (f *File) readDatatype(ctx context.Context, arena []byte, smap *memio.Strea
 	jobs := f.datatypeServers(plan, t, base, count, winBytes)
 	return parallel(jobs, func(w *dtWindows) error {
 		n := int((w.remaining + winBytes - 1) / winBytes)
-		wins := make([][]dtPiece, n)
+		wins := make([][]memio.Piece, n)
 		wants := make([]int64, n)
 		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[w.rel], n, window,
 			func(i int) (wire.Message, error) {
@@ -202,15 +195,9 @@ func (f *File) readDatatype(ctx context.Context, arena []byte, smap *memio.Strea
 				}
 				f.fs.stats.BytesIn.Add(wants[i])
 				path.Bytes.Add(wants[i])
-				var rpos int64
-				for _, p := range wins[i] {
-					if err := smap.CopyIn(arena, p.stream, resp.Body[rpos:rpos+p.n]); err != nil {
-						return err
-					}
-					rpos += p.n
-				}
+				err := smap.ScatterPieces(arena, resp.Body, wins[i])
 				wins[i] = nil
-				return nil
+				return err
 			})
 	})
 }
@@ -238,13 +225,10 @@ func (f *File) writeDatatype(ctx context.Context, arena []byte, smap *memio.Stre
 					Striping: f.info.Striping, RelIndex: w.rel, TypeEnc: plan.enc,
 				}
 				body := req.AppendTo(wire.GetBuf(wire.DatatypeReqSize(len(plan.enc)) + int(want))[:0])
-				for _, p := range pieces {
-					var gerr error
-					body, gerr = smap.AppendOut(body, arena, p.stream, p.n)
-					if gerr != nil {
-						wire.PutBuf(body)
-						return wire.Message{}, gerr
-					}
+				body, err := smap.GatherPieces(body, arena, pieces)
+				if err != nil {
+					wire.PutBuf(body)
+					return wire.Message{}, err
 				}
 				f.fs.stats.Requests.Add(1)
 				f.fs.stats.BytesOut.Add(want)

@@ -257,6 +257,58 @@ func TestDatatypeWindowSerializedEquivalence(t *testing.T) {
 			t.Fatalf("image of %s differs from serialized reference", name)
 		}
 	}
+
+	// FLASH memory, 24 variables interleaved per cell, moved by the stream
+	// map's pieces calls: datatype windows that cut elements (1004 bytes),
+	// serialized and pipelined, and the list path's scatter/gather arm.
+	// Every run must leave the image Multiple I/O leaves and read back
+	// what it reads. Pieces of 3000 bytes outgrow the map's slice of a
+	// piece, so cursors resume mid-row and mid-run.
+	fc := flashCase(&patterns.Flash{NumRanks: 2, Blocks: 3, Elems: 5, Guard: 1, Vars: 24}, 1)
+	var file ioseg.List
+	file = fc.typ.AppendRegions(file, fc.base).Normalize()
+	arena = make([]byte, fc.arenaLen)
+	rand.New(rand.NewSource(6)).Read(arena)
+	cfg := striping.Config{PCount: 3, StripeSize: 4096}
+	multiple := client.Request{Write: true, Arena: arena, Mem: fc.mem, File: file, Method: client.AccessMultiple}
+	for _, tc := range []struct {
+		name string
+		req  client.Request
+	}{
+		{"flash-multiple", multiple},
+		{"flash-win1004-depth1", client.Request{Type: fc.typ, Base: fc.base, Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: 1004}, Window: 1}},
+		{"flash-win1004-depth4", client.Request{Type: fc.typ, Base: fc.base, Method: client.AccessDatatype, Datatype: client.DatatypeOptions{WindowBytes: 1004}, Window: 4}},
+		{"flash-win0-depth4", client.Request{Type: fc.typ, Base: fc.base, Method: client.AccessDatatype, Window: 4}},
+		{"flash-list-depth4", client.Request{File: file, Method: client.AccessList, Window: 4}},
+	} {
+		f, err := fs.Create(tc.name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := tc.req
+		req.Write, req.Arena, req.Mem = true, arena, fc.mem
+		if err := run(f, req); err != nil {
+			t.Fatalf("%s write: %v", tc.name, err)
+		}
+		if img := fullImage(t, fs, tc.name); !bytes.Equal(img, fullImage(t, fs, "flash-multiple")) {
+			t.Fatalf("%s leaves an image Multiple does not", tc.name)
+		}
+		// Read the file back, against Multiple's read of it.
+		got, want := make([]byte, len(arena)), make([]byte, len(arena))
+		req.Write, req.Arena = false, got
+		if err := run(f, req); err != nil {
+			t.Fatalf("%s read: %v", tc.name, err)
+		}
+		read := multiple
+		read.Write, read.Arena = false, want
+		if err := run(f, read); err != nil {
+			t.Fatalf("%s Multiple read: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s reads what Multiple does not", tc.name)
+		}
+		f.Close()
+	}
 }
 
 // TestDatatypeRequestCountIndependentOfFragments is the acceptance

@@ -78,9 +78,9 @@ func TestListWriteRequestArms(t *testing.T) {
 						t.Fatal(err)
 					}
 					onePiece := true // every region one arena extent?
-					for k := r.lo; k < r.hi; k++ {
-						want = append(want, stream[p.streamPos[k]:p.streamPos[k]+p.phys[k].Length]...)
-						pieces, err := smap.AppendPieces(nil, arena, p.streamPos[k], p.phys[k].Length)
+					for _, s := range p.stream[r.lo:r.hi] {
+						want = append(want, stream[s.Pos:s.Pos+s.Len]...)
+						pieces, err := smap.AppendPieces(nil, arena, s.Pos, s.Len)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -183,16 +183,16 @@ type subReq struct {
 }
 
 // planServer is the ordered request schedule for one I/O server: the
-// server's physical regions in logical order, the absolute stream
-// position of each region's first byte, and the request boundaries.
+// server's physical regions in logical order, the stream range of each
+// (its bytes' place in a request body), and the request boundaries.
 // Pieces accumulate into two flat arrays rather than per-request
 // slices, so planning allocates O(log n) times per server instead of
 // O(requests).
 type planServer struct {
-	rel       int
-	phys      ioseg.List
-	streamPos []int64
-	reqs      []subReq
+	rel    int
+	phys   ioseg.List
+	stream []memio.Piece
+	reqs   []subReq
 
 	openLo    int   // first piece of the not-yet-cut request
 	openBytes int64 // payload bytes accumulated since the last cut
@@ -240,7 +240,7 @@ func (f *File) planList(entries ioseg.List, maxRegions int) []*planServer {
 				ps.cut()
 			}
 			ps.phys = append(ps.phys, p.Phys)
-			ps.streamPos = append(ps.streamPos, stream+(p.Logical.Offset-entry.Offset))
+			ps.stream = append(ps.stream, memio.Piece{Pos: stream + (p.Logical.Offset - entry.Offset), Len: p.Phys.Length})
 			ps.openBytes += p.Phys.Length
 		})
 		stream += s.Length
@@ -308,15 +308,7 @@ func (f *File) readList(ctx context.Context, arena []byte, smap *memio.StreamMap
 				if resp.Body == nil {
 					return nil // the body landed in the arena: the request's Dest
 				}
-				var rpos int64
-				for k := r.lo; k < r.hi; k++ {
-					n := p.phys[k].Length
-					if err := smap.CopyIn(arena, p.streamPos[k], resp.Body[rpos:rpos+n]); err != nil {
-						return err
-					}
-					rpos += n
-				}
-				return nil
+				return smap.ScatterPieces(arena, resp.Body, p.stream[r.lo:r.hi])
 			})
 	})
 }
@@ -367,13 +359,13 @@ func (f *File) writeList(ctx context.Context, arena []byte, smap *memio.StreamMa
 // arm is chosen per request, and the wire bytes are the same either way.
 func (p *planServer) arenaPieces(r *subReq, smap *memio.StreamMap, arena []byte) ([][]byte, error) {
 	pieces := make([][]byte, 0, r.hi-r.lo)
-	for k := r.lo; k < r.hi; k++ {
+	for k, s := range p.stream[r.lo:r.hi] {
 		var err error
-		pieces, err = smap.AppendPieces(pieces, arena, p.streamPos[k], p.phys[k].Length)
+		pieces, err = smap.AppendPieces(pieces, arena, s.Pos, s.Len)
 		if err != nil {
 			return nil, err
 		}
-		if len(pieces) > k-r.lo+1 {
+		if len(pieces) > k+1 {
 			return nil, nil
 		}
 	}
@@ -405,14 +397,9 @@ func (f *File) listWriteRequest(p *planServer, r *subReq, smap *memio.StreamMap,
 	msg := wire.Message{Header: wire.Header{Type: wire.TWriteList, Handle: f.info.Handle}}
 	if vec {
 		msg.BodyStream = &wire.Vec{N: int(r.bytes), Pieces: pieces}
-	} else {
-		for k := r.lo; k < r.hi; k++ {
-			body, err = smap.AppendOut(body, arena, p.streamPos[k], p.phys[k].Length)
-			if err != nil {
-				wire.PutBuf(body)
-				return wire.Message{}, err
-			}
-		}
+	} else if body, err = smap.GatherPieces(body, arena, p.stream[r.lo:r.hi]); err != nil {
+		wire.PutBuf(body)
+		return wire.Message{}, err
 	}
 	msg.Body = body
 	f.fs.stats.Requests.Add(1)

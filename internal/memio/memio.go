@@ -16,6 +16,7 @@ package memio
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -91,42 +92,6 @@ func Match(mem, file ioseg.List) ([]Pair, error) {
 	return pairs, nil
 }
 
-// MatchCount returns only the number of pairs Match would produce,
-// without allocating them. It runs in O(len(mem)+len(file)).
-func MatchCount(mem, file ioseg.List) (int, error) {
-	if mem.TotalLength() != file.TotalLength() {
-		return 0, fmt.Errorf("%w: mem=%d file=%d",
-			ErrLengthMismatch, mem.TotalLength(), file.TotalLength())
-	}
-	count := 0
-	mi, fi := 0, 0
-	var mOff, fOff int64
-	for mi < len(mem) && fi < len(file) {
-		if mem[mi].Empty() {
-			mi++
-			continue
-		}
-		if file[fi].Empty() {
-			fi++
-			continue
-		}
-		n := mem[mi].Length - mOff
-		if r := file[fi].Length - fOff; r < n {
-			n = r
-		}
-		count++
-		mOff += n
-		fOff += n
-		if mOff == mem[mi].Length {
-			mi, mOff = mi+1, 0
-		}
-		if fOff == file[fi].Length {
-			fi, fOff = fi+1, 0
-		}
-	}
-	return count, nil
-}
-
 // Gather copies the listed arena regions, in order, into one
 // contiguous buffer (stream order). Regions must lie within the arena.
 func Gather(arena []byte, mem ioseg.List) ([]byte, error) {
@@ -160,20 +125,20 @@ func Scatter(arena []byte, mem ioseg.List, stream []byte) error {
 
 // StreamMap maps stream positions to arena extents, so stream bytes
 // can be copied to or from the arena directly — without materializing
-// the full packed stream — given only a stream offset. It is the
+// the full packed stream — given only stream positions. It is the
 // zero-copy engine of pipelined list and datatype I/O: each response
-// (or request payload) names a stream range, and the map resolves that
-// range to arena extents.
+// (or request payload) holds the bytes of a list of stream ranges, its
+// pieces, and one call moves them between the body and the arena.
 //
 // The region list is read once, by NewStreamMap, and compressed into
 // runs (DESIGN.md §4); it is not retained, so callers may reuse or
-// mutate it afterwards. A copy costs one O(log runs) search plus the
-// runs it touches: a dense row is one copy, a row of 4-, 8- or 16-byte
-// elements a fixed-width load/store loop, anything else a copy per
-// element. Regions with no common shape are kept as a plain list, 16
-// bytes and one copy each, which is what a list with no regularity
-// costs. A StreamMap is immutable after construction and safe for
-// concurrent use.
+// mutate it afterwards. A copy costs one O(log runs) search per piece
+// plus the runs it touches: a dense row is one copy, a row of 4-, 8-
+// or 16-byte elements a fixed-width load/store loop, anything else a
+// copy per element. Regions with no common shape are kept as a plain
+// list, 16 bytes and one copy each, which is what a list with no
+// regularity costs. A StreamMap is immutable after construction and
+// safe for concurrent use.
 type StreamMap struct {
 	runs  []run           // in stream order
 	lits  []ioseg.Segment // the listed runs' regions, in stream order
@@ -384,36 +349,69 @@ func (m *StreamMap) checkRange(pos, n int64) error {
 	return nil
 }
 
-// CopyIn copies src — stream bytes beginning at stream position pos —
-// into the arena extents those positions map to (the scatter direction
-// of a list read). Concurrent CopyIn calls are safe when their stream
-// ranges are disjoint and the regions do not overlap in arena space.
-//
-// Only the bytes moved must lie inside the arena. A range that maps
-// past it is an error naming the arena offset reached, not the region
-// (the map does not keep region indexes; check End against the arena
-// first to name one), and bytes before that point may have been copied.
-func (m *StreamMap) CopyIn(arena []byte, pos int64, src []byte) error {
-	if err := m.checkRange(pos, int64(len(src))); err != nil {
-		return err
-	}
-	return m.move(arena, src, pos, true)
+// Piece is a range of stream bytes: Len bytes from stream position Pos.
+type Piece struct {
+	Pos, Len int64
 }
 
-// AppendOut appends the n stream bytes beginning at stream position pos,
-// gathered from the arena extents they map to, onto dst (the gather
-// direction of a list write) and returns the extended slice. Arena
-// bounds are treated as in CopyIn.
+// ScatterPieces copies body, the bytes of pieces back to back in piece
+// order, into the arena extents their stream positions map to (the
+// scatter direction of a read, body one response). Pieces may come in
+// any stream order and be empty. Concurrent calls are safe when their
+// stream ranges are disjoint and the regions do not overlap in arena
+// space; where pieces of one call map to the same arena bytes, which of
+// their values those bytes keep is unspecified.
+//
+// The map, not the caller, chooses the order bytes move in: a slice of
+// blockBytes of every piece, then the next slice of every piece. Pieces
+// whose elements share cache lines (FLASH's variables, interleaved per
+// cell) so load each line once per slice, not once per piece (DESIGN.md
+// §4).
+//
+// Only the bytes moved must lie inside the arena. A range that maps past
+// it is an error naming the arena offset reached, not the region (the
+// map does not keep region indexes; check End against the arena first
+// to name one). Whatever the order, the error is the one moving the
+// pieces one at a time, in order, meets first, and which bytes moved
+// before it is unspecified.
+func (m *StreamMap) ScatterPieces(arena, body []byte, pieces []Piece) error {
+	k, n, err := m.checkPieces(pieces, int64(len(body)))
+	if err == nil && n != int64(len(body)) {
+		err = fmt.Errorf("memio: body of %d bytes, pieces cover %d", len(body), n)
+	}
+	if err != nil {
+		return m.inOrder(arena, body, pieces[:k], true, err)
+	}
+	return m.movePieces(arena, body, pieces, true)
+}
+
+// GatherPieces appends the bytes of pieces, in piece order, gathered
+// from the arena extents they map to, onto body (the gather direction of
+// a write, body one request) and returns the extended slice. Pieces and
+// errors are as in ScatterPieces; on error body comes back at its
+// original length.
+func (m *StreamMap) GatherPieces(body, arena []byte, pieces []Piece) ([]byte, error) {
+	k, n, err := m.checkPieces(pieces, math.MaxInt-int64(len(body)))
+	out := slices.Grow(body, int(n))[:len(body)+int(n)]
+	if err != nil {
+		return body, m.inOrder(arena, out[len(body):], pieces[:k], false, err)
+	}
+	if err := m.movePieces(arena, out[len(body):], pieces, false); err != nil {
+		return body, err
+	}
+	return out, nil
+}
+
+// CopyIn is ScatterPieces of the one piece src holds, stream bytes from
+// position pos on.
+func (m *StreamMap) CopyIn(arena []byte, pos int64, src []byte) error {
+	return m.ScatterPieces(arena, src, []Piece{{pos, int64(len(src))}})
+}
+
+// AppendOut is GatherPieces of the one piece of n stream bytes from
+// position pos on.
 func (m *StreamMap) AppendOut(dst []byte, arena []byte, pos, n int64) ([]byte, error) {
-	if err := m.checkRange(pos, n); err != nil {
-		return dst, err
-	}
-	dst = slices.Grow(dst, int(n))
-	end := len(dst) + int(n)
-	if err := m.move(arena, dst[len(dst):end], pos, false); err != nil {
-		return dst, err
-	}
-	return dst[:end], nil
+	return m.GatherPieces(dst, arena, []Piece{{pos, n}})
 }
 
 // AppendPieces appends the arena extents that the n stream bytes
@@ -424,8 +422,8 @@ func (m *StreamMap) AppendOut(dst []byte, arena []byte, pos, n int64) ([]byte, e
 // another in the arena come out as one piece, so a range inside one
 // region, one dense row or a block of abutting rows is a single piece,
 // while strided elements cost a piece each: the count tells the caller
-// whether a vector pays. Arena bounds are treated as in CopyIn; on
-// error dst comes back at its original length.
+// whether a vector pays. Arena bounds are treated as in ScatterPieces;
+// on error dst comes back at its original length.
 func (m *StreamMap) AppendPieces(dst [][]byte, arena []byte, pos, n int64) ([][]byte, error) {
 	if err := m.checkRange(pos, n); err != nil {
 		return dst, err
@@ -490,27 +488,122 @@ func (m *StreamMap) AppendPieces(dst [][]byte, arena []byte, pos, n int64) ([][]
 	return dst, nil
 }
 
-// move copies between buf, the stream bytes from position pos on, and
-// the arena extents they map to: into the arena when scatter is set,
-// out of it otherwise. The caller has checked the stream range.
-func (m *StreamMap) move(arena, buf []byte, pos int64, scatter bool) error {
-	if len(buf) == 0 {
-		return nil
-	}
+const (
+	// blockBytes is how much of one piece movePieces moves before it
+	// turns to the next. Of FLASH memory, 2 KiB is 256 cells, whose 768
+	// cache lines (48 KiB) every piece of a body shares; DESIGN.md §4
+	// has the sweep that chose it.
+	blockBytes = 2 << 10
+	// maxCursors caps the pieces interleaved at once: a datatype
+	// window's variables, half a list request's regions.
+	maxCursors = 32
+)
+
+// cursor is a piece part way through a move: its next byte is byte skip
+// of run ri, and body[next:end] holds its bytes not moved yet.
+type cursor struct {
+	ri        int
+	skip      int64
+	next, end int
+}
+
+// seek returns the cursor of the piece at stream position pos whose
+// bytes are body[next:end]; pos must lie inside the stream.
+func (m *StreamMap) seek(pos int64, next, end int) cursor {
 	ri := sort.Search(len(m.runs), func(i int) bool { return m.runs[i].pos > pos }) - 1
-	// Only the first run is entered part way; later ones start at
-	// their first byte.
-	for skip := pos - m.runs[ri].pos; ; ri, skip = ri+1, 0 {
-		r := &m.runs[ri]
+	return cursor{ri: ri, skip: pos - m.runs[ri].pos, next: next, end: end}
+}
+
+// checkPieces checks pieces in order until one's stream range is not
+// the map's or the running total passes limit. It returns how many
+// passed, their byte total and what stopped it, if anything did.
+func (m *StreamMap) checkPieces(pieces []Piece, limit int64) (int, int64, error) {
+	var n int64
+	for i, p := range pieces {
+		if err := m.checkRange(p.Pos, p.Len); err != nil {
+			return i, n, err
+		}
+		if p.Len > limit-n {
+			return i, n, fmt.Errorf("memio: pieces cover more than %d bytes", limit)
+		}
+		n += p.Len
+	}
+	return len(pieces), n, nil
+}
+
+// movePieces moves body, the bytes of pieces back to back, into the
+// arena when scatter is set and out of it otherwise: blockBytes of each
+// piece in turn, up to maxCursors pieces at a time (a lone piece moves
+// whole). The caller has checked the pieces.
+func (m *StreamMap) movePieces(arena, body []byte, pieces []Piece, scatter bool) error {
+	var cur [maxCursors]cursor
+	for rest, off := pieces, 0; len(rest) > 0; {
+		group := cur[:0]
+		for _, p := range rest[:min(len(rest), maxCursors)] {
+			if p.Len > 0 {
+				group = append(group, m.seek(p.Pos, off, off+int(p.Len)))
+			}
+			off += int(p.Len)
+		}
+		rest = rest[min(len(rest), maxCursors):]
+		step := blockBytes
+		if len(group) == 1 {
+			step = len(body)
+		}
+		for len(group) > 0 {
+			live := group[:0]
+			for i := range group {
+				c := &group[i]
+				if err := m.move(arena, body, c, min(step, c.end-c.next), scatter); err != nil {
+					return m.inOrder(arena, body, pieces, scatter, err)
+				}
+				if c.next < c.end {
+					live = append(live, *c)
+				}
+			}
+			group = live
+		}
+	}
+	return nil
+}
+
+// inOrder moves pieces one at a time, each whole, in order, and returns
+// the first error that meets, or err if none does. It is the cold path
+// of a failure, which names the error the reference order meets.
+func (m *StreamMap) inOrder(arena, body []byte, pieces []Piece, scatter bool, err error) error {
+	off := 0
+	for _, p := range pieces {
+		if p.Len > 0 {
+			c := m.seek(p.Pos, off, off+int(p.Len))
+			if err := m.move(arena, body, &c, int(p.Len), scatter); err != nil {
+				return err
+			}
+		}
+		off += int(p.Len)
+	}
+	return err
+}
+
+// move moves the next n bytes of c and advances c past them.
+func (m *StreamMap) move(arena, body []byte, c *cursor, n int, scatter bool) error {
+	buf := body[c.next : c.next+n]
+	for c.next += n; ; c.ri, c.skip = c.ri+1, 0 {
+		r := &m.runs[c.ri]
+		var rest []byte
 		var err error
 		if r.elem == 0 {
-			buf, err = moveListed(arena, buf, m.lits[r.off:r.off+r.n0], skip, scatter)
+			rest, err = moveListed(arena, buf, m.lits[r.off:r.off+r.n0], c.skip, scatter)
 		} else {
-			buf, err = r.moveStrided(arena, buf, skip, scatter)
+			rest, err = r.moveStrided(arena, buf, c.skip, scatter)
 		}
-		if err != nil || len(buf) == 0 {
+		if err != nil {
 			return err
 		}
+		if len(rest) == 0 {
+			c.skip += int64(len(buf))
+			return nil
+		}
+		buf = rest
 	}
 }
 
@@ -524,7 +617,7 @@ func arenaError(hi int64, arena []byte) error {
 // buf.
 func moveListed(arena, buf []byte, regions []ioseg.Segment, skip int64, scatter bool) ([]byte, error) {
 	k := 0
-	for skip >= regions[k].Length {
+	for k < len(regions) && skip >= regions[k].Length {
 		skip -= regions[k].Length
 		k++
 	}
@@ -632,58 +725,147 @@ func xfer(extent, stream []byte, scatter bool) {
 }
 
 // moveRows is the kernel: it moves rows rows of r's shape, the first
-// element at arena offset a, between the arena and the packed stream.
-// What it does per element depends only on the element length and
-// stride: a dense row is one copy; the widths typed data comes in (4, 8
-// and 16 bytes) move as one load and one store; other widths pay a copy
-// call per element (BenchmarkStreamMap*/elem=N measures each).
+// element at arena offset a, between the arena and stream, which holds
+// the rows' bytes packed. The element width is chosen once per block: a
+// dense row is one copy; the widths typed data comes in (4, 8 and 16
+// bytes) move as one load and one store, four elements to a loop turn;
+// other widths pay a copy call per element. Each row's stream bytes are
+// cut from the block once, so per element only the arena side is bounds
+// checked (BenchmarkStreamMap*/elem=N measures each width).
 func moveRows(arena, stream []byte, a int64, r *run, rows int64, scatter bool) {
-	// dst/src advance by ds/ss per element and by dr/sr from one row's
-	// first element to the next's.
-	dst, d, ds, dr := stream, int64(0), r.elem, r.n0*r.elem
-	src, s, ss, sr := arena, a, r.stride0, r.stride1
-	if scatter {
-		dst, d, ds, dr, src, s, ss, sr = src, s, ss, sr, dst, d, ds, dr
-	}
-	for ; rows > 0; rows, d, s = rows-1, d+dr, s+sr {
-		d, s := d, s
-		switch {
-		case r.stride0 == r.elem:
-			copy(dst[d:d+r.n0*r.elem], src[s:s+r.n0*r.elem])
-		case r.elem == 4:
-			for n := r.n0; n > 0; n, d, s = n-1, d+ds, s+ss {
-				*(*[4]byte)(dst[d:]) = *(*[4]byte)(src[s:])
-			}
-		case r.elem == 8:
-			for n := r.n0; n > 0; n, d, s = n-1, d+ds, s+ss {
-				*(*[8]byte)(dst[d:]) = *(*[8]byte)(src[s:])
-			}
-		case r.elem == 16:
-			for n := r.n0; n > 0; n, d, s = n-1, d+ds, s+ss {
-				*(*[16]byte)(dst[d:]) = *(*[16]byte)(src[s:])
-			}
-		default:
-			for n := r.n0; n > 0; n, d, s = n-1, d+ds, s+ss {
-				copy(dst[d:d+r.elem], src[s:s+r.elem])
+	rowBytes := r.n0 * r.elem
+	stream = stream[:rows*rowBytes]
+	switch s0, s1 := r.stride0, r.stride1; {
+	case s0 == r.elem:
+		for ; len(stream) > 0; stream, a = stream[rowBytes:], a+s1 {
+			xfer(arena[a:a+rowBytes], stream[:rowBytes], scatter)
+		}
+	case r.elem == 4 && scatter:
+		scatter4(arena, stream, a, s0, s1, rowBytes)
+	case r.elem == 4:
+		gather4(arena, stream, a, s0, s1, rowBytes)
+	case r.elem == 8 && scatter:
+		scatter8(arena, stream, a, s0, s1, rowBytes)
+	case r.elem == 8:
+		gather8(arena, stream, a, s0, s1, rowBytes)
+	case r.elem == 16 && scatter:
+		scatter16(arena, stream, a, s0, s1, rowBytes)
+	case r.elem == 16:
+		gather16(arena, stream, a, s0, s1, rowBytes)
+	default:
+		for d, elem := int64(0), r.elem; d < int64(len(stream)); a += s1 {
+			e, end := a, d+rowBytes
+			if scatter {
+				for ; d < end; d, e = d+elem, e+s0 {
+					copy(arena[e:e+elem], stream[d:d+elem])
+				}
+			} else {
+				for ; d < end; d, e = d+elem, e+s0 {
+					copy(stream[d:d+elem], arena[e:e+elem])
+				}
 			}
 		}
 	}
 }
 
-// StreamIndex locates the byte at stream position pos within the
-// region list: it returns the region index and the arena/file offset
-// of that byte. It reports ok=false when pos is out of range.
-func StreamIndex(l ioseg.List, pos int64) (region int, off int64, ok bool) {
-	if pos < 0 {
-		return 0, 0, false
-	}
-	for i, s := range l {
-		if pos < s.Length {
-			return i, s.Offset + pos, true
+// The fixed-width arms of moveRows, one per direction: stream is a
+// block of whole rows of rowBytes, row j's element i at arena offset
+// a + j*s1 + i*s0.
+
+func gather4(arena, stream []byte, a, s0, s1, rowBytes int64) {
+	for ; len(stream) > 0; a += s1 {
+		row, e := stream[:rowBytes], a
+		stream = stream[rowBytes:]
+		for ; len(row) >= 16; row, e = row[16:], e+4*s0 {
+			*(*[4]byte)(row[0:4]) = *(*[4]byte)(arena[e : e+4])
+			*(*[4]byte)(row[4:8]) = *(*[4]byte)(arena[e+s0 : e+s0+4])
+			*(*[4]byte)(row[8:12]) = *(*[4]byte)(arena[e+2*s0 : e+2*s0+4])
+			*(*[4]byte)(row[12:16]) = *(*[4]byte)(arena[e+3*s0 : e+3*s0+4])
 		}
-		pos -= s.Length
+		for ; len(row) >= 4; row, e = row[4:], e+s0 {
+			*(*[4]byte)(row[0:4]) = *(*[4]byte)(arena[e : e+4])
+		}
 	}
-	return 0, 0, false
+}
+
+func scatter4(arena, stream []byte, a, s0, s1, rowBytes int64) {
+	for ; len(stream) > 0; a += s1 {
+		row, e := stream[:rowBytes], a
+		stream = stream[rowBytes:]
+		for ; len(row) >= 16; row, e = row[16:], e+4*s0 {
+			*(*[4]byte)(arena[e : e+4]) = *(*[4]byte)(row[0:4])
+			*(*[4]byte)(arena[e+s0 : e+s0+4]) = *(*[4]byte)(row[4:8])
+			*(*[4]byte)(arena[e+2*s0 : e+2*s0+4]) = *(*[4]byte)(row[8:12])
+			*(*[4]byte)(arena[e+3*s0 : e+3*s0+4]) = *(*[4]byte)(row[12:16])
+		}
+		for ; len(row) >= 4; row, e = row[4:], e+s0 {
+			*(*[4]byte)(arena[e : e+4]) = *(*[4]byte)(row[0:4])
+		}
+	}
+}
+
+func gather8(arena, stream []byte, a, s0, s1, rowBytes int64) {
+	for ; len(stream) > 0; a += s1 {
+		row, e := stream[:rowBytes], a
+		stream = stream[rowBytes:]
+		for ; len(row) >= 32; row, e = row[32:], e+4*s0 {
+			*(*[8]byte)(row[0:8]) = *(*[8]byte)(arena[e : e+8])
+			*(*[8]byte)(row[8:16]) = *(*[8]byte)(arena[e+s0 : e+s0+8])
+			*(*[8]byte)(row[16:24]) = *(*[8]byte)(arena[e+2*s0 : e+2*s0+8])
+			*(*[8]byte)(row[24:32]) = *(*[8]byte)(arena[e+3*s0 : e+3*s0+8])
+		}
+		for ; len(row) >= 8; row, e = row[8:], e+s0 {
+			*(*[8]byte)(row[0:8]) = *(*[8]byte)(arena[e : e+8])
+		}
+	}
+}
+
+func scatter8(arena, stream []byte, a, s0, s1, rowBytes int64) {
+	for ; len(stream) > 0; a += s1 {
+		row, e := stream[:rowBytes], a
+		stream = stream[rowBytes:]
+		for ; len(row) >= 32; row, e = row[32:], e+4*s0 {
+			*(*[8]byte)(arena[e : e+8]) = *(*[8]byte)(row[0:8])
+			*(*[8]byte)(arena[e+s0 : e+s0+8]) = *(*[8]byte)(row[8:16])
+			*(*[8]byte)(arena[e+2*s0 : e+2*s0+8]) = *(*[8]byte)(row[16:24])
+			*(*[8]byte)(arena[e+3*s0 : e+3*s0+8]) = *(*[8]byte)(row[24:32])
+		}
+		for ; len(row) >= 8; row, e = row[8:], e+s0 {
+			*(*[8]byte)(arena[e : e+8]) = *(*[8]byte)(row[0:8])
+		}
+	}
+}
+
+func gather16(arena, stream []byte, a, s0, s1, rowBytes int64) {
+	for ; len(stream) > 0; a += s1 {
+		row, e := stream[:rowBytes], a
+		stream = stream[rowBytes:]
+		for ; len(row) >= 64; row, e = row[64:], e+4*s0 {
+			*(*[16]byte)(row[0:16]) = *(*[16]byte)(arena[e : e+16])
+			*(*[16]byte)(row[16:32]) = *(*[16]byte)(arena[e+s0 : e+s0+16])
+			*(*[16]byte)(row[32:48]) = *(*[16]byte)(arena[e+2*s0 : e+2*s0+16])
+			*(*[16]byte)(row[48:64]) = *(*[16]byte)(arena[e+3*s0 : e+3*s0+16])
+		}
+		for ; len(row) >= 16; row, e = row[16:], e+s0 {
+			*(*[16]byte)(row[0:16]) = *(*[16]byte)(arena[e : e+16])
+		}
+	}
+}
+
+func scatter16(arena, stream []byte, a, s0, s1, rowBytes int64) {
+	for ; len(stream) > 0; a += s1 {
+		row, e := stream[:rowBytes], a
+		stream = stream[rowBytes:]
+		for ; len(row) >= 64; row, e = row[64:], e+4*s0 {
+			*(*[16]byte)(arena[e : e+16]) = *(*[16]byte)(row[0:16])
+			*(*[16]byte)(arena[e+s0 : e+s0+16]) = *(*[16]byte)(row[16:32])
+			*(*[16]byte)(arena[e+2*s0 : e+2*s0+16]) = *(*[16]byte)(row[32:48])
+			*(*[16]byte)(arena[e+3*s0 : e+3*s0+16]) = *(*[16]byte)(row[48:64])
+		}
+		for ; len(row) >= 16; row, e = row[16:], e+s0 {
+			*(*[16]byte)(arena[e : e+16]) = *(*[16]byte)(row[0:16])
+		}
+	}
 }
 
 // ExtractWindow copies the bytes of regions (clipped to window) from

@@ -107,24 +107,6 @@ func TestMatchEmptyRegions(t *testing.T) {
 	}
 }
 
-func TestMatchCountAgrees(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		mem, file := randomMatchedLists(r)
-		pairs, err := Match(mem, file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := MatchCount(mem, file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(pairs) {
-			t.Fatalf("MatchCount = %d, Match produced %d", n, len(pairs))
-		}
-	}
-}
-
 // randomMatchedLists builds two random lists covering the same total.
 func randomMatchedLists(r *rand.Rand) (mem, file ioseg.List) {
 	total := int64(1 + r.Intn(2000))
@@ -179,30 +161,6 @@ func TestScatterLengthCheck(t *testing.T) {
 	err := Scatter(make([]byte, 10), ioseg.List{seg(0, 4)}, []byte{1, 2, 3})
 	if err == nil {
 		t.Fatal("short stream accepted")
-	}
-}
-
-func TestStreamIndex(t *testing.T) {
-	l := ioseg.List{seg(100, 10), seg(300, 5)}
-	cases := []struct {
-		pos    int64
-		region int
-		off    int64
-		ok     bool
-	}{
-		{0, 0, 100, true},
-		{9, 0, 109, true},
-		{10, 1, 300, true},
-		{14, 1, 304, true},
-		{15, 0, 0, false},
-		{-1, 0, 0, false},
-	}
-	for _, c := range cases {
-		region, off, ok := StreamIndex(l, c.pos)
-		if region != c.region || off != c.off || ok != c.ok {
-			t.Errorf("StreamIndex(%d) = %d,%d,%v want %d,%d,%v",
-				c.pos, region, off, ok, c.region, c.off, c.ok)
-		}
 	}
 }
 

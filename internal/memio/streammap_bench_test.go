@@ -21,6 +21,10 @@ import (
 //   - elem=N: one strided run of N-byte elements, eight to a row, three
 //     widths apart. 4, 8 and 16 take the fixed-width kernels; 12 takes
 //     the generic copy loop, whose ns/piece is what they must beat.
+//
+// BenchmarkStreamMapPieces moves the flash list's bytes the way one
+// flash_dtype op does instead: one body per server, each the pieces
+// calls' list of that server's 16 KiB stripe unit of every variable.
 
 const benchWindow = 512 << 10
 
@@ -107,4 +111,45 @@ func BenchmarkStreamMapScatter(b *testing.B) {
 			}
 		}
 	})
+}
+
+// flashBodies returns the pieces of one flash_dtype op's bodies: for each
+// of 4 servers, its 16 KiB of each of the 24 variables' 64 KiB runs, in
+// variable order, as the datatype path's window walk emits them.
+func flashBodies() [][]Piece {
+	const servers, vars, unit = 4, 24, 16 << 10
+	bodies := make([][]Piece, servers)
+	for rel := range bodies {
+		for v := int64(0); v < vars; v++ {
+			bodies[rel] = append(bodies[rel], Piece{Pos: v*servers*unit + int64(rel)*unit, Len: unit})
+		}
+	}
+	return bodies
+}
+
+func BenchmarkStreamMapPieces(b *testing.B) {
+	mem, arena := flashMem()
+	m := NewStreamMap(mem)
+	bodies := flashBodies()
+	body := make([]byte, 0, 24*16<<10)
+	for _, dir := range []string{"gather", "scatter"} {
+		b.Run("flash/"+dir, func(b *testing.B) {
+			b.SetBytes(m.Total())
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, pieces := range bodies {
+					var err error
+					if dir == "gather" {
+						body, err = m.GatherPieces(body[:0], arena, pieces)
+					} else {
+						err = m.ScatterPieces(arena, body[:cap(body)], pieces)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(mem)), "ns/piece")
+		})
+	}
 }

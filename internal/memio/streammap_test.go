@@ -459,6 +459,43 @@ func TestStreamMapInvalidLists(t *testing.T) {
 	}
 }
 
+// fuzzInput reads a fuzzer's bytes in order, zero once they run out.
+type fuzzInput []byte
+
+func (in *fuzzInput) next() int64 {
+	if len(*in) == 0 {
+		return 0
+	}
+	b := (*in)[0]
+	*in = (*in)[1:]
+	return int64(b)
+}
+
+// list decodes up to five blocks of strided regions, for an arena of
+// arenaLen bytes: some outside it, some invalid, some with their
+// regularity spoiled.
+func (in *fuzzInput) list(arenaLen int64) ioseg.List {
+	lengths := []int64{0, 1, 3, 4, 7, 8, 16, 17, 64, -1}
+	var l ioseg.List
+	for blocks := in.next() % 6; blocks > 0; blocks-- {
+		off := in.next()<<8 | in.next() // up to 64 KiB: often outside the arena
+		if off > 60000 {
+			off -= 65536 // sometimes negative
+		}
+		n := lengths[in.next()%int64(len(lengths))]
+		count, stride := in.next()%10, int64(int8(in.next()))
+		shape, rowStride := in.next(), int64(int8(in.next()))*8
+		first := len(l)
+		l = block(l, off%(arenaLen+64), n, count, stride, 1+shape%4, rowStride)
+		if shape >= 128 { // spoil the block's regularity
+			for k := first; k < len(l); k++ {
+				l[k].Length += int64(k % 3)
+			}
+		}
+	}
+	return l
+}
+
 // FuzzStreamMap decodes the input into blocks of strided regions (some
 // outside the arena, some invalid) followed by stream cuts, and holds
 // the map to the reference.
@@ -471,36 +508,247 @@ func FuzzStreamMap(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 4, 9, 30, 131, 33, 4, 0, 4, 9, 30, 131, 33, 7, 0, 6, 9, 20, 131, 30, 0, 99, 5, 5}) // 108 regions no run folds
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const arenaLen = 2048
-		next := func() int64 {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int64(b)
-		}
-		lengths := []int64{0, 1, 3, 4, 7, 8, 16, 17, 64, -1}
-		var l ioseg.List
-		for blocks := next() % 6; blocks > 0; blocks-- {
-			off := next()<<8 | next() // up to 64 KiB: often outside the arena
-			if off > 60000 {
-				off -= 65536 // sometimes negative
-			}
-			n := lengths[next()%int64(len(lengths))]
-			count, stride := next()%10, int64(int8(next()))
-			shape, rowStride := next(), int64(int8(next()))*8
-			first := len(l)
-			l = block(l, off%(arenaLen+64), n, count, stride, 1+shape%4, rowStride)
-			if shape >= 128 { // spoil the block's regularity
-				for k := first; k < len(l); k++ {
-					l[k].Length += int64(k % 3)
-				}
-			}
-		}
-		cuts := make([]int64, 0, len(data))
-		for len(data) > 0 {
-			cuts = append(cuts, next()<<4|next()&15)
+		in := fuzzInput(data)
+		l := in.list(arenaLen)
+		cuts := make([]int64, 0, len(in))
+		for len(in) > 0 {
+			cuts = append(cuts, in.next()<<4|in.next()&15)
 		}
 		checkEquivalence(t, arenaLen, l, cuts)
+	})
+}
+
+// checkPieceEquivalence holds GatherPieces and ScatterPieces of pieces
+// over l to the per-piece loop they replace: AppendOut and CopyIn, one
+// piece at a time, in order, each range checked first. Gathered bytes
+// and errors must be the loop's. So must every arena byte one piece
+// byte maps to; a byte several map to may hold any of their values,
+// since the order pieces move in is the map's.
+func checkPieceEquivalence(t *testing.T, arenaLen int, l ioseg.List, pieces []Piece) {
+	t.Helper()
+	arena := make([]byte, arenaLen)
+	for i := range arena {
+		arena[i] = byte(i*7 + i>>8)
+	}
+	m := NewStreamMap(l)
+
+	// The per-piece loop, for both directions; it stops at the first
+	// error, and bodies hold only the pieces before it.
+	var want []byte
+	var wantErr error
+	for _, p := range pieces {
+		if want, wantErr = m.AppendOut(want, arena, p.Pos, p.Len); wantErr != nil {
+			break
+		}
+	}
+	prefix := []byte("hdr")
+	got, err := m.GatherPieces(prefix[:3:3], arena, pieces)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() || !bytes.Equal(got, prefix) {
+			t.Fatalf("GatherPieces = %d bytes, %v; the loop fails with %v (pieces %v, list %v)", len(got), err, wantErr, pieces, l)
+		}
+	} else if err != nil || !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], want) {
+		t.Fatalf("GatherPieces = %v, %v; want %v (pieces %v, list %v)", got, err, want, pieces, l)
+	}
+
+	var n int64
+	for _, p := range pieces {
+		n += max(p.Len, 0)
+	}
+	body := make([]byte, n)
+	for i := range body {
+		body[i] = byte(i*13 + 5)
+	}
+	wantImage := bytes.Clone(arena)
+	wantErr = nil
+	var rpos int64
+	for _, p := range pieces {
+		if wantErr = m.checkRange(p.Pos, p.Len); wantErr != nil {
+			break
+		}
+		if wantErr = m.CopyIn(wantImage, p.Pos, body[rpos:rpos+p.Len]); wantErr != nil {
+			break
+		}
+		rpos += p.Len
+	}
+	image := bytes.Clone(arena)
+	err = m.ScatterPieces(image, body, pieces)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("ScatterPieces = %v; the loop fails with %v (pieces %v, list %v)", err, wantErr, pieces, l)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("ScatterPieces: %v (pieces %v, list %v)", err, pieces, l)
+	}
+	// Which body bytes each arena byte is written from.
+	at := make([]int64, 0, m.Total()) // arena offset of each stream byte
+	for _, s := range l {
+		for i := int64(0); i < s.Length; i++ {
+			at = append(at, s.Offset+i)
+		}
+	}
+	from := make(map[int64][]byte)
+	rpos = 0
+	for _, p := range pieces {
+		for i := int64(0); i < p.Len; i++ {
+			a := at[p.Pos+i]
+			from[a] = append(from[a], body[rpos+i])
+		}
+		rpos += p.Len
+	}
+	for a := range image {
+		switch vals := from[int64(a)]; {
+		case len(vals) == 0 && image[a] != arena[a]:
+			t.Fatalf("ScatterPieces wrote arena byte %d, which no piece maps to (pieces %v, list %v)", a, pieces, l)
+		case len(vals) == 1 && image[a] != wantImage[a]:
+			t.Fatalf("ScatterPieces left arena byte %d = %d, the loop %d (pieces %v, list %v)", a, image[a], wantImage[a], pieces, l)
+		case len(vals) > 1 && bytes.IndexByte(vals, image[a]) < 0:
+			t.Fatalf("ScatterPieces left arena byte %d = %d, none of the pieces' %v (pieces %v, list %v)", a, image[a], vals, pieces, l)
+		}
+	}
+}
+
+// The pieces calls move what the per-piece loop moves, over bodies whose
+// pieces exceed blockBytes so that every piece is resumed: cursors stop
+// inside elements, rows, runs and listed regions and start again there.
+func TestStreamMapPiecesEquivalence(t *testing.T) {
+	flash := patterns.MemList(&patterns.Flash{NumRanks: 1, Blocks: 2, Elems: 8, Guard: 1, Vars: 24}, 0)
+	lists := []struct {
+		name string
+		l    ioseg.List
+	}{
+		{"flash", flash},
+		{"elem 8 descending", block(nil, 40000, 8, 100, -16, 8, -1700)},
+		{"elem 8 zero stride", block(nil, 64, 8, 400, 0, 4, 24)},
+		{"elem 8 sub-element stride", block(nil, 0, 8, 300, 3, 6, 1000)},
+		{"elem 4", block(nil, 0, 4, 500, 12, 3, 6000)},
+		{"elem 16", block(nil, 0, 16, 200, 40, 3, 8000)},
+		{"elem 12", block(nil, 0, 12, 300, 20, 3, 6000)},
+		{"dense rows", block(nil, 0, 8, 200, 8, 4, 2000)},
+		{"listed", shapeless(2000)},
+		{"listed between strided", append(block(shapeless(300), 20000, 8, 60, 24, 4, 1500), shapeless(200)...)},
+	}
+	for _, c := range lists {
+		t.Run(c.name, func(t *testing.T) {
+			span, _ := c.l.Span()
+			total := c.l.TotalLength()
+			q := total / 24
+			// A datatype window: every q-byte variable's share, in order.
+			var window []Piece
+			for v := int64(0); v < 24; v++ {
+				window = append(window, Piece{v*q + q/4, q / 2})
+			}
+			reversed := slices.Clone(window)
+			slices.Reverse(reversed)
+			rng := rand.New(rand.NewSource(total))
+			shuffled := slices.Clone(window)
+			rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
+			var mixed []Piece // unequal lengths, empty pieces, cuts inside elements
+			for pos := int64(0); pos < total; {
+				n := min(rng.Int63n(3*blockBytes), total-pos)
+				if rng.Intn(5) == 0 {
+					n = 0
+				}
+				mixed = append(mixed, Piece{pos + 1, max(0, min(n, total-pos-1))})
+				pos += n + 3
+			}
+			many := make([]Piece, 0, 3*maxCursors) // more pieces than cursors
+			for i := int64(0); i < 3*maxCursors; i++ {
+				many = append(many, Piece{(i * 997) % (total - 40), 37})
+			}
+			var ends []Piece // a first slice that ends where a run does
+			for _, r := range NewStreamMap(c.l).runs {
+				if r.pos >= blockBytes && len(ends) < 2*maxCursors {
+					ends = append(ends, Piece{r.pos - blockBytes, blockBytes + 1})
+				}
+			}
+			for _, pieces := range [][]Piece{
+				nil, {{0, total}}, window, reversed, shuffled, mixed, many, ends,
+				{{q, 2 * q}, {q + 5, q}}, // overlapping in the stream
+				{{total, 0}, {0, 0}},
+			} {
+				checkPieceEquivalence(t, int(span.End()), c.l, pieces)
+			}
+			// Out of range: past the stream, negative, or in an arena too
+			// short for a later piece.
+			checkPieceEquivalence(t, int(span.End()), c.l, append(slices.Clone(window), Piece{total - 1, 2}))
+			checkPieceEquivalence(t, int(span.End()), c.l, append(slices.Clone(window[:3]), Piece{-1, 1}, Piece{0, -1}))
+			checkPieceEquivalence(t, int(span.End())/2, c.l, window)
+			checkPieceEquivalence(t, int(span.End())/2, c.l, reversed)
+		})
+	}
+}
+
+// The error is the one the per-piece loop meets first, though the
+// pieces move in another order: here the first piece leaves the arena
+// only in its second slice, while later ones leave it, or the stream, at
+// once.
+func TestStreamMapPiecesFirstError(t *testing.T) {
+	l := ioseg.List{seg(0, 8*blockBytes)}
+	long := Piece{0, 3 * blockBytes}
+	for _, pieces := range [][]Piece{
+		{long, {6 * blockBytes, 8}},
+		{long, {8 * blockBytes, 1}},
+		{long, {0, -1}},
+		{{blockBytes, 8}, {6 * blockBytes, 8}, {5 * blockBytes, 8}},
+	} {
+		checkPieceEquivalence(t, 5*blockBytes/2, l, pieces)
+	}
+}
+
+// ScatterPieces takes a body of exactly the pieces' bytes.
+func TestStreamMapPiecesBody(t *testing.T) {
+	m := NewStreamMap(block(nil, 0, 8, 16, 24, 1, 0))
+	arena := make([]byte, 400)
+	pieces := []Piece{{0, 40}, {64, 50}}
+	for _, n := range []int{0, 89, 91} {
+		if err := m.ScatterPieces(arena, make([]byte, n), pieces); err == nil {
+			t.Errorf("a body of %d bytes for 90 bytes of pieces was accepted", n)
+		}
+	}
+	if err := m.ScatterPieces(arena, make([]byte, 90), pieces); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ScatterPieces(arena, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var sink []byte
+	if n := testing.AllocsPerRun(100, func() {
+		sink, _ = m.GatherPieces(sink[:0], arena, pieces)
+		m.CopyIn(arena, 8, sink[:50])
+	}); n != 0 {
+		t.Fatalf("gathering into a body with room, and a CopyIn, cost %v allocations", n)
+	}
+}
+
+// FuzzStreamMapPieces decodes blocks of regions as FuzzStreamMap does,
+// in a larger arena, then pieces: most inside the stream, in any order
+// and of any length up to twice blockBytes, some outside it.
+func FuzzStreamMapPieces(f *testing.F) {
+	f.Add([]byte{1, 0, 10, 8, 8, 24, 4, 100, 0, 0, 3, 1, 0, 1, 1, 0, 7, 0, 200, 2, 2, 0, 2})
+	f.Add([]byte{2, 0, 200, 4, 9, 250, 3, 0, 40, 0, 7, 9, 3, 3, 8, 1, 0, 2, 9, 4, 0, 0, 255, 255, 8})
+	f.Add([]byte{1, 3, 0, 16, 6, 0, 3, 0, 9, 200, 0, 0, 0, 4, 1, 0, 0, 0})
+	f.Add([]byte{1, 255, 255, 8, 9, 8, 3, 0, 5, 5, 5, 5, 8})
+	f.Add([]byte{3, 0, 0, 4, 9, 30, 131, 33, 4, 0, 4, 9, 30, 131, 33, 7, 0, 6, 9, 20, 131, 30, 0, 99, 5, 5, 1, 3, 200, 9, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const arenaLen = 16 << 10
+		in := fuzzInput(data)
+		l := in.list(arenaLen)
+		total, _ := l.TotalLengthChecked()
+		var pieces []Piece
+		for len(in) > 0 && len(pieces) < 2*maxCursors {
+			pos, n := in.next()<<8|in.next(), in.next()<<4|in.next()&15
+			switch how := in.next(); {
+			case how%8 != 0 && total > 0 && l.Validate() == nil:
+				pos %= total + 1
+				n %= min(total-pos, 2*blockBytes) + 1
+			case how%16 == 8:
+				pos, n = -pos, -n
+			}
+			pieces = append(pieces, Piece{pos, n})
+		}
+		checkPieceEquivalence(t, arenaLen, l, pieces)
 	})
 }
