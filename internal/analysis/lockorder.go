@@ -23,7 +23,8 @@ import (
 // Ascending-order evidence for simultaneous per-block locks is
 // structural: the acquiring loop iterates an ascending index
 // (`for idx := first; idx <= last; idx++`), or the function sorted its
-// batch with sort.Slice before locking. Anything else is flagged.
+// batch (sort.Slice, slices.SortFunc and kin) before locking. Anything
+// else is flagged.
 var LockOrder = &Analyzer{
 	Name:     "lockorder",
 	Doc:      "cache locks must follow the per-handle → per-block → cache-wide order, per-block batches in ascending index order",
@@ -68,7 +69,8 @@ func runLockOrder(pass *Pass) {
 			}
 			w.sawSortSlice = containsSortSlice(pass, decl.Body)
 			w.ascendingFor = 0
-			w.walkStmts(decl.Body.List, nil)
+			// Empty, not nil: nil means "this path returned".
+			w.walkStmts(decl.Body.List, []heldLock{})
 		}
 	}
 }
@@ -180,7 +182,8 @@ func lockSummaries(pass *Pass) map[*types.Func]map[int]bool {
 
 // walkStmts walks a statement list with the current held set,
 // returning the resulting held set, or nil when every path through the
-// list terminates (return/continue/break/panic).
+// list terminates (return/continue/break/panic). Nil is reserved for
+// that: "nothing held" is an empty, non-nil set.
 func (w *lockWalker) walkStmts(stmts []ast.Stmt, held []heldLock) []heldLock {
 	for _, s := range stmts {
 		held = w.walkStmt(s, held)
@@ -218,6 +221,19 @@ func mergeHeld(a, b []heldLock) []heldLock {
 		}
 	}
 	return out
+}
+
+// afterLoop is the held set after a loop. Locks the body takes stay
+// held, as if the loop ran at least once. A lock held at entry that the
+// body releases on every path is released: that is the unlock loop over
+// the batch an earlier loop locked, and a zero-iteration unlock loop
+// had no batch to release. A body that never falls through leaves the
+// entry set.
+func afterLoop(entry, exit []heldLock) []heldLock {
+	if exit == nil {
+		return entry
+	}
+	return exit
 }
 
 func maxRank(held []heldLock) (int, string) {
@@ -277,21 +293,21 @@ func (w *lockWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			w.ascendingFor--
 		}
 		w.checkLoopAccumulation(s, entry, exit, asc)
-		return mergeHeld(entry, exit)
+		return afterLoop(entry, exit)
 	case *ast.RangeStmt:
 		entry := cloneHeld(held)
 		exit := w.walkStmts(s.Body.List, cloneHeld(held))
 		w.checkLoopAccumulation(s, entry, exit, false)
-		return mergeHeld(entry, exit)
+		return afterLoop(entry, exit)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			held = w.walkStmt(s.Init, held)
 		}
-		return w.walkClauses(s.Body, held)
+		return w.walkClauses(s.Body, held, false)
 	case *ast.TypeSwitchStmt:
-		return w.walkClauses(s.Body, held)
+		return w.walkClauses(s.Body, held, false)
 	case *ast.SelectStmt:
-		return w.walkClauses(s.Body, held)
+		return w.walkClauses(s.Body, held, true)
 	case *ast.LabeledStmt:
 		return w.walkStmt(s.Stmt, held)
 	default:
@@ -299,13 +315,18 @@ func (w *lockWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 	}
 }
 
-func (w *lockWalker) walkClauses(body *ast.BlockStmt, held []heldLock) []heldLock {
+// walkClauses walks a switch or select body. The statement terminates
+// only when every clause does and no path skips them all: a switch
+// without a default falls through when no case matches (a select
+// without one blocks until some clause runs).
+func (w *lockWalker) walkClauses(body *ast.BlockStmt, held []heldLock, isSelect bool) []heldLock {
 	var merged []heldLock
-	terminated := true
+	hasDefault := false
 	for _, c := range body.List {
 		var list []ast.Stmt
 		switch c := c.(type) {
 		case *ast.CaseClause:
+			hasDefault = hasDefault || c.List == nil
 			list = c.Body
 		case *ast.CommClause:
 			if c.Comm != nil {
@@ -313,14 +334,12 @@ func (w *lockWalker) walkClauses(body *ast.BlockStmt, held []heldLock) []heldLoc
 			}
 			list = c.Body
 		}
-		out := w.walkStmts(list, cloneHeld(held))
-		if out != nil {
+		if out := w.walkStmts(list, cloneHeld(held)); out != nil {
 			merged = mergeHeld(merged, out)
-			terminated = false
 		}
 	}
-	if terminated && len(body.List) > 0 {
-		return nil
+	if (isSelect || hasDefault) && len(body.List) > 0 {
+		return merged // nil: every clause terminated
 	}
 	return mergeHeld(merged, held)
 }
@@ -355,8 +374,9 @@ func (w *lockWalker) checkLoopAccumulation(loop ast.Node, entry, exit []heldLock
 }
 
 // containsSortSlice reports whether the function body sorts a batch
-// with sort.Slice/sort.SliceStable/sort.Sort — the sorted-batch
-// evidence for taking several per-block locks at once.
+// with sort.Slice/sort.SliceStable/sort.Sort or their slices-package
+// twins — the sorted-batch evidence for taking several per-block locks
+// at once.
 func containsSortSlice(pass *Pass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -365,7 +385,8 @@ func containsSortSlice(pass *Pass, body *ast.BlockStmt) bool {
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			switch pass.calleeName(call) {
-			case "sort.Slice", "sort.SliceStable", "sort.Sort":
+			case "sort.Slice", "sort.SliceStable", "sort.Sort",
+				"slices.Sort", "slices.SortFunc", "slices.SortStableFunc":
 				found = true
 			}
 		}

@@ -1,6 +1,7 @@
 package lockorder
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -92,4 +93,70 @@ func callsDown(f *cacheFile, c *Cache) {
 	c.mu.Lock()
 	lockHandle(f) // want `calls lockHandle, which may acquire per-handle`
 	c.mu.Unlock()
+}
+
+// earlyReturn's guard returns before any lock is taken; the walk must
+// go on past it to the unsorted batch below.
+func earlyReturn(bs []*cacheBlock, abandoned bool) {
+	if abandoned {
+		return
+	}
+	for _, b := range bs { // want `loop accumulates per-block locks`
+		b.bmu.Lock()
+	}
+	for _, b := range bs {
+		b.bmu.Unlock()
+	}
+}
+
+// caseReturn's switch returns in its only case but has no default: the
+// no-match path falls through to the inverted pair.
+func caseReturn(f *cacheFile, c *Cache, n int) {
+	switch n {
+	case 0:
+		return
+	}
+	c.mu.Lock()
+	f.mu.Lock() // want `acquires per-handle .* while holding cache-wide`
+	f.mu.Unlock()
+	c.mu.Unlock()
+}
+
+// lockUnlockThenHandle releases the whole batch in its unlock loop, so
+// the per-handle lock taken afterwards is in order.
+func lockUnlockThenHandle(f *cacheFile, bs []*cacheBlock) {
+	sort.Slice(bs, func(i, j int) bool { return i < j })
+	for _, b := range bs {
+		b.bmu.Lock()
+	}
+	for _, b := range bs {
+		b.bmu.Unlock()
+	}
+	lockHandle(f)
+}
+
+// partialUnlock releases the batch only on some paths, so a block lock
+// may still be held when the per-handle lock is taken.
+func partialUnlock(f *cacheFile, bs []*cacheBlock, keep bool) {
+	sort.Slice(bs, func(i, j int) bool { return i < j })
+	for _, b := range bs {
+		b.bmu.Lock()
+	}
+	for _, b := range bs {
+		if !keep {
+			b.bmu.Unlock()
+		}
+	}
+	lockHandle(f) // want `calls lockHandle, which may acquire per-handle`
+}
+
+// slicesSorted carries slices.SortFunc evidence for a batch.
+func slicesSorted(bs []*cacheBlock) {
+	slices.SortFunc(bs, func(a, b *cacheBlock) int { return 0 })
+	for _, b := range bs {
+		b.bmu.Lock()
+	}
+	for _, b := range bs {
+		b.bmu.Unlock()
+	}
 }

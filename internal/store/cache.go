@@ -22,7 +22,12 @@ package store
 //     4 KiB fragment reads with one backend access. Sequential block
 //     access triggers asynchronous readahead of the next blocks.
 //   - Eviction is LRU over all blocks; dirty victims are flushed
-//     before being dropped.
+//     before being dropped. An evicted block's buffer goes to a free
+//     list (at most an eighth of MaxBytes) that new blocks draw from.
+//   - A request moves in one pass: ReadBatch/WriteBatch — ReadAt and
+//     WriteAt are one-span batches — make one walk over every block
+//     the batch touches (Cache.walk), so its pieces share one pin
+//     round, one backend fill and one publish round.
 //   - Data reaches the backend only as batches: fillRuns is the one
 //     fill path (misses, readahead, the pre-read of a partly written
 //     block) and issues one inner ReadBatch per fill; flushFileRuns
@@ -47,10 +52,11 @@ package store
 // covered by a successful Sync.
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,14 +150,16 @@ type Cache struct {
 	// here, before it is acknowledged, not at flush time.
 	limit int64
 
-	// mu guards files, lru, the dirty set and every cacheFile's
-	// metadata fields. It is never held across backend I/O.
+	// mu guards files, lru, the dirty set, the free list and every
+	// cacheFile's metadata fields. It is never held across backend I/O.
 	// cachedBytes/dirtyBytes are written under mu but read lock-free
 	// on the hot path (budget checks).
 	mu          sync.Mutex
 	files       map[uint64]*cacheFile
 	lru         list.List // of *cacheBlock; front = most recently used
 	dirtySet    map[*cacheBlock]struct{}
+	free        [][]byte // evicted blocks' buffers, at most freeMax
+	freeMax     int
 	cachedBytes atomic.Int64
 	dirtyBytes  atomic.Int64
 	cleanCond   *sync.Cond // signalled as dirtyBytes drops
@@ -186,17 +194,23 @@ type cacheFile struct {
 
 // cacheBlock is one BlockSize-aligned span of a stripe file.
 //
-// Invariant: bytes of data beyond the file's tracked size are zero, so
-// reads past EOF come back as holes without consulting the size.
+// Invariant: bytes beyond the file's tracked size are zero in every
+// loaded block, so reads past EOF come back as holes without consulting
+// the size. An unloaded block's buffer may hold anything — a recycled
+// block's bytes, a failed fill's — and is never read.
 type cacheBlock struct {
 	file *cacheFile
 	idx  int64
 
-	// bmu is held across fill/flush backend I/O and data copies.
-	bmu    sync.Mutex
-	data   []byte // len == BlockSize
-	loaded bool   // data is valid
-	dirty  bool   // data ahead of the backend (guarded by bmu)
+	// bmu is held across fill/flush backend I/O and data copies, and
+	// guards the fields below it.
+	bmu sync.Mutex
+	// data (len BlockSize) comes from the free list when the block is
+	// created, else is allocated by its first locker; it is nil again
+	// once the block is gone and the buffer recycled.
+	data   []byte
+	loaded bool // data is valid
+	dirty  bool // data ahead of the backend
 
 	// Guarded by Cache.mu:
 	elem     *list.Element
@@ -220,6 +234,7 @@ func Cached(inner Store, opts CacheOptions) *Cache {
 	if sz, ok := inner.(Sizer); ok {
 		c.limit = sz.MaxSize()
 	}
+	c.freeMax = max(1, int(c.opt.MaxBytes/8/c.opt.BlockSize))
 	c.cleanCond = sync.NewCond(&c.mu)
 	c.flusherWG.Add(1)
 	go c.flusher()
@@ -264,14 +279,89 @@ func (c *Cache) ensureSize(f *cacheFile) error {
 	return nil
 }
 
-// block returns the cached block idx of f, creating it (unloaded) if
-// absent, with its reference count incremented. Callers hold f.mu.R.
-func (c *Cache) block(f *cacheFile, idx int64) *cacheBlock {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// piece is one non-empty buffer of a batch at its file offset.
+type piece struct {
+	off int64
+	buf []byte
+}
+
+func byOffset(a, b piece) int { return cmp.Compare(a.off, b.off) }
+
+func byIndex(a, b *cacheBlock) int { return cmp.Compare(a.idx, b.idx) }
+
+// batchWalk is the working set of one pass over the blocks: a batch's
+// pieces, the blocks they touch and a backend batch. Walks are pooled,
+// so a request allocates only the blocks it creates.
+type batchWalk struct {
+	pieces []piece
+	idxs   []int64       // every block index the pieces touch, ascending
+	whole  []bool        // idxs[i] lies inside one merged run of pieces
+	blocks []*cacheBlock // the pinned blocks of idxs (or a flush batch)
+	fill   []*cacheBlock // the blocks one backend batch moves, ascending
+	spans  []Span        // that backend batch (blockSpans)
+	bufs   [][]byte
+}
+
+var walkPool = sync.Pool{New: func() any { return new(batchWalk) }}
+
+func newWalk() *batchWalk { return walkPool.Get().(*batchWalk) }
+
+// done drops the walk's references — user buffers, blocks, block
+// buffers — and returns it to the pool.
+func (w *batchWalk) done() {
+	clear(w.pieces)
+	clear(w.blocks)
+	clear(w.fill)
+	clear(w.spans)
+	clear(w.bufs)
+	w.pieces, w.idxs, w.whole = w.pieces[:0], w.idxs[:0], w.whole[:0]
+	w.blocks, w.fill, w.spans, w.bufs = w.blocks[:0], w.fill[:0], w.spans[:0], w.bufs[:0]
+	walkPool.Put(w)
+}
+
+// walkOf flattens a batch's spans into a walk's pieces, dropping empty
+// buffers.
+func walkOf(spans []Span) *batchWalk {
+	w := newWalk()
+	for _, s := range spans {
+		off := s.Off
+		for _, buf := range s.Bufs {
+			if len(buf) > 0 {
+				w.pieces = append(w.pieces, piece{off, buf})
+			}
+			off += int64(len(buf))
+		}
+	}
+	return w
+}
+
+// cover appends the blocks one merged run [lo, hi) of pieces touches,
+// each marked with whether the run covers it whole. Runs arrive in
+// offset order, so a block two runs share — one holding the gap between
+// them, never whole — is recorded once.
+func (w *batchWalk) cover(lo, hi, bs int64) {
+	for idx := lo / bs; idx <= (hi-1)/bs; idx++ {
+		if n := len(w.idxs); n > 0 && w.idxs[n-1] == idx {
+			continue
+		}
+		w.idxs = append(w.idxs, idx)
+		w.whole = append(w.whole, idx*bs >= lo && (idx+1)*bs <= hi)
+	}
+}
+
+// pinLocked returns block idx of f with a reference taken, creating it
+// (unloaded) if absent. A new block takes a buffer from the free list;
+// when the list is empty, its first locker allocates one (ensureBuf),
+// outside c.mu. Callers hold c.mu.
+func (c *Cache) pinLocked(f *cacheFile, idx int64) *cacheBlock {
 	b, ok := f.blocks[idx]
 	if !ok {
-		b = &cacheBlock{file: f, idx: idx, data: make([]byte, c.opt.BlockSize)}
+		b = &cacheBlock{file: f, idx: idx}
+		if n := len(c.free); n > 0 {
+			b.data = c.free[n-1]
+			c.free[n-1] = nil
+			c.free = c.free[:n-1]
+		}
 		f.blocks[idx] = b
 		b.elem = c.lru.PushFront(b)
 		c.cachedBytes.Add(c.opt.BlockSize)
@@ -282,85 +372,199 @@ func (c *Cache) block(f *cacheFile, idx int64) *cacheBlock {
 	return b
 }
 
-// put releases a block reference taken by block().
-func (c *Cache) put(b *cacheBlock) {
-	c.mu.Lock()
-	b.refs--
-	c.mu.Unlock()
+// ensureBuf gives a block created while the free list was empty its
+// buffer. Callers hold b.bmu.
+func (c *Cache) ensureBuf(b *cacheBlock) {
+	if b.data == nil {
+		b.data = make([]byte, c.opt.BlockSize)
+	}
 }
 
-// finishWrite publishes a write's size extension and releases the
-// block reference in one metadata round. Callers still hold b.bmu:
-// the size must be visible before the block can be flushed, because
-// write-back clips to it.
-func (c *Cache) finishWrite(f *cacheFile, b *cacheBlock, end int64) {
-	c.mu.Lock()
-	if end > f.size {
-		f.size = end
+// recycleLocked moves a gone block's buffer to the free list while the
+// list is under its bound. The block is left unloaded with no buffer,
+// so a use after recycling panics instead of serving another block's
+// bytes. Callers hold c.mu and either b.bmu or f.mu.W.
+func (c *Cache) recycleLocked(b *cacheBlock) {
+	if b.data != nil && len(c.free) < c.freeMax {
+		c.free = append(c.free, b.data)
 	}
-	b.refs--
-	c.mu.Unlock()
+	b.data, b.loaded = nil, false
 }
 
-// blockSpans maps runs of consecutive blocks onto one batch: a span per
-// run, a buffer per block holding its first n(b) bytes. It also returns
-// the batch's byte count.
-func (c *Cache) blockSpans(runs [][]*cacheBlock, n func(*cacheBlock) int64) ([]Span, int64) {
-	nblocks := 0
-	for _, run := range runs {
-		nblocks += len(run)
+// blockSpans lays ascending blocks out as w.spans: a span per run of
+// consecutive indexes, a buffer per block holding its first n(b) bytes.
+// It returns the batch's byte count.
+func (c *Cache) blockSpans(w *batchWalk, blocks []*cacheBlock, n func(*cacheBlock) int64) int64 {
+	if cap(w.bufs) < len(blocks) {
+		w.bufs = make([][]byte, 0, len(blocks)) // no append below may move it
 	}
-	spans := make([]Span, len(runs))
-	bufs := make([][]byte, 0, nblocks)
+	w.spans, w.bufs = w.spans[:0], w.bufs[:0]
 	var total int64
-	for i, run := range runs {
-		start := len(bufs)
-		for _, b := range run {
-			buf := b.data[:n(b)]
-			bufs = append(bufs, buf)
-			total += int64(len(buf))
+	start := 0
+	for i, b := range blocks {
+		buf := b.data[:n(b)]
+		w.bufs = append(w.bufs, buf)
+		total += int64(len(buf))
+		if i+1 == len(blocks) || blocks[i+1].idx != b.idx+1 {
+			w.spans = append(w.spans, Span{Off: blocks[start].idx * c.opt.BlockSize, Bufs: w.bufs[start : i+1 : i+1]})
+			start = i + 1
 		}
-		spans[i] = Span{Off: run[0].idx * c.opt.BlockSize, Bufs: bufs[start:len(bufs):len(bufs)]}
 	}
-	return spans, total
+	return total
 }
 
-// fillRuns loads runs of consecutive uncached blocks — gaps between
-// runs allowed — with ONE inner ReadBatch. It is the cache's only fill
-// path: read misses, readahead and the pre-read of a partly written
-// block all come through here. Callers hold f.mu.R and every block's
-// bmu across all runs, taken in ascending index order (the deadlock
+// fillRuns loads ascending unloaded blocks — adjacent ones as one run,
+// gaps between runs allowed — with ONE inner ReadBatch. It is the
+// cache's only fill path: read misses, readahead and the pre-read of a
+// partly written block all come through here. Callers hold f.mu.R and
+// the bmu of every block, taken in ascending index order (the deadlock
 // rule all multi-block paths share). On success every block is marked
-// loaded; on error none is (the blocks stay unloaded and the caller
-// fails).
-func (c *Cache) fillRuns(handle uint64, runs [][]*cacheBlock) error {
+// loaded; on error none is: the blocks stay unloaded, whatever the
+// failed read left in their buffers, and the caller fails.
+func (c *Cache) fillRuns(handle uint64, w *batchWalk, blocks []*cacheBlock) error {
 	bs := c.opt.BlockSize
-	spans, _ := c.blockSpans(runs, func(*cacheBlock) int64 { return bs })
-	if _, err := c.inner.ReadBatch(handle, spans); err != nil {
+	c.blockSpans(w, blocks, func(*cacheBlock) int64 { return bs })
+	if _, err := c.inner.ReadBatch(handle, w.spans); err != nil {
 		return err
 	}
-	for _, run := range runs {
-		for _, b := range run {
-			b.loaded = true
-		}
+	for _, b := range blocks {
+		b.loaded = true
 	}
 	return nil
 }
 
-// markDirty flags the block dirty and accounts its bytes. Callers hold
-// b.bmu.
-func (c *Cache) markDirty(b *cacheBlock) {
-	if b.dirty {
-		return
+// walk moves one batch through the cache in a single pass — the one
+// data path of ReadBatch/WriteBatch, and so of ReadAt/WriteAt:
+//
+//  1. the pieces, sorted by offset, name the blocks they touch;
+//  2. one c.mu round pins every block, and their locks are taken in
+//     ascending index order;
+//  3. every unloaded block is settled: past EOF it is known zeros, a
+//     write that covers it whole needs nothing, and every other one —
+//     a read miss, or a write's pre-read of a block covered in part —
+//     joins ONE fillRuns;
+//  4. every piece is copied;
+//  5. one more c.mu round marks a write's blocks dirty and publishes
+//     its size (before any block lock drops: write-back clips to the
+//     size), runs the readahead detector for a read, and unpins.
+//
+// A failed fill fails the batch before any piece is copied. Hits and
+// misses count one per block each piece touches, the first touch of a
+// filled block being its miss; a block a write covers whole without a
+// fill counts nothing for the touch that loads it.
+func (c *Cache) walk(f *cacheFile, w *batchWalk, write bool) error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if err := c.ensureSize(f); err != nil {
+		return err
 	}
-	b.dirty = true
+	bs := c.opt.BlockSize
+	if !slices.IsSortedFunc(w.pieces, byOffset) {
+		slices.SortFunc(w.pieces, byOffset)
+	}
+	var touches int64
+	lo, hi := w.pieces[0].off, w.pieces[0].off // the current merged run
+	for _, p := range w.pieces {
+		end := p.off + int64(len(p.buf))
+		touches += (end-1)/bs - p.off/bs + 1
+		if p.off > hi {
+			w.cover(lo, hi, bs)
+			lo = p.off
+		}
+		hi = max(hi, end)
+	}
+	w.cover(lo, hi, bs)
+
 	c.mu.Lock()
-	c.dirtyBytes.Add(c.opt.BlockSize)
-	c.dirtySet[b] = struct{}{}
+	size := f.size
+	for _, idx := range w.idxs {
+		w.blocks = append(w.blocks, c.pinLocked(f, idx))
+	}
 	c.mu.Unlock()
-	if c.dirtyBytes.Load() > c.opt.DirtyHighWater {
+	for _, b := range w.blocks {
+		b.bmu.Lock()
+		c.ensureBuf(b)
+	}
+
+	var overwritten int64
+	for i, b := range w.blocks {
+		switch {
+		case b.loaded:
+		case write && w.whole[i]:
+			overwritten++ // loaded once the copy below lands
+		case b.idx*bs >= size:
+			// Entirely past EOF: the backend holds only zeros here.
+			// The one place the cache relies on zeros it did not read,
+			// so the (possibly recycled) buffer is zeroed.
+			clear(b.data)
+			b.loaded = true
+		default:
+			w.fill = append(w.fill, b)
+		}
+	}
+	if len(w.fill) > 0 {
+		if err := c.fillRuns(f.handle, w, w.fill); err != nil {
+			c.mu.Lock()
+			for _, b := range w.blocks {
+				b.refs--
+			}
+			c.mu.Unlock()
+			for _, b := range w.blocks {
+				b.bmu.Unlock()
+			}
+			return err
+		}
+		c.misses.Add(int64(len(w.fill)))
+	}
+	c.hits.Add(touches - int64(len(w.fill)) - overwritten)
+
+	k := 0 // w.blocks[k] holds the current piece's first byte
+	for _, p := range w.pieces {
+		for w.blocks[k].idx < p.off/bs {
+			k++
+		}
+		for pos, end, j := p.off, p.off+int64(len(p.buf)), k; pos < end; j++ {
+			b := w.blocks[j]
+			base := b.idx * bs
+			n := min(end, base+bs) - pos
+			if write {
+				copy(b.data[pos-base:pos-base+n], p.buf[pos-p.off:])
+			} else {
+				copy(p.buf[pos-p.off:pos-p.off+n], b.data[pos-base:])
+			}
+			pos += n
+		}
+	}
+
+	prefetchAt := int64(-1)
+	c.mu.Lock()
+	if write {
+		f.size = max(f.size, hi)
+		for _, b := range w.blocks {
+			b.loaded = true
+			if !b.dirty {
+				b.dirty = true
+				c.dirtyBytes.Add(bs)
+				c.dirtySet[b] = struct{}{}
+			}
+		}
+	} else {
+		prefetchAt = c.noteSequentialLocked(f, w.pieces)
+	}
+	for _, b := range w.blocks {
+		b.refs--
+	}
+	c.mu.Unlock()
+	for _, b := range w.blocks {
+		b.bmu.Unlock()
+	}
+	if write && c.dirtyBytes.Load() > c.opt.DirtyHighWater {
 		c.wakeFlusher()
 	}
+	if prefetchAt >= 0 {
+		go c.prefetch(f, prefetchAt, c.opt.Readahead)
+	}
+	return nil
 }
 
 // wakeFlusher nudges the background flusher without blocking.
@@ -427,19 +631,19 @@ func (c *Cache) flushDirty() error {
 }
 
 // flushFileRuns writes back one file's batch of dirty blocks: adjacent
-// block indexes merge into sub-runs, and ALL the file's gapped sub-runs
-// go down as ONE inner WriteBatch (DESIGN.md §11), each block clipped
-// to the tracked size so write-back never extends a file past its
-// logical end. It is the cache's only flush path — the flusher, Sync
-// and eviction (a batch of one victim) all come through here. Callers
-// hold f.mu (either mode); block locks are taken here, in ascending
-// index order. Blocks that meanwhile went clean or gone are skipped
-// (a gone block's fate was decided by Truncate/Remove). The batch is
-// all-or-nothing: on error every block in it stays dirty for a later
+// block indexes merge into runs, and ALL the file's gapped runs go down
+// as ONE inner WriteBatch (DESIGN.md §11), each block clipped to the
+// tracked size so write-back never extends a file past its logical
+// end. It is the cache's only flush path — the flusher, Sync and
+// eviction (a batch of one victim) all come through here. Callers hold
+// f.mu (either mode); block locks are taken here, in ascending index
+// order. Blocks that meanwhile went clean or gone are skipped (a gone
+// block's fate was decided by Truncate/Remove or eviction). The batch
+// is all-or-nothing: on error every block in it stays dirty for a later
 // retry — the §7 crash contract is per run, and a batch is a set of
 // runs that land or fail together.
 func (c *Cache) flushFileRuns(f *cacheFile, batch []*cacheBlock) error {
-	sort.Slice(batch, func(i, j int) bool { return batch[i].idx < batch[j].idx })
+	slices.SortFunc(batch, byIndex)
 	for _, b := range batch {
 		b.bmu.Lock()
 	}
@@ -448,66 +652,49 @@ func (c *Cache) flushFileRuns(f *cacheFile, batch []*cacheBlock) error {
 			b.bmu.Unlock()
 		}
 	}()
+	w := newWalk()
+	defer w.done()
 	c.mu.Lock()
 	size := f.size
-	gone := make([]bool, len(batch))
-	for i, b := range batch {
-		gone[i] = b.gone
+	for _, b := range batch {
+		if !b.gone && b.dirty {
+			w.blocks = append(w.blocks, b)
+		}
 	}
 	c.mu.Unlock()
+	// A block wholly past the tracked size is dropped without a write.
+	// The size clips at one point, so within a run every block but the
+	// last is written whole and each span stays file-contiguous.
 	bs := c.opt.BlockSize
 	clipOf := func(b *cacheBlock) int64 { return min(max(size-b.idx*bs, 0), bs) }
-	cleaned := make([]*cacheBlock, 0, len(batch))
-	var subs [][]*cacheBlock
-	for i := 0; i < len(batch); {
-		b := batch[i]
-		switch {
-		case gone[i] || !b.dirty:
-			i++
-		case clipOf(b) == 0:
-			// Nothing of this block is below the tracked size: the
-			// data is dropped without a write.
-			b.dirty = false
-			cleaned = append(cleaned, b)
-			i++
-		default:
-			// Collect a writable sub-run: consecutive, still-dirty,
-			// present blocks with data below the tracked size. Since
-			// the size clips at one point, every block but the
-			// sub-run's last is written whole and the span stays
-			// file-contiguous.
-			j := i + 1
-			for j < len(batch) && batch[j].idx == batch[j-1].idx+1 &&
-				!gone[j] && batch[j].dirty && clipOf(batch[j]) > 0 {
-				j++
-			}
-			subs = append(subs, batch[i:j])
-			i = j
+	for _, b := range w.blocks {
+		if clipOf(b) > 0 {
+			w.fill = append(w.fill, b)
 		}
 	}
 	var err error
-	if len(subs) > 0 {
-		spans, total := c.blockSpans(subs, clipOf)
-		if _, err = c.inner.WriteBatch(f.handle, spans); err == nil {
+	if len(w.fill) > 0 {
+		total := c.blockSpans(w, w.fill, clipOf)
+		if _, err = c.inner.WriteBatch(f.handle, w.spans); err == nil {
 			c.flushedBytes.Add(total)
-			for _, sub := range subs {
-				c.flushes.Add(int64(len(sub)))
-				for _, sb := range sub {
-					sb.dirty = false
-					cleaned = append(cleaned, sb)
-				}
-			}
+			c.flushes.Add(int64(len(w.fill)))
 		}
 	}
-	if len(cleaned) > 0 {
-		c.mu.Lock()
-		for _, b := range cleaned {
-			c.dirtyBytes.Add(-bs)
-			delete(c.dirtySet, b)
+	cleaned := 0
+	c.mu.Lock()
+	for _, b := range w.blocks {
+		if err != nil && clipOf(b) > 0 {
+			continue
 		}
+		b.dirty = false
+		c.dirtyBytes.Add(-bs)
+		delete(c.dirtySet, b)
+		cleaned++
+	}
+	if cleaned > 0 {
 		c.cleanCond.Broadcast()
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	return err
 }
 
@@ -571,12 +758,17 @@ func (c *Cache) evictIfNeeded() {
 			return
 		}
 		victim.evicting = true
+		_, dirty := c.dirtySet[victim]
 		c.mu.Unlock()
 
+		// A clean victim needs no write-back, only its block lock.
 		f := victim.file
-		f.mu.RLock()
-		err := c.flushFileRuns(f, []*cacheBlock{victim})
-		f.mu.RUnlock()
+		var err error
+		if dirty {
+			f.mu.RLock()
+			err = c.flushFileRuns(f, []*cacheBlock{victim})
+			f.mu.RUnlock()
+		}
 
 		victim.bmu.Lock()
 		c.mu.Lock()
@@ -600,6 +792,7 @@ func (c *Cache) evictIfNeeded() {
 			victim.gone = true
 			c.cachedBytes.Add(-c.opt.BlockSize)
 			c.evictions.Add(1)
+			c.recycleLocked(victim)
 		}
 		victim.evicting = false
 		c.mu.Unlock()
@@ -607,183 +800,14 @@ func (c *Cache) evictIfNeeded() {
 	}
 }
 
-// ReadAt implements Store: it serves p from cached blocks, filling
-// misses from the backend a whole block at a time.
+// ReadAt implements Store as a one-span ReadBatch.
 func (c *Cache) ReadAt(handle uint64, p []byte, off int64) (int, error) {
-	if c.abandoned.Load() {
-		return 0, ErrAbandoned
-	}
-	if err := checkExtent(off, len(p)); err != nil {
-		return 0, err
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	f := c.file(handle)
-	first, last, err := c.readBlocks(f, p, off)
-	if err != nil {
-		return 0, err
-	}
-	c.noteSequential(f, first, last)
-	c.evictIfNeeded()
-	return len(p), nil
+	return c.ReadBatch(handle, []Span{{Off: off, Bufs: [][]byte{p}}})
 }
 
-// readBlocks is the locked body of ReadAt; it returns the first and
-// last block indexes touched. The walk is two-phase: loaded and
-// past-EOF blocks are served and released as they are met, while
-// blocks needing a backend fill stay locked and accumulate into runs
-// of consecutive indexes — then ALL the runs, gaps included, fill with
-// one batched backend submission (fillRuns). Block locks are taken in
-// ascending index order, the deadlock rule all multi-block paths
-// share; a fill run's locks are held until its data arrives.
-func (c *Cache) readBlocks(f *cacheFile, p []byte, off int64) (first, last int64, err error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if err := c.ensureSize(f); err != nil {
-		return 0, 0, err
-	}
-	bs := c.opt.BlockSize
-	first, last = off/bs, (off+int64(len(p))-1)/bs
-	copyOut := func(b *cacheBlock) {
-		blockOff := b.idx * bs
-		lo := max(off, blockOff)
-		hi := min(off+int64(len(p)), blockOff+bs)
-		copy(p[lo-off:hi-off], b.data[lo-blockOff:hi-blockOff])
-	}
-	var runs [][]*cacheBlock
-	for idx := first; idx <= last; idx++ {
-		b := c.block(f, idx)
-		b.bmu.Lock()
-		if b.loaded {
-			c.hits.Add(1)
-			copyOut(b)
-			b.bmu.Unlock()
-			c.put(b)
-			continue
-		}
-		c.mu.Lock()
-		size := f.size
-		c.mu.Unlock()
-		if idx*bs >= size {
-			// Entirely past EOF: the backend holds only zeros here,
-			// and data is already zeroed.
-			b.loaded = true
-			c.hits.Add(1)
-			copyOut(b)
-			b.bmu.Unlock()
-			c.put(b)
-			continue
-		}
-		// A fill is needed: keep the block locked and extend the
-		// current run, or start a new (gapped) one.
-		if n := len(runs); n > 0 && runs[n-1][len(runs[n-1])-1].idx == idx-1 {
-			runs[n-1] = append(runs[n-1], b)
-		} else {
-			runs = append(runs, []*cacheBlock{b})
-		}
-	}
-	if len(runs) > 0 {
-		ferr := c.fillRuns(f.handle, runs)
-		for _, run := range runs {
-			for _, rb := range run {
-				if ferr == nil {
-					c.misses.Add(1)
-					copyOut(rb)
-				}
-				rb.bmu.Unlock()
-				c.put(rb)
-			}
-		}
-		if ferr != nil {
-			return 0, 0, ferr
-		}
-	}
-	return first, last, nil
-}
-
-// WriteAt implements Store: it lands p in cached blocks (write-back),
-// filling partially-covered blocks from the backend first. While a
-// background flush error is pending the cache is degraded and writes
-// fail fast — accepting more dirty data that provably cannot reach
-// the backend would grow memory without bound and widen the crash
-// loss window; a Sync that successfully re-flushes the stuck blocks
-// clears the condition.
+// WriteAt implements Store as a one-span WriteBatch.
 func (c *Cache) WriteAt(handle uint64, p []byte, off int64) (int, error) {
-	if c.abandoned.Load() {
-		return 0, ErrAbandoned
-	}
-	if err := checkExtent(off, len(p)); err != nil {
-		return 0, err
-	}
-	if off+int64(len(p)) > c.limit {
-		// The backend would refuse this extent at flush time; refuse
-		// it now rather than acknowledge a write that cannot land.
-		return 0, fmt.Errorf("store: extent [%d,+%d) exceeds backend file limit", off, len(p))
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	c.waitDirtyRoom()
-	c.mu.Lock()
-	ferr := c.flushErr
-	c.mu.Unlock()
-	if ferr != nil {
-		return 0, fmt.Errorf("store: cache write-back degraded: %w", ferr)
-	}
-	f := c.file(handle)
-	if err := c.writeBlocks(f, p, off); err != nil {
-		return 0, err
-	}
-	c.evictIfNeeded()
-	return len(p), nil
-}
-
-// writeBlocks is the locked body of WriteAt.
-func (c *Cache) writeBlocks(f *cacheFile, p []byte, off int64) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if err := c.ensureSize(f); err != nil {
-		return err
-	}
-	bs := c.opt.BlockSize
-	first, last := off/bs, (off+int64(len(p))-1)/bs
-	for idx := first; idx <= last; idx++ {
-		b := c.block(f, idx)
-		b.bmu.Lock()
-		blockOff := idx * bs
-		lo := max(off, blockOff)
-		hi := min(off+int64(len(p)), blockOff+bs)
-		if !b.loaded {
-			c.mu.Lock()
-			size := f.size
-			c.mu.Unlock()
-			switch {
-			case lo == blockOff && hi == blockOff+bs:
-				// Full overwrite: no fill needed.
-				b.loaded = true
-			case blockOff >= size:
-				// Entirely past EOF: the backend holds only zeros
-				// here, and data is already zeroed.
-				b.loaded = true
-				c.hits.Add(1)
-			default:
-				if err := c.fillRuns(f.handle, [][]*cacheBlock{{b}}); err != nil {
-					b.bmu.Unlock()
-					c.put(b)
-					return err
-				}
-				c.misses.Add(1)
-			}
-		} else {
-			c.hits.Add(1)
-		}
-		copy(b.data[lo-blockOff:hi-blockOff], p[lo-off:hi-off])
-		c.markDirty(b)
-		c.finishWrite(f, b, hi)
-		b.bmu.Unlock()
-	}
-	return nil
+	return c.WriteBatch(handle, []Span{{Off: off, Bufs: [][]byte{p}}})
 }
 
 // ReadAtv implements VectorIO over ApplyPacked. It is kept only for the
@@ -797,10 +821,10 @@ func (c *Cache) WriteAtv(handle uint64, segs ioseg.List, p []byte) (int, error) 
 	return ApplyPacked(c, handle, segs, p, true)
 }
 
-// ReadBatch implements Store over the cache: each span is served
-// through the block machinery (hits stay in memory; misses coalesce
-// into batched backend fills via readBlocks), so callers that batch
-// gapped runs keep one code path whether or not a cache interposes.
+// ReadBatch implements Store over the cache: the whole batch is one
+// walk, so its hits stay in memory and its misses fill, a whole block
+// at a time, with one backend batch; callers that batch gapped runs
+// keep one code path whether or not a cache interposes.
 func (c *Cache) ReadBatch(handle uint64, spans []Span) (int, error) {
 	if c.abandoned.Load() {
 		return 0, ErrAbandoned
@@ -812,29 +836,14 @@ func (c *Cache) ReadBatch(handle uint64, spans []Span) (int, error) {
 	if total == 0 {
 		return 0, nil
 	}
-	f := c.file(handle)
-	moved := 0
-	for _, s := range spans {
-		off := s.Off
-		for _, buf := range s.Bufs {
-			if len(buf) == 0 {
-				continue
-			}
-			first, last, err := c.readBlocks(f, buf, off)
-			if err != nil {
-				return moved, err
-			}
-			c.noteSequential(f, first, last)
-			off += int64(len(buf))
-			moved += len(buf)
-		}
-	}
-	c.evictIfNeeded()
-	return moved, nil
+	return c.run(handle, walkOf(spans), total, false)
 }
 
 // WriteBatch implements Store over the cache; the data lands in cached
-// blocks and is flushed later, batched back out through flushFileRuns.
+// blocks in one walk (write-back), partly covered cold blocks filled
+// from the backend first, and is flushed later, batched back out
+// through flushFileRuns. A write the backend would refuse at flush time
+// (c.limit) is refused here rather than acknowledged.
 func (c *Cache) WriteBatch(handle uint64, spans []Span) (int, error) {
 	if c.abandoned.Load() {
 		return 0, ErrAbandoned
@@ -846,30 +855,32 @@ func (c *Cache) WriteBatch(handle uint64, spans []Span) (int, error) {
 	if total == 0 {
 		return 0, nil
 	}
-	c.waitDirtyRoom()
-	c.mu.Lock()
-	ferr := c.flushErr
-	c.mu.Unlock()
-	if ferr != nil {
-		return 0, fmt.Errorf("store: cache write-back degraded: %w", ferr)
-	}
-	f := c.file(handle)
-	moved := 0
-	for _, s := range spans {
-		off := s.Off
-		for _, buf := range s.Bufs {
-			if len(buf) == 0 {
-				continue
-			}
-			if err := c.writeBlocks(f, buf, off); err != nil {
-				return moved, err
-			}
-			off += int64(len(buf))
-			moved += len(buf)
+	return c.run(handle, walkOf(spans), total, true)
+}
+
+// run walks a checked, non-empty batch of n bytes on handle, then
+// enforces the memory budget; the walk goes back to its pool. While a
+// background flush error is pending the cache is degraded and writes
+// fail fast — accepting more dirty data that provably cannot reach the
+// backend would grow memory without bound and widen the crash loss
+// window; a Sync that successfully re-flushes the stuck blocks clears
+// the condition.
+func (c *Cache) run(handle uint64, w *batchWalk, n int, write bool) (int, error) {
+	defer w.done()
+	if write {
+		c.waitDirtyRoom()
+		c.mu.Lock()
+		ferr := c.flushErr
+		c.mu.Unlock()
+		if ferr != nil {
+			return 0, fmt.Errorf("store: cache write-back degraded: %w", ferr)
 		}
 	}
+	if err := c.walk(c.file(handle), w, write); err != nil {
+		return 0, err
+	}
 	c.evictIfNeeded()
-	return moved, nil
+	return n, nil
 }
 
 // IOStats implements IOStatsProvider by reporting the backend's
@@ -882,37 +893,40 @@ func (c *Cache) IOStats() IOStats {
 	return IOStats{}
 }
 
-// noteSequential updates the readahead detector after a read of
-// blocks [first,last] and triggers a prefetch when the handle is
-// being read sequentially.
-func (c *Cache) noteSequential(f *cacheFile, first, last int64) {
+// noteSequentialLocked runs the readahead detector over a read's
+// pieces, in offset order: each piece that starts in or right after the
+// block the last one ended in extends the handle's sequential run. The
+// first piece that brings the run to two, while the handle has no
+// prefetcher and the block after the piece is inside the file, claims
+// the prefetcher and names that block for it to start at; without one
+// it returns -1. Callers hold c.mu and start the prefetch.
+func (c *Cache) noteSequentialLocked(f *cacheFile, pieces []piece) int64 {
 	if c.opt.Readahead <= 0 {
-		return
+		return -1
 	}
-	c.mu.Lock()
-	if first == f.lastBlock || first == f.lastBlock+1 {
-		f.seqRun++
-	} else {
-		f.seqRun = 0
+	bs := c.opt.BlockSize
+	start := int64(-1)
+	for _, p := range pieces {
+		first, last := p.off/bs, (p.off+int64(len(p.buf))-1)/bs
+		if first == f.lastBlock || first == f.lastBlock+1 {
+			f.seqRun++
+		} else {
+			f.seqRun = 0
+		}
+		f.lastBlock = last
+		if start < 0 && f.seqRun >= 2 && !f.prefetching && !c.closing && (last+1)*bs < f.size {
+			start = last + 1
+			f.prefetching = true
+			c.prefetchWG.Add(1)
+		}
 	}
-	f.lastBlock = last
-	start := last + 1
-	trigger := f.seqRun >= 2 && !f.prefetching && !c.closing &&
-		start*c.opt.BlockSize < f.size
-	if trigger {
-		f.prefetching = true
-		c.prefetchWG.Add(1)
-	}
-	c.mu.Unlock()
-	if trigger {
-		go c.prefetch(f, start, c.opt.Readahead)
-	}
+	return start
 }
 
-// prefetch asynchronously fills up to n blocks of f starting at idx.
-// The whole prefetch span is read as one backend submission: the run
-// of uncached in-file blocks is collected (block locks ascending) and
-// filled by fillRuns.
+// prefetch asynchronously fills up to n blocks of f starting at idx,
+// stopping at the first block already cached (the sequential window
+// has caught up with it) or at EOF. The span is pinned in one c.mu
+// round and read as one backend submission by fillRuns.
 func (c *Cache) prefetch(f *cacheFile, idx int64, n int) {
 	defer func() {
 		c.mu.Lock()
@@ -926,37 +940,38 @@ func (c *Cache) prefetch(f *cacheFile, idx int64, n int) {
 	default:
 	}
 	f.mu.RLock()
+	w := newWalk()
+	bs := c.opt.BlockSize
 	c.mu.Lock()
-	size := f.size
+	for target := idx; target < idx+int64(n) && target*bs < f.size; target++ {
+		if _, cached := f.blocks[target]; cached {
+			break
+		}
+		w.blocks = append(w.blocks, c.pinLocked(f, target))
+	}
 	c.mu.Unlock()
-	var run []*cacheBlock
-	for i := 0; i < n; i++ {
-		target := idx + int64(i)
-		if target*c.opt.BlockSize >= size {
-			break
-		}
-		b := c.block(f, target)
+	// w.blocks holds consecutive indexes from idx, so i ascends the
+	// block index. A reader may have pinned and filled one first.
+	for i := 0; i < len(w.blocks); i++ {
+		b := w.blocks[i]
 		b.bmu.Lock()
-		if b.loaded {
-			// The sequential window has caught up with cached data;
-			// stop rather than prefetch past it.
-			b.bmu.Unlock()
-			c.put(b)
-			break
+		c.ensureBuf(b)
+		if !b.loaded {
+			w.fill = append(w.fill, b)
 		}
-		run = append(run, b)
 	}
-	var err error
-	if len(run) > 0 {
-		err = c.fillRuns(f.handle, [][]*cacheBlock{run})
+	if len(w.fill) > 0 && c.fillRuns(f.handle, w, w.fill) == nil {
+		c.readaheads.Add(int64(len(w.fill)))
 	}
-	for _, b := range run {
-		if err == nil {
-			c.readaheads.Add(1)
-		}
+	c.mu.Lock()
+	for _, b := range w.blocks {
+		b.refs--
+	}
+	c.mu.Unlock()
+	for _, b := range w.blocks {
 		b.bmu.Unlock()
-		c.put(b)
 	}
+	w.done()
 	f.mu.RUnlock()
 	c.evictIfNeeded()
 }
@@ -1020,20 +1035,21 @@ func (c *Cache) Truncate(handle uint64, size int64) error {
 	if straddler != nil {
 		// Maintain the invariant that block bytes beyond the file size
 		// are zero, so a later extension reads back holes.
+		// An unloaded straddler is filled whole from the truncated
+		// backend before any use.
 		straddler.bmu.Lock()
 		if straddler.loaded {
-			tail := straddler.data[size-straddler.idx*bs:]
-			for i := range tail {
-				tail[i] = 0
-			}
+			clear(straddler.data[size-straddler.idx*bs:])
 		}
 		straddler.bmu.Unlock()
 	}
 	return nil
 }
 
-// dropBlockLocked removes a block from the cache without flushing.
-// Callers hold c.mu and f.mu.W (so no block operation is in flight).
+// dropBlockLocked removes a block from the cache without flushing and
+// recycles its buffer. Callers hold c.mu and f.mu.W (so no block
+// operation or flush is in flight on f; an evictor may hold b.bmu, but
+// it only reads the block's flags, and finds it gone).
 func (c *Cache) dropBlockLocked(f *cacheFile, b *cacheBlock) {
 	if b.gone {
 		return
@@ -1042,6 +1058,7 @@ func (c *Cache) dropBlockLocked(f *cacheFile, b *cacheBlock) {
 	c.lru.Remove(b.elem)
 	b.gone = true
 	c.cachedBytes.Add(-c.opt.BlockSize)
+	c.recycleLocked(b)
 	if b.dirty {
 		// Safe to read b.dirty: f.mu.W excludes every writer and
 		// flusher of this file. The data is dropped deliberately.
@@ -1205,6 +1222,7 @@ func (c *Cache) Abandon() {
 	c.mu.Lock()
 	c.files = make(map[uint64]*cacheFile)
 	c.dirtySet = make(map[*cacheBlock]struct{})
+	c.free = nil
 	c.lru.Init()
 	c.cachedBytes.Store(0)
 	c.dirtyBytes.Store(0)

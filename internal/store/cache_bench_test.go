@@ -5,7 +5,8 @@ package store
 // checkpoint fragment size) against the Dir and Mem backends with the
 // write-back cache on and off, plus a parallel Dir benchmark pinning
 // the per-handle locking win (the old store-wide mutex serialized
-// every syscall).
+// every syscall). BenchmarkCacheTiledRequest replays one daemon's
+// tiled-visualisation request through the cache.
 
 import (
 	"fmt"
@@ -86,6 +87,68 @@ func BenchmarkSmallBlockCacheSweep(b *testing.B) {
 				b.StopTimer()
 			})
 		}
+	}
+}
+
+// BenchmarkCacheTiledRequest replays one daemon's share of a tiled_cache
+// request (paper §4.4) over Cached(Dir): 19 pieces of a 3 KiB tile row at
+// the merged display's 7 596 B row stride, one span each — the gapped
+// batch a list window leaves on a daemon's stripe file. The write side
+// lands them and Syncs, as the workload pushes each rendered tile
+// through the write-back cache; the read side reads them back. Each op
+// moves on by one request over a file 4× the cache, so ops miss, evict
+// and recycle buffers the way the daemon's do. It reports allocs/op.
+func BenchmarkCacheTiledRequest(b *testing.B) {
+	const (
+		pieces   = 19
+		row      = 3 << 10
+		stride   = 7596
+		cacheMax = 4 << 20
+		fileSize = 4 * cacheMax
+		reqSpan  = pieces * stride
+	)
+	for _, dir := range []string{"write", "read"} {
+		b.Run(dir, func(b *testing.B) {
+			d, err := NewDir(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			img := make([]byte, fileSize)
+			for i := range img {
+				img[i] = byte(i * 7)
+			}
+			if _, err := d.WriteAt(1, img, 0); err != nil {
+				b.Fatal(err)
+			}
+			c := Cached(d, CacheOptions{MaxBytes: cacheMax})
+			defer c.Close()
+			data := img[:pieces*row]
+			spans := make([]Span, pieces)
+			for j := range spans {
+				spans[j].Bufs = [][]byte{data[j*row : (j+1)*row]}
+			}
+			b.SetBytes(pieces * row)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				base := int64(i%(fileSize/reqSpan)) * reqSpan
+				for j := range spans {
+					spans[j].Off = base + int64(j)*stride
+				}
+				if dir == "read" {
+					if _, err := c.ReadBatch(1, spans); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				if _, err := c.WriteBatch(1, spans); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Sync(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

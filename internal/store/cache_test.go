@@ -408,6 +408,8 @@ func (s *countingStore) calls() [4]int64 {
 // every fill — a gapped miss set, a readahead span, the pre-read of a
 // partly written block — is exactly one ReadBatch; every flush pass is
 // exactly one WriteBatch per file, a flush forced by eviction included.
+// A multi-span batch fills all its cold blocks with one ReadBatch, and
+// a block its buffers cover whole between them is not filled at all.
 func TestCacheBackendSeesOnlyBatches(t *testing.T) {
 	const bs = 512
 	inner := &countingStore{Store: NewMem()}
@@ -496,6 +498,184 @@ func TestCacheBackendSeesOnlyBatches(t *testing.T) {
 	if evicted, flushed := st.Evictions-before.Evictions, st.Flushes-before.Flushes; evicted != 30 || flushed != 14 {
 		t.Fatalf("eviction: %d evictions flushed %d blocks, want 30 and 14", evicted, flushed)
 	}
+
+	// A batch is one walk: however many blocks its pieces touch, their
+	// fills go down as one backend batch. Everything cached is written
+	// back first, so the evictions below reach the backend not at all.
+	if err := c.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	gapped := make([]byte, 5*100)
+	var spans []Span
+	for i := int64(0); i < 5; i++ {
+		spans = append(spans, Span{Off: (20+2*i)*bs + 50, Bufs: [][]byte{gapped[i*100 : i*100+60], gapped[i*100+60 : (i+1)*100]}})
+	}
+	step("gapped read batch over 5 cold blocks", [4]int64{0, 0, 1, 0}, func() {
+		if _, err := c.ReadBatch(2, spans); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i, s := range spans {
+		if got := append(append([]byte(nil), s.Bufs[0]...), s.Bufs[1]...); !bytes.Equal(got, img[s.Off:s.Off+100]) {
+			t.Fatalf("gapped read span %d diverges from the backend image", i)
+		}
+	}
+	part := []byte("partly")
+	step("write batch partly covering 3 cold blocks", [4]int64{0, 0, 1, 0}, func() {
+		if _, err := c.WriteBatch(2, []Span{
+			{Off: 30*bs + 10, Bufs: [][]byte{part}},
+			{Off: 31*bs + 200, Bufs: [][]byte{part, part}},
+			{Off: 32*bs + bs - 6, Bufs: [][]byte{part}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	whole := img[40*bs : 41*bs]
+	step("write batch covering a block whole across buffers", [4]int64{0, 0, 0, 0}, func() {
+		if _, err := c.WriteBatch(2, []Span{
+			{Off: 40 * bs, Bufs: [][]byte{whole[:100], nil, whole[100:300]}},
+			{Off: 40*bs + 300, Bufs: [][]byte{whole[300:]}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	want := bytes.Clone(img[30*bs : 33*bs])
+	copy(want[10:], part)
+	copy(want[bs+200:], part)
+	copy(want[bs+206:], part)
+	copy(want[3*bs-6:], part)
+	got := make([]byte, 3*bs)
+	if _, err := c.ReadAt(2, got, 30*bs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("partial write batch lost the pre-read bytes or the written ones")
+	}
+}
+
+// TestCacheRecycledBufferReadsZeroPastEOF: evicted buffers come back
+// holding another file's bytes, and the cache may rely on zeros only
+// where it zeroed them. A block loaded past EOF and a block straddling a
+// truncate point must read back zero everywhere but the written bytes.
+func TestCacheRecycledBufferReadsZeroPastEOF(t *testing.T) {
+	const bs = 512
+	c, _ := newTestCache(t, CacheOptions{BlockSize: bs, MaxBytes: 4 * bs})
+	ff := bytes.Repeat([]byte{0xFF}, bs)
+	// Cycle handle 1 through more blocks than the cache holds, so the
+	// free list is stocked with 0xFF buffers before each handle-2 step.
+	soil := func() {
+		t.Helper()
+		for i := int64(0); i < 8; i++ {
+			if _, err := c.WriteAt(1, ff, i*bs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(what string, blk int64, marks map[int64]string) {
+		t.Helper()
+		want := make([]byte, bs)
+		for off, s := range marks {
+			copy(want[off:], s)
+		}
+		got := make([]byte, bs)
+		if _, err := c.ReadAt(2, got, blk*bs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: block %d reads back %x", what, blk, got)
+		}
+	}
+
+	soil()
+	if c.CacheStats().Evictions == 0 {
+		t.Fatal("no evictions: nothing was recycled")
+	}
+	if _, err := c.WriteAt(2, []byte("past"), 5*bs+100); err != nil {
+		t.Fatal(err)
+	}
+	check("partial write past EOF", 5, map[int64]string{100: "past"})
+
+	soil()
+	if err := c.Truncate(2, 7*bs+200); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WriteAt(2, []byte("mid"), 7*bs+50); err != nil {
+		t.Fatal(err)
+	}
+	check("partial write below a straddling truncate", 7, map[int64]string{50: "mid"})
+	check("untouched block below EOF", 6, nil)
+
+	soil()
+	if _, err := c.WriteAt(2, []byte("tail"), 7*bs+300); err != nil {
+		t.Fatal(err)
+	}
+	check("partial write past a straddling truncate", 7, map[int64]string{50: "mid", 300: "tail"})
+	if err := c.Truncate(2, 7*bs+52); err != nil {
+		t.Fatal(err)
+	}
+	soil()
+	if err := c.Truncate(2, 8*bs); err != nil {
+		t.Fatal(err)
+	}
+	check("shrink then grow across the straddler", 7, map[int64]string{50: "mi"})
+}
+
+// TestCacheFailedFillNeverServed: a fill that fails part-way leaves
+// garbage in its blocks' (recycled) buffers; those blocks must stay
+// unloaded, so the next access fills them again rather than serving it.
+func TestCacheFailedFillNeverServed(t *testing.T) {
+	const bs = 512
+	inner := &faultReadStore{Store: NewMem()}
+	img := make([]byte, 16*bs)
+	for i := range img {
+		img[i] = byte(i*13 + 5)
+	}
+	if _, err := inner.Store.WriteAt(2, img, 0); err != nil {
+		t.Fatal(err)
+	}
+	c := Cached(inner, CacheOptions{BlockSize: bs, MaxBytes: 4 * bs, Readahead: -1, FlushInterval: -1})
+	defer c.Close()
+	for i := int64(0); i < 8; i++ {
+		if _, err := c.WriteAt(1, bytes.Repeat([]byte{0xFF}, bs), i*bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inner.tripped.Store(true)
+	if _, err := c.ReadAt(2, make([]byte, 2*bs), 3*bs); err == nil {
+		t.Fatal("read succeeded through a failing fill")
+	}
+	if _, err := c.WriteAt(2, []byte("lost"), 9*bs+10); err == nil {
+		t.Fatal("partial write succeeded through a failing pre-read")
+	}
+	inner.tripped.Store(false)
+	got := make([]byte, 16*bs)
+	if _, err := c.ReadAt(2, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, img) {
+		t.Fatal("a failed fill's bytes (or a failed write's) were served as data")
+	}
+}
+
+// faultReadStore fails ReadBatch — the cache's only fill path — while
+// tripped, after scribbling over the buffers as a torn read would.
+type faultReadStore struct {
+	Store
+	tripped atomic.Bool
+}
+
+func (s *faultReadStore) ReadBatch(h uint64, spans []Span) (int, error) {
+	if s.tripped.Load() {
+		for _, sp := range spans {
+			for _, b := range sp.Bufs {
+				for i := range b {
+					b[i] = 0xEE
+				}
+			}
+		}
+		return 0, errors.New("injected backend read failure")
+	}
+	return s.Store.ReadBatch(h, spans)
 }
 
 // TestCacheDegradesOnFlushFailure pins the bounded-memory contract

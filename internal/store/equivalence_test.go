@@ -57,13 +57,18 @@ func makeSegs(r *rand.Rand) ioseg.List {
 
 // makeBatchSegs builds a batch op's span list: several runs kept
 // sorted and DISJOINT by construction (gaps between runs), the shape
-// the batch contract requires.
+// the batch contract requires. Some runs span several 4 KiB cache
+// blocks, and some gaps are shorter than a block, so one batch can
+// touch a block from two runs.
 func makeBatchSegs(r *rand.Rand) ioseg.List {
 	n := 2 + r.Intn(6)
 	segs := make(ioseg.List, 0, n)
 	pos := int64(r.Intn(16 << 10))
 	for j := 0; j < n; j++ {
 		l := 1 + int64(r.Intn(2048))
+		if r.Intn(4) == 0 {
+			l = 1 + int64(r.Intn(3*4096))
+		}
 		segs = append(segs, ioseg.Segment{Offset: pos, Length: l})
 		pos += l + 1 + int64(r.Intn(4096))
 	}
@@ -110,8 +115,10 @@ func makeScript(seed int64, ops int) []equivOp {
 }
 
 // batchSpansOf turns a batch op's disjoint segments into Spans over p,
-// splitting each run into one to three buffers so the scatter-gather
-// shape varies deterministically with the op seed.
+// splitting each run into one to three buffers — a cut may fall inside
+// a cache block or across one — with zero-length buffers mixed in, and
+// sometimes listing the spans out of offset order. The shape varies
+// deterministically with the op seed.
 func batchSpansOf(op equivOp, p []byte) []Span {
 	r := rand.New(rand.NewSource(op.seed ^ 0x5a5a))
 	spans := make([]Span, len(op.segs))
@@ -120,16 +127,22 @@ func batchSpansOf(op equivOp, p []byte) []Span {
 		run := p[pos : pos+sg.Length]
 		var bufs [][]byte
 		for len(run) > 0 {
+			if r.Intn(5) == 0 {
+				bufs = append(bufs, run[:0])
+			}
 			cut := 1 + r.Intn(len(run))
 			bufs = append(bufs, run[:cut])
 			run = run[cut:]
-			if len(bufs) == 2 && len(run) > 0 {
+			if len(bufs) >= 2 && len(run) > 0 {
 				bufs = append(bufs, run)
 				break
 			}
 		}
 		spans[i] = Span{Off: sg.Offset, Bufs: bufs}
 		pos += sg.Length
+	}
+	if r.Intn(3) == 0 {
+		r.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
 	}
 	return spans
 }
@@ -273,7 +286,8 @@ func image(t *testing.T, s Store, handle uint64) []byte {
 // TestCachedStoreEquivalence runs the same randomized concurrent
 // workload over every backend and cache layering and demands
 // byte-identical final images. The cached variants run with a tiny
-// capacity so LRU eviction churns constantly, and a sync-then-reopen
+// capacity so LRU eviction (and buffer recycling) churns constantly —
+// "cached-churn" on nearly every op — and a sync-then-reopen
 // pass checks the crash consistency contract on the Dir-backed cache.
 func TestCachedStoreEquivalence(t *testing.T) {
 	const workers = 4
@@ -299,11 +313,15 @@ func TestCachedStoreEquivalence(t *testing.T) {
 	// script evicts (and write-back-flushes) constantly.
 	tiny := CacheOptions{BlockSize: 4096, MaxBytes: 6 * 4096, DirtyHighWater: 2 * 4096,
 		FlushInterval: time.Millisecond, Readahead: 4}
+	// 2 blocks for 4 workers: nearly every op evicts, and nearly every
+	// new block takes a recycled buffer holding another file's bytes.
+	churn := CacheOptions{BlockSize: 4096, MaxBytes: 2 * 4096, FlushInterval: time.Millisecond, Readahead: 4}
 	backends := map[string]Store{
-		"mem":        NewMem(),
-		"dir":        dir,
-		"cached-mem": Cached(NewMem(), tiny),
-		"cached-dir": Cached(cachedDirInner, tiny),
+		"mem":          NewMem(),
+		"dir":          dir,
+		"cached-mem":   Cached(NewMem(), tiny),
+		"cached-dir":   Cached(cachedDirInner, tiny),
+		"cached-churn": Cached(NewMem(), churn),
 	}
 
 	for name, s := range backends {
@@ -364,6 +382,7 @@ func TestCachedStoreEquivalence(t *testing.T) {
 	}
 
 	backends["cached-mem"].(*Cache).Close()
+	backends["cached-churn"].(*Cache).Close()
 	backends["mem"].Close()
 	dir.Close()
 }
