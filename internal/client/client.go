@@ -131,17 +131,13 @@ func (v CounterValues) Sub(o CounterValues) CounterValues {
 // shards — DESIGN.md §13) and N I/O daemons.
 type FS struct {
 	mgrAddr string
-	mgr     *pvfsnet.Conn
 	pool    *pvfsnet.Pool
 	stats   Counters
 	retry   atomic.Pointer[RetryPolicy]
 
 	// smap caches the epoch-stamped shard map; nil until the first
-	// metadata call fetches it. legacy marks a pre-shard-map server
-	// (it answered the map query with a verdict error): all metadata
-	// then flows over the classic manager connection.
-	smap   atomic.Pointer[wire.ShardMap]
-	legacy atomic.Bool
+	// metadata call fetches it.
+	smap atomic.Pointer[wire.ShardMap]
 }
 
 // Connect dials the manager.
@@ -150,13 +146,17 @@ func Connect(mgrAddr string) (*FS, error) {
 }
 
 // ConnectContext dials the manager, honoring the context's deadline
-// and cancellation for the TCP connect.
+// and cancellation for the TCP connect, so an unreachable manager fails
+// here. The probe is closed at once: metadata calls draw the manager's
+// connection from the pool on first use, like every daemon connection,
+// so a SetConnWrap hook installed after Connect covers it too.
 func ConnectContext(ctx context.Context, mgrAddr string) (*FS, error) {
 	c, err := pvfsnet.DialContext(ctx, mgrAddr)
 	if err != nil {
 		return nil, err
 	}
-	return &FS{mgrAddr: mgrAddr, mgr: c, pool: pvfsnet.NewPool()}, nil
+	c.Close()
+	return &FS{mgrAddr: mgrAddr, pool: pvfsnet.NewPool()}, nil
 }
 
 // RetryPolicy bounds transparent retry of I/O daemon calls that fail
@@ -386,39 +386,18 @@ func (fs *FS) iodCall(ctx context.Context, addr string, msg wire.Message) (wire.
 }
 
 // Close releases all connections.
-func (fs *FS) Close() error {
-	err := fs.mgr.Close()
-	if perr := fs.pool.Close(); err == nil {
-		err = perr
-	}
-	return err
-}
-
-func (fs *FS) mgrCall(ctx context.Context, t wire.MsgType, handle uint64, body []byte) (wire.Message, error) {
-	fs.stats.MgrRequests.Add(1)
-	return fs.mgr.CallContext(ctx, wire.Message{Header: wire.Header{Type: t, Handle: handle}, Body: body})
-}
+func (fs *FS) Close() error { return fs.pool.Close() }
 
 // shardMap returns the deployment's shard map, fetching and caching it
-// on first use. A nil, nil return means the server predates the shard
-// map query (legacy single-manager mode).
+// on first use. Every manager role answers the query: a classic
+// manager with a one-shard map naming itself.
 func (fs *FS) shardMap(ctx context.Context) (*wire.ShardMap, error) {
 	if m := fs.smap.Load(); m != nil {
 		return m, nil
 	}
-	if fs.legacy.Load() {
-		return nil, nil
-	}
 	resp, err := fs.iodCall(ctx, fs.mgrAddr, wire.Message{Header: wire.Header{Type: wire.TShardMap}})
 	if err != nil {
-		var se *wire.StatusError
-		if errors.As(err, &se) && !se.Status.Retryable() {
-			// A verdict (Invalid on old servers): no shard map here,
-			// route everything over the classic manager connection.
-			resp.Release()
-			fs.legacy.Store(true)
-			return nil, nil
-		}
+		resp.Release()
 		return nil, err
 	}
 	m := new(wire.ShardMap)
@@ -449,15 +428,11 @@ func (fs *FS) installMap(m *wire.ShardMap) {
 // wrapped in the epoch-stamped TMetaForward envelope. StatusWrongEpoch
 // answers are absorbed here: the response body carries the shard's
 // current map, which is installed and the request re-routed — user
-// code never sees the epoch protocol. Legacy servers get the plain
-// manager grammar over the manager connection.
+// code never sees the epoch protocol.
 func (fs *FS) metaCall(ctx context.Context, t wire.MsgType, handle uint64, body []byte, pick func(*wire.ShardMap) int) (wire.Message, error) {
 	m, err := fs.shardMap(ctx)
 	if err != nil {
 		return wire.Message{}, err
-	}
-	if m == nil {
-		return fs.mgrCall(ctx, t, handle, body)
 	}
 	fs.stats.MgrRequests.Add(1)
 	const maxReroutes = 5
@@ -576,11 +551,7 @@ func (fs *FS) Remove(name string) error {
 		return err
 	}
 	for _, addr := range f.info.IODAddrs {
-		conn, err := fs.pool.GetContext(ctx, addr)
-		if err != nil {
-			return err
-		}
-		resp, err := conn.CallContext(ctx, wire.Message{Header: wire.Header{Type: wire.TRemove, Handle: f.info.Handle}})
+		resp, err := fs.iodCall(ctx, addr, wire.Message{Header: wire.Header{Type: wire.TRemove, Handle: f.info.Handle}})
 		if err != nil {
 			return fmt.Errorf("remove %q at %s: %w", name, addr, err)
 		}
@@ -605,18 +576,6 @@ func (fs *FS) List() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m == nil {
-		resp, err := fs.mgrCall(ctx, wire.TListDir, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Release()
-		var ld wire.ListDirResp
-		if err := ld.Unmarshal(resp.Body); err != nil {
-			return nil, err
-		}
-		return ld.Names, nil
-	}
 	var names []string
 	for shard := range m.Shards {
 		shard := shard
@@ -639,8 +598,7 @@ func (fs *FS) List() ([]string, error) {
 // StatHandle fetches a file's metadata by handle, routed to the shard
 // that owns the handle. fsck uses it to re-verify a suspected orphan
 // against the live namespace before deleting stripe data (a sharded
-// listing is not atomic across shards). Legacy servers answer
-// NotFound for handle-addressed stats.
+// listing is not atomic across shards).
 func (fs *FS) StatHandle(ctx context.Context, handle uint64) (wire.FileInfo, error) {
 	var nr wire.NameReq
 	resp, err := fs.metaByHandle(ctx, wire.TStat, handle, nr.Marshal())
@@ -665,15 +623,6 @@ func (fs *FS) MetaStats(ctx context.Context) (wire.ServerStats, error) {
 		return total, err
 	}
 	query := wire.Message{Header: wire.Header{Type: wire.TServerStats}}
-	if m == nil {
-		resp, err := fs.mgr.CallContext(ctx, query)
-		if err != nil {
-			return total, err
-		}
-		uerr := total.Unmarshal(resp.Body)
-		resp.Release()
-		return total, uerr
-	}
 	addrs := append(append([]string(nil), m.Shards...), m.Masters...)
 	seen := make(map[string]bool, len(addrs))
 	for _, addr := range addrs {
@@ -702,11 +651,7 @@ func (fs *FS) ServerStats(f *File) (wire.ServerStats, []wire.ServerStats, error)
 	per := make([]wire.ServerStats, len(f.info.IODAddrs))
 	var total wire.ServerStats
 	for i, addr := range f.info.IODAddrs {
-		conn, err := fs.pool.GetContext(ctx, addr)
-		if err != nil {
-			return total, per, err
-		}
-		resp, err := conn.CallContext(ctx, wire.Message{Header: wire.Header{Type: wire.TServerStats}})
+		resp, err := fs.iodCall(ctx, addr, wire.Message{Header: wire.Header{Type: wire.TServerStats}})
 		if err != nil {
 			return total, per, err
 		}
@@ -728,6 +673,8 @@ type File struct {
 
 	mu         sync.Mutex
 	maxWritten int64
+
+	seq seqState // the io.Reader/Writer/Seeker cursor
 }
 
 // Name returns the file's name.
@@ -849,42 +796,6 @@ func (f *File) noteWritten(end int64) {
 		f.maxWritten = end
 	}
 	f.mu.Unlock()
-}
-
-// serverJob is the per-server slice of one logical operation: physical
-// regions in logical order plus the stream positions their bytes map to.
-type serverJob struct {
-	rel        int
-	phys       ioseg.List
-	streamPos  []int64 // stream offset of each region's first byte
-	totalBytes int64
-}
-
-// buildJobs splits logical file regions across servers, tracking each
-// piece's position in the packed stream (file-list order).
-func (f *File) buildJobs(file ioseg.List) []*serverJob {
-	cfg := f.info.Striping
-	jobs := make(map[int]*serverJob)
-	var stream int64
-	for _, s := range file {
-		for _, p := range cfg.Split(s) {
-			j := jobs[p.Server]
-			if j == nil {
-				j = &serverJob{rel: p.Server}
-				jobs[p.Server] = j
-			}
-			j.phys = append(j.phys, p.Phys)
-			j.streamPos = append(j.streamPos, stream+(p.Logical.Offset-s.Offset))
-			j.totalBytes += p.Phys.Length
-		}
-		stream += s.Length
-	}
-	out := make([]*serverJob, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].rel < out[k].rel })
-	return out
 }
 
 // parallel runs fn for every job in its own goroutine (one per server,
@@ -1072,128 +983,6 @@ func (fs *FS) pipelineCalls(ctx context.Context, addr string, n, window int, bui
 		}
 	}
 	return nil
-}
-
-// readContig reads one contiguous logical extent into p, the mirror of
-// writeContig: a server's share of it is one physically contiguous
-// extent, read as DefaultWindowBytes-sized TRead requests, DefaultWindow
-// of them in flight, each response body landing by readv straight in
-// p's own stripe units (the request's Dest). Nothing is staged or
-// copied, no share is bounded by the frame limit, and a failed chunk
-// replays alone. A non-nil path attributes the wire traffic to a
-// per-method counter.
-func (f *File) readContig(ctx context.Context, p []byte, off int64, path *PathCounters) error {
-	if len(p) == 0 {
-		return nil
-	}
-	jobs := f.buildJobs(ioseg.List{{Offset: off, Length: int64(len(p))}})
-	return parallel(jobs, func(j *serverJob) error {
-		pieces, chunks := j.cutChunks(p, DefaultWindowBytes)
-		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[j.rel], len(chunks), DefaultWindow,
-			func(i int) (wire.Message, error) {
-				c := chunks[i]
-				f.fs.stats.Requests.Add(1)
-				if path != nil {
-					path.Requests.Add(1)
-					path.Bytes.Add(int64(c.n))
-				}
-				req := wire.ReadReq{Offset: c.off, Length: int64(c.n)}
-				return wire.Message{
-					Header: wire.Header{Type: wire.TRead, Handle: f.info.Handle},
-					Body:   req.Append(wire.GetBuf(wire.ReadReqSize)[:0]),
-					Dest:   &wire.Vec{N: c.n, Pieces: pieces[c.lo:c.hi]},
-				}, nil
-			},
-			func(i int, resp wire.Message) error {
-				defer resp.Release()
-				if resp.Body != nil || int(resp.BodyLen) != chunks[i].n {
-					return fmt.Errorf("pvfs: short read from server %d: %d of %d", j.rel, resp.BodyLen, chunks[i].n)
-				}
-				f.fs.stats.BytesIn.Add(int64(chunks[i].n))
-				return nil
-			})
-	})
-}
-
-// contigChunk is one TRead or TWrite request of a contiguous transfer:
-// n bytes at physical offset off, held in pieces[lo:hi] of its server's
-// piece list.
-type contigChunk struct {
-	off    int64
-	n      int
-	lo, hi int
-}
-
-// cutChunks slices p into the job's payload pieces — the stripe units
-// of p that live on this server, which are physically adjacent there
-// and ascend with the stream — and cuts them into chunks of at most
-// win bytes; a piece straddling a chunk boundary is split. Nothing is
-// copied: every piece aliases p.
-func (j *serverJob) cutChunks(p []byte, win int) (pieces [][]byte, chunks []contigChunk) {
-	pieces = make([][]byte, 0, len(j.phys)+int(j.totalBytes/int64(win))+1)
-	cur := contigChunk{off: j.phys[0].Offset}
-	for i, ph := range j.phys {
-		b := p[j.streamPos[i] : j.streamPos[i]+ph.Length]
-		for len(b) > 0 {
-			take := min(len(b), win-cur.n)
-			pieces = append(pieces, b[:take])
-			b = b[take:]
-			cur.n += take
-			if cur.n == win {
-				cur.hi = len(pieces)
-				chunks = append(chunks, cur)
-				cur = contigChunk{off: cur.off + int64(win), lo: len(pieces)}
-			}
-		}
-	}
-	if cur.n > 0 {
-		cur.hi = len(pieces)
-		chunks = append(chunks, cur)
-	}
-	return pieces, chunks
-}
-
-// writeContig writes one contiguous logical extent from p. A server's
-// share of it is one physically contiguous extent; it travels as
-// DefaultWindowBytes-sized TWrite requests, DefaultWindow of them in
-// flight, whose payload is a wire.Vec over p's own stripe units.
-// Nothing is staged or marshalled on the way to the socket, the daemon
-// applies chunk k while chunk k+1 is still arriving, and a failed chunk
-// replays alone (per-tag re-drive, DESIGN.md §9).
-func (f *File) writeContig(ctx context.Context, p []byte, off int64, path *PathCounters) error {
-	if len(p) == 0 {
-		return nil
-	}
-	jobs := f.buildJobs(ioseg.List{{Offset: off, Length: int64(len(p))}})
-	err := parallel(jobs, func(j *serverJob) error {
-		pieces, chunks := j.cutChunks(p, DefaultWindowBytes)
-		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[j.rel], len(chunks), DefaultWindow,
-			func(i int) (wire.Message, error) {
-				c := chunks[i]
-				f.fs.stats.Requests.Add(1)
-				f.fs.stats.BytesOut.Add(int64(c.n))
-				if path != nil {
-					path.Requests.Add(1)
-					path.Bytes.Add(int64(c.n))
-				}
-				req := wire.WriteReq{Offset: c.off}
-				return wire.Message{
-					Header:     wire.Header{Type: wire.TWrite, Handle: f.info.Handle},
-					Body:       req.AppendFixed(wire.GetBuf(wire.WriteReqFixedSize)[:0]),
-					BodyStream: &wire.Vec{N: c.n, Pieces: pieces[c.lo:c.hi]},
-				}, nil
-			},
-			func(_ int, resp wire.Message) error {
-				// The WrittenResp body rides a pooled buffer even though
-				// the payload is advisory.
-				resp.Release()
-				return nil
-			})
-	})
-	if err == nil {
-		f.noteWritten(off + int64(len(p)))
-	}
-	return err
 }
 
 // ReadAt implements contiguous reads (io.ReaderAt semantics against

@@ -19,8 +19,10 @@ import (
 
 // startSinkIOD is a daemon that acknowledges every request and discards
 // its body without materializing it, so that what the process allocates
-// during a write is the client's doing. It answers a TRead with as many
-// bytes as asked for, written from one shared buffer.
+// during a write is the client's doing. It answers a TRead or a
+// TReadDatatype with as many bytes as asked for, written from one shared
+// buffer, and draws nothing from the wire buffer pool for a response
+// larger than a page.
 func startSinkIOD(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -67,6 +69,19 @@ func startSinkIOD(t *testing.T) string {
 						}
 						resp.Body = nil
 						resp.BodyStream = &wire.Vec{N: int(n), Pieces: [][]byte{zeros[:n]}}
+					} else if typ == wire.TReadDatatype {
+						var req wire.ReadDatatypeReq
+						if bodyLen > uint32(len(scratch)) {
+							return
+						}
+						if _, err := io.ReadFull(c, scratch[:bodyLen]); err != nil {
+							return
+						}
+						if req.Unmarshal(scratch[:bodyLen]) != nil || req.Want > int64(len(zeros)) {
+							return
+						}
+						resp.Body = nil
+						resp.BodyStream = &wire.Vec{N: int(req.Want), Pieces: [][]byte{zeros[:req.Want]}}
 					} else if n, err := io.CopyBuffer(discard, io.LimitReader(c, int64(bodyLen)), scratch); err != nil || n != int64(bodyLen) {
 						return
 					}
@@ -127,7 +142,7 @@ func TestContigWriteAllocationBound(t *testing.T) {
 	f := sinkFile(t)
 	data := make([]byte, 16<<20)
 	write := func() {
-		if err := f.writeContig(context.Background(), data, 0, nil); err != nil {
+		if err := f.contig(context.Background(), true, data, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +165,7 @@ func TestContigReadAllocationBound(t *testing.T) {
 	f := sinkFile(t)
 	data := make([]byte, 16<<20)
 	read := func() {
-		if err := f.readContig(context.Background(), data, 0, nil); err != nil {
+		if err := f.contig(context.Background(), false, data, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,6 +218,41 @@ func TestFlashDatatypeWriteAllocationBound(t *testing.T) {
 	if perOp > 256<<10 {
 		t.Fatalf("a FLASH datatype write allocated %d B, want <= 256 KiB", perOp)
 	}
+}
+
+// A datatype read whose memory is one region takes the copy-free arm:
+// each response lands in the arena, so the client draws no pooled body
+// for it — one pooled buffer fewer per request than the same read into
+// FLASH memory, whose responses are scattered out of pooled bodies.
+func TestDatatypeReadLandsInArena(t *testing.T) {
+	f := sinkFile(t)
+	pat := &patterns.Flash{NumRanks: 2, Blocks: 16, Elems: 8, Guard: 1, Vars: 24}
+	const run = 16 * 4096 // one rank's blocks of one variable
+	typ := datatype.Vector(int64(pat.Vars), run, int64(pat.NumRanks)*run, datatype.Bytes(1))
+	// perReq returns the pooled buffers one read draws per request.
+	perReq := func(req Request) float64 {
+		t.Helper()
+		req.Type, req.Method = typ, AccessDatatype
+		if _, err := f.Run(context.Background(), req); err != nil { // dial, fill the pools
+			t.Fatal(err)
+		}
+		reqs0, gets0 := f.fs.stats.Requests.Load(), bufGets()
+		if _, err := f.Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		return float64(bufGets()-gets0) / float64(f.fs.stats.Requests.Load()-reqs0)
+	}
+	dense := perReq(Request{Arena: make([]byte, pat.TotalBytes(0))})
+	shattered := perReq(Request{Arena: make([]byte, pat.ArenaBytes(0)), Mem: patterns.MemList(pat, 0)})
+	t.Logf("pooled buffers per request: %.2f into one region, %.2f into FLASH memory", dense, shattered)
+	if dense != shattered-1 {
+		t.Fatalf("a read into one region draws %.2f pooled buffers per request, FLASH memory %.2f: want exactly one fewer", dense, shattered)
+	}
+}
+
+func bufGets() int64 {
+	gets, _ := wire.BufStats()
+	return gets
 }
 
 // The methods that work from the flat lists (multiple, sieve, hybrid)

@@ -2,17 +2,15 @@ package client
 
 // Datatype I/O (DESIGN.md §6): the access pattern crosses the wire as
 // an encoded constructor tree and each I/O daemon evaluates its own
-// share. The client's job shrinks to windowing and memory movement:
-// cut each server's share of the pattern-data stream into
-// response-size windows, pipeline one request per window, and
-// scatter/gather between the user arena and pooled message bodies via
-// memio.StreamMap. Wire requests per server are O(transfer size /
-// window) — independent of how many contiguous fragments the pattern
-// flattens to, the paper's §5 fix for list I/O's linear request
-// growth.
+// share. The client's job shrinks to windowing: planDatatype cuts each
+// server's share of the pattern-data stream into response-size windows,
+// and the mover (move.go) pipelines one request per window and moves
+// each window's bytes between the user arena and the wire. Wire
+// requests per server are O(transfer size / window) — independent of
+// how many contiguous fragments the pattern flattens to, the paper's §5
+// fix for list I/O's linear request growth.
 
 import (
-	"context"
 	"fmt"
 
 	"pvfs/internal/datatype"
@@ -41,21 +39,17 @@ func (o DatatypeOptions) windowBytes() int64 {
 	return w
 }
 
-// dtPlan is the validated, encoded form of one datatype operation.
-type dtPlan struct {
-	enc     []byte  // wire encoding of the type
-	dataLen int64   // pattern data bytes (count * t.Size())
-	maxEnd  int64   // highest file offset written + 1 (write high-water)
-	owned   []int64 // per relative server: bytes of the pattern it holds
-}
-
-// planDatatype validates the pattern against the memory list — through
-// smap, the stream map of mem, whose build pass already holds every
-// answer (see checkMapped) — and computes each server's share. The
-// sizing walk is streaming: O(tree depth) state, closed-form striping
-// arithmetic per fragment — the flattened region list is never
-// materialized, even client-side.
-func (f *File) planDatatype(arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64) (*dtPlan, error) {
+// planDatatype plans datatype I/O of count repetitions of t at base
+// from or into the arena regions of mem (pattern-stream order: the i-th
+// data byte of the pattern is the i-th byte of the concatenated memory
+// regions); smap is the stream map of mem, whose build pass already
+// holds every answer validation needs (see checkMapped). The sizing
+// walk that finds each server's share is streaming: O(tree depth)
+// state, closed-form striping arithmetic per fragment — the flattened
+// region list is never materialized, even client-side. One request per
+// server per WindowBytes of its share travels the wire: fragment count
+// does not appear in the request arithmetic.
+func (f *File) planDatatype(write bool, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, window int) (*transfer, error) {
 	dataLen, _, err := datatype.CheckPattern(t, base, count)
 	if err != nil {
 		return nil, fmt.Errorf("pvfs: %w", err)
@@ -74,50 +68,70 @@ func (f *File) planDatatype(arena []byte, smap *memio.StreamMap, mem ioseg.List,
 		return nil, fmt.Errorf("pvfs: %w", err)
 	}
 	cfg := f.info.Striping
-	p := &dtPlan{enc: enc, dataLen: dataLen, owned: make([]int64, cfg.PCount)}
+	owned := make([]int64, cfg.PCount) // per relative server: bytes of the pattern it holds
+	var maxEnd int64
 	datatype.WalkRepeated(t, base, count, 0, func(seg ioseg.Segment) bool {
-		for rel := range p.owned {
-			p.owned[rel] += cfg.PhysRange(rel, seg.Offset, seg.End())
+		for rel := range owned {
+			owned[rel] += cfg.PhysRange(rel, seg.Offset, seg.End())
 		}
-		if seg.End() > p.maxEnd {
-			p.maxEnd = seg.End()
-		}
+		maxEnd = max(maxEnd, seg.End())
 		return true
 	})
-	return p, nil
+	x := &transfer{write: write, arena: arena, smap: smap, window: window, path: &f.fs.stats.Datatype}
+	typ := wire.TReadDatatype
+	if write {
+		typ, x.end = wire.TWriteDatatype, maxEnd
+	}
+	winBytes := opts.windowBytes()
+	for rel, n := range owned {
+		if n == 0 {
+			continue // a server with no share gets no request
+		}
+		x.scheds = append(x.scheds, &dtWindows{
+			typ: typ, enc: enc, t: t, base: base, count: count,
+			cfg: cfg, rel: rel, winBytes: winBytes,
+			n: int((n + winBytes - 1) / winBytes), remaining: n,
+		})
+	}
+	return x, nil
 }
 
-// dtWindows iterates one server's share of the pattern-data stream in
-// window-sized steps. Each call to next resumes the walk at the data
-// position where the previous window's last owned byte ended (an
-// O(tree depth) seek), so the full iteration visits each pattern
-// fragment once; live state is one window's piece list, never the
-// flattened pattern.
+// dtWindows is one server's datatype schedule: its share of the
+// pattern-data stream in window-sized requests, cut lazily. Each call to
+// next resumes the walk at the data position where the previous window's
+// last owned byte ended (an O(tree depth) seek), so the full iteration
+// visits each pattern fragment once; live state is one window's piece
+// list, never the flattened pattern.
 type dtWindows struct {
+	typ         wire.MsgType
+	enc         []byte // wire encoding of the type
 	t           datatype.Type
 	base, count int64
 	cfg         striping.Config
 	rel         int
 	winBytes    int64
+	n           int // windows
 
 	nextPos   int64 // data-stream position to resume scanning at
 	remaining int64 // owned bytes not yet windowed
+
+	dataPos, want int64 // the window next cut last: where the server seeks, what it moves
 }
+
+func (w *dtWindows) server() int   { return w.rel }
+func (w *dtWindows) requests() int { return w.n }
 
 // next cuts the next window: the data position the server's evaluation
 // should seek to, the owned bytes it should transfer, and the runs of
 // the pattern-data stream those bytes occupy, in the order the window's
-// body holds them (for arena scatter/gather). It must not be called
-// once remaining is zero.
-func (w *dtWindows) next() (dataPos, want int64, pieces []memio.Piece) {
-	want = w.winBytes
-	if want > w.remaining {
-		want = w.remaining
-	}
-	dataPos = w.nextPos
-	stream := dataPos
+// body holds them.
+func (w *dtWindows) next(int) (wire.MsgType, int, []memio.Piece, int64) {
+	want := min(w.winBytes, w.remaining)
+	w.dataPos = w.nextPos
+	stream := w.dataPos
 	var got int64
-	datatype.WalkRepeated(w.t, w.base, w.count, dataPos, func(seg ioseg.Segment) bool {
+	var pieces []memio.Piece
+	datatype.WalkRepeated(w.t, w.base, w.count, w.dataPos, func(seg ioseg.Segment) bool {
 		segStream := stream
 		stream += seg.Length
 		return w.cfg.ClipServer(seg, w.rel, func(p striping.Piece) bool {
@@ -133,122 +147,14 @@ func (w *dtWindows) next() (dataPos, want int64, pieces []memio.Piece) {
 		})
 	})
 	w.remaining -= got
-	return dataPos, got, pieces
+	w.want = got
+	return w.typ, wire.DatatypeReqSize(len(w.enc)), pieces, got
 }
 
-// datatypeServers builds the per-server window iterators (servers with
-// no share are skipped entirely).
-func (f *File) datatypeServers(p *dtPlan, t datatype.Type, base, count, winBytes int64) []*dtWindows {
-	var jobs []*dtWindows
-	for rel, owned := range p.owned {
-		if owned == 0 {
-			continue
-		}
-		jobs = append(jobs, &dtWindows{
-			t: t, base: base, count: count,
-			cfg: f.info.Striping, rel: rel,
-			winBytes: winBytes, remaining: owned,
-		})
+func (w *dtWindows) appendFixed(_ int, body []byte) ([]byte, error) {
+	req := wire.ReadDatatypeReq{
+		Base: w.base, Count: w.count, DataPos: w.dataPos, Want: w.want,
+		Striping: w.cfg, RelIndex: w.rel, TypeEnc: w.enc,
 	}
-	return jobs
-}
-
-// readDatatype reads count repetitions of datatype t at base into the
-// arena regions of mem (pattern-stream order: the i-th data byte of
-// the pattern lands at the i-th byte of the concatenated memory
-// regions). One request per server per WindowBytes of that server's
-// share travels the wire — fragment count does not appear in the
-// request arithmetic — window of them in flight, and responses scatter
-// straight from pooled bodies into the arena.
-func (f *File) readDatatype(ctx context.Context, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, window int) error {
-	plan, err := f.planDatatype(arena, smap, mem, t, base, count)
-	if err != nil {
-		return err
-	}
-	path := &f.fs.stats.Datatype
-	winBytes := opts.windowBytes()
-	jobs := f.datatypeServers(plan, t, base, count, winBytes)
-	return parallel(jobs, func(w *dtWindows) error {
-		n := int((w.remaining + winBytes - 1) / winBytes)
-		wins := make([][]memio.Piece, n)
-		wants := make([]int64, n)
-		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[w.rel], n, window,
-			func(i int) (wire.Message, error) {
-				dataPos, want, pieces := w.next()
-				wins[i], wants[i] = pieces, want
-				req := wire.ReadDatatypeReq{
-					Base: base, Count: count, DataPos: dataPos, Want: want,
-					Striping: f.info.Striping, RelIndex: w.rel, TypeEnc: plan.enc,
-				}
-				body := req.AppendTo(wire.GetBuf(wire.DatatypeReqSize(len(plan.enc)))[:0])
-				f.fs.stats.Requests.Add(1)
-				path.Requests.Add(1)
-				return wire.Message{
-					Header: wire.Header{Type: wire.TReadDatatype, Handle: f.info.Handle},
-					Body:   body,
-				}, nil
-			},
-			func(i int, resp wire.Message) error {
-				defer resp.Release()
-				if int64(len(resp.Body)) != wants[i] {
-					return fmt.Errorf("pvfs: datatype read returned %d bytes, want %d", len(resp.Body), wants[i])
-				}
-				f.fs.stats.BytesIn.Add(wants[i])
-				path.Bytes.Add(wants[i])
-				err := smap.ScatterPieces(arena, resp.Body, wins[i])
-				wins[i] = nil
-				return err
-			})
-	})
-}
-
-// writeDatatype writes count repetitions of datatype t at base from
-// the arena regions of mem, with the same windowed, pipelined request
-// discipline as readDatatype. Each window's payload is gathered
-// directly from the arena into the pooled request body behind the
-// encoded type.
-func (f *File) writeDatatype(ctx context.Context, arena []byte, smap *memio.StreamMap, mem ioseg.List, t datatype.Type, base, count int64, opts DatatypeOptions, window int) error {
-	plan, err := f.planDatatype(arena, smap, mem, t, base, count)
-	if err != nil {
-		return err
-	}
-	path := &f.fs.stats.Datatype
-	winBytes := opts.windowBytes()
-	jobs := f.datatypeServers(plan, t, base, count, winBytes)
-	err = parallel(jobs, func(w *dtWindows) error {
-		n := int((w.remaining + winBytes - 1) / winBytes)
-		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[w.rel], n, window,
-			func(i int) (wire.Message, error) {
-				dataPos, want, pieces := w.next()
-				req := wire.ReadDatatypeReq{
-					Base: base, Count: count, DataPos: dataPos, Want: want,
-					Striping: f.info.Striping, RelIndex: w.rel, TypeEnc: plan.enc,
-				}
-				body := req.AppendTo(wire.GetBuf(wire.DatatypeReqSize(len(plan.enc)) + int(want))[:0])
-				body, err := smap.GatherPieces(body, arena, pieces)
-				if err != nil {
-					wire.PutBuf(body)
-					return wire.Message{}, err
-				}
-				f.fs.stats.Requests.Add(1)
-				f.fs.stats.BytesOut.Add(want)
-				path.Requests.Add(1)
-				path.Bytes.Add(want)
-				return wire.Message{
-					Header: wire.Header{Type: wire.TWriteDatatype, Handle: f.info.Handle},
-					Body:   body,
-				}, nil
-			},
-			func(i int, resp wire.Message) error {
-				resp.Release()
-				return nil
-			})
-	})
-	if err != nil {
-		return err
-	}
-	if plan.maxEnd > 0 {
-		f.noteWritten(plan.maxEnd)
-	}
-	return nil
+	return req.AppendTo(body), nil
 }

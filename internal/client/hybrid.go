@@ -21,8 +21,7 @@ func (f *File) readHybrid(ctx context.Context, arena []byte, mem, file ioseg.Lis
 	}
 	coalesced := file.Normalize().Coalesce(gap)
 	tmp := make([]byte, coalesced.TotalLength())
-	tmpMem := ioseg.List{{Offset: 0, Length: coalesced.TotalLength()}}
-	if err := f.readList(ctx, tmp, memio.NewStreamMap(tmpMem), tmpMem, coalesced, opts, window); err != nil {
+	if err := f.moveExtents(ctx, false, tmp, coalesced, opts, window); err != nil {
 		return st, err
 	}
 	// Extract the requested regions from each coalesced extent into
@@ -59,14 +58,12 @@ func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.Li
 	}
 	coalesced := file.Normalize().Coalesce(gap)
 	tmp := make([]byte, coalesced.TotalLength())
-	tmpMem := ioseg.List{{Offset: 0, Length: coalesced.TotalLength()}}
-	tmpMap := memio.NewStreamMap(tmpMem)
 
 	// Read-modify-write is only needed where coalescing swallowed
 	// gaps; with gap==0 the coalesced extents are exactly covered.
 	rmw := coalesced.TotalLength() != file.TotalLength()
 	if rmw {
-		if err := f.readList(ctx, tmp, tmpMap, tmpMem, coalesced, opts, window); err != nil {
+		if err := f.moveExtents(ctx, false, tmp, coalesced, opts, window); err != nil {
 			return st, err
 		}
 		st.BytesAccessed += coalesced.TotalLength()
@@ -81,9 +78,20 @@ func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.Li
 		st.BytesUseful += useful
 		base += e.Length
 	}
-	if err := f.writeList(ctx, tmp, tmpMap, tmpMem, coalesced, opts, window); err != nil {
+	if err := f.moveExtents(ctx, true, tmp, coalesced, opts, window); err != nil {
 		return st, err
 	}
 	st.BytesAccessed += coalesced.TotalLength()
 	return st, nil
+}
+
+// moveExtents moves the coalesced extents, back to back in tmp, with
+// list I/O.
+func (f *File) moveExtents(ctx context.Context, write bool, tmp []byte, extents ioseg.List, opts ListOptions, window int) error {
+	mem := ioseg.List{{Offset: 0, Length: int64(len(tmp))}}
+	x, err := f.planList(write, tmp, memio.NewStreamMap(mem), mem, extents, opts, window)
+	if err != nil {
+		return err
+	}
+	return f.move(ctx, x)
 }

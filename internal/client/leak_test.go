@@ -2,9 +2,10 @@ package client
 
 // White-box regression tests pinning the pooled-buffer leaks pvfs-lint
 // (pvfs/bufown) found on the client's error paths: a daemon response
-// that fails validation — a short read — must still be released. Each
-// test drives the private datapath against a fake daemon that returns
-// a wrong-size body and asserts the wire.BufStats get/put balance.
+// that fails validation — a short read — must still be released. The
+// test drives each planner's requests through the mover against a fake
+// daemon that returns a wrong-size body and asserts the wire.BufStats
+// get/put balance.
 
 import (
 	"context"
@@ -13,8 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
-	"pvfs/internal/memio"
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/striping"
 	"pvfs/internal/wire"
@@ -65,30 +66,30 @@ func requireBufBalance(t *testing.T, gets0, puts0 int64) {
 	}
 }
 
-func TestReadContigShortResponseReleasesBody(t *testing.T) {
-	srv := startShortIOD(t)
-	f := fakeFile(srv.Addr())
-	defer f.fs.pool.Close()
-	gets0, puts0 := wire.BufStats()
+// A short response fails the read and still goes back to the pool, on
+// every planner's requests: contiguous, list and datatype.
+func TestShortResponseReleasesBody(t *testing.T) {
+	const n = 64
+	for _, c := range []struct {
+		name string
+		req  Request
+	}{
+		{"contig", Request{File: ioseg.List{{Offset: 0, Length: n}}, Method: AccessContig}},
+		{"list", Request{File: ioseg.List{{Offset: 0, Length: n}}, Method: AccessList}},
+		{"datatype", Request{Type: datatype.Bytes(n), Method: AccessDatatype}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := startShortIOD(t)
+			f := fakeFile(srv.Addr())
+			defer f.fs.pool.Close()
+			gets0, puts0 := wire.BufStats()
 
-	err := f.readContig(context.Background(), make([]byte, 64), 0, nil)
-	if err == nil || !strings.Contains(err.Error(), "short read") {
-		t.Fatalf("err = %v, want short read", err)
+			c.req.Arena = make([]byte, n)
+			_, err := f.Run(context.Background(), c.req)
+			if err == nil || !strings.Contains(err.Error(), "returned 1 bytes, want 64") {
+				t.Fatalf("err = %v, want a short read", err)
+			}
+			requireBufBalance(t, gets0, puts0)
+		})
 	}
-	requireBufBalance(t, gets0, puts0)
-}
-
-func TestReadListShortResponseReleasesBody(t *testing.T) {
-	srv := startShortIOD(t)
-	f := fakeFile(srv.Addr())
-	defer f.fs.pool.Close()
-	gets0, puts0 := wire.BufStats()
-
-	arena := make([]byte, 64)
-	segs := ioseg.List{{Offset: 0, Length: 64}}
-	err := f.readList(context.Background(), arena, memio.NewStreamMap(segs), segs, segs, ListOptions{}, DefaultWindow)
-	if err == nil || !strings.Contains(err.Error(), "list read returned") {
-		t.Fatalf("err = %v, want short list read", err)
-	}
-	requireBufBalance(t, gets0, puts0)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"pvfs/internal/datatype"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/memio"
 	"pvfs/internal/patterns"
@@ -12,10 +13,12 @@ import (
 	"pvfs/internal/wire"
 )
 
-// A list-write request leaves its payload in the arena (a wire.Vec)
-// exactly when every region of it is one arena extent, gathers it into
-// the body otherwise, and puts the same bytes on the wire either way:
-// the region descriptors, then each region's stream bytes.
+// The mover leaves a request's payload in the arena — a wire.Vec, a
+// write's BodyStream or a read's Dest — exactly when every stream piece
+// of it is one arena extent, and gathers it into the pooled body or
+// scatters the response out of one otherwise. The wire bytes are the
+// same either way: the request's fixed fields, then its pieces' stream
+// bytes. One table covers every planner, read and write.
 func TestListWriteRequestArms(t *testing.T) {
 	cyclic, err := patterns.NewCyclic1D(2, 256, 2*256*4096)
 	if err != nil {
@@ -39,20 +42,45 @@ func TestListWriteRequestArms(t *testing.T) {
 		ioseg.Segment{Offset: paddedMem[70].Offset + 200, Length: 20<<10 - 100})
 	splitMem = append(splitMem, paddedMem[71:]...)
 
+	f := &File{fs: &FS{}, info: wire.FileInfo{Handle: 7, Striping: striping.Config{PCount: 4, StripeSize: 16 << 10}}}
+	type planner func(write bool, arena []byte, smap *memio.StreamMap) (*transfer, error)
+	list := func(mem, file ioseg.List) planner {
+		return func(write bool, arena []byte, smap *memio.StreamMap) (*transfer, error) {
+			return f.planList(write, arena, smap, mem, file, ListOptions{}, DefaultWindow)
+		}
+	}
+	// FLASH's variables as one datatype: each variable's blocks of one
+	// rank are one file run, the ranks' runs interleaved.
+	flashRun := flash.TotalBytes(0) / int64(flash.Vars)
+	flashType := datatype.Vector(int64(flash.Vars), flashRun, int64(flash.NumRanks)*flashRun, datatype.Bytes(1))
+	dtype := func(mem ioseg.List) planner {
+		return func(write bool, arena []byte, smap *memio.StreamMap) (*transfer, error) {
+			return f.planDatatype(write, arena, smap, mem, flashType, flashRun, 1, DatatypeOptions{WindowBytes: 20 << 10}, DefaultWindow)
+		}
+	}
+	const contigBytes = 3<<20 + 1000
+	dense := func(n int64) ioseg.List { return ioseg.List{{Offset: 0, Length: n}} }
+
 	for _, c := range []struct {
-		name        string
-		mem, file   ioseg.List
-		arenaBytes  int64
-		vec, gather bool // arms some request must take
+		name       string
+		mem        ioseg.List
+		arenaBytes int64
+		plan       planner
+		vec, copy  bool // arms some request must take
 	}{
-		{"cyclic, contiguous memory", patterns.MemList(cyclic, 0), patterns.FileList(cyclic, 0), cyclic.TotalBytes(0), true, false},
-		{"tiled, contiguous memory", patterns.MemList(tiled, 4), patterns.FileList(tiled, 4), tiled.TotalBytes(4), true, false},
-		{"memory one to one with file, rows crossing stripes", paddedMem, paddedFile, 100 * (24 << 10), true, false},
-		{"one row split in memory", splitMem, paddedFile, 100 * (24 << 10), true, true},
-		{"FLASH: 8-byte memory pieces", patterns.MemList(flash, 1), patterns.FileList(flash, 1), flash.ArenaBytes(1), false, true},
+		{"contig, across stripes and windows", dense(contigBytes), contigBytes,
+			func(write bool, arena []byte, _ *memio.StreamMap) (*transfer, error) {
+				return f.planContig(write, arena, 5000, nil), nil
+			}, true, false},
+		{"cyclic, contiguous memory", patterns.MemList(cyclic, 0), cyclic.TotalBytes(0), list(patterns.MemList(cyclic, 0), patterns.FileList(cyclic, 0)), true, false},
+		{"tiled, contiguous memory", patterns.MemList(tiled, 4), tiled.TotalBytes(4), list(patterns.MemList(tiled, 4), patterns.FileList(tiled, 4)), true, false},
+		{"memory one to one with file, rows crossing stripes", paddedMem, 100 * (24 << 10), list(paddedMem, paddedFile), true, false},
+		{"one row split in memory", splitMem, 100 * (24 << 10), list(splitMem, paddedFile), true, true},
+		{"FLASH: 8-byte memory pieces", patterns.MemList(flash, 1), flash.ArenaBytes(1), list(patterns.MemList(flash, 1), patterns.FileList(flash, 1)), false, true},
+		{"datatype, contiguous memory", dense(flash.TotalBytes(0)), flash.TotalBytes(0), dtype(dense(flash.TotalBytes(0))), true, false},
+		{"datatype, FLASH memory", patterns.MemList(flash, 1), flash.ArenaBytes(1), dtype(patterns.MemList(flash, 1)), false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			f := &File{fs: &FS{}, info: wire.FileInfo{Handle: 7, Striping: striping.Config{PCount: 4, StripeSize: 16 << 10}}}
 			arena := make([]byte, c.arenaBytes)
 			for i := range arena {
 				arena[i] = byte(i*7 + i>>9)
@@ -62,56 +90,77 @@ func TestListWriteRequestArms(t *testing.T) {
 				t.Fatal(err)
 			}
 			smap := memio.NewStreamMap(c.mem)
-			if err := checkMapped(arena, smap, c.mem, c.file); err != nil {
-				t.Fatal(err)
-			}
-			var vecs, gathers int
-			for _, p := range f.planList(c.file, wire.MaxRegionsPerRequest) {
-				for i := range p.reqs {
-					r := &p.reqs[i]
-					msg, err := f.listWriteRequest(p, r, smap, arena)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := wire.AppendRegions(nil, p.phys[r.lo:r.hi])
-					if err != nil {
-						t.Fatal(err)
-					}
-					onePiece := true // every region one arena extent?
-					for _, s := range p.stream[r.lo:r.hi] {
-						want = append(want, stream[s.Pos:s.Pos+s.Len]...)
-						pieces, err := smap.AppendPieces(nil, arena, s.Pos, s.Len)
+			for _, write := range []bool{false, true} {
+				x, err := c.plan(write, arena, smap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var vecs, copies int
+				for _, s := range x.scheds {
+					for i := range s.requests() {
+						var sent sentReq
+						msg, err := f.request(x, s, i, &sent)
 						if err != nil {
 							t.Fatal(err)
 						}
-						onePiece = onePiece && len(pieces) <= 1
+						fixed, err := s.appendFixed(i, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						payload := []byte{}
+						onePiece := true // every piece one arena extent?
+						for _, p := range sent.pieces {
+							payload = append(payload, stream[p.Pos:p.Pos+p.Len]...)
+							pieces, err := smap.AppendPieces(nil, arena, p.Pos, p.Len)
+							if err != nil {
+								t.Fatal(err)
+							}
+							onePiece = onePiece && len(pieces) <= 1
+						}
+						if int64(len(payload)) != sent.bytes {
+							t.Fatalf("request of %d bytes holds pieces of %d", sent.bytes, len(payload))
+						}
+						vec := msg.Dest
+						if write {
+							vec, _ = msg.BodyStream.(*wire.Vec)
+							if msg.Dest != nil {
+								t.Fatal("a write names a Dest")
+							}
+						} else if msg.BodyStream != nil {
+							t.Fatal("a read carries a payload")
+						}
+						got := bytes.Clone(msg.Body)
+						if vec != nil {
+							vecs++
+							if !onePiece {
+								t.Fatal("a request with a shattered piece rides a Vec")
+							}
+							if vec.N != int(sent.bytes) || len(vec.Pieces) > len(sent.pieces) {
+								t.Fatalf("Vec of %d bytes in %d pieces for %d bytes in %d pieces", vec.N, len(vec.Pieces), sent.bytes, len(sent.pieces))
+							}
+							// A Vec's pieces are the arena extents of the
+							// request's stream bytes, in order.
+							for _, piece := range vec.Pieces {
+								got = append(got, piece...)
+							}
+						} else {
+							copies++
+							if onePiece {
+								t.Fatal("a request of whole arena extents was copied")
+							}
+							if !write {
+								got = append(got, payload...) // the response the body scatters
+							}
+						}
+						if want := append(fixed, payload...); !bytes.Equal(got, want) {
+							t.Fatalf("write %v, server %d request %d: fixed fields and payload differ from the plan's", write, s.server(), i)
+						}
+						wire.PutBuf(msg.Body)
 					}
-					got := bytes.Clone(msg.Body)
-					if v, ok := msg.BodyStream.(*wire.Vec); ok {
-						vecs++
-						if !onePiece {
-							t.Fatal("a request with a shattered region rides a Vec")
-						}
-						if v.N != int(r.bytes) || len(v.Pieces) > r.hi-r.lo {
-							t.Fatalf("Vec of %d bytes in %d pieces for %d bytes in %d regions", v.N, len(v.Pieces), r.bytes, r.hi-r.lo)
-						}
-						for _, piece := range v.Pieces {
-							got = append(got, piece...)
-						}
-					} else {
-						gathers++
-						if onePiece {
-							t.Fatal("a request of whole arena extents was gathered")
-						}
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("server %d request %d: wire bytes differ from descriptors + stream bytes", p.rel, i)
-					}
-					wire.PutBuf(msg.Body)
 				}
-			}
-			if (vecs > 0) != c.vec || (gathers > 0) != c.gather {
-				t.Fatalf("%d vectored and %d gathered requests; want vectored %v, gathered %v", vecs, gathers, c.vec, c.gather)
+				if (vecs > 0) != c.vec || (copies > 0) != c.copy {
+					t.Fatalf("write %v: %d requests on the Vec arm and %d copied; want Vec %v, copied %v", write, vecs, copies, c.vec, c.copy)
+				}
 			}
 		})
 	}

@@ -222,6 +222,52 @@ func TestIODRestartSameAddress(t *testing.T) {
 	}
 }
 
+// Remove and ServerStats go through the same retrying call as the
+// datapath: after an I/O daemon restarts on its address, the pooled
+// socket to it is stale, and a retrying client must drop it and redial
+// rather than fail every later call on it.
+func TestRemoveAndServerStatsSurviveIODRestart(t *testing.T) {
+	c, err := cluster.Start(cluster.Options{NumIOD: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fs, err := c.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	fs.SetRetries(1)
+	writeSeeded(t, fs, "stats.dat", 256, 2)
+	writeSeeded(t, fs, "doomed.dat", 256, 2)
+	f, err := fs.Open("stats.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	restart := func() {
+		t.Helper()
+		if err := c.KillIOD(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RestartIOD(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	restart()
+	if _, per, err := fs.ServerStats(f); err != nil || len(per) != 2 {
+		t.Fatalf("ServerStats after a daemon restart: %d servers, %v", len(per), err)
+	}
+	restart()
+	if err := fs.Remove("doomed.dat"); err != nil {
+		t.Fatalf("Remove after a daemon restart: %v", err)
+	}
+	if _, err := fs.Open("doomed.dat"); err == nil {
+		t.Fatal("removed file still opens")
+	}
+}
+
 func TestFaultDelayOnlySlowsCalls(t *testing.T) {
 	c, err := cluster.Start(cluster.Options{NumIOD: 2})
 	if err != nil {

@@ -372,38 +372,20 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 		return res, err // a canceled Start never touches the wire
 	}
 
+	var x *transfer
 	switch rv.method {
 	case AccessContig:
-		if err := rv.file.Validate(); err != nil {
-			return res, fmt.Errorf("pvfs: file list: %w", err)
+		if err := checkLists(req.Arena, rv.mem, rv.file); err != nil {
+			return res, err
 		}
-		off := rv.file[0].Offset
-		var p []byte
+		var p []byte // nil Mem for an empty transfer
 		if len(rv.mem) == 1 {
-			m := rv.mem[0]
-			if err := m.Validate(); err != nil {
-				return res, fmt.Errorf("pvfs: memory list: %w", err)
-			}
-			if m.End() > int64(len(req.Arena)) {
-				return res, fmt.Errorf("pvfs: memory region %v outside buffer of %d bytes", m, len(req.Arena))
-			}
-			if m.Length != rv.file[0].Length {
-				return res, fmt.Errorf("pvfs: memory list covers %d bytes, file list %d", m.Length, rv.file[0].Length)
-			}
-			p = req.Arena[m.Offset:m.End()]
-		} else if rv.file[0].Length != 0 {
-			return res, fmt.Errorf("pvfs: memory list covers 0 bytes, file list %d", rv.file[0].Length)
+			p = req.Arena[rv.mem[0].Offset:rv.mem[0].End()]
 		}
-		if req.Write {
-			return res, f.writeContig(ctx, p, off, nil)
-		}
-		return res, f.readContig(ctx, p, off, nil)
+		x = f.planContig(req.Write, p, rv.file[0].Offset, nil)
 
 	case AccessMultiple:
-		if req.Write {
-			return res, f.writeMultiple(ctx, req.Arena, rv.mem, rv.file)
-		}
-		return res, f.readMultiple(ctx, req.Arena, rv.mem, rv.file)
+		return res, f.multiple(ctx, req.Write, req.Arena, rv.mem, rv.file)
 
 	case AccessSieve:
 		if req.Write {
@@ -418,17 +400,11 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 		// here: the stream map's build pass yields everything validation
 		// needs, and the map then stands in for the list all the way down.
 		smap := memio.NewStreamMap(rv.mem)
-		if req.Write {
-			return res, f.writeList(ctx, req.Arena, smap, rv.mem, rv.file, req.List, rv.window)
-		}
-		return res, f.readList(ctx, req.Arena, smap, rv.mem, rv.file, req.List, rv.window)
+		x, err = f.planList(req.Write, req.Arena, smap, rv.mem, rv.file, req.List, rv.window)
 
 	case AccessDatatype:
 		smap := memio.NewStreamMap(rv.mem) // the one pass over Mem, as for AccessList
-		if req.Write {
-			return res, f.writeDatatype(ctx, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, rv.window)
-		}
-		return res, f.readDatatype(ctx, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, rv.window)
+		x, err = f.planDatatype(req.Write, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, rv.window)
 
 	case AccessHybrid:
 		if req.Write {
@@ -437,6 +413,12 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 			res.Sieve, err = f.readHybrid(ctx, req.Arena, rv.mem, rv.file, req.CoalesceGap, req.List, rv.window)
 		}
 		return res, err
+
+	default:
+		return res, fmt.Errorf("pvfs: unknown access method %v", rv.method)
 	}
-	return res, fmt.Errorf("pvfs: unknown access method %v", rv.method)
+	if err != nil {
+		return res, err
+	}
+	return res, f.move(ctx, x)
 }

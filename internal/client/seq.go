@@ -13,28 +13,17 @@ import (
 // file, so standard-library code (io.Copy, bufio, etc.) works
 // unchanged.
 
-// seqState holds the cursor for the sequential interface. It is
-// separate from File's immutable metadata so the *At methods stay
-// position-free.
+// seqState holds the cursor for the sequential interface. Only Read,
+// Write, Seek and Tell touch it, so the *At methods stay position-free.
 type seqState struct {
 	mu  sync.Mutex
 	pos int64
 }
 
-var seqCursors sync.Map // *File -> *seqState
-
-func (f *File) seq() *seqState {
-	if s, ok := seqCursors.Load(f); ok {
-		return s.(*seqState)
-	}
-	s, _ := seqCursors.LoadOrStore(f, &seqState{})
-	return s.(*seqState)
-}
-
 // Read implements io.Reader at the file cursor. Reads past the
 // current logical size return io.EOF.
 func (f *File) Read(p []byte) (int, error) {
-	s := f.seq()
+	s := &f.seq
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	size, err := f.Size()
@@ -61,7 +50,7 @@ func (f *File) Read(p []byte) (int, error) {
 
 // Write implements io.Writer at the file cursor.
 func (f *File) Write(p []byte) (int, error) {
-	s := f.seq()
+	s := &f.seq
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, err := f.WriteAt(p, s.pos)
@@ -71,7 +60,7 @@ func (f *File) Write(p []byte) (int, error) {
 
 // Seek implements io.Seeker.
 func (f *File) Seek(offset int64, whence int) (int64, error) {
-	s := f.seq()
+	s := &f.seq
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var base int64
@@ -98,7 +87,7 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 
 // Tell returns the current cursor position.
 func (f *File) Tell() int64 {
-	s := f.seq()
+	s := &f.seq
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pos

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
+	"pvfs/internal/client"
 	"pvfs/internal/striping"
 )
 
@@ -111,5 +114,36 @@ func TestSequentialAppendPattern(t *testing.T) {
 	}
 	if string(got) != strings.Repeat("entry.", 10) {
 		t.Fatalf("log = %q", got)
+	}
+}
+
+// The sequential cursor lives in the File: a file that used Seek and
+// Read is garbage once the caller drops it.
+func TestSequentialCursorDoesNotPinFile(t *testing.T) {
+	_, fs := startCluster(t, 2)
+	if _, err := fs.Create("cursor.dat", striping.Config{PCount: 2, StripeSize: 32}); err != nil {
+		t.Fatal(err)
+	}
+	ref := func() weak.Pointer[client.File] {
+		f, err := fs.Open("cursor.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("cursor")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Read(make([]byte, 6)); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(f)
+	}()
+	for i := 0; i < 5 && ref.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if ref.Value() != nil {
+		t.Fatal("a dropped File stays reachable after using its cursor")
 	}
 }

@@ -101,7 +101,7 @@ func (f *File) readSieve(ctx context.Context, arena []byte, mem, file ioseg.List
 			buf = make([]byte, w.Length)
 		}
 		buf = buf[:w.Length]
-		if err := f.readContig(ctx, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
+		if err := f.contig(ctx, false, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
 			return st, err
 		}
 		useful, err := memio.ExtractWindow(stream, file, buf, w)
@@ -137,14 +137,14 @@ func (f *File) writeSieve(ctx context.Context, arena []byte, mem, file ioseg.Lis
 		buf = buf[:w.Length]
 		// Read-modify-write: fetch the window, inject the regions,
 		// write the whole window back.
-		if err := f.readContig(ctx, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
+		if err := f.contig(ctx, false, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
 			return st, err
 		}
 		useful, err := memio.InjectWindow(buf, stream, file, w)
 		if err != nil {
 			return st, err
 		}
-		if err := f.writeContig(ctx, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
+		if err := f.contig(ctx, true, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
 			return st, err
 		}
 		st.Windows++

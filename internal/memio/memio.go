@@ -428,15 +428,14 @@ func (m *StreamMap) AppendPieces(dst [][]byte, arena []byte, pos, n int64) ([][]
 	if err := m.checkRange(pos, n); err != nil {
 		return dst, err
 	}
-	if n == 0 {
-		return dst, nil
-	}
 	keep := len(dst)
 	lo, hi := int64(-1), int64(-1) // arena extent of the piece being grown; none yet
-	// add extends that piece by [a, a+k) when it starts where the piece
+	var err error
+	// Each stretch extends that piece when it starts where the piece
 	// ends, and opens a new one otherwise.
-	add := func(a, k int64) bool {
+	m.stretches(pos, n, func(a, k int64) bool {
 		if a+k > int64(len(arena)) {
+			err = arenaError(a+k, arena)
 			return false
 		}
 		if a == hi {
@@ -446,8 +445,52 @@ func (m *StreamMap) AppendPieces(dst [][]byte, arena []byte, pos, n int64) ([][]
 			lo, hi = a, a+k
 			dst = append(dst, arena[lo:hi])
 		}
-		n -= k
 		return true
+	})
+	if err != nil {
+		return dst[:keep], err
+	}
+	return dst, nil
+}
+
+// Extent reports whether the n stream bytes from position pos are one
+// arena extent — the single piece AppendPieces would append — and if so
+// where it starts: the bytes are arena[off:off+n]. It looks no further
+// than the second extent, so a range of strided elements costs two
+// steps, not one per element; ok is false then and the arena is not
+// checked. A single extent that ends past the arena is an error, as in
+// AppendPieces. An empty range is one extent.
+func (m *StreamMap) Extent(arena []byte, pos, n int64) (off int64, ok bool, err error) {
+	if err := m.checkRange(pos, n); err != nil {
+		return 0, false, err
+	}
+	end := int64(-1) // arena offset the extent so far ends at; none yet
+	ok = true
+	m.stretches(pos, n, func(a, k int64) bool {
+		if end < 0 {
+			off, end = a, a
+		}
+		if ok = a == end; ok {
+			end += k
+		}
+		return ok
+	})
+	if !ok {
+		return 0, false, nil
+	}
+	if end > int64(len(arena)) {
+		return 0, false, arenaError(end, arena)
+	}
+	return off, true, nil
+}
+
+// stretches calls yield with the arena extent [a, a+k) of each stretch
+// of the n stream bytes from position pos on, in stream order, until
+// yield returns false: a listed region, a dense row or a strided
+// element, each cut to the range. The range must lie inside the stream.
+func (m *StreamMap) stretches(pos, n int64, yield func(a, k int64) bool) {
+	if n == 0 {
+		return
 	}
 	ri := sort.Search(len(m.runs), func(i int) bool { return m.runs[i].pos > pos }) - 1
 	// Only the first run is entered part way, as in move.
@@ -460,10 +503,10 @@ func (m *StreamMap) AppendPieces(dst [][]byte, arena []byte, pos, n int64) ([][]
 					continue
 				}
 				k := min(s.Length-skip, n)
-				if !add(s.Offset+skip, k) {
-					return dst[:keep], arenaError(s.Offset+skip+k, arena)
+				if !yield(s.Offset+skip, k) {
+					return
 				}
-				if skip = 0; n == 0 {
+				if skip, n = 0, n-k; n == 0 {
 					break
 				}
 			}
@@ -479,13 +522,13 @@ func (m *StreamMap) AppendPieces(dst [][]byte, arena []byte, pos, n int64) ([][]
 			}
 			for ; elems > 0 && n > 0; elems, a, w = elems-1, a+r.stride0, 0 {
 				k := min(width-w, n)
-				if !add(a+w, k) {
-					return dst[:keep], arenaError(a+w+k, arena)
+				if !yield(a+w, k) {
+					return
 				}
+				n -= k
 			}
 		}
 	}
-	return dst, nil
 }
 
 const (

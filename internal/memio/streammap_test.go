@@ -65,6 +65,9 @@ func checkEquivalence(t *testing.T, arenaLen int, l ioseg.List, cuts []int64) {
 		if _, err := m.AppendPieces(nil, arena, 0, 1); err == nil {
 			t.Fatal("AppendPieces on an invalid list succeeded")
 		}
+		if _, _, err := m.Extent(arena, 0, 1); err == nil {
+			t.Fatal("Extent on an invalid list succeeded")
+		}
 		if err := m.CopyIn(arena, 0, []byte{1}); err == nil {
 			t.Fatal("CopyIn on an invalid list succeeded")
 		}
@@ -88,6 +91,9 @@ func checkEquivalence(t *testing.T, arenaLen int, l ioseg.List, cuts []int64) {
 		}
 		if got, err := m.AppendPieces(nil, arena, r[0], r[1]); err == nil || len(got) != 0 {
 			t.Fatalf("AppendPieces accepted stream range [%d,+%d) of %d", r[0], r[1], total)
+		}
+		if _, ok, err := m.Extent(arena, r[0], r[1]); err == nil || ok {
+			t.Fatalf("Extent accepted stream range [%d,+%d) of %d", r[0], r[1], total)
 		}
 	}
 	if err := m.CopyIn(arena, total, []byte{1}); err == nil {
@@ -118,6 +124,7 @@ func checkEquivalence(t *testing.T, arenaLen int, l ioseg.List, cuts []int64) {
 			if c >= 0 && c <= total {
 				m.AppendOut(nil, arena, c, min(total-c, 16))
 				m.AppendPieces(nil, arena, c, min(total-c, 16))
+				m.Extent(arena, c, min(total-c, 16))
 				m.CopyIn(arena, c, make([]byte, min(total-c, 16)))
 			}
 		}
@@ -159,6 +166,12 @@ func checkEquivalence(t *testing.T, arenaLen int, l ioseg.List, cuts []int64) {
 		}
 		if joined, ok := joinPieces(pieces, held); !ok || !bytes.Equal(joined, want[pos:pos+n]) {
 			t.Fatalf("AppendPieces [%d,+%d) = %v, want %v (list %v)", pos, n, pieces, want[pos:pos+n], l)
+		}
+		// Extent finds one extent exactly where AppendPieces made one piece
+		// (or none, for an empty range), and it starts where that piece does.
+		off, one, err := m.Extent(arena, pos, n)
+		if err != nil || one != (len(pieces) <= 2) || n > 0 && one && &arena[off] != &pieces[1][0] {
+			t.Fatalf("Extent [%d,+%d) = %d, %v, %v; AppendPieces made %d pieces (list %v)", pos, n, off, one, err, len(pieces)-1, l)
 		}
 		if err := m.CopyIn(image, pos, stream[pos:pos+n]); err != nil {
 			t.Fatalf("CopyIn [%d,+%d): %v (list %v)", pos, n, err, l)

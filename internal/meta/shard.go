@@ -321,8 +321,9 @@ func (s *Shard) Handle(req wire.Message) wire.Message {
 	case wire.TPing:
 		return wire.Message{Header: wire.Header{Handle: req.Handle}}
 	default:
-		// Plain manager grammar (legacy clients, single-shard wrapper):
-		// no epoch to check; still forwarded if the name hashes away.
+		// Plain manager grammar (raw-wire drivers such as the bench
+		// replay, the single-shard wrapper): no epoch to check; still
+		// forwarded if the name hashes away.
 		return s.serveInner(req.Type, req.Body, req.Handle, 0)
 	}
 }
