@@ -137,6 +137,14 @@ type Node struct {
 	waiters   map[uint64]chan applyResult
 	matchIdx  []uint64
 	nextIdx   []uint64
+	// sendDue marks a follower owed an append even if it carries no
+	// entries: a heartbeat, a new leader's first round, or a committed
+	// shard map. Any append sent to the follower clears it.
+	sendDue []bool
+	// resync marks a replica that restarted over damaged state
+	// (errCorruptState): it grants no votes and stands for no election
+	// until a leader's append has matched its log to the leader's end.
+	resync    bool
 	deadline  time.Time // election deadline (non-leaders)
 	lastBeat  time.Time // last heartbeat broadcast (leader)
 	elections int64
@@ -147,6 +155,7 @@ type Node struct {
 	proposals    int64              // mutation entries appended via propose
 	batches      int64              // group-commit flushes
 	appendRounds int64              // append RPCs shipped carrying entries
+	emptyRounds  int64              // append RPCs shipped with no entries and no snapshot
 
 	propC    chan struct{} // committer wakeup, cap 1
 	compactC chan struct{} // compactor wakeup, cap 1
@@ -180,12 +189,23 @@ func NewNode(o NodeOptions) (*Node, error) {
 		waiters:     make(map[uint64]chan applyResult),
 		matchIdx:    make([]uint64, len(o.Peers)),
 		nextIdx:     make([]uint64, len(o.Peers)),
+		sendDue:     make([]bool, len(o.Peers)),
 		propC:       make(chan struct{}, 1),
 		compactC:    make(chan struct{}, 1),
 		stopC:       make(chan struct{}),
 	}
 	if o.Dir != "" {
 		st, rec, err := openStable(o.Dir)
+		if errors.Is(err, errCorruptState) && len(o.Peers) > 1 {
+			// Damaged state cannot be trusted to hold this replica's
+			// votes and acks. Set it aside and rejoin empty: the leader
+			// refills the log, and the replica votes again only once it
+			// has. A solo replica has no leader to resync from, so it
+			// refuses to start instead.
+			logf(n.logger, "meta[%d]: %v; resyncing from the leader", o.ID, err)
+			st, rec, err = quarantineStable(o.Dir, rec)
+			n.resync = true
+		}
 		if err != nil {
 			n.pool.Close()
 			return nil, err
@@ -206,7 +226,7 @@ func NewNode(o NodeOptions) (*Node, error) {
 	// definition; with no stable dir the log is trivially "durable"
 	// (there is no promise a restart could break).
 	n.durable = n.lastIndexLocked()
-	if o.Bootstrap != nil && n.snapIndex == 0 && len(n.log) == 0 {
+	if o.Bootstrap != nil && !n.resync && n.snapIndex == 0 && len(n.log) == 0 {
 		boot := o.Bootstrap.Clone()
 		n.log = append(n.log, wire.MetaEntry{
 			Index: 1, Term: 0,
@@ -506,9 +526,20 @@ func (n *Node) becomeLeaderLocked() {
 	n.lastBeat = time.Now()
 	logf(n.logger, "meta[%d]: leading term %d (log %d)", n.id, n.term, last+1)
 	n.advanceCommitLocked()
+	n.sendDueLocked()
+}
+
+// sendDueLocked owes every follower one append, with or without
+// entries, and wakes the replicators.
+func (n *Node) sendDueLocked() {
+	for p := range n.sendDue {
+		n.sendDue[p] = true
+	}
 	n.kickAllLocked()
 }
 
+// kickAllLocked wakes the replicators; each sends only if it has
+// entries, a snapshot, or a due append for its follower.
 func (n *Node) kickAllLocked() {
 	for p, ch := range n.notify {
 		if p == n.id || ch == nil {
@@ -545,9 +576,9 @@ func (n *Node) clockLoop() {
 		if n.role == leader {
 			if time.Since(n.lastBeat) >= n.timing.Heartbeat {
 				n.lastBeat = time.Now()
-				n.kickAllLocked()
+				n.sendDueLocked()
 			}
-		} else if len(n.peers) > 1 && time.Now().After(n.deadline) {
+		} else if len(n.peers) > 1 && !n.resync && time.Now().After(n.deadline) {
 			n.startElectionLocked()
 		}
 		n.mu.Unlock()
@@ -679,7 +710,10 @@ func (n *Node) replicate(p int) {
 
 // syncPeer ships one append (or snapshot) to a follower and processes
 // the response. It returns true when another round should follow
-// immediately (more entries pending or a consistency backoff).
+// immediately (more entries pending or a consistency backoff). An
+// append with no entries goes out only when one is due (sendDue): the
+// commit index otherwise rides the next round that carries entries or
+// the next heartbeat, so a batch costs one round per follower.
 func (n *Node) syncPeer(p int, addr string) bool {
 	n.mu.Lock()
 	if n.closed || n.role != leader {
@@ -725,12 +759,19 @@ func (n *Node) syncPeer(p int, addr string) bool {
 		if count > maxAppendEntries {
 			count = maxAppendEntries
 		}
-		if count > 0 {
+		switch {
+		case count > 0:
 			req.Entries = make([]wire.MetaEntry, count)
 			copy(req.Entries, n.log[ni-n.snapIndex-1:])
 			n.appendRounds++
+		case !n.sendDue[p]:
+			n.mu.Unlock()
+			return false
+		default:
+			n.emptyRounds++
 		}
 	}
+	n.sendDue[p] = false
 	n.mu.Unlock()
 	if installRefs != nil {
 		req.Snap = installRefs.snapshot().Marshal()
@@ -819,16 +860,22 @@ func (n *Node) advanceCommitLocked() {
 			break
 		}
 	}
-	n.applyLocked()
+	if n.applyLocked() {
+		// A committed shard map goes to the followers now rather than
+		// at the next heartbeat: their CurrentMap serves map readers.
+		n.sendDueLocked()
+	}
 }
 
 // applyLocked folds committed entries into the materialized state,
 // answers proposal waiters, and compacts the log when it outgrows
-// MaxLog.
-func (n *Node) applyLocked() {
+// MaxLog. It reports whether a shard-map entry was applied.
+func (n *Node) applyLocked() bool {
+	config := false
 	for n.applied < n.commit {
 		n.applied++
 		e := n.entryAtLocked(n.applied)
+		config = config || e.Rec.Op == wire.TShardMap
 		res := n.applyEntryLocked(e)
 		res.idx = n.applied
 		if ch, ok := n.waiters[n.applied]; ok {
@@ -848,6 +895,7 @@ func (n *Node) applyLocked() {
 		default:
 		}
 	}
+	return config
 }
 
 func (n *Node) applyEntryLocked(e *wire.MetaEntry) applyResult {
@@ -1289,9 +1337,11 @@ func (n *Node) flushBatches() {
 		if n.lastIndexLocked() >= last && n.termAtLocked(last) == term && last > n.durable {
 			n.durable = last
 		}
+		// No replication kick here: the pre-fsync kick already shipped
+		// the batch, and followers learn the new commit index from the
+		// next round that carries entries or the next heartbeat.
 		if n.role == leader && n.term == term {
 			n.advanceCommitLocked()
-			n.kickAllLocked()
 		}
 	}
 	n.mu.Unlock()
@@ -1498,7 +1548,10 @@ func (n *Node) handleVote(req wire.Message) wire.Message {
 		n.stepDownLocked(vr.Term)
 	}
 	resp := wire.MetaVoteResp{Term: n.term}
-	if !n.wounded && vr.Term == n.term && (n.votedFor == -1 || n.votedFor == int(vr.Candidate)) {
+	// A resyncing replica lost acks and votes with its damaged state,
+	// so its vote could elect a candidate missing an entry it helped
+	// commit: it grants none until a leader has refilled its log.
+	if !n.wounded && !n.resync && vr.Term == n.term && (n.votedFor == -1 || n.votedFor == int(vr.Candidate)) {
 		// Election restriction: only grant to candidates whose log is
 		// at least as fresh as ours — this is what carries majority-
 		// acked entries across leader failure.
@@ -1557,6 +1610,8 @@ func (n *Node) handleAppend(req wire.Message) wire.Message {
 		return wire.Message{Body: resp.Marshal()}
 	}
 
+	// An append under the per-round cap ran to the leader's last index.
+	toLeaderEnd := len(ar.Entries) < maxAppendEntries
 	// Consistency check: our log must contain (PrevIndex, PrevTerm).
 	prev := ar.PrevIndex
 	switch {
@@ -1619,15 +1674,31 @@ func (n *Node) handleAppend(req wire.Message) wire.Message {
 		}
 	}
 	if ar.Commit > n.commit {
+		// Only the prefix this append matched may commit: entries past
+		// lastShipped can be a stale suffix of an older term.
 		c := ar.Commit
-		if last := n.lastIndexLocked(); c > last {
-			c = last
+		if c > lastShipped {
+			c = lastShipped
 		}
-		n.commit = c
-		n.applyLocked()
+		if c > n.commit {
+			n.commit = c
+			n.applyLocked()
+		}
 	}
 	resp.Success = true
 	resp.Match = lastShipped
+	if n.resync && toLeaderEnd {
+		// The log now matches the leader's through its last index, so
+		// it holds every committed entry, any this replica acked before
+		// its state was damaged included. Recording the vote for this
+		// leader keeps the replica from granting a second one in this
+		// term.
+		n.resync = false
+		n.votedFor = int(ar.Leader)
+		n.persistHardLocked()
+		logf(n.logger, "meta[%d]: resynced from leader %d at term %d (log %d)",
+			n.id, ar.Leader, n.term, n.lastIndexLocked())
+	}
 	n.mu.Unlock()
 	return wire.Message{Body: resp.Marshal()}
 }

@@ -27,6 +27,7 @@ package meta
 
 import (
 	"log"
+	"slices"
 	"time"
 
 	"pvfs/internal/striping"
@@ -90,13 +91,58 @@ type namespace struct {
 	files    map[string]*wire.FileInfo
 	byHandle map[uint64]string
 	nextSeq  uint64 // next unissued per-shard handle sequence
+	// addrs holds the IOD address lists the namespace's files use, one
+	// shared slice per distinct list, so a file holds no strings of
+	// its own. Lists under one (Base, PCount) differ only when a shard
+	// map changed the IOD addresses, so the table is bounded by the
+	// validated (Base, PCount) range times the IOD lists the
+	// deployment has had. Shared slices are never modified.
+	addrs map[addrKey][][]string
 }
+
+type addrKey struct{ base, pcount int }
 
 func newNamespace() *namespace {
 	return &namespace{
 		files:    make(map[string]*wire.FileInfo),
 		byHandle: make(map[uint64]string),
+		addrs:    make(map[addrKey][][]string),
 	}
+}
+
+// shareAddrs points info at the namespace's slice equal to its IOD
+// address list, adopting info's own slice when the list is new.
+func (ns *namespace) shareAddrs(info *wire.FileInfo) {
+	k := addrKey{info.Striping.Base, len(info.IODAddrs)}
+	for _, c := range ns.addrs[k] {
+		if slices.Equal(c, info.IODAddrs) {
+			info.IODAddrs = c
+			return
+		}
+	}
+	ns.addrs[k] = append(ns.addrs[k], info.IODAddrs)
+}
+
+// rotatedAddrs returns the namespace's slice listing a file's daemons
+// in stripe order: starting at Base and wrapping around the
+// deployment's IOD list.
+func (ns *namespace) rotatedAddrs(cfg striping.Config, iods []string) []string {
+	k := addrKey{cfg.Base, cfg.PCount}
+next:
+	for _, c := range ns.addrs[k] {
+		for i := range c {
+			if c[i] != iods[(cfg.Base+i)%len(iods)] {
+				continue next
+			}
+		}
+		return c
+	}
+	c := make([]string, cfg.PCount)
+	for i := range c {
+		c[i] = iods[(cfg.Base+i)%len(iods)]
+	}
+	ns.addrs[k] = append(ns.addrs[k], c)
+	return c
 }
 
 // apply executes one replicated record. The returned status is the
@@ -131,6 +177,7 @@ func (ns *namespace) apply(rec *wire.MetaRecord, nshards int) (wire.Status, *wir
 			return wire.StatusInvalid, nil
 		}
 		info := cr.Info
+		ns.shareAddrs(&info)
 		ns.files[cr.Name] = &info
 		ns.byHandle[info.Handle] = cr.Name
 		if seq := wire.MetaHandleSeq(info.Handle, nshards); seq >= ns.nextSeq {
@@ -190,8 +237,10 @@ func (ns *namespace) install(st *wire.MetaShardState) {
 	ns.files = make(map[string]*wire.FileInfo, len(st.Files))
 	ns.byHandle = make(map[uint64]string, len(st.Files))
 	ns.nextSeq = st.NextSeq
+	ns.addrs = make(map[addrKey][][]string)
 	for i := range st.Files {
 		info := st.Files[i].Info
+		ns.shareAddrs(&info)
 		ns.files[st.Files[i].Name] = &info
 		ns.byHandle[info.Handle] = st.Files[i].Name
 	}
@@ -216,16 +265,6 @@ func resolveStriping(cfg striping.Config, niods int) (striping.Config, wire.Stat
 		return cfg, wire.StatusInvalid
 	}
 	return cfg, wire.StatusOK
-}
-
-// rotatedAddrs lists a file's daemons in stripe order, starting at
-// Base and wrapping around the deployment's IOD list.
-func rotatedAddrs(cfg striping.Config, iods []string) []string {
-	addrs := make([]string, cfg.PCount)
-	for i := 0; i < cfg.PCount; i++ {
-		addrs[i] = iods[(cfg.Base+i)%len(iods)]
-	}
-	return addrs
 }
 
 func logf(l *log.Logger, format string, args ...any) {

@@ -165,7 +165,12 @@ type group struct {
 
 func startGroup(t *testing.T, nmasters int, boot func(addrs []string) *wire.ShardMap) *group {
 	t.Helper()
-	g := &group{t: t, timing: testTiming()}
+	return startGroupTiming(t, nmasters, boot, testTiming())
+}
+
+func startGroupTiming(t *testing.T, nmasters int, boot func(addrs []string) *wire.ShardMap, tm Timing) *group {
+	t.Helper()
+	g := &group{t: t, timing: tm}
 	lns := make([]net.Listener, nmasters)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

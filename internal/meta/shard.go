@@ -581,11 +581,12 @@ func (s *Shard) create(cr *wire.CreateReq) wire.Message {
 		s.mu.Lock()
 		seq := s.ns.nextSeq
 		s.ns.nextSeq++
+		addrs := s.ns.rotatedAddrs(cfg, iods)
 		s.mu.Unlock()
 		info := wire.FileInfo{
 			Handle:    wire.MetaHandle(seq, s.idx, nshards),
 			Striping:  cfg,
-			IODAddrs:  rotatedAddrs(cfg, iods),
+			IODAddrs:  addrs,
 			CreateTok: cr.Token,
 		}
 		rec := wire.MetaCreateRec{Name: cr.Name, Info: info}
@@ -608,6 +609,7 @@ func (s *Shard) create(cr *wire.CreateReq) wire.Message {
 				s.dirty = true
 			}
 			cp := use
+			s.ns.shareAddrs(&cp)
 			s.ns.files[cr.Name] = &cp
 			s.ns.byHandle[cp.Handle] = cr.Name
 			s.markAppliedLocked(idx)

@@ -1,9 +1,11 @@
 package meta
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,14 +21,22 @@ import (
 // candidate missing entries the pre-crash replica helped commit,
 // which loses acked mutations. Layout under dir:
 //
-//	snap — marshaled wire.MetaSnapshot, replaced by atomic rename
-//	wal  — framed records replayed over the snapshot at recovery:
-//	       u32 kind, u32 length, payload (MetaHardState or MetaLogRec)
+//	snap — snapMagic, u32 CRC32C of the payload, then a marshaled
+//	       wire.MetaSnapshot; replaced by atomic rename
+//	wal  — walMagic, then framed records replayed over the snapshot at
+//	       recovery: u32 kind, u32 length, u32 CRC32C of the payload,
+//	       u32 CRC32C of the first twelve header bytes, then the
+//	       payload (MetaHardState or MetaLogRec)
 //
 // Every append is fsynced before the caller answers a vote, acks an
 // append, or acks a proposal. A torn tail (crash mid-append) stops
 // recovery at the last whole record, which is exactly the state the
-// replica had promised before the crash.
+// replica had promised before the crash. A damaged record with intact
+// records after it, or a damaged snapshot, is not a crash artefact:
+// openStable refuses the state with errCorruptState rather than
+// silently dropping what follows. Files written before the checksums
+// (no magic) are still read, and openStable rewrites them in the
+// current format.
 type stable struct {
 	dir string
 	wal *os.File
@@ -44,36 +54,71 @@ type stable struct {
 const (
 	walHard = uint32(1)
 	walLog  = uint32(2)
+
+	walHeader    = 16 // kind, length, payload CRC, header CRC
+	legacyHeader = 8  // kind, length
 )
+
+var (
+	walMagic   = []byte("PVFSWAL\x01")
+	snapMagic  = []byte("PVFSSNP\x01")
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
+
+// errCorruptState reports stable state that is damaged rather than
+// torn: a bad WAL record with records after it, or a bad snapshot.
+// The replica cannot trust it to hold its votes and acks; NewNode sets
+// it aside and resyncs from the leader (quarantineStable).
+var errCorruptState = errors.New("meta: corrupt stable state")
 
 // recovered is the state loaded from a stable dir at startup.
 type recovered struct {
 	hard    wire.MetaHardState
 	snap    *wire.MetaSnapshot
 	entries []wire.MetaEntry // contiguous log suffix above the snapshot
+	// term is the highest term the snapshot or any intact WAL record
+	// shows, records past a damaged one included: a lower bound on
+	// the terms this replica may have voted in.
+	term uint64
 }
 
 // openStable opens (creating if needed) a replica's state dir and
-// loads whatever a previous incarnation persisted.
+// loads whatever a previous incarnation persisted. On errCorruptState
+// the returned recovered holds what could still be read before the
+// damage.
 func openStable(dir string) (*stable, *recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
 	rec := &recovered{hard: wire.MetaHardState{VotedFor: -1}}
-	if b, err := os.ReadFile(filepath.Join(dir, "snap")); err == nil {
-		snap := new(wire.MetaSnapshot)
-		if uerr := snap.Unmarshal(b); uerr != nil {
-			return nil, nil, fmt.Errorf("meta: corrupt snapshot in %s: %w", dir, uerr)
+	var corrupt error
+	rewriteSnap := false
+	snapPath := filepath.Join(dir, "snap")
+	if b, err := os.ReadFile(snapPath); err == nil {
+		if snap, legacy, derr := decodeSnap(b); derr != nil {
+			corrupt = fmt.Errorf("%w: snapshot in %s: %v", errCorruptState, dir, derr)
+		} else {
+			rec.snap, rewriteSnap = snap, legacy
+			rec.term = snap.LastTerm
 		}
-		rec.snap = snap
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
 	}
 	walPath := filepath.Join(dir, "wal")
+	rewriteWAL := true // a missing WAL is created with its magic
 	if b, err := os.ReadFile(walPath); err == nil {
-		replayWAL(b, rec)
+		good, legacy, rerr := replayWAL(b, rec)
+		if rerr != nil && corrupt == nil {
+			corrupt = fmt.Errorf("%w: WAL in %s: %v", errCorruptState, dir, rerr)
+		}
+		// A torn tail is cut off on disk too, or the next append would
+		// land after it and turn it into a damaged middle record.
+		rewriteWAL = legacy || good < len(b)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
+	}
+	if corrupt != nil {
+		return nil, rec, corrupt
 	}
 	// Keep only the contiguous suffix directly above the snapshot: a
 	// crash between snapshot rename and WAL reset leaves records the
@@ -101,38 +146,192 @@ func openStable(dir string) (*stable, *recovered, error) {
 	}
 	s := &stable{dir: dir, wal: f}
 	s.snapIdx.Store(base)
+	if rewriteSnap {
+		if err := writeFileSync(snapPath, encodeSnap(rec.snap)); err != nil {
+			s.close()
+			return nil, nil, err
+		}
+	}
+	if rewriteWAL {
+		if err := s.resetWAL(rec.entries, rec.hard); err != nil {
+			s.close()
+			return nil, nil, err
+		}
+	}
 	return s, rec, nil
 }
 
-// replayWAL folds the record stream into rec, stopping at a torn tail.
-func replayWAL(b []byte, rec *recovered) {
+// quarantineStable sets damaged state aside as snap.corrupt and
+// wal.corrupt and opens the dir afresh. The fresh hard state carries
+// the highest term the damaged state still showed and no vote, so the
+// replica refuses appends from any leader older than its lost state;
+// the log is empty, for the leader to refill.
+func quarantineStable(dir string, damaged *recovered) (*stable, *recovered, error) {
+	for _, name := range []string{"snap", "wal"} {
+		p := filepath.Join(dir, name)
+		if err := os.Rename(p, p+".corrupt"); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, nil, err
+		}
+	}
+	if err := syncDir(dir); err != nil {
+		return nil, nil, err
+	}
+	st, rec, err := openStable(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec.hard = wire.MetaHardState{Term: damaged.term, VotedFor: -1}
+	if err := st.saveHard(rec.hard); err != nil {
+		st.close()
+		return nil, nil, err
+	}
+	return st, rec, nil
+}
+
+// replayWAL folds the record stream into rec. It returns the length
+// of the prefix made of whole, intact records — anything after it is
+// a torn tail to cut off — and whether the stream predates the
+// checksums. A damaged record that is not the tail ends replay with
+// an error: the records after it cannot be trusted to be contiguous
+// with the ones before.
+func replayWAL(b []byte, rec *recovered) (good int, legacy bool, err error) {
+	hdr := walHeader
+	off := len(walMagic)
+	if !bytes.HasPrefix(b, walMagic) {
+		legacy, hdr, off = true, legacyHeader, 0
+	}
 	var entries []wire.MetaEntry
-	for len(b) >= 8 {
-		kind := binary.LittleEndian.Uint32(b)
-		n := binary.LittleEndian.Uint32(b[4:])
-		if uint64(len(b)-8) < uint64(n) {
+	defer func() { rec.entries = entries }()
+	for len(b)-off >= hdr {
+		h := b[off : off+hdr]
+		kind := binary.LittleEndian.Uint32(h)
+		n := binary.LittleEndian.Uint32(h[4:])
+		if !legacy && crc32.Checksum(h[:12], castagnoli) != binary.LittleEndian.Uint32(h[12:]) {
+			// A header torn by a crash reads back as zeros; anything
+			// else means the length cannot be trusted to find the
+			// records after it.
+			if allZero(b[off:]) {
+				break
+			}
+			rec.term = max(rec.term, scanTerms(b[off+1:]))
+			return off, legacy, fmt.Errorf("bad record header at offset %d", off)
+		}
+		if uint64(len(b)-off-hdr) < uint64(n) {
 			break // torn tail: the record never fully reached disk
 		}
-		payload := b[8 : 8+n]
-		b = b[8+n:]
-		switch kind {
-		case walHard:
-			var h wire.MetaHardState
-			if h.Unmarshal(payload) == nil {
-				rec.hard = h
+		end := off + hdr + int(n)
+		payload := b[off+hdr : end]
+		ok := legacy || crc32.Checksum(payload, castagnoli) == binary.LittleEndian.Uint32(h[8:])
+		var hs wire.MetaHardState
+		var lr wire.MetaLogRec
+		switch {
+		case !ok:
+		case kind == walHard:
+			ok = hs.Unmarshal(payload) == nil
+		case kind == walLog:
+			ok = lr.Unmarshal(payload) == nil
+		default:
+			ok = false
+		}
+		if !ok {
+			if end == len(b) {
+				break // the last record is the torn tail of a crash
 			}
-		case walLog:
-			var lr wire.MetaLogRec
-			if lr.Unmarshal(payload) != nil {
-				continue
+			if !legacy {
+				rec.term = max(rec.term, scanTerms(b[off+1:]))
 			}
+			return off, legacy, fmt.Errorf("bad record at offset %d", off)
+		}
+		if kind == walHard {
+			rec.hard = hs
+		} else {
 			for len(entries) > 0 && entries[len(entries)-1].Index >= lr.From {
 				entries = entries[:len(entries)-1]
 			}
 			entries = append(entries, lr.Entries...)
 		}
+		rec.term = max(rec.term, recordTerm(kind, &hs, &lr))
+		off = end
 	}
-	rec.entries = entries
+	return off, legacy, nil
+}
+
+// recordTerm is the highest term one decoded WAL record shows.
+func recordTerm(kind uint32, hs *wire.MetaHardState, lr *wire.MetaLogRec) uint64 {
+	if kind == walHard {
+		return hs.Term
+	}
+	var t uint64
+	for i := range lr.Entries {
+		t = max(t, lr.Entries[i].Term)
+	}
+	return t
+}
+
+// scanTerms searches b, byte by byte, for records whose header and
+// payload checksums both verify, and returns the highest term they
+// show. It reads past damage that hides where the next record starts;
+// only the term bound trusts it, never the log.
+func scanTerms(b []byte) uint64 {
+	var term uint64
+	for off := 0; off+walHeader <= len(b); off++ {
+		h := b[off : off+walHeader]
+		if crc32.Checksum(h[:12], castagnoli) != binary.LittleEndian.Uint32(h[12:]) {
+			continue
+		}
+		n := binary.LittleEndian.Uint32(h[4:])
+		if uint64(len(b)-off-walHeader) < uint64(n) {
+			continue
+		}
+		payload := b[off+walHeader : off+walHeader+int(n)]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(h[8:]) {
+			continue
+		}
+		var hs wire.MetaHardState
+		var lr wire.MetaLogRec
+		kind := binary.LittleEndian.Uint32(h)
+		if (kind == walHard && hs.Unmarshal(payload) == nil) || (kind == walLog && lr.Unmarshal(payload) == nil) {
+			term = max(term, recordTerm(kind, &hs, &lr))
+		}
+		off += walHeader + int(n) - 1
+	}
+	return term
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// encodeSnap frames a snapshot for the snap file.
+func encodeSnap(snap *wire.MetaSnapshot) []byte {
+	payload := snap.Marshal()
+	b := make([]byte, len(snapMagic)+4, len(snapMagic)+4+len(payload))
+	copy(b, snapMagic)
+	binary.LittleEndian.PutUint32(b[len(snapMagic):], crc32.Checksum(payload, castagnoli))
+	return append(b, payload...)
+}
+
+// decodeSnap reads a snap file, reporting whether it predates the
+// checksum (no magic).
+func decodeSnap(b []byte) (*wire.MetaSnapshot, bool, error) {
+	legacy := !bytes.HasPrefix(b, snapMagic)
+	if !legacy {
+		b = b[len(snapMagic):]
+		if len(b) < 4 || crc32.Checksum(b[4:], castagnoli) != binary.LittleEndian.Uint32(b) {
+			return nil, false, errors.New("checksum mismatch")
+		}
+		b = b[4:]
+	}
+	snap := new(wire.MetaSnapshot)
+	if err := snap.Unmarshal(b); err != nil {
+		return nil, legacy, err
+	}
+	return snap, legacy, nil
 }
 
 // errSyncFault is the injected WAL failure (failSync test hook).
@@ -147,10 +346,12 @@ func (s *stable) appendRecord(kind uint32, payload []byte) error {
 		s.dead.Store(true)
 		return errSyncFault
 	}
-	buf := make([]byte, 8+len(payload))
+	buf := make([]byte, walHeader+len(payload))
 	binary.LittleEndian.PutUint32(buf, kind)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
-	copy(buf[8:], payload)
+	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(buf[12:], crc32.Checksum(buf[:12], castagnoli))
+	copy(buf[walHeader:], payload)
 	if _, err := s.wal.Write(buf); err != nil {
 		s.dead.Store(true)
 		return err
@@ -205,7 +406,7 @@ func (s *stable) writeSnap(snap *wire.MetaSnapshot) error {
 	if snap.LastIndex <= s.snapIdx.Load() {
 		return nil
 	}
-	if err := writeFileSync(filepath.Join(s.dir, "snap"), snap.Marshal()); err != nil {
+	if err := writeFileSync(filepath.Join(s.dir, "snap"), encodeSnap(snap)); err != nil {
 		s.dead.Store(true)
 		return err
 	}
@@ -228,6 +429,10 @@ func (s *stable) resetWAL(tail []wire.MetaEntry, hard wire.MetaHardState) error 
 	if err != nil {
 		return err
 	}
+	if _, err := f.Write(walMagic); err != nil {
+		f.Close()
+		return err
+	}
 	fresh := &stable{dir: s.dir, wal: f}
 	fresh.failSync.Store(s.failSync.Load())
 	if err := fresh.saveHard(hard); err != nil {
@@ -246,6 +451,12 @@ func (s *stable) resetWAL(tail []wire.MetaEntry, hard wire.MetaHardState) error 
 	if err := os.Rename(tmp, walPath); err != nil {
 		return err
 	}
+	// The rename must be durable before the caller relies on it: a
+	// crash could otherwise bring back the old WAL beside a newer
+	// snapshot, or the new WAL beside an older one.
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
 	s.syncs.Add(fresh.syncs.Load())
 	s.wal.Close()
 	nf, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -262,7 +473,8 @@ func (s *stable) close() {
 	}
 }
 
-// writeFileSync writes b to path via fsynced temp file + rename.
+// writeFileSync writes b to path via fsynced temp file + rename, and
+// fsyncs the directory so the rename itself survives a crash.
 func writeFileSync(path string, b []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -280,5 +492,22 @@ func writeFileSync(path string, b []byte) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making renames and creations in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,0 +1,360 @@
+package meta
+
+// Checksummed stable state: replay stops at the first bad record, a
+// bad record before the tail or a bad snapshot refuses the state, a
+// torn tail is cut off on disk, files from before the checksums are
+// read and rewritten, and a replica over refused state resyncs from
+// the leader before it votes again.
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"pvfs/internal/wire"
+)
+
+// walRecords returns the offset of every record in a current-format
+// WAL.
+func walRecords(t *testing.T, b []byte) []int {
+	t.Helper()
+	if !bytes.HasPrefix(b, walMagic) {
+		t.Fatal("WAL has no magic")
+	}
+	var offs []int
+	for off := len(walMagic); off < len(b); {
+		offs = append(offs, off)
+		off += walHeader + int(binary.LittleEndian.Uint32(b[off+4:]))
+	}
+	return offs
+}
+
+// writeThree persists a hard state at term 4 and three single-entry
+// log records at terms 4, 5 and 6.
+func writeThree(t *testing.T, dir string) {
+	t.Helper()
+	st, _, err := openStable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.close()
+	if err := st.saveHard(wire.MetaHardState{Term: 4, VotedFor: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		e := wire.MetaEntry{Index: i, Term: 3 + i, Rec: createRec(fmt.Sprintf("e%d", i), i-1, 0, 1, testIODs())}
+		if err := st.appendLog(i, []wire.MetaEntry{e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestStableBadMiddleRecordRefused(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		at   int // byte offset within the damaged record
+	}{
+		{"payload", walHeader + 3},
+		{"length", 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeThree(t, dir)
+			walPath := filepath.Join(dir, "wal")
+			b, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs := walRecords(t, b)
+			// The records are the reset's hard state, then the hard
+			// state and three log records written above; damage the
+			// first log record.
+			b[offs[2]+c.at] ^= 0x40
+			if err := os.WriteFile(walPath, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, rec, err := openStable(dir)
+			if !errors.Is(err, errCorruptState) {
+				t.Fatalf("open over a damaged middle record: %v, want errCorruptState", err)
+			}
+			if rec.hard.Term != 4 || len(rec.entries) != 0 {
+				t.Fatalf("readable prefix = %+v, want term 4 and no entries", rec)
+			}
+			// The term bound reads the intact records past the damage.
+			if rec.term != 6 {
+				t.Fatalf("term bound %d, want 6 from the records after the damage", rec.term)
+			}
+		})
+	}
+}
+
+func TestStableBadSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := openStable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &wire.MetaSnapshot{LastIndex: 5, LastTerm: 2, Map: *singleShardBoot([]string{"m"})}
+	if err := st.writeSnap(snap); err != nil {
+		t.Fatal(err)
+	}
+	st.close()
+	if _, rec, err := openStable(dir); err != nil || rec.snap == nil || rec.snap.LastIndex != 5 {
+		t.Fatalf("clean reopen: %v %+v", err, rec)
+	}
+	snapPath := filepath.Join(dir, "snap")
+	b, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 1
+	if err := os.WriteFile(snapPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openStable(dir); !errors.Is(err, errCorruptState) {
+		t.Fatalf("open over a damaged snapshot: %v, want errCorruptState", err)
+	}
+}
+
+// TestStableTornTailCutOnDisk appends after recovering from a torn
+// tail: the next open must see the new record right after the prefix,
+// not a damaged record in the middle.
+func TestStableTornTailCutOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	writeThree(t, dir)
+	walPath := filepath.Join(dir, "wal")
+	b, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, b[:len(b)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := openStable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.entries) != 2 {
+		t.Fatalf("torn tail recovered %d entries, want the 2 before it", len(rec.entries))
+	}
+	e := wire.MetaEntry{Index: 3, Term: 5, Rec: createRec("again", 2, 0, 1, testIODs())}
+	if err := st.appendLog(3, []wire.MetaEntry{e}); err != nil {
+		t.Fatal(err)
+	}
+	st.close()
+	st2, rec2, err := openStable(dir)
+	if err != nil {
+		t.Fatalf("reopen after appending past a torn tail: %v", err)
+	}
+	defer st2.close()
+	if len(rec2.entries) != 3 || rec2.entries[2].Term != 5 {
+		t.Fatalf("entries = %+v", rec2.entries)
+	}
+}
+
+// TestStableLegacyFormatRewritten reads a WAL and snapshot written
+// before the checksums, then finds both rewritten with their magic
+// and the same content.
+func TestStableLegacyFormatRewritten(t *testing.T) {
+	dir := t.TempDir()
+	snap := &wire.MetaSnapshot{LastIndex: 1, LastTerm: 1, Map: *singleShardBoot([]string{"m"})}
+	if err := os.WriteFile(filepath.Join(dir, "snap"), snap.Marshal(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var wal []byte
+	frame := func(kind uint32, payload []byte) {
+		wal = binary.LittleEndian.AppendUint32(wal, kind)
+		wal = binary.LittleEndian.AppendUint32(wal, uint32(len(payload)))
+		wal = append(wal, payload...)
+	}
+	hs := wire.MetaHardState{Term: 3, VotedFor: 2}
+	frame(walHard, hs.Marshal())
+	for i := uint64(1); i <= 3; i++ {
+		lr := wire.MetaLogRec{From: i, Entries: []wire.MetaEntry{
+			{Index: i, Term: 3, Rec: createRec(fmt.Sprintf("old%d", i), i, 0, 1, testIODs())},
+		}}
+		frame(walLog, lr.Marshal())
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 2; round++ {
+		st, rec, err := openStable(dir)
+		if err != nil {
+			t.Fatalf("open %d: %v", round, err)
+		}
+		st.close()
+		if rec.hard != hs || rec.snap == nil || rec.snap.LastIndex != 1 {
+			t.Fatalf("open %d: hard %+v snap %+v", round, rec.hard, rec.snap)
+		}
+		// Entry 1 is under the snapshot; 2 and 3 form the suffix.
+		if len(rec.entries) != 2 || rec.entries[0].Index != 2 || rec.entries[1].Index != 3 {
+			t.Fatalf("open %d: entries %+v", round, rec.entries)
+		}
+		for name, magic := range map[string][]byte{"wal": walMagic, "snap": snapMagic} {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(b, magic) {
+				t.Fatalf("open %d: %s not rewritten in the current format", round, name)
+			}
+		}
+	}
+}
+
+// damageFirstLogRecord flips a payload byte of the first log record of
+// a stopped replica's WAL; later records stay intact.
+func damageFirstLogRecord(t *testing.T, dir string) {
+	t.Helper()
+	walPath := filepath.Join(dir, "wal")
+	b, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range walRecords(t, b) {
+		if binary.LittleEndian.Uint32(b[off:]) == walLog {
+			if i == len(walRecords(t, b))-1 {
+				t.Fatal("the first log record is the tail; nothing to damage in the middle")
+			}
+			b[off+walHeader] ^= 0x40
+			if err := os.WriteFile(walPath, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatal("WAL has no log record")
+}
+
+func TestSoloReplicaRefusesDamagedState(t *testing.T) {
+	dir := t.TempDir()
+	n := soloDirNode(t, NodeOptions{Dir: dir})
+	for i := 0; i < 3; i++ {
+		if _, _, _, _, err := n.Propose(context.Background(), createRec(fmt.Sprintf("s%d", i), uint64(i), 0, 1, testIODs())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Close()
+	damageFirstLogRecord(t, dir)
+	_, err := NewNode(NodeOptions{ID: 0, Peers: []string{"solo"}, Dir: dir, Timing: testTiming()})
+	if !errors.Is(err, errCorruptState) {
+		t.Fatalf("solo replica over damaged state: %v, want errCorruptState", err)
+	}
+}
+
+func TestDamagedReplicaVotesOnlyAfterResync(t *testing.T) {
+	dir := t.TempDir()
+	writeThree(t, dir)
+	damageFirstLogRecord(t, dir)
+	tm := testTiming()
+	n, err := NewNode(NodeOptions{ID: 0, Peers: []string{"self", deadAddr(t), deadAddr(t)}, Dir: dir, Timing: tm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := os.Stat(filepath.Join(dir, "wal.corrupt")); err != nil {
+		t.Fatalf("damaged WAL not set aside: %v", err)
+	}
+	n.mu.Lock()
+	resync, term, last := n.resync, n.term, n.lastIndexLocked()
+	n.mu.Unlock()
+	if !resync || term != 6 || last != 0 {
+		t.Fatalf("resync %v term %d last %d, want resync at term 6 with an empty log", resync, term, last)
+	}
+	// No election of its own while resyncing.
+	time.Sleep(2 * tm.ElectionHi)
+	if got := n.Term(); got != 6 {
+		t.Fatalf("resyncing replica moved to term %d by itself", got)
+	}
+	vote := func(term uint64, cand uint32) bool {
+		req := wire.MetaVoteReq{Term: term, Candidate: cand, LastIndex: 100, LastTerm: term}
+		resp := n.Handle(wire.Message{Header: wire.Header{Type: wire.TMetaVote}, Body: req.Marshal()})
+		var vr wire.MetaVoteResp
+		if err := vr.Unmarshal(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return vr.Granted
+	}
+	if vote(7, 1) {
+		t.Fatal("resyncing replica granted a vote")
+	}
+	appendAt := func(term uint64) bool {
+		hb := wire.MetaAppendReq{Term: term, Leader: 2, Entries: []wire.MetaEntry{
+			{Index: 1, Term: term, Rec: wire.MetaRecord{Op: wire.TShardMap, Body: singleShardBoot([]string{"self", "b", "c"}).Marshal()}},
+		}}
+		resp := n.Handle(wire.Message{Header: wire.Header{Type: wire.TMetaAppend}, Body: hb.Marshal()})
+		var ar wire.MetaAppendResp
+		if err := ar.Unmarshal(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return ar.Success
+	}
+	// A leader older than the lost state may lack entries this replica
+	// acked; it cannot refill the log.
+	if appendAt(5) {
+		t.Fatal("resyncing replica took an append from a term below its lost state")
+	}
+	// A leader's append that runs to its last index ends the resync;
+	// the replica then counts as having voted for that leader.
+	if !appendAt(7) {
+		t.Fatal("append from the current leader refused")
+	}
+	if vote(7, 1) {
+		t.Fatal("resynced replica voted twice in its leader's term")
+	}
+	if !vote(8, 1) {
+		t.Fatal("resynced replica refused a vote in a later term")
+	}
+}
+
+// TestDamagedFollowerRejoins restarts a follower over a damaged WAL
+// in a live group: it sets the state aside, takes the log back from
+// the leader, and then carries the group when the leader dies.
+func TestDamagedFollowerRejoins(t *testing.T) {
+	g := startGroup(t, 3, singleShardBoot)
+	p := NewGroupProposer(g.addrs, g.timing)
+	defer p.Close()
+	var seq uint64
+	acked := proposeAcked(t, p, "a", &seq, 5)
+	lead := g.waitLeader()
+	down := (lead + 1) % 3
+	g.kill(down)
+	acked = append(acked, proposeAcked(t, p, "b", &seq, 5)...)
+	damageFirstLogRecord(t, g.dirs[down])
+	g.restart(down, 0)
+	n := g.nodes[down]
+	if _, err := os.Stat(filepath.Join(g.dirs[down], "wal.corrupt")); err != nil {
+		t.Fatalf("damaged WAL not set aside: %v", err)
+	}
+	waitFor(t, "the damaged follower to resync", 5*time.Second, func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return !n.resync
+	})
+	// The rejoined replica is now needed for a majority.
+	if lead = g.waitLeader(); lead != down {
+		g.kill(lead)
+	}
+	acked = append(acked, proposeAcked(t, p, "c", &seq, 3)...)
+	snap, err := p.FetchShard(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := make(map[string]bool)
+	for _, f := range snap.Shards[0].Files {
+		have[f.Name] = true
+	}
+	for _, name := range acked {
+		if !have[name] {
+			t.Fatalf("create %q lost across a damaged follower's resync", name)
+		}
+	}
+}
