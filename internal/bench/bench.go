@@ -1,7 +1,7 @@
 // Package bench defines the paper's experiments (DESIGN.md §14): for
 // every figure in the evaluation it builds the workload, runs the
-// cluster model, and emits the series the figure plots. The real-mode
-// (TCP) counterpart for small scales lives in cmd/pvfs-bench.
+// cluster model, and emits the series the figure plots. The real-stack
+// (TCP) counterpart is the benchmark harness under bench/.
 package bench
 
 import (

@@ -13,8 +13,8 @@ import (
 	"pvfs/internal/striping"
 )
 
-// Benchmarks for the datatype datapath (DESIGN.md §6), recorded in
-// BENCH_2.json: the FLASH-like worst case — 100,000 contiguous
+// Benchmarks for the datatype datapath (DESIGN.md §6): the FLASH-like
+// worst case — 100,000 contiguous
 // 8-byte fragments, the paper's §4.3.1 shape — under a 200µs
 // per-message service delay at every I/O daemon. List I/O needs
 // fragments/64 requests (~1563); datatype I/O needs one request per

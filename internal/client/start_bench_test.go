@@ -17,7 +17,7 @@ import (
 // Each Op runs its requests serialized (Window=1), so the speedup
 // from async=1 to async=N is purely Start-level concurrency — the
 // MPI_File_iwrite/iread overlap the blocking method matrix could not
-// express. Results are recorded in BENCH_4.json.
+// express.
 func BenchmarkStartAsyncOverlap(b *testing.B) {
 	for _, async := range []int{1, 2, 4, 8} {
 		for _, dir := range []string{"write", "read"} {
@@ -57,8 +57,7 @@ func BenchmarkStartAsyncOverlap(b *testing.B) {
 type streamChunk struct{ mem, file ioseg.List }
 
 // splitStream cuts a (mem, file) pair into n stream-contiguous chunks
-// of near-equal bytes at file-region boundaries (the cmd/pvfs-bench
-// -async splitting).
+// of near-equal bytes at file-region boundaries.
 func splitStream(mem, file ioseg.List, n int) []streamChunk {
 	total := file.TotalLength()
 	if n <= 1 || total == 0 || len(file) < 2 {

@@ -9,7 +9,6 @@ package cluster
 
 import (
 	"fmt"
-	"log"
 	"net"
 	"path/filepath"
 	"sync"
@@ -43,8 +42,6 @@ type Options struct {
 	// Meta, when non-nil, replaces the single manager with the
 	// replicated, sharded metadata plane (see MetaOptions).
 	Meta *MetaOptions
-	// Logger receives daemon diagnostics; nil silences them.
-	Logger *log.Logger
 }
 
 // Cluster is a running in-process deployment.
@@ -94,7 +91,7 @@ func (c *Cluster) listenIOD(addr string, st store.Store) (*iod.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return iod.New(faultnet.WrapListener(ln, c.opts.FaultScript), st, c.opts.Logger), nil
+	return iod.New(faultnet.WrapListener(ln, c.opts.FaultScript), st, nil), nil
 }
 
 // Start launches the daemons on ephemeral loopback ports.
@@ -132,7 +129,7 @@ func Start(opts Options) (*Cluster, error) {
 		}
 		return c, nil
 	}
-	m, err := mgr.Listen("127.0.0.1:0", addrs, opts.Logger)
+	m, err := mgr.Listen("127.0.0.1:0", addrs, nil)
 	if err != nil {
 		c.Close()
 		return nil, err

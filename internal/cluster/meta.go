@@ -92,8 +92,7 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 	}
 	for i, ln := range mlns {
 		node, err := meta.NewNode(meta.NodeOptions{
-			ID: i, Peers: c.masterAddrs, Bootstrap: boot, Dir: c.masterDirs[i],
-			Timing: mo.Timing, Logger: c.opts.Logger,
+			ID: i, Peers: c.masterAddrs, Bootstrap: boot, Dir: c.masterDirs[i], Timing: mo.Timing,
 		})
 		if err != nil {
 			ln.Close()
@@ -101,17 +100,14 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 		}
 		c.masters = append(c.masters, &masterProc{
 			node: node,
-			srv:  pvfsnet.NewServer(ln, node.Handle, c.opts.Logger),
+			srv:  pvfsnet.NewServer(ln, node.Handle, nil),
 		})
 	}
 	for i, ln := range slns {
-		sh := meta.NewShard(meta.ShardOptions{
-			Index: i, Masters: c.masterAddrs,
-			Timing: mo.Timing, Logger: c.opts.Logger,
-		})
+		sh := meta.NewShard(meta.ShardOptions{Index: i, Masters: c.masterAddrs, Timing: mo.Timing})
 		c.shards = append(c.shards, &shardProc{
 			shard: sh,
-			srv:   pvfsnet.NewServer(ln, sh.Handle, c.opts.Logger),
+			srv:   pvfsnet.NewServer(ln, sh.Handle, nil),
 		})
 	}
 	return nil
@@ -219,14 +215,13 @@ func (c *Cluster) RestartMaster(i int) error {
 		time.Sleep(10 * time.Millisecond)
 	}
 	node, err := meta.NewNode(meta.NodeOptions{
-		ID: i, Peers: c.masterAddrs, Dir: c.masterDirs[i],
-		Timing: c.metaTiming, Logger: c.opts.Logger,
+		ID: i, Peers: c.masterAddrs, Dir: c.masterDirs[i], Timing: c.metaTiming,
 	})
 	if err != nil {
 		ln.Close()
 		return fmt.Errorf("cluster: restarting master %d: %w", i, err)
 	}
-	mp := &masterProc{node: node, srv: pvfsnet.NewServer(ln, node.Handle, c.opts.Logger)}
+	mp := &masterProc{node: node, srv: pvfsnet.NewServer(ln, node.Handle, nil)}
 	c.mu.Lock()
 	c.masters[i] = mp
 	c.mu.Unlock()

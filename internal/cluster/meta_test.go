@@ -4,20 +4,33 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pvfs/internal/client"
 	"pvfs/internal/cluster"
+	"pvfs/internal/meta"
 	"pvfs/internal/striping"
 )
 
-// TestMetaClusterEndToEnd runs the full sharded metadata plane: a
-// client creates, writes, lists, and reads through replicated masters
-// and two shards without knowing the topology.
+// TestMetaClusterEndToEnd runs the full sharded metadata plane at 1,
+// 2 and 4 shards: a client creates, writes, lists, and reads through
+// replicated masters without knowing the topology, and routes every
+// request to the owning shard itself, so no shard forwards one.
 func TestMetaClusterEndToEnd(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			testMetaEndToEnd(t, shards)
+		})
+	}
+}
+
+func testMetaEndToEnd(t *testing.T, shards int) {
 	c, err := cluster.Start(cluster.Options{
 		NumIOD: 2,
-		Meta:   &cluster.MetaOptions{Masters: 3, Shards: 2},
+		Meta:   &cluster.MetaOptions{Masters: 3, Shards: shards},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +85,9 @@ func TestMetaClusterEndToEnd(t *testing.T) {
 		if f.RecordedSize() != int64(len(want)) {
 			t.Fatalf("%s recorded size = %d", name, f.RecordedSize())
 		}
+		if _, err := fs.StatHandle(context.Background(), f.Handle()); err != nil {
+			t.Fatalf("stat %s by handle: %v", name, err)
+		}
 	}
 
 	// Metadata accounting flows through the plane.
@@ -82,51 +98,109 @@ func TestMetaClusterEndToEnd(t *testing.T) {
 	if st.MetaOpens == 0 {
 		t.Fatal("MetaOpens = 0")
 	}
+	if st.MetaForwards != 0 {
+		t.Fatalf("MetaForwards = %d; the client sent a request to a shard that does not own it", st.MetaForwards)
+	}
 	if st.ElectionCount == 0 {
 		t.Fatal("ElectionCount = 0; no leader was ever elected?")
 	}
 }
 
-// TestMetaClusterLeaderFailover kills the leading master mid-session;
-// the client keeps working and nothing acked is lost.
+// TestMetaClusterLeaderFailover kills the leading master in the middle
+// of a create storm over 4 shards and restarts it 50 ms later. Every
+// acked create must survive, and no create may stall longer than two
+// election timeouts: one for the failed election a lagging replica
+// may stand in, one for the election that wins.
 func TestMetaClusterLeaderFailover(t *testing.T) {
+	const ranks, perRank = 4, 100
+	tm := meta.Timing{ElectionLo: 75 * time.Millisecond, ElectionHi: 150 * time.Millisecond}
 	c, err := cluster.Start(cluster.Options{
 		NumIOD: 2,
-		Meta:   &cluster.MetaOptions{Masters: 3, Shards: 2},
+		Meta:   &cluster.MetaOptions{Masters: 3, Shards: 4, Timing: tm},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if _, err := c.WaitMetaLeader(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// The rank whose create is the storm's midpoint ack kills the
+	// leader.
+	var acked atomic.Int64
+	killed := make(chan error, 1)
+	killLeader := func() {
+		lead, err := c.WaitMetaLeader(5 * time.Second)
+		if err == nil {
+			err = c.KillMaster(lead)
+		}
+		if err == nil {
+			time.Sleep(50 * time.Millisecond)
+			err = c.RestartMaster(lead)
+		}
+		killed <- err
+	}
+	slowest := make([]time.Duration, ranks)
+	name := func(rank, i int) string { return fmt.Sprintf("storm-r%d-%d", rank, i) }
+	err = cluster.RunRanks(ranks, func(rank int) error {
+		fs, err := c.Connect()
+		if err != nil {
+			return err
+		}
+		defer fs.Close()
+		fs.SetRetryPolicy(client.RetryPolicy{Max: 12, Backoff: 2 * time.Millisecond, MaxBackoff: 250 * time.Millisecond})
+		// Each shard syncs the committed state on first contact; take
+		// that out of the timed creates.
+		for h := uint64(1); h <= 4; h++ {
+			fs.StatHandle(context.Background(), h)
+		}
+		for i := 0; i < perRank; i++ {
+			t0 := time.Now()
+			f, err := fs.Create(name(rank, i), striping.Config{})
+			if err != nil {
+				return fmt.Errorf("create %s: %w", name(rank, i), err)
+			}
+			if err := f.Close(); err != nil {
+				return fmt.Errorf("close %s: %w", name(rank, i), err)
+			}
+			slowest[rank] = max(slowest[rank], time.Since(t0))
+			if acked.Add(1) == ranks*perRank/2 {
+				go killLeader()
+			}
+		}
+		return nil
+	})
+	if acked.Load() >= ranks*perRank/2 {
+		if err := <-killed; err != nil {
+			t.Fatalf("leader kill/restart: %v", err)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	fs, err := c.Connect()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Close()
 	fs.SetRetries(3)
-
-	if _, err := fs.Create("pre-failover", striping.Config{}); err != nil {
-		t.Fatal(err)
+	for rank := 0; rank < ranks; rank++ {
+		for i := 0; i < perRank; i++ {
+			if _, err := fs.Open(name(rank, i)); err != nil {
+				t.Fatalf("acked create %s lost: %v", name(rank, i), err)
+			}
+		}
 	}
-	lead, err := c.WaitMetaLeader(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.KillMaster(lead); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Create("post-failover", striping.Config{}); err != nil {
-		t.Fatalf("create after leader kill: %v", err)
-	}
-	if _, err := fs.Open("pre-failover"); err != nil {
-		t.Fatalf("pre-failover create lost: %v", err)
-	}
-	// The dead replica rejoins and can later be part of majority.
-	if err := c.RestartMaster(lead); err != nil {
-		t.Fatal(err)
-	}
+	// The restarted replica rejoined; the plane keeps serving.
 	if _, err := fs.Create("post-restart", striping.Config{}); err != nil {
 		t.Fatal(err)
+	}
+	stall, bound := slices.Max(slowest), 2*tm.ElectionHi
+	t.Logf("slowest create across the failover: %v", stall)
+	if stall > bound {
+		t.Fatalf("slowest create took %v across the failover, bound %v", stall, bound)
 	}
 }
 

@@ -490,7 +490,11 @@ func (n *Node) leaderHintLocked() string {
 	return ""
 }
 
-// stepDownLocked adopts a higher term observed from a peer.
+// stepDownLocked adopts a higher term observed from a peer. Only a
+// role change restarts the election timer: a follower that merely
+// learns a term (say, from a vote request it then denies) keeps its
+// deadline, or a candidate whose log is too short to win could keep
+// resetting the timers of the replicas that could (Raft, Fig. 2).
 func (n *Node) stepDownLocked(term uint64) {
 	if term > n.term {
 		n.term = term
@@ -499,9 +503,9 @@ func (n *Node) stepDownLocked(term uint64) {
 	}
 	if n.role != follower {
 		logf(n.logger, "meta[%d]: stepping down at term %d", n.id, n.term)
+		n.role = follower
+		n.resetDeadlineLocked()
 	}
-	n.role = follower
-	n.resetDeadlineLocked()
 }
 
 // becomeLeaderLocked transitions candidate → leader for n.term.

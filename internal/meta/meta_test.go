@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -264,7 +266,8 @@ func singleShardBoot(masters []string) *wire.ShardMap {
 
 // proposeAcked drives creates through the proposer the way a shard
 // does: ambiguous outcomes retry the same record (idempotent), handle
-// collisions take a fresh sequence. Returns the acked names.
+// collisions take a fresh sequence. Returns the acked names. Any other
+// verdict fails the test and ends the run early, from any goroutine.
 func proposeAcked(t *testing.T, p Proposer, prefix string, seq *uint64, count int) []string {
 	t.Helper()
 	var acked []string
@@ -283,7 +286,8 @@ func proposeAcked(t *testing.T, p Proposer, prefix string, seq *uint64, count in
 				continue
 			}
 			if st != wire.StatusOK {
-				t.Fatalf("create %s: %v", name, st)
+				t.Errorf("create %s: %v", name, st)
+				return acked
 			}
 			*seq++
 			acked = append(acked, name)
@@ -345,6 +349,60 @@ func TestLeaderKillLosesNoAckedCreates(t *testing.T) {
 	}
 	if g.nodes[dead] != nil {
 		t.Fatal("test bug: leader not killed")
+	}
+}
+
+// TestDeniedVoteKeepsElectionTimer pins Raft's timer rule: a follower
+// resets its election deadline when it grants a vote, not when a
+// candidate with a shorter log merely shows it a higher term. Were a
+// denial to reset it, that candidate could keep timing out first and
+// hold off the replicas able to win.
+func TestDeniedVoteKeepsElectionTimer(t *testing.T) {
+	tm := testTiming()
+	tm.ElectionLo, tm.ElectionHi = time.Hour, 2*time.Hour
+	n, err := NewNode(NodeOptions{
+		ID: 0, Peers: []string{"self", deadAddr(t), deadAddr(t)}, Bootstrap: singleShardBoot(nil), Timing: tm,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.mu.Lock()
+	n.term = 2
+	n.log = append(n.log, wire.MetaEntry{Index: 2, Term: 2}, wire.MetaEntry{Index: 3, Term: 2})
+	before := n.deadline
+	n.mu.Unlock()
+
+	vote := func(candidate uint32, lastIndex uint64) wire.MetaVoteResp {
+		req := wire.MetaVoteReq{Term: 3, Candidate: candidate, LastIndex: lastIndex, LastTerm: 2}
+		resp := n.Handle(wire.Message{Header: wire.Header{Type: wire.TMetaVote}, Body: req.Marshal()})
+		var vr wire.MetaVoteResp
+		if err := vr.Unmarshal(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return vr
+	}
+	if vr := vote(1, 2); vr.Granted || vr.Term != 3 {
+		t.Fatalf("shorter-log candidate: %+v, want a denial at term 3", vr)
+	}
+	n.mu.Lock()
+	term, role, after := n.term, n.role, n.deadline
+	n.mu.Unlock()
+	if term != 3 || role != follower {
+		t.Fatalf("after denial: term %d role %v, want term 3 follower", term, role)
+	}
+	if !after.Equal(before) {
+		t.Fatalf("denied vote moved the election deadline by %v", after.Sub(before))
+	}
+	// A grant does restart the timer.
+	if vr := vote(2, 3); !vr.Granted {
+		t.Fatalf("up-to-date candidate denied: %+v", vr)
+	}
+	n.mu.Lock()
+	after = n.deadline
+	n.mu.Unlock()
+	if after.Equal(before) {
+		t.Fatal("granted vote kept the old election deadline")
 	}
 }
 
@@ -434,6 +492,82 @@ func TestSnapshotCatchUp(t *testing.T) {
 		if !have[name] {
 			t.Fatalf("create %q lost across snapshot catch-up", name)
 		}
+	}
+}
+
+// TestNamespaceFillCompactsAndPinsHeap fills a namespace through three
+// durable replicas under the default adaptive compaction, 16 proposers
+// at once. Every replica must have folded its log into a snapshot and
+// keep no more log than the compaction threshold, and the heap each
+// further file costs the whole group is pinned.
+func TestNamespaceFillCompactsAndPinsHeap(t *testing.T) {
+	const (
+		proposers = 16
+		// Marginal heap per file, all three replicas' namespaces and
+		// logs together: 1.25 × the ~1,225 B/file this fill measured
+		// when the bound was set.
+		maxBytesPerFile = 1530
+	)
+	// Fill points, in files. The heap is compared between the first
+	// two: they straddle no fold (one comes every ~4096 entries), so no
+	// follower can need a snapshot install, whose receive buffer the
+	// wire pool would keep, in between.
+	points := []int{4608, 7680, 10240}
+	g := startGroup(t, 3, singleShardBoot)
+	g.waitLeader()
+	p := NewGroupProposer(g.addrs, g.timing)
+	defer p.Close()
+
+	seqs := make([]uint64, proposers)
+	for w := range seqs {
+		seqs[w] = uint64(w) << 32 // disjoint handle ranges
+	}
+	heap := make([]uint64, len(points))
+	done := 0
+	for round, files := range points {
+		each := (files - done) / proposers
+		done = files
+		var wg sync.WaitGroup
+		for w := range seqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				proposeAcked(t, p, fmt.Sprintf("ns%d-%d", round, w), &seqs[w], each)
+			}()
+		}
+		wg.Wait()
+		// Nothing is in flight now, so every replica must apply the
+		// leader's commit and fold its log to within the threshold. The
+		// heap is read once the fold is on disk and the WAL reset done,
+		// so no snapshot image is still being written.
+		target := commitOf(g.nodes[g.waitLeader()])
+		for i, n := range g.nodes {
+			waitFor(t, fmt.Sprintf("replica %d to apply %d and compact", i, target), 10*time.Second, func() bool {
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				return n.applied >= target && len(n.log) <= n.compactThresholdLocked() &&
+					n.stable.snapIdx.Load() == n.snapIndex
+			})
+			n.walMu.Lock()
+			n.walMu.Unlock()
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap[round] = ms.HeapAlloc
+	}
+	for i, n := range g.nodes {
+		n.mu.Lock()
+		snapIndex := n.snapIndex
+		n.mu.Unlock()
+		if snapIndex == 0 {
+			t.Fatalf("replica %d never compacted", i)
+		}
+	}
+	perFile := (float64(heap[1]) - float64(heap[0])) / float64(points[1]-points[0])
+	t.Logf("marginal heap: %.0f B/file", perFile)
+	if perFile > maxBytesPerFile {
+		t.Fatalf("marginal heap %.0f B/file, bound %d", perFile, maxBytesPerFile)
 	}
 }
 

@@ -1,7 +1,6 @@
 package store
 
-// Benchmarks for the storage-cache sweep recorded in BENCH_3.json:
-// a FLASH-like small-block workload (4 KiB chunks, the paper's
+// Benchmarks for the storage-cache sweep: a FLASH-like small-block workload (4 KiB chunks, the paper's
 // checkpoint fragment size) against the Dir and Mem backends with the
 // write-back cache on and off, plus a parallel Dir benchmark pinning
 // the per-handle locking win (the old store-wide mutex serialized
