@@ -18,7 +18,8 @@
 //
 // Metadata shard — serves one hash partition of the namespace with
 // the classic manager grammar, proposing every mutation to the master
-// group and forwarding misrouted requests to the owning sibling:
+// group and answering a request for another shard's name with the
+// current map, so the client re-routes:
 //
 //	pvfs-mgr -addr S1 -join A,B,C
 //
@@ -79,8 +80,8 @@ func waitSignal() {
 // counters mirror the Store* pattern the I/O daemon prints.
 func printStats(role string, st wire.ServerStats) {
 	fmt.Printf("pvfs-mgr: %s shutting down; served %d requests\n", role, st.Requests)
-	fmt.Printf("pvfs-mgr: meta: %d creates, %d opens/stats, %d forwards, %d elections\n",
-		st.MetaCreates, st.MetaOpens, st.MetaForwards, st.ElectionCount)
+	fmt.Printf("pvfs-mgr: meta: %d creates, %d opens/stats, %d elections\n",
+		st.MetaCreates, st.MetaOpens, st.ElectionCount)
 	if st.MetaProposals > 0 {
 		fmt.Printf("pvfs-mgr: meta: %d proposals in %d batches, %d append rounds, %d WAL syncs\n",
 			st.MetaProposals, st.MetaBatches, st.MetaAppendRounds, st.MetaWALSyncs)

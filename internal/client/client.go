@@ -9,7 +9,8 @@
 //
 //   - AccessMultiple (§3.1): one contiguous PVFS request per piece.
 //   - AccessSieve (§3.2): a client-side buffer covers many regions per
-//     contiguous request; writes are read-modify-write.
+//     contiguous request; writes are read-modify-write where the
+//     regions leave holes.
 //   - AccessList (§3.3): up to 64 file regions per request in trailing
 //     data (the pvfs_read_list interface).
 //

@@ -19,10 +19,10 @@ import (
 
 // startSinkIOD is a daemon that acknowledges every request and discards
 // its body without materializing it, so that what the process allocates
-// during a write is the client's doing. It answers a TRead or a
-// TReadDatatype with as many bytes as asked for, written from one shared
-// buffer, and draws nothing from the wire buffer pool for a response
-// larger than a page.
+// during a write is the client's doing. It answers a TRead, a
+// TReadDatatype or a TReadList with as many bytes as asked for, written
+// from one shared buffer, and draws nothing from the wire buffer pool
+// for a response larger than a page.
 func startSinkIOD(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -82,6 +82,23 @@ func startSinkIOD(t *testing.T) string {
 						}
 						resp.Body = nil
 						resp.BodyStream = &wire.Vec{N: int(req.Want), Pieces: [][]byte{zeros[:req.Want]}}
+					} else if typ == wire.TReadList {
+						if bodyLen > uint32(len(scratch)) {
+							return
+						}
+						if _, err := io.ReadFull(c, scratch[:bodyLen]); err != nil {
+							return
+						}
+						regions, _, err := wire.DecodeRegions(scratch[:bodyLen])
+						if err != nil {
+							return
+						}
+						want := int(regions.TotalLength())
+						v := &wire.Vec{N: want}
+						for ; want > 0; want -= min(want, len(zeros)) {
+							v.Pieces = append(v.Pieces, zeros[:min(want, len(zeros))])
+						}
+						resp.Body, resp.BodyStream = nil, v
 					} else if n, err := io.CopyBuffer(discard, io.LimitReader(c, int64(bodyLen)), scratch); err != nil || n != int64(bodyLen) {
 						return
 					}
@@ -255,8 +272,8 @@ func bufGets() int64 {
 	return gets
 }
 
-// The methods that work from the flat lists (multiple, sieve, hybrid)
-// build no stream map, so checking a long memory list costs them no
+// The methods that work from the flat lists (contig, multiple) build
+// no stream map, so checking a long memory list costs them no
 // allocation.
 func TestCheckListsDoesNotAllocate(t *testing.T) {
 	var mem ioseg.List
@@ -272,5 +289,59 @@ func TestCheckListsDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("checkLists allocated %v times", n)
+	}
+}
+
+// sieveLayout is a 16 MiB transfer of 4 KiB file regions every 8 KiB
+// into one arena region.
+func sieveLayout() ([]byte, ioseg.List) {
+	const region, stride, total = 4 << 10, 8 << 10, 16 << 20
+	file := make(ioseg.List, total/region)
+	for i := range file {
+		file[i] = ioseg.Segment{Offset: int64(i) * stride, Length: region}
+	}
+	return make([]byte, total), file
+}
+
+// Sieving copies each region straight between the window buffer and the
+// arena, so a sieve through a 1 MiB buffer allocates that buffer and
+// bookkeeping. When it staged the transfer in a packed stream it
+// allocated 17 MiB a read or write.
+func TestSieveAllocationBound(t *testing.T) {
+	f := sinkFile(t)
+	arena, file := sieveLayout()
+	for _, write := range []bool{false, true} {
+		req := Request{Write: write, Arena: arena, File: file, Method: AccessSieve, Sieve: SieveOptions{BufferSize: 1 << 20}}
+		perOp, allocs := allocPerOp(4, func() {
+			if _, err := f.Run(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("write=%v: %d B and %d allocations per 16 MiB sieve", write, perOp, allocs)
+		if perOp >= 4<<20 {
+			t.Fatalf("write=%v: a 16 MiB sieve allocated %d B, want < 4 MiB", write, perOp)
+		}
+	}
+}
+
+// A hybrid transfer allocates the buffer of its coalesced extents and
+// bookkeeping: nothing the size of the transfer on top. When it staged
+// the transfer in a packed stream it allocated 48 MiB a read and 56 MiB
+// a write.
+func TestHybridAllocationBound(t *testing.T) {
+	f := sinkFile(t)
+	arena, file := sieveLayout()
+	span := file.Normalize().Coalesce(4 << 10).TotalLength()
+	for _, write := range []bool{false, true} {
+		req := Request{Write: write, Arena: arena, File: file, Method: AccessHybrid, CoalesceGap: 4 << 10}
+		perOp, allocs := allocPerOp(4, func() {
+			if _, err := f.Run(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("write=%v: %d B and %d allocations per 16 MiB hybrid over a %d B span", write, perOp, allocs, span)
+		if perOp >= uint64(span)+8<<20 {
+			t.Fatalf("write=%v: a 16 MiB hybrid allocated %d B, want < span %d + 8 MiB", write, perOp, span)
+		}
 	}
 }

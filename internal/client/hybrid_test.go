@@ -108,6 +108,42 @@ func TestHybridWritePreservesGaps(t *testing.T) {
 	}
 }
 
+// Overlapping regions can add up to the coalesced extent's length while
+// leaving a gap inside it: [0,10) and [5,15) overlap by the 5 bytes that
+// coalescing [0,15) with [20,25) swallows. The gap must be read back,
+// not written as whatever the buffer held.
+func TestHybridWriteOverlapKeepsGap(t *testing.T) {
+	_, fs := startCluster(t, 2)
+	f, err := fs.Create("hybov.dat", striping.Config{PCount: 2, StripeSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := bytes.Repeat([]byte{0xEE}, 64)
+	if _, err := f.WriteAt(base, 0); err != nil {
+		t.Fatal(err)
+	}
+	file := ioseg.List{{Offset: 0, Length: 10}, {Offset: 5, Length: 10}, {Offset: 20, Length: 5}}
+	arena := bytes.Repeat([]byte{0x11}, 25)
+	if err := run(f, client.Request{
+		Write: true, Arena: arena, File: file, Method: client.AccessHybrid, CoalesceGap: 8,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	if _, err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		want := byte(0xEE)
+		if i < 15 || (i >= 20 && i < 25) {
+			want = 0x11
+		}
+		if b != want {
+			t.Fatalf("byte %d = %#x, want %#x", i, b, want)
+		}
+	}
+}
+
 func TestHybridZeroGapSkipsRMW(t *testing.T) {
 	_, fs := startCluster(t, 2)
 	f, err := fs.Create("hyb0.dat", striping.Config{PCount: 2, StripeSize: 64})

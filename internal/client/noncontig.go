@@ -53,8 +53,8 @@ func (o ListOptions) maxRegions() int {
 }
 
 // checkLists validates a mem/file pair for the methods that work from
-// the flat lists (multiple, sieving, hybrid). They build no stream map,
-// so the memory list is checked where it lies, without allocating.
+// the flat lists (contig, multiple). They build no stream map, so the
+// memory list is checked where it lies, without allocating.
 func checkLists(arena []byte, mem, file ioseg.List) error {
 	if err := mem.Validate(); err != nil {
 		return fmt.Errorf("pvfs: memory list: %w", err)

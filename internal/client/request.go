@@ -41,10 +41,11 @@ const (
 	// AccessSieve is data sieving I/O (§3.2): large contiguous reads
 	// into a client buffer (Sieve.BufferSize), the wanted regions
 	// picked out in memory; writes are read-modify-write of each
-	// window. PVFS has no file locks, so concurrent sieving writers to
-	// overlapping extents race: the caller serializes them, as the
-	// paper does with a barrier (§4.2.1; see cluster.Barrier).
-	// Result.Sieve reports the data movement.
+	// window, and a window its regions cover entirely is written
+	// without reading it first. PVFS has no file locks, so concurrent
+	// sieving writers to overlapping extents race: the caller
+	// serializes them, as the paper does with a barrier (§4.2.1; see
+	// cluster.Barrier). Result.Sieve reports the data movement.
 	AccessSieve
 	// AccessList is list I/O (§3.3), the paper's contribution: the file
 	// regions travel in batches of at most List.MaxRegions (64) per
@@ -59,8 +60,9 @@ const (
 	AccessDatatype
 	// AccessHybrid coalesces file regions whose gaps are at most
 	// CoalesceGap bytes and moves the coalesced extents with list I/O
-	// (§5), sieving the wanted bytes out client-side. A write with
-	// CoalesceGap > 0 is read-modify-write at extent granularity, so
+	// (§5), sieving the wanted bytes out client-side. A write reads the
+	// extents back first unless the regions cover every byte of them,
+	// so with gaps it is read-modify-write at extent granularity and
 	// concurrent writers must be serialized as for AccessSieve; gap 0
 	// coalesces only adjacent regions and reads nothing back.
 	AccessHybrid
@@ -387,12 +389,8 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 	case AccessMultiple:
 		return res, f.multiple(ctx, req.Write, req.Arena, rv.mem, rv.file)
 
-	case AccessSieve:
-		if req.Write {
-			res.Sieve, err = f.writeSieve(ctx, req.Arena, rv.mem, rv.file, req.Sieve)
-		} else {
-			res.Sieve, err = f.readSieve(ctx, req.Arena, rv.mem, rv.file, req.Sieve)
-		}
+	case AccessSieve, AccessHybrid:
+		res.Sieve, err = f.sieve(ctx, req, rv)
 		return res, err
 
 	case AccessList:
@@ -405,14 +403,6 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 	case AccessDatatype:
 		smap := memio.NewStreamMap(rv.mem) // the one pass over Mem, as for AccessList
 		x, err = f.planDatatype(req.Write, req.Arena, smap, rv.mem, rv.t, rv.base, rv.count, req.Datatype, rv.window)
-
-	case AccessHybrid:
-		if req.Write {
-			res.Sieve, err = f.writeHybrid(ctx, req.Arena, rv.mem, rv.file, req.CoalesceGap, req.List, rv.window)
-		} else {
-			res.Sieve, err = f.readHybrid(ctx, req.Arena, rv.mem, rv.file, req.CoalesceGap, req.List, rv.window)
-		}
-		return res, err
 
 	default:
 		return res, fmt.Errorf("pvfs: unknown access method %v", rv.method)

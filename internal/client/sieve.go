@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"sort"
 
 	"pvfs/internal/ioseg"
 	"pvfs/internal/memio"
@@ -88,68 +89,130 @@ func SieveWindows(file ioseg.List, bufSize int64) []ioseg.Segment {
 	return windows
 }
 
-// readSieve is the data sieving read datapath (see AccessSieve).
-func (f *File) readSieve(ctx context.Context, arena []byte, mem, file ioseg.List, opts SieveOptions) (SieveStats, error) {
-	var st SieveStats
-	if err := checkLists(arena, mem, file); err != nil {
-		return st, err
+// sieve runs an AccessSieve or AccessHybrid request; both are data
+// sieving. Hybrid is the list+sieve method of the paper's conclusion
+// (§5): "if two noncontiguous regions are close to each other, a data
+// sieving operation may take place for just those particular regions".
+// Its one chunk is the file regions coalesced across gaps of at most
+// CoalesceGap bytes, moved by list I/O. The layout is validated through
+// the stream map, as list and datatype I/O validate theirs.
+func (f *File) sieve(ctx context.Context, req Request, rv resolved) (SieveStats, error) {
+	smap := memio.NewStreamMap(rv.mem)
+	if err := checkMapped(req.Arena, smap, rv.mem, rv.file); err != nil {
+		return SieveStats{}, err
 	}
-	stream := make([]byte, file.TotalLength())
-	buf := make([]byte, 0)
-	for _, w := range SieveWindows(file, opts.bufferSize()) {
-		if int64(cap(buf)) < w.Length {
-			buf = make([]byte, w.Length)
+	norm := rv.file.Normalize()
+	if rv.method == AccessSieve {
+		// Each buffer fill is one window, one contiguous transfer.
+		windows := SieveWindows(norm, req.Sieve.bufferSize())
+		chunks := make([]ioseg.List, len(windows))
+		for i := range windows {
+			chunks[i] = windows[i : i+1]
 		}
-		buf = buf[:w.Length]
-		if err := f.contig(ctx, false, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
-			return st, err
+		return sieveChunks(ctx, req.Write, req.Arena, smap, rv.file, norm, chunks,
+			func(ctx context.Context, write bool, buf []byte, chunk ioseg.List) error {
+				return f.contig(ctx, write, buf, chunk[0].Offset, &f.fs.stats.Sieve)
+			})
+	}
+	extents := norm.Coalesce(req.CoalesceGap)
+	return sieveChunks(ctx, req.Write, req.Arena, smap, rv.file, norm, []ioseg.List{extents},
+		func(ctx context.Context, write bool, buf []byte, chunk ioseg.List) error {
+			mem := ioseg.List{{Offset: 0, Length: int64(len(buf))}}
+			x, err := f.planList(write, buf, memio.NewStreamMap(mem), mem, chunk, req.List, rv.window)
+			if err != nil {
+				return err
+			}
+			return f.move(ctx, x)
+		})
+}
+
+// sieveChunks is the data sieving driver. Each chunk's windows are
+// sorted, disjoint file extents that fill one buffer back to back, and
+// move moves a chunk between the buffer and the file. A read fetches
+// the chunk and copies each region's bytes inside it straight into the
+// arena; a write copies them out of the arena into the buffer and
+// writes the chunk back, reading it first unless norm, the normalized
+// regions, covers every byte of it. Nothing the size of the transfer is
+// staged. On error the stats hold the chunks completed.
+func sieveChunks(ctx context.Context, write bool, arena []byte, smap *memio.StreamMap, file, norm ioseg.List, chunks []ioseg.List,
+	move func(ctx context.Context, write bool, buf []byte, chunk ioseg.List) error) (SieveStats, error) {
+	var st SieveStats
+	var buf []byte
+	for _, chunk := range chunks {
+		n := chunk.TotalLength()
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
 		}
-		useful, err := memio.ExtractWindow(stream, file, buf, w)
+		buf = buf[:n]
+		var accessed int64
+		if !write || !covers(norm, chunk) {
+			if err := move(ctx, false, buf, chunk); err != nil {
+				return st, err
+			}
+			accessed += n
+		}
+		useful, err := copyChunk(write, arena, smap, file, buf, chunk)
 		if err != nil {
 			return st, err
 		}
-		st.Windows++
-		st.BytesAccessed += w.Length
+		if write {
+			if err := move(ctx, true, buf, chunk); err != nil {
+				return st, err
+			}
+			accessed += n
+		}
+		st.Windows += len(chunk)
+		st.BytesAccessed += accessed
 		st.BytesUseful += useful
-	}
-	if err := memio.Scatter(arena, mem, stream); err != nil {
-		return st, err
 	}
 	return st, nil
 }
 
-// writeSieve is the data sieving write: read-modify-write of each
-// window.
-func (f *File) writeSieve(ctx context.Context, arena []byte, mem, file ioseg.List, opts SieveOptions) (SieveStats, error) {
-	var st SieveStats
-	if err := checkLists(arena, mem, file); err != nil {
-		return st, err
+// covers reports whether the normalized regions norm cover every byte
+// of the windows in chunk. Normalizing merged abutting regions, so a
+// window is covered only when one region contains it.
+func covers(norm, chunk ioseg.List) bool {
+	for _, w := range chunk {
+		i := sort.Search(len(norm), func(i int) bool { return norm[i].End() > w.Offset })
+		if i == len(norm) || norm[i].Offset > w.Offset || norm[i].End() < w.End() {
+			return false
+		}
 	}
-	stream, err := memio.Gather(arena, mem)
-	if err != nil {
-		return st, err
+	return true
+}
+
+// copyChunk copies each file region's bytes inside chunk between buf,
+// which holds chunk's windows back to back, and the arena extents the
+// region's stream positions map to: into the arena for a read, out of
+// it for a write. It returns the bytes copied.
+func copyChunk(write bool, arena []byte, smap *memio.StreamMap, file ioseg.List, buf []byte, chunk ioseg.List) (int64, error) {
+	base := make([]int64, len(chunk)) // buf offset of each window
+	for i := 1; i < len(chunk); i++ {
+		base[i] = base[i-1] + chunk[i-1].Length
 	}
-	buf := make([]byte, 0)
-	for _, w := range SieveWindows(file, opts.bufferSize()) {
-		if int64(cap(buf)) < w.Length {
-			buf = make([]byte, w.Length)
+	var copied, pos int64
+	for _, s := range file {
+		i := sort.Search(len(chunk), func(i int) bool { return chunk[i].End() > s.Offset })
+		for ; i < len(chunk); i++ {
+			c, ok := s.Intersect(chunk[i])
+			if !ok {
+				break // the windows are sorted: no later one meets s
+			}
+			b := base[i] + c.Offset - chunk[i].Offset
+			piece := []memio.Piece{{Pos: pos + c.Offset - s.Offset, Len: c.Length}}
+			var err error
+			if write {
+				// Gathering onto the empty slice at b fills buf in place.
+				_, err = smap.GatherPieces(buf[b:b:b+c.Length], arena, piece)
+			} else {
+				err = smap.ScatterPieces(arena, buf[b:b+c.Length], piece)
+			}
+			if err != nil {
+				return copied, err
+			}
+			copied += c.Length
 		}
-		buf = buf[:w.Length]
-		// Read-modify-write: fetch the window, inject the regions,
-		// write the whole window back.
-		if err := f.contig(ctx, false, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
-			return st, err
-		}
-		useful, err := memio.InjectWindow(buf, stream, file, w)
-		if err != nil {
-			return st, err
-		}
-		if err := f.contig(ctx, true, buf, w.Offset, &f.fs.stats.Sieve); err != nil {
-			return st, err
-		}
-		st.Windows++
-		st.BytesAccessed += 2 * w.Length // read + write back
-		st.BytesUseful += useful
+		pos += s.Length
 	}
-	return st, nil
+	return copied, nil
 }

@@ -11,6 +11,11 @@
 // contiguous in both spaces — the unit the paper's FLASH analysis
 // counts when memory fragmentation (8-byte doubles) exceeds file
 // fragmentation (4 KiB blocks).
+//
+// The datapaths move bytes through a StreamMap, which copies between
+// the arena and any stream range without packing the whole stream.
+// Gather and Scatter, which do pack it, are the reference
+// implementations the StreamMap's tests and fuzzers compare against.
 package memio
 
 import (
@@ -909,53 +914,6 @@ func scatter16(arena, stream []byte, a, s0, s1, rowBytes int64) {
 			*(*[16]byte)(arena[e : e+16]) = *(*[16]byte)(row[0:16])
 		}
 	}
-}
-
-// ExtractWindow copies the bytes of regions (clipped to window) from
-// src — a buffer holding the file contents of window — into their
-// stream positions in dst. It is the data-sieving read inner loop:
-// src is the sieve buffer, window its file extent, and dst the packed
-// stream. It returns the number of useful bytes copied.
-func ExtractWindow(dst []byte, dstStream ioseg.List, src []byte, window ioseg.Segment) (int64, error) {
-	if int64(len(src)) < window.Length {
-		return 0, fmt.Errorf("memio: window %d bytes, src %d", window.Length, len(src))
-	}
-	var copied, streamPos int64
-	for _, s := range dstStream {
-		if c, ok := s.Intersect(window); ok {
-			sOff := streamPos + (c.Offset - s.Offset)
-			if sOff+c.Length > int64(len(dst)) {
-				return copied, fmt.Errorf("memio: stream overflows dst (%d > %d)", sOff+c.Length, len(dst))
-			}
-			copy(dst[sOff:sOff+c.Length], src[c.Offset-window.Offset:c.End()-window.Offset])
-			copied += c.Length
-		}
-		streamPos += s.Length
-	}
-	return copied, nil
-}
-
-// InjectWindow is the data-sieving write inner loop: it copies stream
-// bytes of the regions clipped to window into src (the sieve buffer
-// holding window's current file contents), implementing the "modify"
-// step of read-modify-write. It returns the number of bytes injected.
-func InjectWindow(src []byte, stream []byte, regions ioseg.List, window ioseg.Segment) (int64, error) {
-	if int64(len(src)) < window.Length {
-		return 0, fmt.Errorf("memio: window %d bytes, buffer %d", window.Length, len(src))
-	}
-	var injected, streamPos int64
-	for _, s := range regions {
-		if c, ok := s.Intersect(window); ok {
-			sOff := streamPos + (c.Offset - s.Offset)
-			if sOff+c.Length > int64(len(stream)) {
-				return injected, fmt.Errorf("memio: stream underflow (%d > %d)", sOff+c.Length, len(stream))
-			}
-			copy(src[c.Offset-window.Offset:c.End()-window.Offset], stream[sOff:sOff+c.Length])
-			injected += c.Length
-		}
-		streamPos += s.Length
-	}
-	return injected, nil
 }
 
 func checkArena(arena []byte, s ioseg.Segment) error {

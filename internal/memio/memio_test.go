@@ -164,68 +164,6 @@ func TestScatterLengthCheck(t *testing.T) {
 	}
 }
 
-func TestExtractInjectWindow(t *testing.T) {
-	// File image 0..99 with regions [10,+5) and [40,+10); window [0,50).
-	fileImage := make([]byte, 100)
-	for i := range fileImage {
-		fileImage[i] = byte(i)
-	}
-	regions := ioseg.List{seg(10, 5), seg(40, 10)}
-	window := seg(0, 50)
-	dst := make([]byte, regions.TotalLength())
-	n, err := ExtractWindow(dst, regions, fileImage[:50], window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 15 {
-		t.Fatalf("extracted %d, want 15", n)
-	}
-	want := append(append([]byte{}, fileImage[10:15]...), fileImage[40:50]...)
-	if !bytes.Equal(dst, want) {
-		t.Fatalf("extract = % x, want % x", dst, want)
-	}
-
-	// Inject modified stream back.
-	stream := bytes.Repeat([]byte{0xAA}, 15)
-	buf := append([]byte{}, fileImage[:50]...)
-	n, err = InjectWindow(buf, stream, regions, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 15 {
-		t.Fatalf("injected %d, want 15", n)
-	}
-	for i := 10; i < 15; i++ {
-		if buf[i] != 0xAA {
-			t.Fatalf("byte %d not injected", i)
-		}
-	}
-	if buf[9] != 9 || buf[15] != 15 {
-		t.Fatal("inject touched bytes outside regions")
-	}
-}
-
-func TestExtractPartialWindow(t *testing.T) {
-	// Window covering only part of a region extracts the overlap into
-	// the right stream slot.
-	regions := ioseg.List{seg(0, 10), seg(20, 10)}
-	window := seg(25, 10)
-	src := bytes.Repeat([]byte{7}, 10)
-	dst := make([]byte, 20)
-	n, err := ExtractWindow(dst, regions, src, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("extracted %d, want 5", n)
-	}
-	for i := 15; i < 20; i++ {
-		if dst[i] != 7 {
-			t.Fatalf("stream byte %d = %d", i, dst[i])
-		}
-	}
-}
-
 // Property: Gather then Scatter into a fresh arena reproduces exactly
 // the listed regions and touches nothing else.
 func TestGatherScatterProperty(t *testing.T) {

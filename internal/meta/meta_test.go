@@ -751,27 +751,46 @@ func asStatusErr(err error, target **wire.StatusError) bool {
 	return ok
 }
 
-func TestShardServesAndForwards(t *testing.T) {
+func TestShardRefusesMisroutedRequests(t *testing.T) {
 	pl := startPlane(t, 3, 2)
 	m := pl.g.boot
-
-	// Every request goes to shard 0; names owned by shard 1 must be
-	// forwarded transparently.
-	c, err := pvfsnet.Dial(pl.shardAddrs[0])
-	if err != nil {
-		t.Fatal(err)
+	conns := make([]*pvfsnet.Conn, len(pl.shardAddrs))
+	for i, addr := range pl.shardAddrs {
+		c, err := pvfsnet.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
 	}
-	defer c.Close()
+	// owner and other are the connections to the shard that owns a
+	// name or handle and to the one that does not.
+	owner := func(shard int) *pvfsnet.Conn { return conns[shard] }
+	other := func(shard int) *pvfsnet.Conn { return conns[1-shard] }
+	// misrouted checks a request sent to the wrong shard: StatusWrongEpoch
+	// with a map that gives the request to shard want.
+	misrouted := func(what string, resp wire.Message, want int, ownerOf func(*wire.ShardMap) int) {
+		t.Helper()
+		if resp.Status != wire.StatusWrongEpoch {
+			t.Fatalf("misrouted %s: %v, want WrongEpoch", what, resp.Status)
+		}
+		var got wire.ShardMap
+		if err := got.Unmarshal(resp.Body); err != nil {
+			t.Fatalf("misrouted %s: map: %v", what, err)
+		}
+		if ownerOf(&got) != want || got.Shards[want] != pl.shardAddrs[want] {
+			t.Fatalf("misrouted %s: map names shard %d, want %d at %s", what, ownerOf(&got), want, pl.shardAddrs[want])
+		}
+	}
 
 	names := []string{"f0", "f1", "f2", "f3", "f4", "f5"}
 	handles := make(map[string]uint64)
-	forwarded := 0
 	for _, name := range names {
-		if m.ShardForName(name) != 0 {
-			forwarded++
-		}
+		sh := m.ShardForName(name)
+		byName := func(sm *wire.ShardMap) int { return sm.ShardForName(name) }
 		cr := wire.CreateReq{Name: name}
-		resp := callShard(t, c, 1, wire.TCreate, cr.Marshal(), 0)
+		misrouted("create "+name, callShard(t, other(sh), 1, wire.TCreate, cr.Marshal(), 0), sh, byName)
+		resp := callShard(t, owner(sh), 1, wire.TCreate, cr.Marshal(), 0)
 		if resp.Status != wire.StatusOK {
 			t.Fatalf("create %s: %v", name, resp.Status)
 		}
@@ -779,41 +798,28 @@ func TestShardServesAndForwards(t *testing.T) {
 		if err := info.Unmarshal(resp.Body); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.ShardForHandle(info.Handle); got != m.ShardForName(name) {
-			t.Fatalf("handle %d of %s encodes shard %d, want %d", info.Handle, name, got, m.ShardForName(name))
+		if got := m.ShardForHandle(info.Handle); got != sh {
+			t.Fatalf("handle %d of %s encodes shard %d, want %d", info.Handle, name, got, sh)
 		}
 		handles[name] = info.Handle
-	}
-	if forwarded == 0 {
-		t.Skip("hash sent every test name to shard 0; widen the name set")
-	}
 
-	// Open resolves through the same routing; duplicate create fails.
-	for _, name := range names {
 		nr := wire.NameReq{Name: name}
-		resp := callShard(t, c, 1, wire.TOpen, nr.Marshal(), 0)
-		if resp.Status != wire.StatusOK || resp.Handle != handles[name] {
-			t.Fatalf("open %s: %v handle %d want %d", name, resp.Status, resp.Handle, handles[name])
+		misrouted("open "+name, callShard(t, other(sh), 1, wire.TOpen, nr.Marshal(), 0), sh, byName)
+		resp = callShard(t, owner(sh), 1, wire.TOpen, nr.Marshal(), 0)
+		if resp.Status != wire.StatusOK || resp.Handle != info.Handle {
+			t.Fatalf("open %s: %v handle %d want %d", name, resp.Status, resp.Handle, info.Handle)
 		}
 	}
+	sh0 := m.ShardForName(names[0])
 	dup := wire.CreateReq{Name: names[0]}
-	if resp := callShard(t, c, 1, wire.TCreate, dup.Marshal(), 0); resp.Status != wire.StatusExists {
+	if resp := callShard(t, owner(sh0), 1, wire.TCreate, dup.Marshal(), 0); resp.Status != wire.StatusExists {
 		t.Fatalf("dup: %v", resp.Status)
-	}
-
-	// Forward accounting: shard 0 proxied at least the foreign names.
-	if st := pl.shards[0].Stats(); st.MetaForwards < int64(forwarded) {
-		t.Fatalf("MetaForwards = %d, want >= %d", st.MetaForwards, forwarded)
 	}
 
 	// Per-shard listDir covers exactly the shard's own names.
 	var listed []string
-	for i := range pl.shards {
-		ci, err := pvfsnet.Dial(pl.shardAddrs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := callShard(t, ci, 1, wire.TListDir, nil, 0)
+	for i, c := range conns {
+		resp := callShard(t, c, 1, wire.TListDir, nil, 0)
 		if resp.Status != wire.StatusOK {
 			t.Fatalf("listDir shard %d: %v", i, resp.Status)
 		}
@@ -827,21 +833,24 @@ func TestShardServesAndForwards(t *testing.T) {
 			}
 		}
 		listed = append(listed, ld.Names...)
-		ci.Close()
 	}
 	if len(listed) != len(names) {
 		t.Fatalf("union of shard listings has %d names, want %d", len(listed), len(names))
 	}
 
-	// SetSize by handle routes on the handle's shard; stat-by-handle
-	// observes the high-water mark.
+	// SetSize and stat-by-handle belong to the handle's shard; the
+	// stat observes the high-water mark.
 	h := handles[names[0]]
+	hsh := m.ShardForHandle(h)
+	byHandle := func(sm *wire.ShardMap) int { return sm.ShardForHandle(h) }
 	sr := wire.SetSizeReq{Handle: h, Size: 12345}
-	if resp := callShard(t, c, 1, wire.TSetSize, sr.Marshal(), 0); resp.Status != wire.StatusOK {
+	misrouted("setsize", callShard(t, other(hsh), 1, wire.TSetSize, sr.Marshal(), 0), hsh, byHandle)
+	if resp := callShard(t, owner(hsh), 1, wire.TSetSize, sr.Marshal(), 0); resp.Status != wire.StatusOK {
 		t.Fatalf("setsize: %v", resp.Status)
 	}
 	empty := wire.NameReq{}
-	resp := callShard(t, c, 1, wire.TStat, empty.Marshal(), h)
+	misrouted("stat by handle", callShard(t, other(hsh), 1, wire.TStat, empty.Marshal(), h), hsh, byHandle)
+	resp := callShard(t, owner(hsh), 1, wire.TStat, empty.Marshal(), h)
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("stat by handle: %v", resp.Status)
 	}
@@ -853,12 +862,12 @@ func TestShardServesAndForwards(t *testing.T) {
 		t.Fatalf("size = %d", got.Size)
 	}
 
-	// Remove through the wrong shard still lands.
 	nr := wire.NameReq{Name: names[1]}
-	if resp := callShard(t, c, 1, wire.TRemove, nr.Marshal(), 0); resp.Status != wire.StatusOK {
+	sh1 := m.ShardForName(names[1])
+	if resp := callShard(t, owner(sh1), 1, wire.TRemove, nr.Marshal(), 0); resp.Status != wire.StatusOK {
 		t.Fatalf("remove: %v", resp.Status)
 	}
-	if resp := callShard(t, c, 1, wire.TOpen, nr.Marshal(), 0); resp.Status != wire.StatusNotFound {
+	if resp := callShard(t, owner(sh1), 1, wire.TOpen, nr.Marshal(), 0); resp.Status != wire.StatusNotFound {
 		t.Fatalf("open removed: %v", resp.Status)
 	}
 }

@@ -2,13 +2,11 @@ package meta
 
 import (
 	"context"
-	"errors"
 	"log"
 	"sort"
 	"sync"
 	"time"
 
-	"pvfs/internal/pvfsnet"
 	"pvfs/internal/wire"
 )
 
@@ -43,7 +41,6 @@ type Shard struct {
 	timing Timing
 	logger *log.Logger
 	prop   Proposer
-	pool   *pvfsnet.Pool // forwarding path to sibling shards
 
 	mu      sync.Mutex
 	ns      *namespace
@@ -74,7 +71,6 @@ func NewShard(o ShardOptions) *Shard {
 		timing: o.Timing.withDefaults(),
 		logger: o.Logger,
 		prop:   prop,
-		pool:   pvfsnet.NewPool(),
 		ns:     newNamespace(),
 		locks:  make(map[string]chan struct{}),
 		stopC:  make(chan struct{}),
@@ -94,7 +90,6 @@ func (s *Shard) Close() error {
 	s.closed = true
 	close(s.stopC)
 	s.mu.Unlock()
-	s.pool.Close()
 	s.prop.Close()
 	s.wg.Wait()
 	return nil
@@ -277,8 +272,7 @@ func fail(st wire.Status) wire.Message {
 }
 
 // Handle serves the shard wire protocol. Handlers never retain
-// req.Body: decoded names are copied by the codec and forwarded
-// bodies are fully written before return.
+// req.Body: decoded names are copied by the codec.
 func (s *Shard) Handle(req wire.Message) wire.Message {
 	s.mu.Lock()
 	s.stats.Requests++
@@ -322,9 +316,9 @@ func (s *Shard) Handle(req wire.Message) wire.Message {
 		return wire.Message{Header: wire.Header{Handle: req.Handle}}
 	default:
 		// Plain manager grammar (raw-wire drivers such as the bench
-		// replay, the single-shard wrapper): no epoch to check; still
-		// forwarded if the name hashes away.
-		return s.serveInner(req.Type, req.Body, req.Handle, 0)
+		// replay, the single-shard wrapper): no epoch to check, but a
+		// name another shard owns is refused as in an envelope.
+		return s.serveInner(req.Type, req.Body, req.Handle)
 	}
 }
 
@@ -353,20 +347,28 @@ func (s *Shard) serveEnvelope(env *wire.MetaEnvelope, handle uint64) wire.Messag
 		s.mu.Unlock()
 	}
 	if env.Epoch != cur {
-		m := s.CurrentMap()
-		if m == nil {
-			return fail(wire.StatusUnavailable)
-		}
-		return wire.Message{
-			Header: wire.Header{Status: wire.StatusWrongEpoch},
-			Body:   m.Marshal(),
-		}
+		return s.wrongEpoch()
 	}
-	return s.serveInner(env.Inner, env.Body, handle, env.Hops)
+	return s.serveInner(env.Inner, env.Body, handle)
 }
 
-// serveInner executes (or forwards) one manager-grammar request.
-func (s *Shard) serveInner(t wire.MsgType, body []byte, handle uint64, hops uint32) wire.Message {
+// wrongEpoch answers StatusWrongEpoch with the installed map in the
+// body: the client installs it and re-routes (FS.metaCall).
+func (s *Shard) wrongEpoch() wire.Message {
+	m := s.CurrentMap()
+	if m == nil {
+		return fail(wire.StatusUnavailable)
+	}
+	return wire.Message{
+		Header: wire.Header{Status: wire.StatusWrongEpoch},
+		Body:   m.Marshal(),
+	}
+}
+
+// serveInner executes one manager-grammar request. A name or handle
+// the installed map gives another shard is not forwarded: it is
+// answered with wrongEpoch, so the client re-routes to the owner.
+func (s *Shard) serveInner(t wire.MsgType, body []byte, handle uint64) wire.Message {
 	switch t {
 	case wire.TCreate:
 		var cr wire.CreateReq
@@ -376,8 +378,8 @@ func (s *Shard) serveInner(t wire.MsgType, body []byte, handle uint64, hops uint
 		if cr.Name == "" {
 			return fail(wire.StatusInvalid)
 		}
-		if resp, forwarded := s.routeName(cr.Name, t, body, hops); forwarded {
-			return resp
+		if !s.ownsName(cr.Name) {
+			return s.wrongEpoch()
 		}
 		return s.create(&cr)
 	case wire.TOpen, wire.TStat:
@@ -386,14 +388,14 @@ func (s *Shard) serveInner(t wire.MsgType, body []byte, handle uint64, hops uint
 			return fail(wire.StatusProtocol)
 		}
 		if nr.Name == "" && handle != 0 {
-			// Stat-by-handle (fsck reconciliation): route on the handle.
-			if resp, forwarded := s.routeHandle(handle, t, body, hops); forwarded {
-				return resp
+			// Stat-by-handle (fsck reconciliation): owned by the handle.
+			if !s.ownsHandle(handle) {
+				return s.wrongEpoch()
 			}
 			return s.statHandle(handle)
 		}
-		if resp, forwarded := s.routeName(nr.Name, t, body, hops); forwarded {
-			return resp
+		if !s.ownsName(nr.Name) {
+			return s.wrongEpoch()
 		}
 		return s.open(nr.Name)
 	case wire.TRemove:
@@ -401,8 +403,8 @@ func (s *Shard) serveInner(t wire.MsgType, body []byte, handle uint64, hops uint
 		if err := nr.Unmarshal(body); err != nil {
 			return fail(wire.StatusProtocol)
 		}
-		if resp, forwarded := s.routeName(nr.Name, t, body, hops); forwarded {
-			return resp
+		if !s.ownsName(nr.Name) {
+			return s.wrongEpoch()
 		}
 		return s.remove(nr.Name)
 	case wire.TSetSize:
@@ -410,8 +412,8 @@ func (s *Shard) serveInner(t wire.MsgType, body []byte, handle uint64, hops uint
 		if err := sr.Unmarshal(body); err != nil {
 			return fail(wire.StatusProtocol)
 		}
-		if resp, forwarded := s.routeHandle(sr.Handle, t, body, hops); forwarded {
-			return resp
+		if !s.ownsHandle(sr.Handle) {
+			return s.wrongEpoch()
 		}
 		return s.setSize(&sr)
 	case wire.TListDir:
@@ -423,91 +425,19 @@ func (s *Shard) serveInner(t wire.MsgType, body []byte, handle uint64, hops uint
 	}
 }
 
-// routeName forwards the request when the name hashes to a sibling
-// shard. The bool result reports "handled here" via forwarding.
-func (s *Shard) routeName(name string, t wire.MsgType, body []byte, hops uint32) (wire.Message, bool) {
+// ownsName reports whether the installed map gives name to this shard.
+// Before a map is installed every name is this shard's.
+func (s *Shard) ownsName(name string) bool {
 	s.mu.Lock()
-	m := s.smap
-	owner := s.idx
-	if m != nil {
-		owner = m.ShardForName(name)
-	}
-	s.mu.Unlock()
-	if owner == s.idx {
-		return wire.Message{}, false
-	}
-	return s.forward(owner, t, body, 0, hops), true
+	defer s.mu.Unlock()
+	return s.smap == nil || s.smap.ShardForName(name) == s.idx
 }
 
-// routeHandle is routeName for handle-addressed requests.
-func (s *Shard) routeHandle(handle uint64, t wire.MsgType, body []byte, hops uint32) (wire.Message, bool) {
+// ownsHandle is ownsName for a handle.
+func (s *Shard) ownsHandle(handle uint64) bool {
 	s.mu.Lock()
-	m := s.smap
-	owner := s.idx
-	if m != nil {
-		owner = m.ShardForHandle(handle)
-	}
-	s.mu.Unlock()
-	if owner == s.idx {
-		return wire.Message{}, false
-	}
-	return s.forward(owner, t, body, handle, hops), true
-}
-
-// forward proxies one request to the owning shard, one hop at most:
-// if maps disagree mid-transition a second hop would loop, so the
-// receiver of a hopped envelope that still isn't the owner answers
-// WrongEpoch and the client re-routes with a fresh map.
-func (s *Shard) forward(owner int, t wire.MsgType, body []byte, handle uint64, hops uint32) wire.Message {
-	s.mu.Lock()
-	var addr string
-	var epoch uint64
-	if s.smap != nil && owner < len(s.smap.Shards) {
-		addr = s.smap.Shards[owner]
-		epoch = s.smap.Epoch
-	}
-	s.stats.MetaForwards++
-	s.mu.Unlock()
-	if addr == "" {
-		return fail(wire.StatusUnavailable)
-	}
-	if hops > 0 {
-		m := s.CurrentMap()
-		if m == nil {
-			return fail(wire.StatusUnavailable)
-		}
-		return wire.Message{Header: wire.Header{Status: wire.StatusWrongEpoch}, Body: m.Marshal()}
-	}
-	env := wire.MetaEnvelope{Epoch: epoch, Hops: hops + 1, Inner: t, Body: body}
-	ctx, cancel := context.WithTimeout(context.Background(), s.timing.RetryWindow)
-	defer cancel()
-	conn, err := s.pool.GetContext(ctx, addr)
-	if err != nil {
-		return fail(wire.StatusUnavailable)
-	}
-	resp, err := conn.CallContext(ctx, wire.Message{
-		Header: wire.Header{Type: wire.TMetaForward, Handle: handle},
-		Body:   env.Marshal(),
-	})
-	if err != nil {
-		var serr *wire.StatusError
-		if !errors.As(err, &serr) {
-			// A timeout keeps the session healthy (the tag is abandoned);
-			// only a broken session is discarded, by identity, so a
-			// concurrent forward's fresh redial isn't closed underneath it.
-			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				s.pool.DiscardConn(addr, conn)
-			}
-			return fail(wire.StatusUnavailable)
-		}
-	}
-	// Hand the pooled response body to our own response frame; the
-	// transport recycles it after writing (Recycle contract).
-	return wire.Message{
-		Header:  wire.Header{Status: resp.Status, Handle: resp.Handle},
-		Body:    resp.Body,
-		Recycle: true,
-	}
+	defer s.mu.Unlock()
+	return s.smap == nil || s.smap.ShardForHandle(handle) == s.idx
 }
 
 // --- local execution ---

@@ -282,12 +282,13 @@ func datatypeChain(p Params, pat patterns.Pattern, rank int, write bool, win int
 	}
 }
 
-// hybridChain is the AccessHybrid chain, as the client's readHybrid and
-// writeHybrid issue it: the rank's file regions, coalesced across gaps
-// of at most gap bytes, travel as list I/O. Granularity does not apply
-// (the list pass sees one contiguous temp buffer). A write whose
-// coalescing swallowed a gap byte reads the coalesced extents back
-// first, so it sends every list request twice.
+// hybridChain is the AccessHybrid chain, as the client's sieving driver
+// issues it: the rank's file regions, coalesced across gaps of at most
+// gap bytes, travel as list I/O. Granularity does not apply (the list
+// pass sees one contiguous buffer). A write whose regions leave a byte
+// of the coalesced extents uncovered reads them back first, so it sends
+// every list request twice; pattern regions never overlap, so that is
+// when their total falls short of the extents'.
 func hybridChain(p Params, pat patterns.Pattern, rank int, write bool, gap int64, maxR int) StepIter {
 	extents := func() segIter { return coalesceIter(fileRegionIter(pat, rank), max(gap, 0)) }
 	if !write {

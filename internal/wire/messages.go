@@ -330,7 +330,7 @@ type ServerStats struct {
 	// metadata shards and master replicas.
 	MetaCreates   int64 // creates applied by this shard
 	MetaOpens     int64 // opens/stats served from shard state
-	MetaForwards  int64 // envelopes proxied to the owning shard
+	MetaForwards  int64 // reserved, always 0: shards do not forward
 	ElectionCount int64 // leadership changes observed (masters)
 	// Group-commit accounting (DESIGN.md §13): how well concurrent
 	// proposals coalesce at the leader. proposals/batches is the mean

@@ -121,13 +121,12 @@ func MetaHandleSeq(h uint64, nshards int) uint64 {
 
 // MetaEnvelope wraps a manager-grammar request (create/open/stat/
 // remove/listdir/setsize) with the client's shard-map epoch. A shard
-// receiving an envelope whose epoch differs from its own answers
-// StatusWrongEpoch with its current map; an envelope for a name it
-// does not own is proxied one hop to the owner (Hops guards against
-// forwarding loops when maps disagree mid-transition).
+// receiving an envelope whose epoch differs from its own, or for a name
+// or handle it does not own, answers StatusWrongEpoch with its current
+// map, and the client re-routes.
 type MetaEnvelope struct {
 	Epoch uint64
-	Hops  uint32
+	Hops  uint32 // reserved, always 0: shards do not forward
 	Inner MsgType
 	Body  []byte // inner request body; aliases the frame on decode
 }
