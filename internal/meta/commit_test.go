@@ -33,7 +33,7 @@ func slowBeatTiming() Timing {
 func commitOf(n *Node) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.commit
+	return n.c.commit
 }
 
 // fenceBeat pushes the leader's next heartbeat a full interval away
@@ -41,8 +41,8 @@ func commitOf(n *Node) uint64 {
 func fenceBeat(n *Node) time.Time {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.lastBeat = time.Now()
-	return n.lastBeat.Add(n.timing.Heartbeat)
+	n.c.lastBeat = time.Now()
+	return n.c.lastBeat.Add(n.timing.Heartbeat)
 }
 
 // waitFor polls cond until it holds or the deadline passes, and
@@ -91,7 +91,7 @@ func TestCommitIndexRidesNextAppend(t *testing.T) {
 	// nothing more: its commit index waits for the next heartbeat.
 	beat := fenceBeat(ln)
 	ln.mu.Lock()
-	empty := ln.emptyRounds
+	empty := ln.c.emptyRounds
 	ln.mu.Unlock()
 	st, _, idx, _, err := ln.Propose(ctx, createRec("lone", 1, 0, 1, testIODs()))
 	if err != nil || st != wire.StatusOK {
@@ -102,7 +102,7 @@ func TestCommitIndexRidesNextAppend(t *testing.T) {
 		t.Fatal("test too slow: the heartbeat fell due before the check")
 	}
 	ln.mu.Lock()
-	sent := ln.emptyRounds - empty
+	sent := ln.c.emptyRounds - empty
 	ln.mu.Unlock()
 	if sent != 0 {
 		t.Errorf("leader sent %d entry-less appends after a lone commit, want 0 before the heartbeat", sent)
@@ -152,7 +152,7 @@ func TestCommitIndexRidesNextAppend(t *testing.T) {
 	waitFor(t, "survivors to apply the orphaned commit", 3*tm.ElectionHi, func() bool {
 		for _, f := range followers {
 			f.mu.Lock()
-			_, ok := f.states[0].files["orphan"]
+			_, ok := f.c.states[0].files["orphan"]
 			f.mu.Unlock()
 			if !ok {
 				return false
@@ -279,10 +279,10 @@ func TestIODSwapKeepsEachFilesAddresses(t *testing.T) {
 		waitFor(t, "masters to apply both creates", 2*time.Second, func() bool {
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			return len(n.states[0].files) == 2
+			return len(n.c.states[0].files) == 2
 		})
 		n.mu.Lock()
-		check(fmt.Sprintf("master %d", i), n.states[0])
+		check(fmt.Sprintf("master %d", i), n.c.states[0])
 		n.mu.Unlock()
 	}
 	s := pl.shards[0]

@@ -189,7 +189,7 @@ func TestBatchedAndSoloNamespacesIdentical(t *testing.T) {
 		}
 	}
 	var solo snapRefs
-	solo.addShardLocked(0, ns)
+	solo.addShard(0, ns)
 
 	snap, err := batched.FetchShard(context.Background(), 0)
 	if err != nil {
@@ -267,7 +267,7 @@ func TestWALSyncFailureMidBatchWoundsNode(t *testing.T) {
 		t.Fatalf("%d proposals acked across a failed batch fsync", got)
 	}
 	n.mu.Lock()
-	wounded, last, durable := n.wounded, n.lastIndexLocked(), n.durable
+	wounded, last, durable := n.c.wounded, n.c.lastIndex(), n.c.durable
 	n.mu.Unlock()
 	if !wounded {
 		t.Error("node not wounded after WAL sync failure")

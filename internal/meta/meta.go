@@ -19,8 +19,9 @@
 //
 // The consensus core is a compact Raft-style protocol (election
 // restriction on log freshness, current-term-only commit counting,
-// snapshot install for lagging replicas) implemented directly on
-// pvfsnet with no external dependencies. internal/mgr wraps one Node
+// snapshot install for lagging replicas) with no external
+// dependencies: a pure state machine (core) behind an I/O shell (Node)
+// that runs it on pvfsnet and a local WAL. internal/mgr wraps one Node
 // and one Shard behind a single listener to preserve the paper's
 // single-manager deployment shape.
 package meta

@@ -221,7 +221,7 @@ func (g *group) kill(i int) {
 // restart brings node i back on its old address over its durable state
 // dir, recovering the persisted term, vote, log, and snapshot; the
 // current leader replays or snapshot-installs whatever it missed.
-func (g *group) restart(i int, maxLog int) {
+func (g *group) restart(i int) {
 	g.t.Helper()
 	var ln net.Listener
 	var err error
@@ -236,7 +236,7 @@ func (g *group) restart(i int, maxLog int) {
 		g.t.Fatalf("relisten %s: %v", g.addrs[i], err)
 	}
 	n, err := NewNode(NodeOptions{
-		ID: i, Peers: g.addrs, Dir: g.dirs[i], Timing: g.timing, MaxLog: maxLog,
+		ID: i, Peers: g.addrs, Dir: g.dirs[i], Timing: g.timing,
 	})
 	if err != nil {
 		g.t.Fatalf("restart %d: %v", i, err)
@@ -368,9 +368,9 @@ func TestDeniedVoteKeepsElectionTimer(t *testing.T) {
 	}
 	defer n.Close()
 	n.mu.Lock()
-	n.term = 2
-	n.log = append(n.log, wire.MetaEntry{Index: 2, Term: 2}, wire.MetaEntry{Index: 3, Term: 2})
-	before := n.deadline
+	n.c.term = 2
+	n.c.log = append(n.c.log, wire.MetaEntry{Index: 2, Term: 2}, wire.MetaEntry{Index: 3, Term: 2})
+	before := n.c.deadline
 	n.mu.Unlock()
 
 	vote := func(candidate uint32, lastIndex uint64) wire.MetaVoteResp {
@@ -386,7 +386,7 @@ func TestDeniedVoteKeepsElectionTimer(t *testing.T) {
 		t.Fatalf("shorter-log candidate: %+v, want a denial at term 3", vr)
 	}
 	n.mu.Lock()
-	term, role, after := n.term, n.role, n.deadline
+	term, role, after := n.c.term, n.c.role, n.c.deadline
 	n.mu.Unlock()
 	if term != 3 || role != follower {
 		t.Fatalf("after denial: term %d role %v, want term 3 follower", term, role)
@@ -399,7 +399,7 @@ func TestDeniedVoteKeepsElectionTimer(t *testing.T) {
 		t.Fatalf("up-to-date candidate denied: %+v", vr)
 	}
 	n.mu.Lock()
-	after = n.deadline
+	after = n.c.deadline
 	n.mu.Unlock()
 	if after.Equal(before) {
 		t.Fatal("granted vote kept the old election deadline")
@@ -424,7 +424,7 @@ func TestRestartedReplicaCatchesUpAndCanLead(t *testing.T) {
 	}
 	g.kill(down)
 	acked = append(acked, proposeAcked(t, p, "b", &seq, 5)...)
-	g.restart(down, 0)
+	g.restart(down)
 
 	// Let replication catch the rejoined replica up, then kill the
 	// OTHER two's leader; the group (which now needs the rejoined
@@ -452,12 +452,12 @@ func TestRestartedReplicaCatchesUpAndCanLead(t *testing.T) {
 }
 
 func TestSnapshotCatchUp(t *testing.T) {
-	// A tiny MaxLog forces compaction, so the rejoining replica is
+	// A tiny compaction floor forces compaction, so the rejoining replica is
 	// behind the compacted prefix and must take a snapshot install.
 	g := startGroup(t, 3, singleShardBoot)
 	for _, n := range g.nodes {
 		n.mu.Lock()
-		n.maxLog = 8
+		n.c.maxLog = 8
 		n.mu.Unlock()
 	}
 	p := NewGroupProposer(g.addrs, g.timing)
@@ -470,7 +470,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	g.kill(down)
 
 	acked := proposeAcked(t, p, "b", &seq, 40) // well past maxLog
-	g.restart(down, 8)
+	g.restart(down)
 	time.Sleep(500 * time.Millisecond)
 
 	// The rejoined replica must be load-bearing for majority now.
@@ -545,8 +545,8 @@ func TestNamespaceFillCompactsAndPinsHeap(t *testing.T) {
 			waitFor(t, fmt.Sprintf("replica %d to apply %d and compact", i, target), 10*time.Second, func() bool {
 				n.mu.Lock()
 				defer n.mu.Unlock()
-				return n.applied >= target && len(n.log) <= n.compactThresholdLocked() &&
-					n.stable.snapIdx.Load() == n.snapIndex
+				return n.c.applied >= target && len(n.c.log) <= n.c.compactThreshold() &&
+					n.stable.snapIdx.Load() == n.c.snapIndex
 			})
 			n.walMu.Lock()
 			n.walMu.Unlock()
@@ -558,7 +558,7 @@ func TestNamespaceFillCompactsAndPinsHeap(t *testing.T) {
 	}
 	for i, n := range g.nodes {
 		n.mu.Lock()
-		snapIndex := n.snapIndex
+		snapIndex := n.c.snapIndex
 		n.mu.Unlock()
 		if snapIndex == 0 {
 			t.Fatalf("replica %d never compacted", i)
@@ -666,7 +666,7 @@ func TestFullGroupRestartLosesNoAckedCreates(t *testing.T) {
 		g.kill(i)
 	}
 	for i := range g.nodes {
-		g.restart(i, 0)
+		g.restart(i)
 	}
 	g.waitLeader()
 

@@ -58,6 +58,134 @@ func (l LocalProposer) FetchMap(ctx context.Context) (*wire.ShardMap, error) {
 
 func (l LocalProposer) Close() error { return nil }
 
+// --- the Node's in-process propose API ---
+//
+// Every mutation enters the log through one queue and the group
+// committer (Node.commitLoop): shards over the wire (TMetaProposeBatch),
+// LocalProposer, ProposeConfig and the read barrier alike.
+
+// Propose submits one mutation record and waits for its committed
+// verdict: the applied status, (for creates) file info, and the entry's
+// log index — shards order snapshot installs against it. A
+// StatusNotLeader status carries no verdict; the caller retries against
+// hint, the leader's address when known.
+func (n *Node) Propose(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, string, error) {
+	ps, hint, err := n.propose(ctx, []wire.MetaRecord{rec})
+	if errors.Is(err, ErrNotLeader) {
+		return wire.StatusNotLeader, nil, 0, hint, nil
+	}
+	if err != nil {
+		return 0, nil, 0, "", err
+	}
+	res := &ps[0].res
+	return res.status, res.info, res.idx, res.hint, res.err
+}
+
+// ProposeBatch submits several records as one group-commit batch and
+// waits for every verdict, in order (see batchVerdicts).
+func (n *Node) ProposeBatch(ctx context.Context, recs []wire.MetaRecord) ([]wire.MetaProposeVerdict, string, error) {
+	ps, hint, err := n.propose(ctx, recs)
+	if err != nil {
+		return nil, hint, err
+	}
+	return batchVerdicts(ps, hint)
+}
+
+// propose queues recs, in order, for the committer's next batch and
+// waits for each verdict (into res), the context's end, or shutdown; a
+// verdict that raced in is preferred over the cancellation. On a
+// non-leader it queues nothing and returns the leader hint with
+// ErrNotLeader.
+func (n *Node) propose(ctx context.Context, recs []wire.MetaRecord) ([]*proposal, string, error) {
+	ps := make([]*proposal, len(recs))
+	for i := range recs {
+		ps[i] = &proposal{rec: recs[i], ch: make(chan applyResult, 1)}
+	}
+	err := errClosed
+	var hint string
+	n.locked(func() {
+		if !n.closed {
+			hint, err = n.c.enqueue(ps)
+		}
+	})
+	if err != nil {
+		return nil, hint, err
+	}
+	wake(n.propC)
+	for _, p := range ps {
+		select {
+		case p.res = <-p.ch:
+		case <-ctx.Done():
+			gone := false
+			n.locked(func() { gone = n.c.withdraw(p) })
+			p.res = applyResult{err: ctx.Err()}
+			if !gone {
+				p.res = <-p.ch
+			}
+		case <-n.stopC:
+			p.res = applyResult{err: errClosed}
+		}
+	}
+	return ps, "", nil
+}
+
+// ProposeConfig replicates a shard-map change built by mutate (see
+// nextConfig) and returns the committed map.
+func (n *Node) ProposeConfig(ctx context.Context, mutate func(*wire.ShardMap)) (*wire.ShardMap, error) {
+	next, err := nextConfig(n.CurrentMap(), mutate)
+	if err != nil {
+		return nil, err
+	}
+	st, _, _, _, err := n.Propose(ctx, wire.MetaRecord{Op: wire.TShardMap, Body: next.Marshal()})
+	if err != nil {
+		return nil, err
+	}
+	if st != wire.StatusOK {
+		return nil, fmt.Errorf("meta: config proposal rejected: %v", st)
+	}
+	return next, nil
+}
+
+// FetchShard returns one partition's committed state with the current
+// map; leader only, and only after a read barrier: a no-op of this term
+// commits only if a majority still follows this leader, and then every
+// entry any prior leader committed is applied here. A deposed leader's
+// stale state must never seed a restarting shard.
+func (n *Node) FetchShard(ctx context.Context, shard uint32) (*wire.MetaSnapshot, error) {
+	if !n.IsLeader() {
+		return nil, ErrNotLeader
+	}
+	st, _, _, _, err := n.Propose(ctx, wire.MetaRecord{Op: wire.TPing})
+	switch {
+	case err != nil:
+		return nil, err
+	case st == wire.StatusNotLeader:
+		return nil, ErrNotLeader
+	case st != wire.StatusOK:
+		return nil, fmt.Errorf("meta: read barrier: %v", st)
+	}
+	var refs snapRefs
+	err = errClosed
+	n.locked(func() {
+		if !n.closed {
+			refs, err = n.c.fetchRefs(shard)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return refs.snapshot(), nil
+}
+
+// FetchMap returns the committed shard map from any role (shards use
+// it for background refresh; epoch checking catches staleness).
+func (n *Node) FetchMap(ctx context.Context) (*wire.ShardMap, error) {
+	if m := n.CurrentMap(); m != nil && m.Epoch > 0 {
+		return m, nil
+	}
+	return nil, errors.New("meta: no committed map yet")
+}
+
 // GroupProposer talks to the master replica group over pvfsnet,
 // tracking the leader across elections: NotLeader responses carry a
 // hint, transport failures rotate to the next replica, and a retry

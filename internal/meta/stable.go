@@ -34,9 +34,7 @@ import (
 // replica had promised before the crash. A damaged record with intact
 // records after it, or a damaged snapshot, is not a crash artefact:
 // openStable refuses the state with errCorruptState rather than
-// silently dropping what follows. Files written before the checksums
-// (no magic) are still read, and openStable rewrites them in the
-// current format.
+// silently dropping what follows. So does a file without its magic.
 type stable struct {
 	dir string
 	wal *os.File
@@ -55,8 +53,7 @@ const (
 	walHard = uint32(1)
 	walLog  = uint32(2)
 
-	walHeader    = 16 // kind, length, payload CRC, header CRC
-	legacyHeader = 8  // kind, length
+	walHeader = 16 // kind, length, payload CRC, header CRC
 )
 
 var (
@@ -92,13 +89,11 @@ func openStable(dir string) (*stable, *recovered, error) {
 	}
 	rec := &recovered{hard: wire.MetaHardState{VotedFor: -1}}
 	var corrupt error
-	rewriteSnap := false
-	snapPath := filepath.Join(dir, "snap")
-	if b, err := os.ReadFile(snapPath); err == nil {
-		if snap, legacy, derr := decodeSnap(b); derr != nil {
+	if b, err := os.ReadFile(filepath.Join(dir, "snap")); err == nil {
+		if snap, derr := decodeSnap(b); derr != nil {
 			corrupt = fmt.Errorf("%w: snapshot in %s: %v", errCorruptState, dir, derr)
 		} else {
-			rec.snap, rewriteSnap = snap, legacy
+			rec.snap = snap
 			rec.term = snap.LastTerm
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -107,13 +102,14 @@ func openStable(dir string) (*stable, *recovered, error) {
 	walPath := filepath.Join(dir, "wal")
 	rewriteWAL := true // a missing WAL is created with its magic
 	if b, err := os.ReadFile(walPath); err == nil {
-		good, legacy, rerr := replayWAL(b, rec)
+		good, rerr := replayWAL(b, rec)
 		if rerr != nil && corrupt == nil {
 			corrupt = fmt.Errorf("%w: WAL in %s: %v", errCorruptState, dir, rerr)
 		}
 		// A torn tail is cut off on disk too, or the next append would
-		// land after it and turn it into a damaged middle record.
-		rewriteWAL = legacy || good < len(b)
+		// land after it and turn it into a damaged middle record; an
+		// empty WAL gets its magic.
+		rewriteWAL = len(b) == 0 || good < len(b)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
 	}
@@ -146,12 +142,6 @@ func openStable(dir string) (*stable, *recovered, error) {
 	}
 	s := &stable{dir: dir, wal: f}
 	s.snapIdx.Store(base)
-	if rewriteSnap {
-		if err := writeFileSync(snapPath, encodeSnap(rec.snap)); err != nil {
-			s.close()
-			return nil, nil, err
-		}
-	}
 	if rewriteWAL {
 		if err := s.resetWAL(rec.entries, rec.hard); err != nil {
 			s.close()
@@ -159,6 +149,19 @@ func openStable(dir string) (*stable, *recovered, error) {
 		}
 	}
 	return s, rec, nil
+}
+
+// openReplica opens a replica's state dir. A replica in a group of
+// several sets damaged state aside and starts empty, to resync from the
+// leader (damage reports it); a solo replica has no leader to resync
+// from, so damage refuses its start.
+func openReplica(dir string, group bool) (st *stable, rec *recovered, damage, err error) {
+	st, rec, err = openStable(dir)
+	if errors.Is(err, errCorruptState) && group {
+		damage = err
+		st, rec, err = quarantineStable(dir, rec)
+	}
+	return st, rec, damage, err
 }
 
 // quarantineStable sets damaged state aside as snap.corrupt and
@@ -190,23 +193,26 @@ func quarantineStable(dir string, damaged *recovered) (*stable, *recovered, erro
 
 // replayWAL folds the record stream into rec. It returns the length
 // of the prefix made of whole, intact records — anything after it is
-// a torn tail to cut off — and whether the stream predates the
-// checksums. A damaged record that is not the tail ends replay with
-// an error: the records after it cannot be trusted to be contiguous
-// with the ones before.
-func replayWAL(b []byte, rec *recovered) (good int, legacy bool, err error) {
-	hdr := walHeader
-	off := len(walMagic)
-	if !bytes.HasPrefix(b, walMagic) {
-		legacy, hdr, off = true, legacyHeader, 0
+// a torn tail to cut off. A non-empty stream without the magic, or a
+// damaged record that is not the tail, ends replay with an error: the
+// records after the damage cannot be trusted to be contiguous with the
+// ones before.
+func replayWAL(b []byte, rec *recovered) (good int, err error) {
+	if len(b) == 0 {
+		return 0, nil // created, crashed before its first reset: nothing promised
 	}
+	if !bytes.HasPrefix(b, walMagic) {
+		rec.term = max(rec.term, scanTerms(b))
+		return 0, errors.New("no WAL magic")
+	}
+	off := len(walMagic)
 	var entries []wire.MetaEntry
 	defer func() { rec.entries = entries }()
-	for len(b)-off >= hdr {
-		h := b[off : off+hdr]
+	for len(b)-off >= walHeader {
+		h := b[off : off+walHeader]
 		kind := binary.LittleEndian.Uint32(h)
 		n := binary.LittleEndian.Uint32(h[4:])
-		if !legacy && crc32.Checksum(h[:12], castagnoli) != binary.LittleEndian.Uint32(h[12:]) {
+		if crc32.Checksum(h[:12], castagnoli) != binary.LittleEndian.Uint32(h[12:]) {
 			// A header torn by a crash reads back as zeros; anything
 			// else means the length cannot be trusted to find the
 			// records after it.
@@ -214,14 +220,14 @@ func replayWAL(b []byte, rec *recovered) (good int, legacy bool, err error) {
 				break
 			}
 			rec.term = max(rec.term, scanTerms(b[off+1:]))
-			return off, legacy, fmt.Errorf("bad record header at offset %d", off)
+			return off, fmt.Errorf("bad record header at offset %d", off)
 		}
-		if uint64(len(b)-off-hdr) < uint64(n) {
+		if uint64(len(b)-off-walHeader) < uint64(n) {
 			break // torn tail: the record never fully reached disk
 		}
-		end := off + hdr + int(n)
-		payload := b[off+hdr : end]
-		ok := legacy || crc32.Checksum(payload, castagnoli) == binary.LittleEndian.Uint32(h[8:])
+		end := off + walHeader + int(n)
+		payload := b[off+walHeader : end]
+		ok := crc32.Checksum(payload, castagnoli) == binary.LittleEndian.Uint32(h[8:])
 		var hs wire.MetaHardState
 		var lr wire.MetaLogRec
 		switch {
@@ -237,10 +243,8 @@ func replayWAL(b []byte, rec *recovered) (good int, legacy bool, err error) {
 			if end == len(b) {
 				break // the last record is the torn tail of a crash
 			}
-			if !legacy {
-				rec.term = max(rec.term, scanTerms(b[off+1:]))
-			}
-			return off, legacy, fmt.Errorf("bad record at offset %d", off)
+			rec.term = max(rec.term, scanTerms(b[off+1:]))
+			return off, fmt.Errorf("bad record at offset %d", off)
 		}
 		if kind == walHard {
 			rec.hard = hs
@@ -253,7 +257,7 @@ func replayWAL(b []byte, rec *recovered) (good int, legacy bool, err error) {
 		rec.term = max(rec.term, recordTerm(kind, &hs, &lr))
 		off = end
 	}
-	return off, legacy, nil
+	return off, nil
 }
 
 // recordTerm is the highest term one decoded WAL record shows.
@@ -316,22 +320,20 @@ func encodeSnap(snap *wire.MetaSnapshot) []byte {
 	return append(b, payload...)
 }
 
-// decodeSnap reads a snap file, reporting whether it predates the
-// checksum (no magic).
-func decodeSnap(b []byte) (*wire.MetaSnapshot, bool, error) {
-	legacy := !bytes.HasPrefix(b, snapMagic)
-	if !legacy {
-		b = b[len(snapMagic):]
-		if len(b) < 4 || crc32.Checksum(b[4:], castagnoli) != binary.LittleEndian.Uint32(b) {
-			return nil, false, errors.New("checksum mismatch")
-		}
-		b = b[4:]
+// decodeSnap reads a snap file.
+func decodeSnap(b []byte) (*wire.MetaSnapshot, error) {
+	if !bytes.HasPrefix(b, snapMagic) {
+		return nil, errors.New("no snapshot magic")
+	}
+	b = b[len(snapMagic):]
+	if len(b) < 4 || crc32.Checksum(b[4:], castagnoli) != binary.LittleEndian.Uint32(b) {
+		return nil, errors.New("checksum mismatch")
 	}
 	snap := new(wire.MetaSnapshot)
-	if err := snap.Unmarshal(b); err != nil {
-		return nil, legacy, err
+	if err := snap.Unmarshal(b[4:]); err != nil {
+		return nil, err
 	}
-	return snap, legacy, nil
+	return snap, nil
 }
 
 // errSyncFault is the injected WAL failure (failSync test hook).
@@ -362,6 +364,29 @@ func (s *stable) appendRecord(kind uint32, payload []byte) error {
 		return err
 	}
 	return nil
+}
+
+// write makes the core's records durable in order; it returns how many
+// were written and the error that stopped it, which is sticky.
+func (s *stable) write(recs []record) (int, error) {
+	for i, r := range recs {
+		var err error
+		switch r.kind {
+		case recHard:
+			err = s.saveHard(r.hard)
+		case recLog:
+			err = s.appendLog(r.from, r.entries)
+		case recInstall:
+			err = s.saveSnapshot(r.snap, r.entries, r.hard)
+		case recReset:
+			err = s.resetWAL(r.entries, r.hard)
+		}
+		if err != nil {
+			s.dead.Store(true) // the replica is wounded: no later write counts
+			return i, err
+		}
+	}
+	return len(recs), nil
 }
 
 // saveHard durably records the term and vote.

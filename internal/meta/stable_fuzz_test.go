@@ -64,17 +64,19 @@ func FuzzReplayWAL(f *testing.F) {
 	f.Add(wal[:len(wal)-3]) // a torn tail
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec := &recovered{hard: wire.MetaHardState{VotedFor: -1}}
-		good, legacy, _ := replayWAL(b, rec)
+		good, err := replayWAL(b, rec)
 		if good < 0 || good > len(b) {
 			t.Fatalf("good prefix %d of a %d-byte WAL", good, len(b))
+		}
+		if err == nil && len(b) > 0 && !bytes.HasPrefix(b, walMagic) {
+			t.Fatal("accepted a WAL without its magic")
 		}
 		// Refused or not, what replay took is the prefix: replayed
 		// alone it is whole and clean, and it yields the same state.
 		pre := &recovered{hard: wire.MetaHardState{VotedFor: -1}}
-		pgood, plegacy, err := replayWAL(b[:good], pre)
-		if err != nil || pgood != good || plegacy != legacy {
-			t.Fatalf("the %d-byte prefix replays to %d bytes (legacy %v, err %v), want %d (legacy %v) and no error",
-				good, pgood, plegacy, err, good, legacy)
+		pgood, err := replayWAL(b[:good], pre)
+		if err != nil || pgood != good {
+			t.Fatalf("the %d-byte prefix replays to %d bytes (err %v), want %d and no error", good, pgood, err, good)
 		}
 		if pre.hard != rec.hard || !reflect.DeepEqual(pre.entries, rec.entries) {
 			t.Fatal("replay applied something past its good prefix")
@@ -86,21 +88,19 @@ func FuzzMetaSnapshot(f *testing.F) {
 	_, snap := durableFiles(f)
 	f.Add(snap)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, legacy, err := decodeSnap(b)
+		s, err := decodeSnap(b)
 		if err != nil {
 			return // refused
 		}
-		if !legacy {
-			p := b[len(snapMagic):]
-			if crc32.Checksum(p[4:], castagnoli) != binary.LittleEndian.Uint32(p) {
-				t.Fatal("accepted a snapshot whose checksum does not verify")
-			}
+		p := b[len(snapMagic):]
+		if crc32.Checksum(p[4:], castagnoli) != binary.LittleEndian.Uint32(p) {
+			t.Fatal("accepted a snapshot whose checksum does not verify")
 		}
 		// What was accepted is a snapshot: it survives its own framing.
 		enc := encodeSnap(s)
-		s2, legacy2, err := decodeSnap(enc)
-		if err != nil || legacy2 {
-			t.Fatalf("re-encoded snapshot: legacy %v, %v", legacy2, err)
+		s2, err := decodeSnap(enc)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot: %v", err)
 		}
 		if !bytes.Equal(encodeSnap(s2), enc) {
 			t.Fatal("re-encoded snapshot does not round-trip")

@@ -2,9 +2,9 @@ package meta
 
 // Checksummed stable state: replay stops at the first bad record, a
 // bad record before the tail or a bad snapshot refuses the state, a
-// torn tail is cut off on disk, files from before the checksums are
-// read and rewritten, and a replica over refused state resyncs from
-// the leader before it votes again.
+// torn tail is cut off on disk, a file without its magic is refused,
+// and a replica over refused state resyncs from the leader before it
+// votes again.
 
 import (
 	"bytes"
@@ -158,55 +158,74 @@ func TestStableTornTailCutOnDisk(t *testing.T) {
 	}
 }
 
-// TestStableLegacyFormatRewritten reads a WAL and snapshot written
-// before the checksums, then finds both rewritten with their magic
-// and the same content.
-func TestStableLegacyFormatRewritten(t *testing.T) {
+// TestStableMagicBitFlipRefused flips each bit of each file's magic.
+// A file without its magic is not a crash artefact, so openStable
+// refuses the state with errCorruptState and leaves the file as it
+// was: it must not read it as some other format, find no records, and
+// rewrite it empty — which would drop the replica's vote and log.
+func TestStableMagicBitFlipRefused(t *testing.T) {
 	dir := t.TempDir()
-	snap := &wire.MetaSnapshot{LastIndex: 1, LastTerm: 1, Map: *singleShardBoot([]string{"m"})}
-	if err := os.WriteFile(filepath.Join(dir, "snap"), snap.Marshal(), 0o644); err != nil {
+	writeThree(t, dir)
+	st, _, err := openStable(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var wal []byte
-	frame := func(kind uint32, payload []byte) {
-		wal = binary.LittleEndian.AppendUint32(wal, kind)
-		wal = binary.LittleEndian.AppendUint32(wal, uint32(len(payload)))
-		wal = append(wal, payload...)
-	}
-	hs := wire.MetaHardState{Term: 3, VotedFor: 2}
-	frame(walHard, hs.Marshal())
-	for i := uint64(1); i <= 3; i++ {
-		lr := wire.MetaLogRec{From: i, Entries: []wire.MetaEntry{
-			{Index: i, Term: 3, Rec: createRec(fmt.Sprintf("old%d", i), i, 0, 1, testIODs())},
-		}}
-		frame(walLog, lr.Marshal())
-	}
-	if err := os.WriteFile(filepath.Join(dir, "wal"), wal, 0o644); err != nil {
+	snap := &wire.MetaSnapshot{LastIndex: 1, LastTerm: 4, Map: *singleShardBoot([]string{"m"})}
+	if err := st.writeSnap(snap); err != nil {
 		t.Fatal(err)
 	}
-
-	for round := 0; round < 2; round++ {
-		st, rec, err := openStable(dir)
+	st.close()
+	for name, magic := range map[string][]byte{"wal": walMagic, "snap": snapMagic} {
+		path := filepath.Join(dir, name)
+		clean, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("open %d: %v", round, err)
+			t.Fatal(err)
 		}
-		st.close()
-		if rec.hard != hs || rec.snap == nil || rec.snap.LastIndex != 1 {
-			t.Fatalf("open %d: hard %+v snap %+v", round, rec.hard, rec.snap)
-		}
-		// Entry 1 is under the snapshot; 2 and 3 form the suffix.
-		if len(rec.entries) != 2 || rec.entries[0].Index != 2 || rec.entries[1].Index != 3 {
-			t.Fatalf("open %d: entries %+v", round, rec.entries)
-		}
-		for name, magic := range map[string][]byte{"wal": walMagic, "snap": snapMagic} {
-			b, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
+		for bit := 0; bit < 8*len(magic); bit++ {
+			b := bytes.Clone(clean)
+			b[bit/8] ^= 1 << (bit % 8)
+			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.HasPrefix(b, magic) {
-				t.Fatalf("open %d: %s not rewritten in the current format", round, name)
+			_, rec, err := openStable(dir)
+			if !errors.Is(err, errCorruptState) {
+				t.Fatalf("%s magic bit %d flipped: %v, want errCorruptState", name, bit, err)
+			}
+			// The intact records past the magic still bound the term.
+			if rec.term != 6 {
+				t.Fatalf("%s magic bit %d flipped: term bound %d, want 6", name, bit, rec.term)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, b) {
+				t.Fatalf("%s magic bit %d flipped: the file was rewritten (%d bytes, was %d)", name, bit, len(got), len(b))
 			}
 		}
+		if err := os.WriteFile(path, clean, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, rec, err := openStable(dir); err != nil || rec.hard.Term != 4 || len(rec.entries) != 2 {
+		t.Fatalf("clean reopen: %v %+v", err, rec)
+	}
+}
+
+// TestStableEmptyWALIsTorn: openStable creates the WAL before its
+// first reset writes the magic, so a crash between the two leaves an
+// empty file. Nothing was promised yet: it is a torn tail, not damage.
+func TestStableEmptyWALIsTorn(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := openStable(dir)
+	if err != nil {
+		t.Fatalf("open over an empty WAL: %v", err)
+	}
+	st.close()
+	if rec.hard.Term != 0 || len(rec.entries) != 0 {
+		t.Fatalf("empty WAL recovered %+v", rec)
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "wal")); err != nil || !bytes.HasPrefix(b, walMagic) {
+		t.Fatalf("empty WAL not rewritten with its magic: %v", err)
 	}
 }
 
@@ -264,7 +283,7 @@ func TestDamagedReplicaVotesOnlyAfterResync(t *testing.T) {
 		t.Fatalf("damaged WAL not set aside: %v", err)
 	}
 	n.mu.Lock()
-	resync, term, last := n.resync, n.term, n.lastIndexLocked()
+	resync, term, last := n.c.resync, n.c.term, n.c.lastIndex()
 	n.mu.Unlock()
 	if !resync || term != 6 || last != 0 {
 		t.Fatalf("resync %v term %d last %d, want resync at term 6 with an empty log", resync, term, last)
@@ -329,7 +348,7 @@ func TestDamagedFollowerRejoins(t *testing.T) {
 	g.kill(down)
 	acked = append(acked, proposeAcked(t, p, "b", &seq, 5)...)
 	damageFirstLogRecord(t, g.dirs[down])
-	g.restart(down, 0)
+	g.restart(down)
 	n := g.nodes[down]
 	if _, err := os.Stat(filepath.Join(g.dirs[down], "wal.corrupt")); err != nil {
 		t.Fatalf("damaged WAL not set aside: %v", err)
@@ -337,7 +356,7 @@ func TestDamagedFollowerRejoins(t *testing.T) {
 	waitFor(t, "the damaged follower to resync", 5*time.Second, func() bool {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return !n.resync
+		return !n.c.resync
 	})
 	// The rejoined replica is now needed for a majority.
 	if lead = g.waitLeader(); lead != down {

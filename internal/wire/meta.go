@@ -144,7 +144,7 @@ func (m *MetaEnvelope) Unmarshal(b []byte) error {
 	d := decoder{buf: b}
 	m.Epoch = d.u64()
 	m.Hops = d.u32()
-	m.Inner = MsgType(d.u32())
+	m.Inner = d.msgType()
 	m.Body = d.rest()
 	return d.err
 }
@@ -174,7 +174,7 @@ func (m *MetaRecord) marshalTo(e *encoder) {
 func (m *MetaRecord) unmarshalFrom(d *decoder) {
 	m.Shard = d.u32()
 	m.Seq = d.u64()
-	m.Op = MsgType(d.u32())
+	m.Op = d.msgType()
 	n := d.u32()
 	if d.err != nil {
 		return

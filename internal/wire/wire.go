@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 
 	"pvfs/internal/ioseg"
@@ -84,7 +85,9 @@ const (
 	// Metadata-plane operations (DESIGN.md §13). TShardMap queries (empty
 	// body) or installs (ShardMap body) the epoch-stamped shard map.
 	// TMetaForward wraps a manager-grammar request in a MetaEnvelope so a
-	// shard can check the client's epoch and proxy to the owning shard.
+	// shard can check the client's epoch; a request for a name or handle
+	// the shard does not own is refused with the current map, never
+	// passed on.
 	// The rest are master-replica internal: leader election
 	// (TMetaVote), log replication and snapshot install (TMetaAppend),
 	// shard state/snapshot fetch (TMetaFetch), and shard-originated
@@ -532,6 +535,16 @@ func (d *decoder) u32() uint32 {
 	v := binary.BigEndian.Uint32(d.buf)
 	d.buf = d.buf[4:]
 	return v
+}
+
+// msgType reads a message type carried in a u32 field; one that does
+// not fit a MsgType is malformed, not silently truncated.
+func (d *decoder) msgType() MsgType {
+	v := d.u32()
+	if v > math.MaxUint16 && d.err == nil {
+		d.err = fmt.Errorf("wire: message type %d out of range", v)
+	}
+	return MsgType(v)
 }
 
 func (d *decoder) u64() uint64 {
