@@ -50,7 +50,7 @@ type Plan struct {
 
 	// TruncateFrame lets only the header and half the body of the Kth
 	// outbound frame through, then closes: the peer reads a torn frame
-	// (io.ErrUnexpectedEOF from wire.ReadMessage). 0 disables.
+	// (io.ErrUnexpectedEOF from its wire.FrameReader). 0 disables.
 	TruncateFrame int
 
 	// StallFrame sleeps StallFor before writing the Kth outbound

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -120,8 +119,9 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 		return err
 	}
+	fr := wire.NewFrameReader(c)
 	for {
-		req, err := wire.ReadMessage(c)
+		req, err := fr.ReadMessage()
 		if err != nil {
 			return // EOF or broken connection ends the session
 		}
@@ -319,10 +319,12 @@ func NewConn(addr string, c net.Conn) *Conn {
 // any other response to a pending call is read into a pooled body and
 // delivered; a response for an abandoned tag (a canceled call) is
 // drained into a pooled body and recycled, and the connection stays
-// healthy.
+// healthy. The loop owns the connection's frame reader, so a small
+// response costs one read.
 func (c *Conn) readLoop() {
+	fr := wire.NewFrameReader(c.c)
 	for {
-		h, err := wire.ReadHeader(c.c)
+		h, err := fr.ReadHeader()
 		if err != nil {
 			c.fail(c.recvErr(err))
 			return
@@ -349,12 +351,12 @@ func (c *Conn) readLoop() {
 		}
 		c.mu.Unlock()
 		if scatter {
-			if !c.scatter(p, h) {
+			if !c.scatter(fr, p, h) {
 				return
 			}
 			continue
 		}
-		msg, err := wire.ReadBody(c.c, h)
+		msg, err := fr.ReadBody(h)
 		if err != nil {
 			err = c.recvErr(err)
 			if ok {
@@ -374,10 +376,11 @@ func (c *Conn) readLoop() {
 // scatter reads the body of p's response, whose header is h, straight
 // into p's Dest and delivers it with a nil Body. If p is abandoned while
 // the bytes arrive, the read is cut short, the memory is handed back
-// before Abandon returns, and the rest of the body drains to scratch. It
-// reports whether the connection is still usable.
-func (c *Conn) scatter(p *Pending, h wire.Header) bool {
-	n, err := wire.ReadInto(c.c, p.dest.Pieces)
+// before Abandon returns, and the rest of the body — bytes already in
+// fr's buffer first — is skipped. It reports whether the connection is
+// still usable.
+func (c *Conn) scatter(fr *wire.FrameReader, p *Pending, h wire.Header) bool {
+	n, err := fr.ReadInto(p.dest.Pieces)
 	c.mu.Lock()
 	aborted := c.abort
 	c.scattering, c.abort = nil, false
@@ -387,7 +390,7 @@ func (c *Conn) scatter(p *Pending, h wire.Header) bool {
 	c.released.Broadcast()
 	c.mu.Unlock()
 	if aborted && (err == nil || errors.Is(err, os.ErrDeadlineExceeded)) {
-		if _, err := io.CopyN(io.Discard, c.c, int64(h.BodyLen)-int64(n)); err != nil {
+		if err := fr.Discard(int64(h.BodyLen) - int64(n)); err != nil {
 			c.fail(c.recvErr(err))
 			return false
 		}

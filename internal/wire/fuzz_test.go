@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"pvfs/internal/datatype"
@@ -230,5 +232,151 @@ func checkReadInto(t *testing.T, data, cuts []byte) {
 	}
 	if err == nil && !bytes.Equal(body, want.Body) {
 		t.Fatal("ReadInto delivered other bytes than ReadMessage")
+	}
+}
+
+// FuzzFrameReader holds a connection's buffered FrameReader to the
+// unbuffered form over an arbitrary byte stream delivered in arbitrary
+// read sizes: it yields the same frames and the same errors as
+// successive ReadMessage calls on the same bytes, whichever way each
+// body is taken — ReadBody, ReadInto over cut pieces, or Discard — it
+// never panics, writes no byte outside a piece, and leaves BufStats
+// balanced once the bodies are released.
+func FuzzFrameReader(f *testing.F) {
+	var stream bytes.Buffer
+	for i, n := range []int{0, 7, 490, 3} {
+		_ = WriteMessage(&stream, Message{Header: Header{Type: TOpen, Handle: uint64(i), Tag: uint32(i + 1)}, Body: pattern(n, byte(i))})
+	}
+	good := stream.Bytes()
+	f.Add(good, []byte{}, []byte{0})
+	f.Add(good, []byte{1, 200, 27, 3}, []byte{0, 2, 1})
+	f.Add(good[:len(good)-2], []byte{63}, []byte{1, 1, 5}) // torn last body
+	f.Add(good[:HeaderSize+3], []byte{2}, []byte{2})       // torn first header
+	corrupt := append([]byte(nil), good...)
+	corrupt[HeaderSize+1] ^= 0x40 // the second frame's magic
+	f.Add(corrupt, []byte{5, 9}, []byte{1})
+	f.Fuzz(func(t *testing.T, data, sizes, modes []byte) {
+		gets0, puts0 := BufStats()
+		type frame struct {
+			h    Header
+			body []byte
+			err  error
+		}
+		var want []frame
+		unbuf := &chunkReader{data: data, sizes: sizes}
+		for {
+			m, err := ReadMessage(unbuf)
+			want = append(want, frame{m.Header, bytes.Clone(m.Body), err})
+			m.Release()
+			if err != nil {
+				break
+			}
+		}
+
+		fr := NewFrameReader(&chunkReader{data: data, sizes: sizes})
+		for i, w := range want {
+			h, err := fr.ReadHeader()
+			if err != nil {
+				if w.err == nil || err.Error() != w.err.Error() {
+					t.Fatalf("frame %d: header error %v, unbuffered %v", i, err, w.err)
+				}
+				break
+			}
+			if w.err == nil && h != w.h {
+				t.Fatalf("frame %d: header %+v, unbuffered %+v", i, h, w.h)
+			}
+			mode := byte(0)
+			if len(modes) > 0 {
+				mode = modes[i%len(modes)]
+			}
+			if int(h.BodyLen) > len(data) {
+				mode = 2 // cannot arrive; not worth a body-sized buffer
+			}
+			switch mode % 3 {
+			case 0:
+				m, err := fr.ReadBody(h)
+				if (err == nil) != (w.err == nil) || err != nil && err.Error() != w.err.Error() {
+					t.Fatalf("frame %d: ReadBody err %v, unbuffered %v", i, err, w.err)
+				}
+				if err == nil && !bytes.Equal(m.Body, w.body) {
+					t.Fatalf("frame %d: ReadBody delivered other bytes", i)
+				}
+				m.Release()
+			case 1:
+				pieces, guardsIntact := cutPieces(int(h.BodyLen), mode)
+				n, err := fr.ReadInto(pieces)
+				if (err == nil) != (w.err == nil) || err != nil && !errors.Is(err, errors.Unwrap(w.err)) {
+					t.Fatalf("frame %d: ReadInto err %v, unbuffered %v", i, err, w.err)
+				}
+				if err == nil && (n != len(w.body) || !bytes.Equal(bytes.Join(pieces, nil), w.body)) {
+					t.Fatalf("frame %d: ReadInto placed %d bytes, other than the body", i, n)
+				}
+				if !guardsIntact() {
+					t.Fatalf("frame %d: ReadInto wrote outside its pieces", i)
+				}
+			default:
+				err := fr.Discard(int64(h.BodyLen))
+				if (err == nil) != (w.err == nil) || err != nil && !errors.Is(err, errors.Unwrap(w.err)) {
+					t.Fatalf("frame %d: Discard err %v, unbuffered %v", i, err, w.err)
+				}
+			}
+			if w.err != nil {
+				break
+			}
+		}
+		if gets, puts := BufStats(); gets-gets0 != puts-puts0 {
+			t.Fatalf("pool unbalanced: %d gets, %d puts", gets-gets0, puts-puts0)
+		}
+	})
+}
+
+// chunkReader delivers data in reads of the sizes in sizes, cycled
+// (each mod 64, plus one; no sizes: whatever is asked); the read that
+// reaches the end of data returns io.EOF with its bytes.
+type chunkReader struct {
+	data, sizes []byte
+	k           int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if len(c.sizes) > 0 {
+		n = min(n, int(c.sizes[c.k%len(c.sizes)])%64+1)
+		c.k++
+	}
+	n = copy(p, c.data[:min(n, len(c.data))])
+	c.data = c.data[n:]
+	if len(c.data) == 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// cutPieces cuts n bytes into pieces from one backing array: an empty
+// piece, then up to mode%61+1 bytes, over and over, each followed by a
+// guard byte. It returns the pieces and a check that every guard holds.
+func cutPieces(n int, mode byte) ([][]byte, func() bool) {
+	k := int(mode)%61 + 1
+	backing := bytes.Repeat([]byte{guard}, n+2*(n/k+1)+1)
+	var pieces [][]byte
+	at := 0
+	for left := n; left > 0; {
+		m := min(k, left)
+		pieces = append(pieces, backing[at:at:at], backing[at+1:at+1+m:at+1+m])
+		at, left = at+m+2, left-m
+	}
+	return pieces, func() bool {
+		at := 0
+		for _, p := range pieces {
+			at += len(p)
+			if backing[at] != guard {
+				return false
+			}
+			at++
+		}
+		return true
 	}
 }

@@ -26,7 +26,7 @@ type CreateReq struct {
 }
 
 func (m *CreateReq) Marshal() []byte {
-	e := encoder{}
+	e := sized(4 + len(m.Name) + 4 + 4 + 8 + 8)
 	e.str(m.Name)
 	e.u32(uint32(m.Striping.Base))
 	e.u32(uint32(m.Striping.PCount))
@@ -61,7 +61,11 @@ type FileInfo struct {
 }
 
 func (m *FileInfo) Marshal() []byte {
-	e := encoder{}
+	n := 8 + 8 + 4 + 4 + 8 + 8 + 4
+	for _, a := range m.IODAddrs {
+		n += 4 + len(a)
+	}
+	e := sized(n)
 	e.u64(m.Handle)
 	e.i64(m.Size)
 	e.u32(uint32(m.Striping.Base))
@@ -101,7 +105,7 @@ func (m *FileInfo) Unmarshal(b []byte) error {
 type NameReq struct{ Name string }
 
 func (m *NameReq) Marshal() []byte {
-	e := encoder{}
+	e := sized(4 + len(m.Name))
 	e.str(m.Name)
 	return e.buf
 }

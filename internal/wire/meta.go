@@ -132,7 +132,7 @@ type MetaEnvelope struct {
 }
 
 func (m *MetaEnvelope) Marshal() []byte {
-	e := encoder{}
+	e := sized(8 + 4 + 4 + len(m.Body))
 	e.u64(m.Epoch)
 	e.u32(m.Hops)
 	e.u32(uint32(m.Inner))

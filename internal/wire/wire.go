@@ -18,7 +18,6 @@ import (
 	"net"
 
 	"pvfs/internal/ioseg"
-	"pvfs/internal/sysvec"
 )
 
 // Protocol constants.
@@ -234,8 +233,11 @@ var (
 	ErrInvalidRegion = errors.New("wire: invalid region geometry")
 )
 
-// Header is the fixed-size message header. Handle identifies the file
-// (assigned by the manager); Status is meaningful only on responses.
+// Header is the fixed-size message header that opens every frame. A
+// connection's FrameReader parses it out of its read-ahead buffer, so a
+// body that arrived with it costs no further read. Handle identifies
+// the file (assigned by the manager); Status is meaningful only on
+// responses.
 // Tag matches responses to requests on pipelined connections: a server
 // echoes the request's tag in its response, so a client may keep many
 // tagged calls in flight on one connection and demultiplex out-of-order
@@ -447,56 +449,13 @@ func WriteMessage(w io.Writer, m Message) error {
 	return nil
 }
 
-// ReadMessage reads one framed message: ReadHeader, then ReadBody.
-// The body buffer comes from the message pool: callers that fully
-// consume it may hand it back with Release/PutBuf; callers that retain
-// it (or are unsure) simply keep it and the GC reclaims it as usual.
-func ReadMessage(r io.Reader) (Message, error) {
-	h, err := ReadHeader(r)
-	if err != nil {
-		return Message{}, err
-	}
-	return ReadBody(r, h)
-}
-
-// ReadHeader reads and validates one frame header; the h.BodyLen body
-// bytes that follow are the caller's to read (ReadBody or ReadInto).
-func ReadHeader(r io.Reader) (Header, error) {
-	var hbuf [HeaderSize]byte
-	if _, err := io.ReadFull(r, hbuf[:]); err != nil {
-		return Header{}, err
-	}
-	return parseHeader(hbuf[:])
-}
-
-// ReadBody reads the body of the frame whose header is h into a pooled
-// buffer (see ReadMessage for its ownership).
-func ReadBody(r io.Reader, h Header) (Message, error) {
-	body := GetBuf(int(h.BodyLen))
-	if _, err := io.ReadFull(r, body); err != nil {
-		PutBuf(body) // a torn frame must not unbalance the pool
-		return Message{}, fmt.Errorf("wire: reading %d-byte body: %w", h.BodyLen, err)
-	}
-	return Message{Header: h, Body: body}, nil
-}
-
-// ReadInto reads exactly as many body bytes as pieces hold, straight
-// into them in order, and returns the count read: short only with an
-// error. On a *net.TCPConn the bytes land by readv (IOV_MAX pieces a
-// call, short reads continued, an empty socket parked on the runtime
-// poller, so a read deadline wakes it); any other reader gets
-// io.ReadFull per piece. Nothing is written outside the pieces.
-func ReadInto(r io.Reader, pieces [][]byte) (int, error) {
-	n, err := sysvec.ReadFull(r, pieces)
-	if err != nil {
-		err = fmt.Errorf("wire: reading body into caller memory after %d bytes: %w", n, err)
-	}
-	return n, err
-}
-
 // --- body encoding helpers ---
 
 type encoder struct{ buf []byte }
+
+// sized returns an encoder whose buffer holds n bytes without growing:
+// a body whose size is known up front costs one allocation.
+func sized(n int) encoder { return encoder{buf: make([]byte, 0, n)} }
 
 func (e *encoder) u32(v uint32) {
 	var b [4]byte

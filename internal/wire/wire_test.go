@@ -382,3 +382,30 @@ func BenchmarkMessageRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// The bodies of a lookup or create round trip are sized once from
+// their fields: each Marshal is one allocation, exactly as long as the
+// encoding.
+func TestLookupMarshalAllocatesOnce(t *testing.T) {
+	info := FileInfo{Handle: 9, Size: 1 << 20, Striping: striping.Config{PCount: 4, StripeSize: 16384}, CreateTok: 3,
+		IODAddrs: []string{"127.0.0.1:7101", "127.0.0.1:7102", "127.0.0.1:7103", "127.0.0.1:7104"}}
+	name := NameReq{Name: "meta/file-000123"}
+	create := CreateReq{Name: "meta/file-000123", Striping: striping.Config{PCount: 4, StripeSize: 16384}, Token: 77}
+	env := MetaEnvelope{Epoch: 5, Inner: TOpen, Body: name.Marshal()}
+	for _, tc := range []struct {
+		name    string
+		marshal func() []byte
+	}{
+		{"FileInfo", info.Marshal},
+		{"NameReq", name.Marshal},
+		{"CreateReq", create.Marshal},
+		{"MetaEnvelope", env.Marshal},
+	} {
+		if b := tc.marshal(); len(b) != cap(b) {
+			t.Errorf("%s: encoded %d bytes into a %d-byte buffer", tc.name, len(b), cap(b))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { tc.marshal() }); allocs != 1 {
+			t.Errorf("%s: %.1f allocations per Marshal, want 1", tc.name, allocs)
+		}
+	}
+}
