@@ -327,63 +327,69 @@ func withRetryPolicy(ctx context.Context, p *RetryPolicy) context.Context {
 // wire; nil removes the hook.
 func (fs *FS) SetConnWrap(w func(net.Conn) net.Conn) { fs.pool.SetConnWrap(w) }
 
-// iodCall issues one request on the pooled connection for addr,
-// redialing and retrying per the governing RetryPolicy on retry-safe
-// failures: transport errors (broken or unreachable connection, which
-// also evict the pooled connection) and StatusUnavailable answers
-// (the daemon is draining; the connection stays). Other
-// server-reported errors are verdicts and fail immediately. Context
-// failures — the operation's cancellation or the per-call deadline of
-// withCallTimeout — are never retried and never discard the
-// connection: the call's tag is abandoned, every other tag on the
-// connection proceeds. When the policy is exhausted the last failure
-// is wrapped in *RetryError.
+// iodCall issues one request to the daemon at addr and waits for its
+// response, retrying per the governing RetryPolicy (see settle).
 func (fs *FS) iodCall(ctx context.Context, addr string, msg wire.Message) (wire.Message, error) {
-	pol := fs.retryPolicy(ctx)
-	attempts := 1 + pol.Max
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if err := ctx.Err(); err != nil {
-			return wire.Message{}, err
-		}
-		if i > 0 {
-			fs.stats.Retries.Add(1)
-			if err := pol.sleep(ctx, i); err != nil {
-				return wire.Message{}, err
-			}
-		}
-		conn, err := fs.pool.GetContext(ctx, addr)
-		if err != nil {
-			if ctxFailed(err) {
-				return wire.Message{}, err
-			}
-			lastErr = err
-			continue
-		}
-		cctx, cancel := callCtx(ctx)
-		resp, err := conn.CallContext(cctx, msg)
-		cancel()
+	pc, err := fs.send(ctx, addr, msg)
+	return fs.settle(ctx, addr, fs.retryPolicy(ctx), msg, pc, err)
+}
+
+// send issues msg on the pooled connection for addr, which the pool
+// redials if the connection has died.
+func (fs *FS) send(ctx context.Context, addr string, msg wire.Message) (*pvfsnet.Pending, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	conn, err := fs.pool.GetContext(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return conn.CallAsync(msg)
+}
+
+// settle sees one request through to its outcome under pol: its first
+// attempt is pc, in flight, or err, why it could not be sent. Every
+// attempt, the first included, spends one of the request's 1+pol.Max,
+// and the i-th retry waits pol's i-th backoff first. Retry-safe
+// failures are transport errors (a broken or unreachable connection,
+// which the pool redials) and StatusUnavailable answers (the daemon is
+// draining). Other server-reported errors are verdicts and fail at
+// once, returned with the response. Context failures — the operation's
+// cancellation or the per-call deadline of withCallTimeout — are never
+// retried: the call's tag is abandoned and every other tag on the
+// connection proceeds. When the policy is exhausted the last failure is
+// wrapped in *RetryError.
+func (fs *FS) settle(ctx context.Context, addr string, pol RetryPolicy, msg wire.Message, pc *pvfsnet.Pending, err error) (wire.Message, error) {
+	for try := 1; ; try++ {
+		var resp wire.Message
 		if err == nil {
-			return resp, nil
+			cctx, cancel := callCtx(ctx)
+			resp, err = pc.WaitContext(cctx)
+			cancel()
+			if err == nil {
+				return resp, nil
+			}
 		}
 		var se *wire.StatusError
-		if errors.As(err, &se) {
-			if se.Status.Retryable() {
-				lastErr = err // the daemon asked for a retry; the connection is fine
-				continue
-			}
+		if errors.As(err, &se) && !se.Status.Retryable() {
 			return resp, err // the server answered with a verdict; retrying cannot help
 		}
+		resp.Release()
 		if ctxFailed(err) {
-			return wire.Message{}, err // canceled/timed out; the connection is fine
+			return wire.Message{}, err
 		}
-		fs.pool.Discard(addr)
-		lastErr = err
+		if try > pol.Max {
+			if pol.Max > 0 {
+				err = &RetryError{Addr: addr, Attempts: try, Err: err}
+			}
+			return wire.Message{}, err
+		}
+		fs.stats.Retries.Add(1)
+		if err := pol.sleep(ctx, try); err != nil {
+			return wire.Message{}, err
+		}
+		pc, err = fs.send(ctx, addr, msg)
 	}
-	if attempts > 1 {
-		lastErr = &RetryError{Addr: addr, Attempts: attempts, Err: lastErr}
-	}
-	return wire.Message{}, lastErr
 }
 
 // Close releases all connections.
@@ -837,20 +843,20 @@ const (
 
 // pipelineCalls issues n requests against the daemon at addr, keeping
 // up to window of them in flight on the pooled connection (the tagged
-// pipelining of pvfsnet.CallAsync). build constructs request i on
-// demand — so at most window request bodies are live at once — and
-// consume handles response i; responses are consumed in issue order
-// except when a transport failure forces a serial re-issue. window <= 1
-// reproduces the original serialized call-per-round-trip behaviour,
-// including its retry semantics.
+// pipelining of pvfsnet.CallAsync); window 1 is the serialized
+// call-per-round-trip behaviour. build constructs request i on demand —
+// so at most window request bodies are live at once — and consume
+// handles response i, in issue order.
 //
-// Transport failures on the pipelined path are retried serially through
-// iodCall when the FS retry policy (SetRetries) allows; server-reported
-// errors always fail immediately. Request bodies are returned to the
-// wire buffer pool once the final attempt for them completes; a
-// vectored request's Body is its pooled fixed-field buffer, and the
-// caller memory behind its BodyStream or Dest is used again on replay,
-// never released.
+// Each request is seen through by settle, which owns the retry policy:
+// a request whose response never arrived is re-driven alone, on the
+// budget and backoff its first attempt already started, while acked
+// requests in the window stay applied (idempotent replay, DESIGN.md
+// §9). A request that could not be sent stops the window from filling
+// until it is settled. Request bodies are returned to the wire buffer
+// pool once the final attempt for them completes; a vectored request's
+// Body is its pooled fixed-field buffer, and the caller memory behind
+// its BodyStream or Dest is used again on replay, never released.
 //
 // Cancellation (ctx or the per-call deadline of withCallTimeout) fails
 // the operation without poisoning the connection: every in-flight tag
@@ -860,127 +866,51 @@ const (
 // request's Dest, so when pipelineCalls returns, by any path, the
 // caller's memory is the caller's alone.
 func (fs *FS) pipelineCalls(ctx context.Context, addr string, n, window int, build func(int) (wire.Message, error), consume func(int, wire.Message) error) error {
-	if n == 0 {
-		return nil
-	}
-	pol := fs.retryPolicy(ctx)
-	if window <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			msg, err := build(i)
-			if err != nil {
-				return err
-			}
-			resp, err := fs.iodCall(ctx, addr, msg)
-			wire.PutBuf(msg.Body)
-			if err != nil {
-				return err
-			}
-			if err := consume(i, resp); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	type slot struct {
-		i   int
 		msg wire.Message
 		pc  *pvfsnet.Pending
+		err error // why the request could not be sent
 	}
-	var q []slot // in-flight, issue order
+	window = max(window, 1)
+	var qbuf [DefaultWindow]slot
+	q := qbuf[:0] // in flight, issue order
+	if window > len(qbuf) {
+		q = make([]slot, 0, window)
+	}
 	// On any error return, abandon what is still in flight so tags are
 	// discarded cleanly and pooled request bodies come back.
 	defer func() {
 		for _, s := range q {
-			s.pc.Abandon()
+			if s.pc != nil {
+				s.pc.Abandon()
+			}
 			wire.PutBuf(s.msg.Body)
 		}
 	}()
-	issue := func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		msg, err := build(i)
-		if err != nil {
-			return err
-		}
-		conn, cerr := fs.pool.GetContext(ctx, addr)
-		var pc *pvfsnet.Pending
-		if cerr == nil {
-			pc, cerr = conn.CallAsync(msg)
-		}
-		if cerr != nil {
-			if ctxFailed(cerr) {
-				wire.PutBuf(msg.Body)
-				return cerr
+	pol := fs.retryPolicy(ctx)
+	for next, done := 0, 0; done < n; done++ {
+		// Fill the window, but not past a request that could not be sent.
+		for next < n && len(q) < window && (len(q) == 0 || q[len(q)-1].err == nil) {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			// The connection is unusable before a response was even
-			// owed. Recover serially when retries are enabled (the
-			// whole window may have failed with it; each request
-			// re-issues independently and Pool.Get dedups the redial).
-			if pol.Max == 0 {
-				wire.PutBuf(msg.Body)
-				return cerr
-			}
-			fs.stats.Retries.Add(1)
-			fs.pool.Discard(addr)
-			resp, rerr := fs.iodCall(ctx, addr, msg)
-			wire.PutBuf(msg.Body)
-			if rerr != nil {
-				return rerr
-			}
-			return consume(i, resp)
-		}
-		q = append(q, slot{i: i, msg: msg, pc: pc})
-		return nil
-	}
-	drainOne := func() error {
-		s := q[0]
-		q = q[1:]
-		cctx, cancel := callCtx(ctx)
-		resp, err := s.pc.WaitContext(cctx)
-		cancel()
-		if err != nil {
-			var se *wire.StatusError
-			answered := errors.As(err, &se)
-			switch {
-			case answered && !se.Status.Retryable():
-				// The server answered with a verdict; retrying cannot
-				// help.
-			case ctxFailed(err):
-				// Canceled or per-call deadline: the tag is already
-				// abandoned; fail the operation, keep the connection.
-			case pol.Max > 0:
-				// Per-tag re-drive: only this slot's request is
-				// re-issued; acked requests in the window stay applied
-				// (idempotent replay, DESIGN.md §9). A StatusUnavailable
-				// answer keeps the healthy connection; a transport
-				// failure evicts it first.
-				fs.stats.Retries.Add(1)
-				if !answered {
-					fs.pool.Discard(addr)
-				}
-				resp, err = fs.iodCall(ctx, addr, s.msg)
-			}
+			msg, err := build(next)
 			if err != nil {
-				wire.PutBuf(s.msg.Body)
 				return err
 			}
-		}
-		wire.PutBuf(s.msg.Body)
-		return consume(s.i, resp)
-	}
-	next := 0
-	for next < n || len(q) > 0 {
-		for next < n && len(q) < window {
-			if err := issue(next); err != nil {
-				return err
-			}
+			pc, err := fs.send(ctx, addr, msg)
+			q = append(q, slot{msg: msg, pc: pc, err: err})
 			next++
 		}
-		if len(q) > 0 {
-			if err := drainOne(); err != nil {
-				return err
-			}
+		s := q[0]
+		q = q[:copy(q, q[1:])]
+		resp, err := fs.settle(ctx, addr, pol, s.msg, s.pc, s.err)
+		wire.PutBuf(s.msg.Body)
+		if err != nil {
+			return err
+		}
+		if err := consume(done, resp); err != nil {
+			return err
 		}
 	}
 	return nil

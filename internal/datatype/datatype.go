@@ -438,30 +438,3 @@ func (s structT) AppendRegions(dst ioseg.List, base int64) ioseg.List {
 	return dst
 }
 func (s structT) String() string { return fmt.Sprintf("struct(%d fields)", len(s.fields)) }
-
-// AsVector reports whether the type flattens to a uniform vector
-// (count blocks of blockLen bytes every strideBytes), the shape the
-// wire-level strided descriptor can carry (§5). It inspects the
-// flattened regions, so any constructor tree qualifies if its layout
-// is uniform.
-func AsVector(t Type, base int64) (start, strideBytes, blockLen, count int64, ok bool) {
-	l := Flatten(t, base)
-	if len(l) == 0 {
-		return 0, 0, 0, 0, false
-	}
-	start = l[0].Offset
-	blockLen = l[0].Length
-	if len(l) == 1 {
-		return start, 0, blockLen, 1, true
-	}
-	strideBytes = l[1].Offset - l[0].Offset
-	for i, s := range l {
-		if s.Length != blockLen {
-			return 0, 0, 0, 0, false
-		}
-		if want := start + int64(i)*strideBytes; s.Offset != want {
-			return 0, 0, 0, 0, false
-		}
-	}
-	return start, strideBytes, blockLen, int64(len(l)), true
-}

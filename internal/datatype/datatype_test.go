@@ -233,21 +233,6 @@ func TestFlattenSizeInvariant(t *testing.T) {
 	}
 }
 
-func TestAsVector(t *testing.T) {
-	v := Vector(10, 3, 7, Double())
-	start, stride, blockLen, count, ok := AsVector(v, 1000)
-	if !ok {
-		t.Fatal("uniform vector not recognized")
-	}
-	if start != 1000 || stride != 56 || blockLen != 24 || count != 10 {
-		t.Fatalf("AsVector = %d %d %d %d", start, stride, blockLen, count)
-	}
-	idx, _ := Indexed([]int64{1, 2}, []int64{0, 5}, Bytes(1))
-	if _, _, _, _, ok := AsVector(idx, 0); ok {
-		t.Fatal("non-uniform type recognized as vector")
-	}
-}
-
 func TestDatatypeExpressesCyclicPattern(t *testing.T) {
 	// The 1-D cyclic access pattern is exactly a vector datatype: the
 	// cross-check the paper's §5 proposes.

@@ -11,8 +11,10 @@ package datatype
 
 import "pvfs/internal/ioseg"
 
-// WalkFrom streams the regions of t at base in data order, starting at
-// data byte skip (the region containing byte skip is clipped to start
+// WalkRepeated streams the regions of count back-to-back repetitions of
+// t at base (each shifted by one extent, as Contiguous lays them out) in
+// data order, starting at data byte skip of the full count*t.Size()
+// byte stream (the region containing byte skip is clipped to start
 // there), invoking fn for each maximal run of adjacent regions. It
 // returns false iff fn stopped the walk. Memory is O(tree depth);
 // seeking to skip costs O(depth) for uniform constructors (vector,
@@ -24,17 +26,6 @@ import "pvfs/internal/ioseg"
 // Struct fields with overlapping extents) are NOT deduplicated: every
 // data byte is emitted exactly once, in data order, which is the
 // contract stream-oriented I/O needs.
-func WalkFrom(t Type, base, skip int64, fn func(ioseg.Segment) bool) bool {
-	c := coalescer{fn: fn}
-	if !t.walkFrom(base, skip, c.add) {
-		return false
-	}
-	return c.flush()
-}
-
-// WalkRepeated is WalkFrom over count back-to-back repetitions of t
-// (each shifted by one extent, as Contiguous lays them out). skip is a
-// data position within the full count*t.Size() byte stream.
 func WalkRepeated(t Type, base, count, skip int64, fn func(ioseg.Segment) bool) bool {
 	c := coalescer{fn: fn}
 	if !walkContig(count, t, base, skip, c.add) {

@@ -30,11 +30,6 @@ func (s Segment) Empty() bool { return s.Length == 0 }
 // Contains reports whether byte position p falls inside the segment.
 func (s Segment) Contains(p int64) bool { return p >= s.Offset && p < s.End() }
 
-// Overlaps reports whether s and t share at least one byte.
-func (s Segment) Overlaps(t Segment) bool {
-	return s.Offset < t.End() && t.Offset < s.End()
-}
-
 // Adjacent reports whether s ends exactly where t begins or vice versa.
 func (s Segment) Adjacent(t Segment) bool {
 	return s.End() == t.Offset || t.End() == s.Offset
@@ -49,11 +44,6 @@ func (s Segment) Intersect(t Segment) (Segment, bool) {
 		return Segment{}, false
 	}
 	return Segment{Offset: lo, Length: hi - lo}, true
-}
-
-// Shift returns the segment translated by delta bytes.
-func (s Segment) Shift(delta int64) Segment {
-	return Segment{Offset: s.Offset + delta, Length: s.Length}
 }
 
 // Split cuts the segment at absolute position p. The first piece covers
@@ -114,17 +104,6 @@ func FromOffLen(offsets, lengths []int64) (List, error) {
 		l = append(l, s)
 	}
 	return l, nil
-}
-
-// OffLen decomposes the list back into parallel offset/length slices.
-func (l List) OffLen() (offsets, lengths []int64) {
-	offsets = make([]int64, len(l))
-	lengths = make([]int64, len(l))
-	for i, s := range l {
-		offsets[i] = s.Offset
-		lengths[i] = s.Length
-	}
-	return offsets, lengths
 }
 
 // TotalLength returns the sum of the segment lengths.
@@ -333,19 +312,6 @@ func (l List) Clip(window Segment) List {
 	return out
 }
 
-// Gaps returns the holes between consecutive segments of the normalized
-// list, restricted to the list's own span.
-func (l List) Gaps() List {
-	n := l.Normalize()
-	var out List
-	for i := 1; i < len(n); i++ {
-		if g := n[i].Offset - n[i-1].End(); g > 0 {
-			out = append(out, Segment{Offset: n[i-1].End(), Length: g})
-		}
-	}
-	return out
-}
-
 // SplitCount cuts the list into batches of at most max segments each,
 // preserving order. It is the 64-region trailing-data limit from the
 // paper applied to an arbitrary list. max <= 0 yields a single batch.
@@ -360,26 +326,6 @@ func (l List) SplitCount(max int) []List {
 	for start := 0; start < len(l); start += max {
 		end := min(start+max, len(l))
 		out = append(out, l[start:end])
-	}
-	return out
-}
-
-// SplitLength cuts every segment so that no piece exceeds max bytes,
-// preserving order and total coverage. max <= 0 returns the list as is.
-func (l List) SplitLength(max int64) List {
-	if max <= 0 {
-		return append(List(nil), l...)
-	}
-	var out List
-	for _, s := range l {
-		for s.Length > max {
-			out = append(out, Segment{Offset: s.Offset, Length: max})
-			s.Offset += max
-			s.Length -= max
-		}
-		if !s.Empty() {
-			out = append(out, s)
-		}
 	}
 	return out
 }

@@ -44,11 +44,11 @@ func TestSegmentOverlapsAdjacent(t *testing.T) {
 		{seg(5, 1), seg(0, 20), true, false},
 	}
 	for _, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.overlap {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", c.a, c.b, got, c.overlap)
+		if _, got := c.a.Intersect(c.b); got != c.overlap {
+			t.Errorf("%v.Intersect(%v) overlap = %v, want %v", c.a, c.b, got, c.overlap)
 		}
-		if got := c.b.Overlaps(c.a); got != c.overlap {
-			t.Errorf("Overlaps not symmetric for %v,%v", c.a, c.b)
+		if _, got := c.b.Intersect(c.a); got != c.overlap {
+			t.Errorf("Intersect not symmetric for %v,%v", c.a, c.b)
 		}
 		if got := c.a.Adjacent(c.b); got != c.adjacent {
 			t.Errorf("%v.Adjacent(%v) = %v, want %v", c.a, c.b, got, c.adjacent)
@@ -118,18 +118,6 @@ func TestFromOffLen(t *testing.T) {
 	}
 	if _, err := FromOffLen([]int64{-3}, []int64{1}); err == nil {
 		t.Fatal("negative offset accepted")
-	}
-}
-
-func TestOffLenRoundTrip(t *testing.T) {
-	l := List{seg(5, 10), seg(100, 1), seg(7, 3)}
-	offs, lens := l.OffLen()
-	back, err := FromOffLen(offs, lens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(l) {
-		t.Fatalf("round trip: %v != %v", back, l)
 	}
 }
 
@@ -213,18 +201,6 @@ func TestClip(t *testing.T) {
 	}
 }
 
-func TestGaps(t *testing.T) {
-	l := List{seg(0, 10), seg(20, 10), seg(35, 5)}
-	got := l.Gaps()
-	want := List{seg(10, 10), seg(30, 5)}
-	if !got.Equal(want) {
-		t.Fatalf("Gaps = %v, want %v", got, want)
-	}
-	if got := (List{seg(0, 5)}).Gaps(); len(got) != 0 {
-		t.Fatalf("Gaps of single = %v", got)
-	}
-}
-
 func TestSplitCount(t *testing.T) {
 	var l List
 	for i := int64(0); i < 130; i++ {
@@ -249,18 +225,6 @@ func TestSplitCount(t *testing.T) {
 	}
 	if got := (List{}).SplitCount(64); got != nil {
 		t.Fatalf("SplitCount of empty = %v", got)
-	}
-}
-
-func TestSplitLength(t *testing.T) {
-	l := List{seg(0, 10), seg(100, 25)}
-	got := l.SplitLength(10)
-	want := List{seg(0, 10), seg(100, 10), seg(110, 10), seg(120, 5)}
-	if !got.Equal(want) {
-		t.Fatalf("SplitLength = %v, want %v", got, want)
-	}
-	if got.TotalLength() != l.TotalLength() {
-		t.Fatal("SplitLength changed total length")
 	}
 }
 
@@ -349,28 +313,6 @@ func TestSplitCountProperty(t *testing.T) {
 			rejoined = append(rejoined, b...)
 		}
 		return rejoined.Equal(l)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: SplitLength preserves coverage exactly.
-func TestSplitLengthProperty(t *testing.T) {
-	f := func(seed int64, maxRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		l := randomList(r, 30)
-		max := int64(maxRaw%64) + 1
-		split := l.SplitLength(max)
-		if split.TotalLength() != l.TotalLength() {
-			return false
-		}
-		for _, s := range split {
-			if s.Length > max {
-				return false
-			}
-		}
-		return split.Normalize().Equal(l.Normalize())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -312,8 +312,9 @@ func (n *Node) step(input func(*core) output) error {
 }
 
 // callPeer issues one RPC to master peer p and decodes the answer into
-// out. A transport failure discards the pooled connection so the next
-// attempt redials.
+// out. A call that fails without an answer closes the connection it
+// used, so the next call redials: a transport failure has killed it
+// already, and a peer that let the call time out gets a fresh session.
 func (n *Node) callPeer(p int, typ wire.MsgType, body []byte, out interface{ Unmarshal([]byte) error }) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.timing.CallTimeout)
 	defer cancel()
@@ -326,7 +327,7 @@ func (n *Node) callPeer(p int, typ wire.MsgType, body []byte, out interface{ Unm
 	if err != nil {
 		var serr *wire.StatusError
 		if !errors.As(err, &serr) {
-			n.pool.Discard(addr)
+			conn.Close()
 			return err
 		}
 	}

@@ -369,11 +369,9 @@ func (g *GroupProposer) call(ctx context.Context, req wire.Message, attemptTimeo
 	}
 }
 
-// attempt is one dial+call against one replica. A broken session is
-// discarded by identity (a timeout abandons the tag and keeps the
-// connection healthy, so it is not grounds for discard; and a
-// concurrent attempt may already have replaced the dead connection
-// with a fresh one that must not be closed from under it).
+// attempt is one dial+call against one replica. A broken session needs
+// no cleanup here (the pool redials a dead connection), and a timeout
+// abandons the tag and keeps the connection healthy.
 func (g *GroupProposer) attempt(ctx context.Context, addr string, req wire.Message) (wire.Message, error) {
 	conn, err := g.pool.GetContext(ctx, addr)
 	if err != nil {
@@ -382,15 +380,11 @@ func (g *GroupProposer) attempt(ctx context.Context, addr string, req wire.Messa
 	resp, err := conn.CallContext(ctx, req)
 	if err != nil {
 		var serr *wire.StatusError
-		if errors.As(err, &serr) {
-			return resp, nil // a verdict status; the caller routes on it
+		if !errors.As(err, &serr) {
+			return wire.Message{}, err
 		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			g.pool.DiscardConn(addr, conn)
-		}
-		return wire.Message{}, err
 	}
-	return resp, nil
+	return resp, nil // a verdict status, if any; the caller routes on it
 }
 
 func (g *GroupProposer) Propose(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, error) {

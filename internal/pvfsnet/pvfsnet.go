@@ -268,6 +268,11 @@ type Conn struct {
 	rerr      error               // terminal receive error; nil while healthy
 	closed    bool
 
+	// dead is set once the connection can carry no more calls: its read
+	// loop failed, a request write failed or it was closed. The pool
+	// drops a dead connection instead of handing it out.
+	dead atomic.Bool
+
 	// scattering is the call whose response body the read loop is
 	// reading straight into the call's Dest; nil when there is none. An
 	// Abandon of that call sets abort, wakes the read with a past
@@ -314,13 +319,14 @@ func NewConn(addr string, c net.Conn) *Conn {
 // readLoop demultiplexes responses to pending calls by tag until the
 // connection dies, then fails every remaining and future call. Each
 // frame's header decides, under one acquisition of c.mu, where its body
-// goes: a success response of the expected type and exactly the
-// registered length is read straight into its call's Dest (scatter);
-// any other response to a pending call is read into a pooled body and
-// delivered; a response for an abandoned tag (a canceled call) is
-// drained into a pooled body and recycled, and the connection stays
-// healthy. The loop owns the connection's frame reader, so a small
-// response costs one read.
+// goes: a success response of exactly the registered length is read
+// straight into its call's Dest (scatter); any other response to a
+// pending call is read into a pooled body and delivered; a response for
+// an abandoned tag (a canceled call) is drained into a pooled body and
+// recycled, and the connection stays healthy. A response nothing waits
+// for, or of another type than its request, breaks the connection. The
+// loop owns the connection's frame reader, so a small response costs
+// one read.
 func (c *Conn) readLoop() {
 	fr := wire.NewFrameReader(c.c)
 	for {
@@ -331,22 +337,23 @@ func (c *Conn) readLoop() {
 		}
 		c.mu.Lock()
 		p, ok := c.pending[h.Tag]
+		_, ab := c.abandoned[h.Tag]
 		scatter := false
-		if ok {
+		switch {
+		case ok && h.Type == p.typ.Response():
 			delete(c.pending, h.Tag)
-			scatter = p.dest != nil && h.Status == wire.StatusOK &&
-				h.Type == p.typ.Response() && int(h.BodyLen) == p.dest.N
+			scatter = p.dest != nil && h.Status == wire.StatusOK && int(h.BodyLen) == p.dest.N
 			if scatter {
 				c.scattering = p
 			}
-		} else if _, ab := c.abandoned[h.Tag]; ab {
+		case ab:
 			delete(c.abandoned, h.Tag)
-		} else {
-			// A response nothing waits for: the peer is confused, and
-			// the byte stream can no longer be trusted.
+		default:
+			// A response nothing waits for, or not the one its call
+			// waits for: the peer is confused, and the byte stream can
+			// no longer be trusted.
 			c.mu.Unlock()
-			c.c.Close()
-			c.fail(fmt.Errorf("pvfsnet: unmatched response tag %d from %s", h.Tag, c.addr))
+			c.breakStream(fmt.Errorf("pvfsnet: unexpected %v response with tag %d from %s", h.Type, h.Tag, c.addr))
 			return
 		}
 		c.mu.Unlock()
@@ -411,8 +418,17 @@ func (c *Conn) recvErr(err error) error {
 	return fmt.Errorf("pvfsnet: receiving from %s: %w", c.addr, err)
 }
 
+// breakStream ends a session whose byte stream can no longer be
+// trusted — a torn request frame, a confused response — failing every
+// pending call with err.
+func (c *Conn) breakStream(err error) {
+	c.c.Close()
+	c.fail(err)
+}
+
 // fail marks the connection broken and unblocks every pending call.
 func (c *Conn) fail(err error) {
+	c.dead.Store(true)
 	c.mu.Lock()
 	if c.closed {
 		err = ErrClosed
@@ -506,7 +522,9 @@ func (c *Conn) CallAsync(req wire.Message) (*Pending, error) {
 		c.mu.Lock()
 		delete(c.pending, tag)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("pvfsnet: call %v to %s: %w", req.Type, c.addr, err)
+		err = fmt.Errorf("pvfsnet: call %v to %s: %w", req.Type, c.addr, err)
+		c.breakStream(err) // a torn frame leaves the stream unusable
+		return nil, err
 	}
 	return p, nil
 }
@@ -522,11 +540,7 @@ func (p *Pending) settle(res callResult) (wire.Message, error) {
 	if res.err != nil {
 		return wire.Message{}, fmt.Errorf("pvfsnet: response for %v from %s: %w", p.typ, p.conn.addr, res.err)
 	}
-	resp := res.msg
-	if resp.Type != p.typ.Response() {
-		return resp, fmt.Errorf("pvfsnet: response type %v for request %v", resp.Type, p.typ)
-	}
-	return resp, resp.Status.Err()
+	return res.msg, res.msg.Status.Err()
 }
 
 // WaitContext blocks until the response arrives or ctx is done. On
@@ -628,6 +642,7 @@ func (c *Conn) Addr() string { return c.addr }
 
 // Close shuts the connection down; pending calls fail with ErrClosed.
 func (c *Conn) Close() error {
+	c.dead.Store(true)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -639,7 +654,9 @@ func (c *Conn) Close() error {
 }
 
 // Pool caches one Conn per address, creating them on demand. The PVFS
-// client keeps one connection per daemon for the life of the process.
+// client keeps one connection per daemon for the life of the process;
+// a connection that died — a daemon restart keeps its address, but the
+// stale socket must go — is dropped and redialed by the next Get.
 type Pool struct {
 	mu      sync.Mutex
 	conns   map[string]*Conn
@@ -689,21 +706,24 @@ func (p *Pool) Get(addr string) (*Conn, error) {
 const poolDialTimeout = 30 * time.Second
 
 // GetContext is Get honoring ctx: every caller stops waiting when its
-// own ctx ends. The dial itself is shared (singleflight) and detached
-// — it runs on under poolDialTimeout even if the initiating caller
-// cancels, and a successful connection lands in the pool for later
-// Gets — so one operation's cancellation never fails another
-// operation's Get.
+// own ctx ends. A pooled connection that is dead (see Conn) is closed
+// and forgotten, and a new one dialed. The dial itself is shared
+// (singleflight) and detached — it runs on under poolDialTimeout even
+// if the initiating caller cancels, and a successful connection lands
+// in the pool for later Gets — so one operation's cancellation never
+// fails another operation's Get.
 func (p *Pool) GetContext(ctx context.Context, addr string) (*Conn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if c, ok := p.conns[addr]; ok {
+	stale := p.conns[addr]
+	if stale != nil && !stale.dead.Load() {
 		p.mu.Unlock()
-		return c, nil
+		return stale, nil
 	}
+	delete(p.conns, addr)
 	d, ok := p.dialing[addr]
 	if !ok {
 		d = &poolDial{done: make(chan struct{})}
@@ -743,44 +763,14 @@ func (p *Pool) GetContext(ctx context.Context, addr string) (*Conn, error) {
 		}()
 	}
 	p.mu.Unlock()
+	if stale != nil {
+		stale.Close()
+	}
 	select {
 	case <-d.done:
 		return d.c, d.err
 	case <-ctx.Done():
 		return nil, fmt.Errorf("pvfsnet: awaiting dial of %s: %w", addr, ctx.Err())
-	}
-}
-
-// Discard closes and forgets the pooled connection for addr, so the
-// next Get redials. Callers use it to recover from broken connections
-// (a daemon restart keeps its address; the stale socket must go).
-func (p *Pool) Discard(addr string) {
-	p.mu.Lock()
-	c, ok := p.conns[addr]
-	if ok {
-		delete(p.conns, addr)
-	}
-	p.mu.Unlock()
-	if ok {
-		c.Close()
-	}
-}
-
-// DiscardConn is Discard restricted by identity: it closes and forgets
-// the pooled connection for addr only while that connection is still c.
-// Concurrent callers sharing one pooled connection all observe the same
-// session failure; the first discard removes the broken connection, and
-// identity matching keeps the rest from closing the freshly redialed
-// replacement another caller already obtained.
-func (p *Pool) DiscardConn(addr string, c *Conn) {
-	p.mu.Lock()
-	cur, ok := p.conns[addr]
-	if ok && cur == c {
-		delete(p.conns, addr)
-	}
-	p.mu.Unlock()
-	if ok && cur == c {
-		c.Close()
 	}
 }
 

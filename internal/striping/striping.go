@@ -45,18 +45,9 @@ func (c Config) Validate() error {
 // of the server holding the stripe unit containing logical offset off.
 // The absolute server is (Base + ServerFor(off)) mod cluster size; this
 // package works in relative indices and leaves Base application to the
-// caller via AbsoluteServer.
+// caller.
 func (c Config) ServerFor(off int64) int {
 	return int((off / c.StripeSize) % int64(c.PCount))
-}
-
-// AbsoluteServer converts a relative server index to an index into the
-// cluster's server table of size total.
-func (c Config) AbsoluteServer(rel, total int) int {
-	if total <= 0 {
-		return rel
-	}
-	return (c.Base + rel) % total
 }
 
 // PhysicalOffset maps a logical file offset to the offset inside the
@@ -169,41 +160,6 @@ func (c Config) ClipServer(s ioseg.Segment, rel int, fn func(Piece) bool) bool {
 		unitLo = next
 	}
 	return true
-}
-
-// SplitList decomposes a logical segment list into per-server physical
-// segment lists. The returned map is keyed by relative server index;
-// each list preserves the order pieces appear in the logical request,
-// which is the order the I/O daemon must apply them against the stream
-// of request data.
-func (c Config) SplitList(l ioseg.List) map[int][]Piece {
-	out := make(map[int][]Piece)
-	for _, s := range l {
-		for _, p := range c.Split(s) {
-			out[p.Server] = append(out[p.Server], p)
-		}
-	}
-	return out
-}
-
-// ServersTouched returns the set (as a sorted bitmap-backed slice) of
-// relative server indices a segment list touches. The paper's
-// block-block analysis hinges on this: patterns that touch few servers
-// concentrate load and saturate earlier (Figure 11's kink).
-func (c Config) ServersTouched(l ioseg.List) []int {
-	seen := make([]bool, c.PCount)
-	for _, s := range l {
-		for _, p := range c.Split(s) {
-			seen[p.Server] = true
-		}
-	}
-	var out []int
-	for i, b := range seen {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // PhysPrefix returns how many physical bytes of the logical prefix

@@ -45,16 +45,6 @@ func TestServerFor(t *testing.T) {
 	}
 }
 
-func TestAbsoluteServer(t *testing.T) {
-	c := Config{Base: 6, PCount: 4, StripeSize: 100}
-	if got := c.AbsoluteServer(0, 8); got != 6 {
-		t.Errorf("AbsoluteServer(0) = %d, want 6", got)
-	}
-	if got := c.AbsoluteServer(3, 8); got != 1 {
-		t.Errorf("AbsoluteServer(3) = %d, want 1 (wraps)", got)
-	}
-}
-
 func TestPhysicalLogicalRoundTrip(t *testing.T) {
 	c := cfg(8, 16384)
 	offsets := []int64{0, 1, 16383, 16384, 16385, 131071, 131072, 1 << 30}
@@ -124,45 +114,6 @@ func TestSplitSpanningSegment(t *testing.T) {
 func TestSplitEmpty(t *testing.T) {
 	if ps := cfg(4, 100).Split(ioseg.Segment{Offset: 5}); ps != nil {
 		t.Fatalf("Split(empty) = %v", ps)
-	}
-}
-
-func TestSplitList(t *testing.T) {
-	c := cfg(2, 10)
-	l := ioseg.List{{Offset: 0, Length: 25}, {Offset: 40, Length: 5}}
-	m := c.SplitList(l)
-	// [0,10) s0, [10,20) s1, [20,25) s0 ; [40,45) s0.
-	if len(m[0]) != 3 || len(m[1]) != 1 {
-		t.Fatalf("per-server pieces: s0=%d s1=%d", len(m[0]), len(m[1]))
-	}
-	var total int64
-	for _, ps := range m {
-		for _, p := range ps {
-			total += p.Phys.Length
-		}
-	}
-	if total != l.TotalLength() {
-		t.Fatalf("total = %d, want %d", total, l.TotalLength())
-	}
-}
-
-func TestServersTouched(t *testing.T) {
-	c := cfg(8, 16384)
-	// Strided rows advancing 2 stripes each touch only even servers —
-	// the block-block hotspot scenario from the paper.
-	var l ioseg.List
-	for r := int64(0); r < 16; r++ {
-		l = append(l, ioseg.Segment{Offset: r * 2 * 16384, Length: 1000})
-	}
-	got := c.ServersTouched(l)
-	want := []int{0, 2, 4, 6}
-	if len(got) != len(want) {
-		t.Fatalf("ServersTouched = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ServersTouched = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -240,18 +191,6 @@ func TestNoPhysicalAliasing(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSplitList(b *testing.B) {
-	c := cfg(8, 16384)
-	var l ioseg.List
-	for i := int64(0); i < 1024; i++ {
-		l = append(l, ioseg.Segment{Offset: i * 40000, Length: 30000})
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.SplitList(l)
 	}
 }
 

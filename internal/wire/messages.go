@@ -346,63 +346,51 @@ type ServerStats struct {
 	MetaWALSyncs     int64 // WAL fsyncs (log, hard state, snapshots)
 }
 
+// counters lists m's counters in wire order, the one place that order
+// is written: Marshal, Unmarshal and Add all walk it.
+func (m *ServerStats) counters() [25]*int64 {
+	return [...]*int64{
+		&m.Requests,
+		&m.Regions,
+		&m.BytesRead,
+		&m.BytesWritten,
+		&m.ListRequests,
+		&m.TrailingBytes,
+		&m.DatatypeRequests,
+		&m.TypeBytes,
+		&m.CacheHits,
+		&m.CacheMisses,
+		&m.CacheFlushes,
+		&m.StoreSyscallsRead,
+		&m.StoreSyscallsWrite,
+		&m.StoreBytesRead,
+		&m.StoreBytesWritten,
+		&m.StoreSubmissions,
+		&m.StoreBytesCopied,
+		&m.MetaCreates,
+		&m.MetaOpens,
+		&m.MetaForwards,
+		&m.ElectionCount,
+		&m.MetaProposals,
+		&m.MetaBatches,
+		&m.MetaAppendRounds,
+		&m.MetaWALSyncs,
+	}
+}
+
 func (m *ServerStats) Marshal() []byte {
 	e := encoder{}
-	e.i64(m.Requests)
-	e.i64(m.Regions)
-	e.i64(m.BytesRead)
-	e.i64(m.BytesWritten)
-	e.i64(m.ListRequests)
-	e.i64(m.TrailingBytes)
-	e.i64(m.DatatypeRequests)
-	e.i64(m.TypeBytes)
-	e.i64(m.CacheHits)
-	e.i64(m.CacheMisses)
-	e.i64(m.CacheFlushes)
-	e.i64(m.StoreSyscallsRead)
-	e.i64(m.StoreSyscallsWrite)
-	e.i64(m.StoreBytesRead)
-	e.i64(m.StoreBytesWritten)
-	e.i64(m.StoreSubmissions)
-	e.i64(m.StoreBytesCopied)
-	e.i64(m.MetaCreates)
-	e.i64(m.MetaOpens)
-	e.i64(m.MetaForwards)
-	e.i64(m.ElectionCount)
-	e.i64(m.MetaProposals)
-	e.i64(m.MetaBatches)
-	e.i64(m.MetaAppendRounds)
-	e.i64(m.MetaWALSyncs)
+	for _, c := range m.counters() {
+		e.i64(*c)
+	}
 	return e.buf
 }
 
 func (m *ServerStats) Unmarshal(b []byte) error {
 	d := decoder{buf: b}
-	m.Requests = d.i64()
-	m.Regions = d.i64()
-	m.BytesRead = d.i64()
-	m.BytesWritten = d.i64()
-	m.ListRequests = d.i64()
-	m.TrailingBytes = d.i64()
-	m.DatatypeRequests = d.i64()
-	m.TypeBytes = d.i64()
-	m.CacheHits = d.i64()
-	m.CacheMisses = d.i64()
-	m.CacheFlushes = d.i64()
-	m.StoreSyscallsRead = d.i64()
-	m.StoreSyscallsWrite = d.i64()
-	m.StoreBytesRead = d.i64()
-	m.StoreBytesWritten = d.i64()
-	m.StoreSubmissions = d.i64()
-	m.StoreBytesCopied = d.i64()
-	m.MetaCreates = d.i64()
-	m.MetaOpens = d.i64()
-	m.MetaForwards = d.i64()
-	m.ElectionCount = d.i64()
-	m.MetaProposals = d.i64()
-	m.MetaBatches = d.i64()
-	m.MetaAppendRounds = d.i64()
-	m.MetaWALSyncs = d.i64()
+	for _, c := range m.counters() {
+		*c = d.i64()
+	}
 	return d.err
 }
 
@@ -448,29 +436,8 @@ func (m *HandleListResp) Unmarshal(b []byte) error {
 
 // Add accumulates other into m.
 func (m *ServerStats) Add(other ServerStats) {
-	m.Requests += other.Requests
-	m.Regions += other.Regions
-	m.BytesRead += other.BytesRead
-	m.BytesWritten += other.BytesWritten
-	m.ListRequests += other.ListRequests
-	m.TrailingBytes += other.TrailingBytes
-	m.DatatypeRequests += other.DatatypeRequests
-	m.TypeBytes += other.TypeBytes
-	m.CacheHits += other.CacheHits
-	m.CacheMisses += other.CacheMisses
-	m.CacheFlushes += other.CacheFlushes
-	m.StoreSyscallsRead += other.StoreSyscallsRead
-	m.StoreSyscallsWrite += other.StoreSyscallsWrite
-	m.StoreBytesRead += other.StoreBytesRead
-	m.StoreBytesWritten += other.StoreBytesWritten
-	m.StoreSubmissions += other.StoreSubmissions
-	m.StoreBytesCopied += other.StoreBytesCopied
-	m.MetaCreates += other.MetaCreates
-	m.MetaOpens += other.MetaOpens
-	m.MetaForwards += other.MetaForwards
-	m.ElectionCount += other.ElectionCount
-	m.MetaProposals += other.MetaProposals
-	m.MetaBatches += other.MetaBatches
-	m.MetaAppendRounds += other.MetaAppendRounds
-	m.MetaWALSyncs += other.MetaWALSyncs
+	theirs := other.counters()
+	for i, c := range m.counters() {
+		*c += *theirs[i]
+	}
 }

@@ -605,19 +605,3 @@ func FrameBudget() int {
 	}
 	return p
 }
-
-// RequestWireSize returns the total bytes a request occupies on the
-// wire: header, fixed body fields, trailing region descriptors and
-// payload data. The simulator uses it to model transfer times.
-func RequestWireSize(fixedBody, regions int, payload int64) int64 {
-	return int64(HeaderSize+fixedBody+TrailingDataSize(regions)) + payload
-}
-
-// Frames returns the number of Ethernet frames a message of n wire
-// bytes occupies (at MSS payload per frame).
-func Frames(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return (n + EthernetMSS - 1) / EthernetMSS
-}

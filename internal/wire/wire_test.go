@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -183,23 +185,8 @@ func TestFrameBudget(t *testing.T) {
 	if got := FrameBudget(); got != MaxRegionsPerRequest {
 		t.Fatalf("FrameBudget = %d, want %d", got, MaxRegionsPerRequest)
 	}
-	sz := RequestWireSize(0, MaxRegionsPerRequest, 0)
-	if sz > EthernetMSS {
+	if sz := HeaderSize + TrailingDataSize(MaxRegionsPerRequest); sz > EthernetMSS {
 		t.Fatalf("64-region request occupies %d bytes > one MSS (%d)", sz, EthernetMSS)
-	}
-}
-
-func TestFrames(t *testing.T) {
-	cases := []struct {
-		n    int64
-		want int64
-	}{
-		{0, 0}, {1, 1}, {EthernetMSS, 1}, {EthernetMSS + 1, 2}, {10 * EthernetMSS, 10},
-	}
-	for _, c := range cases {
-		if got := Frames(c.n); got != c.want {
-			t.Errorf("Frames(%d) = %d, want %d", c.n, got, c.want)
-		}
 	}
 }
 
@@ -296,6 +283,38 @@ func TestServerStatsRoundTripAndAdd(t *testing.T) {
 	got.Add(a)
 	if got.Requests != 2 || got.TrailingBytes != 12 {
 		t.Fatalf("Add: %+v", got)
+	}
+}
+
+// TestServerStatsGoldenLayout pins the ServerStats wire layout: field i
+// of the struct set to i+1 marshals to these 200 bytes, the counters in
+// declaration order as big-endian 64-bit integers.
+func TestServerStatsGoldenLayout(t *testing.T) {
+	const golden = "0000000000000001000000000000000200000000000000030000000000000004" +
+		"0000000000000005000000000000000600000000000000070000000000000008" +
+		"0000000000000009000000000000000a000000000000000b000000000000000c" +
+		"000000000000000d000000000000000e000000000000000f0000000000000010" +
+		"0000000000000011000000000000001200000000000000130000000000000014" +
+		"0000000000000015000000000000001600000000000000170000000000000018" +
+		"0000000000000019"
+	var st ServerStats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	b := st.Marshal()
+	if got := hex.EncodeToString(b); got != golden {
+		t.Fatalf("ServerStats layout changed:\n got %s\nwant %s", got, golden)
+	}
+	var back ServerStats
+	if err := back.Unmarshal(b); err != nil || back != st {
+		t.Fatalf("Unmarshal: %+v, %v", back, err)
+	}
+	back.Add(st)
+	for i := 0; i < v.NumField(); i++ {
+		if got := reflect.ValueOf(back).Field(i).Int(); got != 2*int64(i+1) {
+			t.Fatalf("Add: field %s = %d, want %d", v.Type().Field(i).Name, got, 2*(i+1))
+		}
 	}
 }
 
