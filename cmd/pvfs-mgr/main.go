@@ -187,14 +187,14 @@ func runMaster(addr, replica, shards, iods, dir string, logger *log.Logger) {
 
 // runShard runs one metadata shard. The partition index is discovered
 // from the committed shard map: the listen address must appear in the
-// map's shard list.
+// map's shard list. The proposer that fetched the map becomes the
+// shard's path to the masters.
 func runShard(addr, join string, logger *log.Logger) {
 	masters := splitAddrs(join)
 	prop := meta.NewGroupProposer(masters, meta.Timing{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	m, err := prop.FetchMap(ctx)
 	cancel()
-	prop.Close()
 	if err != nil {
 		fatalf("fetching shard map from %s: %v", join, err)
 	}
@@ -206,7 +206,7 @@ func runShard(addr, join string, logger *log.Logger) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	shard := meta.NewShard(meta.ShardOptions{Index: idx, Masters: masters, Logger: logger})
+	shard := meta.NewShard(meta.ShardOptions{Index: idx, Proposer: prop, Logger: logger})
 	srv := pvfsnet.NewServer(ln, shard.Handle, logger)
 	fmt.Printf("pvfs-mgr shard %d/%d serving on %s\n", idx, len(m.Shards), srv.Addr())
 	waitSignal()

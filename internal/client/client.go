@@ -745,11 +745,12 @@ func (f *File) eachServer(fn func(rel int) error) error {
 	return parallel(rels, fn)
 }
 
-// Sync asks every I/O daemon serving the file to flush its cached
-// dirty blocks for this handle down to durable storage (TSync).
-// Daemons running without a write-back cache acknowledge immediately,
-// so Sync is always safe to call. On return, every write that
-// completed before the call survives a daemon crash (DESIGN.md §7).
+// Sync asks every I/O daemon serving the file to hand its cached
+// dirty blocks for this handle to its backend store (TSync). Daemons
+// running without a write-back cache acknowledge immediately, so Sync
+// is always safe to call. On return, every write that completed before
+// the call survives a daemon crash; it does not yet survive a host
+// crash, because no daemon calls fdatasync (DESIGN.md §7).
 func (f *File) Sync() error {
 	return f.SyncContext(context.Background())
 }

@@ -388,9 +388,11 @@ func (s *Server) listHandles(req wire.Message) wire.Message {
 	return ok(req.Handle, resp.Marshal())
 }
 
-// sync services TSync: flush the handle's dirty cached blocks down to
-// durable storage. Stores without a write-back layer have nothing to
-// flush and succeed immediately, so clients may sync unconditionally.
+// sync services TSync: hand the handle's dirty cached blocks to the
+// backend store (for Dir, the page cache: the data then survives a
+// daemon crash, not a host crash). Stores without a write-back layer
+// have nothing to flush and succeed immediately, so clients may sync
+// unconditionally.
 func (s *Server) sync(req wire.Message) wire.Message {
 	if sy, ok := s.st.(store.Syncer); ok {
 		if err := sy.Sync(req.Handle); err != nil {

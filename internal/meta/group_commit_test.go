@@ -5,9 +5,9 @@ package meta
 // one replication wave, and a lone proposal is a batch of one; the
 // batched namespace must equal the state machine applied record by
 // record; a WAL sync failure mid-batch wounds the node without acking
-// any batch entry. Plus the GroupProposer failover fixes: fresh leader
-// hints retry without backoff, rotation resumes after the failed
-// replica, and FetchMap honors Close.
+// any batch entry. Plus the GroupProposer side: it sends one record
+// per frame, fresh leader hints retry without backoff, rotation
+// resumes after the failed replica, and FetchMap honors Close.
 
 import (
 	"bytes"
@@ -404,6 +404,86 @@ func TestNoBackoffAfterFreshLeaderHint(t *testing.T) {
 	}
 }
 
+// TestProposeSendsOneRecordPerFrame pins that a GroupProposer does
+// not batch: eight concurrent Propose calls reach a fake leader, which
+// holds every frame until eight records have arrived (or a second has
+// passed), as eight frames of one record each, and every caller gets
+// the verdict of its own record. Coalescing is the leader's job.
+func TestProposeSendsOneRecordPerFrame(t *testing.T) {
+	const callers = 8
+	verdict := func(seq uint64) wire.MetaProposeVerdict {
+		st := wire.StatusOK
+		if seq%2 == 1 {
+			st = wire.StatusExists
+		}
+		return wire.MetaProposeVerdict{Status: st, Index: 1000 + seq}
+	}
+	var (
+		mu      sync.Mutex
+		frames  []int
+		records int
+		arrived = make(chan struct{})
+		arriveO sync.Once
+	)
+	leader := startFakeReplica(t, func(req wire.Message) wire.Message {
+		var br wire.MetaProposeBatchReq
+		if req.Type != wire.TMetaProposeBatch || br.Unmarshal(req.Body) != nil {
+			return wire.Message{Header: wire.Header{Status: wire.StatusInvalid}}
+		}
+		mu.Lock()
+		frames = append(frames, len(br.Recs))
+		records += len(br.Recs)
+		if records >= callers {
+			arriveO.Do(func() { close(arrived) })
+		}
+		mu.Unlock()
+		select {
+		case <-arrived:
+		case <-time.After(time.Second):
+		}
+		resp := wire.MetaProposeBatchResp{Verdicts: make([]wire.MetaProposeVerdict, len(br.Recs))}
+		for i := range br.Recs {
+			resp.Verdicts[i] = verdict(br.Recs[i].Seq)
+		}
+		return wire.Message{Body: resp.Marshal()}
+	})
+	tm := testTiming()
+	tm.CallTimeout = 2 * time.Second // outlasts the fake's hold: no retries
+	g := NewGroupProposer([]string{leader.addr}, tm)
+	defer g.Close()
+
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(seq uint64) {
+			defer wg.Done()
+			rec := createRec(fmt.Sprintf("frame-%d", seq), seq, 0, 1, testIODs())
+			st, _, idx, err := g.Propose(context.Background(), rec)
+			if want := verdict(seq); err != nil || st != want.Status || idx != want.Index {
+				errs[seq] = fmt.Errorf("caller %d: status %v index %d err %v, want %v index %d",
+					seq, st, idx, err, want.Status, want.Index)
+			}
+		}(uint64(i))
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(frames) != callers {
+		t.Errorf("leader saw %d frames %v, want %d", len(frames), frames, callers)
+	}
+	for i, n := range frames {
+		if n != 1 {
+			t.Errorf("frame %d carried %d records, want 1", i, n)
+		}
+	}
+}
+
 // TestRetiredProposeTypeRejected pins wire value 24, once the
 // one-record propose: a master replica answers it StatusInvalid from
 // the default case — here with a body of the old request's shape, a
@@ -452,6 +532,24 @@ func TestFetchMapHonorsClose(t *testing.T) {
 	g.Close()
 	if _, err := g.FetchMap(context.Background()); !errors.Is(err, errProposerClosed) {
 		t.Fatalf("FetchMap after Close: %v, want errProposerClosed", err)
+	}
+}
+
+// TestNoMastersFailsCleanly pins that a proposer built over an empty
+// master list (pvfs-mgr -join ",") answers every call with an error
+// instead of panicking on the rotation.
+func TestNoMastersFailsCleanly(t *testing.T) {
+	g := NewGroupProposer(nil, testTiming())
+	defer g.Close()
+	ctx := context.Background()
+	if _, err := g.FetchMap(ctx); err == nil {
+		t.Error("FetchMap with no masters succeeded")
+	}
+	if _, err := g.FetchShard(ctx, 0); err == nil {
+		t.Error("FetchShard with no masters succeeded")
+	}
+	if _, _, _, err := g.Propose(ctx, createRec("none", 0, 0, 1, testIODs())); err == nil {
+		t.Error("Propose with no masters succeeded")
 	}
 }
 

@@ -15,7 +15,9 @@
 //     from shard-local state, while every mutation is proposed to the
 //     master leader and answered only after majority commit — so an
 //     acknowledged create survives any single node's failure,
-//     including the leader's.
+//     including the leader's. A shard proposes one record per call,
+//     in the requesting goroutine; batching happens once, at the
+//     leader's group committer.
 //
 // The consensus core is a compact Raft-style protocol (election
 // restriction on log freshness, current-term-only commit counting,

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -920,5 +921,101 @@ func TestShardSurvivesMasterFailover(t *testing.T) {
 	nr := wire.NameReq{Name: "before"}
 	if resp := callShard(t, c, 1, wire.TOpen, nr.Marshal(), 0); resp.Status != wire.StatusOK {
 		t.Fatalf("pre-failover create lost: %v", resp.Status)
+	}
+}
+
+// stubProposer is a scripted Proposer that logs its calls in order.
+type stubProposer struct {
+	mu    sync.Mutex
+	fail  bool     // the next Propose fails: its outcome is unknown
+	calls []string // "propose" or "fetch", in call order
+	index uint64   // last committed index handed out
+}
+
+func (p *stubProposer) Propose(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.calls = append(p.calls, "propose")
+	if p.fail {
+		p.fail = false
+		return 0, nil, 0, errors.New("stub: no verdict")
+	}
+	p.index++
+	return wire.StatusOK, nil, p.index, nil
+}
+
+func (p *stubProposer) FetchShard(ctx context.Context, shard uint32) (*wire.MetaSnapshot, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.calls = append(p.calls, "fetch")
+	return &wire.MetaSnapshot{
+		LastIndex: p.index,
+		Map:       *singleShardBoot([]string{"stub"}),
+		Shards:    []wire.MetaShardState{{Shard: shard}},
+	}, nil
+}
+
+func (p *stubProposer) FetchMap(ctx context.Context) (*wire.ShardMap, error) {
+	return singleShardBoot([]string{"stub"}), nil
+}
+
+func (p *stubProposer) Close() error { return nil }
+
+// TestShardUnknownOutcomeResyncs pins the shard's unknown-outcome
+// path: a Propose error answers the client StatusUnavailable and marks
+// the shard dirty, and the next request triggers exactly one FetchShard
+// before it is served.
+func TestShardUnknownOutcomeResyncs(t *testing.T) {
+	p := &stubProposer{}
+	tm := testTiming()
+	tm.Heartbeat, tm.MapPoll = time.Hour, time.Hour // no background resync or poll
+	s := NewShard(ShardOptions{Index: 0, Proposer: p, Timing: tm})
+	defer s.Close()
+	for deadline := time.Now().Add(5 * time.Second); s.CurrentMap() == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("shard never installed its first snapshot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	create := func(name string) wire.Status {
+		cr := wire.CreateReq{Name: name}
+		return s.Handle(wire.Message{Header: wire.Header{Type: wire.TCreate}, Body: cr.Marshal()}).Status
+	}
+	calls := func() []string {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return append([]string(nil), p.calls...)
+	}
+	dirty := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.dirty
+	}
+
+	if st := create("a"); st != wire.StatusOK {
+		t.Fatalf("create a: %v", st)
+	}
+	p.mu.Lock()
+	p.fail = true
+	p.mu.Unlock()
+	mark := len(calls())
+	if st := create("b"); st != wire.StatusUnavailable {
+		t.Fatalf("create b with an unknown outcome: %v, want Unavailable", st)
+	}
+	if !dirty() {
+		t.Fatal("shard not dirty after an unknown outcome")
+	}
+	if got := calls()[mark:]; fmt.Sprint(got) != "[propose]" {
+		t.Fatalf("failed create made calls %v, want [propose]", got)
+	}
+	mark = len(calls())
+	if st := create("c"); st != wire.StatusOK {
+		t.Fatalf("create c after resync: %v", st)
+	}
+	if got := calls()[mark:]; fmt.Sprint(got) != "[fetch propose]" {
+		t.Errorf("next request made calls %v, want [fetch propose]", got)
+	}
+	if dirty() {
+		t.Error("shard still dirty after resync")
 	}
 }

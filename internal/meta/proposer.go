@@ -17,7 +17,9 @@ import (
 // mgr compatibility wrapper injects the in-process Node directly
 // (LocalProposer); standalone shards talk to the replica group over
 // the wire (GroupProposer), riding out elections by retrying against
-// whichever replica currently leads.
+// whichever replica currently leads. Implementations do not batch:
+// each Propose is its own request, and concurrent ones coalesce in
+// the leader's committer.
 type Proposer interface {
 	// Propose replicates rec and returns the applied verdict. The
 	// returned info is non-nil for committed creates; the uint64 is
@@ -192,12 +194,11 @@ func (n *Node) FetchMap(ctx context.Context) (*wire.ShardMap, error) {
 // round with no fresh leader hint backs off briefly so a mid-election
 // group isn't hammered.
 //
-// Every Propose call group-commits: a dispatcher coalesces queued
-// records into one TMetaProposeBatch round (up to groupMaxBatch
-// entries; a lone proposal is a batch of one), and keeps up to
-// groupMaxInflight batches pipelined over the tagged transport —
-// proposals queued while a batch is on the wire form the next, larger
-// batch.
+// It keeps no queue and starts no goroutine: Propose sends its record
+// as a TMetaProposeBatch of one, in the caller's goroutine, and
+// concurrent proposals coalesce at the leader's committer
+// (Node.commitLoop). Propose, FetchShard and FetchMap share one
+// leader-routed call loop.
 type GroupProposer struct {
 	masters []string
 	timing  Timing
@@ -205,35 +206,11 @@ type GroupProposer struct {
 	stopC   chan struct{} // closed by Close; aborts in-flight retry loops
 	stopO   sync.Once
 
-	flushC chan struct{} // cap 1: wakes the dispatcher
-	wg     sync.WaitGroup
-
 	backoffs atomic.Int64 // retry sleeps taken (white-box: a fresh
 	// leader hint must retry immediately, not sleep out the backoff)
 
-	qmu   sync.Mutex
-	queue []*groupPending
-
 	mu     sync.Mutex
 	leader string // last known leader address; "" when unknown
-}
-
-const (
-	groupMaxBatch    = 128 // records per TMetaProposeBatch round
-	groupMaxInflight = 4   // batches pipelined over the transport
-)
-
-// groupPending is one queued Propose awaiting its batch verdict.
-type groupPending struct {
-	rec wire.MetaRecord
-	ch  chan groupVerdict // buffered(1); receives exactly one verdict
-}
-
-type groupVerdict struct {
-	status wire.Status
-	info   *wire.FileInfo
-	idx    uint64
-	err    error
 }
 
 func (g *GroupProposer) loadLeader() string {
@@ -248,24 +225,20 @@ func (g *GroupProposer) storeLeader(addr string) {
 	g.mu.Unlock()
 }
 
-// NewGroupProposer builds a proposer for the given master addresses
-// and starts its dispatcher; Close stops it.
+// NewGroupProposer builds a proposer for the given master addresses.
 func NewGroupProposer(masters []string, t Timing) *GroupProposer {
-	g := &GroupProposer{
+	return &GroupProposer{
 		masters: append([]string(nil), masters...),
 		timing:  t.withDefaults(),
 		pool:    pvfsnet.NewPool(),
 		stopC:   make(chan struct{}),
-		flushC:  make(chan struct{}, 1),
 	}
-	g.wg.Add(1)
-	go g.dispatchLoop()
-	return g
 }
 
+// Close fails every call loop, in flight or later, with
+// errProposerClosed and closes the connections.
 func (g *GroupProposer) Close() error {
 	g.stopO.Do(func() { close(g.stopC) })
-	g.wg.Wait()
 	return g.pool.Close()
 }
 
@@ -292,11 +265,17 @@ func (g *GroupProposer) rotationAfter(addr string) int {
 // call issues one leader-routed RPC. It tries the last known leader
 // first, follows NotLeader hints, and rotates through the group on
 // transport failure — resuming after the replica that just failed.
-// Returns the response on any verdict status. attemptTimeout bounds a
-// single dial+call: propose-sized requests pass CallTimeout, while
-// snapshot fetches pass a window-scaled bound because their response
-// grows with the namespace and must not be mistaken for a dead peer.
+// Returns the response on any verdict status, and caches the replica
+// that gave it as the leader (a follower's map answer may land there;
+// the next proposal follows that follower's hint at once). The status
+// is the caller's to judge. attemptTimeout bounds a single dial+call:
+// propose- and map-sized requests pass CallTimeout, while snapshot
+// fetches pass a window-scaled bound because their response grows with
+// the namespace and must not be mistaken for a dead peer.
 func (g *GroupProposer) call(ctx context.Context, req wire.Message, attemptTimeout time.Duration) (wire.Message, error) {
+	if len(g.masters) == 0 {
+		return wire.Message{}, errors.New("meta: no masters configured")
+	}
 	var lastErr error = errNoVerdict
 	backoff := 2 * time.Millisecond
 	rotation := 0
@@ -387,138 +366,39 @@ func (g *GroupProposer) attempt(ctx context.Context, addr string, req wire.Messa
 	return resp, nil // a verdict status, if any; the caller routes on it
 }
 
+// Propose sends rec to the leader as a TMetaProposeBatch of one and
+// returns its verdict. Any failure before a verdict arrives leaves the
+// outcome unknown; records are idempotent, so the caller may retry.
 func (g *GroupProposer) Propose(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, error) {
-	p := &groupPending{rec: rec, ch: make(chan groupVerdict, 1)}
-	g.qmu.Lock()
-	g.queue = append(g.queue, p)
-	g.qmu.Unlock()
-	select {
-	case g.flushC <- struct{}{}:
-	default:
-	}
-	select {
-	case v := <-p.ch:
-		if v.err != nil {
-			return 0, nil, 0, v.err
-		}
-		return v.status, v.info, v.idx, nil
-	case <-ctx.Done():
-		// Still queued → withdraw cleanly; already on the wire → the
-		// outcome is unknown, which is what the error conveys.
-		g.qmu.Lock()
-		for i, q := range g.queue {
-			if q == p {
-				g.queue = append(g.queue[:i], g.queue[i+1:]...)
-				break
-			}
-		}
-		g.qmu.Unlock()
-		return 0, nil, 0, ctx.Err()
-	case <-g.stopC:
-		return 0, nil, 0, errProposerClosed
-	}
-}
-
-// dispatchLoop drains the proposal queue into batch rounds, keeping
-// up to groupMaxInflight batches pipelined. Proposals arriving while
-// those are on the wire coalesce into the next batch.
-func (g *GroupProposer) dispatchLoop() {
-	defer g.wg.Done()
-	sem := make(chan struct{}, groupMaxInflight)
-	for {
-		select {
-		case <-g.flushC:
-		case <-g.stopC:
-			g.qmu.Lock()
-			q := g.queue
-			g.queue = nil
-			g.qmu.Unlock()
-			for _, p := range q {
-				p.ch <- groupVerdict{err: errProposerClosed}
-			}
-			return
-		}
-		for {
-			g.qmu.Lock()
-			if len(g.queue) == 0 {
-				g.qmu.Unlock()
-				break
-			}
-			n := len(g.queue)
-			if n > groupMaxBatch {
-				n = groupMaxBatch
-			}
-			batch := g.queue[:n:n]
-			g.queue = g.queue[n:]
-			g.qmu.Unlock()
-			select {
-			case sem <- struct{}{}:
-			case <-g.stopC:
-				for _, p := range batch {
-					p.ch <- groupVerdict{err: errProposerClosed}
-				}
-				continue
-			}
-			g.wg.Add(1)
-			go func(batch []*groupPending) {
-				defer g.wg.Done()
-				defer func() { <-sem }()
-				g.sendBatch(batch)
-			}(batch)
-		}
-	}
-}
-
-// sendBatch runs one leader-routed TMetaProposeBatch round and hands
-// each caller its verdict. Any round-level failure fails every entry:
-// records are idempotent, so callers simply retry.
-func (g *GroupProposer) sendBatch(batch []*groupPending) {
-	fail := func(err error) {
-		for _, p := range batch {
-			p.ch <- groupVerdict{err: err}
-		}
-	}
-	recs := make([]wire.MetaRecord, len(batch))
-	for i, p := range batch {
-		recs[i] = p.rec
-	}
-	breq := wire.MetaProposeBatchReq{Recs: recs}
-	ctx, cancel := context.WithTimeout(context.Background(), g.timing.RetryWindow)
+	ctx, cancel := context.WithTimeout(ctx, g.timing.RetryWindow)
 	defer cancel()
+	breq := wire.MetaProposeBatchReq{Recs: []wire.MetaRecord{rec}}
 	resp, err := g.call(ctx, wire.Message{
 		Header: wire.Header{Type: wire.TMetaProposeBatch}, Body: breq.Marshal(),
 	}, g.timing.CallTimeout)
 	if err != nil {
-		fail(err)
-		return
+		return 0, nil, 0, err
 	}
 	defer resp.Release()
 	if resp.Status != wire.StatusOK {
-		fail(fmt.Errorf("meta: batch propose: %v", resp.Status))
-		return
+		return 0, nil, 0, fmt.Errorf("meta: propose: %v", resp.Status)
 	}
 	var br wire.MetaProposeBatchResp
-	if uerr := br.Unmarshal(resp.Body); uerr != nil {
-		fail(uerr)
-		return
+	if err := br.Unmarshal(resp.Body); err != nil {
+		return 0, nil, 0, err
 	}
-	if len(br.Verdicts) != len(batch) {
-		fail(fmt.Errorf("meta: batch propose: %d verdicts for %d records",
-			len(br.Verdicts), len(batch)))
-		return
+	if len(br.Verdicts) != 1 {
+		return 0, nil, 0, fmt.Errorf("meta: propose: %d verdicts for 1 record", len(br.Verdicts))
 	}
-	for i, p := range batch {
-		v := br.Verdicts[i]
-		var info *wire.FileInfo
-		if len(v.Info) > 0 {
-			info = new(wire.FileInfo)
-			if uerr := info.Unmarshal(v.Info); uerr != nil {
-				p.ch <- groupVerdict{err: uerr}
-				continue
-			}
+	v := br.Verdicts[0]
+	var info *wire.FileInfo
+	if len(v.Info) > 0 {
+		info = new(wire.FileInfo)
+		if err := info.Unmarshal(v.Info); err != nil {
+			return 0, nil, 0, err
 		}
-		p.ch <- groupVerdict{status: v.Status, info: info, idx: v.Index}
 	}
+	return v.Status, info, v.Index, nil
 }
 
 func (g *GroupProposer) FetchShard(ctx context.Context, shard uint32) (*wire.MetaSnapshot, error) {
@@ -553,50 +433,26 @@ func (g *GroupProposer) FetchShard(ctx context.Context, shard uint32) (*wire.Met
 	return snap, nil
 }
 
-// FetchMap queries any replica for its committed map (cheap refresh
-// path; does not require the leader).
+// FetchMap returns the committed shard map through the call loop. Any
+// replica answers it (a follower serves its CurrentMap; epoch checking
+// catches staleness), so the loop stops at the first one that does.
 func (g *GroupProposer) FetchMap(ctx context.Context) (*wire.ShardMap, error) {
 	wctx, cancel := context.WithTimeout(ctx, g.timing.CallTimeout*time.Duration(len(g.masters)+1))
 	defer cancel()
-	var lastErr error
-	for _, addr := range g.masters {
-		select {
-		case <-g.stopC:
-			// A closing shard must not drain the per-replica scan against
-			// a closed pool.
-			return nil, errProposerClosed
-		default:
-		}
-		if wctx.Err() != nil {
-			break
-		}
-		attempt, cancel := context.WithTimeout(wctx, g.timing.CallTimeout)
-		resp, err := g.attempt(attempt, addr, wire.Message{Header: wire.Header{Type: wire.TShardMap}})
-		cancel()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.Status != wire.StatusOK {
-			resp.Release()
-			lastErr = fmt.Errorf("meta: map query: %v", resp.Status)
-			continue
-		}
-		m := new(wire.ShardMap)
-		uerr := m.Unmarshal(resp.Body)
-		resp.Release()
-		if uerr != nil {
-			lastErr = uerr
-			continue
-		}
-		if m.Epoch == 0 {
-			lastErr = errors.New("meta: replica has no committed map")
-			continue
-		}
-		return m, nil
+	resp, err := g.call(wctx, wire.Message{Header: wire.Header{Type: wire.TShardMap}}, g.timing.CallTimeout)
+	if err != nil {
+		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = errors.New("meta: no masters configured")
+	defer resp.Release()
+	if resp.Status != wire.StatusOK {
+		return nil, fmt.Errorf("meta: map query: %v", resp.Status)
 	}
-	return nil, lastErr
+	m := new(wire.ShardMap)
+	if err := m.Unmarshal(resp.Body); err != nil {
+		return nil, err
+	}
+	if m.Epoch == 0 {
+		return nil, errors.New("meta: replica has no committed map")
+	}
+	return m, nil
 }

@@ -17,8 +17,10 @@ type ShardOptions struct {
 	// Masters lists the master replica addresses; used to build a
 	// GroupProposer when Proposer is nil.
 	Masters []string
-	// Proposer overrides the path to the master group (the mgr wrapper
-	// injects the in-process node). The Shard owns it and closes it.
+	// Proposer overrides the path to the master group: the mgr wrapper
+	// injects the in-process node, and a standalone shard process
+	// passes the GroupProposer it fetched the map with. The Shard owns
+	// it and closes it.
 	Proposer Proposer
 	// Timing overrides protocol clocks (zero fields take defaults).
 	Timing Timing

@@ -292,9 +292,11 @@ func checkSpans(spans []Span, limit int64) (int, error) {
 }
 
 // Syncer is implemented by stores that buffer writes (Cache): Sync
-// pushes a handle's dirty data down to durable storage, SyncAll every
-// handle's. Backends that write through (Mem, Dir) need not implement
-// it; callers feature-test with a type assertion.
+// hands a handle's dirty data to the backend store, SyncAll every
+// handle's. For Dir that is the page cache: synced data survives a
+// daemon crash, not a host crash, since no store calls fdatasync.
+// Backends that write through (Mem, Dir) need not implement it;
+// callers feature-test with a type assertion.
 type Syncer interface {
 	Sync(handle uint64) error
 	SyncAll() error

@@ -77,9 +77,10 @@ const (
 	// the wire and the daemon evaluates the access pattern itself.
 	TReadDatatype
 	TWriteDatatype
-	// TSync asks an I/O daemon to flush its cached dirty blocks for
-	// the request's handle down to durable storage (DESIGN.md §7). A
-	// daemon without a write-back cache answers OK immediately.
+	// TSync asks an I/O daemon to hand its cached dirty blocks for the
+	// request's handle to its backend store; for Dir that is the page
+	// cache, not the disk (DESIGN.md §7). A daemon without a
+	// write-back cache answers OK immediately.
 	TSync
 	// Metadata-plane operations (DESIGN.md §13). TShardMap queries (empty
 	// body) or installs (ShardMap body) the epoch-stamped shard map.
