@@ -9,9 +9,11 @@
 //
 // Master replica — one member of the leader-elected group that owns
 // the shard map and the replicated metadata log. A fresh deployment
-// bootstraps the map on every replica with identical -shards/-iods; a
-// replica rejoining after a crash omits -shards and is caught up by
-// the current leader:
+// bootstraps the map on every replica with identical -shards/-iods;
+// start order does not matter: the first replica of -replica stands
+// for election at once and keeps asking its peers until a majority is
+// up. A replica rejoining after a crash omits -shards and is caught
+// up by the current leader:
 //
 //	pvfs-mgr -addr A -replica A,B,C -shards S1,S2 -iods ...
 //	pvfs-mgr -addr B -replica A,B,C                       (rejoin)

@@ -106,6 +106,39 @@ func testMetaEndToEnd(t *testing.T, shards int) {
 	}
 }
 
+// TestMetaClusterFirstCreateAtBoot times a fresh plane of 3 masters
+// and 2 shards from Start to its first served create. Every election
+// timer is parked for seconds, so the create can be served in time
+// only if replica 0 campaigned at boot.
+func TestMetaClusterFirstCreateAtBoot(t *testing.T) {
+	tm := meta.Timing{ElectionLo: 2 * time.Second, ElectionHi: 4 * time.Second}
+	t0 := time.Now()
+	c, err := cluster.Start(cluster.Options{
+		NumIOD: 2,
+		Meta:   &cluster.MetaOptions{Masters: 3, Shards: 2, Timing: tm},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fs, err := c.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if _, err := fs.Create("first", striping.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(t0)
+	t.Logf("first create served %v after Start", took)
+	if took > 200*time.Millisecond {
+		t.Fatalf("first create served %v after Start, want within 200ms (election timeout %v)", took, tm.ElectionLo)
+	}
+	if lead := c.MetaLeader(); lead != 0 {
+		t.Fatalf("leader %d, want replica 0", lead)
+	}
+}
+
 // TestMetaClusterLeaderFailover kills the leading master in the middle
 // of a create storm over 4 shards and restarts it 50 ms later. Every
 // acked create must survive, and no create may stall longer than two

@@ -53,6 +53,7 @@ type core struct {
 	// shard map. Any append sent to the follower clears it.
 	sendDue  []bool
 	granted  []bool    // candidate: the replicas that granted this term's vote
+	answered []bool    // candidate: the replicas that granted or denied it
 	deadline time.Time // election deadline (non-leaders)
 	lastBeat time.Time // last heartbeat round (leader)
 
@@ -91,9 +92,12 @@ type output struct {
 	// requests of the same input leave only once all are durable; if
 	// one fails, the shell reports it through persisted and refuses.
 	persist []record
-	kick    bool              // wake the replicators (not gated on persist)
-	vote    *wire.MetaVoteReq // send to every peer once persist is durable
-	compact bool              // wake the compactor
+	kick    bool // wake the replicators (not gated on persist)
+	compact bool // wake the compactor
+	// vote goes to the peers in voteTo once persist, and every record
+	// asked for before it, is durable.
+	vote   *wire.MetaVoteReq
+	voteTo []int
 	// verdicts go to proposal waiters. The slice is the core's own and
 	// is valid only until the next call.
 	verdicts []verdict
@@ -155,6 +159,7 @@ func newCore(id int, peers []string, t Timing, rng *rand.Rand) *core {
 		nextIdx:  make([]uint64, len(peers)),
 		sendDue:  make([]bool, len(peers)),
 		granted:  make([]bool, len(peers)),
+		answered: make([]bool, len(peers)),
 	}
 }
 
@@ -174,18 +179,25 @@ func (c *core) recover(rec *recovered, resync bool) {
 // start seeds a fresh log with the bootstrap map as entry 1 (term 0)
 // and arms the election timer. A solo replica has no one to out-vote,
 // so it leads at once; the term bump mirrors an election so a
-// recovered log's entries stay in older terms.
+// recovered log's entries stay in older terms. In a fresh group (term
+// 0, nothing logged before the seed) replica 0 campaigns at once: every
+// replica holds the same one-entry log, so the first election has no
+// rival worth a timer. Every other start waits out its deadline.
 func (c *core) start(now time.Time, boot *wire.ShardMap) output {
-	if boot != nil && !c.resync && c.snapIndex == 0 && len(c.log) == 0 {
+	seed := boot != nil && !c.resync && c.snapIndex == 0 && len(c.log) == 0
+	if seed {
 		c.log = append(c.log, wire.MetaEntry{Index: 1, Rec: wire.MetaRecord{Op: wire.TShardMap, Body: boot.Clone().Marshal()}})
 		c.persistLog(1, c.log)
 	}
 	c.resetDeadline(now)
-	if len(c.peers) == 1 {
+	switch {
+	case len(c.peers) == 1:
 		c.term++
 		c.votedFor = c.id
 		c.persistHard()
 		c.becomeLeader(now)
+	case seed && c.term == 0 && c.id == 0:
+		c.campaign(now)
 	}
 	return c.take()
 }
@@ -332,27 +344,53 @@ func (c *core) persisted(recs []record, done int, err error) output {
 
 // tick advances the clock: a leader owes every follower a heartbeat
 // each interval; anyone else stands for election once its deadline
-// passes.
+// passes, and a candidate asks again every peer that has not answered,
+// so a peer that was not listening yet can still elect it.
 func (c *core) tick(now time.Time) output {
-	if c.role == leader {
+	switch {
+	case c.role == leader:
 		if now.Sub(c.lastBeat) >= c.timing.Heartbeat {
 			c.lastBeat = now
 			c.sendDueAll()
 		}
-	} else if len(c.peers) > 1 && !c.resync && !c.wounded && now.After(c.deadline) {
-		c.term++
-		c.votedFor = c.id
-		c.persistHard()
-		c.role = candidate
-		c.leaderID = -1
-		c.resetDeadline(now)
-		clear(c.granted)
-		c.granted[c.id] = true
-		last := c.lastIndex()
-		c.note("candidate for term %d (log %d/%d)", c.term, last, c.termAt(last))
-		c.out.vote = &wire.MetaVoteReq{Term: c.term, Candidate: uint32(c.id), LastIndex: last, LastTerm: c.termAt(last)}
+	case len(c.peers) == 1 || c.resync || c.wounded:
+		// No election to stand for.
+	case now.After(c.deadline):
+		c.campaign(now)
+	case c.role == candidate:
+		c.askVotes()
 	}
 	return c.take()
+}
+
+// campaign stands for election in the next term: a durable vote for
+// itself, then a vote request to every peer.
+func (c *core) campaign(now time.Time) {
+	c.term++
+	c.votedFor = c.id
+	c.persistHard()
+	c.role = candidate
+	c.leaderID = -1
+	c.resetDeadline(now)
+	clear(c.granted)
+	clear(c.answered)
+	c.granted[c.id], c.answered[c.id] = true, true
+	last := c.lastIndex()
+	c.note("candidate for term %d (log %d/%d)", c.term, last, c.termAt(last))
+	c.askVotes()
+}
+
+// askVotes asks every peer that has not answered this candidacy.
+func (c *core) askVotes() {
+	for p, a := range c.answered {
+		if !a {
+			c.out.voteTo = append(c.out.voteTo, p)
+		}
+	}
+	if len(c.out.voteTo) > 0 {
+		last := c.lastIndex()
+		c.out.vote = &wire.MetaVoteReq{Term: c.term, Candidate: uint32(c.id), LastIndex: last, LastTerm: c.termAt(last)}
+	}
 }
 
 // stepDown adopts a higher term observed from a peer. Only a role
@@ -404,8 +442,10 @@ func (c *core) voteResp(now time.Time, term uint64, p int, vr wire.MetaVoteResp)
 	case c.term != term || c.role != candidate:
 	case vr.Term > c.term:
 		c.stepDown(now, vr.Term)
-	case vr.Granted && !c.granted[p]:
-		c.granted[p] = true
+	case !vr.Granted:
+		c.answered[p] = true
+	case !c.granted[p]:
+		c.granted[p], c.answered[p] = true, true
 		votes := 0
 		for _, g := range c.granted {
 			if g {

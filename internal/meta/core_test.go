@@ -100,7 +100,7 @@ func (s *sim) logf(format string, args ...any) {
 
 // carry does what a shell does with core i's output: the records are
 // written at once and reported, the verdicts kept, a vote request sent
-// to every peer.
+// to every peer the core names.
 func (s *sim) carry(i int, o output) {
 	s.keep(o)
 	if len(o.persist) > 0 {
@@ -109,10 +109,8 @@ func (s *sim) carry(i int, o output) {
 	for _, n := range o.notes {
 		s.logf("%s", n)
 	}
-	for p := range s.cores {
-		if o.vote != nil && p != i {
-			s.send(simMsg{from: i, to: p, vote: o.vote})
-		}
+	for _, p := range o.voteTo {
+		s.send(simMsg{from: i, to: p, vote: o.vote})
 	}
 }
 

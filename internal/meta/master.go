@@ -22,8 +22,13 @@ type NodeOptions struct {
 	Peers []string
 	// Bootstrap, when non-nil, seeds a fresh log with the initial shard
 	// map as entry 1 (term 0); every replica of a fresh deployment
-	// passes the same map. A rejoining replica passes nil and gets the
-	// log (or a snapshot) from the leader.
+	// passes the same map. Replica 0 of a fresh group (term 0, no log
+	// before the seed) then campaigns for term 1 at once and asks its
+	// peers again each tick until they answer, so the group elects as
+	// soon as a majority listens, in any start order; every other start
+	// waits out a randomized election timeout. A rejoining replica
+	// passes nil and gets the log (or a snapshot) from the leader;
+	// state recovered from Dir wins over Bootstrap.
 	Bootstrap *wire.ShardMap
 	// Timing overrides protocol clocks (zero fields take defaults).
 	Timing Timing
@@ -69,6 +74,8 @@ type Node struct {
 	// while the write leaves mu free. Lock order is mu → walMu.
 	walMu sync.Mutex
 
+	asking []bool // per peer: a vote call is in flight (under mu)
+
 	propC    chan struct{} // committer wakeup, cap 1
 	compactC chan struct{} // compactor wakeup, cap 1
 	stopC    chan struct{}
@@ -92,6 +99,7 @@ func NewNode(o NodeOptions) (*Node, error) {
 		compactC: make(chan struct{}, 1),
 		stopC:    make(chan struct{}),
 		notify:   make([]chan struct{}, len(o.Peers)),
+		asking:   make([]bool, len(o.Peers)),
 	}
 	if o.Dir != "" {
 		st, rec, damage, err := openReplica(o.Dir, len(o.Peers) > 1)
@@ -128,8 +136,9 @@ func NewNode(o NodeOptions) (*Node, error) {
 // carry does what the core asked. It is entered with mu held and
 // returns with it released. Verdicts and replication kicks go out at
 // once. Records are written in order with mu released, then reported
-// back to the core; a vote request leaves only once they are durable.
-// It returns the write's error.
+// back to the core; a vote request leaves only once they are durable,
+// to each peer with no vote call of its own in flight. It returns the
+// write's error.
 func (n *Node) carry(o output) error {
 	n.deliver(&o)
 	var err error
@@ -147,6 +156,16 @@ func (n *Node) carry(o output) error {
 		o.compact = o.compact || more.compact
 		o.notes = append(o.notes, more.notes...)
 	}
+	var ask []int
+	if o.vote != nil && err == nil {
+		for _, p := range o.voteTo {
+			if !n.asking[p] {
+				n.asking[p] = true
+				ask = append(ask, p)
+			}
+		}
+		n.wg.Add(len(ask))
+	}
 	n.mu.Unlock()
 	if err != nil {
 		logf(n.logger, "meta[%d]: persist: %v", n.c.id, err)
@@ -157,13 +176,10 @@ func (n *Node) carry(o output) error {
 	if o.compact {
 		wake(n.compactC)
 	}
-	if o.vote != nil && err == nil {
+	if len(ask) > 0 {
 		body := o.vote.Marshal()
-		for p := range n.notify {
-			if p != n.c.id {
-				n.wg.Add(1)
-				go n.askVote(p, o.vote.Term, body)
-			}
+		for _, p := range ask {
+			go n.askVote(p, o.vote.Term, body)
 		}
 	}
 	return err
@@ -291,11 +307,14 @@ func (n *Node) clockLoop() {
 	}
 }
 
-// askVote asks peer p for its vote in term.
+// askVote asks peer p for its vote in term. A re-ask carries no record
+// of its own, so it first waits out the WAL writes under way: the
+// candidacy's vote for itself may be among them.
 func (n *Node) askVote(p int, term uint64, body []byte) {
 	defer n.wg.Done()
+	defer n.locked(func() { n.asking[p] = false })
 	var vr wire.MetaVoteResp
-	if n.callPeer(p, wire.TMetaVote, body, &vr) == nil {
+	if n.synced() == nil && n.callPeer(p, wire.TMetaVote, body, &vr) == nil {
 		n.step(func(c *core) output { return c.voteResp(time.Now(), term, p, vr) })
 	}
 }

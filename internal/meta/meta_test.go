@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,6 +165,9 @@ type group struct {
 	nodes  []*Node
 	srvs   []*pvfsnet.Server
 	boot   *wire.ShardMap
+	// tap, when set, sees every request a replica serves before the
+	// replica handles it.
+	tap atomic.Pointer[func(to int, req wire.Message)]
 }
 
 func startGroup(t *testing.T, nmasters int, boot func(addrs []string) *wire.ShardMap) *group {
@@ -194,11 +198,21 @@ func startGroupTiming(t *testing.T, nmasters int, boot func(addrs []string) *wir
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.nodes[i] = n
-		g.srvs[i] = pvfsnet.NewServer(lns[i], g.nodes[i].Handle, nil)
+		g.serve(i, n, lns[i])
 	}
 	t.Cleanup(g.closeAll)
 	return g
+}
+
+// serve attaches node n as replica i on ln, behind the group's tap.
+func (g *group) serve(i int, n *Node, ln net.Listener) {
+	g.nodes[i] = n
+	g.srvs[i] = pvfsnet.NewServer(ln, func(req wire.Message) wire.Message {
+		if tap := g.tap.Load(); tap != nil {
+			(*tap)(i, req)
+		}
+		return n.Handle(req)
+	}, nil)
 }
 
 func (g *group) closeAll() {
@@ -224,6 +238,13 @@ func (g *group) kill(i int) {
 // current leader replays or snapshot-installs whatever it missed.
 func (g *group) restart(i int) {
 	g.t.Helper()
+	g.restartBoot(i, nil)
+}
+
+// restartBoot restarts node i passing boot as its bootstrap map, as a
+// process restarted with its original flags does.
+func (g *group) restartBoot(i int, boot *wire.ShardMap) {
+	g.t.Helper()
 	var ln net.Listener
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
@@ -237,13 +258,12 @@ func (g *group) restart(i int) {
 		g.t.Fatalf("relisten %s: %v", g.addrs[i], err)
 	}
 	n, err := NewNode(NodeOptions{
-		ID: i, Peers: g.addrs, Dir: g.dirs[i], Timing: g.timing,
+		ID: i, Peers: g.addrs, Bootstrap: boot, Dir: g.dirs[i], Timing: g.timing,
 	})
 	if err != nil {
 		g.t.Fatalf("restart %d: %v", i, err)
 	}
-	g.nodes[i] = n
-	g.srvs[i] = pvfsnet.NewServer(ln, g.nodes[i].Handle, nil)
+	g.serve(i, n, ln)
 }
 
 func (g *group) waitLeader() int {
@@ -357,12 +377,13 @@ func TestLeaderKillLosesNoAckedCreates(t *testing.T) {
 // resets its election deadline when it grants a vote, not when a
 // candidate with a shorter log merely shows it a higher term. Were a
 // denial to reset it, that candidate could keep timing out first and
-// hold off the replicas able to win.
+// hold off the replicas able to win. The replica is ID 1: replica 0 of
+// a fresh group campaigns at once.
 func TestDeniedVoteKeepsElectionTimer(t *testing.T) {
 	tm := testTiming()
 	tm.ElectionLo, tm.ElectionHi = time.Hour, 2*time.Hour
 	n, err := NewNode(NodeOptions{
-		ID: 0, Peers: []string{"self", deadAddr(t), deadAddr(t)}, Bootstrap: singleShardBoot(nil), Timing: tm,
+		ID: 1, Peers: []string{deadAddr(t), "self", deadAddr(t)}, Bootstrap: singleShardBoot(nil), Timing: tm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +404,7 @@ func TestDeniedVoteKeepsElectionTimer(t *testing.T) {
 		}
 		return vr
 	}
-	if vr := vote(1, 2); vr.Granted || vr.Term != 3 {
+	if vr := vote(0, 2); vr.Granted || vr.Term != 3 {
 		t.Fatalf("shorter-log candidate: %+v, want a denial at term 3", vr)
 	}
 	n.mu.Lock()

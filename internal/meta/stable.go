@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,9 +30,11 @@ import (
 //	       payload (MetaHardState or MetaLogRec)
 //
 // Every append is fsynced before the caller answers a vote, acks an
-// append, or acks a proposal. A torn tail (crash mid-append) stops
-// recovery at the last whole record, which is exactly the state the
-// replica had promised before the crash. A damaged record with intact
+// append, or acks a proposal; the consecutive hard-state and log
+// records of one core output leave in one write and one fsync. A torn
+// tail (crash mid-append) stops recovery at the last whole record: no
+// reply leaned on the torn write yet, so the state recovered holds
+// every promise made before the crash. A damaged record with intact
 // records after it, or a damaged snapshot, is not a crash artefact:
 // openStable refuses the state with errCorruptState rather than
 // silently dropping what follows. So does a file without its magic.
@@ -339,8 +342,30 @@ func decodeSnap(b []byte) (*wire.MetaSnapshot, error) {
 // errSyncFault is the injected WAL failure (failSync test hook).
 var errSyncFault = errors.New("meta: injected WAL sync failure")
 
-// appendRecord frames, appends, and fsyncs one WAL record.
-func (s *stable) appendRecord(kind uint32, payload []byte) error {
+// frame appends one framed WAL record to buf.
+func frame(buf []byte, kind uint32, payload []byte) []byte {
+	buf = slices.Grow(buf, walHeader+len(payload))
+	h := buf[len(buf) : len(buf)+walHeader]
+	binary.LittleEndian.PutUint32(h, kind)
+	binary.LittleEndian.PutUint32(h[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[8:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(h[12:], crc32.Checksum(h[:12], castagnoli))
+	return append(buf[:len(buf)+walHeader], payload...)
+}
+
+// frameRecord appends a hard-state or log record's WAL frame to buf.
+func frameRecord(buf []byte, r *record) []byte {
+	if r.kind == recHard {
+		return frame(buf, walHard, r.hard.Marshal())
+	}
+	lr := wire.MetaLogRec{From: r.from, Entries: r.entries}
+	return frame(buf, walLog, lr.Marshal())
+}
+
+// appendFrames appends framed records to the WAL in one write and
+// fsyncs them once. A crash mid-write leaves a torn tail, which
+// recovery cuts at the last whole record.
+func (s *stable) appendFrames(buf []byte) error {
 	if s.dead.Load() {
 		return errSyncFault
 	}
@@ -348,12 +373,6 @@ func (s *stable) appendRecord(kind uint32, payload []byte) error {
 		s.dead.Store(true)
 		return errSyncFault
 	}
-	buf := make([]byte, walHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf, kind)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint32(buf[12:], crc32.Checksum(buf[:12], castagnoli))
-	copy(buf[walHeader:], payload)
 	if _, err := s.wal.Write(buf); err != nil {
 		s.dead.Store(true)
 		return err
@@ -367,38 +386,44 @@ func (s *stable) appendRecord(kind uint32, payload []byte) error {
 }
 
 // write makes the core's records durable in order; it returns how many
-// were written and the error that stopped it, which is sticky.
+// were written and the error that stopped it, which is sticky. A run of
+// consecutive hard-state and log records is one WAL write and one
+// fsync, written whole or not at all: a failed run counts none of its
+// records as written.
 func (s *stable) write(recs []record) (int, error) {
-	for i, r := range recs {
+	for i := 0; i < len(recs); {
 		var err error
-		switch r.kind {
-		case recHard:
-			err = s.saveHard(r.hard)
-		case recLog:
-			err = s.appendLog(r.from, r.entries)
+		next := i + 1
+		switch r := &recs[i]; r.kind {
 		case recInstall:
 			err = s.saveSnapshot(r.snap, r.entries, r.hard)
 		case recReset:
 			err = s.resetWAL(r.entries, r.hard)
+		default:
+			buf := frameRecord(nil, r)
+			for ; next < len(recs) && (recs[next].kind == recHard || recs[next].kind == recLog); next++ {
+				buf = frameRecord(buf, &recs[next])
+			}
+			err = s.appendFrames(buf)
 		}
 		if err != nil {
 			s.dead.Store(true) // the replica is wounded: no later write counts
 			return i, err
 		}
+		i = next
 	}
 	return len(recs), nil
 }
 
 // saveHard durably records the term and vote.
 func (s *stable) saveHard(h wire.MetaHardState) error {
-	return s.appendRecord(walHard, h.Marshal())
+	return s.appendFrames(frame(nil, walHard, h.Marshal()))
 }
 
 // appendLog durably records one log mutation (truncate to < from,
 // append entries).
 func (s *stable) appendLog(from uint64, entries []wire.MetaEntry) error {
-	lr := wire.MetaLogRec{From: from, Entries: entries}
-	return s.appendRecord(walLog, lr.Marshal())
+	return s.appendFrames(frameRecord(nil, &record{kind: recLog, from: from, entries: entries}))
 }
 
 // saveSnapshot replaces the durable snapshot and resets the WAL to

@@ -377,3 +377,68 @@ func TestDamagedFollowerRejoins(t *testing.T) {
 		}
 	}
 }
+
+// TestStableTornTwoRecordWrite tears the WAL inside one write that
+// carried a hard state and a log record together, as one core output
+// asks: the write costs one fsync, and replay stops at the last whole
+// record wherever the tear falls.
+func TestStableTornTwoRecordWrite(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := openStable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := func(idx, term uint64) wire.MetaEntry {
+		return wire.MetaEntry{Index: idx, Term: term, Rec: createRec(fmt.Sprintf("e%d", idx), idx, 0, 1, testIODs())}
+	}
+	for term := uint64(2); term <= 3; term++ {
+		recs := []record{
+			{kind: recHard, hard: wire.MetaHardState{Term: term, VotedFor: 0}},
+			{kind: recLog, from: term - 1, entries: []wire.MetaEntry{entry(term-1, term)}},
+		}
+		before := st.syncs.Load()
+		if done, err := st.write(recs); done != 2 || err != nil {
+			t.Fatalf("write at term %d: %d records, %v", term, done, err)
+		}
+		if got := st.syncs.Load() - before; got != 1 {
+			t.Fatalf("two-record write cost %d fsyncs, want 1", got)
+		}
+	}
+	st.close()
+	b, err := os.ReadFile(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reset at open wrote one hard state; then two writes of two.
+	offs := walRecords(t, b)
+	if len(offs) != 5 {
+		t.Fatalf("WAL holds %d records, want 5", len(offs))
+	}
+	for _, c := range []struct {
+		name    string
+		cut     int
+		term    uint64
+		entries int
+	}{
+		{"whole", len(b), 3, 2},
+		{"inside the second write's log record", offs[4] + walHeader + 3, 3, 1},
+		{"inside the second write's log header", offs[4] + 5, 3, 1},
+		{"inside the second write's hard state", offs[3] + walHeader + 1, 2, 1},
+		{"between the writes", offs[3], 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := t.TempDir()
+			if err := os.WriteFile(filepath.Join(d, "wal"), b[:c.cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, rec, err := openStable(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.close()
+			if rec.hard.Term != c.term || len(rec.entries) != c.entries {
+				t.Fatalf("recovered term %d with %d entries, want term %d with %d", rec.hard.Term, len(rec.entries), c.term, c.entries)
+			}
+		})
+	}
+}
