@@ -31,7 +31,7 @@ func main() {
 	dataDir := flag.String("data", "", "stripe data directory (empty = in-memory store)")
 	quiet := flag.Bool("quiet", false, "suppress request logging")
 	cache := flag.Bool("cache", false, "enable the write-back, readahead block cache")
-	cacheSize := flag.Int64("cache-size", 64<<20, "cache capacity in bytes (with -cache)")
+	cacheSize := flag.Int64("cache-size", 64<<20, "cache capacity in bytes (with -cache); reserved once, resident as blocks fill, so the daemon's cache memory is about this size")
 	cacheBlock := flag.Int64("cache-block", 64<<10, "cache block size in bytes (with -cache); pick a divisor of the stripe unit")
 	flag.Parse()
 

@@ -2,12 +2,14 @@ package meta
 
 // The birth rule and the re-ask: replica 0 of a fresh group campaigns
 // inside start, so the group's first leader needs no election timeout;
-// a candidate asks again, each tick, every peer that has not answered,
-// so peers that come up late still elect it; and every start over
-// recovered state keeps its randomized deadline.
+// a candidate asks again every peer that has not answered, backing off
+// from one tick to ElectionLo/4 while a peer's calls fail, so peers
+// that come up late still elect it; and every start over recovered
+// state keeps its randomized deadline.
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +107,54 @@ func TestFreshLeaderWinsLateListeners(t *testing.T) {
 		t.Errorf("replica 0 led %v after its peers listened, want within %v", took, tm.ElectionLo/4)
 	}
 	checkBirth(t, g)
+}
+
+// TestCandidateBacksOffFailedPeers starts replica 0 alone against two
+// peers that accept each connection and close it at once, so every
+// vote call fails. Asking each peer every tick would make about 300
+// calls per peer in a second; the backoff makes a handful.
+func TestCandidateBacksOffFailedPeers(t *testing.T) {
+	tm := slowElectionTiming()
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{ln0.Addr().String()}
+	var accepts [2]atomic.Int64
+	for i := range accepts {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		addrs = append(addrs, ln.Addr().String())
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				accepts[i].Add(1)
+				c.Close()
+			}
+		}()
+	}
+	g := &group{t: t, timing: tm, addrs: addrs, nodes: make([]*Node, 1), srvs: make([]*pvfsnet.Server, 1)}
+	t.Cleanup(g.closeAll)
+	n, err := NewNode(NodeOptions{ID: 0, Peers: addrs, Bootstrap: singleShardBoot(addrs), Dir: t.TempDir(), Timing: tm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.serve(0, n, ln0)
+	time.Sleep(time.Second)
+	if n.IsLeader() {
+		t.Fatal("replica 0 leads with no peer answering")
+	}
+	for i := range accepts {
+		if calls := accepts[i].Load(); calls < 2 || calls > 15 {
+			t.Errorf("peer %d: %d vote calls in 1 s, want 2..15", i+1, calls)
+		}
+	}
 }
 
 // checkTimerArmed asserts replica n is a follower whose election

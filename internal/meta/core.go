@@ -52,8 +52,13 @@ type core struct {
 	// entries: a heartbeat, a new leader's first round, or a committed
 	// shard map. Any append sent to the follower clears it.
 	sendDue  []bool
-	granted  []bool    // candidate: the replicas that granted this term's vote
-	answered []bool    // candidate: the replicas that granted or denied it
+	granted  []bool // candidate: the replicas that granted this term's vote
+	answered []bool // candidate: the replicas that granted or denied it
+	// askAt and askGap back off the re-ask of a peer whose vote call
+	// failed: it is not asked again before askAt, and askGap is the
+	// last wait. A new candidacy clears both.
+	askAt    []time.Time
+	askGap   []time.Duration
 	deadline time.Time // election deadline (non-leaders)
 	lastBeat time.Time // last heartbeat round (leader)
 
@@ -160,6 +165,8 @@ func newCore(id int, peers []string, t Timing, rng *rand.Rand) *core {
 		sendDue:  make([]bool, len(peers)),
 		granted:  make([]bool, len(peers)),
 		answered: make([]bool, len(peers)),
+		askAt:    make([]time.Time, len(peers)),
+		askGap:   make([]time.Duration, len(peers)),
 	}
 }
 
@@ -344,8 +351,9 @@ func (c *core) persisted(recs []record, done int, err error) output {
 
 // tick advances the clock: a leader owes every follower a heartbeat
 // each interval; anyone else stands for election once its deadline
-// passes, and a candidate asks again every peer that has not answered,
-// so a peer that was not listening yet can still elect it.
+// passes, and a candidate asks again every peer that has not answered
+// and is not backed off, so a peer that was not listening yet can still
+// elect it.
 func (c *core) tick(now time.Time) output {
 	switch {
 	case c.role == leader:
@@ -358,7 +366,7 @@ func (c *core) tick(now time.Time) output {
 	case now.After(c.deadline):
 		c.campaign(now)
 	case c.role == candidate:
-		c.askVotes()
+		c.askVotes(now)
 	}
 	return c.take()
 }
@@ -374,16 +382,19 @@ func (c *core) campaign(now time.Time) {
 	c.resetDeadline(now)
 	clear(c.granted)
 	clear(c.answered)
+	clear(c.askAt)
+	clear(c.askGap)
 	c.granted[c.id], c.answered[c.id] = true, true
 	last := c.lastIndex()
 	c.note("candidate for term %d (log %d/%d)", c.term, last, c.termAt(last))
-	c.askVotes()
+	c.askVotes(now)
 }
 
-// askVotes asks every peer that has not answered this candidacy.
-func (c *core) askVotes() {
+// askVotes asks every peer that has not answered this candidacy and
+// whose backoff has run out.
+func (c *core) askVotes(now time.Time) {
 	for p, a := range c.answered {
-		if !a {
+		if !a && !now.Before(c.askAt[p]) {
 			c.out.voteTo = append(c.out.voteTo, p)
 		}
 	}
@@ -455,6 +466,19 @@ func (c *core) voteResp(now time.Time, term uint64, p int, vr wire.MetaVoteResp)
 		if votes >= len(c.peers)/2+1 {
 			c.becomeLeader(now)
 		}
+	}
+	return c.take()
+}
+
+// voteFailed backs off the re-ask of peer p, whose vote call in term
+// got no answer: one tick, then twice the last wait, up to ElectionLo/4,
+// so a peer that starts listening late is still asked well before a
+// rival's election timer fires. An answer ends the asking for the term,
+// and the next candidacy starts the backoff over.
+func (c *core) voteFailed(now time.Time, term uint64, p int) output {
+	if c.term == term && c.role == candidate {
+		c.askGap[p] = min(max(2*c.askGap[p], c.timing.tick()), c.timing.ElectionLo/4)
+		c.askAt[p] = now.Add(c.askGap[p])
 	}
 	return c.take()
 }

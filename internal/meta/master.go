@@ -293,7 +293,7 @@ func (n *Node) waitMap() *wire.ShardMap {
 
 func (n *Node) clockLoop() {
 	defer n.wg.Done()
-	t := time.NewTicker(max(n.timing.Heartbeat/3, time.Millisecond))
+	t := time.NewTicker(n.timing.tick())
 	defer t.Stop()
 	for {
 		select {
@@ -309,14 +309,20 @@ func (n *Node) clockLoop() {
 
 // askVote asks peer p for its vote in term. A re-ask carries no record
 // of its own, so it first waits out the WAL writes under way: the
-// candidacy's vote for itself may be among them.
+// candidacy's vote for itself may be among them. A call that gets no
+// answer backs off the next re-ask of p.
 func (n *Node) askVote(p int, term uint64, body []byte) {
 	defer n.wg.Done()
 	defer n.locked(func() { n.asking[p] = false })
-	var vr wire.MetaVoteResp
-	if n.synced() == nil && n.callPeer(p, wire.TMetaVote, body, &vr) == nil {
-		n.step(func(c *core) output { return c.voteResp(time.Now(), term, p, vr) })
+	if n.synced() != nil {
+		return
 	}
+	var vr wire.MetaVoteResp
+	if n.callPeer(p, wire.TMetaVote, body, &vr) != nil {
+		n.step(func(c *core) output { return c.voteFailed(time.Now(), term, p) })
+		return
+	}
+	n.step(func(c *core) output { return c.voteResp(time.Now(), term, p, vr) })
 }
 
 // step hands the core one input under mu, unless the node is closed,

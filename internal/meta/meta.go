@@ -84,6 +84,10 @@ func (t Timing) withDefaults() Timing {
 	return t
 }
 
+// tick is the clock's period: a leader's heartbeat check, a deadline
+// check and a candidate's re-ask each run on it.
+func (t Timing) tick() time.Duration { return max(t.Heartbeat/3, time.Millisecond) }
+
 // namespace is the materialized state of one metadata partition. Both
 // the master replicas (for snapshots and propose verdicts) and the
 // owning shard (for serving reads) hold one; it changes only through

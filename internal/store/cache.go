@@ -22,8 +22,17 @@ package store
 //     4 KiB fragment reads with one backend access. Sequential block
 //     access triggers asynchronous readahead of the next blocks.
 //   - Eviction is LRU over all blocks; dirty victims are flushed
-//     before being dropped. An evicted block's buffer goes to a free
-//     list (at most an eighth of MaxBytes) that new blocks draw from.
+//     before being dropped.
+//   - Block buffers are the MaxBytes/BlockSize slots of one slab the
+//     cache reserves once (newSlab): an anonymous mapping, faulted in
+//     as slots are first used, so the cache's resident memory is its
+//     budget, not the budget plus the collector's growth allowance.
+//     A gone block's slot goes back to a free list that new blocks
+//     draw from. A block created while every slot is held (blocks
+//     pinned past the budget) gets a heap spill buffer, dropped when
+//     the block goes. The slab is unmapped by a cleanup once the
+//     Cache is unreachable, never by Close or Abandon, so a straggler
+//     that still holds a block never touches unmapped memory.
 //   - A request moves in one pass: ReadBatch/WriteBatch — ReadAt and
 //     WriteAt are one-span batches — make one walk over every block
 //     the batch touches (Cache.walk), so its pieces share one pin
@@ -56,6 +65,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -80,8 +90,11 @@ type CacheOptions struct {
 	// the paper's 16 KiB–1 MiB stripe range evenly.
 	BlockSize int64
 	// MaxBytes bounds the total bytes held in cached blocks (default
-	// 64 MiB). The bound is soft by at most the blocks pinned by
-	// in-flight requests.
+	// 64 MiB), and is reserved once as the blocks' slab. Resident
+	// memory is about MaxBytes: the slab is touched only as blocks are
+	// used, and the bound is soft only by the blocks pinned past it by
+	// in-flight requests, which get heap buffers of their own until
+	// they leave the cache.
 	MaxBytes int64
 	// DirtyHighWater bounds un-flushed (dirty) bytes: writers stall
 	// above it until the flusher catches up (default MaxBytes/2).
@@ -150,6 +163,10 @@ type Cache struct {
 	// here, before it is acknowledged, not at flush time.
 	limit int64
 
+	// slab backs every block buffer but spills: MaxBytes/BlockSize
+	// slots of BlockSize bytes.
+	slab []byte
+
 	// mu guards files, lru, the dirty set, the free list and every
 	// cacheFile's metadata fields. It is never held across backend I/O.
 	// cachedBytes/dirtyBytes are written under mu but read lock-free
@@ -158,8 +175,7 @@ type Cache struct {
 	files       map[uint64]*cacheFile
 	lru         list.List // of *cacheBlock; front = most recently used
 	dirtySet    map[*cacheBlock]struct{}
-	free        [][]byte // evicted blocks' buffers, at most freeMax
-	freeMax     int
+	free        [][]byte // slab slots no block holds
 	cachedBytes atomic.Int64
 	dirtyBytes  atomic.Int64
 	cleanCond   *sync.Cond // signalled as dirtyBytes drops
@@ -205,10 +221,11 @@ type cacheBlock struct {
 	// bmu is held across fill/flush backend I/O and data copies, and
 	// guards the fields below it.
 	bmu sync.Mutex
-	// data (len BlockSize) comes from the free list when the block is
-	// created, else is allocated by its first locker; it is nil again
-	// once the block is gone and the buffer recycled.
+	// data (len BlockSize) is a slab slot from the free list when the
+	// block is created, else a spill buffer its first locker allocates;
+	// it is nil again once the block is gone and the buffer recycled.
 	data   []byte
+	spill  bool // data is a spill buffer, not a slab slot
 	loaded bool // data is valid
 	dirty  bool // data ahead of the backend
 
@@ -234,11 +251,37 @@ func Cached(inner Store, opts CacheOptions) *Cache {
 	if sz, ok := inner.(Sizer); ok {
 		c.limit = sz.MaxSize()
 	}
-	c.freeMax = max(1, int(c.opt.MaxBytes/8/c.opt.BlockSize))
+	bs, slots := int(c.opt.BlockSize), int(c.opt.MaxBytes/c.opt.BlockSize)
+	slab, mapped := newSlab(slots * bs)
+	if mapped {
+		runtime.AddCleanup(c, releaseSlab, slab)
+	}
+	c.slab = slab
+	c.free = make([][]byte, slots)
+	for i := range c.free { // the lowest slot is taken first
+		at := (slots - 1 - i) * bs
+		c.free[i] = slab[at : at+bs : at+bs]
+	}
 	c.cleanCond = sync.NewCond(&c.mu)
 	c.flusherWG.Add(1)
 	go c.flusher()
 	return c
+}
+
+// slabReleased, when set, sees each mapped slab as it is unmapped.
+// Tests set it.
+var slabReleased atomic.Pointer[func(slab []byte)]
+
+// releaseSlab unmaps a Cache's slab. It runs as the Cache's cleanup,
+// once nothing can reach the Cache — and so no block, walk or
+// prefetcher can reach the slab: every path that touches block data
+// uses the Cache after it (to unpin, count or unlock), and a pooled
+// walk holds no buffers.
+func releaseSlab(slab []byte) {
+	unmapSlab(slab)
+	if hook := slabReleased.Load(); hook != nil {
+		(*hook)(slab)
+	}
 }
 
 // file returns (creating if needed) the per-handle state.
@@ -350,9 +393,9 @@ func (w *batchWalk) cover(lo, hi, bs int64) {
 }
 
 // pinLocked returns block idx of f with a reference taken, creating it
-// (unloaded) if absent. A new block takes a buffer from the free list;
-// when the list is empty, its first locker allocates one (ensureBuf),
-// outside c.mu. Callers hold c.mu.
+// (unloaded) if absent. A new block takes a slab slot from the free
+// list; when every slot is held, its first locker allocates a spill
+// buffer (ensureBuf), outside c.mu. Callers hold c.mu.
 func (c *Cache) pinLocked(f *cacheFile, idx int64) *cacheBlock {
 	b, ok := f.blocks[idx]
 	if !ok {
@@ -372,23 +415,24 @@ func (c *Cache) pinLocked(f *cacheFile, idx int64) *cacheBlock {
 	return b
 }
 
-// ensureBuf gives a block created while the free list was empty its
+// ensureBuf gives a block created while every slot was held a spill
 // buffer. Callers hold b.bmu.
 func (c *Cache) ensureBuf(b *cacheBlock) {
 	if b.data == nil {
 		b.data = make([]byte, c.opt.BlockSize)
+		b.spill = true
 	}
 }
 
-// recycleLocked moves a gone block's buffer to the free list while the
-// list is under its bound. The block is left unloaded with no buffer,
-// so a use after recycling panics instead of serving another block's
-// bytes. Callers hold c.mu and either b.bmu or f.mu.W.
+// recycleLocked returns a gone block's slot to the free list; a spill
+// buffer is dropped. The block is left unloaded with no buffer, so a
+// use after recycling panics instead of serving another block's bytes.
+// Callers hold c.mu and either b.bmu or f.mu.W.
 func (c *Cache) recycleLocked(b *cacheBlock) {
-	if b.data != nil && len(c.free) < c.freeMax {
+	if b.data != nil && !b.spill {
 		c.free = append(c.free, b.data)
 	}
-	b.data, b.loaded = nil, false
+	b.data, b.spill, b.loaded = nil, false, false
 }
 
 // blockSpans lays ascending blocks out as w.spans: a span per run of
@@ -1042,6 +1086,7 @@ func (c *Cache) Truncate(handle uint64, size int64) error {
 			clear(straddler.data[size-straddler.idx*bs:])
 		}
 		straddler.bmu.Unlock()
+		runtime.KeepAlive(c) // the straddler's buffer may be a slot of c's slab
 	}
 	return nil
 }
@@ -1223,7 +1268,12 @@ func (c *Cache) Abandon() {
 	c.files = make(map[uint64]*cacheFile)
 	c.dirtySet = make(map[*cacheBlock]struct{})
 	c.free = nil
-	c.lru.Init()
+	// Remove each element rather than Init the list: a straggler that
+	// still holds a dropped block then finds its element detached, and
+	// its MoveToFront or Remove leaves the new list alone.
+	for e := c.lru.Front(); e != nil; e = c.lru.Front() {
+		c.lru.Remove(e)
+	}
 	c.cachedBytes.Store(0)
 	c.dirtyBytes.Store(0)
 	c.mu.Unlock()
