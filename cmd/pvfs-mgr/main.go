@@ -20,7 +20,8 @@
 //
 // Metadata shard — serves one hash partition of the namespace with
 // the classic manager grammar, proposing every mutation to the master
-// group and answering a request for another shard's name with the
+// group one record at a time, learning the shard map only from the
+// masters, and answering a request for another shard's name with the
 // current map, so the client re-routes:
 //
 //	pvfs-mgr -addr S1 -join A,B,C

@@ -104,7 +104,9 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 		})
 	}
 	for i, ln := range slns {
-		sh := meta.NewShard(meta.ShardOptions{Index: i, Masters: c.masterAddrs, Timing: mo.Timing})
+		sh := meta.NewShard(meta.ShardOptions{
+			Index: i, Proposer: meta.NewGroupProposer(c.masterAddrs, mo.Timing), Timing: mo.Timing,
+		})
 		c.shards = append(c.shards, &shardProc{
 			shard: sh,
 			srv:   pvfsnet.NewServer(ln, sh.Handle, nil),
@@ -229,9 +231,9 @@ func (c *Cluster) RestartMaster(i int) error {
 }
 
 // BumpEpoch commits a config change through the leader (mutate may be
-// nil for a pure epoch bump) and pushes the new map to every live
-// shard synchronously, so tests observe a deterministic transition;
-// shards also learn new maps through their background poll.
+// nil for a pure epoch bump) and hands the new map to every live shard
+// in process, so tests observe a deterministic transition; shards also
+// learn new maps through their background poll.
 func (c *Cluster) BumpEpoch(ctx context.Context, mutate func(*wire.ShardMap)) (*wire.ShardMap, error) {
 	var lastErr error
 	deadline := time.Now().Add(10 * time.Second)

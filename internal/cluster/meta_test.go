@@ -12,7 +12,9 @@ import (
 	"pvfs/internal/client"
 	"pvfs/internal/cluster"
 	"pvfs/internal/meta"
+	"pvfs/internal/pvfsnet"
 	"pvfs/internal/striping"
+	"pvfs/internal/wire"
 )
 
 // TestMetaClusterEndToEnd runs the full sharded metadata plane at 1,
@@ -277,5 +279,113 @@ func TestMetaClusterEpochRefresh(t *testing.T) {
 	names, err := fs.List()
 	if err != nil || len(names) != 2 {
 		t.Fatalf("list across epoch bump: %v %v", names, err)
+	}
+}
+
+// TestShardRefusesPushedMap sends a TShardMap carrying a forged map —
+// epoch 2^40, foreign IODs — to a meta-mode shard and to a classic mgr
+// listener. Each answers StatusInvalid and keeps its map epoch, and a
+// create made after one map poll is placed on the cluster's own IODs:
+// a shard learns maps only from the masters.
+func TestShardRefusesPushedMap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		meta *cluster.MetaOptions
+		poll time.Duration // the shard's map poll interval
+		// target is the listener the forged map is pushed to; epoch
+		// reads the map epoch its shard routes creates by.
+		target func(*cluster.Cluster) string
+		epoch  func(*testing.T, *cluster.Cluster) uint64
+	}{
+		{
+			name:   "meta-shard",
+			meta:   &cluster.MetaOptions{Masters: 3, Shards: 1, Timing: meta.Timing{MapPoll: 200 * time.Millisecond}},
+			poll:   200 * time.Millisecond,
+			target: func(c *cluster.Cluster) string { return c.ShardAddrs()[0] },
+			epoch: func(t *testing.T, c *cluster.Cluster) uint64 {
+				conn, err := pvfsnet.Dial(c.ShardAddrs()[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				resp, err := conn.Call(wire.Message{Header: wire.Header{Type: wire.TShardMap}})
+				if err != nil {
+					t.Fatalf("map query: %v", err)
+				}
+				defer resp.Release()
+				var m wire.ShardMap
+				if err := m.Unmarshal(resp.Body); err != nil {
+					t.Fatal(err)
+				}
+				return m.Epoch
+			},
+		},
+		{
+			name:   "classic-mgr",
+			poll:   time.Second, // mgr.New runs the default Timing
+			target: func(c *cluster.Cluster) string { return c.MgrAddr() },
+			epoch: func(t *testing.T, c *cluster.Cluster) uint64 {
+				return c.Mgr.Shard().CurrentMap().Epoch
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			c, err := cluster.Start(cluster.Options{NumIOD: 2, Meta: tc.meta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			fs, err := c.Connect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			fs.SetRetries(3)
+			cfg := striping.Config{PCount: 2, StripeSize: 4096}
+			// The first create syncs the shard, so it holds a map.
+			if _, err := fs.Create("before", cfg); err != nil {
+				t.Fatal(err)
+			}
+			before := tc.epoch(t, c)
+
+			forged := wire.ShardMap{
+				Epoch:   1 << 40,
+				Masters: c.MasterAddrs(),
+				Shards:  c.ShardAddrs(),
+				IODs:    []string{"192.0.2.1:7001", "192.0.2.2:7001"},
+			}
+			if tc.meta == nil {
+				forged.Masters, forged.Shards = []string{c.MgrAddr()}, []string{c.MgrAddr()}
+			}
+			conn, err := pvfsnet.Dial(tc.target(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			resp, err := conn.Call(wire.Message{Header: wire.Header{Type: wire.TShardMap}, Body: forged.Marshal()})
+			if err == nil || resp.Status != wire.StatusInvalid {
+				t.Fatalf("pushed map: status %v err %v, want invalid", resp.Status, err)
+			}
+			resp.Release()
+			if got := tc.epoch(t, c); got != before {
+				t.Fatalf("map epoch %d after the push, want %d", got, before)
+			}
+
+			time.Sleep(tc.poll + tc.poll/2)
+			f, err := fs.Create("after", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := c.IODAddrs()
+			for _, addr := range f.Servers() {
+				if !slices.Contains(own, addr) {
+					t.Fatalf("create placed on %v, want the cluster's IODs %v", f.Servers(), own)
+				}
+			}
+			if got := tc.epoch(t, c); got != before {
+				t.Fatalf("map epoch %d after a map poll, want %d", got, before)
+			}
+		})
 	}
 }

@@ -4,8 +4,9 @@ package meta
 // inside start, so the group's first leader needs no election timeout;
 // a candidate asks again every peer that has not answered, backing off
 // from one tick to ElectionLo/4 while a peer's calls fail, so peers
-// that come up late still elect it; and every start over recovered
-// state keeps its randomized deadline.
+// that come up late still elect it, and past its first candidacy to
+// ElectionHi, so a lone candidate does not spin; and every start over
+// recovered state keeps its randomized deadline.
 
 import (
 	"net"
@@ -109,18 +110,18 @@ func TestFreshLeaderWinsLateListeners(t *testing.T) {
 	checkBirth(t, g)
 }
 
-// TestCandidateBacksOffFailedPeers starts replica 0 alone against two
-// peers that accept each connection and close it at once, so every
-// vote call fails. Asking each peer every tick would make about 300
-// calls per peer in a second; the backoff makes a handful.
-func TestCandidateBacksOffFailedPeers(t *testing.T) {
-	tm := slowElectionTiming()
+// startLoneCandidate starts replica 0 of a fresh three-replica group
+// alone, against two peers that accept each connection and close it at
+// once, so every vote call fails. It returns the node and the accepts
+// each peer has counted.
+func startLoneCandidate(t *testing.T, tm Timing) (*Node, *[2]atomic.Int64) {
+	t.Helper()
 	ln0, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs := []string{ln0.Addr().String()}
-	var accepts [2]atomic.Int64
+	accepts := new([2]atomic.Int64)
 	for i := range accepts {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -146,6 +147,15 @@ func TestCandidateBacksOffFailedPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.serve(0, n, ln0)
+	return n, accepts
+}
+
+// TestCandidateBacksOffFailedPeers starts replica 0 alone against two
+// peers whose every vote call fails. Asking each peer every tick would
+// make about 300 calls per peer in a second; the backoff makes a
+// handful.
+func TestCandidateBacksOffFailedPeers(t *testing.T) {
+	n, accepts := startLoneCandidate(t, slowElectionTiming())
 	time.Sleep(time.Second)
 	if n.IsLeader() {
 		t.Fatal("replica 0 leads with no peer answering")
@@ -153,6 +163,32 @@ func TestCandidateBacksOffFailedPeers(t *testing.T) {
 	for i := range accepts {
 		if calls := accepts[i].Load(); calls < 2 || calls > 15 {
 			t.Errorf("peer %d: %d vote calls in 1 s, want 2..15", i+1, calls)
+		}
+	}
+}
+
+// TestBackoffOutlivesCandidacies runs the lone candidate on the default
+// Timing, where an election timeout of 75–150 ms starts a new candidacy
+// several times a second. Restarting the backoff with each one would
+// ask each dead peer about 60 times a second; carried across them and
+// grown to ElectionHi, it asks a few times.
+func TestBackoffOutlivesCandidacies(t *testing.T) {
+	n, accepts := startLoneCandidate(t, Timing{})
+	time.Sleep(time.Second)
+	var before [2]int64
+	for i := range accepts {
+		before[i] = accepts[i].Load()
+	}
+	time.Sleep(time.Second)
+	if n.IsLeader() {
+		t.Fatal("replica 0 leads with no peer answering")
+	}
+	if term := n.Term(); term < 5 {
+		t.Fatalf("term %d after 2 s, want several candidacies", term)
+	}
+	for i := range accepts {
+		if calls := accepts[i].Load() - before[i]; calls < 1 || calls > 15 {
+			t.Errorf("peer %d: %d vote calls in the second second, want 1..15", i+1, calls)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package meta
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -56,9 +55,12 @@ type core struct {
 	answered []bool // candidate: the replicas that granted or denied it
 	// askAt and askGap back off the re-ask of a peer whose vote call
 	// failed: it is not asked again before askAt, and askGap is the
-	// last wait. A new candidacy clears both.
+	// last wait; askFrom is the term the backoff began in. The backoff
+	// lasts across the replica's own consecutive candidacies, and ends
+	// when the peer answers or the replica stops being a candidate.
 	askAt    []time.Time
 	askGap   []time.Duration
+	askFrom  []uint64
 	deadline time.Time // election deadline (non-leaders)
 	lastBeat time.Time // last heartbeat round (leader)
 
@@ -167,6 +169,7 @@ func newCore(id int, peers []string, t Timing, rng *rand.Rand) *core {
 		answered: make([]bool, len(peers)),
 		askAt:    make([]time.Time, len(peers)),
 		askGap:   make([]time.Duration, len(peers)),
+		askFrom:  make([]uint64, len(peers)),
 	}
 }
 
@@ -372,8 +375,14 @@ func (c *core) tick(now time.Time) output {
 }
 
 // campaign stands for election in the next term: a durable vote for
-// itself, then a vote request to every peer.
+// itself, then a vote request to every peer not backed off. A
+// candidacy that follows one of its own keeps the backoffs: a peer
+// that failed every call of the last term is most likely still down.
 func (c *core) campaign(now time.Time) {
+	if c.role != candidate {
+		clear(c.askAt)
+		clear(c.askGap)
+	}
 	c.term++
 	c.votedFor = c.id
 	c.persistHard()
@@ -382,8 +391,6 @@ func (c *core) campaign(now time.Time) {
 	c.resetDeadline(now)
 	clear(c.granted)
 	clear(c.answered)
-	clear(c.askAt)
-	clear(c.askGap)
 	c.granted[c.id], c.answered[c.id] = true, true
 	last := c.lastIndex()
 	c.note("candidate for term %d (log %d/%d)", c.term, last, c.termAt(last))
@@ -448,7 +455,9 @@ func (c *core) vote(now time.Time, vr *wire.MetaVoteReq) (wire.MetaVoteResp, out
 }
 
 // voteResp counts peer p's answer to this replica's candidacy in term.
+// Any answer ends p's backoff.
 func (c *core) voteResp(now time.Time, term uint64, p int, vr wire.MetaVoteResp) output {
+	c.askAt[p], c.askGap[p] = time.Time{}, 0
 	switch {
 	case c.term != term || c.role != candidate:
 	case vr.Term > c.term:
@@ -470,14 +479,22 @@ func (c *core) voteResp(now time.Time, term uint64, p int, vr wire.MetaVoteResp)
 	return c.take()
 }
 
-// voteFailed backs off the re-ask of peer p, whose vote call in term
-// got no answer: one tick, then twice the last wait, up to ElectionLo/4,
-// so a peer that starts listening late is still asked well before a
-// rival's election timer fires. An answer ends the asking for the term,
-// and the next candidacy starts the backoff over.
-func (c *core) voteFailed(now time.Time, term uint64, p int) output {
-	if c.term == term && c.role == candidate {
-		c.askGap[p] = min(max(2*c.askGap[p], c.timing.tick()), c.timing.ElectionLo/4)
+// voteFailed backs off the re-ask of peer p, whose vote call got no
+// answer: one tick, then twice the last wait. Within the candidacy the
+// backoff began in, the wait stays under ElectionLo/4, so a peer that
+// starts listening late is still asked well before a rival's election
+// timer fires; a backoff that outlived a candidacy grows to ElectionHi,
+// so a lone candidate asks a dead peer a few times a second.
+func (c *core) voteFailed(now time.Time, p int) output {
+	if c.role == candidate {
+		if c.askGap[p] == 0 {
+			c.askFrom[p] = c.term
+		}
+		limit := c.timing.ElectionLo / 4
+		if c.askFrom[p] < c.term {
+			limit = c.timing.ElectionHi
+		}
+		c.askGap[p] = min(max(2*c.askGap[p], c.timing.tick()), limit)
 		c.askAt[p] = now.Add(c.askGap[p])
 	}
 	return c.take()
@@ -763,15 +780,15 @@ func (c *core) append(now time.Time, ar *wire.MetaAppendReq, snap *wire.MetaSnap
 
 // --- proposals ---
 
-// enqueue queues proposals, in order, for the next batch.
-func (c *core) enqueue(ps []*proposal) (hint string, err error) {
+// enqueue queues a proposal for the next batch.
+func (c *core) enqueue(p *proposal) (hint string, err error) {
 	if c.wounded {
 		return "", errPersist
 	}
 	if c.role != leader {
 		return c.hint(), ErrNotLeader
 	}
-	c.pending = append(c.pending, ps...)
+	c.pending = append(c.pending, p)
 	return "", nil
 }
 
@@ -820,37 +837,6 @@ func (c *core) withdraw(p *proposal) bool {
 		return true
 	}
 	return false
-}
-
-// batchVerdicts folds a batch's verdicts for the wire. Any
-// unknown-outcome record fails the whole batch (records are idempotent,
-// so the caller retries it whole); else a NotLeader verdict returns the
-// leader hint with ErrNotLeader.
-func batchVerdicts(ps []*proposal, hint string) ([]wire.MetaProposeVerdict, string, error) {
-	verdicts := make([]wire.MetaProposeVerdict, len(ps))
-	var err error
-	notLeader := false
-	for i, p := range ps {
-		r := &p.res
-		switch {
-		case r.err != nil:
-			err = cmp.Or(err, r.err)
-		case r.status == wire.StatusNotLeader:
-			notLeader, hint = true, cmp.Or(r.hint, hint)
-		default:
-			verdicts[i] = wire.MetaProposeVerdict{Status: r.status, Index: r.idx}
-			if r.info != nil {
-				verdicts[i].Info = r.info.Marshal()
-			}
-		}
-	}
-	switch {
-	case err != nil:
-		return nil, "", err
-	case notLeader:
-		return nil, hint, ErrNotLeader
-	}
-	return verdicts, "", nil
 }
 
 // nextConfig builds a shard-map change: mutate applied to cur, a copy
@@ -945,14 +931,10 @@ func (r snapRefs) snapshot() *wire.MetaSnapshot {
 	return snap
 }
 
-// fetchRefs captures one partition (or, for FetchFullSnapshot, every
-// one) with the current map.
+// fetchRefs captures one partition with the current map.
 func (c *core) fetchRefs(shard uint32) (snapRefs, error) {
 	if c.smap == nil {
 		return snapRefs{}, errors.New("meta: no committed map yet")
-	}
-	if shard == wire.FetchFullSnapshot {
-		return c.snapshotRefs(), nil
 	}
 	if int(shard) >= len(c.states) {
 		return snapRefs{}, errNoShard

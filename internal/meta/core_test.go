@@ -236,7 +236,7 @@ func (s *sim) leader(not int) int {
 // commit proposes rec at core l and runs steps until its verdict.
 func (s *sim) commit(l int, rec wire.MetaRecord) applyResult {
 	p := &proposal{rec: rec}
-	if _, err := s.cores[l].enqueue([]*proposal{p}); err != nil {
+	if _, err := s.cores[l].enqueue(p); err != nil {
 		s.t.Fatalf("enqueue at core %d: %v", l, err)
 	}
 	s.carry(l, s.cores[l].flush())

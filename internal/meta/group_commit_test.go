@@ -1,13 +1,13 @@
 package meta
 
-// Group commit (ISSUE 10): concurrent proposals at the leader
-// coalesce into one multi-entry WAL append with a single fsync and
-// one replication wave, and a lone proposal is a batch of one; the
-// batched namespace must equal the state machine applied record by
-// record; a WAL sync failure mid-batch wounds the node without acking
-// any batch entry. Plus the GroupProposer side: it sends one record
-// per frame, fresh leader hints retry without backoff, rotation
-// resumes after the failed replica, and FetchMap honors Close.
+// Group commit: proposals queued together at the leader coalesce into
+// one multi-entry WAL append with a single fsync and one replication
+// wave, while proposals that arrive one at a time commit one at a
+// time; the batched namespace must equal the state machine
+// applied record by record; a WAL sync failure mid-batch wounds the
+// node without acking any batch entry. Plus the GroupProposer side: it
+// sends one record per frame, fresh leader hints retry without backoff,
+// rotation resumes after the failed replica, and FetchMap honors Close.
 
 import (
 	"bytes"
@@ -46,39 +46,58 @@ func soloDirNode(t *testing.T, opts NodeOptions) *Node {
 	return n
 }
 
-// TestProposeBatchSingleSync pins the group-commit headline: one
-// batch of N records costs exactly one WAL fsync and one flush.
-func TestProposeBatchSingleSync(t *testing.T) {
+// TestQueuedProposalsShareOneSync pins the group-commit headline at the
+// core: N proposals queued before one flush become one batch, one log
+// record and one WAL fsync, and each gets its own OK verdict at
+// consecutive log indexes.
+func TestQueuedProposalsShareOneSync(t *testing.T) {
 	n := soloDirNode(t, NodeOptions{})
 	base := n.Stats()
-	recs := make([]wire.MetaRecord, 16)
-	for i := range recs {
-		recs[i] = createRec(fmt.Sprintf("gc-%d", i), uint64(i), 0, 1, testIODs())
-	}
-	verdicts, hint, err := n.ProposeBatch(context.Background(), recs)
-	if err != nil || hint != "" {
-		t.Fatalf("ProposeBatch: %v (hint %q)", err, hint)
-	}
-	if len(verdicts) != len(recs) {
-		t.Fatalf("got %d verdicts for %d records", len(verdicts), len(recs))
-	}
-	for i, v := range verdicts {
-		if v.Status != wire.StatusOK || v.Index == 0 {
-			t.Fatalf("verdict %d: %+v", i, v)
+	const count = 16
+	ps := make([]*proposal, count)
+	var enqErr error
+	n.mu.Lock()
+	for i := range ps {
+		ps[i] = &proposal{rec: createRec(fmt.Sprintf("gc-%d", i), uint64(i), 0, 1, testIODs()), ch: make(chan applyResult, 1)}
+		if _, err := n.c.enqueue(ps[i]); err != nil && enqErr == nil {
+			enqErr = err
 		}
-		if i > 0 && v.Index != verdicts[i-1].Index+1 {
-			t.Fatalf("verdict indexes not contiguous: %d after %d", v.Index, verdicts[i-1].Index)
+	}
+	o := n.c.flush()
+	records, entries := len(o.persist), 0
+	if records > 0 && o.persist[0].kind == recLog {
+		entries = len(o.persist[0].entries)
+	}
+	n.carry(o)
+	if enqErr != nil {
+		t.Fatalf("enqueue: %v", enqErr)
+	}
+	if records != 1 || entries != count {
+		t.Errorf("flush asked for %d records (%d entries in the first), want 1 log record of %d", records, entries, count)
+	}
+	for i, p := range ps {
+		var res applyResult
+		select {
+		case res = <-p.ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("proposal %d: no verdict", i)
+		}
+		if res.err != nil || res.status != wire.StatusOK || res.idx != ps[0].idx+uint64(i) {
+			t.Fatalf("proposal %d: %+v, want OK at index %d", i, res, ps[0].idx+uint64(i))
 		}
 	}
 	st := n.Stats()
-	if got := st.MetaProposals - base.MetaProposals; got != 16 {
-		t.Errorf("proposals advanced by %d, want 16", got)
-	}
-	if got := st.MetaBatches - base.MetaBatches; got != 1 {
-		t.Errorf("batches advanced by %d, want 1", got)
-	}
-	if got := st.MetaWALSyncs - base.MetaWALSyncs; got != 1 {
-		t.Errorf("WAL syncs advanced by %d, want 1 (one fsync per batch)", got)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"proposals", st.MetaProposals - base.MetaProposals, count},
+		{"batches", st.MetaBatches - base.MetaBatches, 1},
+		{"WAL syncs", st.MetaWALSyncs - base.MetaWALSyncs, 1},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s advanced by %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -206,11 +225,11 @@ func TestBatchedAndSoloNamespacesIdentical(t *testing.T) {
 	}
 }
 
-// TestLoneProposalIsBatchOfOne pins the other end of group commit: N
-// sequential proposals on a durable solo node cost exactly N flushes
-// and N WAL fsyncs — the committer neither merges a lone proposal
-// with a later one nor splits it.
-func TestLoneProposalIsBatchOfOne(t *testing.T) {
+// TestSequentialProposalsSyncEach pins the other end of group commit:
+// N sequential proposals on a durable solo node cost exactly N flushes
+// and N WAL fsyncs — the committer neither holds a lone proposal back
+// for a later one nor splits it.
+func TestSequentialProposalsSyncEach(t *testing.T) {
 	n := soloDirNode(t, NodeOptions{})
 	base := n.Stats()
 	const count = 8
@@ -306,18 +325,15 @@ func startFakeReplica(t *testing.T, handler func(wire.Message) wire.Message) *fa
 	return f
 }
 
-// okBatch answers a batch propose the way a leader does: one OK
-// verdict per record, in order.
-func okBatch(req wire.Message) wire.Message {
-	var br wire.MetaProposeBatchReq
-	if req.Type != wire.TMetaProposeBatch || br.Unmarshal(req.Body) != nil {
+// okVerdict answers a propose the way a leader does: the record's OK
+// verdict.
+func okVerdict(req wire.Message) wire.Message {
+	var rec wire.MetaRecord
+	if req.Type != wire.TMetaPropose || rec.Unmarshal(req.Body) != nil {
 		return wire.Message{Header: wire.Header{Status: wire.StatusInvalid}}
 	}
-	resp := wire.MetaProposeBatchResp{Verdicts: make([]wire.MetaProposeVerdict, len(br.Recs))}
-	for i := range resp.Verdicts {
-		resp.Verdicts[i] = wire.MetaProposeVerdict{Status: wire.StatusOK, Index: uint64(i + 1)}
-	}
-	return wire.Message{Body: resp.Marshal()}
+	v := wire.MetaProposeVerdict{Status: wire.StatusOK, Index: 1}
+	return wire.Message{Body: v.Marshal()}
 }
 
 // followerOf boots a real master replica that follows leaderAddr (one
@@ -358,8 +374,8 @@ func deadAddr(t *testing.T) string {
 // AFTER the failed address — not start over at masters[0], which
 // doubles failover latency whenever the dead leader sorts first.
 func TestRotationResumesAfterFailedLeader(t *testing.T) {
-	first := startFakeReplica(t, okBatch)
-	next := startFakeReplica(t, okBatch)
+	first := startFakeReplica(t, okVerdict)
+	next := startFakeReplica(t, okVerdict)
 	dead := deadAddr(t)
 	// Group order: [healthy, dead, healthy]; the cached leader is the
 	// dead middle replica.
@@ -379,12 +395,12 @@ func TestRotationResumesAfterFailedLeader(t *testing.T) {
 	}
 }
 
-// TestNoBackoffAfterFreshLeaderHint pins hint following on the batch
-// path: a real follower's NotLeader answer to a batch propose names
+// TestNoBackoffAfterFreshLeaderHint pins hint following on the propose
+// path: a real follower's NotLeader answer to a propose names
 // the leader, and that is actionable immediately — the proposer must
 // follow the hint without sleeping out a backoff round.
 func TestNoBackoffAfterFreshLeaderHint(t *testing.T) {
-	leader := startFakeReplica(t, okBatch)
+	leader := startFakeReplica(t, okVerdict)
 	follower := startFakeReplica(t, followerOf(t, leader.addr).Handle)
 	g := NewGroupProposer([]string{follower.addr, leader.addr}, testTiming())
 	defer g.Close()
@@ -406,9 +422,10 @@ func TestNoBackoffAfterFreshLeaderHint(t *testing.T) {
 
 // TestProposeSendsOneRecordPerFrame pins that a GroupProposer does
 // not batch: eight concurrent Propose calls reach a fake leader, which
-// holds every frame until eight records have arrived (or a second has
-// passed), as eight frames of one record each, and every caller gets
-// the verdict of its own record. Coalescing is the leader's job.
+// holds every frame until eight have arrived (or a second has passed),
+// as eight frames that each decode as exactly one record, and every
+// caller gets the verdict of its own record. Coalescing is the
+// leader's job.
 func TestProposeSendsOneRecordPerFrame(t *testing.T) {
 	const callers = 8
 	verdict := func(seq uint64) wire.MetaProposeVerdict {
@@ -420,20 +437,18 @@ func TestProposeSendsOneRecordPerFrame(t *testing.T) {
 	}
 	var (
 		mu      sync.Mutex
-		frames  []int
-		records int
+		frames  int
 		arrived = make(chan struct{})
 		arriveO sync.Once
 	)
 	leader := startFakeReplica(t, func(req wire.Message) wire.Message {
-		var br wire.MetaProposeBatchReq
-		if req.Type != wire.TMetaProposeBatch || br.Unmarshal(req.Body) != nil {
+		var rec wire.MetaRecord
+		if req.Type != wire.TMetaPropose || rec.Unmarshal(req.Body) != nil {
 			return wire.Message{Header: wire.Header{Status: wire.StatusInvalid}}
 		}
 		mu.Lock()
-		frames = append(frames, len(br.Recs))
-		records += len(br.Recs)
-		if records >= callers {
+		frames++
+		if frames >= callers {
 			arriveO.Do(func() { close(arrived) })
 		}
 		mu.Unlock()
@@ -441,11 +456,8 @@ func TestProposeSendsOneRecordPerFrame(t *testing.T) {
 		case <-arrived:
 		case <-time.After(time.Second):
 		}
-		resp := wire.MetaProposeBatchResp{Verdicts: make([]wire.MetaProposeVerdict, len(br.Recs))}
-		for i := range br.Recs {
-			resp.Verdicts[i] = verdict(br.Recs[i].Seq)
-		}
-		return wire.Message{Body: resp.Marshal()}
+		v := verdict(rec.Seq)
+		return wire.Message{Body: v.Marshal()}
 	})
 	tm := testTiming()
 	tm.CallTimeout = 2 * time.Second // outlasts the fake's hold: no retries
@@ -474,13 +486,51 @@ func TestProposeSendsOneRecordPerFrame(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(frames) != callers {
-		t.Errorf("leader saw %d frames %v, want %d", len(frames), frames, callers)
+	if frames != callers {
+		t.Errorf("leader saw %d frames, want %d", frames, callers)
 	}
-	for i, n := range frames {
-		if n != 1 {
-			t.Errorf("frame %d carried %d records, want 1", i, n)
+}
+
+// TestProposeBodyIsOneRecord pins the master's propose handler: a body
+// that is not exactly one record is StatusProtocol, a record no shard
+// proposes (a shard map, a read barrier) is StatusInvalid, neither
+// commits anything, and a well-formed create gets its verdict with the
+// applied file.
+func TestProposeBodyIsOneRecord(t *testing.T) {
+	n := soloDirNode(t, NodeOptions{})
+	base := n.Stats()
+	propose := func(body []byte) wire.Message {
+		return n.Handle(wire.Message{Header: wire.Header{Type: wire.TMetaPropose}, Body: body})
+	}
+	one := createRec("one", 0, 0, 1, testIODs())
+	body := one.Marshal()
+	for name, b := range map[string][]byte{
+		"empty":       nil,
+		"truncated":   body[:len(body)-1],
+		"trailing":    append(append([]byte(nil), body...), 0),
+		"two records": append(append([]byte(nil), body...), body...),
+	} {
+		if resp := propose(b); resp.Status != wire.StatusProtocol {
+			t.Errorf("%s body: %v, want StatusProtocol", name, resp.Status)
 		}
+	}
+	forged := wire.MetaRecord{Op: wire.TShardMap, Body: singleShardBoot([]string{"forged"}).Marshal()}
+	for _, rec := range []wire.MetaRecord{forged, {Op: wire.TPing}} {
+		if resp := propose(rec.Marshal()); resp.Status != wire.StatusInvalid {
+			t.Errorf("%v record: %v, want StatusInvalid", rec.Op, resp.Status)
+		}
+	}
+	if got := n.Stats().MetaProposals - base.MetaProposals; got != 0 {
+		t.Fatalf("refused bodies committed %d proposals", got)
+	}
+	if m := n.CurrentMap(); m.Masters[0] != "solo" {
+		t.Fatalf("map masters %v after a refused map record", m.Masters)
+	}
+	resp := propose(body)
+	var v wire.MetaProposeVerdict
+	if resp.Status != wire.StatusOK || v.Unmarshal(resp.Body) != nil || v.Status != wire.StatusOK ||
+		v.Index == 0 || v.Info == nil || v.Info.Handle != wire.MetaHandle(0, 0, 1) {
+		t.Fatalf("create: %v verdict %+v", resp.Status, v)
 	}
 }
 

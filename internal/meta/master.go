@@ -24,11 +24,12 @@ type NodeOptions struct {
 	// map as entry 1 (term 0); every replica of a fresh deployment
 	// passes the same map. Replica 0 of a fresh group (term 0, no log
 	// before the seed) then campaigns for term 1 at once and asks its
-	// peers again each tick until they answer, so the group elects as
-	// soon as a majority listens, in any start order; every other start
-	// waits out a randomized election timeout. A rejoining replica
-	// passes nil and gets the log (or a snapshot) from the leader;
-	// state recovered from Dir wins over Bootstrap.
+	// peers again, backing off while their calls fail, until they
+	// answer, so the group elects as soon as a majority listens, in any
+	// start order; every other start waits out a randomized election
+	// timeout. A rejoining replica passes nil and gets the log (or a
+	// snapshot) from the leader; state recovered from Dir wins over
+	// Bootstrap.
 	Bootstrap *wire.ShardMap
 	// Timing overrides protocol clocks (zero fields take defaults).
 	Timing Timing
@@ -42,13 +43,11 @@ type NodeOptions struct {
 }
 
 // proposal is one proposed record: queued, then appended at idx. It
-// receives exactly one verdict on ch (buffered(1)), which its proposer
-// keeps in res.
+// receives exactly one verdict on ch (buffered(1)).
 type proposal struct {
 	rec wire.MetaRecord
 	idx uint64
 	ch  chan applyResult
-	res applyResult
 }
 
 // errClosed is returned once the node has shut down.
@@ -319,7 +318,7 @@ func (n *Node) askVote(p int, term uint64, body []byte) {
 	}
 	var vr wire.MetaVoteResp
 	if n.callPeer(p, wire.TMetaVote, body, &vr) != nil {
-		n.step(func(c *core) output { return c.voteFailed(time.Now(), term, p) })
+		n.step(func(c *core) output { return c.voteFailed(time.Now(), p) })
 		return
 	}
 	n.step(func(c *core) output { return c.voteResp(time.Now(), term, p, vr) })
@@ -492,7 +491,7 @@ func (n *Node) Handle(req wire.Message) wire.Message {
 	switch req.Type {
 	case wire.TMetaVote:
 		var vr wire.MetaVoteReq
-		if err := vr.Unmarshal(req.Body); err != nil {
+		if err := vr.Unmarshal(req.Body); err != nil || !n.isPeer(vr.Candidate) {
 			return wire.Message{Header: wire.Header{Status: wire.StatusProtocol}}
 		}
 		var resp wire.MetaVoteResp
@@ -502,11 +501,14 @@ func (n *Node) Handle(req wire.Message) wire.Message {
 		return wire.Message{Body: resp.Marshal()}
 	case wire.TMetaAppend:
 		return n.handleAppend(req)
-	case wire.TMetaProposeBatch:
-		return n.handleProposeBatch(req)
+	case wire.TMetaPropose:
+		return n.handlePropose(req)
 	case wire.TMetaFetch:
 		return n.handleFetch(req)
 	case wire.TShardMap:
+		if len(req.Body) > 0 {
+			return wire.Message{Header: wire.Header{Status: wire.StatusInvalid}}
+		}
 		if m := n.waitMap(); m != nil {
 			return wire.Message{Body: m.Marshal()}
 		}
@@ -521,13 +523,27 @@ func (n *Node) Handle(req wire.Message) wire.Message {
 	}
 }
 
+// isPeer reports whether id names another replica of the group. A vote
+// request or append from anyone else is refused: its higher term would
+// depose a solo replica, which never campaigns, for good.
+func (n *Node) isPeer(id uint32) bool {
+	return int(id) != n.c.id && int(id) < len(n.c.peers)
+}
+
 // handleAppend decodes an append (and any snapshot it carries) with mu
 // released; the ack leaves only once every write it leans on is
-// durable.
+// durable. A leader ships a run of its log: entries numbered on from
+// PrevIndex, none of a later term than its own. Anything else would
+// break the core's index arithmetic, so it is refused.
 func (n *Node) handleAppend(req wire.Message) wire.Message {
 	var ar wire.MetaAppendReq
-	if err := ar.Unmarshal(req.Body); err != nil {
+	if err := ar.Unmarshal(req.Body); err != nil || !n.isPeer(ar.Leader) {
 		return wire.Message{Header: wire.Header{Status: wire.StatusProtocol}}
+	}
+	for i, e := range ar.Entries {
+		if e.Index != ar.PrevIndex+1+uint64(i) || e.Term > ar.Term {
+			return wire.Message{Header: wire.Header{Status: wire.StatusProtocol}}
+		}
 	}
 	var snap *wire.MetaSnapshot
 	if len(ar.Snap) > 0 {
@@ -569,26 +585,31 @@ func notLeaderResp(hint string) wire.Message {
 	return wire.Message{Header: wire.Header{Status: wire.StatusNotLeader}, Body: hr.Marshal()}
 }
 
-func (n *Node) handleProposeBatch(req wire.Message) wire.Message {
-	var br wire.MetaProposeBatchReq
-	if err := br.Unmarshal(req.Body); err != nil {
+// handlePropose serves a shard's TMetaPropose: exactly one record in,
+// its verdict out. Only the namespace mutations a shard proposes are
+// taken; shard-map changes and read barriers enter in-process only.
+func (n *Node) handlePropose(req wire.Message) wire.Message {
+	var rec wire.MetaRecord
+	if err := rec.Unmarshal(req.Body); err != nil {
 		return wire.Message{Header: wire.Header{Status: wire.StatusProtocol}}
 	}
-	if len(br.Recs) == 0 {
+	switch rec.Op {
+	case wire.TCreate, wire.TRemove, wire.TSetSize:
+	default:
 		return wire.Message{Header: wire.Header{Status: wire.StatusInvalid}}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), n.timing.ProposeWait)
 	defer cancel()
-	verdicts, hint, err := n.ProposeBatch(ctx, br.Recs)
-	if errors.Is(err, ErrNotLeader) {
+	st, info, idx, hint, err := n.Propose(ctx, rec)
+	switch {
+	case err != nil:
+		// An unknown outcome: the caller retries.
+		return wire.Message{Header: wire.Header{Status: wire.StatusUnavailable}}
+	case st == wire.StatusNotLeader:
 		return notLeaderResp(hint)
 	}
-	if err != nil {
-		// An unknown outcome: the caller retries the whole batch.
-		return wire.Message{Header: wire.Header{Status: wire.StatusUnavailable}}
-	}
-	hr := wire.MetaProposeBatchResp{Verdicts: verdicts}
-	return wire.Message{Body: hr.Marshal()}
+	v := wire.MetaProposeVerdict{Status: st, Index: idx, Info: info}
+	return wire.Message{Body: v.Marshal()}
 }
 
 // handleFetch serves FetchShard. A deposed leader partitioned from the

@@ -16,8 +16,10 @@
 //     master leader and answered only after majority commit — so an
 //     acknowledged create survives any single node's failure,
 //     including the leader's. A shard proposes one record per call,
-//     in the requesting goroutine; batching happens once, at the
-//     leader's group committer.
+//     in the requesting goroutine, as one TMetaPropose answered by one
+//     verdict; batching happens once, at the leader's group committer.
+//     A shard learns the shard map only from the masters: its listener
+//     answers TShardMap as a query and refuses a map sent to it.
 //
 // The consensus core is a compact Raft-style protocol (election
 // restriction on log freshness, current-term-only commit counting,

@@ -736,7 +736,7 @@ func startPlane(t *testing.T, nmasters, nshards int) *plane {
 	})
 	pl := &plane{g: g, shardAddrs: addrs}
 	for i := range lns {
-		s := NewShard(ShardOptions{Index: i, Masters: g.addrs, Timing: g.timing})
+		s := NewShard(ShardOptions{Index: i, Proposer: NewGroupProposer(g.addrs, g.timing), Timing: g.timing})
 		pl.shards = append(pl.shards, s)
 		pl.shardSrvs = append(pl.shardSrvs, pvfsnet.NewServer(lns[i], s.Handle, nil))
 	}

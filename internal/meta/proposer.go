@@ -17,9 +17,9 @@ import (
 // mgr compatibility wrapper injects the in-process Node directly
 // (LocalProposer); standalone shards talk to the replica group over
 // the wire (GroupProposer), riding out elections by retrying against
-// whichever replica currently leads. Implementations do not batch:
-// each Propose is its own request, and concurrent ones coalesce in
-// the leader's committer.
+// whichever replica currently leads. Each Propose carries one record
+// and gets one verdict (over the wire, one TMetaPropose); concurrent
+// ones coalesce in the leader's committer.
 type Proposer interface {
 	// Propose replicates rec and returns the applied verdict. The
 	// returned info is non-nil for committed creates; the uint64 is
@@ -63,72 +63,46 @@ func (l LocalProposer) Close() error { return nil }
 // --- the Node's in-process propose API ---
 //
 // Every mutation enters the log through one queue and the group
-// committer (Node.commitLoop): shards over the wire (TMetaProposeBatch),
+// committer (Node.commitLoop): shards over the wire (TMetaPropose),
 // LocalProposer, ProposeConfig and the read barrier alike.
 
 // Propose submits one mutation record and waits for its committed
 // verdict: the applied status, (for creates) file info, and the entry's
 // log index — shards order snapshot installs against it. A
 // StatusNotLeader status carries no verdict; the caller retries against
-// hint, the leader's address when known.
+// hint, the leader's address when known. It waits for the verdict, the
+// context's end, or shutdown; a verdict that raced in is preferred over
+// the cancellation.
 func (n *Node) Propose(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, string, error) {
-	ps, hint, err := n.propose(ctx, []wire.MetaRecord{rec})
+	p := &proposal{rec: rec, ch: make(chan applyResult, 1)}
+	err := errClosed
+	var hint string
+	n.locked(func() {
+		if !n.closed {
+			hint, err = n.c.enqueue(p)
+		}
+	})
 	if errors.Is(err, ErrNotLeader) {
 		return wire.StatusNotLeader, nil, 0, hint, nil
 	}
 	if err != nil {
 		return 0, nil, 0, "", err
 	}
-	res := &ps[0].res
-	return res.status, res.info, res.idx, res.hint, res.err
-}
-
-// ProposeBatch submits several records as one group-commit batch and
-// waits for every verdict, in order (see batchVerdicts).
-func (n *Node) ProposeBatch(ctx context.Context, recs []wire.MetaRecord) ([]wire.MetaProposeVerdict, string, error) {
-	ps, hint, err := n.propose(ctx, recs)
-	if err != nil {
-		return nil, hint, err
-	}
-	return batchVerdicts(ps, hint)
-}
-
-// propose queues recs, in order, for the committer's next batch and
-// waits for each verdict (into res), the context's end, or shutdown; a
-// verdict that raced in is preferred over the cancellation. On a
-// non-leader it queues nothing and returns the leader hint with
-// ErrNotLeader.
-func (n *Node) propose(ctx context.Context, recs []wire.MetaRecord) ([]*proposal, string, error) {
-	ps := make([]*proposal, len(recs))
-	for i := range recs {
-		ps[i] = &proposal{rec: recs[i], ch: make(chan applyResult, 1)}
-	}
-	err := errClosed
-	var hint string
-	n.locked(func() {
-		if !n.closed {
-			hint, err = n.c.enqueue(ps)
-		}
-	})
-	if err != nil {
-		return nil, hint, err
-	}
 	wake(n.propC)
-	for _, p := range ps {
-		select {
-		case p.res = <-p.ch:
-		case <-ctx.Done():
-			gone := false
-			n.locked(func() { gone = n.c.withdraw(p) })
-			p.res = applyResult{err: ctx.Err()}
-			if !gone {
-				p.res = <-p.ch
-			}
-		case <-n.stopC:
-			p.res = applyResult{err: errClosed}
+	var res applyResult
+	select {
+	case res = <-p.ch:
+	case <-ctx.Done():
+		gone := false
+		n.locked(func() { gone = n.c.withdraw(p) })
+		res = applyResult{err: ctx.Err()}
+		if !gone {
+			res = <-p.ch
 		}
+	case <-n.stopC:
+		res = applyResult{err: errClosed}
 	}
-	return ps, "", nil
+	return res.status, res.info, res.idx, res.hint, res.err
 }
 
 // ProposeConfig replicates a shard-map change built by mutate (see
@@ -195,7 +169,7 @@ func (n *Node) FetchMap(ctx context.Context) (*wire.ShardMap, error) {
 // group isn't hammered.
 //
 // It keeps no queue and starts no goroutine: Propose sends its record
-// as a TMetaProposeBatch of one, in the caller's goroutine, and
+// as one TMetaPropose, in the caller's goroutine, and
 // concurrent proposals coalesce at the leader's committer
 // (Node.commitLoop). Propose, FetchShard and FetchMap share one
 // leader-routed call loop.
@@ -366,15 +340,14 @@ func (g *GroupProposer) attempt(ctx context.Context, addr string, req wire.Messa
 	return resp, nil // a verdict status, if any; the caller routes on it
 }
 
-// Propose sends rec to the leader as a TMetaProposeBatch of one and
-// returns its verdict. Any failure before a verdict arrives leaves the
-// outcome unknown; records are idempotent, so the caller may retry.
+// Propose sends rec to the leader as a TMetaPropose and returns its
+// verdict. Any failure before a verdict arrives leaves the outcome
+// unknown; records are idempotent, so the caller may retry.
 func (g *GroupProposer) Propose(ctx context.Context, rec wire.MetaRecord) (wire.Status, *wire.FileInfo, uint64, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.timing.RetryWindow)
 	defer cancel()
-	breq := wire.MetaProposeBatchReq{Recs: []wire.MetaRecord{rec}}
 	resp, err := g.call(ctx, wire.Message{
-		Header: wire.Header{Type: wire.TMetaProposeBatch}, Body: breq.Marshal(),
+		Header: wire.Header{Type: wire.TMetaPropose}, Body: rec.Marshal(),
 	}, g.timing.CallTimeout)
 	if err != nil {
 		return 0, nil, 0, err
@@ -383,22 +356,11 @@ func (g *GroupProposer) Propose(ctx context.Context, rec wire.MetaRecord) (wire.
 	if resp.Status != wire.StatusOK {
 		return 0, nil, 0, fmt.Errorf("meta: propose: %v", resp.Status)
 	}
-	var br wire.MetaProposeBatchResp
-	if err := br.Unmarshal(resp.Body); err != nil {
+	var v wire.MetaProposeVerdict
+	if err := v.Unmarshal(resp.Body); err != nil {
 		return 0, nil, 0, err
 	}
-	if len(br.Verdicts) != 1 {
-		return 0, nil, 0, fmt.Errorf("meta: propose: %d verdicts for 1 record", len(br.Verdicts))
-	}
-	v := br.Verdicts[0]
-	var info *wire.FileInfo
-	if len(v.Info) > 0 {
-		info = new(wire.FileInfo)
-		if err := info.Unmarshal(v.Info); err != nil {
-			return 0, nil, 0, err
-		}
-	}
-	return v.Status, info, v.Index, nil
+	return v.Status, v.Info, v.Index, nil
 }
 
 func (g *GroupProposer) FetchShard(ctx context.Context, shard uint32) (*wire.MetaSnapshot, error) {

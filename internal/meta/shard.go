@@ -14,13 +14,10 @@ import (
 type ShardOptions struct {
 	// Index is this shard's partition number in the shard map.
 	Index int
-	// Masters lists the master replica addresses; used to build a
-	// GroupProposer when Proposer is nil.
-	Masters []string
-	// Proposer overrides the path to the master group: the mgr wrapper
-	// injects the in-process node, and a standalone shard process
-	// passes the GroupProposer it fetched the map with. The Shard owns
-	// it and closes it.
+	// Proposer is the shard's path to the master group: the mgr wrapper
+	// passes the in-process node (LocalProposer), and a standalone shard
+	// a GroupProposer over the master addresses. The Shard owns it and
+	// closes it.
 	Proposer Proposer
 	// Timing overrides protocol clocks (zero fields take defaults).
 	Timing Timing
@@ -64,15 +61,11 @@ type Shard struct {
 // its partition snapshot from the masters in the background and
 // answers StatusUnavailable (retry-safe) until it has.
 func NewShard(o ShardOptions) *Shard {
-	prop := o.Proposer
-	if prop == nil {
-		prop = NewGroupProposer(o.Masters, o.Timing)
-	}
 	s := &Shard{
 		idx:    o.Index,
 		timing: o.Timing.withDefaults(),
 		logger: o.Logger,
-		prop:   prop,
+		prop:   o.Proposer,
 		ns:     newNamespace(),
 		locks:  make(map[string]chan struct{}),
 		stopC:  make(chan struct{}),
@@ -117,8 +110,10 @@ func (s *Shard) CurrentMap() *wire.ShardMap {
 	return s.smap.Clone()
 }
 
-// InstallMap adopts a newer shard map (pushed by operators or the
-// cluster harness after a config change commits).
+// InstallMap adopts a newer shard map: the shard's own map poll calls
+// it, and so does an in-process owner that has just committed a config
+// change (cluster.BumpEpoch). The wire offers no way in: a shard
+// learns maps only from the masters.
 func (s *Shard) InstallMap(m *wire.ShardMap) {
 	s.mu.Lock()
 	if s.smap == nil || m.Epoch > s.smap.Epoch {
@@ -299,12 +294,7 @@ func (s *Shard) Handle(req wire.Message) wire.Message {
 		return s.serveEnvelope(&env, req.Handle)
 	case wire.TShardMap:
 		if len(req.Body) > 0 {
-			var m wire.ShardMap
-			if err := m.Unmarshal(req.Body); err != nil {
-				return fail(wire.StatusProtocol)
-			}
-			s.InstallMap(&m)
-			return wire.Message{}
+			return fail(wire.StatusInvalid)
 		}
 		m := s.CurrentMap()
 		if m == nil {

@@ -104,20 +104,15 @@ func (s *Server) Close() error {
 	return err
 }
 
-// handle demultiplexes the single listener: consensus traffic goes to
-// the master replica, everything else (the classic manager grammar
-// plus the TMetaForward envelope) to the shard.
+// handle demultiplexes the single listener: consensus traffic and map
+// queries go to the master replica, whose map is the committed one and
+// which refuses a map sent to it; everything else (the classic manager
+// grammar plus the TMetaForward envelope) goes to the shard. The shard
+// proposes to the node in process, so no propose arrives here.
 func (s *Server) handle(req wire.Message) wire.Message {
 	switch req.Type {
-	case wire.TMetaVote, wire.TMetaAppend, wire.TMetaFetch:
+	case wire.TMetaVote, wire.TMetaAppend, wire.TMetaFetch, wire.TShardMap:
 		return s.node.Handle(req)
-	case wire.TShardMap:
-		// The node's copy is authoritative (committed); serve queries
-		// from it and let installs fall through to the shard.
-		if len(req.Body) == 0 {
-			return s.node.Handle(req)
-		}
-		return s.shard.Handle(req)
 	case wire.TServerStats:
 		st := s.Stats()
 		return wire.Message{Body: st.Marshal()}

@@ -246,7 +246,8 @@ func TestRetiredProposeTypeRejected(t *testing.T) {
 
 func TestMalformedBodies(t *testing.T) {
 	_, c := startMgr(t, fourIODs())
-	for _, typ := range []wire.MsgType{wire.TCreate, wire.TOpen, wire.TRemove, wire.TSetSize} {
+	// The listener has no propose path: its shard proposes in process.
+	for _, typ := range []wire.MsgType{wire.TCreate, wire.TOpen, wire.TRemove, wire.TSetSize, wire.TMetaPropose} {
 		resp, err := c.Call(wire.Message{Header: wire.Header{Type: typ}, Body: []byte{0xFF}})
 		if err == nil {
 			t.Errorf("%v: malformed body accepted", typ)
@@ -259,4 +260,25 @@ func TestMalformedBodies(t *testing.T) {
 	if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TRead}}); err == nil {
 		t.Error("manager accepted an I/O request")
 	}
+}
+
+// TestStrayConsensusFramesKeepManagerLeading sends the classic
+// listener a vote request and an append at a higher term, as from a
+// replica 1 its solo master does not have. Each is refused
+// StatusProtocol: the solo master never campaigns, so stepping down
+// for either would fail every later create. A create still succeeds.
+func TestStrayConsensusFramesKeepManagerLeading(t *testing.T) {
+	srv, c := startMgr(t, fourIODs())
+	vote := wire.MetaVoteReq{Term: 99, Candidate: 1}
+	app := wire.MetaAppendReq{Term: 99, Leader: 1}
+	for typ, body := range map[wire.MsgType][]byte{wire.TMetaVote: vote.Marshal(), wire.TMetaAppend: app.Marshal()} {
+		resp, err := c.Call(wire.Message{Header: wire.Header{Type: typ}, Body: body})
+		if err == nil || resp.Status != wire.StatusProtocol {
+			t.Fatalf("%v from a non-replica: status %v err %v, want protocol", typ, resp.Status, err)
+		}
+	}
+	if !srv.Node().IsLeader() {
+		t.Fatal("solo master stepped down")
+	}
+	create(t, c, "after-stray", striping.Config{PCount: 1, StripeSize: striping.DefaultStripeSize})
 }

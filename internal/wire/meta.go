@@ -194,9 +194,13 @@ func (m *MetaRecord) Marshal() []byte {
 	return e.buf
 }
 
+// Unmarshal decodes exactly one record: bytes past it are an error.
 func (m *MetaRecord) Unmarshal(b []byte) error {
 	d := decoder{buf: b}
 	m.unmarshalFrom(&d)
+	if d.err == nil && len(d.buf) > 0 {
+		return fmt.Errorf("wire: %d bytes past a meta record", len(d.buf))
+	}
 	return d.err
 }
 
@@ -438,7 +442,7 @@ func (m *MetaAppendResp) Unmarshal(b []byte) error {
 }
 
 // MetaProposeResp is the body of every StatusNotLeader answer a master
-// replica sends, to a batch propose and to a fetch alike: the address
+// replica sends, to a propose and to a fetch alike: the address
 // of the replica it believes leads, empty when it knows none.
 type MetaProposeResp struct {
 	LeaderAddr string
@@ -456,98 +460,40 @@ func (m *MetaProposeResp) Unmarshal(b []byte) error {
 	return d.err
 }
 
-// MetaProposeBatchReq submits one or more mutation records in one
-// round trip. The leader appends them as one group-commit batch — a
-// single WAL fsync and one replication wave cover every record — and
-// answers only after all of them resolve: replicated to a majority and
-// applied, so an OK (or Exists, or NotFound) verdict is durable and
-// survives leader failure.
-type MetaProposeBatchReq struct {
-	Recs []MetaRecord
-}
-
-func (m *MetaProposeBatchReq) Marshal() []byte {
-	e := encoder{}
-	e.u32(uint32(len(m.Recs)))
-	for i := range m.Recs {
-		m.Recs[i].marshalTo(&e)
-	}
-	return e.buf
-}
-
-func (m *MetaProposeBatchReq) Unmarshal(b []byte) error {
-	d := decoder{buf: b}
-	n := d.u32()
-	if d.err != nil {
-		return d.err
-	}
-	if n > maxMetaList {
-		return fmt.Errorf("wire: absurd propose batch of %d records", n)
-	}
-	m.Recs = make([]MetaRecord, n)
-	for i := range m.Recs {
-		m.Recs[i].unmarshalFrom(&d)
-	}
-	return d.err
-}
-
-// MetaProposeVerdict is one record's committed outcome inside a batch
-// response: the applied status, the committed entry's log index
-// (shards order snapshot installs against it so a stale snapshot can
-// never overwrite a newer committed write-back), and (for creates) the
-// applied FileInfo.
+// MetaProposeVerdict answers a TMetaPropose whose record resolved:
+// replicated to a majority and applied, so an OK (or Exists, or
+// NotFound) verdict is durable and survives leader failure. It carries
+// the applied status, the committed entry's log index (shards order
+// snapshot installs against it so a stale snapshot can never overwrite
+// a newer committed write-back), and (for creates) the applied
+// FileInfo, which fills the rest of the body. A StatusNotLeader answer
+// carries a MetaProposeResp hint instead, and StatusUnavailable means
+// the outcome is unknown: records are idempotent, so the caller
+// retries.
 type MetaProposeVerdict struct {
 	Status Status
 	Index  uint64
-	Info   []byte // marshaled FileInfo; empty when none applies
+	Info   *FileInfo // nil when none applies
 }
 
-// MetaProposeBatchResp answers a batch. A StatusOK header carries one
-// verdict per request record, in order. A StatusNotLeader header
-// instead carries a MetaProposeResp hint; StatusUnavailable means at
-// least one record's outcome is unknown and the caller must retry the
-// whole batch (records are idempotent, so replaying the committed
-// prefix is safe).
-type MetaProposeBatchResp struct {
-	Verdicts []MetaProposeVerdict
-}
-
-func (m *MetaProposeBatchResp) Marshal() []byte {
+func (m *MetaProposeVerdict) Marshal() []byte {
 	e := encoder{}
-	e.u32(uint32(len(m.Verdicts)))
-	for i := range m.Verdicts {
-		v := &m.Verdicts[i]
-		e.u32(uint32(v.Status))
-		e.u64(v.Index)
-		e.u32(uint32(len(v.Info)))
-		e.bytes(v.Info)
+	e.u32(uint32(m.Status))
+	e.u64(m.Index)
+	if m.Info != nil {
+		e.bytes(m.Info.Marshal())
 	}
 	return e.buf
 }
 
-func (m *MetaProposeBatchResp) Unmarshal(b []byte) error {
+func (m *MetaProposeVerdict) Unmarshal(b []byte) error {
 	d := decoder{buf: b}
-	n := d.u32()
-	if d.err != nil {
-		return d.err
-	}
-	if n > maxMetaList {
-		return fmt.Errorf("wire: absurd verdict count %d", n)
-	}
-	m.Verdicts = make([]MetaProposeVerdict, n)
-	for i := range m.Verdicts {
-		v := &m.Verdicts[i]
-		v.Status = Status(d.u32())
-		v.Index = d.u64()
-		ilen := d.u32()
-		if d.err != nil {
-			return d.err
-		}
-		if uint32(len(d.buf)) < ilen {
-			return ErrShortBody
-		}
-		v.Info = d.buf[:ilen] // aliases the frame; decoded before release
-		d.buf = d.buf[ilen:]
+	m.Status = Status(d.u32())
+	m.Index = d.u64()
+	m.Info = nil
+	if info := d.rest(); d.err == nil && len(info) > 0 {
+		m.Info = new(FileInfo)
+		return m.Info.Unmarshal(info)
 	}
 	return d.err
 }
@@ -674,15 +620,12 @@ func (m *MetaSnapshot) Unmarshal(b []byte) error {
 	return d.err
 }
 
-// MetaFetchReq asks a master for state. Shard != FetchFullSnapshot
-// requests one partition's materialized state (a restarting shard's
-// replay path); FetchFullSnapshot requests the whole snapshot.
+// MetaFetchReq asks a master for one partition's materialized state
+// (a restarting shard's replay path). A lagging replica gets the whole
+// snapshot inside an append instead.
 type MetaFetchReq struct {
 	Shard uint32
 }
-
-// FetchFullSnapshot in MetaFetchReq.Shard selects the full snapshot.
-const FetchFullSnapshot = ^uint32(0)
 
 func (m *MetaFetchReq) Marshal() []byte {
 	e := encoder{}

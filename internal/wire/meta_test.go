@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -136,32 +135,29 @@ func TestMetaVoteAndProposeRoundTrip(t *testing.T) {
 		t.Fatalf("vote resp: %+v err %v", vrg, err)
 	}
 	cr := MetaCreateRec{Name: "f", Info: FileInfo{Handle: 3, Striping: striping.Config{PCount: 2, StripeSize: 4096}, IODAddrs: []string{"a", "b"}}}
-	p := MetaProposeBatchReq{Recs: []MetaRecord{{Shard: 1, Seq: 7, Op: TCreate, Body: cr.Marshal()}}}
-	var pg MetaProposeBatchReq
-	if err := pg.Unmarshal(p.Marshal()); err != nil || len(pg.Recs) != 1 {
-		t.Fatalf("propose batch req: %d records, err %v", len(pg.Recs), err)
+	p := MetaRecord{Shard: 1, Seq: 7, Op: TCreate, Body: cr.Marshal()}
+	var pg MetaRecord
+	if err := pg.Unmarshal(p.Marshal()); err != nil || pg.Shard != p.Shard || pg.Seq != p.Seq || pg.Op != p.Op {
+		t.Fatalf("propose record: %+v err %v", pg, err)
+	}
+	if err := pg.Unmarshal(append(p.Marshal(), 0)); err == nil {
+		t.Fatal("propose record with a trailing byte accepted")
 	}
 	var crg MetaCreateRec
-	if err := crg.Unmarshal(pg.Recs[0].Body); err != nil {
+	if err := crg.Unmarshal(pg.Body); err != nil {
 		t.Fatalf("create rec: %v", err)
 	}
 	if !reflect.DeepEqual(cr, crg) {
 		t.Fatalf("create rec round trip: got %+v want %+v", crg, cr)
 	}
 
-	info := cr.Info.Marshal()
-	br := MetaProposeBatchResp{Verdicts: []MetaProposeVerdict{
-		{Status: StatusOK, Index: 9, Info: info},
+	for _, v := range []MetaProposeVerdict{
+		{Status: StatusOK, Index: 9, Info: &cr.Info},
 		{Status: StatusExists, Index: 10},
-	}}
-	var brg MetaProposeBatchResp
-	if err := brg.Unmarshal(br.Marshal()); err != nil || len(brg.Verdicts) != len(br.Verdicts) {
-		t.Fatalf("propose batch resp: got %+v err %v, want %+v", brg, err, br)
-	}
-	for i, v := range br.Verdicts {
-		g := brg.Verdicts[i]
-		if g.Status != v.Status || g.Index != v.Index || !bytes.Equal(g.Info, v.Info) {
-			t.Fatalf("verdict %d: got %+v want %+v", i, g, v)
+	} {
+		var g MetaProposeVerdict
+		if err := g.Unmarshal(v.Marshal()); err != nil || !reflect.DeepEqual(g, v) {
+			t.Fatalf("verdict: got %+v err %v, want %+v", g, err, v)
 		}
 	}
 

@@ -240,23 +240,24 @@ func TestReadMessageTornBodyReleasesBuffer(t *testing.T) {
 }
 
 // TestMsgTypeString also pins the reserved blanks: 11 and 12 (the
-// retired strided family) and 24 (the retired one-record propose)
-// print as bare numbers, and their neighbours keep their wire values.
+// retired strided family) and 24 print as bare numbers, their
+// neighbours keep their wire values, and the propose stays at 26.
 func TestMsgTypeString(t *testing.T) {
 	for typ, want := range map[MsgType]string{
-		TWrite:                                "write",
-		TWrite.Response():                     "write-resp",
-		TInvalid:                              "invalid",
-		MsgType(11):                           "type(11)",
-		MsgType(12).Response():                "type(32780)",
-		MsgType(13):                           "truncate",
-		MsgType(23):                           "metaappend",
-		MsgType(24):                           "type(24)",
-		MsgType(24).Response():                "type(32792)",
-		MsgType(25):                           "metafetch",
-		MsgType(26):                           "metaproposebatch",
-		TMetaProposeBatch + 1:                 "type(27)",
-		(TMetaProposeBatch + 1) | responseBit: "type(32795)",
+		TWrite:                           "write",
+		TWrite.Response():                "write-resp",
+		TInvalid:                         "invalid",
+		MsgType(11):                      "type(11)",
+		MsgType(12).Response():           "type(32780)",
+		MsgType(13):                      "truncate",
+		MsgType(23):                      "metaappend",
+		MsgType(24):                      "type(24)",
+		MsgType(24).Response():           "type(32792)",
+		MsgType(25):                      "metafetch",
+		MsgType(26):                      "metapropose",
+		TMetaPropose.Response():          "metapropose-resp",
+		TMetaPropose + 1:                 "type(27)",
+		(TMetaPropose + 1) | responseBit: "type(32795)",
 	} {
 		if got := typ.String(); got != want {
 			t.Errorf("MsgType(%d).String() = %q, want %q", uint16(typ), got, want)

@@ -82,8 +82,9 @@ const (
 	// cache, not the disk (DESIGN.md §7). A daemon without a
 	// write-back cache answers OK immediately.
 	TSync
-	// Metadata-plane operations (DESIGN.md §13). TShardMap queries (empty
-	// body) or installs (ShardMap body) the epoch-stamped shard map.
+	// Metadata-plane operations (DESIGN.md §13). TShardMap queries the
+	// epoch-stamped shard map. It carries no body, and one that does is
+	// answered StatusInvalid: maps come only from the masters' log.
 	// TMetaForward wraps a manager-grammar request in a MetaEnvelope so a
 	// shard can check the client's epoch; a request for a name or handle
 	// the shard does not own is refused with the current map, never
@@ -91,18 +92,18 @@ const (
 	// The rest are master-replica internal: leader election
 	// (TMetaVote), log replication and snapshot install (TMetaAppend),
 	// shard state/snapshot fetch (TMetaFetch), and shard-originated
-	// mutation proposals (TMetaProposeBatch).
+	// mutation proposals (TMetaPropose).
 	TShardMap
 	TMetaForward
 	TMetaVote
 	TMetaAppend
-	_ // 24: retired one-record propose; reserved so later types keep their wire values
+	_ // 24: retired; reserved so later types keep their wire values
 	TMetaFetch
-	// TMetaProposeBatch submits one or more mutation records in one
-	// round trip; the leader coalesces them into one group-commit batch
-	// (one WAL fsync, one replication wave) and answers per-record
-	// verdicts. A lone proposal is a batch of one.
-	TMetaProposeBatch
+	// TMetaPropose submits one mutation record (a MetaRecord body) and
+	// is answered with its MetaProposeVerdict. Concurrent proposals
+	// coalesce in the leader's committer: one WAL fsync and one
+	// replication wave cover every record queued together.
+	TMetaPropose
 
 	responseBit MsgType = 0x8000
 )
@@ -128,7 +129,7 @@ var msgTypeNames = [...]string{
 	TWriteDatatype: "writedatatype", TSync: "sync",
 	TShardMap: "shardmap", TMetaForward: "metaforward",
 	TMetaVote: "metavote", TMetaAppend: "metaappend",
-	TMetaFetch: "metafetch", TMetaProposeBatch: "metaproposebatch",
+	TMetaFetch: "metafetch", TMetaPropose: "metapropose",
 }
 
 func (t MsgType) String() string {

@@ -324,11 +324,15 @@ func TestUnmarshalShortBodies(t *testing.T) {
 		cr CreateReq
 		fi FileInfo
 		st ServerStats
+		mv MetaProposeVerdict
 	)
 	bodies := [][]byte{nil, {1}, {0, 0, 0}, bytes.Repeat([]byte{0xFF}, 7)}
 	for _, b := range bodies {
 		if err := cr.Unmarshal(b); err == nil && len(b) < 4 {
 			t.Errorf("CreateReq accepted %d bytes", len(b))
+		}
+		if err := mv.Unmarshal(b); err == nil {
+			t.Errorf("MetaProposeVerdict accepted %d bytes", len(b))
 		}
 		_ = fi.Unmarshal(b)
 		_ = st.Unmarshal(b)
