@@ -48,9 +48,10 @@ func main() {
 	// stride one row.
 	column := pvfs.Vector(n, 1, n, pvfs.Double())
 	base := int64(17 * 8)
+	blocks := len(pvfs.FlattenType(column, 0))
 	fmt.Printf("column datatype: %v\n", column)
 	fmt.Printf("  size=%d bytes in %d blocks over a %d-byte extent\n",
-		column.Size(), column.Blocks(), column.Extent())
+		column.Size(), blocks, column.Extent())
 
 	buf := make([]byte, column.Size())
 	before := fs.Counters().Snapshot()
@@ -62,7 +63,7 @@ func main() {
 	fmt.Printf("  read with %d requests (the vector ships as one datatype descriptor per server)\n",
 		after.Requests-before.Requests)
 	fmt.Printf("  list I/O would need %d requests; multiple I/O %d\n\n",
-		(column.Blocks()+63)/64, column.Blocks())
+		(blocks+63)/64, blocks)
 
 	// Verify against a brute-force gather.
 	want := make([]byte, 0, n*8)

@@ -82,8 +82,8 @@ func flashCase(pat *patterns.Flash, rank int) datatypeCase {
 	}
 }
 
-// datatypeCases are the pattern shapes the tentpole names: vector,
-// indexed, and 2-D subarray, plus a nested constructor for depth, and
+// datatypeCases are the pattern shapes: vector, indexed, 2-D subarray,
+// a nested constructor for depth, a struct whose fields interleave, and
 // the FLASH shape at sizes that are no power of two, so that window
 // cuts fall inside rows and runs.
 func datatypeCases(t *testing.T) map[string]datatypeCase {
@@ -105,6 +105,15 @@ func datatypeCases(t *testing.T) map[string]datatypeCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Interleaved fields: the second field's blocks sit in the first's
+	// holes, so data order is not ascending offset order.
+	interleaved, err := datatype.Struct(
+		datatype.Field{Displ: 0, Type: datatype.Vector(20, 8, 32, datatype.Bytes(1))},
+		datatype.Field{Displ: 8, Type: datatype.Vector(20, 8, 32, datatype.Bytes(1))},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	vec := datatype.Vector(37, 24, 100, datatype.Bytes(1))
 	shapeless, shapelessLen := shapelessMem(3 * vec.Size()) // 400-odd regions: several listed runs
 	return map[string]datatypeCase{
@@ -113,6 +122,7 @@ func datatypeCases(t *testing.T) map[string]datatypeCase {
 		"indexed":     {typ: idx, base: 128, count: 5},
 		"subarray":    {typ: sub, base: 64, count: 2},
 		"nested":      {typ: datatype.Contiguous(4, datatype.Vector(6, 2, 5, datatype.Bytes(9))), base: 10, count: 7},
+		"interleaved": {typ: interleaved, base: 24, count: 3},
 		"flash-3-1-5": flashCase(&patterns.Flash{NumRanks: 2, Blocks: 3, Elems: 3, Guard: 1, Vars: 5}, 1),
 		"flash-5-2-7": flashCase(&patterns.Flash{NumRanks: 3, Blocks: 2, Elems: 5, Guard: 2, Vars: 7}, 2),
 		"flash-7-0-3": flashCase(&patterns.Flash{NumRanks: 1, Blocks: 1, Elems: 7, Guard: 0, Vars: 3}, 0),
@@ -128,13 +138,13 @@ func TestDatatypeEquivalenceWithList(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Flatten the repeated pattern for the list-I/O reference.
+			// The list-I/O reference: the repeated pattern's raw regions
+			// in data order, the order the memory stream fills them.
 			var file ioseg.List
 			ext := tc.typ.Extent()
 			for i := int64(0); i < tc.count; i++ {
 				file = tc.typ.AppendRegions(file, tc.base+i*ext)
 			}
-			file = file.Normalize()
 
 			mem, arenaLen := tc.mem, tc.arenaLen
 			if mem == nil {
@@ -164,9 +174,23 @@ func TestDatatypeEquivalenceWithList(t *testing.T) {
 			}
 			fList.Close()
 
+			// The same Type layout under AccessList: the client collects
+			// the walk instead of shipping the type.
+			fWalk, err := fs.Create("walk-"+name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(fWalk, client.Request{Write: true, Arena: arena, Mem: mem, Type: tc.typ, Base: tc.base, Count: tc.count, Method: client.AccessList}); err != nil {
+				t.Fatal(err)
+			}
+			fWalk.Close()
+
 			img := fullImage(t, fs, "dt-"+name)
 			if !bytes.Equal(img, fullImage(t, fs, "list-"+name)) {
 				t.Fatal("datatype and list writes left different images")
+			}
+			if !bytes.Equal(img, fullImage(t, fs, "walk-"+name)) {
+				t.Fatal("datatype and flattened-Type list writes left different images")
 			}
 			// Both paths gather through the stream map; hold the image to
 			// the flat-list reference gather as well.
@@ -508,5 +532,28 @@ func TestDatatypeRejectsBadArguments(t *testing.T) {
 	}
 	if err := run(f, client.Request{Arena: arena, Mem: ioseg.List{{Offset: 0, Length: 32}}, Type: typ, Count: -1, Method: client.AccessDatatype}); err == nil {
 		t.Fatal("negative count accepted")
+	}
+}
+
+// TestFlattenedTypeMergesRepetitions: the flattened methods enumerate a
+// Type layout as the walk does, so repetitions of a dense type that
+// touch end to end travel as one region, not one per repetition.
+func TestFlattenedTypeMergesRepetitions(t *testing.T) {
+	c, fs := startCluster(t, 1)
+	f, err := fs.Create("merge.dat", striping.Config{PCount: 1, StripeSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := []byte("abcdefghijkl")
+	before := c.IODs[0].Stats()
+	if err := run(f, client.Request{Write: true, Arena: arena, Type: datatype.Bytes(4), Count: 3, Method: client.AccessList}); err != nil {
+		t.Fatal(err)
+	}
+	after := c.IODs[0].Stats()
+	if lr, r := after.ListRequests-before.ListRequests, after.Regions-before.Regions; lr != 1 || r != 1 {
+		t.Fatalf("Bytes(4) x 3 under AccessList: %d list requests carrying %d regions, want 1 and 1", lr, r)
+	}
+	if img := fullImage(t, fs, "merge.dat"); !bytes.Equal(img, arena) {
+		t.Fatalf("image %q, want %q", img, arena)
 	}
 }

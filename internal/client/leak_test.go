@@ -66,6 +66,29 @@ func requireBufBalance(t *testing.T, gets0, puts0 int64) {
 	}
 }
 
+// quietBufStats returns the pool's get/put counters once they have
+// held still across several polls. wire.BufStats is process-global, so
+// a put still in flight from an earlier test's connection would
+// otherwise land inside the caller's window.
+func quietBufStats(t *testing.T) (gets, puts int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	gets, puts = wire.BufStats()
+	for still := 0; still < 4; {
+		if time.Now().After(deadline) {
+			t.Fatal("pooled-buffer counters never settled before the test")
+		}
+		time.Sleep(5 * time.Millisecond)
+		g, p := wire.BufStats()
+		if g == gets && p == puts {
+			still++
+			continue
+		}
+		gets, puts, still = g, p, 0
+	}
+	return gets, puts
+}
+
 // A short response fails the read and still goes back to the pool, on
 // every planner's requests: contiguous, list and datatype.
 func TestShortResponseReleasesBody(t *testing.T) {
@@ -82,7 +105,7 @@ func TestShortResponseReleasesBody(t *testing.T) {
 			srv := startShortIOD(t)
 			f := fakeFile(srv.Addr())
 			defer f.fs.pool.Close()
-			gets0, puts0 := wire.BufStats()
+			gets0, puts0 := quietBufStats(t)
 
 			c.req.Arena = make([]byte, n)
 			_, err := f.Run(context.Background(), c.req)

@@ -3,6 +3,8 @@ package client
 import (
 	"bytes"
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"pvfs/internal/datatype"
@@ -202,5 +204,62 @@ func TestCyclicListWriteAllocationBound(t *testing.T) {
 	// nothing payload-sized; the sink's acks ride pooled bodies too.
 	if perReq := float64(gets1-gets0) / float64((1+runs)*64); perReq > 3 {
 		t.Fatalf("%.1f pooled buffers per request", perReq)
+	}
+}
+
+// TestResolveChecksPatternArithmetic: a Type layout whose data length
+// or span overflows int64 is refused by resolve under every method,
+// before a region is enumerated, while a type too large for the wire
+// codec still flattens for the methods that do not encode it.
+func TestResolveChecksPatternArithmetic(t *testing.T) {
+	methods := []AccessMethod{AccessAuto, AccessContig, AccessMultiple, AccessSieve, AccessList, AccessDatatype, AccessHybrid}
+	for _, tc := range []struct {
+		name        string
+		typ         datatype.Type
+		base, count int64
+	}{
+		// 2^64 data bytes: the unchecked product wraps to 0.
+		{"data length", datatype.Bytes(1 << 30), 0, 1 << 34},
+		// 2^31 data bytes in 2^31 regions over a 2^70-byte span.
+		{"span", datatype.HVector(2, 1, 1<<40, datatype.Bytes(1)), 0, 1 << 30},
+		{"end", datatype.Vector(2, 1, 2, datatype.Double()), math.MaxInt64 - 16, 1},
+		{"negative count", datatype.Bytes(8), 0, -1},
+		{"negative base", datatype.Bytes(8), -8, 1},
+	} {
+		for _, m := range methods {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Request{Type: tc.typ, Base: tc.base, Count: tc.count, Method: m}.resolve()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s under %v: accepted", tc.name, m)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+				t.Errorf("%s under %v: %d bytes allocated before the refusal", tc.name, m, n)
+			}
+		}
+	}
+
+	// 40 nested constructors exceed the codec's depth limit: auto and
+	// the flattened methods still take the type; AccessDatatype refuses.
+	deep := datatype.Bytes(8)
+	for range 40 {
+		deep = datatype.Contiguous(1, deep)
+	}
+	for _, m := range methods {
+		rv, err := Request{Type: deep, Base: 16, Count: 2, Method: m}.resolve()
+		if m == AccessDatatype {
+			if err == nil {
+				t.Error("AccessDatatype accepted an unencodable type")
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%v refused an unencodable type: %v", m, err)
+			continue
+		}
+		if want := (ioseg.List{{Offset: 16, Length: 16}}); !rv.file.Equal(want) || rv.total != 16 {
+			t.Errorf("%v: file %v total %d, want %v total 16", m, rv.file, rv.total, want)
+		}
 	}
 }

@@ -284,19 +284,17 @@ func (r Request) resolve() (resolved, error) {
 		out.window = DefaultWindow
 	}
 
-	// Transfer size, for defaulting Mem.
+	// Transfer size, for defaulting Mem. A datatype layout's size and
+	// span are overflow-checked whatever the method, before anything is
+	// flattened.
 	var total int64
+	var err error
 	if out.t != nil {
-		if out.count < 0 {
-			return out, fmt.Errorf("pvfs: negative datatype count %d", out.count)
+		if total, _, err = datatype.DataLen(out.t, out.base, out.count); err != nil {
+			return out, fmt.Errorf("pvfs: %w", err)
 		}
-		total = out.t.Size() * out.count
-	} else {
-		var err error
-		total, err = out.file.TotalLengthChecked()
-		if err != nil {
-			return out, fmt.Errorf("pvfs: file list: %w", err)
-		}
+	} else if total, err = out.file.TotalLengthChecked(); err != nil {
+		return out, fmt.Errorf("pvfs: file list: %w", err)
 	}
 	out.total = total
 	out.mem = r.Mem
@@ -308,7 +306,7 @@ func (r Request) resolve() (resolved, error) {
 	out.method = r.Method
 	if out.method == AccessAuto {
 		switch {
-		case out.t != nil && datatype.CanEncode(out.t) == nil && out.base >= 0:
+		case out.t != nil && datatype.CanEncode(out.t) == nil:
 			out.method = AccessDatatype
 		case out.t != nil:
 			out.method = AccessList
@@ -320,7 +318,8 @@ func (r Request) resolve() (resolved, error) {
 	}
 
 	// Layout/method compatibility; flattened methods accept a datatype
-	// layout by materializing its regions client-side.
+	// layout by collecting its walk client-side: the regions the daemons
+	// would evaluate, in data order, touching repetitions merged.
 	switch out.method {
 	case AccessDatatype:
 		if out.t == nil {
@@ -331,7 +330,10 @@ func (r Request) resolve() (resolved, error) {
 		}
 	case AccessContig, AccessMultiple, AccessSieve, AccessList, AccessHybrid:
 		if out.t != nil {
-			out.file = flattenRepeated(out.t, out.base, out.count)
+			datatype.WalkRepeated(out.t, out.base, out.count, 0, func(s ioseg.Segment) bool {
+				out.file = append(out.file, s)
+				return true
+			})
 			out.t = nil
 		}
 		if out.method == AccessContig && (len(out.file) != 1 || len(out.mem) > 1) {
@@ -341,20 +343,6 @@ func (r Request) resolve() (resolved, error) {
 		return out, fmt.Errorf("pvfs: unknown access method %v", out.method)
 	}
 	return out, nil
-}
-
-// flattenRepeated materializes count repetitions of t at base as a
-// region list (repetitions advance by the type's extent, as in MPI).
-func flattenRepeated(t datatype.Type, base, count int64) ioseg.List {
-	if count == 1 {
-		return datatype.Flatten(t, base)
-	}
-	ext := t.Extent()
-	var out ioseg.List
-	for i := int64(0); i < count; i++ {
-		out = append(out, datatype.Flatten(t, base+i*ext)...)
-	}
-	return out
 }
 
 // exec runs one resolved Request to completion under ctx.

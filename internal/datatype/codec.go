@@ -95,52 +95,40 @@ func CanEncode(t Type) error {
 	return err
 }
 
-// DataLen returns the data bytes count repetitions of t select
-// (count * t.Size()) with overflow-checked arithmetic.
-func DataLen(t Type, count int64) (int64, error) {
-	size, _, err := measure(t, 0)
-	if err != nil {
-		return 0, err
+// DataLen returns the data bytes count repetitions of t based at base
+// select (count * t.Size()) and the end of the span they occupy
+// (base + count*t.Extent()), failing when either leaves non-negative
+// int64 space. It applies none of the codec's limits, so it bounds a
+// pattern a client flattens as well as one it encodes; CheckPattern
+// adds those limits.
+func DataLen(t Type, base, count int64) (dataLen, end int64, err error) {
+	dataLen, ok1 := mulNN(count, t.Size())
+	span, ok2 := mulNN(count, t.Extent())
+	end, ok3 := addNN(base, span)
+	if !ok1 || !ok2 || !ok3 {
+		return 0, 0, fmt.Errorf("datatype: %d repetitions of %s at offset %d leave non-negative int64 space", count, t, base)
 	}
-	if count < 0 || count > maxTypeCount {
-		return 0, fmt.Errorf("datatype: repetition count %d out of range", count)
-	}
-	n, ok := mulNN(count, size)
-	if !ok || n > maxTypeSpan {
-		return 0, fmt.Errorf("datatype: pattern data length overflows (%d x %d)", count, size)
-	}
-	return n, nil
+	return dataLen, end, nil
 }
 
 // CheckPattern validates that count repetitions of t based at base
-// stay within the non-negative int64 offset space and returns the
-// pattern's data length and end offset (base for an empty pattern).
-// Every region the walk of a checked pattern emits lies in
-// [base, end), so evaluation arithmetic cannot overflow.
+// stay within the non-negative int64 offset space (DataLen) and the
+// codec's limits, and returns the pattern's data length and end offset
+// (base for an empty pattern). Every region the walk of a checked
+// pattern emits lies in [base, end), so evaluation arithmetic cannot
+// overflow.
 func CheckPattern(t Type, base, count int64) (dataLen, end int64, err error) {
-	if base < 0 {
-		return 0, 0, fmt.Errorf("datatype: negative base offset %d", base)
-	}
-	size, extent, err := measure(t, 0)
-	if err != nil {
+	if _, _, err := measure(t, 0); err != nil {
 		return 0, 0, err
 	}
-	if count < 0 || count > maxTypeCount {
+	if count > maxTypeCount {
 		return 0, 0, fmt.Errorf("datatype: repetition count %d out of range", count)
 	}
-	dataLen, ok := mulNN(count, size)
-	if !ok || dataLen > maxTypeSpan {
-		return 0, 0, fmt.Errorf("datatype: pattern data length overflows (%d x %d)", count, size)
+	dataLen, end, err = DataLen(t, base, count)
+	if err == nil && dataLen > maxTypeSpan {
+		err = fmt.Errorf("datatype: pattern data length %d exceeds the span cap", dataLen)
 	}
-	span, ok := mulNN(count, extent)
-	if !ok {
-		return 0, 0, fmt.Errorf("datatype: pattern extent overflows (%d x %d)", count, extent)
-	}
-	end, ok = addNN(base, span)
-	if !ok {
-		return 0, 0, fmt.Errorf("datatype: pattern end overflows (base %d + span %d)", base, span)
-	}
-	return dataLen, end, nil
+	return dataLen, end, err
 }
 
 func appendType(dst []byte, t Type) ([]byte, error) {

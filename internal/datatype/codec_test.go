@@ -24,7 +24,7 @@ func sampleTypes(t *testing.T) map[string]Type {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Type{
+	types := map[string]Type{
 		"bytes":    Bytes(17),
 		"contig":   Contiguous(5, Bytes(3)),
 		"vector":   Vector(7, 2, 5, Double()),
@@ -33,6 +33,28 @@ func sampleTypes(t *testing.T) map[string]Type {
 		"subarray": sub,
 		"struct":   st,
 		"nested":   Contiguous(3, Vector(4, 1, 2, Contiguous(2, Bytes(5)))),
+	}
+	for name, typ := range unorderedStructs(t) {
+		types["struct-"+name] = typ
+	}
+	return types
+}
+
+// unorderedStructs builds structs whose data order is not ascending
+// offset order: fields that interleave, touch, or overlap.
+func unorderedStructs(t *testing.T) map[string]Type {
+	t.Helper()
+	build := func(fields ...Field) Type {
+		st, err := Struct(fields...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	return map[string]Type{
+		"interleaved": build(Field{Displ: 0, Type: Vector(2, 1, 4, Bytes(1))}, Field{Displ: 1, Type: Bytes(1)}),
+		"touching":    build(Field{Displ: 0, Type: Bytes(4)}, Field{Displ: 4, Type: Bytes(4)}),
+		"overlapping": build(Field{Displ: 0, Type: Bytes(4)}, Field{Displ: 2, Type: Bytes(4)}),
 	}
 }
 
@@ -175,6 +197,9 @@ func TestWalkMatchesFlatten(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("%s x%d: walk %v, flatten %v", name, count, got, want)
 			}
+			if n := want.TotalLength(); n != count*typ.Size() {
+				t.Fatalf("%s x%d: flatten covers %d bytes, want %d", name, count, n, count*typ.Size())
+			}
 		}
 	}
 }
@@ -250,12 +275,28 @@ func TestWalkCoalescesAdjacent(t *testing.T) {
 
 func TestDataLen(t *testing.T) {
 	v := Vector(10, 3, 7, Bytes(2))
-	n, err := DataLen(v, 4)
-	if err != nil || n != 4*v.Size() {
-		t.Fatalf("DataLen = %d, %v", n, err)
+	n, end, err := DataLen(v, 100, 4)
+	if err != nil || n != 4*v.Size() || end != 100+4*v.Extent() {
+		t.Fatalf("DataLen = %d, %d, %v", n, end, err)
 	}
-	if _, err := DataLen(v, -2); err == nil {
-		t.Error("negative count accepted")
+	for _, tc := range []struct {
+		name        string
+		typ         Type
+		base, count int64
+	}{
+		{"negative count", v, 0, -2},
+		{"negative base", v, -1, 1},
+		{"data length", Bytes(1 << 30), 0, 1 << 34},
+		{"extent", HVector(2, 1, 1<<62, Bytes(1)), 0, 2},
+		{"end", Bytes(8), 1<<63 - 8, 2},
+	} {
+		if _, _, err := DataLen(tc.typ, tc.base, tc.count); err == nil {
+			t.Errorf("%s: overflowing pattern accepted", tc.name)
+		}
+	}
+	// No codec limit applies: an unencodable repetition count passes.
+	if _, _, err := DataLen(Bytes(1), 0, maxTypeCount+1); err != nil {
+		t.Errorf("DataLen applied a codec limit: %v", err)
 	}
 }
 

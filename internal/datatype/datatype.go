@@ -1,14 +1,20 @@
 // Package datatype implements MPI-style derived datatypes and their
-// flattening into contiguous region lists.
+// enumeration as contiguous regions.
 //
 // The paper closes (§5) by observing that list I/O's largest drawback —
 // the linear relationship between contiguous regions and I/O requests —
 // disappears with more descriptive request languages "similar to MPI
 // datatypes". This package provides that language: elementary types,
 // contiguous, vector/hvector, indexed, struct-like and N-dimensional
-// subarray constructors, with exact Size/Extent semantics and a
-// Flatten operation producing the offset/length lists the rest of the
-// repository consumes.
+// subarray constructors, with exact Size/Extent semantics.
+//
+// A type's regions have one definition: WalkRepeated's. It emits them
+// in data order (the typemap order of MPI: the i-th data byte of the
+// type is the i-th byte of the emitted regions) and merges only
+// neighbours that touch end to end, so the walk covers exactly Size
+// bytes per repetition even when struct fields interleave or overlap.
+// Flatten materialises the same list; every consumer outside this
+// package enumerates a type one of these two ways.
 package datatype
 
 import (
@@ -28,11 +34,10 @@ type Type interface {
 	// Extent is the span the type occupies (holes included); it is
 	// the stride applied when the type is repeated.
 	Extent() int64
-	// Blocks is the number of maximal contiguous regions (after
-	// merging adjacent blocks) the type flattens to.
-	Blocks() int
-	// AppendRegions appends the type's regions, shifted by base, onto
-	// dst in ascending offset order and returns dst.
+	// AppendRegions appends the type's raw (unmerged) regions, shifted
+	// by base, onto dst in data order and returns dst. It materialises
+	// the sequence walkFrom streams and is the reference the walk is
+	// tested against.
 	AppendRegions(dst ioseg.List, base int64) ioseg.List
 	// walkFrom invokes fn for each raw (unmerged) region of the type
 	// at base in data order, skipping the first skip data bytes — the
@@ -52,30 +57,22 @@ type Type interface {
 	String() string
 }
 
-// Flatten materializes the region list of t at a base offset, merging
-// adjacent regions.
+// Flatten materializes the region list of t at a base offset: t's
+// regions in data order with touching neighbours merged, which is
+// exactly the list WalkRepeated(t, base, 1, 0, ...) emits. Overlapping
+// regions (only Struct fields can overlap) are kept, so the list always
+// totals t.Size() bytes.
 func Flatten(t Type, base int64) ioseg.List {
-	l := t.AppendRegions(make(ioseg.List, 0, t.Blocks()), base)
-	return mergeAdjacentSorted(l)
-}
-
-// mergeAdjacentSorted merges touching/overlapping neighbours of an
-// already-sorted region list.
-func mergeAdjacentSorted(l ioseg.List) ioseg.List {
-	if len(l) < 2 {
-		return l
-	}
-	out := l[:1]
-	for _, s := range l[1:] {
-		last := &out[len(out)-1]
-		if s.Offset <= last.End() {
-			if e := s.End(); e > last.End() {
-				last.Length = e - last.Offset
-			}
-			continue
-		}
+	l := t.AppendRegions(nil, base)
+	out := l[:0] // the merge writes behind the element it reads
+	c := coalescer{fn: func(s ioseg.Segment) bool {
 		out = append(out, s)
+		return true
+	}}
+	for _, s := range l {
+		c.add(s)
 	}
+	c.flush()
 	return out
 }
 
@@ -97,12 +94,6 @@ func Double() Type { return Bytes(8) }
 
 func (b bytesT) Size() int64   { return b.n }
 func (b bytesT) Extent() int64 { return b.n }
-func (b bytesT) Blocks() int {
-	if b.n == 0 {
-		return 0
-	}
-	return 1
-}
 func (b bytesT) AppendRegions(dst ioseg.List, base int64) ioseg.List {
 	if b.n == 0 {
 		return dst
@@ -128,17 +119,10 @@ func Contiguous(count int64, elem Type) Type {
 
 func (c contiguousT) Size() int64   { return c.count * c.elem.Size() }
 func (c contiguousT) Extent() int64 { return c.count * c.elem.Extent() }
-func (c contiguousT) Blocks() int {
-	// Adjacent full-extent elements merge when the element is dense.
-	if c.count == 0 || c.elem.Size() == 0 {
-		return 0
-	}
-	if c.elem.Size() == c.elem.Extent() && c.elem.Blocks() == 1 {
-		return 1
-	}
-	return int(c.count) * c.elem.Blocks()
-}
 func (c contiguousT) AppendRegions(dst ioseg.List, base int64) ioseg.List {
+	if c.elem.Size() == 0 {
+		return dst // no element loop for a type that selects nothing
+	}
 	for i := int64(0); i < c.count; i++ {
 		dst = c.elem.AppendRegions(dst, base+i*c.elem.Extent())
 	}
@@ -171,29 +155,16 @@ func HVector(count, blockLen, strideBytes int64, elem Type) Type {
 	return hvectorT{count: count, blockLen: blockLen, stride: strideBytes, elem: elem}
 }
 
-func (v vectorT) Size() int64 { return v.count * v.blockLen * v.elem.Size() }
-func (v vectorT) Extent() int64 {
-	if v.count == 0 {
-		return 0
-	}
-	return ((v.count-1)*v.stride + v.blockLen) * v.elem.Extent()
+// bytes is the vector with its stride in bytes: the layout the
+// vector's size, extent and regions are computed from.
+func (v vectorT) bytes() hvectorT {
+	return hvectorT{count: v.count, blockLen: v.blockLen, stride: v.stride * v.elem.Extent(), elem: v.elem}
 }
-func (v vectorT) block() Type { return Contiguous(v.blockLen, v.elem) }
-func (v vectorT) Blocks() int {
-	if v.count == 0 {
-		return 0
-	}
-	if v.stride == v.blockLen && v.elem.Size() == v.elem.Extent() {
-		return 1 // degenerates to contiguous
-	}
-	return int(v.count) * v.block().Blocks()
-}
+
+func (v vectorT) Size() int64   { return v.bytes().Size() }
+func (v vectorT) Extent() int64 { return v.bytes().Extent() }
 func (v vectorT) AppendRegions(dst ioseg.List, base int64) ioseg.List {
-	blk := v.block()
-	for i := int64(0); i < v.count; i++ {
-		dst = blk.AppendRegions(dst, base+i*v.stride*v.elem.Extent())
-	}
-	return dst
+	return v.bytes().AppendRegions(dst, base)
 }
 func (v vectorT) String() string {
 	return fmt.Sprintf("vector(%d x %d every %d, %s)", v.count, v.blockLen, v.stride, v.elem)
@@ -213,13 +184,10 @@ func (v hvectorT) Extent() int64 {
 	}
 	return (v.count-1)*v.stride + v.blockLen*v.elem.Extent()
 }
-func (v hvectorT) Blocks() int {
-	if v.count == 0 {
-		return 0
-	}
-	return int(v.count) * Contiguous(v.blockLen, v.elem).Blocks()
-}
 func (v hvectorT) AppendRegions(dst ioseg.List, base int64) ioseg.List {
+	if v.Size() == 0 {
+		return dst
+	}
 	blk := Contiguous(v.blockLen, v.elem)
 	for i := int64(0); i < v.count; i++ {
 		dst = blk.AppendRegions(dst, base+i*v.stride)
@@ -239,8 +207,8 @@ type indexedT struct {
 }
 
 // Indexed is MPI_Type_indexed: blocks of varying lengths at varying
-// displacements (in elements). Displacements must be nondecreasing
-// for flattening to stay sorted; constructors reject others.
+// displacements (in elements). Blocks must come in increasing
+// displacement order without overlapping; Indexed rejects others.
 func Indexed(blockLens, displs []int64, elem Type) (Type, error) {
 	if len(blockLens) != len(displs) {
 		return nil, fmt.Errorf("datatype: %d block lengths vs %d displacements", len(blockLens), len(displs))
@@ -271,13 +239,6 @@ func (x indexedT) Extent() int64 {
 	}
 	last := len(x.displs) - 1
 	return (x.displs[last] + x.blockLens[last]) * x.elem.Extent()
-}
-func (x indexedT) Blocks() int {
-	n := 0
-	for _, b := range x.blockLens {
-		n += Contiguous(b, x.elem).Blocks()
-	}
-	return n
 }
 func (x indexedT) AppendRegions(dst ioseg.List, base int64) ioseg.List {
 	for i := range x.blockLens {
@@ -331,9 +292,8 @@ func (s subarrayT) Extent() int64 {
 	return n * s.elem.Extent()
 }
 
-// rowCount is the number of contiguous runs: product of subsizes of
-// all but the last dimension (each run is a row piece), unless the
-// subarray spans whole trailing dimensions and merges.
+// rowCount is the number of row pieces: the product of the subsizes
+// of all but the last dimension.
 func (s subarrayT) rowCount() int64 {
 	n := int64(1)
 	for _, d := range s.subsizes[:len(s.subsizes)-1] {
@@ -342,14 +302,10 @@ func (s subarrayT) rowCount() int64 {
 	return n
 }
 
-func (s subarrayT) Blocks() int {
-	if s.Size() == 0 {
-		return 0
-	}
-	return int(s.rowCount()) * Contiguous(s.subsizes[len(s.subsizes)-1], s.elem).Blocks()
-}
-
 func (s subarrayT) AppendRegions(dst ioseg.List, base int64) ioseg.List {
+	if s.Size() == 0 {
+		return dst // a zero subsize selects no row, not the first one
+	}
 	nd := len(s.sizes)
 	rowLen := s.subsizes[nd-1]
 	row := Contiguous(rowLen, s.elem)
@@ -400,7 +356,9 @@ type structT struct {
 }
 
 // Struct composes fields at byte displacements (MPI_Type_create_struct
-// with explicit, nondecreasing displacements).
+// with explicit, nondecreasing displacements). The fields' extents may
+// interleave or overlap: data order is field order whatever the
+// offsets, so such a struct's regions are not ascending.
 func Struct(fields ...Field) (Type, error) {
 	var prev int64 = -1 << 62
 	var extent int64
@@ -424,13 +382,6 @@ func (s structT) Size() int64 {
 	return n
 }
 func (s structT) Extent() int64 { return s.extent }
-func (s structT) Blocks() int {
-	n := 0
-	for _, f := range s.fields {
-		n += f.Type.Blocks()
-	}
-	return n
-}
 func (s structT) AppendRegions(dst ioseg.List, base int64) ioseg.List {
 	for _, f := range s.fields {
 		dst = f.Type.AppendRegions(dst, base+f.Displ)

@@ -11,8 +11,8 @@ func flat(t Type) ioseg.List { return Flatten(t, 0) }
 
 func TestBytes(t *testing.T) {
 	b := Bytes(16)
-	if b.Size() != 16 || b.Extent() != 16 || b.Blocks() != 1 {
-		t.Fatalf("bytes: %d %d %d", b.Size(), b.Extent(), b.Blocks())
+	if b.Size() != 16 || b.Extent() != 16 {
+		t.Fatalf("bytes: %d %d", b.Size(), b.Extent())
 	}
 	l := flat(b)
 	if len(l) != 1 || l[0] != (ioseg.Segment{Offset: 0, Length: 16}) {
@@ -35,9 +35,6 @@ func TestContiguousMerges(t *testing.T) {
 	if len(l) != 1 || l[0].Length != 32 {
 		t.Fatalf("contiguous of dense elements should merge: %v", l)
 	}
-	if c.Blocks() != 1 {
-		t.Fatalf("Blocks = %d", c.Blocks())
-	}
 }
 
 func TestVector(t *testing.T) {
@@ -53,9 +50,6 @@ func TestVector(t *testing.T) {
 	want := ioseg.List{{Offset: 100, Length: 16}, {Offset: 140, Length: 16}, {Offset: 180, Length: 16}}
 	if !l.Equal(want) {
 		t.Fatalf("flatten = %v, want %v", l, want)
-	}
-	if v.Blocks() != 3 {
-		t.Fatalf("Blocks = %d", v.Blocks())
 	}
 }
 
@@ -208,10 +202,13 @@ func TestNestedVectorOfVector(t *testing.T) {
 }
 
 func TestFlattenSizeInvariant(t *testing.T) {
-	// Flatten total must equal Size for every constructor.
+	// Flatten total must equal Size for every constructor; a type whose
+	// data order ascends flattens to a normalized list.
 	sub, _ := Subarray([]int64{7, 9}, []int64{3, 4}, []int64{2, 1}, Double())
 	idx, _ := Indexed([]int64{3, 5}, []int64{0, 7}, Bytes(3))
-	types := []Type{
+	noRows, _ := Subarray([]int64{4, 8}, []int64{0, 5}, []int64{1, 2}, Bytes(1))
+	ascending := []Type{
+		noRows,
 		Bytes(13),
 		Contiguous(5, Bytes(3)),
 		Vector(7, 2, 4, Bytes(5)),
@@ -219,7 +216,7 @@ func TestFlattenSizeInvariant(t *testing.T) {
 		sub,
 		idx,
 	}
-	for _, ty := range types {
+	for _, ty := range ascending {
 		l := flat(ty)
 		if l.TotalLength() != ty.Size() {
 			t.Errorf("%s: flatten covers %d, Size %d", ty, l.TotalLength(), ty.Size())
@@ -227,8 +224,29 @@ func TestFlattenSizeInvariant(t *testing.T) {
 		if !l.IsNormalized() {
 			t.Errorf("%s: flatten not normalized: %v", ty, l)
 		}
-		if got := ty.Blocks(); got != len(l) {
-			t.Errorf("%s: Blocks()=%d, flatten has %d", ty, got, len(l))
+	}
+	for name, ty := range unorderedStructs(t) {
+		if l := flat(ty); l.TotalLength() != ty.Size() {
+			t.Errorf("%s: flatten %v covers %d, Size %d", name, l, l.TotalLength(), ty.Size())
+		}
+	}
+}
+
+func TestFlattenKeepsDataOrder(t *testing.T) {
+	st := unorderedStructs(t)
+	for _, tc := range []struct {
+		name string
+		want ioseg.List
+	}{
+		// Field 0's bytes 0 and 4 come before field 1's byte 1.
+		{"interleaved", ioseg.List{{Offset: 0, Length: 1}, {Offset: 4, Length: 1}, {Offset: 1, Length: 1}}},
+		// Fields that touch merge into one region.
+		{"touching", ioseg.List{{Offset: 0, Length: 8}}},
+		// Overlapping fields both keep their bytes.
+		{"overlapping", ioseg.List{{Offset: 0, Length: 4}, {Offset: 2, Length: 4}}},
+	} {
+		if got := flat(st[tc.name]); !got.Equal(tc.want) {
+			t.Errorf("%s: flatten = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 // FuzzDecodeType drives the network-facing codec with arbitrary bytes:
 // malformed or adversarial encodings (cyclic depth, overflowing
 // extents, negative counts, truncations) must return errors — never
-// panic, hang, or allocate beyond the input-proportional bound. Run as
+// panic, hang, or allocate beyond the input-proportional bound — and
+// every type it accepts of at most 64 KiB flattens to exactly its walk,
+// covering Size bytes. Run as
 // a regression test on the seed corpus under `go test`; CI adds a
 // -fuzztime smoke run.
 func FuzzDecodeType(f *testing.F) {
@@ -32,6 +34,10 @@ func FuzzDecodeType(f *testing.F) {
 	}
 	if idx, err := Indexed([]int64{2, 1, 4}, []int64{0, 5, 9}, Double()); err == nil {
 		enc, _ := Encode(idx)
+		f.Add(enc)
+	}
+	if st, err := Struct(Field{Displ: 0, Type: Vector(2, 1, 4, Bytes(1))}, Field{Displ: 1, Type: Bytes(2)}); err == nil {
+		enc, _ := Encode(st) // fields that interleave and overlap
 		f.Add(enc)
 	}
 	f.Add([]byte{kindContig, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -58,6 +64,16 @@ func FuzzDecodeType(f *testing.F) {
 		}
 		if again.Size() != size || again.Extent() != extent {
 			t.Fatal("round trip changed size/extent")
+		}
+		// A small type flattens to exactly its walk, totalling Size.
+		if size <= 1<<16 {
+			l := Flatten(typ, 0)
+			if !l.Equal(collect(typ, 0, 1, 0)) {
+				t.Fatalf("%s: flatten %v differs from the walk", typ, l)
+			}
+			if l.TotalLength() != size {
+				t.Fatalf("%s: flatten covers %d bytes, Size %d", typ, l.TotalLength(), size)
+			}
 		}
 		// A bounded walk prefix must emit valid, in-range regions.
 		n := 0

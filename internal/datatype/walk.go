@@ -21,11 +21,13 @@ import "pvfs/internal/ioseg"
 // subarray, contiguous) and O(entries) for indexed/struct nodes.
 //
 // Emission granularity: raw regions that touch end-to-end are merged
-// on the fly, so a dense row of elements arrives as one region, as in
-// Flatten. Unlike Flatten, overlapping regions (possible only through
-// Struct fields with overlapping extents) are NOT deduplicated: every
-// data byte is emitted exactly once, in data order, which is the
-// contract stream-oriented I/O needs.
+// on the fly, so a dense row of elements arrives as one region.
+// Nothing else is merged or reordered: regions of interleaved Struct
+// fields arrive in field order, and overlapping ones (possible only
+// through Struct fields with overlapping extents) are not
+// deduplicated. Every data byte is emitted exactly once, in data
+// order, which is the contract stream-oriented I/O needs. Flatten
+// materialises this sequence for a single repetition.
 func WalkRepeated(t Type, base, count, skip int64, fn func(ioseg.Segment) bool) bool {
 	c := coalescer{fn: fn}
 	if !walkContig(count, t, base, skip, c.add) {
@@ -119,27 +121,7 @@ func (c contiguousT) walkFrom(base, skip int64, fn func(ioseg.Segment) bool) boo
 }
 
 func (v vectorT) walkFrom(base, skip int64, fn func(ioseg.Segment) bool) bool {
-	es := v.elem.Size()
-	bs := v.blockLen * es
-	if bs <= 0 || v.count <= 0 {
-		return true
-	}
-	if d, sz, ok := v.denseRun(); ok {
-		return denseEmit(base+d, sz, skip, fn)
-	}
-	ee := v.elem.Extent()
-	i := int64(0)
-	if skip > 0 {
-		i = skip / bs
-		skip -= i * bs
-	}
-	for ; i < v.count; i++ {
-		if !walkContig(v.blockLen, v.elem, base+i*v.stride*ee, skip, fn) {
-			return false
-		}
-		skip = 0
-	}
-	return true
+	return v.bytes().walkFrom(base, skip, fn)
 }
 
 func (v hvectorT) walkFrom(base, skip int64, fn func(ioseg.Segment) bool) bool {
@@ -284,19 +266,7 @@ func (c contiguousT) denseRun() (int64, int64, bool) {
 	return 0, 0, false
 }
 
-func (v vectorT) denseRun() (int64, int64, bool) {
-	if v.count == 0 || v.blockLen == 0 {
-		return 0, 0, true
-	}
-	sz, ok := denseFull(v.elem)
-	if !ok {
-		return 0, 0, false
-	}
-	if v.count == 1 || v.stride == v.blockLen {
-		return 0, v.count * v.blockLen * sz, true
-	}
-	return 0, 0, false
-}
+func (v vectorT) denseRun() (int64, int64, bool) { return v.bytes().denseRun() }
 
 func (v hvectorT) denseRun() (int64, int64, bool) {
 	if v.count == 0 || v.blockLen == 0 {

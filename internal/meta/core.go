@@ -573,6 +573,14 @@ func (c *core) appendFor(p int) (wire.MetaAppendReq, *snapRefs, bool) {
 	return req, refs, true
 }
 
+// keepAlive is the heartbeat a leader sends a follower whose snapshot
+// is in flight: an empty append at the leader's last index. Its answer
+// needs no handling; the snapshot's answer moves the follower's cursor.
+func (c *core) keepAlive() wire.MetaAppendReq {
+	last := c.lastIndex()
+	return wire.MetaAppendReq{Term: c.term, Leader: uint32(c.id), Commit: c.commit, PrevIndex: last, PrevTerm: c.termAt(last)}
+}
+
 // appendResp takes follower p's answer to an append of term (snapLast:
 // the index of the snapshot it carried, else 0). It reports whether
 // another round should follow at once.

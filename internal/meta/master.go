@@ -386,12 +386,23 @@ func (n *Node) syncPeer(p int) bool {
 		return false
 	}
 	req, refs, ok := n.c.appendFor(p)
+	var beat wire.MetaAppendReq
+	if refs != nil {
+		beat = n.c.keepAlive()
+	}
 	n.mu.Unlock()
 	if !ok {
 		return false
 	}
 	var snapLast uint64
 	if refs != nil {
+		// Building, shipping and installing a big snapshot can outlast
+		// the follower's election timeout: without heartbeats meanwhile
+		// it campaigns and deposes us (DESIGN.md §13).
+		done := make(chan struct{})
+		defer close(done)
+		n.wg.Add(1)
+		go n.beatUntil(p, beat, done)
 		req.Snap = refs.snapshot().Marshal()
 		snapLast = refs.lastIndex
 	}
@@ -405,6 +416,26 @@ func (n *Node) syncPeer(p int) bool {
 		return o
 	})
 	return more
+}
+
+// beatUntil sends follower p the heartbeat beat every Heartbeat until
+// done closes, ignoring the answers.
+func (n *Node) beatUntil(p int, beat wire.MetaAppendReq, done <-chan struct{}) {
+	defer n.wg.Done()
+	body := beat.Marshal()
+	t := time.NewTicker(n.timing.Heartbeat)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			var ar wire.MetaAppendResp
+			n.callPeer(p, wire.TMetaAppend, body, &ar)
+		case <-done:
+			return
+		case <-n.stopC:
+			return
+		}
+	}
 }
 
 // compactLoop folds the log, off every hot path, when the core asks.

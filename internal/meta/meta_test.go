@@ -517,6 +517,56 @@ func TestSnapshotCatchUp(t *testing.T) {
 	}
 }
 
+// TestSlowSnapshotInstallCatchesUp holds every snapshot install to a
+// rejoining replica for 150 ms, longer than its 50–100 ms election
+// timeout, as a big namespace or the race detector does. The replica
+// must still catch up with no election: the leader heartbeats it while
+// the snapshot is in flight. Without those heartbeats it campaigns
+// during each install, its higher term deposes the leader, and the next
+// leader's install is held as long again.
+func TestSlowSnapshotInstallCatchesUp(t *testing.T) {
+	g := startGroup(t, 3, singleShardBoot)
+	for _, n := range g.nodes {
+		n.mu.Lock()
+		n.c.maxLog = 8
+		n.mu.Unlock()
+	}
+	p := NewGroupProposer(g.addrs, g.timing)
+	defer p.Close()
+
+	var seq uint64
+	proposeAcked(t, p, "a", &seq, 3)
+	lead := g.waitLeader()
+	down := (lead + 1) % 3
+	g.kill(down)
+	proposeAcked(t, p, "b", &seq, 40) // well past maxLog
+	lead = g.waitLeader()
+	ln := g.nodes[lead]
+	ln.mu.Lock()
+	term, target := ln.c.term, ln.c.commit
+	ln.mu.Unlock()
+
+	hold := func(to int, req wire.Message) {
+		var ar wire.MetaAppendReq
+		if to == down && req.Type == wire.TMetaAppend && ar.Unmarshal(req.Body) == nil && len(ar.Snap) > 0 {
+			time.Sleep(150 * time.Millisecond)
+		}
+	}
+	g.tap.Store(&hold)
+	g.restart(down)
+	n := g.nodes[down]
+	waitFor(t, "the rejoined replica to install a snapshot", 5*time.Second, func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.c.snapIndex > 0 && n.c.applied >= target
+	})
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if ln.c.role != leader || ln.c.term != term {
+		t.Fatalf("replica %d went from leading term %d to role %v at term %d during the install", lead, term, ln.c.role, ln.c.term)
+	}
+}
+
 // TestNamespaceFillCompactsAndPinsHeap fills a namespace through three
 // durable replicas under the default adaptive compaction, 16 proposers
 // at once. Every replica must have folded its log into a snapshot and

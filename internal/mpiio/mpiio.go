@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"pvfs/internal/client"
 	"pvfs/internal/datatype"
@@ -53,9 +54,7 @@ type File struct {
 	etype    datatype.Type
 	filetype datatype.Type
 
-	// template is the flattened filetype at offset 0; tileData and
-	// tileExtent are its data size and extent.
-	template   ioseg.List
+	// tileData and tileExtent are the filetype's data size and extent.
 	tileData   int64
 	tileExtent int64
 
@@ -97,7 +96,6 @@ func (m *File) SetView(disp int64, etype, filetype datatype.Type) error {
 	m.disp = disp
 	m.etype = etype
 	m.filetype = filetype
-	m.template = datatype.Flatten(filetype, 0)
 	m.tileData = fs
 	m.tileExtent = filetype.Extent()
 	m.cursor = 0
@@ -110,54 +108,28 @@ func (m *File) View() (int64, datatype.Type, datatype.Type) {
 }
 
 // regionsFor maps [dataOff, dataOff+n) bytes of view data space to
-// absolute file regions, in stream order.
+// absolute file regions in stream order: the walk of the filetype tiles
+// from disp, sought to dataOff and clipped to n bytes — the regions the
+// daemons evaluate for the same bytes on the datatype path.
 func (m *File) regionsFor(dataOff, n int64) (ioseg.List, error) {
-	if dataOff < 0 || n < 0 {
-		return nil, errors.New("mpiio: negative view range")
+	if dataOff < 0 || n < 0 || n > math.MaxInt64-dataOff {
+		return nil, fmt.Errorf("mpiio: view range [%d, +%d) out of range", dataOff, n)
 	}
 	if n == 0 {
 		return nil, nil
 	}
+	tiles := (dataOff+n-1)/m.tileData + 1
+	if _, _, err := datatype.DataLen(m.filetype, m.disp, tiles); err != nil {
+		return nil, fmt.Errorf("mpiio: %w", err)
+	}
 	var out ioseg.List
-	tile := dataOff / m.tileData
-	remaining := n
-	pos := dataOff
-	for remaining > 0 {
-		tileStart := tile * m.tileData
-		base := m.disp + tile*m.tileExtent
-		stream := tileStart
-		for _, r := range m.template {
-			if remaining == 0 {
-				break
-			}
-			// r covers data space [stream, stream+r.Length).
-			lo, hi := stream, stream+r.Length
-			if hi <= pos {
-				stream = hi
-				continue
-			}
-			start := pos - lo
-			take := r.Length - start
-			if take > remaining {
-				take = remaining
-			}
-			out = append(out, ioseg.Segment{Offset: base + r.Offset + start, Length: take})
-			pos += take
-			remaining -= take
-			stream = hi
-		}
-		tile++
-	}
-	// Merge regions that happen to touch (dense filetypes).
-	merged := out[:0]
-	for _, s := range out {
-		if k := len(merged); k > 0 && merged[k-1].End() == s.Offset {
-			merged[k-1].Length += s.Length
-			continue
-		}
-		merged = append(merged, s)
-	}
-	return merged, nil
+	datatype.WalkRepeated(m.filetype, m.disp, tiles, dataOff, func(s ioseg.Segment) bool {
+		s.Length = min(s.Length, n)
+		n -= s.Length
+		out = append(out, s)
+		return n > 0
+	})
+	return out, nil
 }
 
 // datatypePattern reports whether the view access [dataOff,

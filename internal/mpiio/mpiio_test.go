@@ -393,3 +393,85 @@ func TestDefaultHintsShipDatatype(t *testing.T) {
 		t.Fatal("default-hint read-back differs")
 	}
 }
+
+// TestInterleavedViewPartialTiles holds the flattened fallbacks to the
+// datatype path on a filetype whose data order is not ascending offset
+// order: a struct whose second field sits inside the first's holes.
+// A partial-tile write through the view must land where a whole-tile
+// datatype read of the same view finds it, and disturb nothing else.
+func TestInterleavedViewPartialTiles(t *testing.T) {
+	_, fs, _ := newFile(t, mpiio.Hints{})
+	// Data order [0,8) [24,8) [48,8) [72,8) [8,16): 48 data bytes in an
+	// 80-byte extent.
+	filetype, err := datatype.Struct(
+		datatype.Field{Displ: 0, Type: datatype.Vector(4, 8, 24, datatype.Bytes(1))},
+		datatype.Field{Displ: 8, Type: datatype.Bytes(16)},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		disp  = 100
+		tiles = 5
+		off   = 7   // mid-tile start
+		n     = 154 // ends mid-tile three tiles on
+	)
+	whole := tiles * filetype.Size()
+	for _, method := range []client.AccessMethod{client.AccessList, client.AccessSieve, client.AccessMultiple, client.AccessHybrid} {
+		t.Run(method.String(), func(t *testing.T) {
+			f, err := fs.Create("interleaved-"+method.String(), striping.Config{PCount: 4, StripeSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			open := func(m client.AccessMethod) *mpiio.File {
+				v := mpiio.Open(f, mpiio.Hints{Method: m, CoalesceGapBytes: 16})
+				if err := v.SetView(disp, datatype.Bytes(1), filetype); err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+			dt, flat := open(client.AccessDatatype), open(method)
+
+			want := make([]byte, whole)
+			rand.New(rand.NewSource(31)).Read(want)
+			if err := dt.WriteAtEtype(want, 0); err != nil {
+				t.Fatal(err)
+			}
+			part := make([]byte, n)
+			rand.New(rand.NewSource(32)).Read(part)
+			before := fs.Counters().Snapshot()
+			if err := flat.WriteAtEtype(part, off); err != nil {
+				t.Fatal(err)
+			}
+			if d := fs.Counters().Snapshot().Sub(before); d.Datatype.Requests != 0 {
+				t.Fatalf("partial-tile %v write took the datatype path: %+v", method, d.Datatype)
+			}
+			copy(want[off:], part)
+
+			got := make([]byte, whole)
+			if err := dt.ReadAtEtype(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("whole-tile datatype read differs from the %v write at view byte %d", method, firstDiff(got, want))
+			}
+			// The flattened read of the same partial range agrees too.
+			back := make([]byte, n)
+			if err := flat.ReadAtEtype(back, off); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back, part) {
+				t.Fatalf("%v read-back differs at byte %d", method, firstDiff(back, part))
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}

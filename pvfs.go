@@ -211,8 +211,8 @@ func RunRanks(n int, fn func(rank int) error) error { return cluster.RunRanks(n,
 
 // MPI-style datatypes (§5 future work).
 type (
-	// Datatype is an MPI-style derived datatype; Flatten turns it
-	// into region lists, Request.Type consumes it directly.
+	// Datatype is an MPI-style derived datatype; FlattenType turns it
+	// into a region list, Request.Type consumes it directly.
 	Datatype = datatype.Type
 	// Field is one member of a Struct datatype.
 	Field = datatype.Field
@@ -230,7 +230,10 @@ var (
 	Struct     = datatype.Struct
 )
 
-// FlattenType materializes a datatype's regions at a base offset.
+// FlattenType materializes a datatype's regions at a base offset, in
+// data order (the order its bytes fill a Request's memory) with
+// touching regions merged: the regions every access method moves for
+// Type: t, Base: base.
 func FlattenType(t Datatype, base int64) List { return datatype.Flatten(t, base) }
 
 // MPI-IO (ROMIO)-style layer: file views over datatypes with hints
