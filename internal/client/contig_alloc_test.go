@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"pvfs/internal/datatype"
@@ -343,5 +344,23 @@ func TestHybridAllocationBound(t *testing.T) {
 		if perOp >= uint64(span)+8<<20 {
 			t.Fatalf("write=%v: a 16 MiB hybrid allocated %d B, want < span %d + 8 MiB", write, perOp, span)
 		}
+	}
+}
+
+// TestFlattenedTypeHeldToArenaBeforeWalk resolves a Type layout of 2^20
+// repetitions, about 2^20 regions once walked, under AccessList against
+// a 1-byte arena. The memory side is refused before the type is walked,
+// so the refusal allocates nothing like the region list.
+func TestFlattenedTypeHeldToArenaBeforeWalk(t *testing.T) {
+	req := Request{Type: datatype.Vector(2, 1, 2, datatype.Bytes(1)), Count: 1 << 20, Method: AccessList, Arena: make([]byte, 1)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := req.resolve()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasSuffix(err.Error(), "outside buffer of 1 bytes") {
+		t.Fatalf("resolve: %v, want the memory side refused for the arena", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the request allocated %d bytes, want under 1 MB", got)
 	}
 }

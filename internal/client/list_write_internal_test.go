@@ -242,12 +242,14 @@ func TestResolveChecksPatternArithmetic(t *testing.T) {
 
 	// 40 nested constructors exceed the codec's depth limit: auto and
 	// the flattened methods still take the type; AccessDatatype refuses.
+	// The arena holds the 16 bytes, which resolve checks before a
+	// flattened method walks the type.
 	deep := datatype.Bytes(8)
 	for range 40 {
 		deep = datatype.Contiguous(1, deep)
 	}
 	for _, m := range methods {
-		rv, err := Request{Type: deep, Base: 16, Count: 2, Method: m}.resolve()
+		rv, err := Request{Type: deep, Base: 16, Count: 2, Method: m, Arena: make([]byte, 16)}.resolve()
 		if m == AccessDatatype {
 			if err == nil {
 				t.Error("AccessDatatype accepted an unencodable type")

@@ -56,17 +56,24 @@ func (o ListOptions) maxRegions() int {
 // the flat lists (contig, multiple). They build no stream map, so the
 // memory list is checked where it lies, without allocating.
 func checkLists(arena []byte, mem, file ioseg.List) error {
+	total, err := checkMem(arena, mem)
+	if err != nil {
+		return err
+	}
+	return checkFileList(total, file)
+}
+
+// checkMem validates a memory list where it lies, without allocating,
+// holds it to the arena and returns its overflow-checked byte total.
+func checkMem(arena []byte, mem ioseg.List) (int64, error) {
 	if err := mem.Validate(); err != nil {
-		return fmt.Errorf("pvfs: memory list: %w", err)
+		return 0, fmt.Errorf("pvfs: memory list: %w", err)
 	}
 	total, err := mem.TotalLengthChecked()
 	if err != nil {
-		return fmt.Errorf("pvfs: memory list: %w", err)
+		return 0, fmt.Errorf("pvfs: memory list: %w", err)
 	}
-	if err := checkFileList(total, file); err != nil {
-		return err
-	}
-	return checkArena(arena, mem)
+	return total, checkArena(arena, mem)
 }
 
 // checkMapped validates a mem/file pair given smap, the stream map of

@@ -319,7 +319,10 @@ func (r Request) resolve() (resolved, error) {
 
 	// Layout/method compatibility; flattened methods accept a datatype
 	// layout by collecting its walk client-side: the regions the daemons
-	// would evaluate, in data order, touching repetitions merged.
+	// would evaluate, in data order, touching repetitions merged. The
+	// walk allocates a region per piece, so the memory side is first held
+	// to the type's total and to the arena: the region list is then
+	// bounded by memory the caller already holds.
 	switch out.method {
 	case AccessDatatype:
 		if out.t == nil {
@@ -330,6 +333,11 @@ func (r Request) resolve() (resolved, error) {
 		}
 	case AccessContig, AccessMultiple, AccessSieve, AccessList, AccessHybrid:
 		if out.t != nil {
+			if memTotal, err := checkMem(r.Arena, out.mem); err != nil {
+				return out, err
+			} else if memTotal != total {
+				return out, fmt.Errorf("pvfs: memory list covers %d bytes, type %d", memTotal, total)
+			}
 			datatype.WalkRepeated(out.t, out.base, out.count, 0, func(s ioseg.Segment) bool {
 				out.file = append(out.file, s)
 				return true

@@ -4,8 +4,9 @@ package meta
 // inside start, so the group's first leader needs no election timeout;
 // a candidate asks again every peer that has not answered, backing off
 // from one tick to ElectionLo/4 while a peer's calls fail, so peers
-// that come up late still elect it, and past its first candidacy to
-// ElectionHi, so a lone candidate does not spin; and every start over
+// that come up late still elect it, and in a pre-vote round to
+// ElectionHi, so a lone replica does not spin; a lone replica's
+// pre-vote rounds move no term and write nothing; and every start over
 // recovered state keeps its randomized deadline.
 
 import (
@@ -168,10 +169,12 @@ func TestCandidateBacksOffFailedPeers(t *testing.T) {
 }
 
 // TestBackoffOutlivesCandidacies runs the lone candidate on the default
-// Timing, where an election timeout of 75–150 ms starts a new candidacy
-// several times a second. Restarting the backoff with each one would
-// ask each dead peer about 60 times a second; carried across them and
-// grown to ElectionHi, it asks a few times.
+// Timing, where an election timeout of 75–150 ms starts a new pre-vote
+// round several times a second. Restarting the backoff with each one
+// would ask each dead peer about 60 times a second; carried across them
+// and grown to ElectionHi, it asks a few times. Past its birth
+// candidacy the replica stays at term 1: a round that wins no
+// pre-majority moves no term and writes nothing.
 func TestBackoffOutlivesCandidacies(t *testing.T) {
 	n, accepts := startLoneCandidate(t, Timing{})
 	time.Sleep(time.Second)
@@ -179,12 +182,16 @@ func TestBackoffOutlivesCandidacies(t *testing.T) {
 	for i := range accepts {
 		before[i] = accepts[i].Load()
 	}
+	syncs := n.Stats().MetaWALSyncs
 	time.Sleep(time.Second)
 	if n.IsLeader() {
 		t.Fatal("replica 0 leads with no peer answering")
 	}
-	if term := n.Term(); term < 5 {
-		t.Fatalf("term %d after 2 s, want several candidacies", term)
+	if term := n.Term(); term != 1 {
+		t.Errorf("term %d after 2 s, want 1", term)
+	}
+	if got := n.Stats().MetaWALSyncs - syncs; got != 0 {
+		t.Errorf("%d WAL syncs in the second second, want 0", got)
 	}
 	for i := range accepts {
 		if calls := accepts[i].Load() - before[i]; calls < 1 || calls > 15 {
@@ -217,6 +224,9 @@ func TestRestartedGroupKeepsElectionTimer(t *testing.T) {
 	tm := slowElectionTiming()
 	g := startGroupTiming(t, 3, singleShardBoot, tm)
 	waitFor(t, "replica 0 to lead", tm.ElectionLo, g.nodes[0].IsLeader)
+	// A vote from replica 1 alone elects replica 0, so replica 2 may not
+	// have persisted term 1 yet.
+	checkBirth(t, g)
 	g.closeAll()
 
 	since := time.Now()

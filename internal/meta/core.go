@@ -51,17 +51,18 @@ type core struct {
 	// entries: a heartbeat, a new leader's first round, or a committed
 	// shard map. Any append sent to the follower clears it.
 	sendDue  []bool
-	granted  []bool // candidate: the replicas that granted this term's vote
+	pre      bool   // candidate: this round asks for pre-votes at term+1
+	granted  []bool // candidate: the replicas that granted this round's vote
 	answered []bool // candidate: the replicas that granted or denied it
 	// askAt and askGap back off the re-ask of a peer whose vote call
 	// failed: it is not asked again before askAt, and askGap is the
-	// last wait; askFrom is the term the backoff began in. The backoff
-	// lasts across the replica's own consecutive candidacies, and ends
-	// when the peer answers or the replica stops being a candidate.
+	// last wait. The backoff lasts across the replica's own consecutive
+	// rounds, and ends when the peer answers or the replica stops being
+	// a candidate.
 	askAt    []time.Time
 	askGap   []time.Duration
-	askFrom  []uint64
 	deadline time.Time // election deadline (non-leaders)
+	heard    time.Time // the last leader's append this replica accepted
 	lastBeat time.Time // last heartbeat round (leader)
 
 	spare   []record             // a persist buffer the shell handed back
@@ -169,7 +170,6 @@ func newCore(id int, peers []string, t Timing, rng *rand.Rand) *core {
 		answered: make([]bool, len(peers)),
 		askAt:    make([]time.Time, len(peers)),
 		askGap:   make([]time.Duration, len(peers)),
-		askFrom:  make([]uint64, len(peers)),
 	}
 }
 
@@ -207,7 +207,7 @@ func (c *core) start(now time.Time, boot *wire.ShardMap) output {
 		c.persistHard()
 		c.becomeLeader(now)
 	case seed && c.term == 0 && c.id == 0:
-		c.campaign(now)
+		c.campaign(now, false)
 	}
 	return c.take()
 }
@@ -353,7 +353,7 @@ func (c *core) persisted(recs []record, done int, err error) output {
 // --- elections ---
 
 // tick advances the clock: a leader owes every follower a heartbeat
-// each interval; anyone else stands for election once its deadline
+// each interval; anyone else starts a pre-vote round once its deadline
 // passes, and a candidate asks again every peer that has not answered
 // and is not backed off, so a peer that was not listening yet can still
 // elect it.
@@ -367,38 +367,50 @@ func (c *core) tick(now time.Time) output {
 	case len(c.peers) == 1 || c.resync || c.wounded:
 		// No election to stand for.
 	case now.After(c.deadline):
-		c.campaign(now)
+		c.campaign(now, true)
 	case c.role == candidate:
 		c.askVotes(now)
 	}
 	return c.take()
 }
 
-// campaign stands for election in the next term: a durable vote for
-// itself, then a vote request to every peer not backed off. A
-// candidacy that follows one of its own keeps the backoffs: a peer
-// that failed every call of the last term is most likely still down.
-func (c *core) campaign(now time.Time) {
+// campaign stands for election in the next term, asking every peer not
+// backed off. A pre-vote round (pre) changes and persists nothing; the
+// real candidacy that a pre-majority starts makes a durable vote for
+// itself. A round that follows one of its own keeps the backoffs: a
+// peer that failed every call of the last round is most likely down.
+func (c *core) campaign(now time.Time, pre bool) {
 	if c.role != candidate {
 		clear(c.askAt)
 		clear(c.askGap)
 	}
-	c.term++
-	c.votedFor = c.id
-	c.persistHard()
+	if !pre {
+		c.term++
+		c.votedFor = c.id
+		c.persistHard()
+		last := c.lastIndex()
+		c.note("candidate for term %d (log %d/%d)", c.term, last, c.termAt(last))
+	}
+	c.pre = pre
 	c.role = candidate
 	c.leaderID = -1
 	c.resetDeadline(now)
 	clear(c.granted)
 	clear(c.answered)
 	c.granted[c.id], c.answered[c.id] = true, true
-	last := c.lastIndex()
-	c.note("candidate for term %d (log %d/%d)", c.term, last, c.termAt(last))
 	c.askVotes(now)
 }
 
-// askVotes asks every peer that has not answered this candidacy and
-// whose backoff has run out.
+// askTerm is the term this round asks votes for.
+func (c *core) askTerm() uint64 {
+	if c.pre {
+		return c.term + 1
+	}
+	return c.term
+}
+
+// askVotes asks every peer that has not answered this round and whose
+// backoff has run out.
 func (c *core) askVotes(now time.Time) {
 	for p, a := range c.answered {
 		if !a && !now.Before(c.askAt[p]) {
@@ -407,7 +419,7 @@ func (c *core) askVotes(now time.Time) {
 	}
 	if len(c.out.voteTo) > 0 {
 		last := c.lastIndex()
-		c.out.vote = &wire.MetaVoteReq{Term: c.term, Candidate: uint32(c.id), LastIndex: last, LastTerm: c.termAt(last)}
+		c.out.vote = &wire.MetaVoteReq{Term: c.askTerm(), Candidate: uint32(c.id), LastIndex: last, LastTerm: c.termAt(last), Pre: c.pre}
 	}
 }
 
@@ -423,43 +435,57 @@ func (c *core) stepDown(now time.Time, term uint64) {
 		c.persistHard()
 	}
 	if c.role != follower {
-		c.note("stepping down at term %d", c.term)
+		if !c.pre { // a pre-vote round stood for nothing
+			c.note("stepping down at term %d", c.term)
+		}
 		c.role = follower
 		c.resetDeadline(now)
 	}
 }
 
-// vote answers a candidate. The grant is a durable promise: the shell
-// sends it only once the vote record is written.
+// vote answers a candidate. A resyncing replica lost acks and votes
+// with its damaged state, so its vote could elect a candidate missing
+// an entry it helped commit: it grants none until a leader has refilled
+// its log. A grant is a durable promise: the shell sends it only once
+// the vote record is written. A pre-vote promises nothing and changes
+// nothing; no leader, and no replica that accepted a leader's append
+// within ElectionLo, grants one (leader stickiness), so a replica cut
+// off from a live leader cannot win (DESIGN.md §13, "Pre-vote").
 func (c *core) vote(now time.Time, vr *wire.MetaVoteReq) (wire.MetaVoteResp, output) {
+	if vr.Pre {
+		ok := !c.wounded && !c.resync && c.role != leader && vr.Term > c.term &&
+			c.upToDate(vr) && now.Sub(c.heard) >= c.timing.ElectionLo
+		return wire.MetaVoteResp{Term: c.term, Granted: ok}, c.take()
+	}
 	if vr.Term > c.term {
 		c.stepDown(now, vr.Term)
 	}
 	resp := wire.MetaVoteResp{Term: c.term}
-	// A resyncing replica lost acks and votes with its damaged state,
-	// so its vote could elect a candidate missing an entry it helped
-	// commit: it grants none until a leader has refilled its log.
-	if !c.wounded && !c.resync && vr.Term == c.term && (c.votedFor == -1 || c.votedFor == int(vr.Candidate)) {
-		// Election restriction: only a candidate whose log is at least
-		// as fresh as ours — this carries majority-acked entries across
-		// leader failure.
-		last := c.lastIndex()
-		if lt := c.termAt(last); vr.LastTerm > lt || (vr.LastTerm == lt && vr.LastIndex >= last) {
-			c.votedFor = int(vr.Candidate)
-			c.persistHard()
-			resp.Granted = true
-			c.resetDeadline(now)
-		}
+	if !c.wounded && !c.resync && vr.Term == c.term && (c.votedFor == -1 || c.votedFor == int(vr.Candidate)) && c.upToDate(vr) {
+		c.votedFor = int(vr.Candidate)
+		c.persistHard()
+		resp.Granted = true
+		c.resetDeadline(now)
 	}
 	return resp, c.take()
 }
 
-// voteResp counts peer p's answer to this replica's candidacy in term.
-// Any answer ends p's backoff.
-func (c *core) voteResp(now time.Time, term uint64, p int, vr wire.MetaVoteResp) output {
+// upToDate is the election restriction: a candidate's log must be at
+// least as fresh as ours, which carries acked entries across failover.
+func (c *core) upToDate(vr *wire.MetaVoteReq) bool {
+	last := c.lastIndex()
+	lt := c.termAt(last)
+	return vr.LastTerm > lt || (vr.LastTerm == lt && vr.LastIndex >= last)
+}
+
+// voteResp counts peer p's answer to the vote, or pre-vote if pre, this
+// replica asked in term. An answer to another round, such as a late
+// pre-grant in the real candidacy for its term, is not counted. Any
+// answer ends p's backoff.
+func (c *core) voteResp(now time.Time, term uint64, pre bool, p int, vr wire.MetaVoteResp) output {
 	c.askAt[p], c.askGap[p] = time.Time{}, 0
 	switch {
-	case c.term != term || c.role != candidate:
+	case c.role != candidate || c.pre != pre || c.askTerm() != term:
 	case vr.Term > c.term:
 		c.stepDown(now, vr.Term)
 	case !vr.Granted:
@@ -472,7 +498,11 @@ func (c *core) voteResp(now time.Time, term uint64, p int, vr wire.MetaVoteResp)
 				votes++
 			}
 		}
-		if votes >= len(c.peers)/2+1 {
+		switch {
+		case votes < len(c.peers)/2+1:
+		case c.pre:
+			c.campaign(now, false)
+		default:
 			c.becomeLeader(now)
 		}
 	}
@@ -480,18 +510,15 @@ func (c *core) voteResp(now time.Time, term uint64, p int, vr wire.MetaVoteResp)
 }
 
 // voteFailed backs off the re-ask of peer p, whose vote call got no
-// answer: one tick, then twice the last wait. Within the candidacy the
-// backoff began in, the wait stays under ElectionLo/4, so a peer that
-// starts listening late is still asked well before a rival's election
-// timer fires; a backoff that outlived a candidacy grows to ElectionHi,
-// so a lone candidate asks a dead peer a few times a second.
+// answer: one tick, then twice the last wait. In a real candidacy the
+// wait stays under ElectionLo/4, so a peer that starts listening late
+// (the birth campaign's) is still asked well before a rival's election
+// timer fires; in a pre-vote round it grows to ElectionHi, so a lone
+// replica asks a dead peer a few times a second.
 func (c *core) voteFailed(now time.Time, p int) output {
 	if c.role == candidate {
-		if c.askGap[p] == 0 {
-			c.askFrom[p] = c.term
-		}
 		limit := c.timing.ElectionLo / 4
-		if c.askFrom[p] < c.term {
+		if c.pre {
 			limit = c.timing.ElectionHi
 		}
 		c.askGap[p] = min(max(2*c.askGap[p], c.timing.tick()), limit)
@@ -571,14 +598,6 @@ func (c *core) appendFor(p int) (wire.MetaAppendReq, *snapRefs, bool) {
 	}
 	c.sendDue[p] = false
 	return req, refs, true
-}
-
-// keepAlive is the heartbeat a leader sends a follower whose snapshot
-// is in flight: an empty append at the leader's last index. Its answer
-// needs no handling; the snapshot's answer moves the follower's cursor.
-func (c *core) keepAlive() wire.MetaAppendReq {
-	last := c.lastIndex()
-	return wire.MetaAppendReq{Term: c.term, Leader: uint32(c.id), Commit: c.commit, PrevIndex: last, PrevTerm: c.termAt(last)}
 }
 
 // appendResp takes follower p's answer to an append of term (snapLast:
@@ -712,6 +731,7 @@ func (c *core) append(now time.Time, ar *wire.MetaAppendReq, snap *wire.MetaSnap
 	}
 	resp.Term = c.term
 	c.leaderID = int(ar.Leader)
+	c.heard = now
 	c.resetDeadline(now)
 	// A wounded replica acks nothing: the leader would count the ack
 	// toward commit and the entries would be lost on restart.

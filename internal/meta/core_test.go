@@ -58,6 +58,7 @@ type simMsg struct {
 	app      *wire.MetaAppendReq
 	appResp  *wire.MetaAppendResp
 	term     uint64 // the term of the request a response answers
+	pre      bool   // a vote response answers a pre-vote
 }
 
 // sim is three cores, a FIFO message queue and a virtual clock.
@@ -120,9 +121,16 @@ func (s *sim) keep(o output) {
 	}
 }
 
+// send queues m unless it is lost; a lost append or append answer
+// frees its leader to retry next step, as after a call timeout.
 func (s *sim) send(m simMsg) {
-	if !s.drop(m) {
+	switch {
+	case !s.drop(m):
 		s.queue = append(s.queue, m)
+	case m.app != nil:
+		s.lost = append(s.lost, [2]int{m.from, m.to})
+	case m.appResp != nil:
+		s.lost = append(s.lost, [2]int{m.to, m.from})
 	}
 }
 
@@ -177,18 +185,15 @@ func (s *sim) deliver(m simMsg) {
 	case m.vote != nil:
 		resp, o := c.vote(s.now, m.vote)
 		s.carry(m.to, o)
-		s.logf("vote %d→%d term %d granted %v", m.to, m.from, m.vote.Term, resp.Granted)
-		s.send(simMsg{from: m.to, to: m.from, voteResp: &resp, term: m.vote.Term})
+		s.logf("vote %d→%d term %d pre %v granted %v", m.to, m.from, m.vote.Term, m.vote.Pre, resp.Granted)
+		s.send(simMsg{from: m.to, to: m.from, voteResp: &resp, term: m.vote.Term, pre: m.vote.Pre})
 	case m.voteResp != nil:
-		s.carry(m.to, c.voteResp(s.now, m.term, m.from, *m.voteResp))
+		s.carry(m.to, c.voteResp(s.now, m.term, m.pre, m.from, *m.voteResp))
 	case m.app != nil:
 		resp, o := c.append(s.now, m.app, nil)
 		s.carry(m.to, o)
 		s.logf("append %d→%d term %d prev %d n %d: ok %v match %d", m.from, m.to, m.app.Term, m.app.PrevIndex, len(m.app.Entries), resp.Success, resp.Match)
 		s.send(simMsg{from: m.to, to: m.from, appResp: &resp, term: m.app.Term})
-		if s.drop(simMsg{from: m.to, to: m.from}) {
-			s.lost = append(s.lost, [2]int{m.from, m.to}) // retried next step, as after a timeout
-		}
 	case m.appResp != nil:
 		s.inflight[m.to][m.from] = false
 		_, o := c.appendResp(s.now, m.from, m.term, 0, *m.appResp)
@@ -292,4 +297,109 @@ func TestCoresElectCommitAndFailOver(t *testing.T) {
 		t.Fatalf("seed %d: traces differ in length: %d vs %d lines", seed, len(trace), len(again))
 	}
 	t.Logf("%d trace lines", len(trace))
+}
+
+// TestCutOffFollowerRejoins cuts a follower off for ten election
+// timeouts, then lets it back. While cut off its pre-votes reach no
+// one; once back they are refused by the leader and by the follower
+// that hears from it. Its term never moves, and the leader keeps
+// leading the same term and catches it up.
+func TestCutOffFollowerRejoins(t *testing.T) {
+	s := newSim(t, 5)
+	l := s.leader(-1)
+	s.step()
+	term := s.cores[l].term
+	f := (l + 1) % 3
+	check := func(when string) {
+		t.Helper()
+		if got := s.cores[f].term; got != term {
+			t.Fatalf("%s: follower %d moved from term %d to %d", when, f, term, got)
+		}
+		if c := s.cores[l]; c.role != leader || c.term != term {
+			t.Fatalf("%s: leader %d at role %v, term %d; it led term %d", when, l, c.role, c.term, term)
+		}
+	}
+	s.drop = func(m simMsg) bool { return m.from == f || m.to == f }
+	for end := s.now.Add(10 * s.cores[f].timing.ElectionHi); s.now.Before(end); {
+		s.step()
+		check("cut off")
+	}
+	if res := s.commit(l, createRec("a", 0, 0, 1, testIODs())); res.err != nil || res.status != wire.StatusOK {
+		t.Fatalf("create without the follower: %+v", res)
+	}
+	s.drop = func(simMsg) bool { return false }
+	for end := s.now.Add(2 * s.cores[f].timing.ElectionHi); s.now.Before(end); {
+		s.step()
+		check("rejoined")
+	}
+	if c := s.cores[f]; c.role != follower || c.leaderID != l || c.commit != s.cores[l].commit {
+		t.Fatalf("rejoined follower: role %v, leader %d, commit %d; want a follower of %d at commit %d",
+			c.role, c.leaderID, c.commit, l, s.cores[l].commit)
+	}
+}
+
+// TestPreVote pins the pre-vote rules on both sides. A voter grants a
+// pre-vote only once ElectionLo has passed since it accepted a
+// leader's append, and only to a candidate that passes the election
+// restriction; granted or not, its term, vote and deadline stay put and
+// nothing is persisted. A leader refuses every pre-vote. A candidate's
+// pre-majority starts the real candidacy, and a pre-grant that arrives
+// after that is not counted as a vote.
+func TestPreVote(t *testing.T) {
+	s := newSim(t, 3)
+	l := s.leader(-1)
+	s.step()
+	v := s.cores[(l+1)%3]
+	last := v.lastIndex()
+	req := wire.MetaVoteReq{Term: v.term + 1, Candidate: uint32((l + 2) % 3), LastIndex: last, LastTerm: v.termAt(last), Pre: true}
+	stale := req
+	stale.LastTerm = 0
+	lo := v.timing.ElectionLo
+	for _, tc := range []struct {
+		name  string
+		c     *core
+		at    time.Time
+		req   wire.MetaVoteReq
+		grant bool
+	}{
+		{"voter within ElectionLo of an append", v, v.heard.Add(lo - time.Nanosecond), req, false},
+		{"voter ElectionLo after an append", v, v.heard.Add(lo), req, true},
+		{"voter, candidate with a staler log", v, v.heard.Add(lo), stale, false},
+		{"leader", s.cores[l], s.now.Add(time.Hour), req, false},
+	} {
+		c := tc.c
+		term, votedFor, deadline, role := c.term, c.votedFor, c.deadline, c.role
+		resp, o := c.vote(tc.at, &tc.req)
+		if resp.Granted != tc.grant || resp.Term != term {
+			t.Errorf("%s: %+v, want granted %v at term %d", tc.name, resp, tc.grant, term)
+		}
+		if len(o.persist) != 0 || c.term != term || c.votedFor != votedFor || !c.deadline.Equal(deadline) || c.role != role {
+			t.Errorf("%s: the pre-vote persisted %d records; term %d→%d, vote %d→%d, deadline moved %v, role %v→%v",
+				tc.name, len(o.persist), term, c.term, votedFor, c.votedFor, c.deadline.Sub(deadline), role, c.role)
+		}
+	}
+
+	peers := []string{"c0", "c1", "c2"}
+	c := newCore(1, peers, Timing{}.withDefaults(), rand.New(rand.NewSource(1)))
+	c.start(time.Unix(1, 0), singleShardBoot(peers))
+	now := c.deadline.Add(time.Millisecond)
+	o := c.tick(now)
+	if o.vote == nil || !o.vote.Pre || o.vote.Term != 1 || len(o.persist) != 0 || c.term != 0 || c.votedFor != -1 {
+		t.Fatalf("timed-out follower: vote %+v, %d records, term %d, vote %d; want a pre-vote for term 1 that changes nothing",
+			o.vote, len(o.persist), c.term, c.votedFor)
+	}
+	o = c.voteResp(now, 1, true, 0, wire.MetaVoteResp{Term: 0, Granted: true})
+	if o.vote == nil || o.vote.Pre || c.term != 1 || c.votedFor != 1 || len(o.persist) != 1 {
+		t.Fatalf("pre-majority: vote %+v, %d records, term %d, vote %d; want a durable candidacy for term 1",
+			o.vote, len(o.persist), c.term, c.votedFor)
+	}
+	c.persisted(o.persist, len(o.persist), nil)
+	c.voteResp(now, 1, true, 2, wire.MetaVoteResp{Term: 0, Granted: true})
+	if c.role != candidate {
+		t.Fatalf("a pre-grant for term 1 that arrived in the real campaign was counted: role %v", c.role)
+	}
+	c.voteResp(now, 1, false, 2, wire.MetaVoteResp{Term: 1, Granted: true})
+	if c.role != leader {
+		t.Fatalf("a real grant for term 1 left role %v, want leader", c.role)
+	}
 }

@@ -15,6 +15,8 @@ import (
 
 func FuzzNodeHandle(f *testing.F) {
 	vote := wire.MetaVoteReq{Term: 2, Candidate: 1, LastIndex: 2, LastTerm: 1}
+	pre := vote
+	pre.Pre = true
 	app := wire.MetaAppendReq{Term: 2, Leader: 1, PrevIndex: 2, PrevTerm: 1, Commit: 3,
 		Entries: []wire.MetaEntry{{Index: 3, Term: 2, Rec: createRec("appended", 5, 0, 1, testIODs())}}}
 	prop := createRec("proposed", 6, 0, 1, testIODs())
@@ -24,6 +26,7 @@ func FuzzNodeHandle(f *testing.F) {
 		body []byte
 	}{
 		{wire.TMetaVote, vote.Marshal()},
+		{wire.TMetaVote, pre.Marshal()},
 		{wire.TMetaAppend, app.Marshal()},
 		{wire.TMetaPropose, prop.Marshal()},
 		{wire.TMetaFetch, fetch.Marshal()},

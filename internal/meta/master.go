@@ -135,9 +135,9 @@ func NewNode(o NodeOptions) (*Node, error) {
 // carry does what the core asked. It is entered with mu held and
 // returns with it released. Verdicts and replication kicks go out at
 // once. Records are written in order with mu released, then reported
-// back to the core; a vote request leaves only once they are durable,
-// to each peer with no vote call of its own in flight. It returns the
-// write's error.
+// back to the core; a vote request leaves only once they are durable
+// (a pre-vote round's output has none), to each peer with no vote call
+// of its own in flight. It returns the write's error.
 func (n *Node) carry(o output) error {
 	n.deliver(&o)
 	var err error
@@ -178,7 +178,7 @@ func (n *Node) carry(o output) error {
 	if len(ask) > 0 {
 		body := o.vote.Marshal()
 		for _, p := range ask {
-			go n.askVote(p, o.vote.Term, body)
+			go n.askVote(p, o.vote.Term, o.vote.Pre, body)
 		}
 	}
 	return err
@@ -306,22 +306,25 @@ func (n *Node) clockLoop() {
 	}
 }
 
-// askVote asks peer p for its vote in term. A re-ask carries no record
-// of its own, so it first waits out the WAL writes under way: the
-// candidacy's vote for itself may be among them. A call that gets no
-// answer backs off the next re-ask of p.
-func (n *Node) askVote(p int, term uint64, body []byte) {
+// askVote asks peer p for its vote in term, or its pre-vote if pre. A
+// real re-ask carries no record of its own, so it first waits out the
+// WAL writes under way: the candidacy's vote for itself may be among
+// them. A call that gets no answer backs off the next re-ask of p. The
+// answer frees p first, so a candidacy it completes asks p at once.
+func (n *Node) askVote(p int, term uint64, pre bool, body []byte) {
 	defer n.wg.Done()
-	defer n.locked(func() { n.asking[p] = false })
-	if n.synced() != nil {
-		return
-	}
 	var vr wire.MetaVoteResp
-	if n.callPeer(p, wire.TMetaVote, body, &vr) != nil {
-		n.step(func(c *core) output { return c.voteFailed(time.Now(), p) })
-		return
+	err := errPersist
+	if pre || n.synced() == nil {
+		err = n.callPeer(p, wire.TMetaVote, body, &vr)
 	}
-	n.step(func(c *core) output { return c.voteResp(time.Now(), term, p, vr) })
+	n.step(func(c *core) output {
+		n.asking[p] = false
+		if err != nil {
+			return c.voteFailed(time.Now(), p)
+		}
+		return c.voteResp(time.Now(), term, pre, p, vr)
+	})
 }
 
 // step hands the core one input under mu, unless the node is closed,
@@ -378,7 +381,9 @@ func (n *Node) replicate(p int) {
 
 // syncPeer ships one append (or snapshot, serialized with mu released)
 // to follower p and hands the answer to the core; it reports whether
-// another round should follow at once.
+// another round should follow at once. A snapshot install that outlasts
+// the follower's election timeout deposes no one: the follower's
+// pre-vote is refused by every replica that hears from us.
 func (n *Node) syncPeer(p int) bool {
 	n.mu.Lock()
 	if n.closed {
@@ -386,23 +391,12 @@ func (n *Node) syncPeer(p int) bool {
 		return false
 	}
 	req, refs, ok := n.c.appendFor(p)
-	var beat wire.MetaAppendReq
-	if refs != nil {
-		beat = n.c.keepAlive()
-	}
 	n.mu.Unlock()
 	if !ok {
 		return false
 	}
 	var snapLast uint64
 	if refs != nil {
-		// Building, shipping and installing a big snapshot can outlast
-		// the follower's election timeout: without heartbeats meanwhile
-		// it campaigns and deposes us (DESIGN.md §13).
-		done := make(chan struct{})
-		defer close(done)
-		n.wg.Add(1)
-		go n.beatUntil(p, beat, done)
 		req.Snap = refs.snapshot().Marshal()
 		snapLast = refs.lastIndex
 	}
@@ -416,26 +410,6 @@ func (n *Node) syncPeer(p int) bool {
 		return o
 	})
 	return more
-}
-
-// beatUntil sends follower p the heartbeat beat every Heartbeat until
-// done closes, ignoring the answers.
-func (n *Node) beatUntil(p int, beat wire.MetaAppendReq, done <-chan struct{}) {
-	defer n.wg.Done()
-	body := beat.Marshal()
-	t := time.NewTicker(n.timing.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			var ar wire.MetaAppendResp
-			n.callPeer(p, wire.TMetaAppend, body, &ar)
-		case <-done:
-			return
-		case <-n.stopC:
-			return
-		}
-	}
 }
 
 // compactLoop folds the log, off every hot path, when the core asks.

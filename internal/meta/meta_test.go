@@ -520,10 +520,10 @@ func TestSnapshotCatchUp(t *testing.T) {
 // TestSlowSnapshotInstallCatchesUp holds every snapshot install to a
 // rejoining replica for 150 ms, longer than its 50–100 ms election
 // timeout, as a big namespace or the race detector does. The replica
-// must still catch up with no election: the leader heartbeats it while
-// the snapshot is in flight. Without those heartbeats it campaigns
-// during each install, its higher term deposes the leader, and the next
-// leader's install is held as long again.
+// must still catch up with no election: its pre-votes during the
+// install are refused by the leader and by the follower that hears
+// from it. Were it to campaign, its higher term would depose the
+// leader, and the next leader's install would be held as long again.
 func TestSlowSnapshotInstallCatchesUp(t *testing.T) {
 	g := startGroup(t, 3, singleShardBoot)
 	for _, n := range g.nodes {

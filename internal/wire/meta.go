@@ -312,12 +312,15 @@ func (m *MetaLogRec) Unmarshal(b []byte) error {
 // MetaVoteReq asks a master replica for its vote in term Term. The
 // candidate's log position gates the grant: a replica refuses any
 // candidate whose log is less up to date than its own, which is what
-// makes majority-acked entries survive leader failure.
+// makes majority-acked entries survive leader failure. Pre asks for a
+// pre-vote: whether the replica would grant that vote, with nothing
+// changed or written on either side (DESIGN.md §13, "Pre-vote").
 type MetaVoteReq struct {
 	Term      uint64
 	Candidate uint32 // candidate's replica ID
 	LastIndex uint64 // candidate's last log index
 	LastTerm  uint64 // term of that entry
+	Pre       bool
 }
 
 func (m *MetaVoteReq) Marshal() []byte {
@@ -326,6 +329,7 @@ func (m *MetaVoteReq) Marshal() []byte {
 	e.u32(m.Candidate)
 	e.u64(m.LastIndex)
 	e.u64(m.LastTerm)
+	e.flag(m.Pre)
 	return e.buf
 }
 
@@ -335,6 +339,7 @@ func (m *MetaVoteReq) Unmarshal(b []byte) error {
 	m.Candidate = d.u32()
 	m.LastIndex = d.u64()
 	m.LastTerm = d.u64()
+	m.Pre = d.u32() != 0
 	return d.err
 }
 
@@ -347,11 +352,7 @@ type MetaVoteResp struct {
 func (m *MetaVoteResp) Marshal() []byte {
 	e := encoder{}
 	e.u64(m.Term)
-	g := uint32(0)
-	if m.Granted {
-		g = 1
-	}
-	e.u32(g)
+	e.flag(m.Granted)
 	return e.buf
 }
 
@@ -424,11 +425,7 @@ type MetaAppendResp struct {
 func (m *MetaAppendResp) Marshal() []byte {
 	e := encoder{}
 	e.u64(m.Term)
-	ok := uint32(0)
-	if m.Success {
-		ok = 1
-	}
-	e.u32(ok)
+	e.flag(m.Success)
 	e.u64(m.Match)
 	return e.buf
 }

@@ -124,10 +124,14 @@ func TestMetaAppendRoundTrip(t *testing.T) {
 }
 
 func TestMetaVoteAndProposeRoundTrip(t *testing.T) {
-	v := MetaVoteReq{Term: 2, Candidate: 1, LastIndex: 9, LastTerm: 1}
-	var vg MetaVoteReq
-	if err := vg.Unmarshal(v.Marshal()); err != nil || vg != v {
-		t.Fatalf("vote req: %+v err %v", vg, err)
+	for _, v := range []MetaVoteReq{
+		{Term: 2, Candidate: 1, LastIndex: 9, LastTerm: 1},
+		{Term: 3, Candidate: 2, LastIndex: 9, LastTerm: 1, Pre: true},
+	} {
+		var vg MetaVoteReq
+		if err := vg.Unmarshal(v.Marshal()); err != nil || vg != v {
+			t.Fatalf("vote req: %+v err %v, want %+v", vg, err, v)
+		}
 	}
 	vr := MetaVoteResp{Term: 2, Granted: true}
 	var vrg MetaVoteResp

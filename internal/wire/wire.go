@@ -473,6 +473,15 @@ func (e *encoder) u64(v uint64) {
 
 func (e *encoder) i64(v int64) { e.u64(uint64(v)) }
 
+// flag writes b as a u32, 1 for true; a decoder reads it as u32() != 0.
+func (e *encoder) flag(b bool) {
+	var v uint32
+	if b {
+		v = 1
+	}
+	e.u32(v)
+}
+
 func (e *encoder) str(s string) {
 	e.u32(uint32(len(s)))
 	e.buf = append(e.buf, s...)

@@ -337,6 +337,14 @@ func TestUnmarshalShortBodies(t *testing.T) {
 		_ = fi.Unmarshal(b)
 		_ = st.Unmarshal(b)
 	}
+	// A vote request cut anywhere, the Pre flag included, is refused.
+	vote := MetaVoteReq{Term: 2, Candidate: 1, LastIndex: 9, LastTerm: 1, Pre: true}
+	body := vote.Marshal()
+	for n := range len(body) {
+		if err := new(MetaVoteReq).Unmarshal(body[:n]); err == nil {
+			t.Errorf("MetaVoteReq accepted %d of %d bytes", n, len(body))
+		}
+	}
 }
 
 // Property: random region lists round trip through the trailing-data
