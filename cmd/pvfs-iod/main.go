@@ -9,7 +9,7 @@
 //
 // With -data empty the daemon stores stripes in memory (useful for
 // benchmarking the protocol without a disk). -cache layers a
-// write-back, readahead block cache (DESIGN.md §7) over the store;
+// write-back block cache (DESIGN.md §7) over the store;
 // clients flush it with TSync (File.Sync / flush-on-close), and the
 // daemon flushes everything on clean shutdown.
 package main
@@ -30,7 +30,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7001", "listen address")
 	dataDir := flag.String("data", "", "stripe data directory (empty = in-memory store)")
 	quiet := flag.Bool("quiet", false, "suppress request logging")
-	cache := flag.Bool("cache", false, "enable the write-back, readahead block cache")
+	cache := flag.Bool("cache", false, "enable the write-back block cache")
 	cacheSize := flag.Int64("cache-size", 64<<20, "cache capacity in bytes (with -cache); reserved once, resident as blocks fill, so the daemon's cache memory is about this size")
 	cacheBlock := flag.Int64("cache-block", 64<<10, "cache block size in bytes (with -cache); pick a divisor of the stripe unit")
 	flag.Parse()

@@ -82,7 +82,7 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 	}
 	// Eight 4 KiB blocks: far below the working set, so fills, flushes
 	// and evictions churn through the batch paths.
-	cached := store.Cached(cachedInner, store.CacheOptions{BlockSize: 4096, MaxBytes: 8 * 4096, Readahead: 2})
+	cached := store.Cached(cachedInner, store.CacheOptions{BlockSize: 4096, MaxBytes: 8 * 4096})
 	names := []string{"mem", "dir", "cached-dir"}
 	conns := make([]*pvfsnet.Conn, len(names))
 	for i, st := range []store.Store{mem, dir, cached} {

@@ -100,7 +100,7 @@ func BenchmarkCacheFlushSubmission(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	c := Cached(d, CacheOptions{BlockSize: 4096, Readahead: -1, FlushInterval: -1})
+	c := Cached(d, CacheOptions{BlockSize: 4096, FlushInterval: -1})
 	defer c.Close()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -128,7 +128,7 @@ func BenchmarkCacheGappedFlush(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	c := Cached(d, CacheOptions{BlockSize: bs, Readahead: -1, FlushInterval: -1})
+	c := Cached(d, CacheOptions{BlockSize: bs, FlushInterval: -1})
 	defer c.Close()
 	b.SetBytes(int64(8 * len(block)))
 	b.ResetTimer()

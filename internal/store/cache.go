@@ -1,6 +1,6 @@
 package store
 
-// Cache is a write-back, readahead block cache layered over any Store
+// Cache is a write-back block cache layered over any Store
 // (store.Cached(inner, opts)). The paper's I/O daemons service each
 // request with synchronous store accesses, so the small interleaved
 // accesses of the FLASH/tile workloads (4 KiB chunks) pay a syscall
@@ -19,8 +19,10 @@ package store
 //     bounded: writers stall once DirtyHighWater is exceeded until
 //     the flusher catches up.
 //   - Reads fill whole blocks, so a 64 KiB fill services sixteen
-//     4 KiB fragment reads with one backend access. Sequential block
-//     access triggers asynchronous readahead of the next blocks.
+//     4 KiB fragment reads with one backend access. A block is filled
+//     only when a request touches it: readahead of sequential reads is
+//     left to the backend (the page cache under Dir), so the flusher
+//     is the cache's one goroutine.
 //   - Eviction is LRU over all blocks; dirty victims are flushed
 //     before being dropped.
 //   - Block buffers are the MaxBytes/BlockSize slots of one slab the
@@ -38,10 +40,10 @@ package store
 //     the batch touches (Cache.walk), so its pieces share one pin
 //     round, one backend fill and one publish round.
 //   - Data reaches the backend only as batches: fillRuns is the one
-//     fill path (misses, readahead, the pre-read of a partly written
-//     block) and issues one inner ReadBatch per fill; flushFileRuns
-//     is the one flush path (flusher, Sync, eviction) and issues one
-//     inner WriteBatch per file per pass.
+//     fill path (misses and the pre-read of a partly written block)
+//     and issues one inner ReadBatch per fill; flushFileRuns is the
+//     one flush path (flusher, Sync, eviction) and issues one inner
+//     WriteBatch per file per pass.
 //
 // Concurrency: three lock levels, always acquired in this order —
 // per-handle file lock (read-held by block operations and flushes,
@@ -99,9 +101,6 @@ type CacheOptions struct {
 	// DirtyHighWater bounds un-flushed (dirty) bytes: writers stall
 	// above it until the flusher catches up (default MaxBytes/2).
 	DirtyHighWater int64
-	// Readahead is how many blocks to prefetch asynchronously once a
-	// handle is read sequentially (default 4; negative disables).
-	Readahead int
 	// FlushInterval is the background write-back period (default
 	// 50 ms; negative disables the periodic flusher — dirty blocks
 	// then flush only on pressure, eviction, Sync and Close).
@@ -124,12 +123,6 @@ func (o CacheOptions) withDefaults() CacheOptions {
 	if o.DirtyHighWater < o.BlockSize {
 		o.DirtyHighWater = o.BlockSize
 	}
-	if o.Readahead == 0 {
-		o.Readahead = 4
-	}
-	if o.Readahead < 0 {
-		o.Readahead = 0
-	}
 	if o.FlushInterval == 0 {
 		o.FlushInterval = 50 * time.Millisecond
 	}
@@ -140,7 +133,6 @@ func (o CacheOptions) withDefaults() CacheOptions {
 type CacheStats struct {
 	Hits         int64 // block lookups served from memory
 	Misses       int64 // block fills from the backend
-	Readaheads   int64 // blocks filled by the prefetcher
 	Flushes      int64 // dirty blocks written back
 	FlushedBytes int64 // bytes written back
 	Evictions    int64 // blocks dropped by LRU pressure
@@ -181,15 +173,13 @@ type Cache struct {
 	cleanCond   *sync.Cond // signalled as dirtyBytes drops
 	flushErr    error      // first background flush error, surfaced by Sync/Close
 
-	hits, misses, readaheads, flushes, flushedBytes, evictions atomic.Int64
+	hits, misses, flushes, flushedBytes, evictions atomic.Int64
 
-	flushWake  chan struct{}
-	closed     chan struct{}
-	closing    bool // guarded by mu; blocks new prefetchers
-	abandoned  atomic.Bool
-	closeOnce  sync.Once
-	flusherWG  sync.WaitGroup
-	prefetchWG sync.WaitGroup
+	flushWake chan struct{}
+	closed    chan struct{}
+	abandoned atomic.Bool
+	closeOnce sync.Once
+	flusherWG sync.WaitGroup
 }
 
 // cacheFile is the per-handle cache state.
@@ -200,12 +190,9 @@ type cacheFile struct {
 	mu sync.RWMutex
 
 	// Guarded by Cache.mu:
-	blocks      map[int64]*cacheBlock
-	size        int64 // tracked logical size (>= backend size while dirty)
-	sizeLoaded  bool  // size initialized from the backend
-	lastBlock   int64 // last block read, for sequential detection
-	seqRun      int   // consecutive sequential block reads
-	prefetching bool  // a prefetch goroutine is active
+	blocks     map[int64]*cacheBlock
+	size       int64 // tracked logical size (>= backend size while dirty)
+	sizeLoaded bool  // size initialized from the backend
 }
 
 // cacheBlock is one BlockSize-aligned span of a stripe file.
@@ -236,8 +223,8 @@ type cacheBlock struct {
 	gone     bool // removed from the block map (evicted/truncated/removed)
 }
 
-// Cached wraps inner in a write-back, readahead block cache. Close the
-// returned Cache (not inner directly) to flush and release it.
+// Cached wraps inner in a write-back block cache. Close the returned
+// Cache (not inner directly) to flush and release it.
 func Cached(inner Store, opts CacheOptions) *Cache {
 	c := &Cache{
 		inner:     inner,
@@ -273,10 +260,9 @@ func Cached(inner Store, opts CacheOptions) *Cache {
 var slabReleased atomic.Pointer[func(slab []byte)]
 
 // releaseSlab unmaps a Cache's slab. It runs as the Cache's cleanup,
-// once nothing can reach the Cache — and so no block, walk or
-// prefetcher can reach the slab: every path that touches block data
-// uses the Cache after it (to unpin, count or unlock), and a pooled
-// walk holds no buffers.
+// once nothing can reach the Cache — and so no block or walk can reach
+// the slab: every path that touches block data uses the Cache after it
+// (to unpin, count or unlock), and a pooled walk holds no buffers.
 func releaseSlab(slab []byte) {
 	unmapSlab(slab)
 	if hook := slabReleased.Load(); hook != nil {
@@ -290,7 +276,7 @@ func (c *Cache) file(handle uint64) *cacheFile {
 	defer c.mu.Unlock()
 	f, ok := c.files[handle]
 	if !ok {
-		f = &cacheFile{handle: handle, blocks: make(map[int64]*cacheBlock), lastBlock: -2}
+		f = &cacheFile{handle: handle, blocks: make(map[int64]*cacheBlock)}
 		c.files[handle] = f
 	}
 	return f
@@ -459,8 +445,8 @@ func (c *Cache) blockSpans(w *batchWalk, blocks []*cacheBlock, n func(*cacheBloc
 
 // fillRuns loads ascending unloaded blocks — adjacent ones as one run,
 // gaps between runs allowed — with ONE inner ReadBatch. It is the
-// cache's only fill path: read misses, readahead and the pre-read of a
-// partly written block all come through here. Callers hold f.mu.R and
+// cache's only fill path: read misses and the pre-read of a partly
+// written block both come through here. Callers hold f.mu.R and
 // the bmu of every block, taken in ascending index order (the deadlock
 // rule all multi-block paths share). On success every block is marked
 // loaded; on error none is: the blocks stay unloaded, whatever the
@@ -490,7 +476,7 @@ func (c *Cache) fillRuns(handle uint64, w *batchWalk, blocks []*cacheBlock) erro
 //  4. every piece is copied;
 //  5. one more c.mu round marks a write's blocks dirty and publishes
 //     its size (before any block lock drops: write-back clips to the
-//     size), runs the readahead detector for a read, and unpins.
+//     size), and unpins.
 //
 // A failed fill fails the batch before any piece is copied. Hits and
 // misses count one per block each piece touches, the first touch of a
@@ -580,7 +566,6 @@ func (c *Cache) walk(f *cacheFile, w *batchWalk, write bool) error {
 		}
 	}
 
-	prefetchAt := int64(-1)
 	c.mu.Lock()
 	if write {
 		f.size = max(f.size, hi)
@@ -592,8 +577,6 @@ func (c *Cache) walk(f *cacheFile, w *batchWalk, write bool) error {
 				c.dirtySet[b] = struct{}{}
 			}
 		}
-	} else {
-		prefetchAt = c.noteSequentialLocked(f, w.pieces)
 	}
 	for _, b := range w.blocks {
 		b.refs--
@@ -604,9 +587,6 @@ func (c *Cache) walk(f *cacheFile, w *batchWalk, write bool) error {
 	}
 	if write && c.dirtyBytes.Load() > c.opt.DirtyHighWater {
 		c.wakeFlusher()
-	}
-	if prefetchAt >= 0 {
-		go c.prefetch(f, prefetchAt, c.opt.Readahead)
 	}
 	return nil
 }
@@ -937,89 +917,6 @@ func (c *Cache) IOStats() IOStats {
 	return IOStats{}
 }
 
-// noteSequentialLocked runs the readahead detector over a read's
-// pieces, in offset order: each piece that starts in or right after the
-// block the last one ended in extends the handle's sequential run. The
-// first piece that brings the run to two, while the handle has no
-// prefetcher and the block after the piece is inside the file, claims
-// the prefetcher and names that block for it to start at; without one
-// it returns -1. Callers hold c.mu and start the prefetch.
-func (c *Cache) noteSequentialLocked(f *cacheFile, pieces []piece) int64 {
-	if c.opt.Readahead <= 0 {
-		return -1
-	}
-	bs := c.opt.BlockSize
-	start := int64(-1)
-	for _, p := range pieces {
-		first, last := p.off/bs, (p.off+int64(len(p.buf))-1)/bs
-		if first == f.lastBlock || first == f.lastBlock+1 {
-			f.seqRun++
-		} else {
-			f.seqRun = 0
-		}
-		f.lastBlock = last
-		if start < 0 && f.seqRun >= 2 && !f.prefetching && !c.closing && (last+1)*bs < f.size {
-			start = last + 1
-			f.prefetching = true
-			c.prefetchWG.Add(1)
-		}
-	}
-	return start
-}
-
-// prefetch asynchronously fills up to n blocks of f starting at idx,
-// stopping at the first block already cached (the sequential window
-// has caught up with it) or at EOF. The span is pinned in one c.mu
-// round and read as one backend submission by fillRuns.
-func (c *Cache) prefetch(f *cacheFile, idx int64, n int) {
-	defer func() {
-		c.mu.Lock()
-		f.prefetching = false
-		c.mu.Unlock()
-		c.prefetchWG.Done()
-	}()
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
-	f.mu.RLock()
-	w := newWalk()
-	bs := c.opt.BlockSize
-	c.mu.Lock()
-	for target := idx; target < idx+int64(n) && target*bs < f.size; target++ {
-		if _, cached := f.blocks[target]; cached {
-			break
-		}
-		w.blocks = append(w.blocks, c.pinLocked(f, target))
-	}
-	c.mu.Unlock()
-	// w.blocks holds consecutive indexes from idx, so i ascends the
-	// block index. A reader may have pinned and filled one first.
-	for i := 0; i < len(w.blocks); i++ {
-		b := w.blocks[i]
-		b.bmu.Lock()
-		c.ensureBuf(b)
-		if !b.loaded {
-			w.fill = append(w.fill, b)
-		}
-	}
-	if len(w.fill) > 0 && c.fillRuns(f.handle, w, w.fill) == nil {
-		c.readaheads.Add(int64(len(w.fill)))
-	}
-	c.mu.Lock()
-	for _, b := range w.blocks {
-		b.refs--
-	}
-	c.mu.Unlock()
-	for _, b := range w.blocks {
-		b.bmu.Unlock()
-	}
-	w.done()
-	f.mu.RUnlock()
-	c.evictIfNeeded()
-}
-
 // Size implements Store, reporting the tracked logical size (the
 // backend size plus any un-flushed extension).
 func (c *Cache) Size(handle uint64) (int64, error) {
@@ -1132,8 +1029,6 @@ func (c *Cache) Remove(handle uint64) error {
 		c.dropBlockLocked(f, b)
 	}
 	f.size = 0
-	f.lastBlock = -2
-	f.seqRun = 0
 	// A later ensureSize must not resurrect a stale backend size.
 	f.sizeLoaded = true
 	c.mu.Unlock()
@@ -1226,18 +1121,23 @@ func (c *Cache) Handles() ([]uint64, error) {
 	return c.inner.Handles()
 }
 
+// stop closes c.closed and waits for the flusher to return. The
+// broadcast comes after the close, under c.mu, so a writer stalled in
+// waitDirtyRoom either sees c.closed on its next check or is woken.
+func (c *Cache) stop() {
+	close(c.closed)
+	c.mu.Lock()
+	c.cleanCond.Broadcast()
+	c.mu.Unlock()
+	c.flusherWG.Wait()
+}
+
 // Close flushes all dirty blocks, stops the flusher and closes the
 // backend.
 func (c *Cache) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
-		c.mu.Lock()
-		c.closing = true
-		c.cleanCond.Broadcast()
-		c.mu.Unlock()
-		close(c.closed)
-		c.flusherWG.Wait()
-		c.prefetchWG.Wait()
+		c.stop()
 		err = c.SyncAll()
 	})
 	if cerr := c.inner.Close(); err == nil {
@@ -1253,17 +1153,9 @@ func (c *Cache) Close() error {
 func (c *Cache) Abandon() {
 	// The flag goes up before any state is dropped: an operation that
 	// observes intact state completed before the crash point; one that
-	// runs after fails with ErrAbandoned (see Sync's closing check).
+	// runs after fails with ErrAbandoned (see Sync's final check).
 	c.abandoned.Store(true)
-	c.closeOnce.Do(func() {
-		c.mu.Lock()
-		c.closing = true
-		c.cleanCond.Broadcast()
-		c.mu.Unlock()
-		close(c.closed)
-		c.flusherWG.Wait()
-		c.prefetchWG.Wait()
-	})
+	c.closeOnce.Do(c.stop)
 	c.mu.Lock()
 	c.files = make(map[uint64]*cacheFile)
 	c.dirtySet = make(map[*cacheBlock]struct{})
@@ -1287,7 +1179,6 @@ func (c *Cache) CacheStats() CacheStats {
 	return CacheStats{
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
-		Readaheads:   c.readaheads.Load(),
 		Flushes:      c.flushes.Load(),
 		FlushedBytes: c.flushedBytes.Load(),
 		Evictions:    c.evictions.Load(),

@@ -154,26 +154,49 @@ func TestCacheEvictionBoundsMemory(t *testing.T) {
 	}
 }
 
-func TestCacheReadaheadSequential(t *testing.T) {
+// TestCacheFillsOnlyWhatIsRead: the cache reads its backend only on a
+// request's behalf. Block-by-block sequential reads of a cold file fill
+// exactly the blocks they touch: one backend batch per read, and
+// nothing more once the last read has returned, though the file runs
+// on past it.
+func TestCacheFillsOnlyWhatIsRead(t *testing.T) {
+	const bs, nblk = 512, 16
 	inner := NewMem()
-	if _, err := inner.WriteAt(1, bytes.Repeat([]byte{9}, 32*512), 0); err != nil {
+	img := make([]byte, 2*nblk*bs)
+	for i := range img {
+		img[i] = byte(i*3 + 1)
+	}
+	if _, err := inner.WriteAt(1, img, 0); err != nil {
 		t.Fatal(err)
 	}
-	c := Cached(inner, CacheOptions{BlockSize: 512, Readahead: 8, FlushInterval: -1})
-	defer c.Close()
-	// Read blocks 0,1,2 sequentially to trigger the detector.
-	buf := make([]byte, 512)
-	for i := int64(0); i < 3; i++ {
-		if _, err := c.ReadAt(1, buf, i*512); err != nil {
+	c := Cached(inner, CacheOptions{BlockSize: bs, FlushInterval: -1})
+	start := inner.IOStats()
+	buf := make([]byte, bs)
+	for blk := int64(0); blk < nblk; blk++ {
+		before := inner.IOStats()
+		if _, err := c.ReadAt(1, buf, blk*bs); err != nil {
 			t.Fatal(err)
 		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for c.CacheStats().Readaheads == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sequential reads triggered no readahead")
+		if !bytes.Equal(buf, img[blk*bs:(blk+1)*bs]) {
+			t.Fatalf("block %d diverges from the backend image", blk)
 		}
-		time.Sleep(time.Millisecond)
+		if d := inner.IOStats().Sub(before); d.Submissions != 1 || d.BytesRead != bs {
+			t.Fatalf("read of block %d: %d backend batches, %d bytes; want 1, %d", blk, d.Submissions, d.BytesRead, bs)
+		}
+		// Requests arrive spaced out, as off a network: any goroutine
+		// the read started gets to run before the next one.
+		time.Sleep(200 * time.Microsecond)
+	}
+	st := c.CacheStats()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := inner.IOStats().Sub(start); d.Submissions != nblk || d.BytesRead != nblk*bs || d.BytesWritten != 0 {
+		t.Fatalf("backend saw %d batches, %d bytes read, %d written; want %d, %d, 0",
+			d.Submissions, d.BytesRead, d.BytesWritten, nblk, nblk*bs)
+	}
+	if st.Misses != nblk || st.Hits != 0 {
+		t.Fatalf("misses %d, hits %d; want %d and 0", st.Misses, st.Hits, nblk)
 	}
 }
 
@@ -405,8 +428,8 @@ func (s *countingStore) calls() [4]int64 {
 
 // TestCacheBackendSeesOnlyBatches pins the cache's one fill path and
 // one flush path: no data reaches the backend through ReadAt/WriteAt;
-// every fill — a gapped miss set, a readahead span, the pre-read of a
-// partly written block — is exactly one ReadBatch; every flush pass is
+// every fill — a gapped miss set, the pre-read of a partly written
+// block — is exactly one ReadBatch; every flush pass is
 // exactly one WriteBatch per file, a flush forced by eviction included.
 // A multi-span batch fills all its cold blocks with one ReadBatch, and
 // a block its buffers cover whole between them is not filled at all.
@@ -424,7 +447,7 @@ func TestCacheBackendSeesOnlyBatches(t *testing.T) {
 	}
 	// The flusher never wakes on its own: only Sync and eviction flush.
 	c := Cached(inner, CacheOptions{BlockSize: bs, MaxBytes: 16 * bs, DirtyHighWater: 1 << 30,
-		Readahead: 4, FlushInterval: -1})
+		FlushInterval: -1})
 	defer c.Close()
 	step := func(what string, want [4]int64, f func()) {
 		t.Helper()
@@ -452,17 +475,6 @@ func TestCacheBackendSeesOnlyBatches(t *testing.T) {
 	step("warm block 1", [4]int64{0, 0, 1, 0}, func() { read(bs, bs) })
 	// Blocks 0, 2 and 3 miss: two gapped runs, one fill.
 	step("gapped miss set", [4]int64{0, 0, 1, 0}, func() { read(0, 4*bs) })
-	// Three sequential misses arm the detector; the third triggers a
-	// four-block readahead, filled as one more batch.
-	step("sequential reads + readahead", [4]int64{0, 0, 4, 0}, func() {
-		for blk := int64(10); blk < 13; blk++ {
-			read(blk*bs, bs)
-		}
-		c.prefetchWG.Wait()
-	})
-	if ra := c.CacheStats().Readaheads; ra != 4 {
-		t.Fatalf("readahead filled %d blocks, want 4", ra)
-	}
 	step("partial-write pre-read", [4]int64{0, 0, 1, 0}, func() {
 		if _, err := c.WriteAt(1, []byte("partial"), 20*bs+100); err != nil {
 			t.Fatal(err)
@@ -483,7 +495,7 @@ func TestCacheBackendSeesOnlyBatches(t *testing.T) {
 		}
 	})
 
-	// Whole-block writes far past the budget: the 16 clean blocks are
+	// Whole-block writes far past the budget: the 9 clean blocks are
 	// dropped first, then every eviction flushes its dirty victim as
 	// one batch of one block, and nothing else reaches the backend.
 	before := c.CacheStats()
@@ -495,8 +507,8 @@ func TestCacheBackendSeesOnlyBatches(t *testing.T) {
 		}
 	})
 	st := c.CacheStats()
-	if evicted, flushed := st.Evictions-before.Evictions, st.Flushes-before.Flushes; evicted != 30 || flushed != 14 {
-		t.Fatalf("eviction: %d evictions flushed %d blocks, want 30 and 14", evicted, flushed)
+	if evicted, flushed := st.Evictions-before.Evictions, st.Flushes-before.Flushes; evicted != 23 || flushed != 14 {
+		t.Fatalf("eviction: %d evictions flushed %d blocks, want 23 and 14", evicted, flushed)
 	}
 
 	// A batch is one walk: however many blocks its pieces touch, their
@@ -633,7 +645,7 @@ func TestCacheFailedFillNeverServed(t *testing.T) {
 	if _, err := inner.Store.WriteAt(2, img, 0); err != nil {
 		t.Fatal(err)
 	}
-	c := Cached(inner, CacheOptions{BlockSize: bs, MaxBytes: 4 * bs, Readahead: -1, FlushInterval: -1})
+	c := Cached(inner, CacheOptions{BlockSize: bs, MaxBytes: 4 * bs, FlushInterval: -1})
 	defer c.Close()
 	for i := int64(0); i < 8; i++ {
 		if _, err := c.WriteAt(1, bytes.Repeat([]byte{0xFF}, bs), i*bs); err != nil {

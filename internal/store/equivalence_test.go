@@ -312,10 +312,10 @@ func TestCachedStoreEquivalence(t *testing.T) {
 	// 6 blocks of 4 KiB: far smaller than the working set, so every
 	// script evicts (and write-back-flushes) constantly.
 	tiny := CacheOptions{BlockSize: 4096, MaxBytes: 6 * 4096, DirtyHighWater: 2 * 4096,
-		FlushInterval: time.Millisecond, Readahead: 4}
+		FlushInterval: time.Millisecond}
 	// 2 blocks for 4 workers: nearly every op evicts, and nearly every
 	// new block takes a recycled buffer holding another file's bytes.
-	churn := CacheOptions{BlockSize: 4096, MaxBytes: 2 * 4096, FlushInterval: time.Millisecond, Readahead: 4}
+	churn := CacheOptions{BlockSize: 4096, MaxBytes: 2 * 4096, FlushInterval: time.Millisecond}
 	backends := map[string]Store{
 		"mem":          NewMem(),
 		"dir":          dir,

@@ -7,8 +7,10 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -421,7 +423,7 @@ func (m *Mem) ReadBatch(handle uint64, spans []Span) (int, error) {
 // write lock.
 func (m *Mem) WriteBatch(handle uint64, spans []Span) (int, error) {
 	total, err := checkSpans(spans, MemMaxFileSize)
-	if err != nil {
+	if err != nil || total == 0 {
 		return 0, err
 	}
 	m.mu.Lock()
@@ -561,15 +563,21 @@ func (d *Dir) path(handle uint64) string {
 }
 
 // file returns the open stripe file for handle, opening (and caching)
-// it on first use. The map lock is held only for the lookup/open, not
-// for any data access on the returned file.
-func (d *Dir) file(handle uint64) (*os.File, error) {
+// it on first use. Only writes and Truncate create it: a read of a
+// handle with no stripe file gets an fs.ErrNotExist error, reads zeros
+// and leaves Handles as it was, as on Mem. The map lock is held only
+// for the lookup/open, not for any data access on the returned file.
+func (d *Dir) file(handle uint64, create bool) (*os.File, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if f, ok := d.open[handle]; ok {
 		return f, nil
 	}
-	f, err := os.OpenFile(d.path(handle), os.O_RDWR|os.O_CREATE, 0o644)
+	flag := os.O_RDWR
+	if create {
+		flag |= os.O_CREATE
+	}
+	f, err := os.OpenFile(d.path(handle), flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -582,17 +590,18 @@ func (d *Dir) ReadAt(handle uint64, p []byte, off int64) (int, error) {
 	if err := checkExtent(off, len(p)); err != nil {
 		return 0, err
 	}
-	f, err := d.file(handle)
+	f, err := d.file(handle, false)
+	if errors.Is(err, fs.ErrNotExist) {
+		clear(p)
+		return len(p), nil
+	}
 	if err != nil {
 		return 0, err
 	}
 	d.countRead(1, int64(len(p)))
 	n, err := f.ReadAt(p, off)
 	if err == io.EOF {
-		// Sparse semantics: zero-fill the tail.
-		for i := n; i < len(p); i++ {
-			p[i] = 0
-		}
+		clear(p[n:]) // sparse semantics: zero-fill the tail
 		return len(p), nil
 	}
 	return n, err
@@ -628,15 +637,19 @@ func (d *Dir) ReadBatch(handle uint64, spans []Span) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if total == 0 {
-		for _, sp := range spans {
-			zeroSpan(sp.Bufs)
+	var f *os.File
+	if total > 0 {
+		if f, err = d.file(handle, false); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return 0, err
 		}
-		return 0, nil
 	}
-	f, err := d.file(handle)
-	if err != nil {
-		return 0, err
+	if f == nil { // nothing to read, or no stripe file: all holes
+		for _, sp := range spans {
+			for _, b := range sp.Bufs {
+				clear(b)
+			}
+		}
+		return total, nil
 	}
 	d.countSub(1)
 	var n int
@@ -665,7 +678,7 @@ func (d *Dir) WriteBatch(handle uint64, spans []Span) (int, error) {
 	if total == 0 {
 		return 0, nil
 	}
-	f, err := d.file(handle)
+	f, err := d.file(handle, true)
 	if err != nil {
 		return 0, err
 	}
@@ -685,21 +698,12 @@ func (d *Dir) WriteBatch(handle uint64, spans []Span) (int, error) {
 	return n, nil
 }
 
-// zeroSpan zero-fills a span's buffers (all-hole sparse read).
-func zeroSpan(bufs [][]byte) {
-	for _, b := range bufs {
-		for i := range b {
-			b[i] = 0
-		}
-	}
-}
-
 // WriteAt implements Store.
 func (d *Dir) WriteAt(handle uint64, p []byte, off int64) (int, error) {
 	if err := checkExtent(off, len(p)); err != nil {
 		return 0, err
 	}
-	f, err := d.file(handle)
+	f, err := d.file(handle, true)
 	if err != nil {
 		return 0, err
 	}
@@ -737,7 +741,7 @@ func (d *Dir) Truncate(handle uint64, size int64) error {
 	if size > MaxFileSize {
 		return fmt.Errorf("store: size %d exceeds max file size", size)
 	}
-	f, err := d.file(handle)
+	f, err := d.file(handle, true)
 	if err != nil {
 		return err
 	}

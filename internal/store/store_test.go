@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pvfs/internal/ioseg"
@@ -65,6 +68,9 @@ func TestSparseReads(t *testing.T) {
 	}
 }
 
+// TestReadUnknownHandle: a read of a handle never written yields zeros
+// and creates nothing, on both backends, and a stream of one fails;
+// a write batch that moves no bytes creates nothing either.
 func TestReadUnknownHandle(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -74,6 +80,24 @@ func TestReadUnknownHandle(t *testing.T) {
 			}
 			if !bytes.Equal(p, []byte{0, 0, 0}) {
 				t.Fatalf("unknown handle read = %v", p)
+			}
+			q := []byte{4, 5, 6, 7}
+			if n, err := s.ReadBatch(998, []Span{{Off: 10, Bufs: [][]byte{q[:1], q[1:]}}}); err != nil || n != 4 {
+				t.Fatalf("unknown handle batch read = %d, %v", n, err)
+			}
+			if !bytes.Equal(q, []byte{0, 0, 0, 0}) {
+				t.Fatalf("unknown handle batch read = %v", q)
+			}
+			if _, err := s.WriteBatch(997, []Span{{Off: 10, Bufs: [][]byte{nil}}}); err != nil {
+				t.Fatal(err)
+			}
+			if fsr, ok := s.(FileStreamer); ok {
+				if _, err := fsr.StreamReader(996, 0, 10); !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("unknown handle stream: %v, want fs.ErrNotExist", err)
+				}
+			}
+			if hs, err := s.Handles(); err != nil || len(hs) != 0 {
+				t.Fatalf("handles after reads and an empty write = %v, %v; want none", hs, err)
 			}
 		})
 	}
@@ -210,11 +234,12 @@ func TestBackendsAgreeRandomOps(t *testing.T) {
 	mem := NewMem()
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 300; i++ {
-		h := uint64(r.Intn(3))
+		h := uint64(r.Intn(5))
 		off := int64(r.Intn(5000))
 		n := 1 + r.Intn(200)
 		switch r.Intn(4) {
-		case 0, 1: // write
+		case 0, 1: // write; handles 3 and 4 are only ever read
+			h %= 3
 			p := make([]byte, n)
 			r.Read(p)
 			if _, err := mem.WriteAt(h, p, off); err != nil {
@@ -241,6 +266,11 @@ func TestBackendsAgreeRandomOps(t *testing.T) {
 				t.Fatalf("op %d: sizes diverge: mem=%d dir=%d", i, a, b)
 			}
 		}
+	}
+	a, _ := mem.Handles()
+	b, err := dir.Handles()
+	if err != nil || !slices.Equal(a, b) || !slices.Equal(a, []uint64{0, 1, 2}) {
+		t.Fatalf("handles: mem=%v dir=%v (%v), want [0 1 2]", a, b, err)
 	}
 }
 

@@ -34,15 +34,17 @@ type FileStream struct {
 	avail int64 // bytes actually present in the file at creation
 }
 
-// StreamReader implements FileStreamer. The returned stream snapshots
-// the file's size once; a concurrent truncate mid-stream delivers
-// zeros for the vanished tail (the same indeterminacy any concurrent
-// read/truncate race has).
+// StreamReader implements FileStreamer. A handle with no stripe file
+// gets an fs.ErrNotExist error and is not created; the daemon then
+// answers through the buffered path, which reads zeros. The returned
+// stream snapshots the file's size once; a concurrent truncate
+// mid-stream delivers zeros for the vanished tail (the same
+// indeterminacy any concurrent read/truncate race has).
 func (d *Dir) StreamReader(handle uint64, off, n int64) (*FileStream, error) {
 	if n < 0 || off < 0 || off > int64(MaxFileSize)-n {
 		return nil, fmt.Errorf("store: stream extent [%d,+%d) invalid", off, n)
 	}
-	f, err := d.file(handle)
+	f, err := d.file(handle, false)
 	if err != nil {
 		return nil, err
 	}

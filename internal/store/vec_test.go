@@ -160,63 +160,6 @@ func TestSpanIOSparseSemantics(t *testing.T) {
 	}
 }
 
-// TestCachePrefetchBatched pins the readahead fix of ISSUE 6: a
-// triggered prefetch of N blocks must reach the backend as ONE
-// submission, not N.
-func TestCachePrefetchBatched(t *testing.T) {
-	inner := NewMem()
-	c := Cached(inner, CacheOptions{
-		BlockSize:     4096,
-		Readahead:     4,
-		FlushInterval: -1,
-	})
-	defer c.Close()
-	const handle = uint64(2)
-	// 64 KiB of data straight into the backend: the cache is cold.
-	img := make([]byte, 64<<10)
-	for i := range img {
-		img[i] = byte(i * 7)
-	}
-	if _, err := inner.WriteAt(handle, img, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two sequential block reads arm the detector; the third triggers
-	// the prefetch of blocks 3..6.
-	p := make([]byte, 4096)
-	for blk := int64(0); blk < 2; blk++ {
-		if _, err := c.ReadAt(handle, p, blk*4096); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := inner.IOStats()
-	if _, err := c.ReadAt(handle, p, 2*4096); err != nil {
-		t.Fatal(err)
-	}
-	c.prefetchWG.Wait()
-	delta := inner.IOStats().Sub(before)
-
-	st := c.CacheStats()
-	if st.Readaheads != 4 {
-		t.Fatalf("prefetched %d blocks, want 4", st.Readaheads)
-	}
-	// The triggering read missed (1 submission) and the whole
-	// 4-block prefetch span filled with 1 more.
-	if delta.SyscallsRead != 2 {
-		t.Fatalf("read+prefetch cost %d backend submissions, want 2", delta.SyscallsRead)
-	}
-	// The prefetched blocks must hold real data, not zeros.
-	if _, err := c.ReadAt(handle, p, 5*4096); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p, img[5*4096:6*4096]) {
-		t.Fatal("prefetched block content diverges")
-	}
-	if after := c.CacheStats(); after.Misses != st.Misses {
-		t.Fatalf("read of a prefetched block missed (misses %d -> %d)", st.Misses, after.Misses)
-	}
-}
-
 // TestCacheFlushCoalesced pins coalesced write-back: a run of
 // adjacent dirty blocks flushes as ONE backend submission, and a
 // Sync-visible partial tail block is clipped to the file size.
@@ -224,7 +167,6 @@ func TestCacheFlushCoalesced(t *testing.T) {
 	inner := NewMem()
 	c := Cached(inner, CacheOptions{
 		BlockSize:     4096,
-		Readahead:     -1,
 		FlushInterval: -1, // only Sync flushes: deterministic runs
 	})
 	defer c.Close()
@@ -286,7 +228,7 @@ func TestCacheFlushCoalesced(t *testing.T) {
 // submission.
 func TestCacheVectorReadBatchesFills(t *testing.T) {
 	inner := NewMem()
-	c := Cached(inner, CacheOptions{BlockSize: 4096, Readahead: -1, FlushInterval: -1})
+	c := Cached(inner, CacheOptions{BlockSize: 4096, FlushInterval: -1})
 	defer c.Close()
 	const handle = uint64(4)
 	img := make([]byte, 8*4096)
