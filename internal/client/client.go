@@ -839,7 +839,7 @@ const (
 	// that parks 16 buffers (its own: wire's classes keep headroom for
 	// a request's fixed fields) and neither side buffers more than a
 	// few windows per connection.
-	DefaultWindowBytes = 512 << 10
+	DefaultWindowBytes = wire.ChunkBytes
 )
 
 // pipelineCalls issues n requests against the daemon at addr, keeping

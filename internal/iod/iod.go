@@ -39,7 +39,11 @@ type Server struct {
 	stats wire.ServerStats
 }
 
-// New starts an I/O daemon serving st on ln.
+// New starts an I/O daemon serving st on ln. A contiguous write
+// (TWrite) is applied by its connection's read loop, from one body
+// buffer the connection reuses, before the next request on that
+// connection is read; every other request runs on a goroutine of its
+// own.
 func New(ln net.Listener, st store.Store, logger *log.Logger) *Server {
 	s := &Server{st: st}
 	s.srv = pvfsnet.NewServer(ln, s.handle, logger)

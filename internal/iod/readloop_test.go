@@ -1,0 +1,271 @@
+package iod_test
+
+import (
+	"bytes"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pvfs/internal/iod"
+	"pvfs/internal/store"
+	"pvfs/internal/wire"
+)
+
+// chunk is the client's contiguous chunk.
+const chunk = wire.ChunkBytes
+
+// rawConn is a bare TCP connection to a daemon: a large request leaves
+// by one writev straight from the test's memory and responses are read
+// into the test's memory, so the client side of a contiguous write
+// takes nothing from the wire buffer pool.
+type rawConn struct {
+	t *testing.T
+	net.Conn
+	tag uint32
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return &rawConn{t: t, Conn: c}
+}
+
+// send writes one request and returns its tag.
+func (r *rawConn) send(typ wire.MsgType, handle uint64, body []byte) uint32 {
+	r.t.Helper()
+	r.tag++
+	if err := wire.WriteMessage(r.Conn, wire.Message{Header: wire.Header{Type: typ, Handle: handle, Tag: r.tag}, Body: body}); err != nil {
+		r.t.Fatal(err)
+	}
+	return r.tag
+}
+
+// recv reads one response with a body of at most 64 bytes.
+func (r *rawConn) recv() (wire.Header, []byte) {
+	r.t.Helper()
+	h, err := wire.ReadHeader(r.Conn)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if h.BodyLen > 64 {
+		r.t.Fatalf("%d-byte %v body", h.BodyLen, h.Type)
+	}
+	body := make([]byte, h.BodyLen)
+	if _, err := wire.ReadInto(r.Conn, [][]byte{body}); err != nil {
+		r.t.Fatal(err)
+	}
+	return h, body
+}
+
+// written reads the response to the write sent with tag and returns
+// its acknowledged byte count.
+func (r *rawConn) written(tag uint32) int64 {
+	r.t.Helper()
+	h, body := r.recv()
+	if h.Tag != tag || h.Type != wire.TWrite.Response() || h.Status != wire.StatusOK {
+		r.t.Fatalf("response %v tag %d status %v, want an OK write with tag %d", h.Type, h.Tag, h.Status, tag)
+	}
+	var wr wire.WrittenResp
+	if err := wr.Unmarshal(body); err != nil {
+		r.t.Fatal(err)
+	}
+	return wr.N
+}
+
+func writeBody(off int64, data []byte) []byte {
+	return (&wire.WriteReq{Offset: off, Data: data}).Marshal()
+}
+
+// awaitBufBalance polls until every pooled buffer taken since the
+// baseline has come back.
+func awaitBufBalance(t *testing.T, gets0, puts0 int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		gets, puts := wire.BufStats()
+		if gets-gets0 == puts-puts0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pooled buffers leaked: %d gets vs %d puts since baseline", gets-gets0, puts-puts0)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// countingStore counts the WriteAt calls that reach its store.
+type countingStore struct {
+	store.Store
+	writes atomic.Int64
+}
+
+func (s *countingStore) WriteAt(handle uint64, p []byte, off int64) (int, error) {
+	s.writes.Add(1)
+	return s.Store.WriteAt(handle, p, off)
+}
+
+// Pipelined contiguous writes on one connection land in one body buffer
+// the connection keeps outside the wire pool: each write draws at most
+// its acknowledgement frame from the pool, no body, and the pool stays
+// balanced while the connection lives. Each write is one
+// store.WriteAt, answered in the order sent.
+func TestPipelinedWritesReuseOneBody(t *testing.T) {
+	st := &countingStore{Store: store.NewMem()}
+	srv, err := iod.Listen("127.0.0.1:0", st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	r := dialRaw(t, srv.Addr())
+	const n = 16
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		bodies[i] = writeBody(int64(i)*chunk, bytes.Repeat([]byte{byte(i + 1)}, chunk))
+	}
+	gets0, puts0 := wire.BufStats()
+	var tags []uint32
+	for _, b := range bodies {
+		tags = append(tags, r.send(wire.TWrite, 5, b))
+	}
+	for _, tag := range tags {
+		if got := r.written(tag); got != chunk {
+			t.Fatalf("write %d acknowledged %d bytes", tag, got)
+		}
+	}
+	if gets, _ := wire.BufStats(); gets-gets0 > n {
+		t.Fatalf("%d pooled buffers for %d writes: want at most one acknowledgement frame each, no body", gets-gets0, n)
+	}
+	awaitBufBalance(t, gets0, puts0)
+
+	if w := st.writes.Load(); w != n {
+		t.Fatalf("%d store writes for %d requests", w, n)
+	}
+	got := make([]byte, n*chunk)
+	if _, err := st.ReadAt(5, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		if !bytes.Equal(got[i*chunk:(i+1)*chunk], bytes.Repeat([]byte{byte(i + 1)}, chunk)) {
+			t.Fatalf("chunk %d differs", i)
+		}
+	}
+}
+
+// A write larger than the connection's body buffer is read into a
+// pooled buffer of its own, applied whole by one store.WriteAt and
+// answered with its full length; the buffer goes back to the pool.
+func TestOversizedWriteAppliedWhole(t *testing.T) {
+	st := &countingStore{Store: store.NewMem()}
+	srv, err := iod.Listen("127.0.0.1:0", st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	gets0, puts0 := wire.BufStats()
+	r := dialRaw(t, srv.Addr())
+	data := make([]byte, 3<<20)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if got := r.written(r.send(wire.TWrite, 9, writeBody(100, data))); got != int64(len(data)) {
+		t.Fatalf("3 MiB write acknowledged %d bytes", got)
+	}
+	if w := st.writes.Load(); w != 1 {
+		t.Fatalf("%d store writes for one request", w)
+	}
+	got := make([]byte, len(data))
+	if _, err := st.ReadAt(9, got, 100); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("3 MiB write not applied whole")
+	}
+	r.Close()
+	awaitBufBalance(t, gets0, puts0)
+}
+
+// A write body too short for its fixed fields is answered
+// StatusProtocol, and the connection goes on serving.
+func TestShortWriteBodyAnsweredProtocol(t *testing.T) {
+	srv, err := iod.Listen("127.0.0.1:0", store.NewMem(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	r := dialRaw(t, srv.Addr())
+	tag := r.send(wire.TWrite, 3, []byte{1, 2, 3, 4, 5})
+	if h, _ := r.recv(); h.Tag != tag || h.Status != wire.StatusProtocol {
+		t.Fatalf("short body answered tag %d status %v, want StatusProtocol", h.Tag, h.Status)
+	}
+	if got := r.written(r.send(wire.TWrite, 3, writeBody(0, []byte("after")))); got != 5 {
+		t.Fatalf("write after a short body acknowledged %d bytes", got)
+	}
+}
+
+// slowFlushStore makes every write-back batch take delay, so writers
+// to a cache above it wait in dirty back-pressure.
+type slowFlushStore struct {
+	store.Store
+	delay   time.Duration
+	batches atomic.Int64
+}
+
+func (s *slowFlushStore) WriteBatch(handle uint64, spans []store.Span) (int, error) {
+	s.batches.Add(1)
+	time.Sleep(s.delay)
+	return s.Store.WriteBatch(handle, spans)
+}
+
+// Close and Kill return promptly while a contiguous write waits in the
+// cache's dirty back-pressure with more writes queued behind it on its
+// connection: the daemon applies the one in hand, not the backlog.
+func TestStopDuringWriteBackpressure(t *testing.T) {
+	for name, stop := range map[string]func(*iod.Server) error{
+		"close": (*iod.Server).Close,
+		"kill":  (*iod.Server).Kill,
+	} {
+		t.Run(name, func(t *testing.T) {
+			inner := &slowFlushStore{Store: store.NewMem(), delay: 100 * time.Millisecond}
+			cache := store.Cached(inner, store.CacheOptions{
+				BlockSize:      64 << 10,
+				MaxBytes:       4 << 20,
+				DirtyHighWater: 64 << 10,
+				FlushInterval:  -1,
+			})
+			srv, err := iod.Listen("127.0.0.1:0", cache, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			r := dialRaw(t, srv.Addr())
+			go func() {
+				for i := range 16 {
+					b := writeBody(int64(i)*chunk, make([]byte, chunk))
+					if wire.WriteMessage(r.Conn, wire.Message{Header: wire.Header{Type: wire.TWrite, Handle: 1, Tag: uint32(i + 1)}, Body: b}) != nil {
+						return // the daemon stopped
+					}
+				}
+			}()
+			deadline := time.Now().Add(2 * time.Second)
+			for inner.batches.Load() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("no write reached back-pressure")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() { done <- stop(srv) }()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatalf("%s still running %v after it was called", name, time.Since(start))
+			}
+		})
+	}
+}

@@ -95,14 +95,4 @@ func (f *Faults) next() (faultAction, time.Duration) {
 }
 
 // SetFaults installs a fault injector on the server; nil removes it.
-func (s *Server) SetFaults(f *Faults) {
-	s.mu.Lock()
-	s.faults = f
-	s.mu.Unlock()
-}
-
-func (s *Server) currentFaults() *Faults {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faults
-}
+func (s *Server) SetFaults(f *Faults) { s.faults.Store(f) }

@@ -29,9 +29,12 @@ import (
 // Handler processes one request message and returns the response.
 // Implementations must be safe for concurrent use: each connection is
 // served by its own goroutines, and requests on a single connection may
-// be handled concurrently. Handlers must not retain req.Body (or
-// slices into it) past return: the transport recycles the buffer once
-// the response has been written.
+// be handled concurrently — except wire.TWrite, which the connection's
+// read loop handles itself, one at a time in arrival order. Handlers
+// must not retain req.Body (or slices into it) past return: the
+// transport recycles the buffer once the response has been written. A
+// TWrite's body is overwritten by the next frame, so its response must
+// not share it.
 type Handler func(wire.Message) wire.Message
 
 // maxServerInflight bounds how many requests from one connection a
@@ -39,21 +42,32 @@ type Handler func(wire.Message) wire.Message
 // applying backpressure through TCP.
 const maxServerInflight = 64
 
+// readLoopBody is the size of the body buffer a connection allocates
+// for its TWrites: one contiguous chunk behind a write request's fixed
+// fields. The buffer lives as long as its connection and never enters
+// the wire pool. A larger body is read into a pooled buffer of its own,
+// returned once its request is handled.
+const readLoopBody = wire.ChunkBytes + wire.WriteReqFixedSize
+
 // Server runs an accept loop dispatching framed messages to a Handler.
 type Server struct {
 	ln      net.Listener
 	handler Handler
 	logger  *log.Logger
+	faults  atomic.Pointer[Faults]
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
-	faults *Faults
 	wg     sync.WaitGroup
 }
 
 // NewServer starts serving on ln immediately. Pass a nil logger to
-// suppress connection error logging.
+// suppress connection error logging. A TWrite is handled by its
+// connection's read loop itself: its body is read into one buffer the
+// connection reuses, handled, and answered before the next frame is
+// read, so it lands before any later request on its connection is
+// read. Every other request is handled on a goroutine of its own.
 func NewServer(ln net.Listener, h Handler, logger *log.Logger) *Server {
 	s := &Server{ln: ln, handler: h, logger: logger, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
@@ -90,17 +104,20 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn reads requests and dispatches each to its own goroutine so
-// a connection's requests are serviced concurrently; responses are
-// written under a per-connection mutex and carry the request's tag, so
-// they may complete in any order. Fault-injection decisions are taken
-// in the read loop, in arrival order, to keep injector semantics
-// deterministic.
+// serveConn reads requests until the connection ends. A TWrite is
+// handled here, in arrival order (serveInline); any other request is
+// dispatched to its own goroutine, so a connection's requests are
+// serviced concurrently. Responses are written under a per-connection
+// mutex and carry the request's tag, so they may complete in any
+// order. Fault-injection decisions are taken here, in arrival order,
+// from the header alone: a dropped request's body is never read, a
+// failed one's is skipped.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	var (
 		wmu sync.Mutex // serializes response frames
 		hwg sync.WaitGroup
+		own []byte // the TWrite body buffer, allocated on first use
 	)
 	sem := make(chan struct{}, maxServerInflight)
 	defer func() {
@@ -119,64 +136,112 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 		return err
 	}
+	// spawn runs f on a goroutine of its own, at most maxServerInflight
+	// of them at once.
+	spawn := func(f func()) {
+		sem <- struct{}{}
+		hwg.Add(1)
+		go func() {
+			defer hwg.Done()
+			defer func() { <-sem }()
+			f()
+		}()
+	}
 	fr := wire.NewFrameReader(c)
 	for {
-		req, err := fr.ReadMessage()
+		h, err := fr.ReadHeader()
 		if err != nil {
 			return // EOF or broken connection ends the session
 		}
-		if f := s.currentFaults(); f != nil {
-			action, delay := f.next()
-			switch action {
-			case faultDrop:
-				if delay > 0 {
-					time.Sleep(delay)
-				}
-				wire.PutBuf(req.Body)
-				return // deferred close severs the connection mid-call
-			case faultFail, faultUnavailable:
-				if delay > 0 {
-					time.Sleep(delay)
+		var delay time.Duration
+		if f := s.faults.Load(); f != nil {
+			var action faultAction
+			action, delay = f.next()
+			if action != faultNone {
+				time.Sleep(delay)
+				if action == faultDrop {
+					return // deferred close severs the connection mid-call
 				}
 				status := wire.StatusIOError
 				if action == faultUnavailable {
 					status = wire.StatusUnavailable
 				}
-				resp := wire.Message{Header: wire.Header{
-					Type:   req.Type.Response(),
-					Status: status,
-					Tag:    req.Tag,
-				}}
-				wire.PutBuf(req.Body)
-				if err := writeResp(resp); err != nil {
+				if fr.Discard(int64(h.BodyLen)) != nil {
+					return
+				}
+				resp := wire.Message{Header: wire.Header{Type: h.Type.Response(), Status: status, Tag: h.Tag}}
+				if writeResp(resp) != nil {
 					return
 				}
 				continue
-			default:
-				if delay > 0 {
-					// Service delay: sleep inside the handler goroutine
-					// so pipelined requests overlap their delays, as
-					// they would overlap real service time.
-					req := req
-					sem <- struct{}{}
-					hwg.Add(1)
-					go func() {
-						defer hwg.Done()
-						defer func() { <-sem }()
-						time.Sleep(delay)
-						s.dispatch(c, req, writeResp)
-					}()
-					continue
-				}
 			}
 		}
-		sem <- struct{}{}
-		hwg.Add(1)
-		go func(req wire.Message) {
-			defer hwg.Done()
-			defer func() { <-sem }()
+		if h.Type == wire.TWrite {
+			if own == nil && h.BodyLen <= readLoopBody {
+				own = make([]byte, readLoopBody)
+			}
+			if !s.serveInline(c, fr, h, own, delay, writeResp, spawn) {
+				return
+			}
+			continue
+		}
+		req, err := fr.ReadBody(h)
+		if err != nil {
+			return
+		}
+		// An injected service delay sleeps in the handler goroutine, so
+		// pipelined requests overlap their delays, as they would
+		// overlap real service time.
+		spawn(func() {
+			time.Sleep(delay)
 			s.dispatch(c, req, writeResp)
-		}(req)
+		})
+	}
+}
+
+// serveInline reads the body of the TWrite whose header is h into own
+// — or, past its capacity, into a pooled buffer for this request alone
+// — runs the handler and writes the response. The whole body is read
+// before the handler runs, so a frame torn mid-body applies nothing. An injected delay holds back only the response: a
+// goroutine sleeps, then writes it, so the delays of pipelined requests
+// overlap. It reports whether the connection is still usable.
+func (s *Server) serveInline(c net.Conn, fr *wire.FrameReader, h wire.Header, own []byte, delay time.Duration, writeResp func(wire.Message) error, spawn func(func())) bool {
+	var body []byte
+	if int(h.BodyLen) <= cap(own) {
+		body = own[:h.BodyLen]
+	} else {
+		body = wire.GetBuf(int(h.BodyLen))
+		defer wire.PutBuf(body)
+	}
+	if _, err := fr.ReadInto([][]byte{body}); err != nil {
+		return false
+	}
+	resp := s.respond(wire.Message{Header: h, Body: body})
+	if delay > 0 {
+		spawn(func() {
+			time.Sleep(delay)
+			s.reply(c, resp, writeResp)
+		})
+		return true
+	}
+	return writeResp(resp) == nil
+}
+
+// respond runs the handler for req and tags its response.
+func (s *Server) respond(req wire.Message) wire.Message {
+	resp := s.safeHandle(req)
+	resp.Type = req.Type.Response()
+	resp.Tag = req.Tag
+	return resp
+}
+
+// reply writes a response from a handler goroutine; a failed write
+// closes the connection to wake the read loop, since the session is
+// broken.
+func (s *Server) reply(c net.Conn, resp wire.Message, writeResp func(wire.Message) error) {
+	if err := writeResp(resp); err != nil {
+		s.logf("pvfsnet: writing response to %s: %v", c.RemoteAddr(), err)
+		c.Close()
 	}
 }
 
@@ -184,19 +249,14 @@ func (s *Server) serveConn(c net.Conn) {
 // response, then recycles the request body (handlers must not retain
 // it — see Handler).
 func (s *Server) dispatch(c net.Conn, req wire.Message, writeResp func(wire.Message) error) {
-	resp := s.safeHandle(req)
-	resp.Type = req.Type.Response()
-	resp.Tag = req.Tag
+	resp := s.respond(req)
 	if sameBacking(req.Body, resp.Body) {
 		// A handler echoed (a slice of) the request body; recycling
 		// both sides would double-free, so the response write owns it.
 		resp.Recycle = true
 		req.Body = nil
 	}
-	if err := writeResp(resp); err != nil {
-		s.logf("pvfsnet: writing response to %s: %v", c.RemoteAddr(), err)
-		c.Close() // wake the read loop; the session is broken
-	}
+	s.reply(c, resp, writeResp)
 	wire.PutBuf(req.Body)
 }
 

@@ -21,8 +21,8 @@ func drainClass(shift int) {
 // the 64 → 16 taper).
 func TestBodyLandsInPayloadClass(t *testing.T) {
 	const (
-		listPayload = 64 << 10  // MaxRegionsPerRequest × 4 KiB cut 4 ways, and the bench's 16 × 4 KiB
-		window      = 512 << 10 // client.DefaultWindowBytes
+		listPayload = 64 << 10 // MaxRegionsPerRequest × 4 KiB cut 4 ways, and the bench's 16 × 4 KiB
+		window      = ChunkBytes
 	)
 	for _, c := range []struct {
 		name    string

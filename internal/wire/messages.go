@@ -202,6 +202,12 @@ type WriteReq struct {
 // which precede the data on the wire.
 const WriteReqFixedSize = 8
 
+// ChunkBytes is the data a client puts in one windowed request: a
+// contiguous chunk, or one window of a datatype transfer. A daemon
+// connection keeps one body buffer of ChunkBytes + WriteReqFixedSize
+// for its contiguous writes.
+const ChunkBytes = 512 << 10
+
 // AppendFixed appends the fixed fields alone: the body of a vectored
 // request whose data follows from where it lies (Message.BodyStream).
 func (m *WriteReq) AppendFixed(dst []byte) []byte {

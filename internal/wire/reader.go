@@ -43,18 +43,6 @@ func unbuffered(r io.Reader) FrameReader {
 	return FrameReader{r: r, buf: make([]byte, HeaderSize)}
 }
 
-// ReadMessage reads one framed message: ReadHeader, then ReadBody.
-// The body buffer comes from the message pool: callers that fully
-// consume it may hand it back with Release/PutBuf; callers that retain
-// it (or are unsure) simply keep it and the GC reclaims it as usual.
-func (f *FrameReader) ReadMessage() (Message, error) {
-	h, err := f.ReadHeader()
-	if err != nil {
-		return Message{}, err
-	}
-	return f.ReadBody(h)
-}
-
 // ReadHeader reads and validates one frame header; the h.BodyLen body
 // bytes that follow are the caller's to take with ReadBody, ReadInto
 // or Discard.
@@ -185,11 +173,18 @@ func midFrame(err error) error {
 	return err
 }
 
-// ReadMessage reads one framed message from r without reading past it
-// (see FrameReader.ReadMessage).
+// ReadMessage reads one framed message from r without reading past it:
+// ReadHeader, then ReadBody. The body buffer comes from the message
+// pool: callers that fully consume it may hand it back with
+// Release/PutBuf; callers that retain it (or are unsure) simply keep it
+// and the GC reclaims it as usual.
 func ReadMessage(r io.Reader) (Message, error) {
 	f := unbuffered(r)
-	return f.ReadMessage()
+	h, err := f.ReadHeader()
+	if err != nil {
+		return Message{}, err
+	}
+	return f.ReadBody(h)
 }
 
 // ReadHeader reads and validates one frame header from r without
