@@ -306,23 +306,6 @@ func (s *Server) readList(req wire.Message) wire.Message {
 		}
 		return fail(wire.StatusProtocol)
 	}
-	// A list that coalesces to one large contiguous run can skip the
-	// response buffer entirely and stream file-to-socket (zero-copy),
-	// like a plain large TRead.
-	if body.Regions.Validate() == nil {
-		if runs, _, ok := body.Regions.CoalesceRuns(); ok && len(runs) == 1 {
-			if resp, ok := s.streamRead(req.Handle, runs[0].Offset, runs[0].Length); ok {
-				s.account(func(stats *wire.ServerStats) {
-					stats.Requests++
-					stats.ListRequests++
-					stats.Regions += int64(len(body.Regions))
-					stats.BytesRead += runs[0].Length
-					stats.TrailingBytes += int64(wire.TrailingDataSize(len(body.Regions)))
-				})
-				return resp
-			}
-		}
-	}
 	out, st := s.applyRegions(req.Handle, body.Regions, nil, false)
 	if st != wire.StatusOK {
 		return fail(st)

@@ -138,9 +138,9 @@ func Scatter(arena []byte, mem ioseg.List, stream []byte) error {
 // The region list is read once, by NewStreamMap, and compressed into
 // runs (DESIGN.md §4); it is not retained, so callers may reuse or
 // mutate it afterwards. A copy costs one O(log runs) search per piece
-// plus the runs it touches: a dense row is one copy, a row of 4-, 8-
-// or 16-byte elements a fixed-width load/store loop, anything else a
-// copy per element. Regions with no common shape are kept as a plain
+// plus the runs it touches: a dense row is one copy, a row of 8-byte
+// elements a fixed-width load/store loop, anything else a copy per
+// element. Regions with no common shape are kept as a plain
 // list, 16 bytes and one copy each, which is what a list with no
 // regularity costs. A StreamMap is immutable after construction and
 // safe for concurrent use.
@@ -775,11 +775,12 @@ func xfer(extent, stream []byte, scatter bool) {
 // moveRows is the kernel: it moves rows rows of r's shape, the first
 // element at arena offset a, between the arena and stream, which holds
 // the rows' bytes packed. The element width is chosen once per block: a
-// dense row is one copy; the widths typed data comes in (4, 8 and 16
-// bytes) move as one load and one store, four elements to a loop turn;
-// other widths pay a copy call per element. Each row's stream bytes are
-// cut from the block once, so per element only the arena side is bounds
-// checked (BenchmarkStreamMap*/elem=N measures each width).
+// dense row is one copy; 8-byte elements, the doubles FLASH and the
+// paper's other typed workloads come in, move as one load and one
+// store, four elements to a loop turn; every other width pays a copy
+// call per element. Each row's stream bytes are cut from the block
+// once, so per element only the arena side is bounds checked
+// (BenchmarkStreamMap*/elem=N measures each width).
 func moveRows(arena, stream []byte, a int64, r *run, rows int64, scatter bool) {
 	rowBytes := r.n0 * r.elem
 	stream = stream[:rows*rowBytes]
@@ -788,18 +789,10 @@ func moveRows(arena, stream []byte, a int64, r *run, rows int64, scatter bool) {
 		for ; len(stream) > 0; stream, a = stream[rowBytes:], a+s1 {
 			xfer(arena[a:a+rowBytes], stream[:rowBytes], scatter)
 		}
-	case r.elem == 4 && scatter:
-		scatter4(arena, stream, a, s0, s1, rowBytes)
-	case r.elem == 4:
-		gather4(arena, stream, a, s0, s1, rowBytes)
 	case r.elem == 8 && scatter:
 		scatter8(arena, stream, a, s0, s1, rowBytes)
 	case r.elem == 8:
 		gather8(arena, stream, a, s0, s1, rowBytes)
-	case r.elem == 16 && scatter:
-		scatter16(arena, stream, a, s0, s1, rowBytes)
-	case r.elem == 16:
-		gather16(arena, stream, a, s0, s1, rowBytes)
 	default:
 		for d, elem := int64(0), r.elem; d < int64(len(stream)); a += s1 {
 			e, end := a, d+rowBytes
@@ -816,41 +809,9 @@ func moveRows(arena, stream []byte, a int64, r *run, rows int64, scatter bool) {
 	}
 }
 
-// The fixed-width arms of moveRows, one per direction: stream is a
+// The 8-byte arm of moveRows, one function per direction: stream is a
 // block of whole rows of rowBytes, row j's element i at arena offset
 // a + j*s1 + i*s0.
-
-func gather4(arena, stream []byte, a, s0, s1, rowBytes int64) {
-	for ; len(stream) > 0; a += s1 {
-		row, e := stream[:rowBytes], a
-		stream = stream[rowBytes:]
-		for ; len(row) >= 16; row, e = row[16:], e+4*s0 {
-			*(*[4]byte)(row[0:4]) = *(*[4]byte)(arena[e : e+4])
-			*(*[4]byte)(row[4:8]) = *(*[4]byte)(arena[e+s0 : e+s0+4])
-			*(*[4]byte)(row[8:12]) = *(*[4]byte)(arena[e+2*s0 : e+2*s0+4])
-			*(*[4]byte)(row[12:16]) = *(*[4]byte)(arena[e+3*s0 : e+3*s0+4])
-		}
-		for ; len(row) >= 4; row, e = row[4:], e+s0 {
-			*(*[4]byte)(row[0:4]) = *(*[4]byte)(arena[e : e+4])
-		}
-	}
-}
-
-func scatter4(arena, stream []byte, a, s0, s1, rowBytes int64) {
-	for ; len(stream) > 0; a += s1 {
-		row, e := stream[:rowBytes], a
-		stream = stream[rowBytes:]
-		for ; len(row) >= 16; row, e = row[16:], e+4*s0 {
-			*(*[4]byte)(arena[e : e+4]) = *(*[4]byte)(row[0:4])
-			*(*[4]byte)(arena[e+s0 : e+s0+4]) = *(*[4]byte)(row[4:8])
-			*(*[4]byte)(arena[e+2*s0 : e+2*s0+4]) = *(*[4]byte)(row[8:12])
-			*(*[4]byte)(arena[e+3*s0 : e+3*s0+4]) = *(*[4]byte)(row[12:16])
-		}
-		for ; len(row) >= 4; row, e = row[4:], e+s0 {
-			*(*[4]byte)(arena[e : e+4]) = *(*[4]byte)(row[0:4])
-		}
-	}
-}
 
 func gather8(arena, stream []byte, a, s0, s1, rowBytes int64) {
 	for ; len(stream) > 0; a += s1 {
@@ -880,38 +841,6 @@ func scatter8(arena, stream []byte, a, s0, s1, rowBytes int64) {
 		}
 		for ; len(row) >= 8; row, e = row[8:], e+s0 {
 			*(*[8]byte)(arena[e : e+8]) = *(*[8]byte)(row[0:8])
-		}
-	}
-}
-
-func gather16(arena, stream []byte, a, s0, s1, rowBytes int64) {
-	for ; len(stream) > 0; a += s1 {
-		row, e := stream[:rowBytes], a
-		stream = stream[rowBytes:]
-		for ; len(row) >= 64; row, e = row[64:], e+4*s0 {
-			*(*[16]byte)(row[0:16]) = *(*[16]byte)(arena[e : e+16])
-			*(*[16]byte)(row[16:32]) = *(*[16]byte)(arena[e+s0 : e+s0+16])
-			*(*[16]byte)(row[32:48]) = *(*[16]byte)(arena[e+2*s0 : e+2*s0+16])
-			*(*[16]byte)(row[48:64]) = *(*[16]byte)(arena[e+3*s0 : e+3*s0+16])
-		}
-		for ; len(row) >= 16; row, e = row[16:], e+s0 {
-			*(*[16]byte)(row[0:16]) = *(*[16]byte)(arena[e : e+16])
-		}
-	}
-}
-
-func scatter16(arena, stream []byte, a, s0, s1, rowBytes int64) {
-	for ; len(stream) > 0; a += s1 {
-		row, e := stream[:rowBytes], a
-		stream = stream[rowBytes:]
-		for ; len(row) >= 64; row, e = row[64:], e+4*s0 {
-			*(*[16]byte)(arena[e : e+16]) = *(*[16]byte)(row[0:16])
-			*(*[16]byte)(arena[e+s0 : e+s0+16]) = *(*[16]byte)(row[16:32])
-			*(*[16]byte)(arena[e+2*s0 : e+2*s0+16]) = *(*[16]byte)(row[32:48])
-			*(*[16]byte)(arena[e+3*s0 : e+3*s0+16]) = *(*[16]byte)(row[48:64])
-		}
-		for ; len(row) >= 16; row, e = row[16:], e+s0 {
-			*(*[16]byte)(arena[e : e+16]) = *(*[16]byte)(row[0:16])
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 //   - irregular: 200 000 regions of random length 1–64 at random gaps,
 //     the list no run can fold; it is listed, 64 regions to a run.
 //   - elem=N: one strided run of N-byte elements, eight to a row, three
-//     widths apart. 4, 8 and 16 take the fixed-width kernels; 12 takes
-//     the generic copy loop, whose ns/piece is what they must beat.
+//     widths apart. 8 takes the fixed-width kernel, whose ns/piece the
+//     generic copy loop that 4, 12 and 16 take must be measured against.
 //
 // BenchmarkStreamMapPieces moves the flash list's bytes the way one
 // flash_dtype op does instead: one body per server, each the pieces

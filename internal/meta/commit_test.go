@@ -328,7 +328,7 @@ func TestIODSwapKeepsEachFilesAddresses(t *testing.T) {
 		waitFor(t, "masters to apply both creates", 2*time.Second, func() bool {
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			return len(n.c.states[0].files) == 2
+			return len(n.c.states) > 0 && len(n.c.states[0].files) == 2
 		})
 		n.mu.Lock()
 		check(fmt.Sprintf("master %d", i), n.c.states[0])

@@ -123,7 +123,9 @@ func (s *Shard) InstallMap(m *wire.ShardMap) {
 }
 
 // background performs the initial snapshot install, then keeps the
-// map fresh and repairs ambiguity (dirty) by re-syncing.
+// map fresh. It does not repair a dirty shard: Handle resyncs one
+// before it serves the next request, and until then nothing reads the
+// ambiguous state.
 func (s *Shard) background() {
 	defer s.wg.Done()
 	// Initial sync: retry until the masters elect a leader and answer.
@@ -143,23 +145,13 @@ func (s *Shard) background() {
 			backoff *= 2
 		}
 	}
-	// Steady state: poll the map (cheap, any replica) and repair
-	// dirtiness promptly.
+	// Steady state: poll the map (cheap, any replica).
 	poll := time.NewTicker(s.timing.MapPoll)
 	defer poll.Stop()
-	dirtyCheck := time.NewTicker(s.timing.Heartbeat * 2)
-	defer dirtyCheck.Stop()
 	for {
 		select {
 		case <-s.stopC:
 			return
-		case <-dirtyCheck.C:
-			s.mu.Lock()
-			dirty := s.dirty
-			s.mu.Unlock()
-			if dirty {
-				s.syncState()
-			}
 		case <-poll.C:
 			ctx, cancel := context.WithTimeout(context.Background(), s.timing.CallTimeout*4)
 			m, err := s.prop.FetchMap(ctx)

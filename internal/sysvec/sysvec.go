@@ -21,9 +21,10 @@ func spanLen(bufs [][]byte) int {
 }
 
 // readPieces fills bufs in order with one io.ReadFull per buffer: the
-// path of every reader that is not a TCP connection (fault-injecting
-// wrappers, tests) and of every platform without readv. An end of
-// stream anywhere is unexpected, since the caller asked for the bytes.
+// path of a lone buffer, of every reader that is not a TCP connection
+// (fault-injecting wrappers, tests) and of every platform without
+// readv. An end of stream anywhere is unexpected, since the caller
+// asked for the bytes.
 func readPieces(r io.Reader, bufs [][]byte) (int, error) {
 	done := 0
 	for _, b := range bufs {

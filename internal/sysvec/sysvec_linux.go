@@ -189,14 +189,17 @@ func Pwritev(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 
 // ReadFull fills every byte of bufs from r, in order, and returns the
 // bytes read: fewer than the total only with an error. On a
-// *net.TCPConn the bytes land by readv straight into bufs, IOV_MAX
-// buffers a call, continuing short reads from the interrupted iovec;
-// an empty socket parks the goroutine on the runtime poller, so a read
-// deadline set on the connection wakes it with os.ErrDeadlineExceeded.
-// Any other reader takes one io.ReadFull per buffer.
+// *net.TCPConn two or more buffers land by readv straight into bufs,
+// IOV_MAX buffers a call, continuing short reads from the interrupted
+// iovec; an empty socket parks the goroutine on the runtime poller, so
+// a read deadline set on the connection wakes it with
+// os.ErrDeadlineExceeded. One buffer, or any other reader, takes one
+// io.ReadFull per buffer: the connection's own Read parks the same way
+// and allocates nothing, where readv's RawConn, iovecs and closure
+// would be allocated on every call.
 func ReadFull(r io.Reader, bufs [][]byte) (int, error) {
 	tc, ok := r.(*net.TCPConn)
-	if !ok {
+	if !ok || len(bufs) == 1 {
 		return readPieces(r, bufs)
 	}
 	rc, err := tc.SyscallConn()

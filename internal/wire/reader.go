@@ -60,7 +60,7 @@ func (f *FrameReader) ReadHeader() (Header, error) {
 // buffer back to the pool itself.
 func (f *FrameReader) ReadBody(h Header) (Message, error) {
 	body := GetBuf(int(h.BodyLen))
-	if err := f.readBody(body); err != nil {
+	if _, err := f.readInto([][]byte{body}); err != nil {
 		PutBuf(body)
 		return Message{}, fmt.Errorf("wire: reading %d-byte body: %w", h.BodyLen, err)
 	}
@@ -115,22 +115,6 @@ func (f *FrameReader) fill(n int) error {
 // fits reports whether a body of n bytes is read through the buffer:
 // whether the whole frame fits it.
 func (f *FrameReader) fits(n int) bool { return HeaderSize+n <= len(f.buf) }
-
-// readBody fills p, the whole body of the current frame.
-func (f *FrameReader) readBody(p []byte) error {
-	if f.fits(len(p)) {
-		if err := f.fill(len(p)); err != nil {
-			return midFrame(err)
-		}
-	}
-	k := copy(p, f.buf[f.lo:f.hi])
-	f.lo += k
-	if k == len(p) {
-		return nil
-	}
-	_, err := io.ReadFull(f.r, p[k:])
-	return midFrame(err)
-}
 
 // readInto is ReadInto without the error's context.
 func (f *FrameReader) readInto(pieces [][]byte) (int, error) {

@@ -141,6 +141,39 @@ func TestVectoredFramesOverTCP(t *testing.T) {
 	}
 }
 
+// A frame that fits a frame reader's buffer, written to a
+// *net.TCPConn, is assembled on the stack: a write acknowledgement, a
+// bodiless frame, a small vector and a full 512 bytes take nothing
+// from the pool, and arrive intact.
+func TestSmallFramesOnTCPTakeNoPoolBuffer(t *testing.T) {
+	c, srv := tcpPair(t)
+	full := pattern(frameBufSize-HeaderSize, 6)
+	msgs := []Message{
+		{Header: Header{Type: TWrite.Response(), Tag: 1}, Body: (&WrittenResp{N: 512 << 10}).Marshal()},
+		{Header: Header{Type: TSync, Tag: 2}},
+		{Header: Header{Type: TWrite, Tag: 3}, Body: pattern(8, 7), BodyStream: &Vec{N: 20, Pieces: [][]byte{full[:10], full[10:20]}}},
+		{Header: Header{Type: TPing, Tag: 4}, Body: full},
+	}
+	gets0, _ := BufStats()
+	for _, m := range msgs {
+		if err := WriteMessage(c, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gets, _ := BufStats(); gets != gets0 {
+		t.Fatalf("%d small frames took %d pool buffers, want 0", len(msgs), gets-gets0)
+	}
+	for _, m := range msgs {
+		got, err := ReadMessage(srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != m.Type || got.Tag != m.Tag || !bytes.Equal(got.Body, wantBody(m)) {
+			t.Fatalf("tag %d: frame does not decode to the message sent", m.Tag)
+		}
+	}
+}
+
 // A vector that promises a length its pieces do not hold is refused
 // before the header can promise it to the peer.
 func TestVecLengthMismatchWritesNothing(t *testing.T) {

@@ -366,17 +366,20 @@ type Message struct {
 	Recycle bool
 }
 
-// coalesceMax is the largest frame WriteMessage still assembles in a
-// pooled buffer when it could writev instead: under a page, one copy
-// and one write beat setting up a vector.
+// coalesceMax is the largest frame WriteMessage still assembles in one
+// buffer when it could writev instead: under a page, one copy and one
+// write beat setting up a vector.
 const coalesceMax = 4 << 10
 
 // WriteMessage frames and writes a message: header, Body, then the
 // BodyStream's bytes. On a *net.TCPConn a frame larger than
 // coalesceMax leaves in one writev of the header, Body and a Vec's
-// pieces as they lie in memory — no frame buffer, no copy. Any other
-// writer (a fault-injecting or tracing wrapper, a bytes.Buffer) and
-// every small frame gets the same bytes coalesced in a pooled buffer
+// pieces as they lie in memory — no frame buffer, no copy — and one
+// that fits a frame reader's buffer (frameBufSize: every
+// acknowledgement and metadata message) is assembled in an array on
+// the stack and written once, taking nothing from the pool. Any other
+// writer (a fault-injecting or tracing wrapper, a bytes.Buffer), and a
+// frame in between, gets the same bytes coalesced in a pooled buffer
 // and exactly one Write. A BodyStream other than *Vec (the sendfile
 // read path) is streamed after that prefix; a short or failed stream
 // poisons the connection and surfaces as a write error.
@@ -421,21 +424,17 @@ func WriteMessage(w io.Writer, m Message) error {
 		}
 		bufs = append(bufs, pieces...)
 		_, err = bufs.WriteTo(tc)
-	case tc != nil && prefix == HeaderSize:
-		// The header in front of a sendfile body, or a bodiless
-		// message: called on the concrete type the array stays on the
-		// stack, so this takes nothing from the pool.
-		var hdr [HeaderSize]byte
-		putHeader(hdr[:], m.Header)
-		_, err = tc.Write(hdr[:])
+	case tc != nil && prefix <= frameBufSize:
+		// Called on the concrete type, the array stays on the stack. It
+		// is no larger than a frame reader's buffer: a per-request
+		// handler goroutine writes its own response, and an array of
+		// coalesceMax grows that goroutine's stack on every request
+		// (DESIGN.md §2).
+		var frame [frameBufSize]byte
+		_, err = tc.Write(assemble(frame[:prefix], m, pieces))
 	default:
 		buf := GetBuf(prefix)
-		putHeader(buf, m.Header)
-		at := HeaderSize + copy(buf[HeaderSize:], m.Body)
-		for _, p := range pieces {
-			at += copy(buf[at:], p)
-		}
-		_, err = w.Write(buf)
+		_, err = w.Write(assemble(buf, m, pieces))
 		PutBuf(buf)
 	}
 	if err != nil || tail == nil {
@@ -449,6 +448,17 @@ func WriteMessage(w io.Writer, m Message) error {
 		return fmt.Errorf("wire: body stream wrote %d of %d promised bytes", written, tailN)
 	}
 	return nil
+}
+
+// assemble writes m's header, its Body and pieces into buf, which holds
+// exactly that many bytes, and returns buf.
+func assemble(buf []byte, m Message, pieces [][]byte) []byte {
+	putHeader(buf, m.Header)
+	at := HeaderSize + copy(buf[HeaderSize:], m.Body)
+	for _, p := range pieces {
+		at += copy(buf[at:], p)
+	}
+	return buf
 }
 
 // --- body encoding helpers ---
