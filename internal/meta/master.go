@@ -5,7 +5,6 @@ import (
 	"errors"
 	"log"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -445,37 +444,16 @@ func (n *Node) compactLoop() {
 }
 
 // commitLoop is the group committer: each batch drains everything
-// queued into one log append, one WAL fsync (written with mu released)
-// and one replication wave. Proposals that arrive during a batch's
-// fsync form the next one; before flushing, a yield linger cedes the
-// processor until the queue stops growing, so handlers already runnable
-// land in this batch. The linger is Gosched, never a timer: Go rounds
-// sub-millisecond sleeps up, which cost every proposal more latency
-// than the fsyncs it saved.
+// queued into one log append, one WAL sync (written with mu released)
+// and one replication wave. Proposals that arrive during a batch's sync
+// form the next one.
 func (n *Node) commitLoop() {
 	defer n.wg.Done()
-	const (
-		lingerIdleYields = 8   // consecutive no-growth yields that end the linger
-		lingerMaxYields  = 512 // hard bound under sustained arrival
-	)
-	queued := func() (k int) {
-		n.locked(func() { k = len(n.c.pending) })
-		return k
-	}
 	for {
 		select {
 		case <-n.propC:
 		case <-n.stopC:
 			return
-		}
-		prev, idle := queued(), 0
-		for spins := 0; prev > 0 && spins < lingerMaxYields && idle < lingerIdleYields; spins++ {
-			runtime.Gosched()
-			if cur := queued(); cur != prev {
-				prev, idle = cur, 0
-			} else {
-				idle++
-			}
 		}
 		for {
 			n.mu.Lock()

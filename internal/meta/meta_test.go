@@ -703,7 +703,8 @@ func TestStableTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, b[:len(b)-3], 0o644); err != nil {
+	_, end := walRecords(t, b)
+	if err := os.WriteFile(walPath, b[:end-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -27,27 +27,39 @@ import (
 //	wal  — walMagic, then framed records replayed over the snapshot at
 //	       recovery: u32 kind, u32 length, u32 CRC32C of the payload,
 //	       u32 CRC32C of the first twelve header bytes, then the
-//	       payload (MetaHardState or MetaLogRec)
+//	       payload (MetaHardState or MetaLogRec); then zeros, the room
+//	       the next records are written into
 //
-// Every append is fsynced before the caller answers a vote, acks an
+// Every append is synced before the caller answers a vote, acks an
 // append, or acks a proposal; the consecutive hard-state and log
-// records of one core output leave in one write and one fsync. A torn
-// tail (crash mid-append) stops recovery at the last whole record: no
-// reply leaned on the torn write yet, so the state recovered holds
-// every promise made before the crash. A damaged record with intact
-// records after it, or a damaged snapshot, is not a crash artefact:
-// openStable refuses the state with errCorruptState rather than
-// silently dropping what follows. So does a file without its magic.
+// records of one core output leave in one write and one fsync. A write
+// lands at off, in place, inside room an earlier write already zeroed
+// and synced, so its fsync has no new size or extent to commit. Only a
+// write that does not fit extends the file: it carries its records
+// plus zeros to a walBlock boundary, the room doubling with the file
+// up to walMaxRoom.
+//
+// Recovery stops at the first record that fails its checksums. It is
+// a torn write (a crash mid-append, whose records no reply leaned on)
+// when only zeros follow it or its bytes in some 512-byte sector read
+// as zeros; the records after it, if any, belong to the same
+// unacknowledged write, since any later acknowledged sync would have
+// made that write whole. Any other bad record, or a damaged snapshot,
+// is not a crash artefact: openStable refuses the state with
+// errCorruptState rather than silently dropping what follows. So does
+// a file without its magic.
 type stable struct {
-	dir string
-	wal *os.File
+	dir  string
+	wal  *os.File
+	off  int64 // where the next record goes: the end of the last whole one
+	size int64 // the WAL's length; off..size is zeroed, synced room
 
 	snapMu  sync.Mutex    // serializes snap-file writers (background compactor vs install)
 	snapIdx atomic.Uint64 // LastIndex of the newest snap on disk; never moves backward
 
-	syncs    atomic.Int64 // fsyncs issued (group commit's denominator)
+	syncs    atomic.Int64 // WAL and snapshot syncs issued (group commit's denominator)
 	failSync atomic.Bool  // test hook: fail the next syncs (disk death)
-	dead     atomic.Bool  // sticky failure: a failed write/fsync may have
+	dead     atomic.Bool  // sticky failure: a failed write/sync may have
 	// dropped dirty pages, so no later "successful" sync can be trusted
 	// to cover the gap (the node is wounded and must be restarted).
 }
@@ -57,6 +69,10 @@ const (
 	walLog  = uint32(2)
 
 	walHeader = 16 // kind, length, payload CRC, header CRC
+
+	walBlock   = 4 << 10  // an extending write ends on a multiple of this
+	walMaxRoom = 64 << 10 // the most room one extending write adds
+	walSector  = 512      // the unit a torn write leaves unwritten
 )
 
 var (
@@ -104,15 +120,19 @@ func openStable(dir string) (*stable, *recovered, error) {
 	}
 	walPath := filepath.Join(dir, "wal")
 	rewriteWAL := true // a missing WAL is created with its magic
+	var good, size int
 	if b, err := os.ReadFile(walPath); err == nil {
-		good, rerr := replayWAL(b, rec)
+		var rerr error
+		good, rerr = replayWAL(b, rec)
 		if rerr != nil && corrupt == nil {
 			corrupt = fmt.Errorf("%w: WAL in %s: %v", errCorruptState, dir, rerr)
 		}
-		// A torn tail is cut off on disk too, or the next append would
-		// land after it and turn it into a damaged middle record; an
-		// empty WAL gets its magic.
-		rewriteWAL = len(b) == 0 || good < len(b)
+		// Zeros after the records are room to write in place. A torn
+		// write is cut off on disk, or the next append would land
+		// beside its bytes and turn them into a damaged middle record;
+		// an empty WAL gets its magic.
+		size = len(b)
+		rewriteWAL = len(b) == 0 || !allZero(b[good:])
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
 	}
@@ -139,11 +159,11 @@ func openStable(dir string) (*stable, *recovered, error) {
 		next++
 	}
 	rec.entries = keep
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &stable{dir: dir, wal: f}
+	s := &stable{dir: dir, wal: f, off: int64(good), size: int64(size)}
 	s.snapIdx.Store(base)
 	if rewriteWAL {
 		if err := s.resetWAL(rec.entries, rec.hard); err != nil {
@@ -195,11 +215,11 @@ func quarantineStable(dir string, damaged *recovered) (*stable, *recovered, erro
 }
 
 // replayWAL folds the record stream into rec. It returns the length
-// of the prefix made of whole, intact records — anything after it is
-// a torn tail to cut off. A non-empty stream without the magic, or a
-// damaged record that is not the tail, ends replay with an error: the
-// records after the damage cannot be trusted to be contiguous with the
-// ones before.
+// of the prefix made of whole, intact records; replay ends cleanly
+// where the rest is zeros (the room) or at a torn write (see stable).
+// A non-empty stream without the magic, or a damaged record that is
+// not torn, ends replay with an error: the records after the damage
+// cannot be trusted to be contiguous with the ones before.
 func replayWAL(b []byte, rec *recovered) (good int, err error) {
 	if len(b) == 0 {
 		return 0, nil // created, crashed before its first reset: nothing promised
@@ -216,10 +236,10 @@ func replayWAL(b []byte, rec *recovered) (good int, err error) {
 		kind := binary.LittleEndian.Uint32(h)
 		n := binary.LittleEndian.Uint32(h[4:])
 		if crc32.Checksum(h[:12], castagnoli) != binary.LittleEndian.Uint32(h[12:]) {
-			// A header torn by a crash reads back as zeros; anything
-			// else means the length cannot be trusted to find the
-			// records after it.
-			if allZero(b[off:]) {
+			// The room, or a header torn by a crash; anything else
+			// means the length cannot be trusted to find the records
+			// after it.
+			if torn(b, off, off+walHeader) {
 				break
 			}
 			rec.term = max(rec.term, scanTerms(b[off+1:]))
@@ -243,8 +263,8 @@ func replayWAL(b []byte, rec *recovered) (good int, err error) {
 			ok = false
 		}
 		if !ok {
-			if end == len(b) {
-				break // the last record is the torn tail of a crash
+			if torn(b, off, end) {
+				break
 			}
 			rec.term = max(rec.term, scanTerms(b[off+1:]))
 			return off, fmt.Errorf("bad record at offset %d", off)
@@ -261,6 +281,23 @@ func replayWAL(b []byte, rec *recovered) (good int, err error) {
 		off = end
 	}
 	return off, nil
+}
+
+// torn reports whether the bad record at b[off:end] is what a crash
+// leaves of a write into zeroed room: only zeros follow it, or in some
+// 512-byte sector it overlaps, every byte from the record's start or
+// the sector's, whichever is later, to the sector's end is zero — a
+// sector of the write that never reached disk.
+func torn(b []byte, off, end int) bool {
+	if allZero(b[end:]) {
+		return true
+	}
+	for sec := off &^ (walSector - 1); sec < end; sec += walSector {
+		if allZero(b[max(sec, off):min(sec+walSector, len(b))]) {
+			return true
+		}
+	}
+	return false
 }
 
 // recordTerm is the highest term one decoded WAL record shows.
@@ -362,9 +399,11 @@ func frameRecord(buf []byte, r *record) []byte {
 	return frame(buf, walLog, lr.Marshal())
 }
 
-// appendFrames appends framed records to the WAL in one write and
-// fsyncs them once. A crash mid-write leaves a torn tail, which
-// recovery cuts at the last whole record.
+// appendFrames writes framed records to the WAL at off in one write
+// and fsyncs them once. A write that does not fit the room carries
+// zeros past its records, to a walBlock boundary and up to walMaxRoom
+// beyond them. A crash mid-write leaves a torn write, which recovery
+// cuts at the last whole record.
 func (s *stable) appendFrames(buf []byte) error {
 	if s.dead.Load() {
 		return errSyncFault
@@ -373,7 +412,13 @@ func (s *stable) appendFrames(buf []byte) error {
 		s.dead.Store(true)
 		return errSyncFault
 	}
-	if _, err := s.wal.Write(buf); err != nil {
+	end := s.off + int64(len(buf))
+	if end > s.size {
+		size := (end + min(s.size, walMaxRoom) + walBlock - 1) &^ (walBlock - 1)
+		buf = append(buf, make([]byte, size-end)...)
+		s.size = size
+	}
+	if _, err := s.wal.WriteAt(buf, s.off); err != nil {
 		s.dead.Store(true)
 		return err
 	}
@@ -382,6 +427,7 @@ func (s *stable) appendFrames(buf []byte) error {
 		s.dead.Store(true)
 		return err
 	}
+	s.off = end
 	return nil
 }
 
@@ -479,41 +525,29 @@ func (s *stable) resetWAL(tail []wire.MetaEntry, hard wire.MetaHardState) error 
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(walMagic); err != nil {
-		f.Close()
-		return err
-	}
 	fresh := &stable{dir: s.dir, wal: f}
 	fresh.failSync.Store(s.failSync.Load())
-	if err := fresh.saveHard(hard); err != nil {
+	// The magic leaves in one write with the hard state.
+	err = fresh.appendFrames(frame(bytes.Clone(walMagic), walHard, hard.Marshal()))
+	if err == nil && len(tail) > 0 {
+		err = fresh.appendLog(tail[0].Index, tail)
+	}
+	if err == nil {
+		err = os.Rename(tmp, walPath)
+	}
+	if err == nil {
+		// The rename must be durable before the caller relies on it: a
+		// crash could otherwise bring back the old WAL beside a newer
+		// snapshot, or the new WAL beside an older one.
+		err = syncDir(s.dir)
+	}
+	if err != nil {
 		f.Close()
-		return err
-	}
-	if len(tail) > 0 {
-		if err := fresh.appendLog(tail[0].Index, tail); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, walPath); err != nil {
-		return err
-	}
-	// The rename must be durable before the caller relies on it: a
-	// crash could otherwise bring back the old WAL beside a newer
-	// snapshot, or the new WAL beside an older one.
-	if err := syncDir(s.dir); err != nil {
 		return err
 	}
 	s.syncs.Add(fresh.syncs.Load())
 	s.wal.Close()
-	nf, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	s.wal = nf
+	s.wal, s.off, s.size = f, fresh.off, fresh.size
 	return nil
 }
 

@@ -60,8 +60,29 @@ func durableFiles(f *testing.F) (wal, snap []byte) {
 
 func FuzzReplayWAL(f *testing.F) {
 	wal, _ := durableFiles(f)
-	f.Add(wal)
-	f.Add(wal[:len(wal)-3]) // a torn tail
+	_, end := walRecords(f, wal)
+	// The records, then some of their zeroed room; the records alone; a
+	// torn tail, cut short and zeroed in the room. The seeds stay short:
+	// a whole block of room only slows the minimizer.
+	roomy := wal[:end+64]
+	torn := bytes.Clone(roomy)
+	clear(torn[end-3:])
+	// Records run on until a whole frame starts past the second 512-byte
+	// sector, which is zeroed: a torn write with whole frames after the
+	// tear.
+	sector := wal[:end:end]
+	for i, last := uint64(8), end; last < 2*walSector; i++ {
+		e := wire.MetaEntry{Index: i, Term: 3, Rec: createRec(fmt.Sprintf("fz-%d", i-1), i-1, 0, 1, testIODs())}
+		last = len(sector)
+		sector = frameRecord(sector, &record{kind: recLog, from: i, entries: []wire.MetaEntry{e}})
+	}
+	clear(sector[walSector : 2*walSector])
+	if good, err := replayWAL(sector, &recovered{}); err != nil || good > walSector {
+		f.Fatalf("the zeroed-sector seed replays %d bytes (%v), want a tear at the second sector", good, err)
+	}
+	for _, seed := range [][]byte{roomy, wal[:end], wal[:end-3], torn, sector} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec := &recovered{hard: wire.MetaHardState{VotedFor: -1}}
 		good, err := replayWAL(b, rec)

@@ -21,18 +21,18 @@ import (
 )
 
 // walRecords returns the offset of every record in a current-format
-// WAL.
-func walRecords(t *testing.T, b []byte) []int {
+// WAL, and the offset where the records end and the zeroed room after
+// them begins.
+func walRecords(t testing.TB, b []byte) (offs []int, end int) {
 	t.Helper()
 	if !bytes.HasPrefix(b, walMagic) {
 		t.Fatal("WAL has no magic")
 	}
-	var offs []int
-	for off := len(walMagic); off < len(b); {
+	off := len(walMagic)
+	for ; off < len(b) && !allZero(b[off:]); off += walHeader + int(binary.LittleEndian.Uint32(b[off+4:])) {
 		offs = append(offs, off)
-		off += walHeader + int(binary.LittleEndian.Uint32(b[off+4:]))
 	}
-	return offs
+	return offs, off
 }
 
 // writeThree persists a hard state at term 4 and three single-entry
@@ -71,7 +71,7 @@ func TestStableBadMiddleRecordRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			offs := walRecords(t, b)
+			offs, _ := walRecords(t, b)
 			// The records are the reset's hard state, then the hard
 			// state and three log records written above; damage the
 			// first log record.
@@ -123,8 +123,8 @@ func TestStableBadSnapshotRefused(t *testing.T) {
 }
 
 // TestStableTornTailCutOnDisk appends after recovering from a torn
-// tail: the next open must see the new record right after the prefix,
-// not a damaged record in the middle.
+// tail, cut inside the last record: the next open must see the new
+// record right after the prefix, not a damaged record in the middle.
 func TestStableTornTailCutOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	writeThree(t, dir)
@@ -133,7 +133,8 @@ func TestStableTornTailCutOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, b[:len(b)-3], 0o644); err != nil {
+	_, end := walRecords(t, b)
+	if err := os.WriteFile(walPath, b[:end-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, rec, err := openStable(dir)
@@ -238,9 +239,10 @@ func damageFirstLogRecord(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, off := range walRecords(t, b) {
+	offs, _ := walRecords(t, b)
+	for i, off := range offs {
 		if binary.LittleEndian.Uint32(b[off:]) == walLog {
-			if i == len(walRecords(t, b))-1 {
+			if i == len(offs)-1 {
 				t.Fatal("the first log record is the tail; nothing to damage in the middle")
 			}
 			b[off+walHeader] ^= 0x40
@@ -410,7 +412,7 @@ func TestStableTornTwoRecordWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The reset at open wrote one hard state; then two writes of two.
-	offs := walRecords(t, b)
+	offs, _ := walRecords(t, b)
 	if len(offs) != 5 {
 		t.Fatalf("WAL holds %d records, want 5", len(offs))
 	}

@@ -61,6 +61,47 @@ func TestVectorSpanAllocBound(t *testing.T) {
 	}
 }
 
+// TestVectorSmallSpanAllocsNothing pins the short end of the same
+// path: a span of at most 8 buffers (every packed list span is one)
+// takes its iovecs from the stack, so a batch call allocates nothing.
+func TestVectorSmallSpanAllocsNothing(t *testing.T) {
+	d, err := NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const h = 1
+	for _, nbufs := range []int{1, 8} {
+		bufs := make([][]byte, nbufs)
+		got := make([][]byte, nbufs)
+		for i := range bufs {
+			bufs[i] = bytes.Repeat([]byte{byte(nbufs + i)}, 512)
+			got[i] = make([]byte, 512)
+		}
+		spans := []Span{{Off: 4096, Bufs: bufs}}
+		rspans := []Span{{Off: 4096, Bufs: got}}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := d.WriteBatch(h, spans); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%d-buffer WriteBatch costs %.1f allocs/run, want 0", nbufs, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := d.ReadBatch(h, rspans); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%d-buffer ReadBatch costs %.1f allocs/run, want 0", nbufs, allocs)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], bufs[i]) {
+				t.Fatalf("%d buffers: buffer %d diverges after the round trip", nbufs, i)
+			}
+		}
+	}
+}
+
 // TestVectorIOVMaxChunking pins the syscall counter across the
 // IOV_MAX boundary: a span of more buffers than one preadv accepts
 // costs exactly ceil(bufs/IOV_MAX) syscalls, in one submission.

@@ -1,8 +1,8 @@
 // Package sysvec is the one vectored-syscall shim of the repository:
 // the positioned scatter/gather of a stripe file (Preadv, Pwritev, for
 // internal/store) and the scatter of a socket's bytes into caller
-// memory (ReadFull, for internal/wire). The x/sys module is not a
-// dependency, so on 64-bit Linux the raw syscalls are issued directly
+// memory (Scatter.ReadFull, for internal/wire). The x/sys module is not
+// a dependency, so on 64-bit Linux the raw syscalls are issued directly
 // over one iovec builder (sysvec_linux.go); every other platform takes
 // the per-buffer loops of sysvec_portable.go, with the same semantics
 // and an honest syscall count. This is the only package that imports

@@ -18,6 +18,10 @@ import (
 // preadv/pwritev/readv call accepts. Larger transfers go in chunks.
 const maxIOV = 1024
 
+// smallIOV is the most buffers whose iovecs Preadv and Pwritev build
+// on the stack; a longer list allocates its array once per call.
+const smallIOV = 8
+
 // iovec mirrors struct iovec on linux/amd64 and linux/arm64.
 type iovec struct {
 	base *byte
@@ -122,7 +126,11 @@ func Preadv(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 	bi, skip := 0, 0
 	pos := off
 	var nsys int64
-	iovs := make([]iovec, 0, min(len(bufs), maxIOV))
+	var small [smallIOV]iovec
+	iovs := small[:0]
+	if len(bufs) > smallIOV {
+		iovs = make([]iovec, 0, min(len(bufs), maxIOV))
+	}
 	for bi < len(bufs) {
 		var want int64
 		iovs, want = buildIovecs(iovs, bufs, bi, skip)
@@ -159,7 +167,11 @@ func Pwritev(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 	bi, skip := 0, 0
 	pos := off
 	var nsys int64
-	iovs := make([]iovec, 0, min(len(bufs), maxIOV))
+	var small [smallIOV]iovec
+	iovs := small[:0]
+	if len(bufs) > smallIOV {
+		iovs = make([]iovec, 0, min(len(bufs), maxIOV))
+	}
 	for bi < len(bufs) {
 		var want int64
 		iovs, want = buildIovecs(iovs, bufs, bi, skip)
@@ -187,6 +199,21 @@ func Pwritev(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 	return int(pos - off), nsys, nil
 }
 
+// Scatter fills caller buffers from a reader, keeping between calls
+// what readv needs: the socket's RawConn, the iovec array and the readv
+// callback are made on the first multi-buffer read of a *net.TCPConn and
+// reused after, so a warm call allocates nothing. A Scatter serves one
+// goroutine at a time; its zero value is ready.
+type Scatter struct {
+	tc    *net.TCPConn
+	rc    syscall.RawConn
+	readv func(fd uintptr) bool // s.readvFD, bound once
+	iovs  []iovec
+	start int // the first iovec readv still has to fill
+	n     int // readv's result
+	errno syscall.Errno
+}
+
 // ReadFull fills every byte of bufs from r, in order, and returns the
 // bytes read: fewer than the total only with an error. On a
 // *net.TCPConn two or more buffers land by readv straight into bufs,
@@ -194,63 +221,75 @@ func Pwritev(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 // iovec; an empty socket parks the goroutine on the runtime poller, so
 // a read deadline set on the connection wakes it with
 // os.ErrDeadlineExceeded. One buffer, or any other reader, takes one
-// io.ReadFull per buffer: the connection's own Read parks the same way
-// and allocates nothing, where readv's RawConn, iovecs and closure
-// would be allocated on every call.
-func ReadFull(r io.Reader, bufs [][]byte) (int, error) {
+// io.ReadFull per buffer: the connection's own Read parks the same way.
+func (s *Scatter) ReadFull(r io.Reader, bufs [][]byte) (int, error) {
 	tc, ok := r.(*net.TCPConn)
 	if !ok || len(bufs) == 1 {
 		return readPieces(r, bufs)
 	}
-	rc, err := tc.SyscallConn()
-	if err != nil {
-		return 0, err
-	}
-	var (
-		iovs  = make([]iovec, 0, min(len(bufs), maxIOV))
-		start int
-		n     int
-		errno syscall.Errno
-	)
-	// RawConn.Read runs readv with the socket's descriptor; returning
-	// false parks the goroutine until the socket is readable again.
-	readv := func(fd uintptr) bool {
-		for {
-			m, _, e := syscall.Syscall(syscall.SYS_READV, fd,
-				uintptr(unsafe.Pointer(&iovs[start])), uintptr(len(iovs)-start))
-			switch e {
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false
-			}
-			n, errno = int(m), e
-			return true
+	if s.tc != tc {
+		rc, err := tc.SyscallConn()
+		if err != nil {
+			return 0, err
+		}
+		s.tc, s.rc = tc, rc
+		if s.readv == nil {
+			s.readv = s.readvFD
 		}
 	}
+	k := min(len(bufs), maxIOV) // the most iovecs one readv of bufs takes
+	if cap(s.iovs) < k {
+		s.iovs = make([]iovec, 0, k)
+	}
+	n, err := s.fill(bufs)
+	// The iovecs point into the caller's memory, lent only for this call.
+	clear(s.iovs[:k])
+	return n, err
+}
+
+// fill is ReadFull's readv loop over the connection s holds.
+func (s *Scatter) fill(bufs [][]byte) (int, error) {
 	total := spanLen(bufs)
 	done, bi, skip := 0, 0, 0
 	for done < total {
 		var want int64
-		iovs, want = buildIovecs(iovs, bufs, bi, skip)
-		start = 0
+		s.iovs, want = buildIovecs(s.iovs, bufs, bi, skip)
+		s.start = 0
 		for want > 0 {
-			if err := rc.Read(readv); err != nil {
+			if err := s.rc.Read(s.readv); err != nil {
 				return done, err
 			}
-			if errno != 0 {
-				return done, os.NewSyscallError("readv", errno)
+			if s.errno != 0 {
+				return done, os.NewSyscallError("readv", s.errno)
 			}
-			if n == 0 {
+			if s.n == 0 {
 				return done, io.ErrUnexpectedEOF
 			}
-			done += n
-			want -= int64(n)
-			bi, skip = advance(bufs, bi, skip, n)
+			done += s.n
+			want -= int64(s.n)
+			bi, skip = advance(bufs, bi, skip, s.n)
 			if want > 0 {
-				start = consumeIovecs(iovs, start, n)
+				s.start = consumeIovecs(s.iovs, s.start, s.n)
 			}
 		}
 	}
 	return done, nil
+}
+
+// readvFD runs readv on the socket's descriptor for RawConn.Read;
+// returning false parks the goroutine until the socket is readable
+// again.
+func (s *Scatter) readvFD(fd uintptr) bool {
+	for {
+		m, _, e := syscall.Syscall(syscall.SYS_READV, fd,
+			uintptr(unsafe.Pointer(&s.iovs[s.start])), uintptr(len(s.iovs)-s.start))
+		switch e {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		}
+		s.n, s.errno = int(m), e
+		return true
+	}
 }

@@ -64,9 +64,12 @@ func Pwritev(f *os.File, bufs [][]byte, off int64) (int, int64, error) {
 	return int(pos - off), nsys, nil
 }
 
+// Scatter fills caller buffers from a reader; here it keeps no state.
+type Scatter struct{}
+
 // ReadFull fills every byte of bufs from r, in order, with one
 // io.ReadFull per buffer, and returns the bytes read: fewer than the
 // total only with an error.
-func ReadFull(r io.Reader, bufs [][]byte) (int, error) {
+func (*Scatter) ReadFull(r io.Reader, bufs [][]byte) (int, error) {
 	return readPieces(r, bufs)
 }

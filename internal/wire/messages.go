@@ -349,7 +349,7 @@ type ServerStats struct {
 	MetaProposals    int64 // mutation entries appended at the leader
 	MetaBatches      int64 // group-commit flushes (>= 1 proposal each)
 	MetaAppendRounds int64 // append RPCs shipped carrying entries
-	MetaWALSyncs     int64 // WAL fsyncs (log, hard state, snapshots)
+	MetaWALSyncs     int64 // WAL syncs (log, hard state, snapshots)
 }
 
 // counters lists m's counters in wire order, the one place that order

@@ -29,7 +29,8 @@ type FrameReader struct {
 	r      io.Reader
 	buf    []byte // buf[lo:hi] has been read from r and not yet parsed
 	lo, hi int
-	rest   [][]byte // ReadInto's scratch: the pieces the prefix left
+	rest   [][]byte       // ReadInto's scratch: the pieces the prefix left
+	sc     sysvec.Scatter // ReadInto's readv state, reused call to call
 }
 
 // NewFrameReader returns a buffered reader of r's frames.
@@ -144,7 +145,7 @@ func (f *FrameReader) readInto(pieces [][]byte) (int, error) {
 		f.rest = append(append(f.rest[:0], pieces[i][skip:]), pieces[i+1:]...)
 		rest = f.rest
 	}
-	n, err := sysvec.ReadFull(f.r, rest)
+	n, err := f.sc.ReadFull(f.r, rest)
 	clear(f.rest) // the caller's memory is lent only for this call
 	return done + n, midFrame(err)
 }

@@ -116,3 +116,49 @@ func TestReadIntoTCPDeadlineWakes(t *testing.T) {
 		t.Fatal("ReadInto wrote outside its pieces")
 	}
 }
+
+// TestReadIntoTCPAllocsNothing pins the scatter path's steady state: a
+// 16-piece ReadInto of a body too large for the read-ahead lands by
+// readv over a loopback TCP connection and allocates nothing once the
+// reader is warm.
+func TestReadIntoTCPAllocsNothing(t *testing.T) {
+	client, server := tcpPair(t)
+	const runs, pieceLen = 50, 4 << 10
+	pieces := make([][]byte, 16)
+	for i := range pieces {
+		pieces[i] = make([]byte, pieceLen)
+	}
+	body := bytes.Repeat([]byte{0x5A}, len(pieces)*pieceLen)
+	sent := make(chan error, 1)
+	go func() {
+		// AllocsPerRun calls the function once more to warm up.
+		for i := 0; i < runs+1; i++ {
+			if _, err := server.Write(body); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	fr := NewFrameReader(client)
+	var err error
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, rerr := fr.ReadInto(pieces); rerr != nil && err == nil {
+			err = rerr
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pieces {
+		if !bytes.Equal(p, body[:pieceLen]) {
+			t.Fatalf("piece %d holds other bytes than were sent", i)
+		}
+	}
+	if allocs != 0 {
+		t.Fatalf("a 16-piece ReadInto made %.1f allocations, want 0", allocs)
+	}
+}
