@@ -210,7 +210,7 @@ func runShard(addr, join string, logger *log.Logger) {
 		fatalf("%v", err)
 	}
 	shard := meta.NewShard(meta.ShardOptions{Index: idx, Proposer: prop, Logger: logger})
-	srv := pvfsnet.NewServer(ln, shard.Handle, logger)
+	srv := pvfsnet.NewLocalServer(ln, shard.Handle, shard.Local, logger)
 	fmt.Printf("pvfs-mgr shard %d/%d serving on %s\n", idx, len(m.Shards), srv.Addr())
 	waitSignal()
 	st := shard.Stats()

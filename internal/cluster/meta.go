@@ -109,7 +109,7 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 		})
 		c.shards = append(c.shards, &shardProc{
 			shard: sh,
-			srv:   pvfsnet.NewServer(ln, sh.Handle, nil),
+			srv:   pvfsnet.NewLocalServer(ln, sh.Handle, sh.Local, nil),
 		})
 	}
 	return nil

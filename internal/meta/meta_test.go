@@ -789,7 +789,7 @@ func startPlane(t *testing.T, nmasters, nshards int) *plane {
 	for i := range lns {
 		s := NewShard(ShardOptions{Index: i, Proposer: NewGroupProposer(g.addrs, g.timing), Timing: g.timing})
 		pl.shards = append(pl.shards, s)
-		pl.shardSrvs = append(pl.shardSrvs, pvfsnet.NewServer(lns[i], s.Handle, nil))
+		pl.shardSrvs = append(pl.shardSrvs, pvfsnet.NewLocalServer(lns[i], s.Handle, s.Local, nil))
 	}
 	t.Cleanup(func() {
 		for i, s := range pl.shards {
@@ -800,13 +800,17 @@ func startPlane(t *testing.T, nmasters, nshards int) *plane {
 	return pl
 }
 
+// envelope builds the TMetaForward request a client sends for inner.
+func envelope(epoch uint64, inner wire.MsgType, body []byte) wire.Message {
+	env := wire.MetaEnvelope{Epoch: epoch, Inner: inner, Body: body}
+	return wire.Message{Header: wire.Header{Type: wire.TMetaForward}, Body: env.Marshal()}
+}
+
 func callShard(t *testing.T, c *pvfsnet.Conn, epoch uint64, inner wire.MsgType, body []byte, handle uint64) wire.Message {
 	t.Helper()
-	env := wire.MetaEnvelope{Epoch: epoch, Inner: inner, Body: body}
-	resp, err := c.Call(wire.Message{
-		Header: wire.Header{Type: wire.TMetaForward, Handle: handle},
-		Body:   env.Marshal(),
-	})
+	req := envelope(epoch, inner, body)
+	req.Handle = handle
+	resp, err := c.Call(req)
 	if err != nil {
 		var serr *wire.StatusError
 		if !asStatusErr(err, &serr) {

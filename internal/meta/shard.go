@@ -57,9 +57,9 @@ type Shard struct {
 }
 
 // NewShard starts a shard. It is transport-free like Node: attach
-// s.Handle to a listener via pvfsnet.NewServer. The shard installs
-// its partition snapshot from the masters in the background and
-// answers StatusUnavailable (retry-safe) until it has.
+// s.Handle and s.Local to a listener via pvfsnet.NewLocalServer. The
+// shard installs its partition snapshot from the masters in the
+// background and answers StatusUnavailable (retry-safe) until it has.
 func NewShard(o ShardOptions) *Shard {
 	s := &Shard{
 		idx:    o.Index,
@@ -304,6 +304,30 @@ func (s *Shard) Handle(req wire.Message) wire.Message {
 		// name another shard owns is refused as in an envelope.
 		return s.serveInner(req.Type, req.Body, req.Handle)
 	}
+}
+
+// Local is the shard's pvfsnet.Local: a lookup (open or stat, plain or
+// enveloped) and a ping, stats or map query are answered from memory
+// while the shard is synced, not dirty, and not behind an envelope's
+// epoch. Anything that would resync, fetch a map or propose is not
+// local. A state flip after Local answers only sends that one request
+// down Handle's slow path on the read loop.
+func (s *Shard) Local(req wire.Message) bool {
+	var epoch uint64
+	switch req.Type {
+	case wire.TOpen, wire.TStat, wire.TPing, wire.TServerStats, wire.TShardMap:
+	case wire.TMetaForward:
+		var env wire.MetaEnvelope
+		if env.Unmarshal(req.Body) != nil || (env.Inner != wire.TOpen && env.Inner != wire.TStat) {
+			return false
+		}
+		epoch = env.Epoch
+	default:
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ready && !s.dirty && epoch <= s.smap.Epoch // a ready shard has a map
 }
 
 // serveEnvelope validates a stamped envelope's epoch against the

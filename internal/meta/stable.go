@@ -466,12 +466,6 @@ func (s *stable) saveHard(h wire.MetaHardState) error {
 	return s.appendFrames(frame(nil, walHard, h.Marshal()))
 }
 
-// appendLog durably records one log mutation (truncate to < from,
-// append entries).
-func (s *stable) appendLog(from uint64, entries []wire.MetaEntry) error {
-	return s.appendFrames(frameRecord(nil, &record{kind: recLog, from: from, entries: entries}))
-}
-
 // saveSnapshot replaces the durable snapshot and resets the WAL to
 // the surviving suffix (hard state + the log tail above the
 // snapshot). Ordering is crash-safe: the snapshot lands first, and a
@@ -527,11 +521,13 @@ func (s *stable) resetWAL(tail []wire.MetaEntry, hard wire.MetaHardState) error 
 	}
 	fresh := &stable{dir: s.dir, wal: f}
 	fresh.failSync.Store(s.failSync.Load())
-	// The magic leaves in one write with the hard state.
-	err = fresh.appendFrames(frame(bytes.Clone(walMagic), walHard, hard.Marshal()))
-	if err == nil && len(tail) > 0 {
-		err = fresh.appendLog(tail[0].Index, tail)
+	// The magic, the hard state and the tail leave in one write and one
+	// sync: the file is renamed into place only once they are durable.
+	buf := frame(bytes.Clone(walMagic), walHard, hard.Marshal())
+	if len(tail) > 0 {
+		buf = frameRecord(buf, &record{kind: recLog, from: tail[0].Index, entries: tail})
 	}
+	err = fresh.appendFrames(buf)
 	if err == nil {
 		err = os.Rename(tmp, walPath)
 	}

@@ -35,6 +35,12 @@ func walRecords(t testing.TB, b []byte) (offs []int, end int) {
 	return offs, off
 }
 
+// appendLog durably records one log mutation (truncate to < from,
+// append entries) in a WAL write of its own.
+func (s *stable) appendLog(from uint64, entries []wire.MetaEntry) error {
+	return s.appendFrames(frameRecord(nil, &record{kind: recLog, from: from, entries: entries}))
+}
+
 // writeThree persists a hard state at term 4 and three single-entry
 // log records at terms 4, 5 and 6.
 func writeThree(t *testing.T, dir string) {
@@ -125,6 +131,8 @@ func TestStableBadSnapshotRefused(t *testing.T) {
 // TestStableTornTailCutOnDisk appends after recovering from a torn
 // tail, cut inside the last record: the next open must see the new
 // record right after the prefix, not a damaged record in the middle.
+// The cut is a WAL reset, whose magic, hard state and log tail leave in
+// one write with one sync.
 func TestStableTornTailCutOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	writeThree(t, dir)
@@ -143,6 +151,9 @@ func TestStableTornTailCutOnDisk(t *testing.T) {
 	}
 	if len(rec.entries) != 2 {
 		t.Fatalf("torn tail recovered %d entries, want the 2 before it", len(rec.entries))
+	}
+	if got := st.syncs.Load(); got != 1 {
+		t.Errorf("cutting the torn tail took %d WAL syncs, want 1", got)
 	}
 	e := wire.MetaEntry{Index: 3, Term: 5, Rec: createRec("again", 2, 0, 1, testIODs())}
 	if err := st.appendLog(3, []wire.MetaEntry{e}); err != nil {

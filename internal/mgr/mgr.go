@@ -58,7 +58,7 @@ func New(ln net.Listener, iodAddrs []string, logger *log.Logger) (*Server, error
 		Index: 0, Proposer: meta.LocalProposer{Node: node}, Logger: logger,
 	})
 	s := &Server{node: node, shard: shard}
-	s.srv = pvfsnet.NewServer(ln, s.handle, logger)
+	s.srv = pvfsnet.NewLocalServer(ln, s.handle, s.local, logger)
 	return s, nil
 }
 
@@ -119,4 +119,15 @@ func (s *Server) handle(req wire.Message) wire.Message {
 	default:
 		return s.shard.Handle(req)
 	}
+}
+
+// local is the listener's pvfsnet.Local: the shard's rule, except that
+// the node's traffic (consensus and map queries, which may wait on a
+// leader) is never local. The combined stats read memory only.
+func (s *Server) local(req wire.Message) bool {
+	switch req.Type {
+	case wire.TMetaVote, wire.TMetaAppend, wire.TMetaFetch, wire.TShardMap:
+		return false
+	}
+	return s.shard.Local(req)
 }

@@ -27,32 +27,48 @@ import (
 )
 
 // Handler processes one request message and returns the response.
-// Implementations must be safe for concurrent use: each connection is
-// served by its own goroutines, and requests on a single connection may
-// be handled concurrently — except wire.TWrite, which the connection's
-// read loop handles itself, one at a time in arrival order. Handlers
-// must not retain req.Body (or slices into it) past return: the
-// transport recycles the buffer once the response has been written. A
-// TWrite's body is overwritten by the next frame, so its response must
-// not share it.
+// Implementations must be safe for concurrent use. A server dispatches
+// each request by one of three rules:
+//   - a wire.TWrite is handled by its connection's read loop, one at a
+//     time in arrival order;
+//   - a request the server's Local declares local is handled by its
+//     connection's read loop too, in arrival order, unless the fault
+//     injector delays it;
+//   - every other request is handled on a goroutine of its own, so the
+//     requests of one connection may be handled concurrently.
+//
+// Handlers must not retain req.Body (or slices into it) past return:
+// the transport recycles the buffer once the response has been written.
+// A TWrite's body is overwritten by the next frame, so its response
+// must not share it.
 type Handler func(wire.Message) wire.Message
+
+// Local reports whether a request is local: answerable from the
+// serving process's memory, waiting on no other server and no disk. A
+// local request holds up every later request on its connection while
+// it is handled, so a Local that errs toward false only costs a
+// goroutine; one that errs toward true stalls a connection. It runs on
+// the read loop, so it must be cheap and must not retain req.Body.
+type Local func(req wire.Message) bool
 
 // maxServerInflight bounds how many requests from one connection a
 // server handles concurrently; excess requests wait in the read loop,
 // applying backpressure through TCP.
 const maxServerInflight = 64
 
-// readLoopBody is the size of the body buffer a connection allocates
-// for its TWrites: one contiguous chunk behind a write request's fixed
-// fields. The buffer lives as long as its connection and never enters
-// the wire pool. A larger body is read into a pooled buffer of its own,
-// returned once its request is handled.
+// readLoopBody caps the body buffer a connection keeps for its TWrites:
+// one contiguous chunk behind a write request's fixed fields. The
+// buffer grows with the bodies the connection reads, to this cap at
+// most, lives as long as its connection and never enters the wire
+// pool. A larger body is read into a pooled buffer of its own, returned
+// once its request is handled.
 const readLoopBody = wire.ChunkBytes + wire.WriteReqFixedSize
 
 // Server runs an accept loop dispatching framed messages to a Handler.
 type Server struct {
 	ln      net.Listener
 	handler Handler
+	local   Local // nil: no request is local
 	logger  *log.Logger
 	faults  atomic.Pointer[Faults]
 
@@ -69,7 +85,14 @@ type Server struct {
 // read, so it lands before any later request on its connection is
 // read. Every other request is handled on a goroutine of its own.
 func NewServer(ln net.Listener, h Handler, logger *log.Logger) *Server {
-	s := &Server{ln: ln, handler: h, logger: logger, conns: make(map[net.Conn]struct{})}
+	return NewLocalServer(ln, h, nil, logger)
+}
+
+// NewLocalServer is NewServer whose read loops also handle and answer
+// every request local declares local (see Handler), saving such a
+// request its goroutine and the handoff to it.
+func NewLocalServer(ln net.Listener, h Handler, local Local, logger *log.Logger) *Server {
+	s := &Server{ln: ln, handler: h, local: local, logger: logger, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -105,7 +128,8 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn reads requests until the connection ends. A TWrite is
-// handled here, in arrival order (serveInline); any other request is
+// handled here, in arrival order (serveInline), and so is a local
+// request that no injected delay holds; any other request is
 // dispatched to its own goroutine, so a connection's requests are
 // serviced concurrently. Responses are written under a per-connection
 // mutex and carry the request's tag, so they may complete in any
@@ -117,7 +141,7 @@ func (s *Server) serveConn(c net.Conn) {
 	var (
 		wmu sync.Mutex // serializes response frames
 		hwg sync.WaitGroup
-		own []byte // the TWrite body buffer, allocated on first use
+		own []byte // the TWrite body buffer, grown as bodies need
 	)
 	sem := make(chan struct{}, maxServerInflight)
 	defer func() {
@@ -177,8 +201,10 @@ func (s *Server) serveConn(c net.Conn) {
 			}
 		}
 		if h.Type == wire.TWrite {
-			if own == nil && h.BodyLen <= readLoopBody {
-				own = make([]byte, readLoopBody)
+			if n := int(h.BodyLen); n > cap(own) && n <= readLoopBody {
+				// Doubling bounds the regrowths of a connection whose
+				// bodies creep up in size.
+				own = make([]byte, min(max(n, 2*cap(own)), readLoopBody))
 			}
 			if !s.serveInline(c, fr, h, own, delay, writeResp, spawn) {
 				return
@@ -188,6 +214,10 @@ func (s *Server) serveConn(c net.Conn) {
 		req, err := fr.ReadBody(h)
 		if err != nil {
 			return
+		}
+		if delay == 0 && s.local != nil && s.local(req) {
+			s.dispatch(c, req, writeResp)
+			continue
 		}
 		// An injected service delay sleeps in the handler goroutine, so
 		// pipelined requests overlap their delays, as they would

@@ -8,10 +8,7 @@
 // Times are int64 nanoseconds of virtual time.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Engine is a discrete-event executor. Events scheduled for the same
 // instant run in scheduling order (a stable tie-break), which keeps
@@ -39,7 +36,7 @@ func (e *Engine) At(t int64, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.pq, event{t: t, seq: e.seq, fn: fn})
+	e.pq.push(event{t: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn d nanoseconds from now.
@@ -49,7 +46,7 @@ func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 // clock value.
 func (e *Engine) Run() int64 {
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(event)
+		ev := e.pq.pop()
 		e.now = ev.t
 		e.ran++
 		ev.fn()
@@ -63,22 +60,53 @@ type event struct {
 	fn  func()
 }
 
+// eventHeap is a binary min-heap of events ordered by (t, seq). The
+// order is total, so the pop sequence does not depend on the heap's
+// shape.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	ev := q[0]
+	q[0] = q[n]
+	q[n] = event{} // drop the closure reference
+	q = q[:n]
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < n && q.less(l, m) {
+			m = l
+		}
+		if r := l + 1; r < n && q.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 	return ev
 }
 
