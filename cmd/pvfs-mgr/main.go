@@ -89,6 +89,9 @@ func printStats(role string, st wire.ServerStats) {
 		fmt.Printf("pvfs-mgr: meta: %d proposals in %d batches, %d append rounds, %d WAL syncs\n",
 			st.MetaProposals, st.MetaBatches, st.MetaAppendRounds, st.MetaWALSyncs)
 	}
+	if st.HandlerPanics > 0 {
+		fmt.Printf("pvfs-mgr: %d handler panics recovered\n", st.HandlerPanics)
+	}
 }
 
 func main() {
@@ -210,7 +213,7 @@ func runShard(addr, join string, logger *log.Logger) {
 		fatalf("%v", err)
 	}
 	shard := meta.NewShard(meta.ShardOptions{Index: idx, Proposer: prop, Logger: logger})
-	srv := pvfsnet.NewLocalServer(ln, shard.Handle, shard.Local, logger)
+	srv := shard.Serve(ln, logger)
 	fmt.Printf("pvfs-mgr shard %d/%d serving on %s\n", idx, len(m.Shards), srv.Addr())
 	waitSignal()
 	st := shard.Stats()

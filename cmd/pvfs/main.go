@@ -175,13 +175,13 @@ func main() {
 			fatal(err)
 		}
 		for i, s := range per {
-			fmt.Printf("iod%d: requests=%d list=%d regions=%d read=%dB written=%dB trailing=%dB storesysc=%d/%d\n",
+			fmt.Printf("iod%d: requests=%d list=%d regions=%d read=%dB written=%dB trailing=%dB storesysc=%d/%d panics=%d\n",
 				i, s.Requests, s.ListRequests, s.Regions, s.BytesRead, s.BytesWritten, s.TrailingBytes,
-				s.StoreSyscallsRead, s.StoreSyscallsWrite)
+				s.StoreSyscallsRead, s.StoreSyscallsWrite, s.HandlerPanics)
 		}
-		fmt.Printf("total: requests=%d list=%d regions=%d read=%dB written=%dB storesysc=%d/%d\n",
+		fmt.Printf("total: requests=%d list=%d regions=%d read=%dB written=%dB storesysc=%d/%d panics=%d\n",
 			total.Requests, total.ListRequests, total.Regions, total.BytesRead, total.BytesWritten,
-			total.StoreSyscallsRead, total.StoreSyscallsWrite)
+			total.StoreSyscallsRead, total.StoreSyscallsWrite, total.HandlerPanics)
 	default:
 		usage()
 		os.Exit(2)

@@ -109,7 +109,7 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 		})
 		c.shards = append(c.shards, &shardProc{
 			shard: sh,
-			srv:   pvfsnet.NewLocalServer(ln, sh.Handle, sh.Local, nil),
+			srv:   sh.Serve(ln, nil),
 		})
 	}
 	return nil

@@ -39,14 +39,18 @@ type Server struct {
 	stats wire.ServerStats
 }
 
-// New starts an I/O daemon serving st on ln. A contiguous write
-// (TWrite) is applied by its connection's read loop, from one body
-// buffer the connection reuses, before the next request on that
-// connection is read; every other request runs on a goroutine of its
-// own.
+// New starts an I/O daemon serving st on ln. Every request is local
+// (pvfsnet.Local): its connection's read loop applies it, from one
+// body buffer the connection reuses, and answers it before the next
+// request on that connection is read. So a connection's requests are
+// applied in arrival order, and the daemon holds at most one request
+// body and one response per connection.
 func New(ln net.Listener, st store.Store, logger *log.Logger) *Server {
 	s := &Server{st: st}
-	s.srv = pvfsnet.NewServer(ln, s.handle, logger)
+	srv := pvfsnet.NewLocalServer(ln, s.handle, func(wire.Message) bool { return true }, logger)
+	s.mu.Lock()
+	s.srv = srv
+	s.mu.Unlock()
 	return s
 }
 
@@ -72,6 +76,7 @@ func (s *Server) Net() *pvfsnet.Server { return s.srv }
 func (s *Server) Stats() wire.ServerStats {
 	s.mu.Lock()
 	st := s.stats
+	st.HandlerPanics = s.srv.HandlerPanics()
 	s.mu.Unlock()
 	if cp, ok := s.st.(store.CacheStatsProvider); ok {
 		cs := cp.CacheStats()
@@ -179,7 +184,7 @@ func (s *Server) handle(req wire.Message) wire.Message {
 
 // zeroCopyMinBytes gates the sendfile streaming path: below it the
 // fixed cost of the readiness loop and the lost pipelining (the stream
-// holds the connection's write lock for its whole transfer) outweigh
+// holds its connection's read loop for its whole transfer) outweigh
 // the avoided copy. The threshold is one 64 KiB cache block (DESIGN.md
 // §11).
 const zeroCopyMinBytes = 64 << 10

@@ -2,12 +2,16 @@ package iod_test
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pvfs/internal/iod"
+	"pvfs/internal/ioseg"
+	"pvfs/internal/pvfsnet"
 	"pvfs/internal/store"
 	"pvfs/internal/wire"
 )
@@ -48,11 +52,17 @@ func (r *rawConn) send(typ wire.MsgType, handle uint64, body []byte) uint32 {
 // recv reads one response with a body of at most 64 bytes.
 func (r *rawConn) recv() (wire.Header, []byte) {
 	r.t.Helper()
+	return r.recvUpTo(64)
+}
+
+// recvUpTo reads one response with a body of at most limit bytes.
+func (r *rawConn) recvUpTo(limit uint32) (wire.Header, []byte) {
+	r.t.Helper()
 	h, err := wire.ReadHeader(r.Conn)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	if h.BodyLen > 64 {
+	if h.BodyLen > limit {
 		r.t.Fatalf("%d-byte %v body", h.BodyLen, h.Type)
 	}
 	body := make([]byte, h.BodyLen)
@@ -267,5 +277,160 @@ func TestStopDuringWriteBackpressure(t *testing.T) {
 				t.Fatalf("%s still running %v after it was called", name, time.Since(start))
 			}
 		})
+	}
+}
+
+// cyclicRegions returns n regions of size bytes, one every stride bytes.
+func cyclicRegions(n int, size, stride int64) ioseg.List {
+	l := make(ioseg.List, n)
+	for i := range l {
+		l[i] = ioseg.Segment{Offset: int64(i) * stride, Length: size}
+	}
+	return l
+}
+
+func listBody(t *testing.T, regions ioseg.List, data []byte) []byte {
+	t.Helper()
+	b, err := (&wire.ListReq{Regions: regions, Data: data}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// List writes and list reads pipelined on one connection are applied
+// and answered in the order sent: each read returns exactly what the
+// write sent just before it put in the same regions.
+func TestListRequestsAnsweredInOrder(t *testing.T) {
+	srv, err := iod.Listen("127.0.0.1:0", store.NewMem(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	r := dialRaw(t, srv.Addr())
+	const rounds, size = 16, 4 << 10
+	regions := cyclicRegions(16, size, 4*size)
+	total := int(regions.TotalLength())
+	readBody := listBody(t, regions, nil)
+	writes := make([][]byte, rounds)
+	for i := range writes {
+		writes[i] = listBody(t, regions, bytes.Repeat([]byte{byte(i + 1)}, total))
+	}
+	go func() {
+		// The sender runs ahead of the responses: the daemon must not
+		// reorder what is queued on the connection. Round i's write has
+		// tag 2i+1, its read 2i+2.
+		for i, w := range writes {
+			tag := uint32(2*i + 1)
+			if wire.WriteMessage(r.Conn, wire.Message{Header: wire.Header{Type: wire.TWriteList, Handle: 2, Tag: tag}, Body: w}) != nil ||
+				wire.WriteMessage(r.Conn, wire.Message{Header: wire.Header{Type: wire.TReadList, Handle: 2, Tag: tag + 1}, Body: readBody}) != nil {
+				return
+			}
+		}
+	}()
+	for i := range rounds {
+		for _, typ := range []wire.MsgType{wire.TWriteList, wire.TReadList} {
+			tag := uint32(2*i + 1)
+			if typ == wire.TReadList {
+				tag++
+			}
+			h, body := r.recvUpTo(uint32(total))
+			if h.Tag != tag || h.Type != typ.Response() || h.Status != wire.StatusOK {
+				t.Fatalf("round %d: response %v tag %d status %v, want an OK %v with tag %d", i, h.Type, h.Tag, h.Status, typ, tag)
+			}
+			if typ == wire.TReadList && !bytes.Equal(body, bytes.Repeat([]byte{byte(i + 1)}, total)) {
+				t.Fatalf("round %d: list read did not see the write sent before it", i)
+			}
+		}
+	}
+}
+
+// A connection keeps a body buffer only as large as the bodies it has
+// read: connections that each carried one list write and one list read
+// of 16 x 4 KiB and then idle hold little more heap than that write's
+// body.
+func TestIdleListConnectionsHoldLittleHeap(t *testing.T) {
+	srv, err := iod.Listen("127.0.0.1:0", store.NewMem(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const conns, size = 128, 4 << 10
+	regions := cyclicRegions(16, size, 4*size)
+	writeBody := listBody(t, regions, make([]byte, regions.TotalLength()))
+	readBody := listBody(t, regions, nil)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	cs := make([]*pvfsnet.Conn, conns)
+	for i := range cs {
+		c, err := pvfsnet.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TWriteList, Handle: 1}, Body: writeBody}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TReadList, Handle: 1}, Body: readBody})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Release()
+		cs[i] = c
+	}
+	grew := int64(heap()) - int64(before)
+	if per, limit := grew/conns, int64(len(writeBody))+32<<10; per >= limit {
+		t.Fatalf("each idle connection holds %d B of heap (%d B for %d), want < %d: its largest body plus 32 KiB", per, grew, conns, limit)
+	}
+	runtime.KeepAlive(cs)
+}
+
+// panicStore panics on Size of handle 666: a handler bug on the read
+// loop.
+type panicStore struct{ store.Store }
+
+func (s panicStore) Size(handle uint64) (int64, error) {
+	if handle == 666 {
+		panic("store bug")
+	}
+	return s.Store.Size(handle)
+}
+
+// A handler panic on a connection's read loop is answered
+// StatusProtocol and counted in the daemon's stats, over the wire too,
+// and the connection goes on answering.
+func TestHandlerPanicCountedInStats(t *testing.T) {
+	srv, err := iod.Listen("127.0.0.1:0", panicStore{store.NewMem()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c, err := pvfsnet.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var se *wire.StatusError
+	if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TStat, Handle: 666}}); !errors.As(err, &se) || se.Status != wire.StatusProtocol {
+		t.Fatalf("panicking stat: %v, want StatusProtocol", err)
+	}
+	if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TStat, Handle: 1}}); err != nil {
+		t.Fatalf("stat after a panic on the same connection: %v", err)
+	}
+	resp, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TServerStats}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st wire.ServerStats
+	if err := st.Unmarshal(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if st.HandlerPanics != 1 || srv.Stats().HandlerPanics != 1 {
+		t.Fatalf("HandlerPanics %d over the wire, %d in process; want 1", st.HandlerPanics, srv.Stats().HandlerPanics)
 	}
 }

@@ -789,7 +789,7 @@ func startPlane(t *testing.T, nmasters, nshards int) *plane {
 	for i := range lns {
 		s := NewShard(ShardOptions{Index: i, Proposer: NewGroupProposer(g.addrs, g.timing), Timing: g.timing})
 		pl.shards = append(pl.shards, s)
-		pl.shardSrvs = append(pl.shardSrvs, pvfsnet.NewLocalServer(lns[i], s.Handle, s.Local, nil))
+		pl.shardSrvs = append(pl.shardSrvs, s.Serve(lns[i], nil))
 	}
 	t.Cleanup(func() {
 		for i, s := range pl.shards {

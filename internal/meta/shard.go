@@ -3,10 +3,12 @@ package meta
 import (
 	"context"
 	"log"
+	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"pvfs/internal/pvfsnet"
 	"pvfs/internal/wire"
 )
 
@@ -50,14 +52,14 @@ type Shard struct {
 	syncing *syncRound               // in-flight snapshot fetch; nil when idle
 	locks   map[string]chan struct{} // per-name mutation serialization
 	stats   wire.ServerStats
+	srv     *pvfsnet.Server // the listener Serve started; nil before
 	closed  bool
 
 	stopC chan struct{}
 	wg    sync.WaitGroup
 }
 
-// NewShard starts a shard. It is transport-free like Node: attach
-// s.Handle and s.Local to a listener via pvfsnet.NewLocalServer. The
+// NewShard starts a shard; Serve attaches it to a listener. The
 // shard installs its partition snapshot from the masters in the
 // background and answers StatusUnavailable (retry-safe) until it has.
 func NewShard(o ShardOptions) *Shard {
@@ -90,6 +92,17 @@ func (s *Shard) Close() error {
 	return nil
 }
 
+// Serve starts answering the shard wire protocol on ln, its lookups on
+// their connections' read loops (Local). The listener's recovered
+// handler panics count in the shard's Stats. Close the returned server
+// before the shard.
+func (s *Shard) Serve(ln net.Listener, logger *log.Logger) *pvfsnet.Server {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.srv = pvfsnet.NewLocalServer(ln, s.Handle, s.Local, logger)
+	return s.srv
+}
+
 // Index returns the shard's partition number.
 func (s *Shard) Index() int { return s.idx }
 
@@ -97,7 +110,9 @@ func (s *Shard) Index() int { return s.idx }
 func (s *Shard) Stats() wire.ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.HandlerPanics = s.srv.HandlerPanics()
+	return st
 }
 
 // CurrentMap returns the shard's installed map (nil before sync).

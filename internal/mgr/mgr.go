@@ -21,6 +21,7 @@ package mgr
 import (
 	"log"
 	"net"
+	"sync"
 
 	"pvfs/internal/meta"
 	"pvfs/internal/pvfsnet"
@@ -32,6 +33,7 @@ import (
 type Server struct {
 	node  *meta.Node
 	shard *meta.Shard
+	mu    sync.Mutex // orders srv's assignment before Stats reads it
 	srv   *pvfsnet.Server
 }
 
@@ -58,7 +60,9 @@ func New(ln net.Listener, iodAddrs []string, logger *log.Logger) (*Server, error
 		Index: 0, Proposer: meta.LocalProposer{Node: node}, Logger: logger,
 	})
 	s := &Server{node: node, shard: shard}
+	s.mu.Lock()
 	s.srv = pvfsnet.NewLocalServer(ln, s.handle, s.local, logger)
+	s.mu.Unlock()
 	return s, nil
 }
 
@@ -93,6 +97,9 @@ func (s *Server) Shard() *meta.Shard { return s.shard }
 func (s *Server) Stats() wire.ServerStats {
 	st := s.shard.Stats()
 	st.Add(s.node.Stats())
+	s.mu.Lock()
+	st.HandlerPanics += s.srv.HandlerPanics()
+	s.mu.Unlock()
 	return st
 }
 

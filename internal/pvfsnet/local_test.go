@@ -118,10 +118,10 @@ func TestLocalRequestsAnsweredInOrder(t *testing.T) {
 	}
 }
 
-// The fault injector treats a local request as before: a failure is
-// answered without calling the handler, and a service delay sends the
-// request to a goroutine that sleeps before handling it, so the delays
-// of pipelined local requests overlap.
+// The fault injector acts on a local request as on any other: a failure
+// is answered without calling the handler, and a service delay holds
+// back the response on a goroutine that sleeps before writing it, so
+// the delays of pipelined local requests overlap.
 func TestLocalRequestFaults(t *testing.T) {
 	srv := startLocalServer(t)
 	f := &Faults{}
@@ -165,15 +165,16 @@ func TestLocalRequestFaults(t *testing.T) {
 	}
 }
 
-// A connection keeps a TWrite body buffer only as large as the bodies
-// it has read: connections that each carried one 1-byte TWrite and then
-// idle hold little heap.
+// A connection keeps a local-request body buffer only as large as the
+// bodies it has read: connections that each carried one 1-byte local
+// TWrite and then idle hold little heap.
 func TestIdleWriteConnectionsHoldLittleHeap(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ln, func(wire.Message) wire.Message { return wire.Message{} }, nil)
+	all := func(wire.Message) bool { return true }
+	srv := NewLocalServer(ln, func(wire.Message) wire.Message { return wire.Message{} }, all, nil)
 	defer srv.Close()
 
 	const conns = 128
@@ -201,4 +202,39 @@ func TestIdleWriteConnectionsHoldLittleHeap(t *testing.T) {
 		t.Fatalf("each idle connection holds %d B of heap (%d B for %d), want < 32 KiB", per, grew, conns)
 	}
 	runtime.KeepAlive(cs)
+}
+
+// A handler panic, on a read loop (local) or a goroutine (not local), is
+// answered StatusProtocol and counted, and its connection goes on
+// answering.
+func TestHandlerPanicsCounted(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := func(req wire.Message) bool { return req.Type == wire.TStat }
+	srv := NewLocalServer(ln, func(req wire.Message) wire.Message {
+		if req.Handle == 666 {
+			panic("handler bug")
+		}
+		return wire.Message{Header: wire.Header{Handle: req.Handle}}
+	}, local, nil)
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, typ := range []wire.MsgType{wire.TStat, wire.TRead} {
+		var se *wire.StatusError
+		if _, err := c.Call(wire.Message{Header: wire.Header{Type: typ, Handle: 666}, Body: []byte("x")}); !errors.As(err, &se) || se.Status != wire.StatusProtocol {
+			t.Fatalf("panicking %v: %v, want StatusProtocol", typ, err)
+		}
+		if got := srv.HandlerPanics(); got != int64(i+1) {
+			t.Fatalf("after a panicking %v: %d panics counted, want %d", typ, got, i+1)
+		}
+		if resp, err := c.Call(wire.Message{Header: wire.Header{Type: typ, Handle: 7}}); err != nil || resp.Handle != 7 {
+			t.Fatalf("%v after a panic on the same connection: handle %d, %v", typ, resp.Handle, err)
+		}
+	}
 }

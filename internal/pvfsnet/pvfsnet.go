@@ -28,40 +28,40 @@ import (
 
 // Handler processes one request message and returns the response.
 // Implementations must be safe for concurrent use. A server dispatches
-// each request by one of three rules:
-//   - a wire.TWrite is handled by its connection's read loop, one at a
-//     time in arrival order;
+// each request by one of two rules:
 //   - a request the server's Local declares local is handled by its
-//     connection's read loop too, in arrival order, unless the fault
-//     injector delays it;
+//     connection's read loop, from a body buffer the connection owns,
+//     and answered before the next frame is read: one request in
+//     flight per connection, handled in arrival order;
 //   - every other request is handled on a goroutine of its own, so the
 //     requests of one connection may be handled concurrently.
 //
 // Handlers must not retain req.Body (or slices into it) past return:
 // the transport recycles the buffer once the response has been written.
-// A TWrite's body is overwritten by the next frame, so its response
-// must not share it.
+// A local request's body is overwritten by the next frame, so its
+// response must not share it.
 type Handler func(wire.Message) wire.Message
 
-// Local reports whether a request is local: answerable from the
-// serving process's memory, waiting on no other server and no disk. A
-// local request holds up every later request on its connection while
-// it is handled, so a Local that errs toward false only costs a
-// goroutine; one that errs toward true stalls a connection. It runs on
-// the read loop, so it must be cheap and must not retain req.Body.
+// Local reports whether a request is local: handled on its connection's
+// read loop. A local request may wait on its process's memory or disk,
+// never on another server: it holds up every later request on its
+// connection while it is handled, so a Local that errs toward false
+// only costs a goroutine, while one that lets a request wait on a peer
+// can stall a connection behind that peer. It runs on the read loop, so
+// it must be cheap and must not retain req.Body.
 type Local func(req wire.Message) bool
 
-// maxServerInflight bounds how many requests from one connection a
-// server handles concurrently; excess requests wait in the read loop,
-// applying backpressure through TCP.
+// maxServerInflight bounds how many non-local requests from one
+// connection a server handles concurrently; excess requests wait in the
+// read loop, applying backpressure through TCP.
 const maxServerInflight = 64
 
-// readLoopBody caps the body buffer a connection keeps for its TWrites:
-// one contiguous chunk behind a write request's fixed fields. The
-// buffer grows with the bodies the connection reads, to this cap at
+// readLoopBody caps the body buffer a connection keeps for its local
+// requests: one contiguous chunk behind a write request's fixed fields.
+// The buffer grows with the bodies the connection reads, to this cap at
 // most, lives as long as its connection and never enters the wire
 // pool. A larger body is read into a pooled buffer of its own, returned
-// once its request is handled.
+// once its request is answered.
 const readLoopBody = wire.ChunkBytes + wire.WriteReqFixedSize
 
 // Server runs an accept loop dispatching framed messages to a Handler.
@@ -71,6 +71,7 @@ type Server struct {
 	local   Local // nil: no request is local
 	logger  *log.Logger
 	faults  atomic.Pointer[Faults]
+	panics  atomic.Int64 // handler panics recovered by safeHandle
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -78,24 +79,30 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer starts serving on ln immediately. Pass a nil logger to
-// suppress connection error logging. A TWrite is handled by its
-// connection's read loop itself: its body is read into one buffer the
-// connection reuses, handled, and answered before the next frame is
-// read, so it lands before any later request on its connection is
-// read. Every other request is handled on a goroutine of its own.
+// NewServer starts serving on ln immediately, handling every request on
+// a goroutine of its own. Pass a nil logger to suppress connection
+// error logging.
 func NewServer(ln net.Listener, h Handler, logger *log.Logger) *Server {
 	return NewLocalServer(ln, h, nil, logger)
 }
 
-// NewLocalServer is NewServer whose read loops also handle and answer
-// every request local declares local (see Handler), saving such a
-// request its goroutine and the handoff to it.
+// NewLocalServer is NewServer whose read loops handle and answer every
+// request local declares local (see Handler), saving such a request
+// its goroutine, its pooled body and the handoff to it.
 func NewLocalServer(ln net.Listener, h Handler, local Local, logger *log.Logger) *Server {
 	s := &Server{ln: ln, handler: h, local: local, logger: logger, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
+}
+
+// HandlerPanics returns how many handler panics the server has
+// recovered (see safeHandle). A nil server has recovered none.
+func (s *Server) HandlerPanics() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.panics.Load()
 }
 
 // Addr returns the listen address.
@@ -127,21 +134,20 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn reads requests until the connection ends. A TWrite is
-// handled here, in arrival order (serveInline), and so is a local
-// request that no injected delay holds; any other request is
-// dispatched to its own goroutine, so a connection's requests are
-// serviced concurrently. Responses are written under a per-connection
-// mutex and carry the request's tag, so they may complete in any
-// order. Fault-injection decisions are taken here, in arrival order,
-// from the header alone: a dropped request's body is never read, a
-// failed one's is skipped.
+// serveConn reads requests until the connection ends. A local request
+// is handled and answered here, in arrival order; any other
+// is dispatched to its own goroutine, so those requests are serviced
+// concurrently. Responses are written under a per-connection mutex and
+// carry the request's tag, so they may complete in any order.
+// Fault-injection decisions are taken here, in arrival order, from the
+// header alone: a dropped request's body is never read, a failed one's
+// is skipped.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	var (
 		wmu sync.Mutex // serializes response frames
 		hwg sync.WaitGroup
-		own []byte // the TWrite body buffer, grown as bodies need
+		own []byte // the local-request body buffer, grown as bodies need
 	)
 	sem := make(chan struct{}, maxServerInflight)
 	defer func() {
@@ -200,68 +206,73 @@ func (s *Server) serveConn(c net.Conn) {
 				continue
 			}
 		}
-		if h.Type == wire.TWrite {
-			if n := int(h.BodyLen); n > cap(own) && n <= readLoopBody {
+		// The whole body is read before anything handles it, so a frame
+		// torn mid-body applies nothing. A server with a local rule reads
+		// it into own, which only a body past readLoopBody outgrows.
+		n := int(h.BodyLen)
+		pooled := s.local == nil || n > readLoopBody
+		var body []byte
+		if pooled {
+			body = wire.GetBuf(n)
+		} else {
+			if n > cap(own) {
 				// Doubling bounds the regrowths of a connection whose
 				// bodies creep up in size.
 				own = make([]byte, min(max(n, 2*cap(own)), readLoopBody))
 			}
-			if !s.serveInline(c, fr, h, own, delay, writeResp, spawn) {
-				return
-			}
-			continue
+			body = own[:n]
 		}
-		req, err := fr.ReadBody(h)
-		if err != nil {
+		req := wire.Message{Header: h, Body: body}
+		if _, err := fr.ReadInto([][]byte{body}); err != nil {
+			if pooled {
+				wire.PutBuf(body)
+			}
 			return
 		}
-		if delay == 0 && s.local != nil && s.local(req) {
-			s.dispatch(c, req, writeResp)
+		if s.local != nil && s.local(req) {
+			resp := s.respond(req, pooled)
+			if delay == 0 {
+				if writeResp(resp) != nil {
+					return
+				}
+				continue
+			}
+			// An injected delay holds back only the response, so the
+			// delays of pipelined requests overlap.
+			spawn(func() {
+				time.Sleep(delay)
+				s.reply(c, resp, writeResp)
+			})
 			continue
+		}
+		if !pooled {
+			req.Body = wire.GetBuf(n)
+			copy(req.Body, body)
 		}
 		// An injected service delay sleeps in the handler goroutine, so
 		// pipelined requests overlap their delays, as they would
 		// overlap real service time.
 		spawn(func() {
 			time.Sleep(delay)
-			s.dispatch(c, req, writeResp)
+			s.reply(c, s.respond(req, true), writeResp)
 		})
 	}
 }
 
-// serveInline reads the body of the TWrite whose header is h into own
-// — or, past its capacity, into a pooled buffer for this request alone
-// — runs the handler and writes the response. The whole body is read
-// before the handler runs, so a frame torn mid-body applies nothing. An injected delay holds back only the response: a
-// goroutine sleeps, then writes it, so the delays of pipelined requests
-// overlap. It reports whether the connection is still usable.
-func (s *Server) serveInline(c net.Conn, fr *wire.FrameReader, h wire.Header, own []byte, delay time.Duration, writeResp func(wire.Message) error, spawn func(func())) bool {
-	var body []byte
-	if int(h.BodyLen) <= cap(own) {
-		body = own[:h.BodyLen]
-	} else {
-		body = wire.GetBuf(int(h.BodyLen))
-		defer wire.PutBuf(body)
-	}
-	if _, err := fr.ReadInto([][]byte{body}); err != nil {
-		return false
-	}
-	resp := s.respond(wire.Message{Header: h, Body: body})
-	if delay > 0 {
-		spawn(func() {
-			time.Sleep(delay)
-			s.reply(c, resp, writeResp)
-		})
-		return true
-	}
-	return writeResp(resp) == nil
-}
-
-// respond runs the handler for req and tags its response.
-func (s *Server) respond(req wire.Message) wire.Message {
+// respond runs the handler for req and tags its response. A pooled
+// request body goes back to the pool (handlers must not retain it — see
+// Handler), unless the response shares it: then writing the response
+// recycles it. A body in the connection's own buffer is never the
+// pool's.
+func (s *Server) respond(req wire.Message, pooled bool) wire.Message {
 	resp := s.safeHandle(req)
 	resp.Type = req.Type.Response()
 	resp.Tag = req.Tag
+	if pooled && sameBacking(req.Body, resp.Body) {
+		resp.Recycle = true
+	} else if pooled {
+		wire.PutBuf(req.Body)
+	}
 	return resp
 }
 
@@ -275,21 +286,6 @@ func (s *Server) reply(c net.Conn, resp wire.Message, writeResp func(wire.Messag
 	}
 }
 
-// dispatch runs the handler for one request and writes the tagged
-// response, then recycles the request body (handlers must not retain
-// it — see Handler).
-func (s *Server) dispatch(c net.Conn, req wire.Message, writeResp func(wire.Message) error) {
-	resp := s.respond(req)
-	if sameBacking(req.Body, resp.Body) {
-		// A handler echoed (a slice of) the request body; recycling
-		// both sides would double-free, so the response write owns it.
-		resp.Recycle = true
-		req.Body = nil
-	}
-	s.reply(c, resp, writeResp)
-	wire.PutBuf(req.Body)
-}
-
 // sameBacking reports whether two slices share a backing array. Slices
 // into the same array share their final capacity byte regardless of
 // their offsets.
@@ -301,10 +297,12 @@ func sameBacking(a, b []byte) bool {
 }
 
 // safeHandle isolates handler panics to a protocol-error response so a
-// malformed request cannot take the daemon down.
+// malformed request cannot take the daemon down, nor end the read loop
+// that handles a local request; each panic is counted (HandlerPanics).
 func (s *Server) safeHandle(req wire.Message) (resp wire.Message) {
 	defer func() {
 		if r := recover(); r != nil {
+			s.panics.Add(1)
 			s.logf("pvfsnet: handler panic on %v: %v", req.Type, r)
 			resp = wire.Message{Header: wire.Header{Status: wire.StatusProtocol}}
 		}

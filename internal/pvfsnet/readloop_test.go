@@ -11,7 +11,8 @@ import (
 	"pvfs/internal/wire"
 )
 
-// readLoopServer records the handle of each TWrite it handles, in
+// readLoopServer declares TWrite local, as an I/O daemon declares
+// every request. It records the handle of each TWrite it handles, in
 // arrival order, and whether two of its TWrite handler calls ever
 // overlapped; every other request goes to other.
 type readLoopServer struct {
@@ -30,7 +31,8 @@ func startReadLoopServer(t *testing.T, other func(wire.Message)) *readLoopServer
 		t.Fatal(err)
 	}
 	s := &readLoopServer{other: other}
-	s.Server = NewServer(ln, func(req wire.Message) wire.Message {
+	local := func(req wire.Message) bool { return req.Type == wire.TWrite }
+	s.Server = NewLocalServer(ln, func(req wire.Message) wire.Message {
 		if req.Type != wire.TWrite {
 			s.other(req)
 			return wire.Message{Header: wire.Header{Handle: req.Handle}}
@@ -44,7 +46,7 @@ func startReadLoopServer(t *testing.T, other func(wire.Message)) *readLoopServer
 		s.mu.Unlock()
 		s.inflight.Add(-1)
 		return wire.Message{Header: wire.Header{Handle: req.Handle}}
-	}, nil)
+	}, local, nil)
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -55,8 +57,8 @@ func (s *readLoopServer) handled() []uint64 {
 	return append([]uint64(nil), s.order...)
 }
 
-// TWrites are handled one at a time, in the order they were sent;
-// requests of other types on the same connection still overlap each
+// Local TWrites are handled one at a time, in the order they were
+// sent; non-local requests on the same connection still overlap each
 // other.
 func TestWritesHandledInOrder(t *testing.T) {
 	var arrived atomic.Int32
@@ -119,7 +121,7 @@ func TestWritesHandledInOrder(t *testing.T) {
 	}
 }
 
-// The fault injector acts on a TWrite in arrival order: a drop closes
+// The fault injector acts on a local TWrite in arrival order: a drop closes
 // the connection before the body is read, a failure answers without
 // calling the handler and leaves the connection usable, and a service
 // delay holds back only the response, so the delays of pipelined

@@ -350,11 +350,14 @@ type ServerStats struct {
 	MetaBatches      int64 // group-commit flushes (>= 1 proposal each)
 	MetaAppendRounds int64 // append RPCs shipped carrying entries
 	MetaWALSyncs     int64 // WAL syncs (log, hard state, snapshots)
+	// Handler panics the daemon's transport recovered (answered
+	// StatusProtocol): each one is a bug (pvfsnet.Server.HandlerPanics).
+	HandlerPanics int64
 }
 
 // counters lists m's counters in wire order, the one place that order
 // is written: Marshal, Unmarshal and Add all walk it.
-func (m *ServerStats) counters() [25]*int64 {
+func (m *ServerStats) counters() [26]*int64 {
 	return [...]*int64{
 		&m.Requests,
 		&m.Regions,
@@ -381,6 +384,7 @@ func (m *ServerStats) counters() [25]*int64 {
 		&m.MetaBatches,
 		&m.MetaAppendRounds,
 		&m.MetaWALSyncs,
+		&m.HandlerPanics,
 	}
 }
 

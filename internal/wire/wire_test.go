@@ -287,7 +287,7 @@ func TestServerStatsRoundTripAndAdd(t *testing.T) {
 }
 
 // TestServerStatsGoldenLayout pins the ServerStats wire layout: field i
-// of the struct set to i+1 marshals to these 200 bytes, the counters in
+// of the struct set to i+1 marshals to these 208 bytes, the counters in
 // declaration order as big-endian 64-bit integers.
 func TestServerStatsGoldenLayout(t *testing.T) {
 	const golden = "0000000000000001000000000000000200000000000000030000000000000004" +
@@ -296,7 +296,7 @@ func TestServerStatsGoldenLayout(t *testing.T) {
 		"000000000000000d000000000000000e000000000000000f0000000000000010" +
 		"0000000000000011000000000000001200000000000000130000000000000014" +
 		"0000000000000015000000000000001600000000000000170000000000000018" +
-		"0000000000000019"
+		"0000000000000019000000000000001a"
 	var st ServerStats
 	v := reflect.ValueOf(&st).Elem()
 	for i := 0; i < v.NumField(); i++ {
