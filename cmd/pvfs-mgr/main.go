@@ -44,7 +44,6 @@ import (
 
 	"pvfs/internal/meta"
 	"pvfs/internal/mgr"
-	"pvfs/internal/pvfsnet"
 	"pvfs/internal/wire"
 )
 
@@ -176,7 +175,7 @@ func runMaster(addr, replica, shards, iods, dir string, logger *log.Logger) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	srv := pvfsnet.NewServer(ln, node.Handle, logger)
+	srv := node.Serve(ln, logger)
 	mode := "rejoining"
 	if boot != nil {
 		mode = "bootstrapping"

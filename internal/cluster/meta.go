@@ -100,7 +100,7 @@ func (c *Cluster) startMeta(iodAddrs []string) error {
 		}
 		c.masters = append(c.masters, &masterProc{
 			node: node,
-			srv:  pvfsnet.NewServer(ln, node.Handle, nil),
+			srv:  node.Serve(ln, nil),
 		})
 	}
 	for i, ln := range slns {
@@ -223,7 +223,7 @@ func (c *Cluster) RestartMaster(i int) error {
 		ln.Close()
 		return fmt.Errorf("cluster: restarting master %d: %w", i, err)
 	}
-	mp := &masterProc{node: node, srv: pvfsnet.NewServer(ln, node.Handle, nil)}
+	mp := &masterProc{node: node, srv: node.Serve(ln, nil)}
 	c.mu.Lock()
 	c.masters[i] = mp
 	c.mu.Unlock()

@@ -40,11 +40,11 @@ type Server struct {
 }
 
 // New starts an I/O daemon serving st on ln. Every request is local
-// (pvfsnet.Local): its connection's read loop applies it, from one
-// body buffer the connection reuses, and answers it before the next
-// request on that connection is read. So a connection's requests are
-// applied in arrival order, and the daemon holds at most one request
-// body and one response per connection.
+// (pvfsnet.Local): its connection's read loop applies it, from a body
+// the wire pool lends it, and answers it before the next request on
+// that connection is read. So a connection's requests are applied in
+// arrival order, the daemon holds at most one request body and one
+// response per busy connection, and an idle connection holds none.
 func New(ln net.Listener, st store.Store, logger *log.Logger) *Server {
 	s := &Server{st: st}
 	srv := pvfsnet.NewLocalServer(ln, s.handle, func(wire.Message) bool { return true }, logger)

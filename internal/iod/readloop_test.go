@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,21 +109,40 @@ func awaitBufBalance(t *testing.T, gets0, puts0 int64) {
 	}
 }
 
-// countingStore counts the WriteAt calls that reach its store.
+// countingStore counts the WriteAt calls that reach its store and
+// records the distinct addresses their data arrived at.
 type countingStore struct {
 	store.Store
 	writes atomic.Int64
+	mu     sync.Mutex
+	at     map[*byte]bool
 }
 
 func (s *countingStore) WriteAt(handle uint64, p []byte, off int64) (int, error) {
 	s.writes.Add(1)
+	if len(p) > 0 {
+		s.mu.Lock()
+		if s.at == nil {
+			s.at = make(map[*byte]bool)
+		}
+		s.at[&p[0]] = true
+		s.mu.Unlock()
+	}
 	return s.Store.WriteAt(handle, p, off)
 }
 
+// addresses returns how many distinct addresses write data arrived at.
+func (s *countingStore) addresses() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.at)
+}
+
 // Pipelined contiguous writes on one connection land in one body buffer
-// the connection keeps outside the wire pool: each write draws at most
-// its acknowledgement frame from the pool, no body, and the pool stays
-// balanced while the connection lives. Each write is one
+// the wire pool lends each of them in turn, the one the write before
+// gave back: each write draws one pooled body and at most its
+// acknowledgement frame, every write's data arrives at one address, and
+// the pool stays balanced while the connection lives. Each write is one
 // store.WriteAt, answered in the order sent.
 func TestPipelinedWritesReuseOneBody(t *testing.T) {
 	st := &countingStore{Store: store.NewMem()}
@@ -137,6 +157,12 @@ func TestPipelinedWritesReuseOneBody(t *testing.T) {
 	for i := range bodies {
 		bodies[i] = writeBody(int64(i)*chunk, bytes.Repeat([]byte{byte(i + 1)}, chunk))
 	}
+	// With two buffers parked in the bodies' class, a free list that
+	// hands out its oldest buffer would alternate between them.
+	parked := [][]byte{wire.GetBuf(len(bodies[0])), wire.GetBuf(len(bodies[0]))}
+	for _, b := range parked {
+		wire.PutBuf(b)
+	}
 	gets0, puts0 := wire.BufStats()
 	var tags []uint32
 	for _, b := range bodies {
@@ -147,13 +173,16 @@ func TestPipelinedWritesReuseOneBody(t *testing.T) {
 			t.Fatalf("write %d acknowledged %d bytes", tag, got)
 		}
 	}
-	if gets, _ := wire.BufStats(); gets-gets0 > n {
-		t.Fatalf("%d pooled buffers for %d writes: want at most one acknowledgement frame each, no body", gets-gets0, n)
+	if gets, _ := wire.BufStats(); gets-gets0 > 2*n {
+		t.Fatalf("%d pooled buffers for %d writes: want one body and at most one acknowledgement frame each", gets-gets0, n)
 	}
 	awaitBufBalance(t, gets0, puts0)
 
 	if w := st.writes.Load(); w != n {
 		t.Fatalf("%d store writes for %d requests", w, n)
+	}
+	if a := st.addresses(); a != 1 {
+		t.Fatalf("the data of %d writes arrived at %d addresses, want one", n, a)
 	}
 	got := make([]byte, n*chunk)
 	if _, err := st.ReadAt(5, got, 0); err != nil {
@@ -166,9 +195,9 @@ func TestPipelinedWritesReuseOneBody(t *testing.T) {
 	}
 }
 
-// A write larger than the connection's body buffer is read into a
-// pooled buffer of its own, applied whole by one store.WriteAt and
-// answered with its full length; the buffer goes back to the pool.
+// A write larger than a chunk is read into a pooled buffer of its own
+// class, applied whole by one store.WriteAt and answered with its full
+// length; the buffer goes back to the pool.
 func TestOversizedWriteAppliedWhole(t *testing.T) {
 	st := &countingStore{Store: store.NewMem()}
 	srv, err := iod.Listen("127.0.0.1:0", st, nil)
@@ -345,10 +374,9 @@ func TestListRequestsAnsweredInOrder(t *testing.T) {
 	}
 }
 
-// A connection keeps a body buffer only as large as the bodies it has
-// read: connections that each carried one list write and one list read
-// of 16 x 4 KiB and then idle hold little more heap than that write's
-// body.
+// An idle connection holds no request body: connections that each
+// carried one list write and one list read of 16 x 4 KiB and then idle
+// hold little heap.
 func TestIdleListConnectionsHoldLittleHeap(t *testing.T) {
 	srv, err := iod.Listen("127.0.0.1:0", store.NewMem(), nil)
 	if err != nil {
@@ -384,8 +412,8 @@ func TestIdleListConnectionsHoldLittleHeap(t *testing.T) {
 		cs[i] = c
 	}
 	grew := int64(heap()) - int64(before)
-	if per, limit := grew/conns, int64(len(writeBody))+32<<10; per >= limit {
-		t.Fatalf("each idle connection holds %d B of heap (%d B for %d), want < %d: its largest body plus 32 KiB", per, grew, conns, limit)
+	if per := grew / conns; per >= 8<<10 {
+		t.Fatalf("each idle connection holds %d B of heap (%d B for %d), want < 8 KiB", per, grew, conns)
 	}
 	runtime.KeepAlive(cs)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"log"
 	"math/rand"
+	"net"
 	"sync"
 	"time"
 
@@ -57,7 +58,7 @@ var errClosed = errors.New("meta: node closed")
 // metadata log. It is the I/O shell around the consensus core
 // (DESIGN.md §13): it owns the peer pool, the durable state, the clocks
 // and the goroutines, and calls the core under mu. Handle serves the
-// wire protocol; callers attach it to a listener via pvfsnet.NewServer.
+// wire protocol; Serve attaches it to a listener.
 type Node struct {
 	timing Timing
 	logger *log.Logger
@@ -67,6 +68,7 @@ type Node struct {
 	mu     sync.Mutex
 	c      *core
 	closed bool
+	srv    *pvfsnet.Server // the listener Serve started; nil before
 	// walMu orders writes to stable: carry takes it before releasing
 	// mu, so records reach the WAL in the order the core returned them,
 	// while the write leaves mu free. Lock order is mu → walMu.
@@ -82,8 +84,8 @@ type Node struct {
 }
 
 // NewNode starts a master replica: its clock, committer, compactor and
-// one replicator per peer. The caller attaches n.Handle to a listener
-// on Peers[ID]. With Dir set, any state a previous incarnation
+// one replicator per peer. The caller serves it on a listener on
+// Peers[ID] (Serve). With Dir set, any state a previous incarnation
 // persisted there is recovered first and wins over Bootstrap.
 func NewNode(o NodeOptions) (*Node, error) {
 	t := o.Timing.withDefaults()
@@ -247,9 +249,24 @@ func (n *Node) Term() (t uint64) {
 	return t
 }
 
-// Stats reports leadership changes and the group-commit counters.
+// Serve starts answering the master wire protocol on ln, every request
+// on a goroutine of its own. The listener's recovered handler panics
+// count in the node's Stats. Close the returned server before the node.
+func (n *Node) Serve(ln net.Listener, logger *log.Logger) (srv *pvfsnet.Server) {
+	n.locked(func() {
+		srv = pvfsnet.NewServer(ln, n.Handle, logger)
+		n.srv = srv
+	})
+	return srv
+}
+
+// Stats reports leadership changes, the group-commit counters and the
+// handler panics its listener recovered.
 func (n *Node) Stats() (st wire.ServerStats) {
-	n.locked(func() { st = n.c.stats() })
+	n.locked(func() {
+		st = n.c.stats()
+		st.HandlerPanics = n.srv.HandlerPanics()
+	})
 	if n.stable != nil {
 		st.MetaWALSyncs = n.stable.syncs.Load()
 	}

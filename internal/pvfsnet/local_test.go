@@ -1,6 +1,7 @@
 package pvfsnet
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"runtime"
@@ -165,10 +166,19 @@ func TestLocalRequestFaults(t *testing.T) {
 	}
 }
 
-// A connection keeps a local-request body buffer only as large as the
-// bodies it has read: connections that each carried one 1-byte local
-// TWrite and then idle hold little heap.
-func TestIdleWriteConnectionsHoldLittleHeap(t *testing.T) {
+// liveHeap returns the bytes of heap in use after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// idleConns opens n connections to a server that declares every
+// request local, sends one TWrite carrying body on each and leaves
+// them idle; it returns the heap growth they left behind.
+func idleConns(t *testing.T, n int, body []byte) int64 {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,31 +187,90 @@ func TestIdleWriteConnectionsHoldLittleHeap(t *testing.T) {
 	srv := NewLocalServer(ln, func(wire.Message) wire.Message { return wire.Message{} }, all, nil)
 	defer srv.Close()
 
-	const conns = 128
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	cs := make([]*Conn, conns)
+	before := liveHeap()
+	cs := make([]*Conn, n)
 	for i := range cs {
 		c, err := Dial(srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TWrite}, Body: []byte{1}}); err != nil {
+		if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TWrite}, Body: body}); err != nil {
 			t.Fatal(err)
 		}
 		cs[i] = c
 	}
-	grew := int64(heap()) - int64(before)
-	if per := grew / conns; per >= 32<<10 {
-		t.Fatalf("each idle connection holds %d B of heap (%d B for %d), want < 32 KiB", per, grew, conns)
-	}
+	grew := liveHeap() - before
 	runtime.KeepAlive(cs)
+	return grew
+}
+
+// An idle connection holds no request body: connections that each
+// carried one 1-byte local TWrite and then idle hold little heap.
+func TestIdleWriteConnectionsHoldLittleHeap(t *testing.T) {
+	const conns = 128
+	grew := idleConns(t, conns, []byte{1})
+	if per := grew / conns; per >= 8<<10 {
+		t.Fatalf("each idle connection holds %d B of heap (%d B for %d), want < 8 KiB", per, grew, conns)
+	}
+}
+
+// A connection does not keep the largest body it read: 128 connections
+// that each carried one chunk-sized local TWrite and then idle hold
+// less heap than the 16 chunk buffers the pool may park plus as many
+// again, where a buffer per connection would hold 66 MiB.
+func TestIdleChunkConnectionsHoldNoBody(t *testing.T) {
+	const conns = 128
+	grew := idleConns(t, conns, make([]byte, wire.ChunkBytes+wire.WriteReqFixedSize))
+	if grew >= 16<<20 {
+		t.Fatalf("%d idle connections that each carried one %d-byte body hold %d B of heap, want < 16 MiB",
+			conns, wire.ChunkBytes+wire.WriteReqFixedSize, grew)
+	}
+}
+
+// A local response may share its request's body: pipelined echoes,
+// each answered after an injected delay while later frames are read,
+// return their own bytes.
+func TestLocalEchoUnderDelay(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func(wire.Message) bool { return true }
+	srv := NewLocalServer(ln, func(req wire.Message) wire.Message { return wire.Message{Body: req.Body} }, all, nil)
+	defer srv.Close()
+	f := &Faults{}
+	f.SetDelay(5 * time.Millisecond)
+	srv.SetFaults(f)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 8
+	var pend []*Pending
+	for i := range n {
+		p, err := c.CallAsync(wire.Message{Header: wire.Header{Type: wire.TStat}, Body: bytes.Repeat([]byte{byte(i + 1)}, 4<<10)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pend = append(pend, p)
+	}
+	wrong := 0
+	for i, p := range pend {
+		resp, err := p.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Body, bytes.Repeat([]byte{byte(i + 1)}, 4<<10)) {
+			wrong++
+		}
+		resp.Release()
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d delayed local echoes returned another request's bytes", wrong, n)
+	}
 }
 
 // A handler panic, on a read loop (local) or a goroutine (not local), is

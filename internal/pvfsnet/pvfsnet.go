@@ -27,19 +27,19 @@ import (
 )
 
 // Handler processes one request message and returns the response.
-// Implementations must be safe for concurrent use. A server dispatches
-// each request by one of two rules:
+// Implementations must be safe for concurrent use. A server reads every
+// request body into a buffer from the wire pool, then dispatches the
+// request by one of two rules:
 //   - a request the server's Local declares local is handled by its
-//     connection's read loop, from a body buffer the connection owns,
-//     and answered before the next frame is read: one request in
-//     flight per connection, handled in arrival order;
+//     connection's read loop and answered before the next frame is
+//     read: one request in flight per connection, handled in arrival
+//     order;
 //   - every other request is handled on a goroutine of its own, so the
 //     requests of one connection may be handled concurrently.
 //
 // Handlers must not retain req.Body (or slices into it) past return:
 // the transport recycles the buffer once the response has been written.
-// A local request's body is overwritten by the next frame, so its
-// response must not share it.
+// A response may share it.
 type Handler func(wire.Message) wire.Message
 
 // Local reports whether a request is local: handled on its connection's
@@ -47,22 +47,15 @@ type Handler func(wire.Message) wire.Message
 // never on another server: it holds up every later request on its
 // connection while it is handled, so a Local that errs toward false
 // only costs a goroutine, while one that lets a request wait on a peer
-// can stall a connection behind that peer. It runs on the read loop, so
-// it must be cheap and must not retain req.Body.
+// can stall a connection behind that peer. It decides only where a
+// request is handled, not where its body lives. It runs on the read
+// loop, so it must be cheap and must not retain req.Body.
 type Local func(req wire.Message) bool
 
 // maxServerInflight bounds how many non-local requests from one
 // connection a server handles concurrently; excess requests wait in the
 // read loop, applying backpressure through TCP.
 const maxServerInflight = 64
-
-// readLoopBody caps the body buffer a connection keeps for its local
-// requests: one contiguous chunk behind a write request's fixed fields.
-// The buffer grows with the bodies the connection reads, to this cap at
-// most, lives as long as its connection and never enters the wire
-// pool. A larger body is read into a pooled buffer of its own, returned
-// once its request is answered.
-const readLoopBody = wire.ChunkBytes + wire.WriteReqFixedSize
 
 // Server runs an accept loop dispatching framed messages to a Handler.
 type Server struct {
@@ -88,7 +81,7 @@ func NewServer(ln net.Listener, h Handler, logger *log.Logger) *Server {
 
 // NewLocalServer is NewServer whose read loops handle and answer every
 // request local declares local (see Handler), saving such a request
-// its goroutine, its pooled body and the handoff to it.
+// its goroutine and the handoff to it.
 func NewLocalServer(ln net.Listener, h Handler, local Local, logger *log.Logger) *Server {
 	s := &Server{ln: ln, handler: h, local: local, logger: logger, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
@@ -147,7 +140,6 @@ func (s *Server) serveConn(c net.Conn) {
 	var (
 		wmu sync.Mutex // serializes response frames
 		hwg sync.WaitGroup
-		own []byte // the local-request body buffer, grown as bodies need
 	)
 	sem := make(chan struct{}, maxServerInflight)
 	defer func() {
@@ -207,30 +199,15 @@ func (s *Server) serveConn(c net.Conn) {
 			}
 		}
 		// The whole body is read before anything handles it, so a frame
-		// torn mid-body applies nothing. A server with a local rule reads
-		// it into own, which only a body past readLoopBody outgrows.
-		n := int(h.BodyLen)
-		pooled := s.local == nil || n > readLoopBody
-		var body []byte
-		if pooled {
-			body = wire.GetBuf(n)
-		} else {
-			if n > cap(own) {
-				// Doubling bounds the regrowths of a connection whose
-				// bodies creep up in size.
-				own = make([]byte, min(max(n, 2*cap(own)), readLoopBody))
-			}
-			body = own[:n]
-		}
-		req := wire.Message{Header: h, Body: body}
-		if _, err := fr.ReadInto([][]byte{body}); err != nil {
-			if pooled {
-				wire.PutBuf(body)
-			}
+		// torn mid-body applies nothing. An idle connection holds no
+		// body: what the server parks is bounded by the pool's depths.
+		req := wire.Message{Header: h, Body: wire.GetBuf(int(h.BodyLen))}
+		if _, err := fr.ReadInto([][]byte{req.Body}); err != nil {
+			wire.PutBuf(req.Body)
 			return
 		}
 		if s.local != nil && s.local(req) {
-			resp := s.respond(req, pooled)
+			resp := s.respond(req)
 			if delay == 0 {
 				if writeResp(resp) != nil {
 					return
@@ -245,32 +222,27 @@ func (s *Server) serveConn(c net.Conn) {
 			})
 			continue
 		}
-		if !pooled {
-			req.Body = wire.GetBuf(n)
-			copy(req.Body, body)
-		}
 		// An injected service delay sleeps in the handler goroutine, so
 		// pipelined requests overlap their delays, as they would
 		// overlap real service time.
 		spawn(func() {
 			time.Sleep(delay)
-			s.reply(c, s.respond(req, true), writeResp)
+			s.reply(c, s.respond(req), writeResp)
 		})
 	}
 }
 
-// respond runs the handler for req and tags its response. A pooled
-// request body goes back to the pool (handlers must not retain it — see
+// respond runs the handler for req and tags its response. The request
+// body goes back to the pool (handlers must not retain it — see
 // Handler), unless the response shares it: then writing the response
-// recycles it. A body in the connection's own buffer is never the
-// pool's.
-func (s *Server) respond(req wire.Message, pooled bool) wire.Message {
+// recycles it.
+func (s *Server) respond(req wire.Message) wire.Message {
 	resp := s.safeHandle(req)
 	resp.Type = req.Type.Response()
 	resp.Tag = req.Tag
-	if pooled && sameBacking(req.Body, resp.Body) {
+	if sameBacking(req.Body, resp.Body) {
 		resp.Recycle = true
-	} else if pooled {
+	} else {
 		wire.PutBuf(req.Body)
 	}
 	return resp

@@ -1,18 +1,24 @@
 package wire
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Message body buffer pooling. The I/O hot path reads and writes one
 // framed message per request; without pooling every message allocates
 // its body (and the write path a header+body frame), so steady-state
 // list I/O churns the garbage collector in proportion to throughput.
 //
-// Buffers are kept in size classes backed by buffered channels rather
-// than sync.Pool: a channel free list never allocates on Get/Put
-// (sync.Pool boxes the slice header on every Put), gives a hard bound
-// on parked memory per class, and needs no GC integration. Misses
-// simply allocate and surplus Puts are dropped, so the pool is always
-// safe to bypass.
+// Buffers are kept in size classes, each a stack of fixed depth under a
+// mutex. A stack hands back the buffer filed last: a daemon's read loop
+// gives its request body back before it reads the next frame, so it
+// gets the same buffer again, still in cache, where a queue such as a
+// buffered channel would hand it the oldest and coldest. Unlike
+// sync.Pool, which boxes the slice header on every Put, a stack never
+// allocates on Get/Put; its depth is a hard bound on the memory a class
+// parks; and it needs no GC integration. Misses simply allocate and
+// surplus Puts are dropped, so the pool is always safe to bypass.
 //
 // A data-path class is a power of two plus headroom, because that is
 // where bodies fall: every data-path body is a power-of-two payload
@@ -47,10 +53,17 @@ func classCap(shift int) int {
 	return 1<<shift + headroom
 }
 
+// bufClass is one size class's free list: a stack whose capacity, set
+// once, is the class's depth.
+type bufClass struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
 // bufClasses holds one free list per size class. Free-list depths taper
 // off so large classes cannot park unbounded memory: ≤64 KiB classes
 // keep up to 64 buffers, ≤1 MiB up to 16, above that 4.
-var bufClasses [maxBufShift + 1]chan []byte
+var bufClasses [maxBufShift + 1]bufClass
 
 func init() {
 	for shift := minBufShift; shift <= maxBufShift; shift++ {
@@ -61,7 +74,7 @@ func init() {
 		case shift > 16: // > 64 KiB
 			n = 16
 		}
-		bufClasses[shift] = make(chan []byte, n)
+		bufClasses[shift].free = make([][]byte, 0, n)
 	}
 }
 
@@ -96,12 +109,17 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	shift := shiftFor(n)
-	select {
-	case b := <-bufClasses[shift]:
+	class := &bufClasses[shift]
+	class.mu.Lock()
+	if top := len(class.free) - 1; top >= 0 {
+		b := class.free[top]
+		class.free[top] = nil // the stack must not keep a buffer it lent out
+		class.free = class.free[:top]
+		class.mu.Unlock()
 		return b[:n]
-	default:
-		return make([]byte, n, classCap(shift))
 	}
+	class.mu.Unlock()
+	return make([]byte, n, classCap(shift))
 }
 
 // PutBuf returns a buffer to the pool. The caller must own b outright;
@@ -122,10 +140,12 @@ func PutBuf(b []byte) {
 	for shift < maxBufShift && classCap(shift+1) <= c {
 		shift++
 	}
-	select {
-	case bufClasses[shift] <- b[:cap(b)]:
-	default:
+	class := &bufClasses[shift]
+	class.mu.Lock()
+	if len(class.free) < cap(class.free) {
+		class.free = append(class.free, b[:c])
 	}
+	class.mu.Unlock()
 }
 
 // Release returns the message body to the buffer pool and clears it.

@@ -5,12 +5,34 @@ import "testing"
 // drainClass empties a class's free list so a test sees only the
 // buffers it parks itself.
 func drainClass(shift int) {
-	for {
-		select {
-		case <-bufClasses[shift]:
-		default:
-			return
-		}
+	c := &bufClasses[shift]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.free)
+	c.free = c.free[:0]
+}
+
+// parked returns how many buffers a class holds, and how many it may.
+func parked(shift int) (n, depth int) {
+	c := &bufClasses[shift]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.free), cap(c.free)
+}
+
+// A class hands back the buffer filed last: the one still warm in the
+// cache of the core that just used it, not the oldest.
+func TestPoolHandsOutNewestBuffer(t *testing.T) {
+	const n = 64 << 10
+	drainClass(shiftFor(n))
+	first, second := GetBuf(n), GetBuf(n)
+	PutBuf(first)
+	PutBuf(second)
+	if b := GetBuf(n); &b[0] != &second[0] {
+		t.Fatal("GetBuf returned an older buffer than the one filed last")
+	}
+	if b := GetBuf(n); &b[0] != &first[0] {
+		t.Fatal("GetBuf did not return the first buffer after the second")
 	}
 }
 
@@ -43,7 +65,7 @@ func TestBodyLandsInPayloadClass(t *testing.T) {
 		if 1<<shift != c.payload {
 			t.Errorf("%s: class 1<<%d, want the payload's own (%d)", c.name, shift, c.payload)
 		}
-		if got := cap(bufClasses[shift]); got != c.parked {
+		if _, got := parked(shift); got != c.parked {
 			t.Errorf("%s: class parks %d, want %d", c.name, got, c.parked)
 		}
 		// The class a cut at the bare power of two put this body in.
@@ -51,8 +73,9 @@ func TestBodyLandsInPayloadClass(t *testing.T) {
 		for 1<<old < body {
 			old++
 		}
-		if cap(bufClasses[shift]) < cap(bufClasses[old]) {
-			t.Errorf("%s: class parks %d, fewer than the %d it had", c.name, cap(bufClasses[shift]), cap(bufClasses[old]))
+		_, depth := parked(shift)
+		if _, had := parked(old); depth < had {
+			t.Errorf("%s: class parks %d, fewer than the %d it had", c.name, depth, had)
 		}
 		drainClass(shift)
 		b := GetBuf(body)
@@ -92,7 +115,7 @@ func TestForeignBufferReused(t *testing.T) {
 		want := shiftFor(c+1) - 1 // classCap(want) ≤ c < classCap(want+1)
 		drainClass(want)
 		PutBuf(foreign)
-		if got := len(bufClasses[want]); got != 1 {
+		if got, _ := parked(want); got != 1 {
 			t.Fatalf("cap %d: parked in class %d: %d buffers, want 1", c, want, got)
 		}
 		b := GetBuf(1 << want)
@@ -114,7 +137,9 @@ func TestForeignBufferReused(t *testing.T) {
 	drainClass(headroomShift)
 	drainClass(headroomShift - 1)
 	PutBuf(make([]byte, 1<<headroomShift))
-	if len(bufClasses[headroomShift]) != 0 || len(bufClasses[headroomShift-1]) != 1 {
+	above, _ := parked(headroomShift)
+	below, _ := parked(headroomShift - 1)
+	if above != 0 || below != 1 {
 		t.Errorf("a bare %d-byte buffer was not filed under the class below", 1<<headroomShift)
 	}
 }

@@ -204,8 +204,8 @@ const WriteReqFixedSize = 8
 
 // ChunkBytes is the data a client puts in one windowed request: a
 // contiguous chunk, or one window of a datatype transfer. A daemon
-// connection keeps one body buffer of ChunkBytes + WriteReqFixedSize
-// for its contiguous writes.
+// reads such a body, ChunkBytes plus its fixed fields, into a buffer of
+// the pool's ChunkBytes class, which parks at most 16 of them.
 const ChunkBytes = 512 << 10
 
 // AppendFixed appends the fixed fields alone: the body of a vectored
